@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from . import flow
 from .errors import SequenceOverflow, SingularInput
 from .flow import EPS_TAN, Ray, first_collision, reflect
-from .geometry import EPS_CORNER, BilliardTable, boundary_point
+from .geometry import EPS_CORNER, BilliardTable
 
 HALF_PI = math.pi / 2.0
 K0_DEFAULT = 30
@@ -86,7 +86,7 @@ def flight_derivative(tau: float, kappa0: float, phi0: float,
 
 
 def outgoing_ray(table: BilliardTable, p: PhasePoint) -> Ray:
-    point, n, t = boundary_point(table, p.wall_id, p.r)
+    point, n, t = table.walls[p.wall_id].chart_frame(p.r)
     c, s = math.cos(p.phi), math.sin(p.phi)
     return Ray(point, (c * n[0] + s * t[0], c * n[1] + s * t[1]))
 
@@ -374,28 +374,7 @@ def random_phase_point(table: BilliardTable, rng) -> PhasePoint:
 
 
 # ---------------------------------------------------------------------------
-# tangent vectors and operative cones
-
-@dataclass(frozen=True)
-class TangentVector:
-    base: PhasePoint
-    dr: float
-    dphi: float
-
-    @property
-    def slope(self) -> float:
-        if self.dr == 0.0:
-            return math.inf if self.dphi >= 0.0 else -math.inf
-        return self.dphi / self.dr
-
-    @property
-    def increasing(self) -> bool:
-        return self.dr * self.dphi >= 0.0
-
-    @property
-    def decreasing(self) -> bool:
-        return self.dr * self.dphi <= 0.0
-
+# operative cones
 
 def cone_push(table: BilliardTable, z: PhasePoint, image: MapImage):
     """Slope interval at image.point of the pushed-forward upward cone."""

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .geometry import build_table, estimate_constants
 from .render import render_artifact
+from .serialize import write_atomic
 from .singularities import classify_sectors, sector_portrait, trace_singularity
 from .ucurves import (
     FittedConstants,
@@ -235,15 +236,6 @@ def _table_id(name: str) -> str:
     return os.path.splitext(os.path.basename(name))[0]
 
 
-def _write_atomic(path: str, data) -> None:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _json_bytes(doc) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
@@ -288,7 +280,7 @@ def _cmd_validate(opts) -> int:
                "tau_max_sampled": con.tau_max_sampled,
                "tau_star": con.tau_star, "samples": con.samples,
                "seed": seed}
-        _write_atomic(opts["out"], _json_bytes(doc))
+        write_atomic(opts["out"], _json_bytes(doc))
         print(f"wrote {opts['out']}")
     return 0
 
@@ -333,14 +325,14 @@ def _cmd_orbit(opts) -> int:
             "table", table=table,
             rows=[(p.wall_id, p.r, p.phi, tau)
                   for _, p, tau, _, _, _ in rows])
-        _write_atomic(opts["out"], svg)
+        write_atomic(opts["out"], svg)
     else:
         out = ["step,wall_id,r,phi,tau,kind,properness,branch_label"]
         for step, p, tau, kind, properness, label in rows:
             out.append("%d,%d,%.17g,%.17g,%.17g,%s,%s,%s"
                        % (step, p.wall_id, p.r, p.phi, tau, kind,
                           properness, label))
-        _write_atomic(opts["out"], "\n".join(out) + "\n")
+        write_atomic(opts["out"], "\n".join(out) + "\n")
     print(f"wrote {opts['out']} ({len(rows)} collisions, "
           f"last kind {rows[-1][3]})")
     return 0
@@ -359,7 +351,7 @@ def _cmd_singularities(opts) -> int:
                                k0=opts["k0"])
     else:
         data = _phase_csv(rows)
-    _write_atomic(opts["out"], data)
+    write_atomic(opts["out"], data)
     print(f"wrote {opts['out']} ({len(curves)} curves, {len(rows)} points)")
     return 0
 
@@ -377,14 +369,14 @@ def _cmd_portrait(opts) -> int:
                "candidates": [[s.to_json() for s in sectors]
                               for sectors in
                               getattr(err, "decompositions", [])]}
-        _write_atomic(opts["out"], _json_bytes(doc))
+        write_atomic(opts["out"], _json_bytes(doc))
         print(f"wrote partial {opts['out']}", file=sys.stderr)
         raise
     doc = portrait.to_json()
     if opts["format"] == "svg":
-        _write_atomic(opts["out"], render_artifact("portrait", doc=doc))
+        write_atomic(opts["out"], render_artifact("portrait", doc=doc))
     else:
-        _write_atomic(opts["out"], _json_bytes(doc))
+        write_atomic(opts["out"], _json_bytes(doc))
     print(f"wrote {opts['out']} ({len(doc['sectors'])} sectors, "
           f"rho_hat {doc['rho_hat']:.3g})")
     return 0
@@ -411,15 +403,15 @@ def _cmd_evolve(opts) -> int:
     except ComponentExplosion as err:
         if err.partial is not None:
             done = len(err.partial.generations) - 1
-            _write_atomic(opts["out"],
-                          _phase_csv(_component_rows(err.partial, done)))
+            write_atomic(opts["out"],
+                         _phase_csv(_component_rows(err.partial, done)))
             print(f"wrote partial {opts['out']} (depth {done})",
                   file=sys.stderr)
         raise
     if opts["format"] == "csv":
-        _write_atomic(opts["out"], _phase_csv(_component_rows(tree, n)))
+        write_atomic(opts["out"], _phase_csv(_component_rows(tree, n)))
     elif opts["format"] == "svg":
-        _write_atomic(opts["out"], render_artifact(
+        write_atomic(opts["out"], render_artifact(
             "phase", table=table, rows=_component_rows(tree, n),
             k0=opts["k0"]))
     else:
@@ -437,7 +429,7 @@ def _cmd_evolve(opts) -> int:
                                                 opts["k_cap"]),
             "degenerate_merged": tree.degenerate_merged,
         }
-        _write_atomic(opts["out"], _json_bytes(doc))
+        write_atomic(opts["out"], _json_bytes(doc))
     print(f"wrote {opts['out']} ({len(tree.generations[n])} leaf "
           f"components at depth {n})")
     return 0
@@ -466,9 +458,9 @@ def _cmd_grazing_sum(opts) -> int:
     if opts["format"] == "csv":
         out = ["sample_id,grazing_sum"]
         out.extend("%d,%.17g" % (i, v) for i, v in enumerate(values))
-        _write_atomic(opts["out"], "\n".join(out) + "\n")
+        write_atomic(opts["out"], "\n".join(out) + "\n")
     else:
-        _write_atomic(opts["out"], _json_bytes(doc))
+        write_atomic(opts["out"], _json_bytes(doc))
     print(f"wrote {opts['out']} (sup {doc['sup']:.6g} over "
           f"{doc['used']} curves)")
     return 0
@@ -504,9 +496,9 @@ def _cmd_expansion(opts) -> int:
                       table_id=_table_id(opts["table"]))
     report.n_source = source
     if opts["format"] == "csv":
-        _write_atomic(opts["out"], report.csv_text())
+        write_atomic(opts["out"], report.csv_text())
     else:
-        _write_atomic(opts["out"], report.json_bytes())
+        write_atomic(opts["out"], report.json_bytes())
     print(f"wrote {opts['out']} (N={report.n_steps} [{source}], "
           f"sup E_N {report.sup_e[-1]:.6g}, verdict {report.verdict})")
     return 0
@@ -567,7 +559,7 @@ def _cmd_render(opts) -> int:
         svg = render_artifact("portrait", doc=doc)
     else:
         raise UnknownKind(f"no such render kind: {kind}")
-    _write_atomic(opts["out"], svg)
+    write_atomic(opts["out"], svg)
     print(f"wrote {opts['out']}")
     return 0
 

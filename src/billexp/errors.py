@@ -57,10 +57,6 @@ class SingularInput(BilliardError):
     """Phase point on the singularity set where the requested branch forks."""
 
 
-class NotUnstable(BilliardError):
-    """Tangent vector outside the closed unstable cone."""
-
-
 class SingularSeed(BilliardError):
     """Seed point too close to a singularity or strip boundary."""
 

@@ -83,35 +83,43 @@ def reflect(direction, normal):
 # ---------------------------------------------------------------------------
 # first collision
 
-def _wall_roots(ox, oy, dx, dy, cx, cy, R, orientation):
-    """Roots t of the ray-circle equation arriving against the inward normal.
+def _scan_cell(ox, oy, dx, dy, walls, ci, cj, best):
+    """Nearest admissible hit on the walls translated by lattice cell (ci, cj).
 
-    Yields (t, d_dot_n).  Uses the numerically stable quadratic form; the
+    ``best`` is the (t, wall, ddn, cell, theta) to beat, or None; returns the
+    improved one.  Roots of the ray-circle equation use the numerically
+    stable quadratic form and must arrive against the inward normal; the
     arrival condition d.n <= eps accepts the grazing double root.
     """
-    ux, uy = ox - cx, oy - cy
-    b = dx * ux + dy * uy
-    c0 = ux * ux + uy * uy - R * R
-    disc = b * b - c0
-    if disc < 0.0:
-        return
-    sq = math.sqrt(disc)
-    if b >= 0.0:
-        q = -(b + sq)
-    else:
-        q = -(b - sq)
-    roots = []
-    if q != 0.0:
-        roots.append(q)
-        roots.append(c0 / q)
-    else:
-        roots.append(0.0)
-    for t in roots:
-        if t <= TAU_FLOOR:
+    for w in walls:
+        cx = w.center[0] + ci
+        cy = w.center[1] + cj
+        R = w.radius
+        ux, uy = ox - cx, oy - cy
+        b = dx * ux + dy * uy
+        c0 = ux * ux + uy * uy - R * R
+        disc = b * b - c0
+        if disc < 0.0:
             continue
-        ddn = -orientation * (b + t) / R
-        if ddn <= EPS_TAN:
-            yield t, ddn
+        sq = math.sqrt(disc)
+        if b >= 0.0:
+            q = -(b + sq)
+        else:
+            q = -(b - sq)
+        for t in ((q, c0 / q) if q != 0.0 else (0.0,)):
+            if t <= TAU_FLOOR:
+                continue
+            ddn = -w.orientation * (b + t) / R
+            if ddn > EPS_TAN:
+                continue
+            if best is not None and t >= best[0]:
+                continue
+            px, py = ox + t * dx, oy + t * dy
+            theta = math.atan2(py - cy, px - cx)
+            if not w.contains_angle(theta, slack=EPS_CORNER / R):
+                continue
+            best = (t, w, ddn, (ci, cj), theta)
+    return best
 
 
 def _cells(ring: int):
@@ -135,31 +143,18 @@ def first_collision(table: BilliardTable, ray: Ray, *,
     """
     ox, oy = ray.origin
     dx, dy = ray.direction
-    best = None  # (t, wall, ddn, cell)
-    max_R = max(w.radius for w in table.walls)
-
+    walls = table.walls
     if table.ambient == "plane":
-        rings = (0,)
+        best = _scan_cell(ox, oy, dx, dy, walls, 0, 0, None)
     else:
-        rings = range(_MAX_TORUS_RING)
-    for ring in rings:
-        if best is not None and table.ambient == "torus" and ring > 1:
-            # a cell at this ring is at least (ring-1) away from the origin cell
-            if (ring - 1.0) - max_R > best[0]:
+        best = None
+        for ring in range(_MAX_TORUS_RING):
+            # a cell at this ring is at least ring - 1 away from the origin
+            if best is not None and ring > 1 \
+                    and (ring - 1.0) - table.max_radius > best[0]:
                 break
-        for cell in _cells(ring) if table.ambient == "torus" else ((0, 0),):
-            for w in table.walls:
-                cx = w.center[0] + cell[0]
-                cy = w.center[1] + cell[1]
-                for t, ddn in _wall_roots(ox, oy, dx, dy, cx, cy, w.radius,
-                                          w.orientation):
-                    if best is not None and t >= best[0]:
-                        continue
-                    px, py = ox + t * dx, oy + t * dy
-                    theta = math.atan2(py - cy, px - cx)
-                    if not w.contains_angle(theta, slack=EPS_CORNER / w.radius):
-                        continue
-                    best = (t, w, ddn, cell, theta)
+            for ci, cj in _cells(ring):
+                best = _scan_cell(ox, oy, dx, dy, walls, ci, cj, best)
     if best is None:
         raise EscapedDomain("ray met no wall")
 
@@ -231,8 +226,8 @@ def _corner_wall_frames(table: BilliardTable, corner: Corner):
     _, n_l, t_l = wl.frame_at(wl.length)
     _, n_r, t_r = wr.frame_at(0.0)
     return {
-        corner.left_wall_id: ((-t_l[0], -t_l[1]), (n_l[0], n_l[1])),
-        corner.right_wall_id: ((t_r[0], t_r[1]), (n_r[0], n_r[1])),
+        corner.left_wall_id: ((-t_l[0], -t_l[1]), n_l),
+        corner.right_wall_id: (t_r, n_r),
     }
 
 

@@ -77,14 +77,28 @@ class ArcWall:
                          self.center[1] + self.radius * math.sin(th)])
 
     def frame_at(self, r: float):
-        """Return (point, inward normal, tangent) at arclength r."""
+        """Return (point, inward normal, tangent) at arclength r, as float
+        pairs."""
         th = self.theta_at(r)
         ct, st = math.cos(th), math.sin(th)
         tx, ty = -self.orientation * st, self.orientation * ct
-        nx, ny = -ty, tx
-        p = np.array([self.center[0] + self.radius * ct,
-                      self.center[1] + self.radius * st])
-        return p, np.array([nx, ny]), np.array([tx, ty])
+        return ((self.center[0] + self.radius * ct,
+                 self.center[1] + self.radius * st), (-ty, tx), (tx, ty))
+
+    def chart_frame(self, r: float):
+        """frame_at for a chart coordinate r.
+
+        Closed walls wrap r modulo the circumference; open walls clamp r
+        into [0, L] and raise OutOfRange beyond it by more than EPS_CORNER.
+        """
+        if self.closed:
+            r = r % self.length
+        elif r < -EPS_CORNER or r > self.length + EPS_CORNER:
+            raise OutOfRange(
+                f"r = {r} outside [0, {self.length}] on wall {self.wall_id}")
+        else:
+            r = min(max(r, 0.0), self.length)
+        return self.frame_at(r)
 
     def arc_offset(self, theta: float) -> float:
         """Traversal fraction of angle theta from theta_start, in [0, 2*pi)."""
@@ -144,16 +158,17 @@ class BilliardTable:
     # wall endpoint -> corner id lookups (None for closed walls)
     corner_at_end: tuple[int | None, ...]
     corner_at_start: tuple[int | None, ...]
+    gamma_min: float = field(init=False)
+    sequence_cap: int = field(init=False)
+    max_radius: float = field(init=False)
 
-    @property
-    def gamma_min(self) -> float:
-        if not self.corners:
-            return math.pi
-        return min(c.gamma for c in self.corners)
-
-    @property
-    def sequence_cap(self) -> int:
-        return int(math.ceil(TWO_PI / self.gamma_min)) + 2
+    def __post_init__(self):
+        gamma_min = min((c.gamma for c in self.corners), default=math.pi)
+        object.__setattr__(self, "gamma_min", gamma_min)
+        object.__setattr__(self, "sequence_cap",
+                           int(math.ceil(TWO_PI / gamma_min)) + 2)
+        object.__setattr__(self, "max_radius",
+                           max(w.radius for w in self.walls))
 
     def wall(self, wall_id: int) -> ArcWall:
         return self.walls[wall_id]
@@ -339,19 +354,14 @@ def _check_closed_wall_contacts(walls, ambient: str) -> None:
 
 
 def boundary_point(table: BilliardTable, wall_id: int, r: float):
-    """(point, inward normal, tangent) at arclength r on the given wall.
+    """(point, inward normal, tangent) at arclength r on the given wall, as
+    numpy arrays.
 
     Closed walls wrap r modulo the circumference; open walls raise OutOfRange
     beyond [0, L].
     """
-    w = table.walls[wall_id]
-    if w.closed:
-        r = r % w.length
-    elif r < -EPS_CORNER or r > w.length + EPS_CORNER:
-        raise OutOfRange(f"r = {r} outside [0, {w.length}] on wall {wall_id}")
-    else:
-        r = min(max(r, 0.0), w.length)
-    return w.frame_at(r)
+    p, n, t = table.walls[wall_id].chart_frame(r)
+    return np.array(p), np.array(n), np.array(t)
 
 
 def corner_classify(table: BilliardTable, corner_id: int) -> Corner:

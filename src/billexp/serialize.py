@@ -57,7 +57,15 @@ def canon_dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: str, data) -> None:
+    """Write data (str as UTF-8) to path through a unique temp file in the
+    same directory and a rename; the temp file is removed on failure."""
     if isinstance(data, str):
         data = data.encode()
     d = os.path.dirname(os.path.abspath(path))
@@ -65,6 +73,8 @@ def write_atomic(path: str, data) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -25,6 +25,7 @@ per-sample substreams, making results independent of thread scheduling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -98,8 +99,33 @@ def make_ucurve(wall_id, pts, slopes=None, params=None, growth=None):
     return UCurve(wall_id, tuple(keep), tuple(slopes), tuple(kp), tuple(kg))
 
 
+def _interp(x: float, xp: list, fp: list) -> float:
+    """np.interp(x, xp, fp) for one x and a nondecreasing list xp, bit for
+    bit: the same bracketing search, formula, end clamps and NaN fallbacks.
+    """
+    if x != x:
+        return x
+    if x > xp[-1]:
+        return fp[-1]
+    if x < xp[0]:
+        return fp[0]
+    j = bisect_right(xp, x) - 1
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if y != y:
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
+
+
 class _Arc:
-    """Arclength-fraction view of a UCurve for cutting and sampling."""
+    """Arclength-fraction view of a UCurve for cutting and sampling.
+
+    ``memo`` maps a parameter to its ``_probe`` result; see ``_probe_at``.
+    """
 
     def __init__(self, W: UCurve):
         self.W = W
@@ -108,27 +134,26 @@ class _Arc:
         seg = np.hypot(np.diff(r), np.diff(phi))
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         self.total = float(cum[-1])
-        self.frac = cum / self.total
-        self.r, self.phi = r, phi
-        self.params = np.array(W.params)
-        self.growth = np.array(W.growth)
-        self.seg_slope = np.diff(phi) / np.diff(r)
+        self.frac = (cum / self.total).tolist()
+        self.r, self.phi = r.tolist(), phi.tolist()
+        self.params = list(W.params)
+        self.growth = list(W.growth)
+        self.seg_slope = (np.diff(phi) / np.diff(r)).tolist()
+        self.memo = {}
 
     def at(self, s: float) -> PhasePoint:
-        return PhasePoint(self.W.wall_id,
-                          float(np.interp(s, self.frac, self.r)),
-                          float(np.interp(s, self.frac, self.phi)))
+        return PhasePoint(self.W.wall_id, _interp(s, self.frac, self.r),
+                          _interp(s, self.frac, self.phi))
 
     def root_param(self, s: float) -> float:
-        return float(np.interp(s, self.frac, self.params))
+        return _interp(s, self.frac, self.params)
 
     def growth_at(self, s: float) -> float:
-        return float(np.interp(s, self.frac, self.growth))
+        return _interp(s, self.frac, self.growth)
 
     def slope_at(self, s: float) -> float:
-        i = int(np.clip(np.searchsorted(self.frac, s) - 1,
-                        0, len(self.seg_slope) - 1))
-        return float(self.seg_slope[i])
+        i = bisect_left(self.frac, s) - 1
+        return self.seg_slope[min(max(i, 0), len(self.seg_slope) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +270,16 @@ def _probe(table, arc, s):
     return (im.point.wall_id, im.label, im.trail), im
 
 
+def _probe_at(table, arc, s):
+    """``_probe`` through the arc's memo, for parameters that the grid, the
+    insets and the node refinement probe more than once.  Root finders call
+    ``_probe`` directly: their iterates are never probed again."""
+    hit = arc.memo.get(s)
+    if hit is None:
+        hit = arc.memo[s] = _probe(table, arc, s)
+    return hit
+
+
 def _bisect_sig(table, arc, s_true, s_false, sig_true):
     # direction-free: keeps sig(s_true) == sig_true, shrinks toward the cut
     while abs(s_false - s_true) > CUT_TOL:
@@ -270,8 +305,8 @@ def _u_of(im):
 
 
 def _primary_segments(table, arc, n_s):
-    ss = np.linspace(0.0, 1.0, n_s)
-    probes = [_probe(table, arc, s) for s in ss]
+    ss = np.linspace(0.0, 1.0, n_s).tolist()
+    probes = [_probe_at(table, arc, s) for s in ss]
     runs = []   # (first index, last index, sig)
     for i, (sig, _) in enumerate(probes):
         if runs and runs[-1][2] == sig:
@@ -294,11 +329,11 @@ def _primary_segments(table, arc, n_s):
     for lo, hi in zip(edges, edges[1:]):
         if hi - lo <= CUT_TOL:
             continue
-        sig, im = _probe(table, arc, 0.5 * (lo + hi))
+        sig, im = _probe_at(table, arc, 0.5 * (lo + hi))
         if sig is None:
             # sliver between two cuts; sample closer to the edges
             for t in (lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)):
-                sig, im = _probe(table, arc, t)
+                sig, im = _probe_at(table, arc, t)
                 if sig is not None:
                     break
         if sig is not None:
@@ -360,8 +395,8 @@ def _secondary_pieces(table, arc, seg, k0, k_cap):
     lo, hi, sig = seg
     w = hi - lo
     inset = max(CUT_TOL, 1e-6 * w)
-    _, im_lo = _probe(table, arc, lo + inset)
-    _, im_hi = _probe(table, arc, hi - inset)
+    _, im_lo = _probe_at(table, arc, lo + inset)
+    _, im_hi = _probe_at(table, arc, hi - inset)
     if im_lo is None or im_hi is None:
         return [(lo, hi, sig, "strip")]
     u_lo, u_hi = _u_of(im_lo), _u_of(im_hi)
@@ -413,35 +448,35 @@ def _secondary_pieces(table, arc, seg, k0, k_cap):
     return pieces
 
 
-def _refine_params(table, arc, s_lo, s_hi, base):
-    """Node parameters refined until adjacent expansion factors agree."""
-    params = sorted(set(base))
-    cache = {}
+def _refine_params(table, arc, base):
+    """(s, stretch, image) at node parameters, refined until adjacent
+    expansion factors agree; parameters whose probe is cut are dropped."""
 
     def stretch(s):
-        if s not in cache:
-            _, im = _probe(table, arc, s)
-            if im is None:
-                cache[s] = (None, None)
-            else:
-                cache[s] = (expansion_factor(im.derivative, arc.slope_at(s)),
-                            im)
-        return cache[s]
+        _, im = _probe_at(table, arc, s)
+        if im is None:
+            return None
+        return expansion_factor(im.derivative, arc.slope_at(s))
 
+    params = sorted(set(base))
+    factors = [stretch(s) for s in params]
     for _ in range(10):
         grew = False
-        out = [params[0]]
-        for a, b in zip(params, params[1:]):
-            fa, fb = stretch(a)[0], stretch(b)[0]
+        out, out_f = [params[0]], [factors[0]]
+        for a, b, fa, fb in zip(params, params[1:], factors, factors[1:]):
             if fa and fb and max(fa, fb) / min(fa, fb) > NODE_RATIO \
                     and b - a > 1e-11 and len(params) < 512:
-                out.append(0.5 * (a + b))
+                mid = 0.5 * (a + b)
+                out.append(mid)
+                out_f.append(stretch(mid))
                 grew = True
             out.append(b)
-        params = out
+            out_f.append(fb)
+        params, factors = out, out_f
         if not grew:
             break
-    return [(s, *stretch(s)) for s in params if stretch(s)[0] is not None]
+    return [(s, f, _probe_at(table, arc, s)[1])
+            for s, f in zip(params, factors) if f is not None]
 
 
 def _build_component(table, arc, piece, k0, generation, itinerary_prefix,
@@ -452,7 +487,7 @@ def _build_component(table, arc, piece, k0, generation, itinerary_prefix,
     inset = max(1e-15, 1e-6 * w)
     base = [s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset]
     base += [s for s in extra_params if s_lo + inset < s < s_hi - inset]
-    rows = _refine_params(table, arc, s_lo, s_hi, base)
+    rows = _refine_params(table, arc, base)
     if len(rows) < 2:
         return None
     step_min = min(f for _, f, _ in rows)
@@ -488,7 +523,7 @@ def _tail_component(table, arc, piece, c_loc, generation, itinerary_prefix,
     inset = max(1e-15, 1e-3 * (s_hi - s_lo))
     rows = []
     for s in (s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset):
-        _, im = _probe(table, arc, s)
+        _, im = _probe_at(table, arc, s)
         if im is not None:
             rows.append((s, im))
     if not rows:
@@ -583,7 +618,7 @@ def _local_expansion_constant(table, arc, piece, c_expansion):
               s_lo - 0.5 * w, s_hi + 0.5 * w):
         if not 0.0 <= s <= 1.0:
             continue
-        _, im = _probe(table, arc, s)
+        _, im = _probe_at(table, arc, s)
         if im is not None:
             cands.append(expansion_factor(im.derivative, arc.slope_at(s))
                          * math.cos(im.point.phi))
@@ -929,9 +964,11 @@ class ExpansionReport:
         lines = ["sample_id,curve_length,n,leaf_count,k_n,e_n,grazing_sum"]
         for row in self.rows:
             for n in range(self.n_steps + 1):
-                lines.append("%d,%.17g,%d,%d,%d,%.17g,%.17g" % (
+                e = row["e"][n]
+                lines.append("%d,%.17g,%d,%d,%d,%s,%.17g" % (
                     row["sample_id"], row["length"], n, row["leaves"][n],
-                    row["k"][n], row["e"][n], row["grazing_sum"]))
+                    row["k"][n], "" if e is None else "%.17g" % e,
+                    row["grazing_sum"]))
         return "\n".join(lines) + "\n"
 
 
@@ -957,8 +994,9 @@ def _scan_row(table, i, seed, delta, n, k0, k_cap, constants):
         tree = err.partial
         row["flag"] = "explosion"
     depth = len(tree.generations) - 1
+    # depths past an explosion have no sum: null in JSON, empty in CSV
     row["e"] = [expansion_total(tree, m, constants)
-                for m in range(depth + 1)] + [math.inf] * (n - depth)
+                for m in range(depth + 1)] + [None] * (n - depth)
     row["k"] = tree.regular_counts() + [0] * (n - depth)
     row["leaves"] = [len(tree.leaves(m)) for m in range(depth + 1)] \
         + [0] * (n - depth)
@@ -1020,8 +1058,9 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
     partial = False
     for r in good:
         for m in range(n_steps + 1):
-            if math.isfinite(r["e"][m]):
-                sup_e[m] = max(sup_e[m], r["e"][m])
+            e = r["e"][m]
+            if e is not None and math.isfinite(e):
+                sup_e[m] = max(sup_e[m], e)
             k_max[m] = max(k_max[m], r["k"][m])
         sup_grazing = max(sup_grazing, r["grazing_sum"])
         degen += r["degenerate"]

@@ -69,6 +69,29 @@ def test_orbit_csv_deterministic(tmp_path):
     assert (tmp_path / "o.csv").read_bytes() == first
 
 
+def test_write_is_atomic_and_cleans_up(tmp_path, monkeypatch):
+    args = ("orbit", "--table", "tri", "--wall", "0", "--r", "0.7",
+            "--phi", "0.3", "--n", "3", "--out", "o.csv")
+    assert run(*args) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert (tmp_path / "o.csv").stat().st_mode \
+        == (tmp_path / "plain").stat().st_mode
+    (tmp_path / "plain").unlink()
+    first = (tmp_path / "o.csv").read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    with monkeypatch.context() as m:
+        m.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            run(*args[:-1], "other.csv")
+    assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
+    assert (tmp_path / "o.csv").read_bytes() == first
+
+
 def test_singularities_csv_and_phase_svg(tmp_path):
     assert run("singularities", "--table", "tri", "--level", "-1",
                "--resolution", "120", "--out", "s.csv") == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from billexp.bmap import (
     strip_bounds,
     strip_index,
 )
-from billexp.errors import SingularInput
+from billexp.errors import BilliardError, SingularInput
+from billexp.flow import Ray, first_collision
+from billexp.geometry import boundary_point
 
 TWO_PI = 2.0 * math.pi
 
@@ -380,3 +383,91 @@ def test_random_phase_point_ranges(tri):
     a = np.random.default_rng(77)
     b = np.random.default_rng(77)
     assert random_phase_point(tri, a) == random_phase_point(tri, b)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the map
+
+def _hex(x):
+    return "-" if x is None else float(x).hex()
+
+
+def _map_tokens(fn, table, p):
+    try:
+        res = fn(table, p)
+    except BilliardError as err:   # the raised type and message count too
+        return [type(err).__name__, str(err)]
+    out = []
+    for im in res.images:
+        d = im.derivative
+        out += [str(im.point.wall_id), _hex(im.point.r), _hex(im.point.phi),
+                _hex(im.tau), im.label, ",".join(im.trail), str(im.grazing),
+                "-" if d is None else ",".join(_hex(v) for row in d
+                                               for v in row)]
+    return out
+
+
+def _aimed_points(table, rng, count):
+    """Departures aimed at a corner or tangent to a wall at their first hit.
+
+    A tangent departure is found by flying backward from a grazing point.
+    """
+    out = []
+    while len(out) < count:
+        w = table.walls[int(rng.integers(len(table.walls)))]
+        r = float(rng.uniform(0.0, w.length))
+        if table.corners and rng.random() < 0.5:
+            c = table.corners[int(rng.integers(len(table.corners)))]
+            p, n, t = boundary_point(table, w.wall_id, r)
+            dx, dy = c.position[0] - p[0], c.position[1] - p[1]
+        else:
+            q, _n, t = boundary_point(table, w.wall_id, r)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            dx, dy = sign * t[0], sign * t[1]
+            try:
+                hit = first_collision(table, Ray((q[0], q[1]), (-dx, -dy)),
+                                      with_branches=False)
+            except BilliardError:
+                continue
+            w, r = table.walls[hit.wall_id], hit.r
+            p, n, t = boundary_point(table, w.wall_id, r)
+        phi = math.atan2(dx * t[0] + dy * t[1], dx * n[0] + dy * n[1])
+        if abs(phi) < HALF_PI:
+            out.append(PhasePoint(w.wall_id, float(r), float(phi)))
+    return out
+
+
+def map_digest(table, seed, count=2000, ends=200, aimed=200):
+    """sha256 over every field of forward and inverse at seeded points.
+
+    ``count`` points come from the invariant measure, ``ends`` more depart
+    from wall endpoints (corner departures and corner steps), and ``aimed``
+    more are aimed at a corner or graze a wall (branched and grazing images).
+    """
+    rng = np.random.default_rng(seed)
+    pts = [random_phase_point(table, rng) for _ in range(count)]
+    for _ in range(ends):
+        w = table.walls[int(rng.integers(len(table.walls)))]
+        r = w.length if rng.random() < 0.5 else 0.0
+        pts.append(PhasePoint(w.wall_id, r, float(rng.uniform(-1.5, 1.5))))
+    pts += _aimed_points(table, rng, aimed)
+    h = hashlib.sha256()
+    for p in pts:
+        for fn in (forward, inverse):
+            h.update("|".join(_map_tokens(fn, table, p)).encode() + b"\n")
+    return h.hexdigest()
+
+
+# digests of the kernel that ran on numpy scalars; the plain-float kernel
+# must reproduce every bit of them
+MAP_DIGESTS = {
+    "tri": "321a24bf053ae90392fac43ae4696f26e425d65a1a77f477d76e3e5661eb0a63",
+    "torus2": "0a611b688b70dc62b0463a5d298f45426d4c295f266eafabfede1113e2560cfe",
+    "lens": "7fd26c46c4d6ed262f1a20d23ddd3f7315a414ca63604d700aa656fc5a2d72a2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_DIGESTS))
+def test_map_bit_identity(name, request):
+    table = request.getfixturevalue(name)
+    assert map_digest(table, 20260) == MAP_DIGESTS[name]

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from billexp import singularities as S, ucurves as U
 from billexp.bmap import (PhasePoint, certify_hyperbolicity, forward,
@@ -71,6 +73,63 @@ def test_seed_rejections(tri):
     on_strip = PhasePoint(0, 0.5 * L0, math.pi / 2 - 1.0 / 31 ** 2)
     with pytest.raises(SingularSeed):
         U.seed_ucurve(tri, on_strip, 1e-4, None)
+
+
+# ---------------------------------------------------------------------------
+# arc interpolation
+
+def _bits(x):
+    return float(x).hex()
+
+
+def _ends_and_breaks(xp):
+    return [xp[0], xp[-1], -0.0, 0.0, 1.0, *xp,
+            math.nextafter(xp[0], -math.inf), math.nextafter(xp[-1], math.inf),
+            -1.0, 2.0, math.nan]
+
+
+_fin = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0), _fin,
+                          _fin), min_size=1, max_size=12),
+       st.lists(st.floats(-0.25, 1.25), max_size=8))
+def test_arc_interpolation_is_np_interp(steps, probes):
+    r, phi = [0.3], [-0.2]
+    for dr, dphi, _, _ in steps:
+        r.append(r[-1] + dr)
+        phi.append(phi[-1] + dphi)
+    params = [0.0] + [p for _, _, p, _ in steps]
+    growth = [1.0] + [g for _, _, _, g in steps]
+    W = U.make_ucurve(0, [PhasePoint(0, a, b) for a, b in zip(r, phi)],
+                      params=params, growth=growth)
+    arc = U._Arc(W)
+    frac = np.asarray(arc.frac)
+    for s in _ends_and_breaks(arc.frac) + probes:
+        p = arc.at(s)
+        assert _bits(p.r) == _bits(np.interp(s, frac, np.array(r)))
+        assert _bits(p.phi) == _bits(np.interp(s, frac, np.array(phi)))
+        assert _bits(arc.root_param(s)) \
+            == _bits(np.interp(s, frac, np.array(W.params)))
+        assert _bits(arc.growth_at(s)) \
+            == _bits(np.interp(s, frac, np.array(W.growth)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(allow_nan=False)),
+                min_size=1, max_size=10),
+       st.floats(allow_nan=False), st.lists(st.floats(-1.0, 3.0), max_size=6))
+@example([(0.5, math.inf)], math.inf, [0.25])
+def test_interp_repeated_breaks_and_huge_values(steps, f0, probes):
+    # repeated breakpoints and infinite or overflowing values exercise the
+    # bracketing search and the NaN fallbacks
+    xp, fp = [0.0], [f0]
+    for dx, f in steps:
+        xp.append(xp[-1] + dx)
+        fp.append(f)
+    for x in _ends_and_breaks(xp) + probes:
+        assert _bits(U._interp(x, xp, fp)) == _bits(np.interp(x, xp, fp))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +345,26 @@ def test_sup_scan_report_shape(tri, cheap_constants):
     assert again.json_bytes() == rep.json_bytes()
     header = rep.csv_text().splitlines()[0]
     assert header == "sample_id,curve_length,n,leaf_count,k_n,e_n,grazing_sum"
+
+
+def test_explosion_rows_stay_valid_json_and_csv(tri, monkeypatch):
+    # every curve explodes at depth 1, leaving depths 2 and 3 without a sum
+    monkeypatch.setattr(U, "LEAF_CAP", 0)
+    rep = U.sup_scan(tri, 1e-4, 4, 3, 30, seed=13)
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    doc = json.loads(rep.json_bytes(), parse_constant=refuse)
+    assert doc["partial"]
+    rows = [r for r in doc["rows"] if r["flag"] == "explosion"]
+    assert len(rows) == doc["used"] > 0
+    for r in rows:
+        assert r["e"][0] == 1.0 and r["e"][1] > 0.0
+        assert r["e"][2:] == [None, None]
+    assert doc["sup_e"][1] > 0.0 and doc["sup_e"][2:] == [0.0, 0.0]
+    cells = [line.split(",") for line in rep.csv_text().splitlines()[1:]]
+    assert [c[5] == "" for c in cells] == [False, False, True, True] * 4
 
 
 def test_sup_scan_requires_seed(tri):
