@@ -26,7 +26,6 @@ from .ucurves import (
     evolve_n,
     evolve_one_step,
     fit_constants,
-    n_step_expansion_sum,
     one_step_grazing_sum,
     seed_ucurve,
     select_N,
@@ -52,7 +51,6 @@ __all__ = [
     "forward",
     "inverse",
     "load_builtin",
-    "n_step_expansion_sum",
     "one_step_grazing_sum",
     "regular_complexity",
     "sector_portrait",

@@ -376,13 +376,6 @@ def random_phase_point(table: BilliardTable, rng) -> PhasePoint:
 # ---------------------------------------------------------------------------
 # operative cones
 
-def cone_push(table: BilliardTable, z: PhasePoint, image: MapImage):
-    """Slope interval at image.point of the pushed-forward upward cone."""
-    k0 = table.wall(z.wall_id).kappa
-    k1 = table.wall(image.point.wall_id).kappa
-    return cone_slopes(image.tau, k0, z.phi, k1, image.point.phi)
-
-
 def unstable_cone_at(table: BilliardTable, z: PhasePoint):
     """Operative unstable cone at z: the push-forward along the arriving step.
 

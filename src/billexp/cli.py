@@ -9,15 +9,17 @@ Subcommands:
 * ``portrait``     -- sector portrait at a phase point; JSON.
 * ``evolve``       -- evolve one curve n steps; component tree summary or
   phase CSV of the leaf components.
-* ``grazing-sum``  -- sampled supremum of the one-step nearly-grazing sum.
+* ``grazing-sum``  -- sampled supremum of the one-step nearly-grazing sum,
+  over the same per-sample curves as ``expansion`` at the same seed.
 * ``expansion``    -- the full expansion-sum scan with auto depth selection.
 * ``render``       -- SVG view of a previously written artifact.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure (bad table, bad
-input artifact), 3 numerical abort.  Aborts write whatever partial artifact
-exists before exiting.  Commands that sample require an explicit --seed;
-there is no wall-clock fallback, the same invocation always rebuilds the
-same bytes.  Output files are written atomically (temp file + rename).
+Exit codes: 0 success, 1 usage error or an unwritable ``--out``, 2
+validation failure (bad table, bad input artifact), 3 numerical abort.
+Aborts write whatever partial artifact exists before exiting.  Commands that
+sample require an explicit --seed; there is no wall-clock fallback, the same
+invocation always rebuilds the same bytes.  Output files are written
+atomically (temp file + rename).
 
 A ``--config run.json`` file may supply any long flag (dashes as
 underscores); explicit flags win over the file, the file wins over built-in
@@ -28,12 +30,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import tables
-from .bmap import PhasePoint, forward, strip_index
+from .bmap import PhasePoint, forward
 from .errors import (
     BilliardError,
     ComponentExplosion,
@@ -47,18 +48,14 @@ from .render import render_artifact
 from .serialize import write_atomic
 from .singularities import classify_sectors, sector_portrait, trace_singularity
 from .ucurves import (
-    FittedConstants,
-    choose_depth,
+    N_CAP,
     evolve_n,
     expansion_total,
     fit_constants,
-    one_step_grazing_sum,
+    grazing_sum,
     seed_ucurve,
     sup_scan,
-    _draw_curve,
 )
-
-import numpy as np
 
 PROG = "billexp"
 
@@ -93,6 +90,10 @@ DEFAULTS = {
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _WriteError(Exception):
     pass
 
 
@@ -240,6 +241,13 @@ def _json_bytes(doc) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+def _write(path: str, data) -> None:
+    try:
+        write_atomic(path, data)
+    except OSError as err:
+        raise _WriteError(f"cannot write {path}: {err.strerror or err}")
+
+
 def _phase_csv(rows) -> str:
     out = ["wall_id,r,phi,k"]
     for wall_id, r, phi, k in rows:
@@ -280,7 +288,7 @@ def _cmd_validate(opts) -> int:
                "tau_max_sampled": con.tau_max_sampled,
                "tau_star": con.tau_star, "samples": con.samples,
                "seed": seed}
-        write_atomic(opts["out"], _json_bytes(doc))
+        _write(opts["out"], _json_bytes(doc))
         print(f"wrote {opts['out']}")
     return 0
 
@@ -325,14 +333,14 @@ def _cmd_orbit(opts) -> int:
             "table", table=table,
             rows=[(p.wall_id, p.r, p.phi, tau)
                   for _, p, tau, _, _, _ in rows])
-        write_atomic(opts["out"], svg)
+        _write(opts["out"], svg)
     else:
         out = ["step,wall_id,r,phi,tau,kind,properness,branch_label"]
         for step, p, tau, kind, properness, label in rows:
             out.append("%d,%d,%.17g,%.17g,%.17g,%s,%s,%s"
                        % (step, p.wall_id, p.r, p.phi, tau, kind,
                           properness, label))
-        write_atomic(opts["out"], "\n".join(out) + "\n")
+        _write(opts["out"], "\n".join(out) + "\n")
     print(f"wrote {opts['out']} ({len(rows)} collisions, "
           f"last kind {rows[-1][3]})")
     return 0
@@ -351,7 +359,7 @@ def _cmd_singularities(opts) -> int:
                                k0=opts["k0"])
     else:
         data = _phase_csv(rows)
-    write_atomic(opts["out"], data)
+    _write(opts["out"], data)
     print(f"wrote {opts['out']} ({len(curves)} curves, {len(rows)} points)")
     return 0
 
@@ -369,14 +377,14 @@ def _cmd_portrait(opts) -> int:
                "candidates": [[s.to_json() for s in sectors]
                               for sectors in
                               getattr(err, "decompositions", [])]}
-        write_atomic(opts["out"], _json_bytes(doc))
+        _write(opts["out"], _json_bytes(doc))
         print(f"wrote partial {opts['out']}", file=sys.stderr)
         raise
     doc = portrait.to_json()
     if opts["format"] == "svg":
-        write_atomic(opts["out"], render_artifact("portrait", doc=doc))
+        _write(opts["out"], render_artifact("portrait", doc=doc))
     else:
-        write_atomic(opts["out"], _json_bytes(doc))
+        _write(opts["out"], _json_bytes(doc))
     print(f"wrote {opts['out']} ({len(doc['sectors'])} sectors, "
           f"rho_hat {doc['rho_hat']:.3g})")
     return 0
@@ -396,22 +404,23 @@ def _cmd_evolve(opts) -> int:
     _require(opts, "r", "phi")
     table = _load_table(opts["table"])
     z = PhasePoint(opts["wall"], opts["r"], opts["phi"])
-    W = seed_ucurve(table, z, opts["length"], None, k0=opts["k0"])
     n = opts["steps"]
+    if not 1 <= n <= N_CAP:
+        raise _UsageError(f"--n must lie in 1..{N_CAP}")
+    W = seed_ucurve(table, z, opts["length"], None, k0=opts["k0"])
     try:
         tree = evolve_n(table, W, n, k0=opts["k0"], k_cap=opts["k_cap"])
     except ComponentExplosion as err:
         if err.partial is not None:
             done = len(err.partial.generations) - 1
-            write_atomic(opts["out"],
-                         _phase_csv(_component_rows(err.partial, done)))
+            _write(opts["out"], _phase_csv(_component_rows(err.partial, done)))
             print(f"wrote partial {opts['out']} (depth {done})",
                   file=sys.stderr)
         raise
     if opts["format"] == "csv":
-        write_atomic(opts["out"], _phase_csv(_component_rows(tree, n)))
+        _write(opts["out"], _phase_csv(_component_rows(tree, n)))
     elif opts["format"] == "svg":
-        write_atomic(opts["out"], render_artifact(
+        _write(opts["out"], render_artifact(
             "phase", table=table, rows=_component_rows(tree, n),
             k0=opts["k0"]))
     else:
@@ -425,11 +434,10 @@ def _cmd_evolve(opts) -> int:
             "regular_components": regular,
             "expansion_sums": [expansion_total(tree, g)
                                for g in range(n + 1)],
-            "grazing_sum": one_step_grazing_sum(table, W, opts["k0"],
-                                                opts["k_cap"]),
+            "grazing_sum": grazing_sum(tree.generations[1]),
             "degenerate_merged": tree.degenerate_merged,
         }
-        write_atomic(opts["out"], _json_bytes(doc))
+        _write(opts["out"], _json_bytes(doc))
     print(f"wrote {opts['out']} ({len(tree.generations[n])} leaf "
           f"components at depth {n})")
     return 0
@@ -439,17 +447,12 @@ def _cmd_grazing_sum(opts) -> int:
     _require(opts, "seed")
     table = _load_table(opts["table"])
     k0, k_cap = opts["k0"], opts["k_cap"]
-    values = []
-    for i in range(opts["samples"]):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([opts["seed"], 1, i]))
-        try:
-            W, _ = _draw_curve(table, rng, opts["delta"], k0)
-        except BilliardError:
-            continue
-        values.append(one_step_grazing_sum(table, W, k0, k_cap))
-    if not values:
+    report = sup_scan(table, opts["delta"], opts["samples"], 1, k0,
+                      opts["seed"], k_cap=k_cap)
+    rows = [r for r in report.rows if r["flag"] != "skipped"]
+    if not rows:
         raise NumericalAbort("no admissible curves could be seeded")
+    values = [r["grazing_sum"] for r in rows]
     doc = {"table": _table_id(opts["table"]), "k0": k0, "k_cap": k_cap,
            "delta": opts["delta"], "samples": opts["samples"],
            "used": len(values), "seed": opts["seed"],
@@ -457,10 +460,11 @@ def _cmd_grazing_sum(opts) -> int:
            "nonzero": sum(1 for v in values if v > 0.0)}
     if opts["format"] == "csv":
         out = ["sample_id,grazing_sum"]
-        out.extend("%d,%.17g" % (i, v) for i, v in enumerate(values))
-        write_atomic(opts["out"], "\n".join(out) + "\n")
+        out.extend("%d,%.17g" % (r["sample_id"], r["grazing_sum"])
+                   for r in rows)
+        _write(opts["out"], "\n".join(out) + "\n")
     else:
-        write_atomic(opts["out"], _json_bytes(doc))
+        _write(opts["out"], _json_bytes(doc))
     print(f"wrote {opts['out']} (sup {doc['sup']:.6g} over "
           f"{doc['used']} curves)")
     return 0
@@ -473,8 +477,8 @@ def _parse_depth(raw) -> int | None:
         n = int(raw)
     except (TypeError, ValueError):
         raise _UsageError("--N must be an integer or 'auto'")
-    if n < 1:
-        raise _UsageError("--N must be positive")
+    if not 1 <= n <= N_CAP:
+        raise _UsageError(f"--N must lie in 1..{N_CAP}")
     return n
 
 
@@ -485,21 +489,15 @@ def _cmd_expansion(opts) -> int:
     constants = None
     if opts["fit"]:
         constants = fit_constants(table, opts["seed"], k0=opts["k0"])
-    if depth is None:
-        depth, source = choose_depth(table, opts["delta"], opts["k0"],
-                                     opts["k_cap"], opts["seed"], constants)
-    else:
-        source = "given"
     report = sup_scan(table, opts["delta"], opts["samples"], depth,
                       opts["k0"], opts["seed"], k_cap=opts["k_cap"],
                       constants=constants, threads=opts["threads"],
                       table_id=_table_id(opts["table"]))
-    report.n_source = source
     if opts["format"] == "csv":
-        write_atomic(opts["out"], report.csv_text())
+        _write(opts["out"], report.csv_text())
     else:
-        write_atomic(opts["out"], report.json_bytes())
-    print(f"wrote {opts['out']} (N={report.n_steps} [{source}], "
+        _write(opts["out"], report.json_bytes())
+    print(f"wrote {opts['out']} (N={report.n_steps} [{report.n_source}], "
           f"sup E_N {report.sup_e[-1]:.6g}, verdict {report.verdict})")
     return 0
 
@@ -559,7 +557,7 @@ def _cmd_render(opts) -> int:
         svg = render_artifact("portrait", doc=doc)
     else:
         raise UnknownKind(f"no such render kind: {kind}")
-    write_atomic(opts["out"], svg)
+    _write(opts["out"], svg)
     print(f"wrote {opts['out']}")
     return 0
 
@@ -596,6 +594,9 @@ def run(argv=None) -> int:
         return _DISPATCH[opts["command"]](opts)
     except _UsageError as err:
         print(f"{PROG}: usage error: {err}", file=sys.stderr)
+        return 1
+    except _WriteError as err:
+        print(f"{PROG}: {err}", file=sys.stderr)
         return 1
     except ValidationError as err:
         print(f"{PROG}: {type(err).__name__}: {err}", file=sys.stderr)

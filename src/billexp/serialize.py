@@ -84,10 +84,6 @@ def write_atomic(path: str, data) -> None:
         raise
 
 
-def write_json(path: str, obj) -> None:
-    write_atomic(path, canon_dumps(obj) + "\n")
-
-
 def csv_text(header, rows) -> str:
     """Flat CSV with canonical float formatting and \\n line endings."""
     lines = [",".join(header)]
@@ -102,7 +98,3 @@ def csv_text(header, rows) -> str:
                 cells.append(str(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, header, rows) -> None:
-    write_atomic(path, csv_text(header, rows))

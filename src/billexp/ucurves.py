@@ -643,7 +643,6 @@ class EvolutionTree:
     root: UCurve
     generations: list[list[HComponent]]
     degenerate_merged: int = 0
-    approx_tail_depth: bool = False
 
     def regular_counts(self) -> list[int]:
         out = [1]
@@ -667,6 +666,36 @@ def _remaining_floor(constants, m):
     return max(1e-12, constants.lam_hyper ** m / constants.c_hyper)
 
 
+def _grow(table, tree, k0, k_cap, constants, grid=None):
+    """Append the next generation of H-components to tree.
+
+    Raises ComponentExplosion once the generation holds more than LEAF_CAP
+    components; its ``.partial`` is the tree with the cut-short generation.
+    """
+    g = len(tree.generations)
+    c_exp = constants.c_expansion if constants is not None else None
+    birth = sum(len(gen) for gen in tree.generations)
+    nxt = []
+    for comp in tree.generations[-1]:
+        if comp.tail:
+            continue
+        kids, ndeg = _one_step(table, comp.curve, k0, k_cap, grid, c_exp,
+                               generation=g, itinerary_prefix=comp.itinerary,
+                               lam_prefix=comp.min_expansion,
+                               parent=comp.birth, birth0=birth,
+                               mid_prefix=comp.mid_phis)
+        tree.degenerate_merged += ndeg
+        nxt.extend(kids)
+        birth += len(kids)
+        if len(nxt) > LEAF_CAP:
+            tree.generations.append(nxt)
+            err = ComponentExplosion(
+                f"component count exceeded {LEAF_CAP} at depth {g}")
+            err.partial = tree
+            raise err
+    tree.generations.append(nxt)
+
+
 def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
              k_cap: int = K_CAP, constants=None, grid: int | None = None
              ) -> EvolutionTree:
@@ -674,7 +703,7 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
 
     Tail components are terminal: their expansion-sum contribution at depth
     N uses the certified per-step floor for the remaining N - g steps when
-    constants are supplied, and 1 otherwise (flagged approximate).
+    constants are supplied, and 1 otherwise.
     """
     if n > N_CAP:
         raise ValueError(f"depth {n} exceeds the cap {N_CAP}")
@@ -682,31 +711,8 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
                       min_expansion=1.0, min_expansion_sampled=1.0,
                       source_interval=(0.0, 1.0), parent=None, birth=0)
     tree = EvolutionTree(root=W, generations=[[root]])
-    c_exp = constants.c_expansion if constants is not None else None
-    birth = 1
-    for g in range(1, n + 1):
-        nxt = []
-        for comp in tree.generations[g - 1]:
-            if comp.tail:
-                continue
-            kids, ndeg = _one_step(table, comp.curve, k0, k_cap, grid, c_exp,
-                                   generation=g, itinerary_prefix=comp.itinerary,
-                                   lam_prefix=comp.min_expansion,
-                                   parent=comp.birth, birth0=birth,
-                                   mid_prefix=comp.mid_phis)
-            tree.degenerate_merged += ndeg
-            nxt.extend(kids)
-            birth += len(kids)
-            if len(nxt) > LEAF_CAP:
-                tree.generations.append(nxt)
-                err = ComponentExplosion(
-                    f"component count exceeded {LEAF_CAP} at depth {g}")
-                err.partial = tree
-                raise err
-        tree.generations.append(nxt)
-    if constants is None and any(c.tail for gen in tree.generations
-                                 for c in gen):
-        tree.approx_tail_depth = True
+    for _ in range(n):
+        _grow(table, tree, k0, k_cap, constants, grid)
     return tree
 
 
@@ -726,25 +732,19 @@ def expansion_total(tree: EvolutionTree, n: int, constants=None) -> float:
     return total
 
 
+def grazing_sum(components) -> float:
+    """Sum of 1/expansion over the nearly-grazing components: tails and
+    pieces whose last step landed outside strip 0."""
+    return sum((c.inv_expansion for c in components
+                if c.tail or c.itinerary[-1][2] != 0), 0.0)
+
+
 def one_step_grazing_sum(table: BilliardTable, W: UCurve,
                          k0: int = K0_DEFAULT, k_cap: int = K_CAP,
                          c_expansion: float | None = None) -> float:
     """Sum of 1/expansion over nearly-grazing one-step components."""
-    total = 0.0
-    for comp in evolve_one_step(table, W, k0, k_cap,
-                                c_expansion=c_expansion):
-        if comp.tail or comp.itinerary[-1][2] != 0:
-            total += comp.inv_expansion
-    return total
-
-
-def n_step_expansion_sum(table: BilliardTable, W: UCurve, N: int,
-                         k0: int = K0_DEFAULT, k_cap: int = K_CAP,
-                         constants=None) -> float:
-    if N == 0:
-        return 1.0
-    tree = evolve_n(table, W, N, k0, k_cap, constants)
-    return expansion_total(tree, N, constants)
+    return grazing_sum(evolve_one_step(table, W, k0, k_cap,
+                                       c_expansion=c_expansion))
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +963,8 @@ class ExpansionReport:
     def csv_text(self) -> str:
         lines = ["sample_id,curve_length,n,leaf_count,k_n,e_n,grazing_sum"]
         for row in self.rows:
+            if row["flag"] == "skipped":
+                continue
             for n in range(self.n_steps + 1):
                 e = row["e"][n]
                 lines.append("%d,%.17g,%d,%d,%d,%s,%.17g" % (
@@ -1000,10 +1002,8 @@ def _scan_row(table, i, seed, delta, n, k0, k_cap, constants):
     row["k"] = tree.regular_counts() + [0] * (n - depth)
     row["leaves"] = [len(tree.leaves(m)) for m in range(depth + 1)] \
         + [0] * (n - depth)
-    grazing = sum(c.inv_expansion for c in tree.generations[1]
-                  if c.tail or c.itinerary[-1][2] != 0) \
+    row["grazing_sum"] = grazing_sum(tree.generations[1]) \
         if depth >= 1 else 0.0
-    row["grazing_sum"] = grazing
     row["degenerate"] = tree.degenerate_merged
     return row
 
@@ -1065,8 +1065,9 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
         sup_grazing = max(sup_grazing, r["grazing_sum"])
         degen += r["degenerate"]
         partial = partial or r["flag"] == "explosion"
+    # an exploded row has no sum past its explosion to bound sup_e[N]
     verdict = ("expansion estimate holds (empirical)"
-               if good and sup_e[n_steps] < 1.0
+               if good and not partial and sup_e[n_steps] < 1.0
                else "expansion estimate fails (empirical)")
     margins = _etree_margins(sup_e, k_max, constants, n_steps) \
         if constants is not None and good else None
@@ -1083,25 +1084,37 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
 def choose_depth(table: BilliardTable, delta: float, k0: int, k_cap: int,
                  seed: int, constants: FittedConstants | None,
                  probe_samples: int = 32) -> tuple[int, str]:
-    """Depth from the margin inequality, else smallest empirically working."""
+    """Depth from the margin inequality, else smallest empirically working.
+
+    The probe curves are drawn once and their trees grown one generation
+    per depth; a tree that explodes or fails at generation g drops out of
+    every depth >= g.
+    """
     if constants is not None:
         try:
             return select_N(constants), "select"
         except NoSuchN:
             pass
+    trees = []
+    for i in range(probe_samples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0, i]))
+        try:
+            W, _ = _draw_curve(table, rng, delta, k0)
+        except SingularSeed:
+            continue
+        trees.append(evolve_n(table, W, 0, k0, k_cap, constants))
     best_n, best_sup = N_CAP, math.inf
     first_ok = None
     for n in range(1, N_CAP + 1):
-        sup = 0.0
-        for i in range(probe_samples):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, 0xD0, i]))
+        live = []
+        for tree in trees:
             try:
-                W, _ = _draw_curve(table, rng, delta, k0)
-                sup = max(sup, n_step_expansion_sum(table, W, n, k0, k_cap,
-                                                    constants))
-            except (SingularSeed, ComponentExplosion, BilliardError):
+                _grow(table, tree, k0, k_cap, constants)
+            except BilliardError:     # ComponentExplosion included
                 continue
+            live.append(tree)
+        trees = live
+        sup = max([0.0] + [expansion_total(t, n, constants) for t in trees])
         if sup < best_sup:
             best_n, best_sup = n, sup
         if first_ok is None and sup < 1.0:

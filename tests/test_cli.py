@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from billexp import cli
+from billexp import cli, ucurves
+from billexp.errors import SingularSeed
 
 
 def run(*argv):
@@ -46,6 +47,11 @@ def test_usage_errors(capsys):
     assert run("expansion", "--table", "tri", "--seed", "1",
                "--N", "zero") == 1
     assert run("orbit", "--r", "0.5", "--phi", "0.1") == 1      # no table
+    for n in ("0", "13"):    # depths outside 1..N_CAP
+        assert run("evolve", "--table", "tri", "--r", "0.9", "--phi", "0.1",
+                   "--n", n) == 1
+    assert run("expansion", "--table", "tri", "--seed", "1",
+               "--N", "13") == 1
 
 
 def test_missing_table_file_is_validation_failure(capsys):
@@ -69,7 +75,7 @@ def test_orbit_csv_deterministic(tmp_path):
     assert (tmp_path / "o.csv").read_bytes() == first
 
 
-def test_write_is_atomic_and_cleans_up(tmp_path, monkeypatch):
+def test_write_is_atomic_and_cleans_up(tmp_path, monkeypatch, capsys):
     args = ("orbit", "--table", "tri", "--wall", "0", "--r", "0.7",
             "--phi", "0.3", "--n", "3", "--out", "o.csv")
     assert run(*args) == 0
@@ -86,8 +92,8 @@ def test_write_is_atomic_and_cleans_up(tmp_path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr("os.replace", refuse)
-        with pytest.raises(OSError, match="rename refused"):
-            run(*args[:-1], "other.csv")
+        assert run(*args[:-1], "other.csv") == 1
+    assert "cannot write other.csv: rename refused" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
     assert (tmp_path / "o.csv").read_bytes() == first
 
@@ -193,6 +199,33 @@ def test_expansion_given_depth_and_threads(tmp_path):
     header = (tmp_path / "r.csv").read_text().splitlines()[0]
     assert header == ("sample_id,curve_length,n,leaf_count,k_n,e_n,"
                       "grazing_sum")
+
+
+def _skip_first_draw(monkeypatch):
+    draw = ucurves._draw_curve
+
+    def skip(*args, **kwargs):
+        monkeypatch.setattr(ucurves, "_draw_curve", draw)
+        raise SingularSeed("forced skip")
+
+    monkeypatch.setattr(ucurves, "_draw_curve", skip)
+
+
+def test_skipped_sample_has_no_csv_line(tmp_path, monkeypatch):
+    base = ("--table", "tri", "--seed", "5", "--samples", "4",
+            "--format", "csv")
+
+    def lines(name):
+        return (tmp_path / name).read_text().splitlines()[1:]
+
+    _skip_first_draw(monkeypatch)
+    assert run("expansion", *base, "--N", "1", "--out", "e.csv") == 0
+    assert {line.split(",")[0] for line in lines("e.csv")} == {"1", "2", "3"}
+
+    assert run("grazing-sum", *base, "--out", "all.csv") == 0
+    _skip_first_draw(monkeypatch)
+    assert run("grazing-sum", *base, "--out", "g.csv") == 0
+    assert lines("g.csv") == lines("all.csv")[1:]
 
 
 def test_expansion_auto_depth(tmp_path):

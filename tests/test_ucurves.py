@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from billexp import singularities as S, ucurves as U
 from billexp.bmap import (PhasePoint, certify_hyperbolicity, forward,
                           involute, strip_index, unstable_cone_at)
-from billexp.errors import ComponentExplosion, NoSuchN, SingularSeed
+from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
+                            SingularSeed)
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +230,6 @@ def test_conventions(tri, far_curve):
     tree = U.evolve_n(tri, far_curve, 2)
     assert tree.regular_counts()[0] == 1
     assert U.expansion_total(tree, 0) == 1.0
-    assert U.n_step_expansion_sum(tri, far_curve, 0) == 1.0
 
 
 def test_tree_regular_counts_independent(tri, straddle_curve):
@@ -357,6 +357,8 @@ def test_explosion_rows_stay_valid_json_and_csv(tri, monkeypatch):
 
     doc = json.loads(rep.json_bytes(), parse_constant=refuse)
     assert doc["partial"]
+    # sup_e[3] == 0.0 only because no row reached depth 3
+    assert doc["verdict"] == "expansion estimate fails (empirical)"
     rows = [r for r in doc["rows"] if r["flag"] == "explosion"]
     assert len(rows) == doc["used"] > 0
     for r in rows:
@@ -377,3 +379,55 @@ def test_choose_depth_empirical(tri):
                                constants=None, probe_samples=12)
     assert 1 <= n <= U.N_CAP
     assert source.startswith("empirical")
+
+
+def _depth_by_rebuilding(table, seed, probes):
+    """choose_depth's rule, with every probe tree evolved from scratch at
+    each depth: a probe that fails at depth n is left out of depth n."""
+    curves = []
+    for i in range(probes):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0, i]))
+        try:
+            curves.append(U._draw_curve(table, rng, 1e-4, 30)[0])
+        except SingularSeed:
+            continue
+    best_n, best_sup, first_ok, alive = U.N_CAP, math.inf, None, []
+    for n in range(1, U.N_CAP + 1):
+        sups = []
+        for W in curves:
+            try:
+                sups.append(U.expansion_total(U.evolve_n(table, W, n), n))
+            except BilliardError:
+                continue
+        sup = max([0.0] + sups)
+        alive.append(len(sups))
+        if sup < best_sup:
+            best_n, best_sup = n, sup
+        if first_ok is None and sup < 1.0:
+            first_ok = n
+        if sup < 0.9:
+            return (n, "empirical"), alive
+    if first_ok is not None:
+        return (first_ok, "empirical"), alive
+    return (best_n, "empirical-best"), alive
+
+
+def test_choose_depth_matches_rebuilt_trees(tri, monkeypatch):
+    want, _ = _depth_by_rebuilding(tri, 3, 12)
+    assert U.choose_depth(tri, 1e-4, 30, U.K_CAP, seed=3, constants=None,
+                          probe_samples=12) == want
+
+    # probe curves on tri almost never branch: double the children of every
+    # curve on wall 2, so that some trees outgrow LEAF_CAP after depth 2
+    one_step = U._one_step
+
+    def doubled(table, W, *args, **kwargs):
+        kids, ndeg = one_step(table, W, *args, **kwargs)
+        return (kids + kids if W.wall_id == 2 else kids), ndeg
+
+    monkeypatch.setattr(U, "_one_step", doubled)
+    monkeypatch.setattr(U, "LEAF_CAP", 2)
+    want, alive = _depth_by_rebuilding(tri, 3, 12)
+    assert alive[0] == alive[1] > alive[-1] > 0
+    assert U.choose_depth(tri, 1e-4, 30, U.K_CAP, seed=3, constants=None,
+                          probe_samples=12) == want
