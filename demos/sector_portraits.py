@@ -5,7 +5,6 @@ order-1 and order-2 sector decomposition at the first junction, checks the
 active-quadrant conservation rule there, and renders the portrait.
 """
 
-import json
 import os
 
 from billexp import (
@@ -17,6 +16,7 @@ from billexp import (
     sector_portrait,
 )
 from billexp.render import render_artifact
+from billexp.serialize import json_bytes, write_atomic
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 
@@ -58,12 +58,9 @@ def main():
           "->", "pass" if verdict.passed else "FAIL")
 
     doc = classify_sectors(sector_portrait(table, z, 1)).to_json()
-    with open(os.path.join(OUT, "junction_portrait.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    svg = render_artifact("portrait", doc=doc)
+    write_atomic(os.path.join(OUT, "junction_portrait.json"), json_bytes(doc))
     path = os.path.join(OUT, "junction_portrait.svg")
-    with open(path, "w") as fh:
-        fh.write(svg)
+    write_atomic(path, render_artifact("portrait", doc=doc))
     print(f"wrote {path}")
 
 

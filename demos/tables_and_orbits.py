@@ -8,6 +8,7 @@ import os
 
 from billexp import PhasePoint, forward, load_builtin, strip_index
 from billexp.render import render_artifact
+from billexp.serialize import write_atomic
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 
@@ -37,8 +38,7 @@ def main():
         rows = run_orbit(table, START[name], 60)
         svg = render_artifact("table", table=table, rows=rows)
         path = os.path.join(OUT, f"{name}_orbit.svg")
-        with open(path, "w") as fh:
-            fh.write(svg)
+        write_atomic(path, svg)
         taus = [t for _, _, _, t in rows[1:]]
         print(f"{name}: {len(rows) - 1} flights, "
               f"mean free path {sum(taus) / len(taus):.4f}, "
@@ -50,8 +50,7 @@ def main():
     phase = [(w, r, phi, strip_index(phi)) for w, r, phi, _ in rows]
     svg = render_artifact("phase", table=table, rows=phase, k0=30)
     path = os.path.join(OUT, "tri_phase.svg")
-    with open(path, "w") as fh:
-        fh.write(svg)
+    write_atomic(path, svg)
     deep = sum(1 for _, _, _, k in phase if k != 0)
     print(f"tri phase: {len(phase)} collisions, {deep} in a homogeneity "
           f"strip -> {path}")

@@ -14,40 +14,46 @@ Subcommands:
 * ``expansion``    -- the full expansion-sum scan with auto depth selection.
 * ``render``       -- SVG view of a previously written artifact.
 
-Exit codes: 0 success, 1 usage error or an unwritable ``--out``, 2
-validation failure (bad table, bad input artifact), 3 numerical abort.
+Exit codes: 0 success; 1 usage error, including a non-finite or
+out-of-range numeric flag (``--delta`` and ``--length`` lie in (0, 1e-2],
+counts are positive) and an unwritable ``--out``; 2 validation failure (bad
+table, bad input artifact, a phase point off the table); 3 numerical abort.
 Aborts write whatever partial artifact exists before exiting.  Commands that
 sample require an explicit --seed; there is no wall-clock fallback, the same
 invocation always rebuilds the same bytes.  Output files are written
-atomically (temp file + rename).
+atomically (temp file + rename) by ``serialize``.
 
 A ``--config run.json`` file may supply any long flag (dashes as
-underscores); explicit flags win over the file, the file wins over built-in
-defaults.
+underscores); its values pass the same conversions and checks as the flags.
+Explicit flags win over the file, the file wins over built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import tables
-from .bmap import PhasePoint, forward
+from .bmap import HALF_PI, PhasePoint, forward
 from .errors import (
     BilliardError,
     ComponentExplosion,
     NumericalAbort,
+    OutOfRange,
     UnknownKind,
     UnstablePortrait,
     ValidationError,
 )
 from .geometry import build_table, estimate_constants
 from .render import render_artifact
-from .serialize import write_atomic
+from .serialize import csv_text, json_bytes, write_atomic
 from .singularities import classify_sectors, sector_portrait, trace_singularity
 from .ucurves import (
+    CSV_HEADER,
+    MAX_LENGTH,
     N_CAP,
     evolve_n,
     expansion_total,
@@ -79,16 +85,6 @@ DEFAULT_FORMAT = {
     "render": "svg",
 }
 
-DEFAULTS = {
-    "k0": 30, "k_cap": 10_000, "delta": 1e-4, "samples": 1000,
-    "threads": 0, "resolution": 400, "order": 1, "steps": 20,
-    "level": -1, "length": 1e-4, "depth": "auto", "kind": "table",
-    "front_back": False, "fit": False, "seed": None, "rho": None,
-    "table": None, "input": None, "out": None, "format": None,
-    "wall": 0, "r": None, "phi": None, "config": None,
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -104,118 +100,149 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return val
+
+
+_SWITCH = {"action": "store_const", "const": True, "default": False}
+
+# option dest -> (flag, argparse keywords); options without a default are
+# None when unset
+_FLAGS = {
+    "config": ("--config", {}),
+    "table": ("--table", {}),
+    "out": ("--out", {}),
+    "format": ("--format", {"choices": ("csv", "json", "svg")}),
+    "seed": ("--seed", {"type": int}),
+    "wall": ("--wall", {"type": int, "default": 0}),
+    "r": ("--r", {"type": _finite}),
+    "phi": ("--phi", {"type": _finite}),
+    "k0": ("--k0", {"type": int, "default": 30}),
+    "k_cap": ("--k-cap", {"type": int, "default": 10_000}),
+    "delta": ("--delta", {"type": _finite, "default": 1e-4}),
+    "samples": ("--samples", {"type": int, "default": 1000}),
+    "threads": ("--threads", {"type": int, "default": 0}),
+    "steps": ("--n", {"type": int, "default": 20}),
+    "depth": ("--N", {"default": "auto"}),
+    "level": ("--level", {"type": int, "default": -1}),
+    "resolution": ("--resolution", {"type": int, "default": 400}),
+    "order": ("--order", {"type": int, "default": 1}),
+    "length": ("--length", {"type": _finite, "default": 1e-4}),
+    "rho": ("--rho", {"type": _finite}),
+    "front_back": ("--front-back", _SWITCH),
+    "fit": ("--fit", _SWITCH),
+    "kind": ("--kind", {"default": "table"}),
+    "input": ("--input", {}),
+}
+
+_POINT = ("wall", "r", "phi")
+_COMMON = ("config", "table", "out", "format")
+_COMMAND_FLAGS = {
+    "validate": ("samples", "seed"),
+    "orbit": (*_POINT, "steps"),
+    "singularities": ("level", "resolution", "k0"),
+    "portrait": (*_POINT, "order", "k0", "rho", "front_back"),
+    "evolve": (*_POINT, "length", "steps", "k0", "k_cap"),
+    "grazing-sum": ("k0", "k_cap", "delta", "samples", "seed"),
+    "expansion": ("k0", "k_cap", "delta", "samples", "seed", "depth",
+                  "threads", "fit"),
+    "render": ("kind", "input", "k0"),
+}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog=PROG, description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command")
-
-    def add(name, *flags):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--config")
-        sp.add_argument("--table")
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("csv", "json", "svg"))
-        for flag in flags:
-            if flag == "seed":
-                sp.add_argument("--seed", type=int)
-            elif flag == "point":
-                sp.add_argument("--wall", type=int)
-                sp.add_argument("--r", type=float)
-                sp.add_argument("--phi", type=float)
-            elif flag == "k0":
-                sp.add_argument("--k0", type=int)
-            elif flag == "k_cap":
-                sp.add_argument("--k-cap", dest="k_cap", type=int)
-            elif flag == "delta":
-                sp.add_argument("--delta", type=float)
-            elif flag == "samples":
-                sp.add_argument("--samples", type=int)
-            elif flag == "threads":
-                sp.add_argument("--threads", type=int)
-            elif flag == "steps":
-                sp.add_argument("--n", dest="steps", type=int)
-            elif flag == "depth":
-                sp.add_argument("--N", dest="depth")
-            elif flag == "level":
-                sp.add_argument("--level", type=int)
-            elif flag == "resolution":
-                sp.add_argument("--resolution", type=int)
-            elif flag == "order":
-                sp.add_argument("--order", type=int)
-            elif flag == "length":
-                sp.add_argument("--length", type=float)
-            elif flag == "rho":
-                sp.add_argument("--rho", type=float)
-            elif flag == "front_back":
-                sp.add_argument("--front-back", dest="front_back",
-                                action="store_const", const=True)
-            elif flag == "fit":
-                sp.add_argument("--fit", action="store_const", const=True)
-            elif flag == "kind":
-                sp.add_argument("--kind")
-            elif flag == "input":
-                sp.add_argument("--input")
-        return sp
-
-    add("validate", "samples", "seed")
-    add("orbit", "point", "steps")
-    add("singularities", "level", "resolution", "k0")
-    add("portrait", "point", "order", "k0", "rho", "front_back")
-    add("evolve", "point", "length", "steps", "k0", "k_cap")
-    add("grazing-sum", "k0", "k_cap", "delta", "samples", "seed")
-    add("expansion", "k0", "k_cap", "delta", "samples", "seed", "depth",
-        "threads", "fit")
-    add("render", "kind", "input", "k0")
+        for dest in _COMMON + _COMMAND_FLAGS[name]:
+            flag, kw = _FLAGS[dest]
+            sp.add_argument(flag, dest=dest, **kw)
+        sp.set_defaults(format=DEFAULT_FORMAT.get(name, "json"),
+                        out=DEFAULT_OUT.get(name))
+    # orbit walks 20 collisions by default; evolve depth is capped at 12
+    sub.choices["evolve"].set_defaults(steps=3)
     return p
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Fill unset flags from --config, then from built-in defaults."""
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except OSError as err:
-            raise _UsageError(f"cannot read config: {err}")
-        except json.JSONDecodeError as err:
-            raise _UsageError(f"config is not valid JSON: {err}")
-        if not isinstance(cfg, dict):
-            raise _UsageError("config must be a JSON object")
-    opts = dict(vars(args))
+def _config_argv(command: str, path: str) -> list[str]:
+    """The entries of a --config file, spelled as the command's flags."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as err:
+        raise _UsageError(f"cannot read config: {err}")
+    except json.JSONDecodeError as err:
+        raise _UsageError(f"config is not valid JSON: {err}")
+    if not isinstance(cfg, dict):
+        raise _UsageError("config must be a JSON object")
+    argv = []
     for key, val in cfg.items():
         key = key.replace("-", "_")
-        if key == "command":
+        if key in ("command", "config"):
             continue
-        if key not in DEFAULTS and key not in ("steps", "depth"):
+        if key not in _FLAGS:
             raise _UsageError(f"unknown config key: {key}")
-        if key in opts and opts[key] is None:
-            opts[key] = val
-    for key, val in opts.items():
-        if val is None and key in DEFAULTS:
-            opts[key] = DEFAULTS[key]
-    cmd = opts["command"]
-    # orbit walks 20 collisions by default; evolve depth is capped at 12
-    if cmd == "evolve" and args.__dict__.get("steps") is None \
-            and "steps" not in cfg:
-        opts["steps"] = 3
-    if opts.get("format") is None:
-        opts["format"] = DEFAULT_FORMAT.get(cmd, "json")
-    if opts.get("out") is None:
-        opts["out"] = DEFAULT_OUT.get(cmd)
-    return opts
+        # keys of other commands are ignored, so one file can serve several
+        if key not in _COMMON + _COMMAND_FLAGS[command] or val is None:
+            continue
+        flag, kw = _FLAGS[key]
+        if kw is _SWITCH:
+            if not isinstance(val, bool):
+                raise _UsageError(f"config key {key} must be true or false")
+            argv += [flag] if val else []
+            continue
+        want = (int, float) if "type" in kw else (str, int, float)
+        if isinstance(val, bool) or not isinstance(val, want):
+            raise _UsageError(f"config key {key} must be a " + (
+                "number" if "type" in kw else "string or number"))
+        argv.append(f"{flag}={val}")
+    return argv
+
+
+def _parse(argv: list[str]) -> dict:
+    """Options from argv, then from --config, then the flags' defaults.
+
+    Config entries are parsed as flags placed before the explicit ones, so
+    they pass the same conversions and checks, and an explicit flag wins.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        raise _UsageError("a subcommand is required: " + ", ".join(COMMANDS))
+    if args.config:
+        args = parser.parse_args([args.command,
+                                  *_config_argv(args.command, args.config),
+                                  *argv[1:]])
+    return vars(args)
 
 
 def _check_positive(opts, *keys):
     for key in keys:
         val = opts.get(key)
         if val is not None and val <= 0:
-            raise _UsageError(f"--{key.replace('_', '-')} must be positive")
+            raise _UsageError(f"{_FLAGS[key][0]} must be positive")
+
+
+def _check_length(opts, *keys):
+    for key in keys:
+        val = opts.get(key)
+        if val is not None and not 0.0 < val <= MAX_LENGTH:
+            raise _UsageError(
+                f"{_FLAGS[key][0]} must lie in (0, {MAX_LENGTH:g}]")
 
 
 def _require(opts, *keys):
     for key in keys:
         if opts.get(key) is None:
-            raise _UsageError(f"--{key.replace('_', '-')} is required")
+            raise _UsageError(f"{_FLAGS[key][0]} is required")
 
 
 def _load_table(name: str):
@@ -237,10 +264,6 @@ def _table_id(name: str) -> str:
     return os.path.splitext(os.path.basename(name))[0]
 
 
-def _json_bytes(doc) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
-
-
 def _write(path: str, data) -> None:
     try:
         write_atomic(path, data)
@@ -249,10 +272,18 @@ def _write(path: str, data) -> None:
 
 
 def _phase_csv(rows) -> str:
-    out = ["wall_id,r,phi,k"]
-    for wall_id, r, phi, k in rows:
-        out.append("%d,%.17g,%.17g,%d" % (wall_id, r, phi, k))
-    return "\n".join(out) + "\n"
+    return csv_text(("wall_id", "r", "phi", "k"), rows)
+
+
+def _phase_point(table, opts) -> PhasePoint:
+    _require(opts, "r", "phi")
+    wall, phi = opts["wall"], opts["phi"]
+    if not 0 <= wall < len(table.walls):
+        raise OutOfRange(f"--wall {wall}: the table has walls "
+                         f"0..{len(table.walls) - 1}")
+    if abs(phi) > HALF_PI:
+        raise OutOfRange(f"--phi {phi} outside [-pi/2, pi/2]")
+    return PhasePoint(wall, opts["r"], phi)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +319,7 @@ def _cmd_validate(opts) -> int:
                "tau_max_sampled": con.tau_max_sampled,
                "tau_star": con.tau_star, "samples": con.samples,
                "seed": seed}
-        _write(opts["out"], _json_bytes(doc))
+        _write(opts["out"], json_bytes(doc))
         print(f"wrote {opts['out']}")
     return 0
 
@@ -324,9 +355,8 @@ def _orbit_rows(table, z: PhasePoint, n: int):
 
 
 def _cmd_orbit(opts) -> int:
-    _require(opts, "r", "phi")
     table = _load_table(opts["table"])
-    z = PhasePoint(opts["wall"], opts["r"], opts["phi"])
+    z = _phase_point(table, opts)
     rows = _orbit_rows(table, z, opts["steps"])
     if opts["format"] == "svg":
         svg = render_artifact(
@@ -335,12 +365,11 @@ def _cmd_orbit(opts) -> int:
                   for _, p, tau, _, _, _ in rows])
         _write(opts["out"], svg)
     else:
-        out = ["step,wall_id,r,phi,tau,kind,properness,branch_label"]
-        for step, p, tau, kind, properness, label in rows:
-            out.append("%d,%d,%.17g,%.17g,%.17g,%s,%s,%s"
-                       % (step, p.wall_id, p.r, p.phi, tau, kind,
-                          properness, label))
-        _write(opts["out"], "\n".join(out) + "\n")
+        _write(opts["out"], csv_text(
+            ("step", "wall_id", "r", "phi", "tau", "kind", "properness",
+             "branch_label"),
+            ((step, p.wall_id, p.r, p.phi, tau, kind, properness, label)
+             for step, p, tau, kind, properness, label in rows)))
     print(f"wrote {opts['out']} ({len(rows)} collisions, "
           f"last kind {rows[-1][3]})")
     return 0
@@ -365,9 +394,8 @@ def _cmd_singularities(opts) -> int:
 
 
 def _cmd_portrait(opts) -> int:
-    _require(opts, "r", "phi")
     table = _load_table(opts["table"])
-    z = PhasePoint(opts["wall"], opts["r"], opts["phi"])
+    z = _phase_point(table, opts)
     try:
         portrait = classify_sectors(sector_portrait(
             table, z, opts["order"], k0=opts["k0"], rho0=opts["rho"],
@@ -377,14 +405,14 @@ def _cmd_portrait(opts) -> int:
                "candidates": [[s.to_json() for s in sectors]
                               for sectors in
                               getattr(err, "decompositions", [])]}
-        _write(opts["out"], _json_bytes(doc))
+        _write(opts["out"], json_bytes(doc))
         print(f"wrote partial {opts['out']}", file=sys.stderr)
         raise
     doc = portrait.to_json()
     if opts["format"] == "svg":
         _write(opts["out"], render_artifact("portrait", doc=doc))
     else:
-        _write(opts["out"], _json_bytes(doc))
+        _write(opts["out"], json_bytes(doc))
     print(f"wrote {opts['out']} ({len(doc['sectors'])} sectors, "
           f"rho_hat {doc['rho_hat']:.3g})")
     return 0
@@ -401,9 +429,8 @@ def _component_rows(tree, n):
 
 
 def _cmd_evolve(opts) -> int:
-    _require(opts, "r", "phi")
     table = _load_table(opts["table"])
-    z = PhasePoint(opts["wall"], opts["r"], opts["phi"])
+    z = _phase_point(table, opts)
     n = opts["steps"]
     if not 1 <= n <= N_CAP:
         raise _UsageError(f"--n must lie in 1..{N_CAP}")
@@ -437,7 +464,7 @@ def _cmd_evolve(opts) -> int:
             "grazing_sum": grazing_sum(tree.generations[1]),
             "degenerate_merged": tree.degenerate_merged,
         }
-        _write(opts["out"], _json_bytes(doc))
+        _write(opts["out"], json_bytes(doc))
     print(f"wrote {opts['out']} ({len(tree.generations[n])} leaf "
           f"components at depth {n})")
     return 0
@@ -459,12 +486,11 @@ def _cmd_grazing_sum(opts) -> int:
            "sup": max(values), "mean": sum(values) / len(values),
            "nonzero": sum(1 for v in values if v > 0.0)}
     if opts["format"] == "csv":
-        out = ["sample_id,grazing_sum"]
-        out.extend("%d,%.17g" % (r["sample_id"], r["grazing_sum"])
-                   for r in rows)
-        _write(opts["out"], "\n".join(out) + "\n")
+        _write(opts["out"], csv_text(
+            ("sample_id", "grazing_sum"),
+            ((r["sample_id"], r["grazing_sum"]) for r in rows)))
     else:
-        _write(opts["out"], _json_bytes(doc))
+        _write(opts["out"], json_bytes(doc))
     print(f"wrote {opts['out']} (sup {doc['sup']:.6g} over "
           f"{doc['used']} curves)")
     return 0
@@ -494,9 +520,9 @@ def _cmd_expansion(opts) -> int:
                       constants=constants, threads=opts["threads"],
                       table_id=_table_id(opts["table"]))
     if opts["format"] == "csv":
-        _write(opts["out"], report.csv_text())
+        _write(opts["out"], csv_text(CSV_HEADER, report.csv_rows()))
     else:
-        _write(opts["out"], report.json_bytes())
+        _write(opts["out"], json_bytes(report.to_json()))
     print(f"wrote {opts['out']} (N={report.n_steps} [{report.n_source}], "
           f"sup E_N {report.sup_e[-1]:.6g}, verdict {report.verdict})")
     return 0
@@ -578,15 +604,11 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError(
-                "a subcommand is required: " + ", ".join(COMMANDS))
-        opts = _merge_config(args)
-        _check_positive(opts, "k0", "k_cap", "delta", "samples",
-                        "resolution", "order", "length", "rho")
+        opts = _parse(sys.argv[1:] if argv is None else list(argv))
+        _check_positive(opts, "k0", "k_cap", "samples", "resolution",
+                        "order", "rho")
+        _check_length(opts, "delta", "length")
         if opts.get("threads") is not None and opts["threads"] < 0:
             raise _UsageError("--threads must be >= 0")
         if opts["command"] != "render":

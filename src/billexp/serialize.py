@@ -1,8 +1,13 @@
-"""Canonical, byte-stable emission of JSON and CSV artifacts.
+"""Artifact bytes: the one place results become JSON or CSV files.
 
-Every float is rendered with %.17g so a value survives a round trip exactly;
-dict keys are sorted.  Writers go through a temp file plus rename so partial
-output never lands under the final name.
+JSON artifacts have sorted keys, a two-space indent and a trailing newline;
+floats are written as Python's shortest round-trip ``repr``.  CSV artifacts
+have a header line, ``\\n`` line endings and floats written with ``%.17g``;
+both spellings read back to the same double bit for bit.  An empty CSV cell
+(JSON ``null``) marks a depth past a component explosion, which has no sum.
+NaN and Infinity appear nowhere: a non-finite float raises ValueError
+instead of reaching a file.  Files are written through a unique temp file
+plus a rename, so partial output never lands under the final name.
 """
 
 from __future__ import annotations
@@ -13,48 +18,27 @@ import os
 import tempfile
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float in canonical output")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+def json_bytes(doc) -> bytes:
+    """The JSON artifact for doc."""
+    return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode()
 
 
-def canon_dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj):
-            if not isinstance(k, str):
-                raise TypeError(f"non-string key {k!r}")
-            items.append(f"{pad}  {json.dumps(k)}: "
-                         + canon_dumps(obj[k], indent + 2))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [pad + "  " + canon_dumps(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    # numpy scalars and the like
-    if hasattr(obj, "item"):
-        return canon_dumps(obj.item(), indent)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite float {v!r} in CSV output")
+        return "%.17g" % v
+    return str(v)
+
+
+def csv_text(header, rows) -> str:
+    """The CSV artifact for the given column names and rows of values."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _umask() -> int:
@@ -82,19 +66,3 @@ def write_atomic(path: str, data) -> None:
         except OSError:
             pass
         raise
-
-
-def csv_text(header, rows) -> str:
-    """Flat CSV with canonical float formatting and \\n line endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(_fmt_float(v))
-            elif isinstance(v, bool):
-                cells.append("1" if v else "0")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

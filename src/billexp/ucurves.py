@@ -43,6 +43,7 @@ from .geometry import BilliardTable
 K_CAP = 10_000
 N_CAP = 12
 DELTA_DEFAULT = 1e-4
+MAX_LENGTH = 1e-2      # longest seed curve (the CLI's --length and --delta)
 CUT_TOL = 1e-12        # parameter bisection tolerance for primary cuts
 DEGEN_LEN = 1e-13      # image pieces shorter than this merge into a neighbor
 LEAF_CAP = 10_000_000
@@ -72,9 +73,6 @@ class UCurve:
     def increasing(self) -> bool:
         return all(b.r > a.r and b.phi > a.phi
                    for a, b in zip(self.nodes, self.nodes[1:]))
-
-    def endpoints(self) -> tuple[PhasePoint, PhasePoint]:
-        return self.nodes[0], self.nodes[-1]
 
 
 def make_ucurve(wall_id, pts, slopes=None, params=None, growth=None):
@@ -178,10 +176,11 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
     The curve follows the mid-cone slope field by equal Euclidean steps, so
     its polyline length equals `length` to rounding.  Raises SingularSeed
     when z sits within EPS_SEED of a grazing line, a chart edge, or a strip
-    boundary, or when either map branch at z is not regular.
+    boundary, when either map branch at z is not regular, or when the
+    curve is too short for its nodes to differ in floating point.
     """
-    if not 0.0 < length <= 1e-2:
-        raise ValueError("length must lie in (0, 1e-2]")
+    if not 0.0 < length <= MAX_LENGTH:
+        raise ValueError(f"length must lie in (0, {MAX_LENGTH:g}]")
     if _near_strip_boundary(z.phi, k0):
         raise SingularSeed("base angle within tolerance of a strip boundary")
     if not forward(table, z).regular:
@@ -219,7 +218,11 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
     slopes = [m for _, m in reversed(back)] + [cone_slope(z, -1.0)] \
         + [m for _, m in fore]
     params = [i / (len(pts) - 1) for i in range(len(pts))]
-    return make_ucurve(z.wall_id, pts, slopes, params)
+    try:
+        return make_ucurve(z.wall_id, pts, slopes, params)
+    except ValueError as err:
+        raise SingularSeed(
+            f"seed curve of length {length:g}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -786,15 +789,6 @@ class FittedConstants:
         return cls(**doc)
 
 
-def delta_schedule(delta0: float, c_length: float, n: int) -> list[float]:
-    """Shrinking scale ladder (delta0 / C^m)^(2^m), clamped at 1e-9."""
-    out = []
-    for m in range(n + 1):
-        val = (delta0 * c_length ** (-m)) ** (2 ** m)
-        out.append(max(val, 1e-9))
-    return out
-
-
 def _graze_anchors(table: BilliardTable, per_branch: int = 8):
     """Interior nodes of the one-step tangency preimage curves."""
     from .singularities import trace_singularity
@@ -914,6 +908,11 @@ def select_N(constants: FittedConstants, n_cap: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # Monte-Carlo suprema
 
+# columns of ExpansionReport.csv_rows
+CSV_HEADER = ("sample_id", "curve_length", "n", "leaf_count", "k_n", "e_n",
+              "grazing_sum")
+
+
 @dataclass
 class ExpansionReport:
     table_id: str
@@ -955,23 +954,14 @@ class ExpansionReport:
         return cls(constants=None if cons is None
                    else FittedConstants.from_json(cons), **doc)
 
-    def json_bytes(self) -> bytes:
-        import json
-        return (json.dumps(self.to_json(), sort_keys=True, indent=2)
-                + "\n").encode()
-
-    def csv_text(self) -> str:
-        lines = ["sample_id,curve_length,n,leaf_count,k_n,e_n,grazing_sum"]
+    def csv_rows(self):
+        """One row per used sample and depth, in CSV_HEADER order."""
         for row in self.rows:
             if row["flag"] == "skipped":
                 continue
             for n in range(self.n_steps + 1):
-                e = row["e"][n]
-                lines.append("%d,%.17g,%d,%d,%d,%s,%.17g" % (
-                    row["sample_id"], row["length"], n, row["leaves"][n],
-                    row["k"][n], "" if e is None else "%.17g" % e,
-                    row["grazing_sum"]))
-        return "\n".join(lines) + "\n"
+                yield (row["sample_id"], row["length"], n, row["leaves"][n],
+                       row["k"][n], row["e"][n], row["grazing_sum"])
 
 
 def _draw_curve(table, rng, delta, k0, tries=200):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from billexp import cli, ucurves
 from billexp.errors import SingularSeed
@@ -257,3 +262,131 @@ def test_config_unknown_key(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps({"tabel": "tri"}))
     assert run("grazing-sum", "--config", "bad.json", "--seed", "1") == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# numeric input contract
+
+def _refuse_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def _check_artifact(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=_refuse_constant)
+    else:
+        lines = text.splitlines()
+        width = len(lines[0].split(","))
+        assert all(len(line.split(",")) == width for line in lines[1:])
+
+
+_PT = ("--wall", "0", "--r", "0.9", "--phi", "0.1")
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("argv,config,code", [
+    (("portrait", "--table", "tri", "--rho", "nan", *_PT), None, 1),
+    (("orbit", "--table", "tri", "--wall", "0", "--r", "nan",
+      "--phi", "0.1"), None, 1),
+    (("evolve", "--table", "tri", *_PT, "--length", "0.5"), None, 1),
+    (("evolve", "--table", "tri", *_PT, "--length", "nan"), None, 1),
+    (("expansion", "--table", "tri", "--seed", "1", "--delta", "0.05"),
+     None, 1),
+    (("expansion", "--table", "tri", "--seed", "1", "--delta", "inf"),
+     None, 1),
+    (("grazing-sum", "--table", "tri", "--seed", "1", "--delta", "nan"),
+     None, 1),
+    (("orbit", "--table", "tri", "--wall", "3", "--r", "0.9",
+      "--phi", "0.1"), None, 2),
+    (("orbit", "--table", "tri", "--wall", "-1", "--r", "0.9",
+      "--phi", "0.1"), None, 2),
+    (("orbit", "--table", "tri", "--wall", "0", "--r", "0.9",
+      "--phi", "2"), None, 2),
+    (("validate", "--table", "tri", "--out", "v.json"), {"samples": "10"},
+     1),
+    (("evolve", "--table", "tri", *_PT), {"k0": 2.5}, 1),
+    (("expansion", "--table", "tri", "--seed", "1"), {"delta": _NAN}, 1),
+    (("expansion", "--table", "tri", "--seed", "1"), {"fit": 1}, 1),
+    (("evolve", "--table", "tri", *_PT, "--length", "1e-300"), None, 2),
+])
+def test_bad_numeric_input_is_refused(tmp_path, capsys, argv, config, code):
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = (*argv, "--config", "run.json")
+    assert run(*argv) == code
+    assert capsys.readouterr().err.startswith("billexp: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == (["run.json"] if config is not None else [])
+
+
+_NUMBER = st.one_of(
+    st.floats(), st.integers(),
+    st.sampled_from([0, 0.0, -0.0, -1, _NAN, _INF, -_INF, 1e300, 10**40]))
+_WRONG_TYPE = st.one_of(st.text(max_size=4), st.booleans(),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(),
+                                        max_size=1))
+# a valid sample count is a run of that length, not an error: keep the ones
+# that parse small, and spell the huge ones as floats
+_SAMPLES = st.one_of(st.integers(max_value=25), st.floats())
+_VALUES = {"wall": _NUMBER, "r": _NUMBER, "phi": _NUMBER, "rho": _NUMBER,
+           "length": _NUMBER, "delta": _NUMBER, "k0": _NUMBER,
+           "samples": _SAMPLES}
+_CONTRACT_RUNS = {
+    "orbit": (("orbit", *_PT, "--n", "3"), ("wall", "r", "phi"), ".csv"),
+    "evolve": (("evolve", *_PT, "--n", "1"),
+               ("wall", "r", "phi", "length", "k0"), ".json"),
+    "portrait": (("portrait", *_PT), ("wall", "r", "phi", "rho", "k0"),
+                 ".json"),
+    "validate": (("validate", "--samples", "20"), ("samples",), ".json"),
+    "grazing-sum": (("grazing-sum", "--samples", "2", "--seed", "1"),
+                    ("delta", "k0", "samples"), ".json"),
+    "expansion": (("expansion", "--samples", "2", "--N", "1", "--seed", "1"),
+                  ("delta", "k0", "samples"), ".json"),
+}
+
+
+@st.composite
+def _invocations(draw):
+    cmd = draw(st.sampled_from(sorted(_CONTRACT_RUNS)))
+    keys = st.sampled_from(_CONTRACT_RUNS[cmd][1])
+    flags = {k: draw(_VALUES[k]) for k in draw(st.lists(keys, unique=True))}
+    config = {k: draw(_VALUES[k] | _WRONG_TYPE)
+              for k in draw(st.lists(keys, unique=True))}
+    return cmd, flags, config
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_invocations())
+@example(("portrait", {"rho": _NAN}, {}))
+@example(("orbit", {"r": _NAN}, {}))
+@example(("evolve", {"length": 0.5}, {}))
+@example(("evolve", {"length": _NAN}, {}))
+@example(("evolve", {"length": 1e-300}, {}))
+@example(("expansion", {"delta": 0.05}, {}))
+@example(("grazing-sum", {"delta": _INF}, {}))
+@example(("expansion", {"delta": _NAN}, {}))
+@example(("orbit", {"wall": 3}, {}))
+@example(("orbit", {"wall": -1}, {}))
+@example(("validate", {}, {"samples": "10"}))
+@example(("evolve", {}, {"k0": 2.5}))
+def test_cli_exit_codes_and_artifacts(invocation):
+    cmd, flags, config = invocation
+    base, _, suffix = _CONTRACT_RUNS[cmd]
+    with tempfile.TemporaryDirectory() as d:
+        d = pathlib.Path(d)
+        (d / "run.json").write_text(json.dumps(config))
+        argv = [*base, "--table", "tri", "--config", str(d / "run.json"),
+                "--out", str(d / f"artifact{suffix}")]
+        argv += [f"--{k}={v}" for k, v in flags.items()]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+        assert code in (0, 1, 2, 3)
+        written = [p for p in d.iterdir() if p.name != "run.json"]
+        assert [p.name for p in written] in ([], [f"artifact{suffix}"])
+        assert written or code != 0
+        for path in written:
+            _check_artifact(path)

@@ -10,6 +10,7 @@ from billexp.bmap import (PhasePoint, certify_hyperbolicity, forward,
                           involute, strip_index, unstable_cone_at)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
+from billexp.serialize import csv_text, json_bytes
 
 
 @pytest.fixture(scope="module")
@@ -308,13 +309,6 @@ def test_select_n_oracle():
         prev = n
 
 
-def test_delta_schedule():
-    sched = U.delta_schedule(1e-4, 30.0, 4)
-    assert sched[0] == 1e-4
-    assert all(a >= b for a, b in zip(sched, sched[1:]))
-    assert all(d >= 1e-9 for d in sched)
-
-
 def test_constants_roundtrip(cheap_constants):
     doc = cheap_constants.to_json()
     again = U.FittedConstants.from_json(doc)
@@ -328,7 +322,8 @@ def test_sup_scan_deterministic(tri):
     a = U.sup_scan(tri, 1e-4, 20, 1, 30, seed=13)
     b = U.sup_scan(tri, 1e-4, 20, 1, 30, seed=13)
     c = U.sup_scan(tri, 1e-4, 20, 1, 30, seed=13, threads=4)
-    assert a.json_bytes() == b.json_bytes() == c.json_bytes()
+    assert json_bytes(a.to_json()) == json_bytes(b.to_json()) \
+        == json_bytes(c.to_json())
 
 
 def test_sup_scan_report_shape(tri, cheap_constants):
@@ -342,8 +337,8 @@ def test_sup_scan_report_shape(tri, cheap_constants):
     if rep.sup_e[2] < 1.0:
         assert "holds" in rep.verdict
     again = U.ExpansionReport.from_json(rep.to_json())
-    assert again.json_bytes() == rep.json_bytes()
-    header = rep.csv_text().splitlines()[0]
+    assert json_bytes(again.to_json()) == json_bytes(rep.to_json())
+    header = csv_text(U.CSV_HEADER, rep.csv_rows()).splitlines()[0]
     assert header == "sample_id,curve_length,n,leaf_count,k_n,e_n,grazing_sum"
 
 
@@ -355,7 +350,7 @@ def test_explosion_rows_stay_valid_json_and_csv(tri, monkeypatch):
     def refuse(token):
         raise ValueError(f"non-JSON constant {token}")
 
-    doc = json.loads(rep.json_bytes(), parse_constant=refuse)
+    doc = json.loads(json_bytes(rep.to_json()), parse_constant=refuse)
     assert doc["partial"]
     # sup_e[3] == 0.0 only because no row reached depth 3
     assert doc["verdict"] == "expansion estimate fails (empirical)"
@@ -365,7 +360,8 @@ def test_explosion_rows_stay_valid_json_and_csv(tri, monkeypatch):
         assert r["e"][0] == 1.0 and r["e"][1] > 0.0
         assert r["e"][2:] == [None, None]
     assert doc["sup_e"][1] > 0.0 and doc["sup_e"][2:] == [0.0, 0.0]
-    cells = [line.split(",") for line in rep.csv_text().splitlines()[1:]]
+    text = csv_text(U.CSV_HEADER, rep.csv_rows())
+    cells = [line.split(",") for line in text.splitlines()[1:]]
     assert [c[5] == "" for c in cells] == [False, False, True, True] * 4
 
 
