@@ -6,7 +6,8 @@ trajectory overlay) and a phase-space scatter for the triangle run.
 
 import os
 
-from billexp import PhasePoint, forward, load_builtin, strip_index
+from billexp import PhasePoint, load_builtin, strip_index
+from billexp.bmap import orbit
 from billexp.render import render_artifact
 from billexp.serialize import write_atomic
 
@@ -19,16 +20,11 @@ START = {
 
 
 def run_orbit(table, z, steps):
-    """Follow the principal branch; stop politely at corners or grazing."""
-    rows = [(z.wall_id, z.r, z.phi, 0.0)]
-    for _ in range(steps):
-        res = forward(table, z)
-        im = res.images[0]
-        rows.append((im.point.wall_id, im.point.r, im.point.phi, im.tau))
-        if len(res.images) > 1 or im.grazing:
-            break
-        z = im.point
-    return rows
+    """(wall_id, r, phi, tau in) rows of the orbit up to a corner or graze."""
+    walk = orbit(table, z, steps)
+    return [(z.wall_id, z.r, z.phi, 0.0)] + [
+        (im.point.wall_id, im.point.r, im.point.phi, im.tau)
+        for im in walk.images]
 
 
 def main():

@@ -21,10 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import flow
-from .errors import SequenceOverflow, SingularInput
-from .flow import EPS_TAN, Ray, first_collision, reflect
-from .geometry import EPS_CORNER, BilliardTable
+from .errors import (
+    BilliardError,
+    SectorBoundary,
+    SequenceOverflow,
+    SingularInput,
+)
+from .flow import EPS_TAN, Ray, classify_collision, first_collision, reflect
+from .geometry import EPS_CORNER, BilliardTable, Corner
 
 HALF_PI = math.pi / 2.0
 K0_DEFAULT = 30
@@ -120,10 +124,26 @@ def _graze_image(wall, r_img, v_in, tau, trail) -> MapImage:
                     label="graze", derivative=None, trail=trail, grazing=True)
 
 
+def _corner_wall_frames(table: BilliardTable, corner: Corner):
+    """Tangent/normal limits of both walls at the corner point.
+
+    Returns {wall_id: (tangent_extent, normal)} where tangent_extent points
+    from the corner along the wall body.
+    """
+    wl = table.walls[corner.left_wall_id]
+    wr = table.walls[corner.right_wall_id]
+    _, n_l, t_l = wl.frame_at(wl.length)
+    _, n_r, t_r = wr.frame_at(0.0)
+    return {
+        corner.left_wall_id: ((-t_l[0], -t_l[1]), n_l),
+        corner.right_wall_id: (t_r, n_r),
+    }
+
+
 def _fly(table, ray, kappa0, phi0, tau_acc, trail, depth) -> list[MapImage]:
     if depth > table.sequence_cap + 8:
         raise SequenceOverflow("too many fly-by/grazing events in one flight")
-    oc = first_collision(table, ray, with_branches=False)
+    oc = first_collision(table, ray)
     tau = tau_acc + oc.tau
     v = ray.direction
 
@@ -143,7 +163,7 @@ def _fly(table, ray, kappa0, phi0, tau_acc, trail, depth) -> list[MapImage]:
     # corner hit: one image per wall the velocity presses into, a clamped
     # grazing image for a tangent wall, and for improper hits the fly-by
     corner = table.corners[oc.corner_id]
-    frames = flow._corner_wall_frames(table, corner)
+    frames = _corner_wall_frames(table, corner)
     images = []
     for wall_id, (ext, n) in frames.items():
         press = v[0] * n[0] + v[1] * n[1]
@@ -193,15 +213,14 @@ def forward(table: BilliardTable, p: PhasePoint) -> MapResult:
     cid = _corner_of_departure(table, wall, p.r)
     if cid is not None:
         corner = table.corners[cid]
-        neg_wm = (-corner.w_minus[0], -corner.w_minus[1])
-        alpha = flow._cw_from(neg_wm, v)
-        g = corner.gamma
-        on_edge = (alpha <= EPS_TAN or alpha >= 2.0 * math.pi - EPS_TAN
-                   or abs(alpha - g) <= EPS_TAN)
-        if on_edge:
+        try:
+            # a velocity in the external sector presses into the other wall
+            into_wall = classify_collision(corner, v) == "proper"
+        except SectorBoundary:
             raise SingularInput(
-                f"corner departure aimed along the wedge boundary at corner {cid}")
-        if not (0.0 < alpha < g):
+                f"corner departure aimed along the wedge boundary at corner "
+                f"{cid}") from None
+        if into_wall:
             # immediate collision with the other wall of the corner
             other_id = table.other_wall_at(cid, wall.wall_id)
             other = table.wall(other_id)
@@ -232,35 +251,32 @@ def inverse(table: BilliardTable, p: PhasePoint) -> MapResult:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    points: tuple[PhasePoint, ...]
-    taus: tuple[float, ...]
-    status: str                  # ok | branched | grazed | singular
-    steps: int
+    start: PhasePoint
+    images: tuple[MapImage, ...]  # the image taken at each completed step
+    status: str                   # ok | branched | grazed | singular
+    error: str = ""               # BilliardError type that made it singular
 
 
 def orbit(table: BilliardTable, p: PhasePoint, n: int) -> OrbitResult:
-    """Iterate while the evolution stays single-valued and non-grazing."""
-    points = [p]
-    taus = []
+    """Iterate while the evolution stays single-valued and non-grazing.
+
+    A branched step keeps no image; a grazing image is kept and ends the walk.
+    """
+    images = []
     cur = p
-    status = "ok"
     for _ in range(n):
         try:
             res = forward(table, cur)
-        except SingularInput:
-            status = "singular"
-            break
+        except BilliardError as err:
+            return OrbitResult(p, tuple(images), "singular", type(err).__name__)
         if len(res.images) > 1:
-            status = "branched"
-            break
+            return OrbitResult(p, tuple(images), "branched")
         im = res.images[0]
-        points.append(im.point)
-        taus.append(im.tau)
+        images.append(im)
         if im.grazing:
-            status = "grazed"
-            break
+            return OrbitResult(p, tuple(images), "grazed")
         cur = im.point
-    return OrbitResult(tuple(points), tuple(taus), status, len(taus))
+    return OrbitResult(p, tuple(images), "ok")
 
 
 # ---------------------------------------------------------------------------

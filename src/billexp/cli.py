@@ -7,8 +7,8 @@ Subcommands:
 * ``orbit``        -- iterate the collision map from a phase point; CSV dump.
 * ``singularities``-- trace the level-l singularity curves; phase CSV.
 * ``portrait``     -- sector portrait at a phase point; JSON.
-* ``evolve``       -- evolve one curve n steps; component tree summary or
-  phase CSV of the leaf components.
+* ``evolve``       -- evolve one curve n steps; component tree summary, or
+  phase CSV or SVG of the leaf components.
 * ``grazing-sum``  -- sampled supremum of the one-step nearly-grazing sum,
   over the same per-sample curves as ``expansion`` at the same seed.
 * ``expansion``    -- the full expansion-sum scan with auto depth selection.
@@ -21,7 +21,8 @@ table, bad input artifact, a phase point off the table); 3 numerical abort.
 Aborts write whatever partial artifact exists before exiting.  Commands that
 sample require an explicit --seed; there is no wall-clock fallback, the same
 invocation always rebuilds the same bytes.  Output files are written
-atomically (temp file + rename) by ``serialize``.
+atomically (temp file + rename) by ``serialize``.  ``FORMATS`` lists the
+artifact formats of each command; any other ``--format`` is a usage error.
 
 A ``--config run.json`` file may supply any long flag (dashes as
 underscores); its values pass the same conversions and checks as the flags.
@@ -37,7 +38,9 @@ import os
 import sys
 
 from . import tables
-from .bmap import HALF_PI, PhasePoint, forward
+# cli does not call forward; the name stays bound because
+# perfbench/test_perfbench.py checks that the tracer wraps it here too
+from .bmap import HALF_PI, PhasePoint, forward, orbit  # noqa: F401
 from .errors import (
     BilliardError,
     ComponentExplosion,
@@ -72,18 +75,15 @@ COMMANDS = ("validate", "orbit", "singularities", "portrait", "evolve",
 # stochastic beyond that demands an explicit --seed
 VALIDATE_SEED = 0
 
-DEFAULT_OUT = {
-    "orbit": "orbit.csv", "singularities": "singularities.csv",
-    "portrait": "portrait.json", "evolve": "evolve.json",
-    "grazing-sum": "grazing-sum.json", "expansion": "expansion.json",
-    "render": "render.svg",
+# the artifact formats each command writes, its default first; the default
+# --out is <command>.<format>, except that validate writes only to an --out
+FORMATS = {
+    "validate": ("json",), "orbit": ("csv", "svg"),
+    "singularities": ("csv", "svg"), "portrait": ("json", "svg"),
+    "evolve": ("json", "csv", "svg"), "grazing-sum": ("json", "csv"),
+    "expansion": ("json", "csv"), "render": ("svg",),
 }
 
-DEFAULT_FORMAT = {
-    "orbit": "csv", "singularities": "csv", "portrait": "json",
-    "evolve": "json", "grazing-sum": "json", "expansion": "json",
-    "render": "svg",
-}
 
 class _UsageError(Exception):
     pass
@@ -119,7 +119,7 @@ _FLAGS = {
     "config": ("--config", {}),
     "table": ("--table", {}),
     "out": ("--out", {}),
-    "format": ("--format", {"choices": ("csv", "json", "svg")}),
+    "format": ("--format", {}),
     "seed": ("--seed", {"type": int}),
     "wall": ("--wall", {"type": int, "default": 0}),
     "r": ("--r", {"type": _finite}),
@@ -164,9 +164,9 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name)
         for dest in _COMMON + _COMMAND_FLAGS[name]:
             flag, kw = _FLAGS[dest]
+            if dest == "format":
+                kw = {"choices": FORMATS[name], "default": FORMATS[name][0]}
             sp.add_argument(flag, dest=dest, **kw)
-        sp.set_defaults(format=DEFAULT_FORMAT.get(name, "json"),
-                        out=DEFAULT_OUT.get(name))
     # orbit walks 20 collisions by default; evolve depth is capped at 12
     sub.choices["evolve"].set_defaults(steps=3)
     return p
@@ -221,6 +221,8 @@ def _parse(argv: list[str]) -> dict:
         args = parser.parse_args([args.command,
                                   *_config_argv(args.command, args.config),
                                   *argv[1:]])
+    if args.out is None and args.command != "validate":
+        args.out = f"{args.command}.{args.format}"
     return vars(args)
 
 
@@ -246,7 +248,7 @@ def _require(opts, *keys):
 
 
 def _load_table(name: str):
-    if name in tables._BUILTIN:
+    if name in tables.BUILTIN_TABLES:
         return tables.load_builtin(name)
     try:
         with open(name) as fh:
@@ -259,7 +261,7 @@ def _load_table(name: str):
 
 
 def _table_id(name: str) -> str:
-    if name in tables._BUILTIN:
+    if name in tables.BUILTIN_TABLES:
         return name
     return os.path.splitext(os.path.basename(name))[0]
 
@@ -325,21 +327,14 @@ def _cmd_validate(opts) -> int:
 
 
 def _orbit_rows(table, z: PhasePoint, n: int):
-    """(step, point, tau, kind, properness, label) rows; stops on events."""
+    """(step, point, tau, kind, properness, label) rows; stops on events.
+
+    A row's tau is the flight leaving its point; the last row marks why the
+    walk stopped when that was not the step count or a grazing hit.
+    """
+    walk = orbit(table, z, n)
     rows = [[0, z, 0.0, "start", "proper", ""]]
-    cur = z
-    for step in range(1, n + 1):
-        try:
-            res = forward(table, cur)
-        except BilliardError as err:
-            rows[-1][3] = "singular"
-            rows[-1][5] = type(err).__name__
-            break
-        if len(res.images) > 1:
-            rows[-1][3] = "corner"
-            rows[-1][5] = "corner-split"
-            break
-        im = res.images[0]
+    for step, im in enumerate(walk.images, 1):
         rows[-1][2] = im.tau
         if im.grazing:
             kind, properness = "grazing", "improper"
@@ -348,9 +343,10 @@ def _orbit_rows(table, z: PhasePoint, n: int):
         else:
             kind, properness = "regular", "proper"
         rows.append([step, im.point, 0.0, kind, properness, im.label])
-        if im.grazing:
-            break
-        cur = im.point
+    if walk.status == "singular":
+        rows[-1][3], rows[-1][5] = "singular", walk.error
+    elif walk.status == "branched":
+        rows[-1][3], rows[-1][5] = "corner", "corner-split"
     return rows
 
 
@@ -428,6 +424,29 @@ def _component_rows(tree, n):
     return rows
 
 
+def _evolve_artifact(opts, table, z, tree, n, aborted=None):
+    """evolve's artifact in --format for depths 0..n, the last of tree."""
+    if opts["format"] == "csv":
+        return _phase_csv(_component_rows(tree, n))
+    if opts["format"] == "svg":
+        return render_artifact("phase", table=table,
+                               rows=_component_rows(tree, n), k0=opts["k0"])
+    doc = {
+        "table": _table_id(opts["table"]),
+        "seed_point": {"wall_id": z.wall_id, "r": z.r, "phi": z.phi},
+        "length": tree.root.euclidean_length, "n": n,
+        "k0": opts["k0"], "k_cap": opts["k_cap"],
+        "components": [len(g) for g in tree.generations],
+        "regular_components": tree.regular_counts(),
+        "expansion_sums": [expansion_total(tree, g) for g in range(n + 1)],
+        "grazing_sum": grazing_sum(tree.generations[1]),
+        "degenerate_merged": tree.degenerate_merged,
+    }
+    if aborted is not None:
+        doc["aborted"] = aborted
+    return json_bytes(doc)
+
+
 def _cmd_evolve(opts) -> int:
     table = _load_table(opts["table"])
     z = _phase_point(table, opts)
@@ -438,33 +457,13 @@ def _cmd_evolve(opts) -> int:
     try:
         tree = evolve_n(table, W, n, k0=opts["k0"], k_cap=opts["k_cap"])
     except ComponentExplosion as err:
-        if err.partial is not None:
-            done = len(err.partial.generations) - 1
-            _write(opts["out"], _phase_csv(_component_rows(err.partial, done)))
-            print(f"wrote partial {opts['out']} (depth {done})",
-                  file=sys.stderr)
+        # the partial tree ends with the generation cut short at the cap
+        done = len(err.partial.generations) - 1
+        _write(opts["out"], _evolve_artifact(opts, table, z, err.partial, done,
+                                             aborted=str(err)))
+        print(f"wrote partial {opts['out']} (depth {done})", file=sys.stderr)
         raise
-    if opts["format"] == "csv":
-        _write(opts["out"], _phase_csv(_component_rows(tree, n)))
-    elif opts["format"] == "svg":
-        _write(opts["out"], render_artifact(
-            "phase", table=table, rows=_component_rows(tree, n),
-            k0=opts["k0"]))
-    else:
-        regular = tree.regular_counts()
-        doc = {
-            "table": _table_id(opts["table"]),
-            "seed_point": {"wall_id": z.wall_id, "r": z.r, "phi": z.phi},
-            "length": W.euclidean_length, "n": n,
-            "k0": opts["k0"], "k_cap": opts["k_cap"],
-            "components": [len(g) for g in tree.generations],
-            "regular_components": regular,
-            "expansion_sums": [expansion_total(tree, g)
-                               for g in range(n + 1)],
-            "grazing_sum": grazing_sum(tree.generations[1]),
-            "degenerate_merged": tree.degenerate_merged,
-        }
-        _write(opts["out"], json_bytes(doc))
+    _write(opts["out"], _evolve_artifact(opts, table, z, tree, n))
     print(f"wrote {opts['out']} ({len(tree.generations[n])} leaf "
           f"components at depth {n})")
     return 0

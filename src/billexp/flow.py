@@ -1,23 +1,21 @@
-"""Straight-line flight and collision resolution inside a table.
+"""Straight-line flight and the first collision along it.
 
 The collision solver works on circles: a flight hits wall ``w`` where the ray
 meets the wall's circle arriving against the inward normal.  Tangential hits
 (incidence within EPS_TAN of pi/2) are flagged grazing; hits within EPS_CORNER
-arclength of a wall endpoint are corner events and carry the branch structure
-of the continuation.
+arclength of a wall endpoint are corner events, classified proper or improper
+by the incoming velocity.  How a flight continues through a corner (one image
+per wall it presses into, plus the fly-by of an improper hit) is resolved by
+``bmap.forward``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import (
-    EscapedDomain,
-    SectorBoundary,
-    SequenceOverflow,
-)
-from .geometry import EPS_CORNER, TWO_PI, BilliardTable, Corner, corner_angle
+from .errors import EscapedDomain, SectorBoundary
+from .geometry import EPS_CORNER, TWO_PI, BilliardTable, Corner
 
 EPS_TAN = 1e-9       # rad; tangency / sector-boundary tolerance
 TAU_FLOOR = 1e-12    # departure exclusion window for root acceptance
@@ -35,13 +33,6 @@ class Ray:
 
 
 @dataclass(frozen=True)
-class Branch:
-    label: str             # left-wall | right-wall | fly-by
-    ray: Ray
-    grazing_exit: bool = False
-
-
-@dataclass(frozen=True)
 class CollisionOutcome:
     kind: str              # regular | grazing | corner
     tau: float
@@ -52,24 +43,7 @@ class CollisionOutcome:
     normal_component: float | None = None     # d . n at the hit
     corner_id: int | None = None
     properness: str | None = None             # proper | improper (corners, grazing)
-    branches: tuple[Branch, ...] = ()
     cell: tuple[int, int] = (0, 0)
-
-
-@dataclass(frozen=True)
-class ImmediateCollision:
-    wall_id: int
-    direction_in: tuple[float, float]
-    direction_out: tuple[float, float]
-    grazing: bool
-
-
-@dataclass(frozen=True)
-class CornerSequence:
-    label: str
-    events: tuple[ImmediateCollision, ...]
-    exit_ray: Ray
-    grazing_exit: bool
 
 
 def reflect(direction, normal):
@@ -134,8 +108,7 @@ def _cells(ring: int):
         yield (-ring, j)
 
 
-def first_collision(table: BilliardTable, ray: Ray, *,
-                    with_branches: bool = True) -> CollisionOutcome:
+def first_collision(table: BilliardTable, ray: Ray) -> CollisionOutcome:
     """Nearest collision along the ray, or EscapedDomain.
 
     On the torus the scatterer lattice is searched ring by ring until no
@@ -175,15 +148,12 @@ def first_collision(table: BilliardTable, ray: Ray, *,
             properness = classify_collision(corner, incoming)
         except SectorBoundary:
             properness = "improper"   # tangent arrivals behave like grazing
-        branches = tuple(corner_branches(table, corner, incoming)) \
-            if with_branches else ()
         pos = corner.position if table.ambient == "plane" else (
             corner.position[0] + cell[0], corner.position[1] + cell[1])
         return CollisionOutcome(kind="corner", tau=t, point=pos,
                                 wall_id=w.wall_id, r=r, theta=theta,
                                 normal_component=ddn, corner_id=corner_id,
-                                properness=properness, branches=branches,
-                                cell=cell)
+                                properness=properness, cell=cell)
     kind = "grazing" if abs(ddn) <= EPS_TAN else "regular"
     return CollisionOutcome(kind=kind, tau=t, point=(px, py), wall_id=w.wall_id,
                             r=r, theta=theta, normal_component=ddn,
@@ -192,7 +162,7 @@ def first_collision(table: BilliardTable, ray: Ray, *,
 
 
 # ---------------------------------------------------------------------------
-# corner sector machinery
+# corner classification
 
 def _cw_from(a, d) -> float:
     return (math.atan2(a[1], a[0]) - math.atan2(d[1], d[0])) % TWO_PI
@@ -213,115 +183,3 @@ def classify_collision(corner: Corner, incoming) -> str:
             f"incoming within {EPS_TAN} of a sector boundary at corner "
             f"{corner.corner_id}")
     return "improper" if alpha < g else "proper"
-
-
-def _corner_wall_frames(table: BilliardTable, corner: Corner):
-    """Tangent/normal limits of both walls at the corner point.
-
-    Returns {wall_id: (tangent_extent, normal)} where tangent_extent points
-    from the corner along the wall body.
-    """
-    wl = table.walls[corner.left_wall_id]
-    wr = table.walls[corner.right_wall_id]
-    _, n_l, t_l = wl.frame_at(wl.length)
-    _, n_r, t_r = wr.frame_at(0.0)
-    return {
-        corner.left_wall_id: ((-t_l[0], -t_l[1]), n_l),
-        corner.right_wall_id: (t_r, n_r),
-    }
-
-
-def chain_from_wall(table: BilliardTable, corner: Corner, incoming,
-                    first_wall_id: int) -> CornerSequence:
-    """Chain of immediate (tau = 0) collisions at the corner point.
-
-    Walls are modeled by their tangent lines at the corner, which is the limit
-    of nearby trajectories; reflections alternate between the two walls until
-    the direction points into the open wedge.  An immediate grazing collision
-    terminates the chain.
-    """
-    frames = _corner_wall_frames(table, corner)
-    neg_wm = (-corner.w_minus[0], -corner.w_minus[1])
-    g = corner.gamma
-    cap = table.sequence_cap
-
-    events = []
-    v = (incoming[0], incoming[1])
-    wall = first_wall_id
-    label = "left-wall" if first_wall_id == corner.left_wall_id else "right-wall"
-    grazing_exit = False
-    for _ in range(cap + 1):
-        _, n = frames[wall]
-        v_new = reflect(v, n)
-        events.append(ImmediateCollision(wall_id=wall, direction_in=v,
-                                         direction_out=v_new, grazing=False))
-        v = v_new
-        other = table.other_wall_at(corner.corner_id, wall)
-        ext_o, n_o = frames[other]
-        press = v[0] * n_o[0] + v[1] * n_o[1]
-        if abs(press) <= EPS_TAN and v[0] * ext_o[0] + v[1] * ext_o[1] > 0.0:
-            # immediate grazing collision with the other wall; always last
-            events.append(ImmediateCollision(wall_id=other, direction_in=v,
-                                             direction_out=v, grazing=True))
-            grazing_exit = True
-            break
-        if press < 0.0:
-            wall = other
-            continue
-        break
-    else:
-        raise SequenceOverflow(
-            f"corner sequence exceeded cap {cap} at corner {corner.corner_id}")
-
-    alpha = _cw_from(neg_wm, v)
-    if not grazing_exit and not (0.0 < alpha < g):
-        # numerical sliver: exit direction pinched onto a wedge boundary
-        grazing_exit = True
-    return CornerSequence(label=label, events=tuple(events),
-                          exit_ray=Ray(corner.position, v),
-                          grazing_exit=grazing_exit)
-
-
-def corner_sequence(table: BilliardTable, corner: Corner,
-                    incoming) -> tuple[CornerSequence, ...]:
-    """Immediate-collision chains for every continuation branch.
-
-    Proper hits yield the two one-sided reflection chains; improper hits the
-    front-wall chain plus the fly-by (whose chain is empty).  Chains whose
-    exits coincide are merged, so at most two remain.
-    """
-    frames = _corner_wall_frames(table, corner)
-    try:
-        properness = classify_collision(corner, incoming)
-    except SectorBoundary:
-        properness = "improper"
-
-    seqs: list[CornerSequence] = []
-    for wall_id, (ext, n) in frames.items():
-        press = incoming[0] * n[0] + incoming[1] * n[1]
-        if press < -EPS_TAN:
-            seqs.append(chain_from_wall(table, corner, incoming, wall_id))
-    if properness == "improper":
-        seqs.append(CornerSequence(label="fly-by", events=(),
-                                   exit_ray=Ray(corner.position,
-                                                tuple(incoming)),
-                                   grazing_exit=False))
-
-    merged: list[CornerSequence] = []
-    for s in seqs:
-        dup = False
-        for m in merged:
-            dot = (s.exit_ray.direction[0] * m.exit_ray.direction[0]
-                   + s.exit_ray.direction[1] * m.exit_ray.direction[1])
-            if dot > 1.0 - 1e-10:
-                dup = True
-                break
-        if not dup:
-            merged.append(s)
-    return tuple(merged)
-
-
-def corner_branches(table: BilliardTable, corner: Corner, incoming):
-    """Continuation rays of all merged corner branches, labels included."""
-    return [Branch(label=s.label, ray=s.exit_ray, grazing_exit=s.grazing_exit)
-            for s in corner_sequence(table, corner, incoming)]

@@ -174,7 +174,7 @@ def _march(table, wall, r, phi, target_wall):
     tau = 0.0
     for _ in range(12):
         try:
-            oc = first_collision(table, ray, with_branches=False)
+            oc = first_collision(table, ray)
         except BilliardError:
             return None, 0.0
         if (oc.kind in ("regular", "grazing") and oc.wall_id != target_wall
@@ -296,18 +296,20 @@ def _split_monotone(nodes, want: float):
     return runs
 
 
-def _emit(level, nodes, origin, out):
-    curve = SingularityCurve(level, tuple(nodes), origin)
-    if len(nodes) < 2 or curve.length() < FRAGMENT_LEN:
-        out.append(SingularityCurve(level, (nodes[0],), origin, fragment=True))
-    else:
+def _emit_run(level, nodes, origin, out):
+    """Emit a traced run as level-``level`` curves, split where not monotone;
+    a piece too short to be a curve is kept as a one-node fragment."""
+    for chunk in _split_monotone(nodes, -1.0):
+        curve = SingularityCurve(level, tuple(chunk), origin)
+        if len(chunk) < 2 or curve.length() < FRAGMENT_LEN:
+            curve = SingularityCurve(level, (chunk[0],), origin, fragment=True)
         out.append(curve)
 
 
 def _trace_probe(table, wall, probe, resolution, origin, out):
     rs = _linspace(0.0, wall.length, resolution)
     tol = max(wall.length, 1.0) * 1e-10
-    run = []                     # list of (r, phi)
+    run = []                     # list of PhasePoint on this wall
     prev_bad = None
     for r in rs:
         phi = probe(r)
@@ -316,29 +318,20 @@ def _trace_probe(table, wall, probe, resolution, origin, out):
                 r_edge = _refine_edge(probe, r, prev_bad, tol)
                 p_edge = probe(r_edge)
                 if p_edge is not None and abs(r_edge - r) > tol:
-                    run.append((r_edge, p_edge))
-            run.append((r, phi))
+                    run.append(PhasePoint(wall.wall_id, r_edge, p_edge))
+            run.append(PhasePoint(wall.wall_id, r, phi))
             prev_bad = None
         else:
             if run:
-                r_edge = _refine_edge(probe, run[-1][0], r, tol)
+                r_edge = _refine_edge(probe, run[-1].r, r, tol)
                 p_edge = probe(r_edge)
-                if p_edge is not None and abs(r_edge - run[-1][0]) > tol:
-                    run.append((r_edge, p_edge))
-                _close_runs(table, wall, run, origin, out)
+                if p_edge is not None and abs(r_edge - run[-1].r) > tol:
+                    run.append(PhasePoint(wall.wall_id, r_edge, p_edge))
+                _emit_run(-1, run, origin, out)
                 run = []
             prev_bad = r
     if run:
-        _close_runs(table, wall, run, origin, out)
-
-
-def _close_runs(table, wall, run, origin, out):
-    nodes = [PhasePoint(wall.wall_id, r, phi) for r, phi in run]
-    if len(nodes) == 1:
-        _emit(-1, nodes, origin, out)
-        return
-    for chunk in _split_monotone(nodes, -1.0):
-        _emit(-1, chunk, origin, out)
+        _emit_run(-1, run, origin, out)
 
 
 def _trace_level_minus_one(table, resolution, strips, horizon):
@@ -372,17 +365,8 @@ def _pull_back(table, curve):
     def close():
         nonlocal run
         if run:
-            for chunk in _split_monotone(run, -1.0) if len(run) > 1 else [run]:
-                _emit_level(chunk)
+            _emit_run(level, run, curve.origin, out)
         run = []
-
-    def _emit_level(nodes):
-        c = SingularityCurve(level, tuple(nodes), curve.origin)
-        if len(nodes) < 2 or c.length() < FRAGMENT_LEN:
-            out.append(SingularityCurve(level, (nodes[0],), curve.origin,
-                                        fragment=True))
-        else:
-            out.append(c)
 
     def image_of(z):
         try:

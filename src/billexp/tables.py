@@ -78,7 +78,7 @@ def make_lens_spec() -> dict:
     return {"ambient": "plane", "walls": walls}
 
 
-_BUILTIN = {"tri": make_tri_spec, "torus2": make_torus2_spec}
+BUILTIN_TABLES = ("tri", "torus2")   # shipped as data/<name>.json
 
 
 def data_text(name: str) -> str:
@@ -86,6 +86,6 @@ def data_text(name: str) -> str:
 
 
 def load_builtin(name: str, **kw) -> BilliardTable:
-    if name not in _BUILTIN:
+    if name not in BUILTIN_TABLES:
         raise KeyError(f"no built-in table {name!r}")
     return build_table(json.loads(data_text(name)), **kw)

@@ -42,7 +42,6 @@ from .geometry import BilliardTable
 
 K_CAP = 10_000
 N_CAP = 12
-DELTA_DEFAULT = 1e-4
 MAX_LENGTH = 1e-2      # longest seed curve (the CLI's --length and --delta)
 CUT_TOL = 1e-12        # parameter bisection tolerance for primary cuts
 DEGEN_LEN = 1e-13      # image pieces shorter than this merge into a neighbor

@@ -159,6 +159,46 @@ def test_evolve_json_and_csv(tmp_path):
     assert header == "wall_id,r,phi,k"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_evolve_partial_artifact_follows_format(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(ucurves, "LEAF_CAP", 0)
+    assert run("evolve", "--table", "tri", *_PT, "--n", "2",
+               "--format", fmt) == 3
+    text = (tmp_path / f"evolve.{fmt}").read_text()
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        assert "exceeded 0 at depth 1" in doc["aborted"]
+        assert doc["n"] == 1 and len(doc["expansion_sums"]) == 2
+    elif fmt == "csv":
+        assert text.splitlines()[0] == "wall_id,r,phi,k"
+        _check_artifact(tmp_path / "evolve.csv")
+    else:
+        assert text.startswith("<svg ") and text.endswith("</svg>\n")
+
+
+def test_format_table(tmp_path, capsys):
+    # each command writes only its own formats, by default to
+    # <command>.<format>; any other format is a usage error
+    assert cli._parse(["expansion", "--table", "tri", "--format", "csv"])[
+        "out"] == "expansion.csv"
+    assert cli._parse(["orbit", "--table", "tri"])["out"] == "orbit.csv"
+    assert cli._parse(["validate", "--table", "tri"])["out"] is None
+    for cmd in cli.COMMANDS:
+        assert cli._parse([cmd])["format"] == cli.FORMATS[cmd][0]
+    refused = [("orbit", "json"), ("singularities", "json"),
+               ("portrait", "csv"), ("grazing-sum", "svg"),
+               ("expansion", "svg"), ("render", "json"),
+               ("validate", "csv")]
+    for cmd, fmt in refused:
+        assert fmt not in cli.FORMATS[cmd]
+        assert run(cmd, "--table", "tri", "--format", fmt) == 1
+        assert "invalid choice" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert run("orbit", "--table", "tri", *_PT, "--n", "3",
+               "--format", "svg") == 0
+    assert (tmp_path / "orbit.svg").read_text().startswith("<svg ")
+
+
 def test_render_unknown_kind(capsys):
     assert run("render", "--kind", "hologram", "--table", "tri") == 2
     assert "UnknownKind" in capsys.readouterr().err

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from billexp import geometry
+from billexp.bmap import PhasePoint, forward, outgoing_ray
 from billexp.errors import EscapedDomain, SectorBoundary
-from billexp.flow import (
-    Ray,
-    classify_collision,
-    corner_sequence,
-    first_collision,
-    reflect,
-)
+from billexp.flow import Ray, classify_collision, first_collision, reflect
 
 from conftest import wedge_table
 
@@ -137,89 +132,128 @@ def test_obtuse_tip_proper_and_improper(lens):
     assert classify_collision(c, alpha_direction(c, math.pi + 0.3)) == "improper"
 
 
+# ---------------------------------------------------------------------------
+# corner continuations through forward
+
+def aim_at_corner(table, corner, v):
+    """Departure whose flight arrives at the corner with velocity v.
+
+    Found by flying backward from the corner; also returns that flight's
+    length.
+    """
+    hit = first_collision(table, Ray(corner.position, (-v[0], -v[1])))
+    _, n, t = table.wall(hit.wall_id).frame_at(hit.r)
+    phi = math.atan2(v[0] * t[0] + v[1] * t[1], v[0] * n[0] + v[1] * n[1])
+    return PhasePoint(hit.wall_id, hit.r, phi), hit.tau
+
+
+def corner_exit(table, im):
+    """Direction in which corner image im leaves the corner, after following
+    its corner-step images."""
+    for _ in range(table.sequence_cap + 1):
+        nxt = forward(table, im.point).images
+        if nxt[0].label != "corner-step":
+            return outgoing_ray(table, im.point).direction
+        assert len(nxt) == 1
+        im = nxt[0]
+    raise AssertionError("corner-step chain did not leave the corner")
+
+
+def corner_images(table, corner, v):
+    p, _ = aim_at_corner(table, corner, v)
+    return forward(table, p).images
+
+
+def corner_of(table, gamma):
+    return next(c for c in table.corners
+                if math.isclose(c.gamma, gamma, abs_tol=1e-9))
+
+
 def test_improper_branch_set(lens):
     c = next(c for c in lens.corners if c.kind == "obtuse")
     v = alpha_direction(c, math.pi + 0.3)
-    seqs = corner_sequence(lens, c, v)
-    labels = sorted(s.label for s in seqs)
-    assert "fly-by" in labels
-    assert len(seqs) == 2
-    fly = next(s for s in seqs if s.label == "fly-by")
-    assert fly.events == ()
-    assert np.allclose(fly.exit_ray.direction, v, atol=1e-15)
-    assert np.allclose(fly.exit_ray.origin, c.position, atol=1e-15)
-    chain = next(s for s in seqs if s.label != "fly-by")
-    assert len(chain.events) >= 1
+    images = corner_images(lens, c, v)
+    assert len(images) == 2
+    front = next(im for im in images if im.label.endswith("-wall"))
+    fly = next(im for im in images if im.trail)
+    # the front wall reflects once and the flight leaves the tip
+    assert front.trail == ()
+    _, n, _ = lens.wall(front.point.wall_id).frame_at(front.point.r)
+    assert np.allclose(corner_exit(lens, front), reflect(v, n), atol=1e-12)
+    # the fly-by passes the tip undeflected to the next wall
+    assert fly.label == "regular"
+    assert fly.trail == (f"pass:c{c.corner_id}",)
+    hit = first_collision(lens, Ray(c.position, v))
+    assert fly.point.wall_id == hit.wall_id
+    assert fly.point.r == pytest.approx(hit.r, abs=1e-9)
 
 
-def test_proper_tip_retroreflects(lens):
-    # the lens walls cross orthogonally, so a proper tip arrival reverses
-    # and the two one-sided chains merge
+def test_proper_tip_reflects_off_each_face(lens):
+    # a convex scatterer tip: each image reflects once, off its own face;
+    # the faces cross orthogonally, so the two exits are opposite, and
+    # nearby orbits realize both
     c = next(c for c in lens.corners if c.kind == "obtuse")
     v = alpha_direction(c, TWO_PI - 0.3)
-    seqs = corner_sequence(lens, c, v)
-    assert len(seqs) == 1
-    assert len(seqs[0].events) == 2
-    ex = seqs[0].exit_ray.direction
-    assert ex[0] == pytest.approx(-v[0], abs=1e-9)
-    assert ex[1] == pytest.approx(-v[1], abs=1e-9)
+    images = corner_images(lens, c, v)
+    assert sorted(im.label for im in images) == ["left-wall", "right-wall"]
+    exits = [corner_exit(lens, im) for im in images]
+    for im, ex in zip(images, exits):
+        _, n, _ = lens.wall(im.point.wall_id).frame_at(im.point.r)
+        assert np.allclose(ex, reflect(v, n), atol=1e-12)
+    assert np.allclose(exits[0], (-exits[1][0], -exits[1][1]), atol=1e-12)
+    assert_realized(lens, c, v, exits)
 
 
 def test_obtuse_proper_two_chains():
     t = wedge_table(4.0)
-    c = next(c for c in t.corners if math.isclose(c.gamma, 4.0, abs_tol=1e-9))
-    seqs = corner_sequence(t, c, alpha_direction(c, 5.8))
-    assert sorted(s.label for s in seqs) == ["left-wall", "right-wall"]
+    c = corner_of(t, 4.0)
+    images = corner_images(t, c, alpha_direction(c, 5.8))
+    assert sorted(im.label for im in images) == ["left-wall", "right-wall"]
 
-
-# ---------------------------------------------------------------------------
-# wedge reflection chains
 
 def test_wedge_two_branches():
     t = wedge_table(2.0)
-    c = next(c for c in t.corners if math.isclose(c.gamma, 2.0, abs_tol=1e-9))
-    v = unit(-0.8)
-    seqs = corner_sequence(t, c, v)
-    assert len(seqs) == 2
-    cap = int(math.ceil(math.pi / 2.0)) + 1
-    for s in seqs:
-        assert 1 <= len(s.events) <= cap
-        assert not s.grazing_exit
-        # exit must leave the corner through the open sector
-        ex = s.exit_ray.direction
+    c = corner_of(t, 2.0)
+    images = corner_images(t, c, unit(-0.8))
+    assert len(images) == 2
+    for im in images:
+        assert not im.grazing
+        ex = corner_exit(t, im)
         assert math.hypot(*ex) == pytest.approx(1.0, abs=1e-12)
-    d0 = seqs[0].exit_ray.direction
-    d1 = seqs[1].exit_ray.direction
+        # the exit leaves through the open sector: improper at the corner
+        assert classify_collision(c, ex) == "improper"
+    d0, d1 = (corner_exit(t, im) for im in images)
     assert d0[0] * d1[0] + d0[1] * d1[1] < 1.0 - 1e-6
 
 
 def test_orthogonal_wedge_retroreflects():
     t = wedge_table(math.pi / 2)
-    c = next(c for c in t.corners
-             if math.isclose(c.gamma, math.pi / 2, abs_tol=1e-9))
+    c = corner_of(t, math.pi / 2)
     v = unit(-math.pi / 4)
-    seqs = corner_sequence(t, c, v)
-    # both chains exit antiparallel to the arrival, hence merge
-    assert len(seqs) == 1
-    assert len(seqs[0].events) == 2
-    ex = seqs[0].exit_ray.direction
-    assert ex[0] == pytest.approx(-v[0], abs=1e-12)
-    assert ex[1] == pytest.approx(-v[1], abs=1e-12)
+    images = corner_images(t, c, v)
+    assert sorted(im.label for im in images) == ["left-wall", "right-wall"]
+    # each image reflects off its wall, steps onto the other and leaves
+    # antiparallel to the arrival
+    for im in images:
+        assert forward(t, im.point).images[0].label == "corner-step"
+        ex = corner_exit(t, im)
+        assert ex[0] == pytest.approx(-v[0], abs=1e-12)
+        assert ex[1] == pytest.approx(-v[1], abs=1e-12)
 
 
-def test_flat_corner_single_branch(split_circle):
-    c = next(c for c in split_circle.corners
-             if np.allclose(c.position, (1.0, 0.0), atol=1e-12))
-    seqs = corner_sequence(split_circle, c, (-1.0, 0.0))
-    assert len(seqs) == 1
-    assert len(seqs[0].events) == 1
-    ex = seqs[0].exit_ray.direction
-    assert ex[0] == pytest.approx(1.0, abs=1e-12)
-    assert abs(ex[1]) < 1e-12
+def test_flat_corner_single_branch():
+    # both walls share the tangent line at a flat corner, so both images
+    # exit along the mirror of the arrival: one continuation
+    t = wedge_table(math.pi)
+    c = corner_of(t, math.pi)
+    v = unit(-1.0)
+    images = corner_images(t, c, v)
+    assert sorted(im.label for im in images) == ["left-wall", "right-wall"]
+    for im in images:
+        ex = corner_exit(t, im)
+        assert ex[0] == pytest.approx(v[0], abs=1e-12)
+        assert ex[1] == pytest.approx(-v[1], abs=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# corner hits through first_collision
 
 def test_tri_vertex_shot(tri):
     out = first_collision(tri, Ray((0.0, 1.0), (0.0, 1.0)))
@@ -227,40 +261,51 @@ def test_tri_vertex_shot(tri):
     assert out.properness == "proper"
     apex = (0.0, math.sqrt(3.0))
     assert np.allclose(out.point, apex, atol=1e-9)
-    assert len(out.branches) == 2
-    d0 = out.branches[0].ray.direction
-    d1 = out.branches[1].ray.direction
+    images = corner_images(tri, tri.corners[out.corner_id], (0.0, 1.0))
+    assert {im.label for im in images} == {"left-wall", "right-wall"}
+    d0, d1 = (corner_exit(tri, im) for im in images)
     assert d0[0] == pytest.approx(-d1[0], abs=1e-9)
     assert d0[1] == pytest.approx(d1[1], abs=1e-9)
-    assert {b.label for b in out.branches} == {"left-wall", "right-wall"}
 
 
-def rattle_exit(table, ray, radius=0.05, cap=12):
-    """Iterate reflections until the orbit leaves the corner ball."""
+def rattle_exit(table, ray, center, radius=0.05, cap=12):
+    """Iterate reflections until the orbit leaves the ball about center."""
     for _ in range(cap):
-        out = first_collision(table, ray, with_branches=False)
+        out = first_collision(table, ray)
         assert out.kind == "regular"
-        if math.hypot(*out.point) > radius:
+        if math.hypot(out.point[0] - center[0],
+                      out.point[1] - center[1]) > radius:
             return ray.direction
         _, n, _ = geometry.boundary_point(table, out.wall_id, out.r)
         ray = Ray(out.point, reflect(ray.direction, n))
     raise AssertionError("orbit stuck near the corner")
 
 
-def test_branches_match_perturbed_orbits():
-    t = wedge_table(2.0)
-    c = next(c for c in t.corners if math.isclose(c.gamma, 2.0, abs_tol=1e-9))
-    v = unit(-0.8)
-    exits = [s.exit_ray.direction for s in corner_sequence(t, c, v)]
+def assert_realized(table, corner, v, exits):
+    """Orbits shifted sideways off the corner-hitting flight leave along
+    one of the exits, and between them realize every exit."""
+    _, reach = aim_at_corner(table, corner, v)
     perp = (-v[1], v[0])
+    cx, cy = corner.position
     matched = set()
-    for s in (1e-5, -1e-5):
-        origin = (-0.3 * v[0] + s * perp[0], -0.3 * v[1] + s * perp[1])
-        got = rattle_exit(t, Ray(origin, v))
+    for s in (1e-5, -1e-5, 1e-7, -1e-7):
+        origin = (cx - 0.5 * reach * v[0] + s * perp[0],
+                  cy - 0.5 * reach * v[1] + s * perp[1])
+        got = rattle_exit(table, Ray(origin, v), corner.position)
         errs = [abs((ang_of(got) - ang_of(e) + math.pi) % TWO_PI - math.pi)
                 for e in exits]
-        k = int(np.argmin(errs))
-        assert errs[k] < 1e-3
-        matched.add(k)
-    # the two sides of the singularity realize the two distinct branches
-    assert matched == {0, 1}
+        assert min(errs) < 1e-3
+        matched.update(k for k, e in enumerate(errs) if e < 1e-3)
+    assert matched == set(range(len(exits)))
+
+
+@pytest.mark.parametrize("gamma,alpha", [
+    (2.0, None), (math.pi / 2, None), (4.0, 5.8)],
+    ids=["acute", "orthogonal", "obtuse"])
+def test_branches_match_perturbed_orbits(gamma, alpha):
+    t = wedge_table(gamma)
+    c = corner_of(t, gamma)
+    v = unit(-0.8) if alpha is None else alpha_direction(c, alpha)
+    exits = [corner_exit(t, im) for im in corner_images(t, c, v)]
+    assert len(exits) == 2
+    assert_realized(t, c, v, exits)

@@ -348,15 +348,15 @@ def test_torus_orbit_invariants(torus2):
     for _ in range(6):
         z = random_phase_point(torus2, rng)
         res = orbit(torus2, z, 300)
-        if best is None or res.steps > best.steps:
+        if best is None or len(res.images) > len(best.images):
             best = res
-        if res.steps == 300:
+        if len(res.images) == 300:
             break
-    assert best.steps >= 200
+    assert len(best.images) >= 200
     cap = torus2.constants.tau_max
-    for t in best.taus:
-        assert 1e-12 < t <= cap + 1e-9
-    for p in best.points:
+    for im in best.images:
+        assert 1e-12 < im.tau <= cap + 1e-9
+    for p in (best.start, *(im.point for im in best.images)):
         assert abs(p.phi) < HALF_PI
         assert 0.0 <= p.r <= torus2.walls[p.wall_id].length
 
@@ -365,10 +365,14 @@ def test_orbit_statuses(tri):
     L0 = tri.walls[0].length
     res = orbit(tri, PhasePoint(0, L0 / 2, 0.0), 5)
     assert res.status == "branched"
-    assert res.steps == 0
+    assert res.images == ()
     res = orbit(tri, PhasePoint(0, 1.0, HALF_PI), 5)
     assert res.status == "singular"
-    assert len(res.points) == 1
+    assert res.error == "SingularInput"
+    assert res.images == ()
+    res = orbit(tri, PhasePoint(0, 0.8, 0.2), 7)
+    assert res.status == "ok" and res.error == ""
+    assert len(res.images) == 7 and res.start == PhasePoint(0, 0.8, 0.2)
 
 
 def test_random_phase_point_ranges(tri):
@@ -425,8 +429,7 @@ def _aimed_points(table, rng, count):
             sign = 1.0 if rng.random() < 0.5 else -1.0
             dx, dy = sign * t[0], sign * t[1]
             try:
-                hit = first_collision(table, Ray((q[0], q[1]), (-dx, -dy)),
-                                      with_branches=False)
+                hit = first_collision(table, Ray((q[0], q[1]), (-dx, -dy)))
             except BilliardError:
                 continue
             w, r = table.walls[hit.wall_id], hit.r
