@@ -15,7 +15,7 @@ from billexp import (
     load_builtin,
     sector_portrait,
 )
-from billexp.render import render_artifact
+from billexp.render import portrait_svg
 from billexp.serialize import json_bytes, write_atomic
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -60,7 +60,7 @@ def main():
     doc = classify_sectors(sector_portrait(table, z, 1)).to_json()
     write_atomic(os.path.join(OUT, "junction_portrait.json"), json_bytes(doc))
     path = os.path.join(OUT, "junction_portrait.svg")
-    write_atomic(path, render_artifact("portrait", doc=doc))
+    write_atomic(path, portrait_svg(doc))
     print(f"wrote {path}")
 
 

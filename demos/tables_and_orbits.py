@@ -8,7 +8,7 @@ import os
 
 from billexp import PhasePoint, load_builtin, strip_index
 from billexp.bmap import orbit
-from billexp.render import render_artifact
+from billexp.render import phase_svg, table_svg
 from billexp.serialize import write_atomic
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -32,7 +32,7 @@ def main():
     for name in ("tri", "torus2"):
         table = load_builtin(name)
         rows = run_orbit(table, START[name], 60)
-        svg = render_artifact("table", table=table, rows=rows)
+        svg = table_svg(table, rows)
         path = os.path.join(OUT, f"{name}_orbit.svg")
         write_atomic(path, svg)
         taus = [t for _, _, _, t in rows[1:]]
@@ -44,7 +44,7 @@ def main():
     table = load_builtin("tri")
     rows = run_orbit(table, START["tri"], 400)
     phase = [(w, r, phi, strip_index(phi)) for w, r, phi, _ in rows]
-    svg = render_artifact("phase", table=table, rows=phase, k0=30)
+    svg = phase_svg(phase, table, k0=30)
     path = os.path.join(OUT, "tri_phase.svg")
     write_atomic(path, svg)
     deep = sum(1 for _, _, _, k in phase if k != 0)

@@ -65,10 +65,6 @@ class MapResult:
                 and not self.images[0].grazing
                 and not self.images[0].trail)
 
-    @property
-    def singular(self) -> bool:
-        return len(self.images) > 1 or any(im.grazing for im in self.images)
-
 
 def involute(p: PhasePoint) -> PhasePoint:
     """Time reversal: flip the outgoing ray back across the normal."""
@@ -309,16 +305,6 @@ def strip_index(phi: float, k0: int = K0_DEFAULT) -> int:
     return k if phi > 0 else -k
 
 
-def strip_bounds(k: int) -> tuple[float, float]:
-    """(u_lo, u_hi) of strip |k| >= 1 in u = pi/2 - |phi|."""
-    k = abs(k)
-    return 1.0 / ((k + 1) * (k + 1)), 1.0 / (k * k)
-
-
-def phi_of_u(u: float, side: int) -> float:
-    return math.copysign(HALF_PI - u, side)
-
-
 # ---------------------------------------------------------------------------
 # expansion helpers
 
@@ -345,31 +331,6 @@ def expansion_factor(deriv: Matrix2, slope: float) -> float:
         vx, vy = 1.0 / h, slope / h
     (a, b), (c, d) = deriv
     return math.hypot(a * vx + b * vy, c * vx + d * vy)
-
-
-def min_cone_expansion(deriv: Matrix2, lo: float, hi: float) -> float:
-    """Minimum Euclidean stretch over unit vectors with slope in [lo, hi].
-
-    The stretch is quadratic in the direction angle, so the minimum sits at
-    an endpoint or at the single interior critical point.
-    """
-    (a, b), (c, d) = deriv
-    vals = [expansion_factor(deriv, lo), expansion_factor(deriv, hi)]
-    # critical directions of |Dv|^2 on the circle: eigenvectors of D^T D
-    pxx = a * a + c * c
-    pxy = a * b + c * d
-    pyy = b * b + d * d
-    if pxy != 0.0:
-        # tan(2t) = 2 pxy / (pxx - pyy)
-        t = 0.5 * math.atan2(2.0 * pxy, pxx - pyy)
-        for tc in (t, t + HALF_PI):
-            ct, st = math.cos(tc), math.sin(tc)
-            if ct <= 0.0:
-                ct, st = -ct, -st
-            s = math.inf if ct == 0.0 else st / ct
-            if lo <= s <= hi:
-                vals.append(math.hypot(a * ct + b * st, c * ct + d * st))
-    return min(vals)
 
 
 # ---------------------------------------------------------------------------

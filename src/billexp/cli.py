@@ -51,11 +51,12 @@ from .errors import (
     ValidationError,
 )
 from .geometry import build_table, estimate_constants
-from .render import render_artifact
+from .render import phase_svg, portrait_svg, table_svg
 from .serialize import csv_text, json_bytes, write_atomic
 from .singularities import classify_sectors, sector_portrait, trace_singularity
 from .ucurves import (
     CSV_HEADER,
+    K_CAP,
     MAX_LENGTH,
     N_CAP,
     evolve_n,
@@ -125,7 +126,6 @@ _FLAGS = {
     "r": ("--r", {"type": _finite}),
     "phi": ("--phi", {"type": _finite}),
     "k0": ("--k0", {"type": int, "default": 30}),
-    "k_cap": ("--k-cap", {"type": int, "default": 10_000}),
     "delta": ("--delta", {"type": _finite, "default": 1e-4}),
     "samples": ("--samples", {"type": int, "default": 1000}),
     "threads": ("--threads", {"type": int, "default": 0}),
@@ -149,10 +149,10 @@ _COMMAND_FLAGS = {
     "orbit": (*_POINT, "steps"),
     "singularities": ("level", "resolution", "k0"),
     "portrait": (*_POINT, "order", "k0", "rho", "front_back"),
-    "evolve": (*_POINT, "length", "steps", "k0", "k_cap"),
-    "grazing-sum": ("k0", "k_cap", "delta", "samples", "seed"),
-    "expansion": ("k0", "k_cap", "delta", "samples", "seed", "depth",
-                  "threads", "fit"),
+    "evolve": (*_POINT, "length", "steps", "k0"),
+    "grazing-sum": ("k0", "delta", "samples", "seed"),
+    "expansion": ("k0", "delta", "samples", "seed", "depth", "threads",
+                  "fit"),
     "render": ("kind", "input", "k0"),
 }
 
@@ -355,11 +355,9 @@ def _cmd_orbit(opts) -> int:
     z = _phase_point(table, opts)
     rows = _orbit_rows(table, z, opts["steps"])
     if opts["format"] == "svg":
-        svg = render_artifact(
-            "table", table=table,
-            rows=[(p.wall_id, p.r, p.phi, tau)
-                  for _, p, tau, _, _, _ in rows])
-        _write(opts["out"], svg)
+        _write(opts["out"], table_svg(
+            table, [(p.wall_id, p.r, p.phi, tau)
+                    for _, p, tau, _, _, _ in rows]))
     else:
         _write(opts["out"], csv_text(
             ("step", "wall_id", "r", "phi", "tau", "kind", "properness",
@@ -380,8 +378,7 @@ def _cmd_singularities(opts) -> int:
     rows = [(p.wall_id, p.r, p.phi, c.level)
             for c in curves for p in c.nodes]
     if opts["format"] == "svg":
-        data = render_artifact("phase", table=table, rows=rows,
-                               k0=opts["k0"])
+        data = phase_svg(rows, table, opts["k0"])
     else:
         data = _phase_csv(rows)
     _write(opts["out"], data)
@@ -397,16 +394,18 @@ def _cmd_portrait(opts) -> int:
             table, z, opts["order"], k0=opts["k0"], rho0=opts["rho"],
             front_back=opts["front_back"]))
     except UnstablePortrait as err:
-        doc = {"aborted": str(err),
-               "candidates": [[s.to_json() for s in sectors]
-                              for sectors in
-                              getattr(err, "decompositions", [])]}
-        _write(opts["out"], json_bytes(doc))
+        # the last two decompositions, each a portrait document
+        candidates = [p.to_json() for p in err.decompositions]
+        if opts["format"] == "svg":
+            _write(opts["out"], portrait_svg(candidates[-1]))
+        else:
+            _write(opts["out"], json_bytes({"aborted": str(err),
+                                            "candidates": candidates}))
         print(f"wrote partial {opts['out']}", file=sys.stderr)
         raise
     doc = portrait.to_json()
     if opts["format"] == "svg":
-        _write(opts["out"], render_artifact("portrait", doc=doc))
+        _write(opts["out"], portrait_svg(doc))
     else:
         _write(opts["out"], json_bytes(doc))
     print(f"wrote {opts['out']} ({len(doc['sectors'])} sectors, "
@@ -429,13 +428,12 @@ def _evolve_artifact(opts, table, z, tree, n, aborted=None):
     if opts["format"] == "csv":
         return _phase_csv(_component_rows(tree, n))
     if opts["format"] == "svg":
-        return render_artifact("phase", table=table,
-                               rows=_component_rows(tree, n), k0=opts["k0"])
+        return phase_svg(_component_rows(tree, n), table, opts["k0"])
     doc = {
         "table": _table_id(opts["table"]),
         "seed_point": {"wall_id": z.wall_id, "r": z.r, "phi": z.phi},
         "length": tree.root.euclidean_length, "n": n,
-        "k0": opts["k0"], "k_cap": opts["k_cap"],
+        "k0": opts["k0"], "k_cap": K_CAP,
         "components": [len(g) for g in tree.generations],
         "regular_components": tree.regular_counts(),
         "expansion_sums": [expansion_total(tree, g) for g in range(n + 1)],
@@ -455,7 +453,7 @@ def _cmd_evolve(opts) -> int:
         raise _UsageError(f"--n must lie in 1..{N_CAP}")
     W = seed_ucurve(table, z, opts["length"], None, k0=opts["k0"])
     try:
-        tree = evolve_n(table, W, n, k0=opts["k0"], k_cap=opts["k_cap"])
+        tree = evolve_n(table, W, n, k0=opts["k0"])
     except ComponentExplosion as err:
         # the partial tree ends with the generation cut short at the cap
         done = len(err.partial.generations) - 1
@@ -472,14 +470,14 @@ def _cmd_evolve(opts) -> int:
 def _cmd_grazing_sum(opts) -> int:
     _require(opts, "seed")
     table = _load_table(opts["table"])
-    k0, k_cap = opts["k0"], opts["k_cap"]
+    k0 = opts["k0"]
     report = sup_scan(table, opts["delta"], opts["samples"], 1, k0,
-                      opts["seed"], k_cap=k_cap)
+                      opts["seed"])
     rows = [r for r in report.rows if r["flag"] != "skipped"]
     if not rows:
         raise NumericalAbort("no admissible curves could be seeded")
     values = [r["grazing_sum"] for r in rows]
-    doc = {"table": _table_id(opts["table"]), "k0": k0, "k_cap": k_cap,
+    doc = {"table": _table_id(opts["table"]), "k0": k0, "k_cap": K_CAP,
            "delta": opts["delta"], "samples": opts["samples"],
            "used": len(values), "seed": opts["seed"],
            "sup": max(values), "mean": sum(values) / len(values),
@@ -515,7 +513,7 @@ def _cmd_expansion(opts) -> int:
     if opts["fit"]:
         constants = fit_constants(table, opts["seed"], k0=opts["k0"])
     report = sup_scan(table, opts["delta"], opts["samples"], depth,
-                      opts["k0"], opts["seed"], k_cap=opts["k_cap"],
+                      opts["k0"], opts["seed"],
                       constants=constants, threads=opts["threads"],
                       table_id=_table_id(opts["table"]))
     if opts["format"] == "csv":
@@ -560,14 +558,13 @@ def _cmd_render(opts) -> int:
                                  ("wall_id", "r", "phi", "tau"))
             rows = [(int(w), float(r), float(phi), float(tau))
                     for w, r, phi, tau in raw]
-        svg = render_artifact("table", table=table, rows=rows)
+        svg = table_svg(table, rows)
     elif kind == "phase":
         _require(opts, "input")
         raw = _read_csv_rows(opts["input"], ("wall_id", "r", "phi", "k"))
         rows = [(int(w), float(r), float(phi), int(k))
                 for w, r, phi, k in raw]
-        svg = render_artifact("phase", table=table, rows=rows,
-                              k0=opts["k0"])
+        svg = phase_svg(rows, table, opts["k0"])
     elif kind == "portrait":
         _require(opts, "input")
         try:
@@ -579,7 +576,7 @@ def _cmd_render(opts) -> int:
             raise ValidationError(f"input is not valid JSON: {err}")
         if "sectors" not in doc:
             raise ValidationError("input is not a portrait document")
-        svg = render_artifact("portrait", doc=doc)
+        svg = portrait_svg(doc)
     else:
         raise UnknownKind(f"no such render kind: {kind}")
     _write(opts["out"], svg)
@@ -605,8 +602,7 @@ _DISPATCH = {
 def run(argv=None) -> int:
     try:
         opts = _parse(sys.argv[1:] if argv is None else list(argv))
-        _check_positive(opts, "k0", "k_cap", "samples", "resolution",
-                        "order", "rho")
+        _check_positive(opts, "k0", "samples", "resolution", "order", "rho")
         _check_length(opts, "delta", "length")
         if opts.get("threads") is not None and opts["threads"] < 0:
             raise _UsageError("--threads must be >= 0")

@@ -43,7 +43,6 @@ class CollisionOutcome:
     normal_component: float | None = None     # d . n at the hit
     corner_id: int | None = None
     properness: str | None = None             # proper | improper (corners, grazing)
-    cell: tuple[int, int] = (0, 0)
 
 
 def reflect(direction, normal):
@@ -153,12 +152,11 @@ def first_collision(table: BilliardTable, ray: Ray) -> CollisionOutcome:
         return CollisionOutcome(kind="corner", tau=t, point=pos,
                                 wall_id=w.wall_id, r=r, theta=theta,
                                 normal_component=ddn, corner_id=corner_id,
-                                properness=properness, cell=cell)
+                                properness=properness)
     kind = "grazing" if abs(ddn) <= EPS_TAN else "regular"
     return CollisionOutcome(kind=kind, tau=t, point=(px, py), wall_id=w.wall_id,
                             r=r, theta=theta, normal_component=ddn,
-                            properness="improper" if kind == "grazing" else "proper",
-                            cell=cell)
+                            properness="improper" if kind == "grazing" else "proper")
 
 
 # ---------------------------------------------------------------------------

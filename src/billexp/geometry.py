@@ -22,6 +22,7 @@ from math import gcd
 import numpy as np
 
 from .errors import (
+    BilliardError,
     CuspDetected,
     NonDispersing,
     NonSimpleCorner,
@@ -40,6 +41,9 @@ EPS_CORNER = 1e-9    # arclength tolerance for corner membership
 MAX_RATIONAL = 20    # corridor scan checks all coprime (p, q) up to this
 N_SCAN_DIRECTIONS = 10_000
 FREE_SEGMENT_LEN = 30.0
+# bound on |spec number|: keeps the rounding of coordinates below EPS_JOIN
+SPEC_LIMIT = 1e6
+WALL_KEYS = ("center", "radius", "theta_start", "theta_end", "orientation")
 
 
 @dataclass(frozen=True)
@@ -266,6 +270,40 @@ def _build_corners(walls: tuple[ArcWall, ...], strict: bool):
     return tuple(corners), tuple(corner_at_end), tuple(corner_at_start)
 
 
+def _spec_number(val, what: str) -> float:
+    # bool is an int subclass; NaN fails the comparison
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not abs(val) <= SPEC_LIMIT:
+        raise ValidationError(
+            f"{what} must be a number within +-{SPEC_LIMIT:g}, got {val!r}")
+    return float(val)
+
+
+def _spec_wall(k: int, ws) -> ArcWall:
+    """Wall k from its spec dict, refusing a malformed one."""
+    if not isinstance(ws, dict):
+        raise ValidationError(f"wall {k}: expected an object, got {ws!r}")
+    missing = [key for key in WALL_KEYS if key not in ws]
+    if missing:
+        raise ValidationError(f"wall {k}: missing {', '.join(missing)}")
+    center = ws["center"]
+    if not isinstance(center, (list, tuple)) or len(center) != 2:
+        raise ValidationError(f"wall {k}: center must be [x, y]")
+    orientation = ws["orientation"]
+    if isinstance(orientation, bool) or orientation not in (-1, 1):
+        raise ValidationError(f"wall {k}: orientation must be +1 or -1, "
+                              f"got {orientation!r}")
+    return ArcWall(
+        wall_id=k,
+        center=(_spec_number(center[0], f"wall {k} center x"),
+                _spec_number(center[1], f"wall {k} center y")),
+        radius=_spec_number(ws["radius"], f"wall {k} radius"),
+        theta_start=_spec_number(ws["theta_start"], f"wall {k} theta_start"),
+        theta_end=_spec_number(ws["theta_end"], f"wall {k} theta_end"),
+        orientation=int(orientation),
+    )
+
+
 def build_table(spec: dict, *, strict: bool = True) -> BilliardTable:
     """Build and validate a table from its canonical dict form.
 
@@ -273,7 +311,8 @@ def build_table(spec: dict, *, strict: bool = True) -> BilliardTable:
     ----------
     spec : dict with keys "ambient" ("plane" | "torus") and "walls", each wall
         {"center": [x, y], "radius": R, "theta_start": a, "theta_end": b,
-         "orientation": +1 | -1}.
+         "orientation": +1 | -1}; every number lies within +-SPEC_LIMIT.
+        A spec of another shape raises ValidationError.
     strict : when True (default), enforce the dispersing-table assumptions:
         every wall outward convex (orientation -1), no cusps, and on the torus
         a bounded horizon.  ``strict=False`` skips the dispersing and horizon
@@ -282,23 +321,18 @@ def build_table(spec: dict, *, strict: bool = True) -> BilliardTable:
     Raises NonDispersing, CuspDetected, NonSimpleCorner, OpenBoundary, or
     UnboundedHorizon accordingly.
     """
+    if not isinstance(spec, dict):
+        raise ValidationError("table spec must be an object")
     ambient = spec.get("ambient", "plane")
     if ambient not in ("plane", "torus"):
         raise ValidationError(f"unknown ambient {ambient!r}")
     wall_specs = spec.get("walls", [])
-    if not wall_specs:
-        raise ValidationError("table needs at least one wall")
+    if not isinstance(wall_specs, (list, tuple)) or not wall_specs:
+        raise ValidationError("table needs a non-empty list of walls")
 
     walls = []
     for k, ws in enumerate(wall_specs):
-        w = ArcWall(
-            wall_id=k,
-            center=(float(ws["center"][0]), float(ws["center"][1])),
-            radius=float(ws["radius"]),
-            theta_start=float(ws["theta_start"]),
-            theta_end=float(ws["theta_end"]),
-            orientation=int(ws["orientation"]),
-        )
+        w = _spec_wall(k, ws)
         if strict and w.orientation != -1:
             raise NonDispersing(
                 f"wall {k}: orientation +1 puts the table inside the disk")
@@ -362,21 +396,6 @@ def boundary_point(table: BilliardTable, wall_id: int, r: float):
     """
     p, n, t = table.walls[wall_id].chart_frame(r)
     return np.array(p), np.array(n), np.array(t)
-
-
-def corner_classify(table: BilliardTable, corner_id: int) -> Corner:
-    """Recompute the corner record from wall tangent limits."""
-    if corner_id < 0 or corner_id >= len(table.corners):
-        raise OutOfRange(f"no corner {corner_id}")
-    c = table.corners[corner_id]
-    wi = table.walls[c.left_wall_id]
-    wj = table.walls[c.right_wall_id]
-    _, _, w_minus = wi.frame_at(wi.length)
-    _, _, w_plus = wj.frame_at(0.0)
-    gamma = corner_angle(w_minus, w_plus)
-    return replace(c, gamma=float(gamma), kind=_classify_gamma(gamma),
-                   w_minus=(float(w_minus[0]), float(w_minus[1])),
-                   w_plus=(float(w_plus[0]), float(w_plus[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +539,15 @@ def find_corridor(table: BilliardTable):
 # sampled constants
 
 def estimate_constants(table: BilliardTable, samples: int = 20_000,
-                       seed: int | None = None,
-                       improper_band: float = 0.05) -> TableConstants:
+                       seed: int | None = None) -> TableConstants:
     """Monte-Carlo refinement of the table constants.
 
     Samples random phase points, runs short orbits, and records the maximal
     free path and the minimal free path between consecutive near-improper
-    collisions (|phi| within ``improper_band`` of grazing, or a hit near a
-    non-acute corner).  Falls back to the minimal sampled flight when no
-    consecutive pair occurs.  Seed is required for reproducibility.
+    collisions (|phi| within 0.05 of grazing, or a hit near a non-acute
+    corner).  Falls back to the minimal sampled flight when no consecutive
+    pair occurs.  Seed is required for reproducibility; a table whose
+    orbits keep failing raises ValidationError.
     """
     if seed is None:
         raise ValueError("estimate_constants requires an explicit seed")
@@ -544,7 +563,8 @@ def estimate_constants(table: BilliardTable, samples: int = 20_000,
     while count < samples:
         attempts += 1
         if attempts > 4 * samples + 100:
-            raise RuntimeError("orbit sampling kept failing; table unusable")
+            raise ValidationError(
+                "orbit sampling kept failing; table unusable")
         z = bmap.random_phase_point(table, rng)
         prev_improper_depth = None
         depth = 0.0
@@ -557,7 +577,7 @@ def estimate_constants(table: BilliardTable, samples: int = 20_000,
                     tau_lo = min(tau_lo, img.tau)
                 depth += img.tau
                 near_improper = (
-                    abs(img.point.phi) > math.pi / 2 - improper_band
+                    abs(img.point.phi) > math.pi / 2 - 0.05
                     or any(ev.startswith(("pass:", "graze:")) for ev in img.trail))
                 if near_improper:
                     if prev_improper_depth is not None:
@@ -569,7 +589,7 @@ def estimate_constants(table: BilliardTable, samples: int = 20_000,
                 count += 1
                 if count >= samples:
                     break
-        except Exception:
+        except BilliardError:
             continue
     tau_star = gap_min if math.isfinite(gap_min) else tau_lo
     return replace(table.constants, tau_max_sampled=tau_hi,

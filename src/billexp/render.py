@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 from .bmap import PhasePoint, outgoing_ray
-from .errors import UnknownKind
 from .geometry import BilliardTable
 
 HALF_PI = math.pi / 2.0
@@ -140,7 +139,10 @@ def _torus_segments(origin, direction, tau):
     return segs
 
 
-def table_svg(table: BilliardTable, orbit_rows=(), size: float = 640.0) -> str:
+TABLE_SIZE = 640.0     # the longer side of the drawn domain
+
+
+def table_svg(table: BilliardTable, orbit_rows=()) -> str:
     """Draw walls, corner markers, and an optional trajectory.
 
     ``orbit_rows`` is a sequence of (wall_id, r, phi, tau) tuples; tau is the
@@ -160,7 +162,7 @@ def table_svg(table: BilliardTable, orbit_rows=(), size: float = 640.0) -> str:
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     pad = 0.06 * span
-    scale = size / (span + 2 * pad)
+    scale = TABLE_SIZE / (span + 2 * pad)
 
     def to_svg(p):
         return ((p[0] - lo_x + pad) * scale,
@@ -201,6 +203,7 @@ def table_svg(table: BilliardTable, orbit_rows=(), size: float = 640.0) -> str:
 # phase view
 
 CHART_H = 300.0
+PHASE_WIDTH = 960.0
 CHART_GAP = 28.0
 MARGIN = 34.0
 # polyline break: consecutive rows further apart than this are not joined
@@ -208,7 +211,7 @@ JOIN_GAP = 0.05
 
 
 def phase_svg(rows, table: BilliardTable | None = None,
-              k0: int | None = None, total_width: float = 960.0) -> str:
+              k0: int | None = None) -> str:
     """Plot tagged phase points, one panel per wall, r horizontal.
 
     ``rows`` is a sequence of (wall_id, r, phi, k).  Consecutive rows on the
@@ -226,7 +229,7 @@ def phase_svg(rows, table: BilliardTable | None = None,
     if not wall_ids:
         wall_ids, lengths = [0], {0: 1.0}
 
-    usable = total_width - 2 * MARGIN - CHART_GAP * (len(wall_ids) - 1)
+    usable = PHASE_WIDTH - 2 * MARGIN - CHART_GAP * (len(wall_ids) - 1)
     total_len = sum(lengths[w] for w in wall_ids)
     x_scale = usable / total_len
     y_scale = CHART_H / math.pi
@@ -241,7 +244,7 @@ def phase_svg(rows, table: BilliardTable | None = None,
         return (x_off[w] + r * x_scale,
                 MARGIN + (HALF_PI - phi) * y_scale)
 
-    cv = _Canvas(total_width, CHART_H + 2 * MARGIN)
+    cv = _Canvas(PHASE_WIDTH, CHART_H + 2 * MARGIN)
     for w in wall_ids:
         width = lengths[w] * x_scale
         cv.rect(x_off[w], MARGIN, width, CHART_H, FRAME_STROKE)
@@ -348,23 +351,3 @@ def portrait_svg(doc: dict) -> str:
             % (where, _f(float(doc.get("rho_hat", 0.0))),
                len(doc["sectors"])), 11)
     return cv.render()
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-def render_artifact(kind: str, *, table: BilliardTable | None = None,
-                    rows=(), doc: dict | None = None, k0: int | None = None,
-                    size: float = 640.0) -> str:
-    """Route to a view by name; raises UnknownKind for anything else."""
-    if kind == "table":
-        if table is None:
-            raise UnknownKind("table view needs a table")
-        return table_svg(table, rows, size)
-    if kind == "phase":
-        return phase_svg(rows, table, k0)
-    if kind == "portrait":
-        if doc is None:
-            raise UnknownKind("portrait view needs a portrait document")
-        return portrait_svg(doc)
-    raise UnknownKind(f"no such render kind: {kind}")

@@ -28,6 +28,8 @@ THETA_TOL = 1e-10        # sector boundary refinement, radians
 FRAGMENT_LEN = 1e-10     # shorter traced pieces collapse to flagged points
 MAX_HALVINGS = 40
 LEVEL_CAP = 6
+PROBES = 256             # probe directions per sector-portrait radius
+JUNCTION_TOL = 1e-3      # multiple points: abutting gap and merge distance
 
 QUADRANTS = {"NE": (0.0, HALF_PI),
              "NW": (HALF_PI, math.pi),
@@ -413,12 +415,12 @@ def _pull_back(table, curve):
 
 
 def trace_singularity(table: BilliardTable, level: int, resolution: int = 400,
-                      strips=(), horizon: float | None = None):
+                      strips=()):
     """Trace the level-l singularity curves as per-wall polylines.
 
     `strips` adds the listed homogeneity-strip boundaries to the level-0 set.
-    `horizon` caps the free path used to enumerate periodic copies on the
-    torus (defaults to the table's certified bound, itself capped at 8).
+    On the torus the periodic copies are enumerated up to the table's
+    certified free-path bound, capped at 8.
     """
     if abs(level) > LEVEL_CAP:
         raise ValueError(f"|level| capped at {LEVEL_CAP}, got {level}")
@@ -426,12 +428,10 @@ def trace_singularity(table: BilliardTable, level: int, resolution: int = 400,
         return _s0_curves(table, resolution, strips)
     if level > 0:
         return [_involution_of(c)
-                for c in trace_singularity(table, -level, resolution,
-                                           strips, horizon)]
-    if horizon is None:
-        horizon = 8.0
-        if table.constants is not None and table.constants.tau_max:
-            horizon = min(horizon, table.constants.tau_max)
+                for c in trace_singularity(table, -level, resolution, strips)]
+    horizon = 8.0
+    if table.constants is not None and table.constants.tau_max:
+        horizon = min(horizon, table.constants.tau_max)
     curves = _trace_level_minus_one(table, resolution, strips, horizon)
     for _ in range(-level - 1):
         nxt = []
@@ -528,7 +528,6 @@ class Sector:
     active: bool | None = None
     wall_type: str = "none"          # A | B | none
     quadrants: tuple = ()
-    image_point: PhasePoint | None = None
     image_lo: float | None = None
     image_hi: float | None = None
 
@@ -623,16 +622,16 @@ def _transitions(itin_of, ta, ita, tb, itb, depth=0):
             + _transitions(itin_of, tm, itm, tb, itb, depth + 1))
 
 
-def _sectors_at(table, z, n, k0, rho, probes, arc, front_back):
+def _sectors_at(table, z, n, k0, rho, arc, front_back):
     lo, hi, full = arc
 
     def itin_of(theta):
         return itinerary(table, _probe_point(z, rho, theta), n, k0, front_back)
 
     if full:
-        thetas = [lo + TWO_PI * i / probes for i in range(probes)]
+        thetas = [lo + TWO_PI * i / PROBES for i in range(PROBES)]
     else:
-        thetas = [lo + (hi - lo) * (i + 0.5) / probes for i in range(probes)]
+        thetas = [lo + (hi - lo) * (i + 0.5) / PROBES for i in range(PROBES)]
     itins = [itin_of(t) for t in thetas]
 
     runs = []                    # [first_theta, last_theta, itinerary]
@@ -677,13 +676,13 @@ def _portrait_key(sectors, full):
 
 
 def sector_portrait(table: BilliardTable, z: PhasePoint, n: int,
-                    k0: int = K0_DEFAULT, probes: int = 256,
-                    rho0: float | None = None,
+                    k0: int = K0_DEFAULT, rho0: float | None = None,
                     front_back: bool = False) -> SectorPortrait:
     """Stabilized decomposition of the directions around z by n-step itinerary.
 
     The probe radius is halved until two consecutive halvings leave the
-    sector combinatorics unchanged; UnstablePortrait after 40 halvings.
+    sector combinatorics unchanged; UnstablePortrait after MAX_HALVINGS
+    halvings, its ``decompositions`` the portraits at the last two radii.
     """
     if n < 1:
         raise ValueError("portrait order must be >= 1")
@@ -692,9 +691,9 @@ def sector_portrait(table: BilliardTable, z: PhasePoint, n: int,
     prev_key, stable = None, 0
     history = []
     for _ in range(MAX_HALVINGS + 1):
-        sectors = _sectors_at(table, z, n, k0, rho, probes, arc, front_back)
+        sectors = _sectors_at(table, z, n, k0, rho, arc, front_back)
         key = _portrait_key(sectors, arc[2])
-        history.append((rho, key))
+        history.append((rho, sectors))
         if key == prev_key:
             stable += 1
         else:
@@ -707,7 +706,10 @@ def sector_portrait(table: BilliardTable, z: PhasePoint, n: int,
         rho *= 0.5
     err = UnstablePortrait("sector combinatorics did not stabilize "
                            f"after {MAX_HALVINGS} halvings")
-    err.decompositions = (history[-2], history[-1])
+    err.decompositions = tuple(
+        SectorPortrait(table=table, center=z, rho_hat=r, order=n, k0=k0,
+                       sectors=secs, full_circle=arc[2])
+        for r, secs in history[-2:])
     raise err
 
 
@@ -745,8 +747,8 @@ def _quadrants_met(lo, hi):
 
 
 def _push_mid(table, z, rho, sector, n):
-    """Final point, accumulated derivative, and first-step data along the
-    probe at the sector's angular midpoint."""
+    """Accumulated derivative and first-step data along the probe at the
+    sector's angular midpoint."""
     mid = 0.5 * (sector.theta_lo + sector.theta_hi)
     w = _probe_point(z, rho, mid)
     ray0 = outgoing_ray(table, w)
@@ -768,7 +770,7 @@ def _push_mid(table, z, rho, sector, n):
         dtot = ((a * p + b * r_, a * q + b * s),
                 (c * p + d * r_, c * q + d * s))
         cur = im.point
-    return cur, dtot, first
+    return dtot, first
 
 
 def classify_sectors(portrait: SectorPortrait) -> SectorPortrait:
@@ -788,7 +790,7 @@ def classify_sectors(portrait: SectorPortrait) -> SectorPortrait:
         if pushed is None:
             s.active = True
             continue
-        s.image_point, dtot, hit = pushed
+        dtot, hit = pushed
         ux, uy = math.cos(s.theta_lo), math.sin(s.theta_lo)
         vx, vy = math.cos(s.theta_hi), math.sin(s.theta_hi)
         a_lo = math.atan2(dtot[1][0] * ux + dtot[1][1] * uy,
@@ -819,21 +821,15 @@ class ComplexityRecord:
     order: int
     k_hat: int
     quadrant_counts: dict
-    order1_count: int
-    xi_hat: float | None = None
 
 
 def regular_complexity(table: BilliardTable, z: PhasePoint, n: int,
-                       k0: int = K0_DEFAULT, probes: int = 256) -> ComplexityRecord:
-    portrait = classify_sectors(sector_portrait(table, z, n, k0, probes))
+                       k0: int = K0_DEFAULT) -> ComplexityRecord:
+    portrait = classify_sectors(sector_portrait(table, z, n, k0))
     regular = [s for s in portrait.sectors if s.regular]
     counts = {q: sum(1 for s in regular if q in s.quadrants) for q in QUADRANTS}
-    if n == 1:
-        order1 = len(portrait.sectors)
-    else:
-        order1 = len(sector_portrait(table, z, 1, k0, probes).sectors)
     return ComplexityRecord(center=z, order=n, k_hat=len(regular),
-                            quadrant_counts=counts, order1_count=order1)
+                            quadrant_counts=counts)
 
 
 @dataclass
@@ -844,11 +840,10 @@ class ConservationVerdict:
 
 
 def active_sector_conservation(table: BilliardTable, z: PhasePoint,
-                               k0: int = K0_DEFAULT,
-                               probes: int = 256) -> ConservationVerdict:
+                               k0: int = K0_DEFAULT) -> ConservationVerdict:
     """Among the regular order-1 sectors entering each active quadrant, count
     those whose image covers a whole active quadrant; pass iff <= 1 each."""
-    portrait = classify_sectors(sector_portrait(table, z, 1, k0, probes))
+    portrait = classify_sectors(sector_portrait(table, z, 1, k0))
     counts = {}
     for qname in ACTIVE_QUADRANTS:
         n_exp = 0
@@ -907,14 +902,14 @@ def _point_seg_foot(p, a, b):
     return math.hypot(p[0] - fx, p[1] - fy), (fx, fy)
 
 
-def find_multiple_points(table: BilliardTable, resolution: int = 300,
-                         tol: float = 1e-3):
+def find_multiple_points(table: BilliardTable, resolution: int = 300):
     """Junctions of the level -1 curves and corner verticals, per wall chart.
 
     Transversal polyline crossings are intersected directly; a curve endpoint
-    within `tol` of another curve counts as an abutting junction (the traced
-    families truncate against each other there, leaving a small gap).  Points
-    closer than `tol` are merged, which also bounds the reported accuracy.
+    within JUNCTION_TOL of another curve counts as an abutting junction (the
+    traced families truncate against each other there, leaving a small gap).
+    Points closer than JUNCTION_TOL are merged, which also bounds the
+    reported accuracy.
     """
     curves = [c for c in trace_singularity(table, -1, resolution)
               if not c.fragment]
@@ -945,7 +940,8 @@ def find_multiple_points(table: BilliardTable, resolution: int = 300,
                         d, foot = _point_seg_foot((e.r, e.phi),
                                                   (b0.r, b0.phi),
                                                   (b1.r, b1.phi))
-                        if d <= tol and (best is None or d < best[0]):
+                        if d <= JUNCTION_TOL and (
+                                best is None or d < best[0]):
                             best = (d, foot)
                 if best is not None and abs(best[1][1]) < HALF_PI - 1e-9:
                     found.append(PhasePoint(wall_id,
@@ -955,7 +951,8 @@ def find_multiple_points(table: BilliardTable, resolution: int = 300,
     kept = []
     for p in found:
         if any(q.wall_id == p.wall_id
-               and math.hypot(q.r - p.r, q.phi - p.phi) <= tol for q in kept):
+               and math.hypot(q.r - p.r, q.phi - p.phi) <= JUNCTION_TOL
+               for q in kept):
             continue
         kept.append(p)
     return kept

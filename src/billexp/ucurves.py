@@ -11,8 +11,8 @@ derivative chaining), a rank, and a regular flag.
 
 Strips accumulate at grazing, so a curve straddling a grazing preimage splits
 into infinitely many pieces.  Strips are resolved one by one while their
-parameter width stays above the cut-location resolution and the configured
-caps; the remainder is lumped into a single tail component per side whose
+parameter width stays above the cut-location resolution and fixed caps;
+the remainder is lumped into a single tail component per side whose
 contribution to expansion sums is the closed-form bound
 sum_{k >= m} 1/(C k^2) = polygamma(1, m)/C, with C a certified local
 expansion-times-cos constant.  Underestimating C only inflates the sums, so
@@ -40,7 +40,7 @@ from .errors import (BilliardError, ComponentExplosion, NoSuchN, SingularInput,
                      SingularSeed)
 from .geometry import BilliardTable
 
-K_CAP = 10_000
+K_CAP = 10_000         # deepest strip resolved one by one before the tail
 N_CAP = 12
 MAX_LENGTH = 1e-2      # longest seed curve (the CLI's --length and --delta)
 CUT_TOL = 1e-12        # parameter bisection tolerance for primary cuts
@@ -169,14 +169,15 @@ def _near_strip_boundary(phi: float, k0: int) -> bool:
 
 
 def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
-                rng=None, k0: int = K0_DEFAULT, nodes: int = 9) -> UCurve:
+                rng=None, k0: int = K0_DEFAULT) -> UCurve:
     """Grow a cone-tangent curve of the given length centered at z.
 
-    The curve follows the mid-cone slope field by equal Euclidean steps, so
-    its polyline length equals `length` to rounding.  Raises SingularSeed
-    when z sits within EPS_SEED of a grazing line, a chart edge, or a strip
-    boundary, when either map branch at z is not regular, or when the
-    curve is too short for its nodes to differ in floating point.
+    The curve has 9 nodes and follows the mid-cone slope field by equal
+    Euclidean steps, so its polyline length equals `length` to rounding.
+    Raises SingularSeed when z sits within EPS_SEED of a grazing line, a
+    chart edge, or a strip boundary, when either map branch at z is not
+    regular, or when the curve is too short for its nodes to differ in
+    floating point.
     """
     if not 0.0 < length <= MAX_LENGTH:
         raise ValueError(f"length must lie in (0, {MAX_LENGTH:g}]")
@@ -197,7 +198,7 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
             return m_prev
         return interior_slope(lo, hi, x)
 
-    half = max(2, nodes // 2)
+    half = 4                     # nodes on each side of z
     ds = 0.5 * length / half
 
     def grow(sign):
@@ -343,7 +344,7 @@ def _primary_segments(table, arc, n_s):
     return segments
 
 
-def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0, k_cap):
+def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0):
     """Resolve strip-boundary crossings between two parameters.
 
     u is monotone from u_shallow down to u_deep as the parameter moves from
@@ -370,7 +371,7 @@ def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0, k_cap):
         level = 1.0 / (k * k)
         if level <= u_deep:
             return cuts, 0
-        if k > k_cap + 1 or len(cuts) >= LADDER_MAX:
+        if k > K_CAP + 1 or len(cuts) >= LADDER_MAX:
             return cuts, max(k - 1, k0)
         a, b = prev, deep_s
         try:
@@ -387,7 +388,7 @@ def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0, k_cap):
         k += 1
 
 
-def _secondary_pieces(table, arc, seg, k0, k_cap):
+def _secondary_pieces(table, arc, seg, k0):
     """Split one primary segment at strip boundaries of the image angle.
 
     The image angle is strictly monotone along a branch, so u = pi/2 - |phi'|
@@ -429,8 +430,7 @@ def _secondary_pieces(table, arc, seg, k0, k_cap):
     for shallow, deep, u_s, u_d, edge in arcs:
         if u_d >= h0:
             continue
-        cuts, tail_from = _ladder(table, arc, shallow, deep, u_s, u_d,
-                                  k0, k_cap)
+        cuts, tail_from = _ladder(table, arc, shallow, deep, u_s, u_d, k0)
         all_cuts.extend(cuts)
         if tail_from:
             side = 1 if (im_lo.point.phi if edge == lo else
@@ -482,14 +482,12 @@ def _refine_params(table, arc, base):
 
 
 def _build_component(table, arc, piece, k0, generation, itinerary_prefix,
-                     lam_prefix, parent, birth, mid_prefix=(),
-                     extra_params=()):
+                     lam_prefix, parent, birth, mid_prefix=()):
     s_lo, s_hi, sig, kind = piece
     w = s_hi - s_lo
     inset = max(1e-15, 1e-6 * w)
-    base = [s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset]
-    base += [s for s in extra_params if s_lo + inset < s < s_hi - inset]
-    rows = _refine_params(table, arc, base)
+    rows = _refine_params(table, arc,
+                          [s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset])
     if len(rows) < 2:
         return None
     step_min = min(f for _, f, _ in rows)
@@ -558,7 +556,7 @@ def _tail_component(table, arc, piece, c_loc, generation, itinerary_prefix,
         tail=True, tail_inv=tail_inv / lam_prefix, tail_from=side * m)
 
 
-def _one_step(table, W, k0, k_cap, grid, c_expansion, generation=1,
+def _one_step(table, W, k0, grid, c_expansion, generation=1,
               itinerary_prefix=(), lam_prefix=1.0, parent=None, birth0=0,
               mid_prefix=()):
     arc = _Arc(W)
@@ -566,7 +564,7 @@ def _one_step(table, W, k0, k_cap, grid, c_expansion, generation=1,
     segments = _primary_segments(table, arc, n_s)
     pieces = []
     for seg in segments:
-        pieces.extend(_secondary_pieces(table, arc, seg, k0, k_cap))
+        pieces.extend(_secondary_pieces(table, arc, seg, k0))
     comps, degenerate = [], 0
     birth = birth0
     pending = None    # degenerate piece interval folded into the next one
@@ -630,10 +628,9 @@ def _local_expansion_constant(table, arc, piece, c_expansion):
 
 
 def evolve_one_step(table: BilliardTable, W: UCurve, k0: int = K0_DEFAULT,
-                    k_cap: int = K_CAP, grid: int | None = None,
-                    c_expansion: float | None = None) -> list[HComponent]:
+                    grid: int | None = None) -> list[HComponent]:
     """H-components of the image of W: primary cuts, strip cuts, tails."""
-    comps, _ = _one_step(table, W, k0, k_cap, grid, c_expansion)
+    comps, _ = _one_step(table, W, k0, grid, None)
     return comps
 
 
@@ -668,7 +665,7 @@ def _remaining_floor(constants, m):
     return max(1e-12, constants.lam_hyper ** m / constants.c_hyper)
 
 
-def _grow(table, tree, k0, k_cap, constants, grid=None):
+def _grow(table, tree, k0, constants, grid=None):
     """Append the next generation of H-components to tree.
 
     Raises ComponentExplosion once the generation holds more than LEAF_CAP
@@ -681,7 +678,7 @@ def _grow(table, tree, k0, k_cap, constants, grid=None):
     for comp in tree.generations[-1]:
         if comp.tail:
             continue
-        kids, ndeg = _one_step(table, comp.curve, k0, k_cap, grid, c_exp,
+        kids, ndeg = _one_step(table, comp.curve, k0, grid, c_exp,
                                generation=g, itinerary_prefix=comp.itinerary,
                                lam_prefix=comp.min_expansion,
                                parent=comp.birth, birth0=birth,
@@ -699,8 +696,7 @@ def _grow(table, tree, k0, k_cap, constants, grid=None):
 
 
 def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
-             k_cap: int = K_CAP, constants=None, grid: int | None = None
-             ) -> EvolutionTree:
+             constants=None, grid: int | None = None) -> EvolutionTree:
     """Breadth-first component tree of F^n W.
 
     Tail components are terminal: their expansion-sum contribution at depth
@@ -714,7 +710,7 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
                       source_interval=(0.0, 1.0), parent=None, birth=0)
     tree = EvolutionTree(root=W, generations=[[root]])
     for _ in range(n):
-        _grow(table, tree, k0, k_cap, constants, grid)
+        _grow(table, tree, k0, constants, grid)
     return tree
 
 
@@ -742,11 +738,9 @@ def grazing_sum(components) -> float:
 
 
 def one_step_grazing_sum(table: BilliardTable, W: UCurve,
-                         k0: int = K0_DEFAULT, k_cap: int = K_CAP,
-                         c_expansion: float | None = None) -> float:
+                         k0: int = K0_DEFAULT) -> float:
     """Sum of 1/expansion over nearly-grazing one-step components."""
-    return grazing_sum(evolve_one_step(table, W, k0, k_cap,
-                                       c_expansion=c_expansion))
+    return grazing_sum(evolve_one_step(table, W, k0))
 
 
 # ---------------------------------------------------------------------------
@@ -788,15 +782,16 @@ class FittedConstants:
         return cls(**doc)
 
 
-def _graze_anchors(table: BilliardTable, per_branch: int = 8):
-    """Interior nodes of the one-step tangency preimage curves."""
+def _graze_anchors(table: BilliardTable):
+    """Interior nodes of the one-step tangency preimage curves, about 8 per
+    branch."""
     from .singularities import trace_singularity
 
     anchors = []
     for c in trace_singularity(table, -1, resolution=200):
         if c.origin != "grazing-preimage" or len(c.nodes) < 8:
             continue
-        step = max(1, len(c.nodes) // per_branch)
+        step = max(1, len(c.nodes) // 8)
         anchors.extend(c.nodes[2:-2:step])
     return anchors
 
@@ -804,37 +799,37 @@ def _graze_anchors(table: BilliardTable, per_branch: int = 8):
 # center offsets (in curve lengths) used when seeding astride an anchor;
 # varied so the tangency crossing lands at different curve fractions
 _ANCHOR_OFFSETS = (0.25, -0.25, 0.1, 0.0, -0.1, 0.35)
+GRAZE_STRIDE = 50      # every GRAZE_STRIDE-th length sample sits on an anchor
 
 
 def certify_length_constant(table: BilliardTable, samples: int, seed: int,
                             delta_lo: float = 1e-6, delta_hi: float = 1e-3,
-                            k0: int = K0_DEFAULT, k_cap: int = K_CAP,
-                            graze_stride: int = 50) -> tuple[float, int]:
+                            k0: int = K0_DEFAULT) -> tuple[float, int]:
     """Max of |W'| / |W|^(1/2) over one-step components of sampled curves.
 
     Uniformly random curves almost never straddle a tangency preimage, yet
     that is where the square-root stretch law peaks, so the sampled max
-    would be a high-variance rare-event statistic.  Every graze_stride-th
+    would be a high-variance rare-event statistic.  Every GRAZE_STRIDE-th
     sample is therefore centered astride a traced tangency-preimage anchor
     instead; those samples saturate the constant and the max becomes stable
     under changes of the length range.  The anchor samples still consume
     the same random draws, so the remaining samples are unaffected.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
-    anchors = _graze_anchors(table) if graze_stride else []
+    anchors = _graze_anchors(table)
     best, used = 0.0, 0
     lo, hi = math.log(delta_lo), math.log(delta_hi)
     for i in range(samples):
         length = math.exp(rng.uniform(lo, hi))
         z = random_phase_point(table, rng)
-        if anchors and i % graze_stride == 0:
-            j = i // graze_stride
+        if anchors and i % GRAZE_STRIDE == 0:
+            j = i // GRAZE_STRIDE
             a = anchors[j % len(anchors)]
             f = _ANCHOR_OFFSETS[j % len(_ANCHOR_OFFSETS)]
             z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
         try:
             W = seed_ucurve(table, z, length, rng, k0)
-            comps = evolve_one_step(table, W, k0, k_cap)
+            comps = evolve_one_step(table, W, k0)
         except (SingularSeed, BilliardError):
             continue
         root = math.sqrt(W.euclidean_length)
@@ -849,27 +844,29 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
 
 def fit_constants(table: BilliardTable, seed: int, *,
                   expansion_samples: int = 10_000, hyper_samples: int = 1000,
-                  hyper_n: int = 10, length_samples: int = 300,
-                  complexity_points: int = 2, k0: int = K0_DEFAULT
+                  length_samples: int = 300, k0: int = K0_DEFAULT
                   ) -> FittedConstants:
-    """Assemble every constant the expansion reports rely on."""
+    """Assemble every constant the expansion reports rely on.
+
+    The growth floor is fitted over depths 1..10 and the complexity slope at
+    two centers: the first two multiple points, or two random points on a
+    table without corners.
+    """
     from .bmap import certify_expansion_constant, certify_hyperbolicity
     from . import singularities as _sing
 
     c_exp, _ = certify_expansion_constant(table, expansion_samples, seed)
     c_hyp, lam, _resid, _mins = certify_hyperbolicity(
-        table, hyper_samples, seed, n_max=hyper_n)
+        table, hyper_samples, seed, n_max=10)
     c_len, _ = certify_length_constant(table, length_samples, seed, k0=k0)
 
     centers = []
     if table.corners:
         pts = _sing.find_multiple_points(table, resolution=200)
-        centers = [PhasePoint(p.wall_id, p.r, p.phi)
-                   for p in pts[:complexity_points]]
+        centers = [PhasePoint(p.wall_id, p.r, p.phi) for p in pts[:2]]
     if not centers:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC3]))
-        centers = [random_phase_point(table, rng)
-                   for _ in range(complexity_points)]
+        centers = [random_phase_point(table, rng) for _ in range(2)]
     records = []
     for z in centers:
         for n in (1, 2, 3):
@@ -888,13 +885,13 @@ def fit_constants(table: BilliardTable, seed: int, *,
         xi_complexity=float(xi), k_complexity=int(k_hat), seed=seed)
 
 
-def select_N(constants: FittedConstants, n_cap: int | None = None) -> int:
+def select_N(constants: FittedConstants) -> int:
     """Smallest depth with complexity growth beaten by the expansion floor.
 
-    Solves xi * N < (1/3) * lam^N / c over integer N up to the cap; raises
-    NoSuchN when the fitted constants never satisfy it at desk scale.
+    Solves xi * N < (1/3) * lam^N / c over integer N up to constants.n_cap;
+    raises NoSuchN when the fitted constants never satisfy it at desk scale.
     """
-    cap = n_cap if n_cap is not None else constants.n_cap
+    cap = constants.n_cap
     if constants.lam_hyper <= 1.0:
         raise NoSuchN("lam_hyper <= 1: the margin inequality cannot hold")
     for n in range(1, cap + 1):
@@ -922,8 +919,6 @@ class ExpansionReport:
     samples: int
     used: int
     seed: int
-    k_cap: int
-    threads: int
     constants: FittedConstants | None
     sup_e: list[float]          # per depth 0..n_steps
     k_max: list[int]
@@ -935,12 +930,12 @@ class ExpansionReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        # thread count deliberately left out: files must not depend on it
         doc = {k: getattr(self, k) for k in (
             "table_id", "k0", "delta", "n_steps", "n_source", "samples",
-            "used", "seed", "k_cap", "sup_e", "k_max",
+            "used", "seed", "sup_e", "k_max",
             "sup_grazing", "verdict", "degenerate_total", "partial",
             "etree_margins", "rows")}
+        doc["k_cap"] = K_CAP
         doc["constants"] = None if self.constants is None \
             else self.constants.to_json()
         return doc
@@ -949,7 +944,7 @@ class ExpansionReport:
     def from_json(cls, doc: dict) -> "ExpansionReport":
         doc = dict(doc)
         cons = doc.pop("constants")
-        doc.setdefault("threads", 0)
+        doc.pop("k_cap")
         return cls(constants=None if cons is None
                    else FittedConstants.from_json(cons), **doc)
 
@@ -963,24 +958,27 @@ class ExpansionReport:
                        row["k"][n], row["e"][n], row["grazing_sum"])
 
 
-def _draw_curve(table, rng, delta, k0, tries=200):
-    for attempt in range(tries):
+SEED_TRIES = 200       # random base points tried per seed curve
+
+
+def _draw_curve(table, rng, delta, k0):
+    for attempt in range(SEED_TRIES):
         z = random_phase_point(table, rng)
         try:
             return seed_ucurve(table, z, delta, rng, k0), attempt + 1
         except (SingularSeed, BilliardError):
             continue
-    raise SingularSeed(f"no admissible seed in {tries} draws")
+    raise SingularSeed(f"no admissible seed in {SEED_TRIES} draws")
 
 
-def _scan_row(table, i, seed, delta, n, k0, k_cap, constants):
+def _scan_row(table, i, seed, delta, n, k0, constants):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
     W, tries = _draw_curve(table, rng, delta, k0)
     z0 = W.nodes[len(W.nodes) // 2]
     row = {"sample_id": i, "base": [z0.wall_id, z0.r, z0.phi],
            "length": W.euclidean_length, "tries": tries, "flag": ""}
     try:
-        tree = evolve_n(table, W, n, k0, k_cap, constants)
+        tree = evolve_n(table, W, n, k0, constants)
     except ComponentExplosion as err:
         tree = err.partial
         row["flag"] = "explosion"
@@ -1010,7 +1008,7 @@ def _etree_margins(sup_e, k_max, constants, n_steps):
 
 def sup_scan(table: BilliardTable, delta: float, samples: int,
              n_steps: int | None, k0: int, seed: int,
-             k_cap: int = K_CAP, constants: FittedConstants | None = None,
+             constants: FittedConstants | None = None,
              threads: int = 0, table_id: str = "",
              keep_rows: bool = True) -> ExpansionReport:
     """Empirical supremum of the depth-n expansion sums over seeded curves.
@@ -1022,14 +1020,12 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
         raise ValueError("a seed is required; suprema must be reproducible")
     n_source = "given"
     if n_steps is None:
-        n_steps, n_source = choose_depth(table, delta, k0, k_cap, seed,
-                                         constants)
+        n_steps, n_source = choose_depth(table, delta, k0, seed, constants)
     ids = list(range(samples))
 
     def work(i):
         try:
-            return _scan_row(table, i, seed, delta, n_steps, k0, k_cap,
-                             constants)
+            return _scan_row(table, i, seed, delta, n_steps, k0, constants)
         except SingularSeed:
             return {"sample_id": i, "flag": "skipped"}
 
@@ -1063,14 +1059,14 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
     return ExpansionReport(
         table_id=table_id or f"{table.ambient}:{len(table.walls)}walls",
         k0=k0, delta=delta, n_steps=n_steps, n_source=n_source,
-        samples=samples, used=len(good), seed=seed, k_cap=k_cap,
-        threads=threads, constants=constants, sup_e=sup_e, k_max=k_max,
+        samples=samples, used=len(good), seed=seed,
+        constants=constants, sup_e=sup_e, k_max=k_max,
         sup_grazing=sup_grazing, verdict=verdict, degenerate_total=degen,
         partial=partial, etree_margins=margins,
         rows=rows if keep_rows else [])
 
 
-def choose_depth(table: BilliardTable, delta: float, k0: int, k_cap: int,
+def choose_depth(table: BilliardTable, delta: float, k0: int,
                  seed: int, constants: FittedConstants | None,
                  probe_samples: int = 32) -> tuple[int, str]:
     """Depth from the margin inequality, else smallest empirically working.
@@ -1091,14 +1087,14 @@ def choose_depth(table: BilliardTable, delta: float, k0: int, k_cap: int,
             W, _ = _draw_curve(table, rng, delta, k0)
         except SingularSeed:
             continue
-        trees.append(evolve_n(table, W, 0, k0, k_cap, constants))
+        trees.append(evolve_n(table, W, 0, k0, constants))
     best_n, best_sup = N_CAP, math.inf
     first_ok = None
     for n in range(1, N_CAP + 1):
         live = []
         for tree in trees:
             try:
-                _grow(table, tree, k0, k_cap, constants)
+                _grow(table, tree, k0, constants)
             except BilliardError:     # ComponentExplosion included
                 continue
             live.append(tree)

@@ -3,12 +3,13 @@ import io
 import json
 import pathlib
 import tempfile
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from billexp import cli, ucurves
-from billexp.errors import SingularSeed
+from billexp import cli, geometry, singularities, tables, ucurves
+from billexp.errors import SingularSeed, ValidationError
 
 
 def run(*argv):
@@ -57,10 +58,39 @@ def test_usage_errors(capsys):
                    "--n", n) == 1
     assert run("expansion", "--table", "tri", "--seed", "1",
                "--N", "13") == 1
+    # the strip cap is fixed, neither a flag nor a config key
+    capsys.readouterr()
+    assert run("expansion", "--table", "tri", "--seed", "1",
+               "--k-cap", "10000") == 1
+    assert capsys.readouterr().err.startswith("billexp: usage error")
+    pathlib.Path("kcap.json").write_text(json.dumps({"k_cap": 10000}))
+    assert run("grazing-sum", "--table", "tri", "--seed", "1",
+               "--config", "kcap.json") == 1
+    assert capsys.readouterr().err.startswith("billexp: usage error")
 
 
 def test_missing_table_file_is_validation_failure(capsys):
     assert run("validate", "--table", "nowhere.json") == 2
+
+
+def _tri_with(**wall0):
+    spec = tables.make_tri_spec()
+    spec["walls"][0].update(wall0)
+    return spec
+
+
+@pytest.mark.parametrize("spec", [
+    {"walls": [{"radius": 1}]}, [], _tri_with(radius="x"),
+    {"ambient": "plane", "walls": "abc"}, _tri_with(radius=float("nan")),
+    _tri_with(orientation=-1.5),
+], ids=["missing-keys", "not-an-object", "radius-text", "walls-text",
+        "radius-nan", "orientation-fraction"])
+def test_malformed_table_spec_is_validation_failure(tmp_path, capsys, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run("validate", "--table", "spec.json") == 2
+    assert capsys.readouterr().err.startswith("billexp: ")
+    with pytest.raises(ValidationError):
+        geometry.build_table(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +156,27 @@ def test_portrait_json_and_svg(tmp_path):
                "--out", "p.svg") == 0
     svg = (tmp_path / "p.svg").read_bytes()
     assert b"path" in svg
+
+
+@pytest.mark.parametrize("fmt", ["json", "svg"])
+def test_portrait_partial_artifact_follows_format(tmp_path, monkeypatch,
+                                                  fmt):
+    # one halving cannot confirm a decomposition: the portrait aborts
+    monkeypatch.setattr(singularities, "MAX_HALVINGS", 1)
+    assert run("portrait", "--table", "tri", "--wall", "0", "--r", "1.31",
+               "--phi", "-0.28", "--format", fmt) == 3
+    text = (tmp_path / f"portrait.{fmt}").read_text()
+    if fmt == "json":
+        doc = json.loads(text, parse_constant=_refuse_constant)
+        assert "did not stabilize" in doc["aborted"]
+        first, last = doc["candidates"]
+        assert last["rho_hat"] == 0.5 * first["rho_hat"]
+        for cand in (first, last):
+            assert set(cand) == {"center", "rho_hat", "order", "k0",
+                                 "sectors"}
+            assert cand["sectors"]
+    else:
+        assert ET.fromstring(text).tag.endswith("svg")
 
 
 def test_portrait_active_shading_differs(tmp_path):
@@ -430,3 +481,71 @@ def test_cli_exit_codes_and_artifacts(invocation):
         assert written or code != 0
         for path in written:
             _check_artifact(path)
+
+
+# ---------------------------------------------------------------------------
+# generated table specs
+
+_ODD = st.one_of(
+    st.sampled_from([_NAN, _INF, -_INF, 1e300, -1e7, 10**40, 0, -1.5, 2]),
+    _WRONG_TYPE)
+
+
+@st.composite
+def _arc_walls(draw):
+    # theta_start == theta_end draws a closed circle
+    theta = st.one_of(st.just(0.0), st.floats(-7.0, 7.0))
+    return {"center": [draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))],
+            "radius": draw(st.floats(0.05, 4.0)),
+            "theta_start": draw(theta), "theta_end": draw(theta),
+            "orientation": draw(st.sampled_from([-1, 1, -1.0]))}
+
+
+@st.composite
+def _table_specs(draw):
+    """tri or 0-4 random arcs in either ambient, with up to two walls given
+    a missing key or an odd value, and odd walls lists or specs."""
+    if draw(st.booleans()):
+        spec = tables.make_tri_spec()
+    else:
+        spec = {"ambient": draw(st.sampled_from(["plane", "torus"])),
+                "walls": draw(st.lists(_arc_walls(), max_size=4))}
+    walls = spec["walls"]
+    for _ in range(draw(st.integers(0, 2)) if walls else 0):
+        wall = walls[draw(st.integers(0, len(walls) - 1))]
+        key = draw(st.sampled_from(geometry.WALL_KEYS))
+        if draw(st.booleans()):
+            wall.pop(key, None)
+        else:
+            wall[key] = draw(_ODD | st.lists(_ODD, max_size=3))
+    shape = draw(st.sampled_from(["spec", "spec", "walls", "top"]))
+    if shape == "walls":
+        spec["walls"] = draw(_ODD)
+    elif shape == "top":
+        spec = draw(_ODD | st.just(walls))
+    return spec
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_table_specs())
+@example(tables.make_tri_spec())
+@example({"ambient": "plane", "walls": [
+    {"center": [0.0, 0.0], "radius": 1.0, "theta_start": 0.0,
+     "theta_end": 0.0, "orientation": -1}]})
+def test_table_spec_builds_or_is_refused(spec):
+    try:
+        geometry.build_table(spec)
+        built = True
+    except ValidationError:
+        built = False
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d) / "spec.json"
+        path.write_text(json.dumps(spec))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(["validate", "--table", str(path), "--samples",
+                            "20", "--out", str(pathlib.Path(d) / "v.json")])
+        assert code in ((0, 2) if built else (2,))
+        if code == 0:
+            _check_artifact(pathlib.Path(d) / "v.json")

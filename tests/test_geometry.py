@@ -14,7 +14,7 @@ from billexp.errors import (
     UnboundedHorizon,
     ValidationError,
 )
-from billexp.geometry import build_table, boundary_point, corner_classify
+from billexp.geometry import build_table, boundary_point
 
 TWO_PI = 2.0 * math.pi
 
@@ -202,14 +202,6 @@ def test_tri_diameter(tri):
 def test_tri_sequence_cap(tri):
     g = tri.gamma_min
     assert tri.sequence_cap == int(math.ceil(TWO_PI / g)) + 2
-
-
-def test_corner_classify_consistency(tri, lens):
-    for table in (tri, lens):
-        for c in table.corners:
-            again = corner_classify(table, c.corner_id)
-            assert again.gamma == pytest.approx(c.gamma, abs=1e-14)
-            assert again.kind == c.kind
 
 
 def test_lens_tips_obtuse(lens):

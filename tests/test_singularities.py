@@ -182,7 +182,7 @@ def test_vertex_order1_bound(tri):
     table = tri.with_constants(con)
     z = PhasePoint(0, 0.5 * table.wall(0).length, 0.0)
     rec = S.regular_complexity(table, z, 1)
-    assert rec.order1_count <= con.sector_bound()
+    assert len(S.sector_portrait(table, z, 1).sectors) <= con.sector_bound()
     assert rec.k_hat == 2
 
 
@@ -221,7 +221,7 @@ def test_complexity_record_vertex(tri):
     assert rec.k_hat <= sum(rec.quadrant_counts.values())
     for q in S.INACTIVE_QUADRANTS:
         assert rec.quadrant_counts[q] == 1
-    assert rec.order1_count == 4
+    assert len(S.sector_portrait(tri, z, 1).sectors) == 4
 
 
 def test_simple_point_complexity_at_most_two(tri):

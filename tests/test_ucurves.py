@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -294,17 +295,17 @@ def test_select_n_oracle():
                             c_length=1, xi_complexity=6, k_complexity=1)
     with pytest.raises(NoSuchN):
         U.select_N(con)
-    assert U.select_N(con, n_cap=20) == 16
+    assert U.select_N(dataclasses.replace(con, n_cap=20)) == 16
     flat = U.FittedConstants(c_expansion=1, c_hyper=2, lam_hyper=0.9,
                              c_length=1, xi_complexity=1, k_complexity=1)
     with pytest.raises(NoSuchN):
-        U.select_N(flat, n_cap=50)
+        U.select_N(dataclasses.replace(flat, n_cap=50))
     prev = 0
     for xi in (1.0, 2.0, 4.0, 8.0):
         con_x = U.FittedConstants(c_expansion=1, c_hyper=2, lam_hyper=1.5,
                                   c_length=1, xi_complexity=xi,
                                   k_complexity=1)
-        n = U.select_N(con_x, n_cap=40)
+        n = U.select_N(dataclasses.replace(con_x, n_cap=40))
         assert n >= prev
         prev = n
 
@@ -371,7 +372,7 @@ def test_sup_scan_requires_seed(tri):
 
 
 def test_choose_depth_empirical(tri):
-    n, source = U.choose_depth(tri, 1e-4, 30, U.K_CAP, seed=3,
+    n, source = U.choose_depth(tri, 1e-4, 30, seed=3,
                                constants=None, probe_samples=12)
     assert 1 <= n <= U.N_CAP
     assert source.startswith("empirical")
@@ -410,7 +411,7 @@ def _depth_by_rebuilding(table, seed, probes):
 
 def test_choose_depth_matches_rebuilt_trees(tri, monkeypatch):
     want, _ = _depth_by_rebuilding(tri, 3, 12)
-    assert U.choose_depth(tri, 1e-4, 30, U.K_CAP, seed=3, constants=None,
+    assert U.choose_depth(tri, 1e-4, 30, seed=3, constants=None,
                           probe_samples=12) == want
 
     # probe curves on tri almost never branch: double the children of every
@@ -425,5 +426,5 @@ def test_choose_depth_matches_rebuilt_trees(tri, monkeypatch):
     monkeypatch.setattr(U, "LEAF_CAP", 2)
     want, alive = _depth_by_rebuilding(tri, 3, 12)
     assert alive[0] == alive[1] > alive[-1] > 0
-    assert U.choose_depth(tri, 1e-4, 30, U.K_CAP, seed=3, constants=None,
+    assert U.choose_depth(tri, 1e-4, 30, seed=3, constants=None,
                           probe_samples=12) == want
