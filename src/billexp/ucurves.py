@@ -270,7 +270,7 @@ def _probe(table, arc, s):
     im = res.images[0]
     if im.grazing or im.derivative is None:
         return None, None
-    return (im.point.wall_id, im.label, im.trail), im
+    return (im.point.wall_id, im.branch), im
 
 
 def _probe_at(table, arc, s):
@@ -502,13 +502,12 @@ def _build_component(table, arc, piece, k0, generation, itinerary_prefix,
         return None
     mid_im = rows[len(rows) // 2][2]
     k = strip_index(mid_im.point.phi, k0)
-    wid, label, trail = sig
-    label_str = label if not trail else label + "|" + ",".join(trail)
+    wid, branch = sig
     ra, rb = arc.root_param(s_lo), arc.root_param(s_hi)
     interval = (min(ra, rb), max(ra, rb))
     return HComponent(
         curve=curve, generation=generation,
-        itinerary=itinerary_prefix + ((wid, label_str, k),),
+        itinerary=itinerary_prefix + ((wid, branch, k),),
         min_expansion=lam_prefix * step_min,
         min_expansion_sampled=min(growth),
         source_interval=interval, parent=parent, birth=birth,
@@ -541,14 +540,13 @@ def _tail_component(table, arc, piece, c_loc, generation, itinerary_prefix,
                             [pts[0], PhasePoint(pts[0].wall_id,
                                                 pts[0].r + 1e-15,
                                                 pts[0].phi + 1e-15)])
-    wid, label, trail = sig
-    label_str = label if not trail else label + "|" + ",".join(trail)
+    wid, branch = sig
     ra, rb = arc.root_param(s_lo), arc.root_param(s_hi)
     interval = (min(ra, rb), max(ra, rb))
     tail_inv = float(polygamma(1, m)) / c_loc
     return HComponent(
         curve=curve, generation=generation,
-        itinerary=itinerary_prefix + ((wid, label_str, side * m),),
+        itinerary=itinerary_prefix + ((wid, branch, side * m),),
         min_expansion=lam_prefix * c_loc * m * m,
         min_expansion_sampled=lam_prefix * c_loc * m * m,
         source_interval=interval, parent=parent, birth=birth,
@@ -556,12 +554,11 @@ def _tail_component(table, arc, piece, c_loc, generation, itinerary_prefix,
         tail=True, tail_inv=tail_inv / lam_prefix, tail_from=side * m)
 
 
-def _one_step(table, W, k0, grid, c_expansion, generation=1,
+def _one_step(table, W, k0, c_expansion, generation=1,
               itinerary_prefix=(), lam_prefix=1.0, parent=None, birth0=0,
               mid_prefix=()):
     arc = _Arc(W)
-    n_s = grid or _grid_for(arc.total)
-    segments = _primary_segments(table, arc, n_s)
+    segments = _primary_segments(table, arc, _grid_for(arc.total))
     pieces = []
     for seg in segments:
         pieces.extend(_secondary_pieces(table, arc, seg, k0))
@@ -627,10 +624,10 @@ def _local_expansion_constant(table, arc, piece, c_expansion):
     return max(1e-12, min(cands)) if cands else 1e-3
 
 
-def evolve_one_step(table: BilliardTable, W: UCurve, k0: int = K0_DEFAULT,
-                    grid: int | None = None) -> list[HComponent]:
+def evolve_one_step(table: BilliardTable, W: UCurve,
+                    k0: int = K0_DEFAULT) -> list[HComponent]:
     """H-components of the image of W: primary cuts, strip cuts, tails."""
-    comps, _ = _one_step(table, W, k0, grid, None)
+    comps, _ = _one_step(table, W, k0, None)
     return comps
 
 
@@ -665,7 +662,7 @@ def _remaining_floor(constants, m):
     return max(1e-12, constants.lam_hyper ** m / constants.c_hyper)
 
 
-def _grow(table, tree, k0, constants, grid=None):
+def _grow(table, tree, k0, constants):
     """Append the next generation of H-components to tree.
 
     Raises ComponentExplosion once the generation holds more than LEAF_CAP
@@ -678,7 +675,7 @@ def _grow(table, tree, k0, constants, grid=None):
     for comp in tree.generations[-1]:
         if comp.tail:
             continue
-        kids, ndeg = _one_step(table, comp.curve, k0, grid, c_exp,
+        kids, ndeg = _one_step(table, comp.curve, k0, c_exp,
                                generation=g, itinerary_prefix=comp.itinerary,
                                lam_prefix=comp.min_expansion,
                                parent=comp.birth, birth0=birth,
@@ -696,7 +693,7 @@ def _grow(table, tree, k0, constants, grid=None):
 
 
 def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
-             constants=None, grid: int | None = None) -> EvolutionTree:
+             constants=None) -> EvolutionTree:
     """Breadth-first component tree of F^n W.
 
     Tail components are terminal: their expansion-sum contribution at depth
@@ -710,7 +707,7 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
                       source_interval=(0.0, 1.0), parent=None, birth=0)
     tree = EvolutionTree(root=W, generations=[[root]])
     for _ in range(n):
-        _grow(table, tree, k0, constants, grid)
+        _grow(table, tree, k0, constants)
     return tree
 
 

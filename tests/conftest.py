@@ -73,7 +73,8 @@ def _point_on(ws, end):
 
 @pytest.fixture(scope="session")
 def split_circle():
-    """Disk scatterer whose boundary is artificially broken into two arcs."""
+    """Disk scatterer whose boundary is artificially broken into two arcs;
+    nothing encloses it, so the strict checks are bypassed."""
     spec = {"ambient": "plane",
             "walls": [
                 {"center": [0.0, 0.0], "radius": 1.0, "theta_start": 0.0,
@@ -81,4 +82,4 @@ def split_circle():
                 {"center": [0.0, 0.0], "radius": 1.0, "theta_start": math.pi,
                  "theta_end": 0.0, "orientation": -1},
             ]}
-    return geometry.build_table(spec)
+    return geometry.build_table(spec, strict=False)

@@ -83,9 +83,18 @@ def _tri_with(**wall0):
     {"walls": [{"radius": 1}]}, [], _tri_with(radius="x"),
     {"ambient": "plane", "walls": "abc"}, _tri_with(radius=float("nan")),
     _tri_with(orientation=-1.5),
+    # a lone disk scatterer: no boundary loop encloses the table
+    {"ambient": "plane", "walls": [{"center": [0, 0], "radius": 1,
+                                    "theta_start": 0, "theta_end": 0,
+                                    "orientation": -1}]},
 ], ids=["missing-keys", "not-an-object", "radius-text", "walls-text",
-        "radius-nan", "orientation-fraction"])
-def test_malformed_table_spec_is_validation_failure(tmp_path, capsys, spec):
+        "radius-nan", "orientation-fraction", "unenclosed-disk"])
+def test_malformed_table_spec_is_validation_failure(tmp_path, capsys,
+                                                    monkeypatch, spec):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("validate sampled orbits of a refused table")
+
+    monkeypatch.setattr(cli, "estimate_constants", no_sampling)
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert run("validate", "--table", "spec.json") == 2
     assert capsys.readouterr().err.startswith("billexp: ")

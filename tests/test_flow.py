@@ -73,8 +73,9 @@ def test_circle_chord_length(circle_oracle):
         assert out.kind == "regular"
         assert out.tau == pytest.approx(2.0 * math.cos(phi), abs=1e-12)
         assert out.normal_component == pytest.approx(-math.cos(phi), abs=1e-12)
-        expect = (a + math.pi - 2.0 * phi) % TWO_PI
-        assert out.theta % TWO_PI == pytest.approx(expect, abs=1e-9)
+        expect = a + math.pi - 2.0 * phi
+        assert out.point == pytest.approx((math.cos(expect), math.sin(expect)),
+                                          abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,18 @@ def test_open_boundary():
         build_table(spec)
 
 
+def test_unenclosed_plane_table_rejected():
+    # a lone disk scatterer: its loop turns by -2 pi and nothing encloses it
+    disk = {"center": [0.0, 0.0], "radius": 1.0, "theta_start": 0.0,
+            "theta_end": 0.0, "orientation": -1}
+    with pytest.raises(OpenBoundary):
+        build_table({"ambient": "plane", "walls": [disk]})
+    # inside tri's +2 pi loop the same disk is a scatterer
+    spec = tables.make_tri_spec()
+    spec["walls"].append(dict(disk, radius=0.05))
+    assert len(build_table(spec).walls) == 4
+
+
 def test_non_simple_corner():
     spec = tables.make_tri_spec()
     w1 = spec["walls"][1]

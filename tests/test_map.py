@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from billexp import tables
 from billexp.bmap import (
@@ -467,3 +468,102 @@ MAP_DIGESTS = {
 def test_map_bit_identity(name, request):
     table = request.getfixturevalue(name)
     assert map_digest(table, 20260) == MAP_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# generated properties of the map and the orbit walker
+
+_TABLES = ("tri", "torus2", "lens")
+
+
+@st.composite
+def _phase_points(draw):
+    """(table name, wall index, arclength fraction, phi): any phase point of
+    the three test tables, wall ends and near-grazing angles included."""
+    return (draw(st.sampled_from(_TABLES)), draw(st.integers(0, 4)),
+            draw(st.floats(0.0, 1.0)),
+            draw(st.floats(-HALF_PI, HALF_PI, exclude_min=True,
+                           exclude_max=True)))
+
+
+def _point(request, drawn):
+    name, wall, frac, phi = drawn
+    table = request.getfixturevalue(name)
+    w = table.walls[wall % len(table.walls)]
+    return table, PhasePoint(w.wall_id, frac * w.length, phi)
+
+
+def _regular_step(table, z):
+    """z's single smooth image when z departs inside a wall, else None.
+
+    A departure within 1e-6 of tangency is left out too: rounding shifts
+    a flight line by about 1e-16, which moves its hit on a wall met at
+    incidence cos(phi) by about 1e-16 / cos(phi), and below cos(phi) of
+    about 1e-8 can miss that wall altogether.
+    """
+    w = table.wall(z.wall_id)
+    if not w.closed and not 1e-6 < z.r < w.length - 1e-6 \
+            or math.cos(z.phi) < 1e-6:
+        return None
+    try:
+        return clean_image(forward(table, z))
+    except BilliardError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_points())
+def test_inverse_undoes_forward_property(request, drawn):
+    table, z = _point(request, drawn)
+    im = _regular_step(table, z)
+    assume(im is not None)
+    back = clean_image(inverse(table, im.point))
+    assert back is not None
+    w = table.wall(z.wall_id)
+    dr = back.point.r - z.r
+    if w.closed:
+        dr = (dr + w.length / 2) % w.length - w.length / 2
+    assert back.point.wall_id == z.wall_id
+    assert abs(dr) <= 1e-9 and abs(back.point.phi - z.phi) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_points())
+def test_determinant_and_cone_property(request, drawn):
+    table, z = _point(request, drawn)
+    im = _regular_step(table, z)
+    assume(im is not None)
+    (a, b), (c, d) = im.derivative
+    expect = math.cos(z.phi) / math.cos(im.point.phi)
+    assert a * d - b * c == pytest.approx(expect, rel=1e-8)
+    # the edges dphi/dr = 0 and infinity of the upward cone map onto the
+    # edges of cone_slopes, inside the upward cone
+    lo, hi = cone_slopes(im.tau, table.wall(z.wall_id).kappa, z.phi,
+                         table.wall(im.point.wall_id).kappa, im.point.phi)
+    assert 0.0 < lo <= hi
+    assert sorted((c / a, d / b)) == pytest.approx([lo, hi], rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_phase_points(), st.integers(1, 6))
+@example(("tri", 0, 0.5, 0.0), 2)          # a vertex shot: branched
+def test_orbit_chains_forward_property(request, drawn, n):
+    table, z = _point(request, drawn)
+    walk = orbit(table, z, n)
+    cur = z
+    for im in walk.images:
+        assert forward(table, cur).images == (im,)
+        cur = im.point
+    if walk.status == "ok":
+        assert len(walk.images) == n and not walk.split and not walk.error
+        return
+    assert len(walk.images) < n or walk.status == "grazed"
+    if walk.status == "grazed":
+        assert walk.images[-1].grazing
+    elif walk.status == "branched":
+        assert len(walk.split) > 1
+        assert forward(table, cur).images == walk.split
+    else:
+        with pytest.raises(BilliardError) as err:
+            forward(table, cur)
+        assert type(err.value).__name__ == walk.error

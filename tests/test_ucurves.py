@@ -175,9 +175,11 @@ def test_one_step_partition(tri, far_curve, straddle_curve):
             assert b - a < 1e-9   # adjacent pieces share their cut point
 
 
-def test_refinement_conservation(tri, straddle_curve):
-    coarse = U.evolve_one_step(tri, straddle_curve, grid=17)
-    fine = U.evolve_one_step(tri, straddle_curve, grid=34)
+def test_refinement_conservation(tri, straddle_curve, monkeypatch):
+    monkeypatch.setattr(U, "_grid_for", lambda total: 17)
+    coarse = U.evolve_one_step(tri, straddle_curve)
+    monkeypatch.setattr(U, "_grid_for", lambda total: 34)
+    fine = U.evolve_one_step(tri, straddle_curve)
 
     def key(c):
         return (c.itinerary[-1][0], c.itinerary[-1][2], c.tail)
