@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     BilliardError,
     SectorBoundary,
@@ -67,10 +69,32 @@ class MapResult:
 
     @property
     def regular(self) -> bool:
-        return (len(self.images) == 1
-                and self.images[0].label == "regular"
-                and not self.images[0].grazing
-                and not self.images[0].trail)
+        im = self.smooth
+        return im is not None and im.label == "regular" and not im.trail
+
+    @property
+    def smooth(self) -> MapImage | None:
+        """The image when it is the only one and not grazing, else None."""
+        if len(self.images) != 1 or self.images[0].grazing:
+            return None
+        return self.images[0]
+
+
+def bisect_edge(keep, good: float, bad: float,
+                tol: float) -> tuple[float, float]:
+    """Bisect toward the edge where ``keep`` stops holding.
+
+    ``keep(good)`` holds and ``keep(bad)`` does not; either may be the larger
+    end.  Halves the gap until it is at most ``tol`` and returns the final
+    (good, bad) pair.
+    """
+    while abs(bad - good) > tol:
+        mid = 0.5 * (good + bad)
+        if keep(mid):
+            good = mid
+        else:
+            bad = mid
+    return good, bad
 
 
 def involute(p: PhasePoint) -> PhasePoint:
@@ -405,8 +429,6 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
     Returns (C, used) where used counts samples whose arriving and
     departing branches were both regular.
     """
-    import numpy as np
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     best = math.inf
     used = 0
@@ -435,8 +457,6 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
     v starts inside the operative cone.  Returns (c, Lambda, residuals, mins);
     c is inflated after the least-squares fit so the floor holds at every n.
     """
-    import numpy as np
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
     mins = [math.inf] * n_max
     used = 0

@@ -16,8 +16,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 usage error, including a non-finite or
 out-of-range numeric flag (``--delta`` and ``--length`` lie in (0, 1e-2],
-counts are positive) and an unwritable ``--out``; 2 validation failure (bad
-table, bad input artifact, a phase point off the table); 3 numerical abort.
+counts are positive, ``--resolution`` is at least 2, ``--level`` is nonzero
+with magnitude at most ``LEVEL_CAP``) and an unwritable ``--out``; 2
+validation failure (bad table, bad input artifact, a phase point off the
+table); 3 numerical abort.
 Aborts write whatever partial artifact exists before exiting.  Commands that
 sample require an explicit --seed; there is no wall-clock fallback, the same
 invocation always rebuilds the same bytes.  Output files are written
@@ -53,7 +55,8 @@ from .errors import (
 from .geometry import build_table, estimate_constants
 from .render import phase_svg, portrait_svg, table_svg
 from .serialize import csv_text, json_bytes, write_atomic
-from .singularities import classify_sectors, sector_portrait, trace_singularity
+from .singularities import (LEVEL_CAP, classify_sectors, sector_portrait,
+                            trace_singularity)
 from .ucurves import (
     CSV_HEADER,
     K_CAP,
@@ -370,10 +373,13 @@ def _cmd_orbit(opts) -> int:
 
 
 def _cmd_singularities(opts) -> int:
-    table = _load_table(opts["table"])
     level = opts["level"]
-    if level == 0:
-        raise _UsageError("--level must be nonzero")
+    if not 1 <= abs(level) <= LEVEL_CAP:
+        raise _UsageError(f"--level must be nonzero, with |level| at most "
+                          f"{LEVEL_CAP}")
+    if opts["resolution"] < 2:
+        raise _UsageError("--resolution must be at least 2")
+    table = _load_table(opts["table"])
     curves = trace_singularity(table, level, resolution=opts["resolution"])
     rows = [(p.wall_id, p.r, p.phi, c.level)
             for c in curves for p in c.nodes]
@@ -525,12 +531,33 @@ def _cmd_expansion(opts) -> int:
     return 0
 
 
-def _read_csv_rows(path, columns):
+# every number of a render input is finite and at most this in magnitude,
+# which keeps each drawn coordinate finite
+INPUT_LIMIT = 1e9
+_INT_COLUMNS = ("wall_id", "k")
+
+
+def _input_number(val, what: str):
+    # bool is an int subclass; NaN fails the comparison
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not abs(val) <= INPUT_LIMIT:
+        raise ValidationError(
+            f"{what} must be a number within +-{INPUT_LIMIT:g}, got {val!r}")
+    return val
+
+
+def _read_input(path: str) -> str:
     try:
         with open(path) as fh:
-            lines = [l for l in fh.read().splitlines() if l]
-    except OSError as err:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read input artifact: {err}")
+
+
+def _read_csv_rows(path, columns):
+    """The named columns of a CSV artifact, wall_id and k as ints and the
+    others as floats; a short row or a bad number is a ValidationError."""
+    lines = [l for l in _read_input(path).splitlines() if l]
     if not lines:
         raise ValidationError(f"empty input artifact: {path}")
     header = lines[0].split(",")
@@ -540,10 +567,61 @@ def _read_csv_rows(path, columns):
         raise ValidationError(
             f"{path}: expected columns {columns}, found {header}")
     rows = []
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], 2):
         cells = line.split(",")
-        rows.append(tuple(cells[i] for i in idx))
+        if len(cells) != len(header):
+            raise ValidationError(f"{path} line {n}: {len(cells)} cells, "
+                                  f"expected {len(header)}")
+        try:
+            vals = [(int if c in _INT_COLUMNS else float)(cells[i])
+                    for i, c in zip(idx, columns)]
+        except ValueError as err:
+            raise ValidationError(f"{path} line {n}: {err}")
+        rows.append(tuple(_input_number(v, f"{path} line {n} {c}")
+                          for v, c in zip(vals, columns)))
     return rows
+
+
+def _check_walls(table, rows):
+    for row in rows:
+        if not 0 <= row[0] < len(table.walls):
+            raise OutOfRange(f"wall_id {row[0]}: the table has walls "
+                             f"0..{len(table.walls) - 1}")
+
+
+def _read_portrait(path) -> dict:
+    """A portrait document: sectors with numeric angles and a boolean
+    active flag, and a numeric center and rho_hat where present."""
+    try:
+        doc = json.loads(_read_input(path))
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"input is not valid JSON: {err}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("sectors"), list):
+        raise ValidationError("input is not a portrait document")
+    if "rho_hat" in doc:
+        _input_number(doc["rho_hat"], "rho_hat")
+    center = doc.get("center")
+    if center is not None:
+        if not isinstance(center, dict):
+            raise ValidationError("center must be an object")
+        for key in ("wall_id", "r", "phi"):
+            if key in center:
+                _input_number(center[key], f"center {key}")
+    for i, sec in enumerate(doc["sectors"]):
+        if not isinstance(sec, dict):
+            raise ValidationError(f"sector {i} must be an object")
+        for key in ("theta_lo", "theta_hi"):
+            _input_number(sec.get(key), f"sector {i} {key}")
+        if not isinstance(sec.get("active"), bool):
+            raise ValidationError(f"sector {i} active must be true or false")
+        if not isinstance(sec.get("type"), (str, type(None))):
+            raise ValidationError(f"sector {i} type must be a string")
+        itinerary = sec.get("itinerary") or []
+        if not isinstance(itinerary, list) or not all(
+                isinstance(sym, str) and sym.isprintable() for sym in itinerary):
+            raise ValidationError(
+                f"sector {i} itinerary must be a list of printable strings")
+    return doc
 
 
 def _cmd_render(opts) -> int:
@@ -554,29 +632,27 @@ def _cmd_render(opts) -> int:
             raise _UsageError("--table is required for the table view")
         rows = []
         if opts["input"]:
-            raw = _read_csv_rows(opts["input"],
-                                 ("wall_id", "r", "phi", "tau"))
-            rows = [(int(w), float(r), float(phi), float(tau))
-                    for w, r, phi, tau in raw]
+            rows = _read_csv_rows(opts["input"],
+                                  ("wall_id", "r", "phi", "tau"))
+            _check_walls(table, rows)
+            # a flight is no longer than the certified free path, up to
+            # rounding
+            tau_max = table.constants.tau_max * (1.0 + 1e-9)
+            for _, _, phi, tau in rows:
+                if abs(phi) > HALF_PI:
+                    raise OutOfRange(f"phi {phi} outside [-pi/2, pi/2]")
+                if not 0.0 <= tau <= tau_max:
+                    raise OutOfRange(f"tau {tau} outside [0, {tau_max:g}]")
         svg = table_svg(table, rows)
     elif kind == "phase":
         _require(opts, "input")
-        raw = _read_csv_rows(opts["input"], ("wall_id", "r", "phi", "k"))
-        rows = [(int(w), float(r), float(phi), int(k))
-                for w, r, phi, k in raw]
+        rows = _read_csv_rows(opts["input"], ("wall_id", "r", "phi", "k"))
+        if table is not None:
+            _check_walls(table, rows)
         svg = phase_svg(rows, table, opts["k0"])
     elif kind == "portrait":
         _require(opts, "input")
-        try:
-            with open(opts["input"]) as fh:
-                doc = json.load(fh)
-        except OSError as err:
-            raise ValidationError(f"cannot read input artifact: {err}")
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"input is not valid JSON: {err}")
-        if "sectors" not in doc:
-            raise ValidationError("input is not a portrait document")
-        svg = portrait_svg(doc)
+        svg = portrait_svg(_read_portrait(opts["input"]))
     else:
         raise UnknownKind(f"no such render kind: {kind}")
     _write(opts["out"], svg)
@@ -602,7 +678,7 @@ _DISPATCH = {
 def run(argv=None) -> int:
     try:
         opts = _parse(sys.argv[1:] if argv is None else list(argv))
-        _check_positive(opts, "k0", "samples", "resolution", "order", "rho")
+        _check_positive(opts, "k0", "samples", "order", "rho", "steps")
         _check_length(opts, "delta", "length")
         if opts.get("threads") is not None and opts["threads"] < 0:
             raise _UsageError("--threads must be >= 0")

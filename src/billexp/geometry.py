@@ -74,11 +74,6 @@ class ArcWall:
     def theta_at(self, r: float) -> float:
         return self.theta_start + self.orientation * r / self.radius
 
-    def point_at(self, r: float) -> np.ndarray:
-        th = self.theta_at(r)
-        return np.array([self.center[0] + self.radius * math.cos(th),
-                         self.center[1] + self.radius * math.sin(th)])
-
     def frame_at(self, r: float):
         """Return (point, inward normal, tangent) at arclength r, as float
         pairs."""
@@ -219,19 +214,25 @@ def _classify_gamma(gamma: float) -> str:
     return "acute" if gamma < math.pi else "obtuse"
 
 
+def _dist(p, q) -> float:
+    # np.hypot, not math.hypot: they differ in the last bit on some pairs,
+    # and the diameter is the tau_max that validate reports
+    return float(np.hypot(p[0] - q[0], p[1] - q[1]))
+
+
 def _build_corners(walls: tuple[ArcWall, ...], strict: bool):
     open_walls = [w for w in walls if not w.closed]
-    starts = {w.wall_id: w.point_at(0.0) for w in open_walls}
-    ends = {w.wall_id: w.point_at(w.length) for w in open_walls}
+    starts = {w.wall_id: w.frame_at(0.0)[0] for w in open_walls}
+    ends = {w.wall_id: w.frame_at(w.length)[0] for w in open_walls}
 
     corners: list[Corner] = []
     corner_at_end: list[int | None] = [None] * len(walls)
     corner_at_start: list[int | None] = [None] * len(walls)
 
     for i, e in ends.items():
-        matches = [j for j, s in starts.items() if np.hypot(*(e - s)) <= EPS_JOIN]
+        matches = [j for j, s in starts.items() if _dist(e, s) <= EPS_JOIN]
         end_matches = [j for j, e2 in ends.items()
-                       if j != i and np.hypot(*(e - e2)) <= EPS_JOIN]
+                       if j != i and _dist(e, e2) <= EPS_JOIN]
         if end_matches:
             raise OpenBoundary(
                 f"wall {i} end meets wall {end_matches[0]} end; traversal "
@@ -248,11 +249,11 @@ def _build_corners(walls: tuple[ArcWall, ...], strict: bool):
         if strict and (gamma <= GAMMA_TOL or gamma >= TWO_PI - GAMMA_TOL):
             raise CuspDetected(
                 f"corner between walls {i} and {j}: gamma = {gamma:.3e}")
-        pos = 0.5 * (e + starts[j])
+        s = starts[j]
         cid = len(corners)
         corners.append(Corner(
             corner_id=cid,
-            position=(float(pos[0]), float(pos[1])),
+            position=(0.5 * (e[0] + s[0]), 0.5 * (e[1] + s[1])),
             left_wall_id=i,
             right_wall_id=j,
             gamma=float(gamma),
@@ -412,17 +413,6 @@ def _check_closed_wall_contacts(walls, ambient: str) -> None:
                         f"walls {wa.wall_id} and {wb.wall_id} overlap")
 
 
-def boundary_point(table: BilliardTable, wall_id: int, r: float):
-    """(point, inward normal, tangent) at arclength r on the given wall, as
-    numpy arrays.
-
-    Closed walls wrap r modulo the circumference; open walls raise OutOfRange
-    beyond [0, L].
-    """
-    p, n, t = table.walls[wall_id].chart_frame(r)
-    return np.array(p), np.array(n), np.array(t)
-
-
 # ---------------------------------------------------------------------------
 # diameter (plane tables)
 
@@ -432,52 +422,50 @@ def _exact_diameter(walls, corners) -> float:
     Candidates: corner pairs, arc-vs-point far points, and center-line far
     pairs between circle pairs, each filtered by arc membership.
     """
-    pts = [np.asarray(c.position) for c in corners]
+    pts = [c.position for c in corners]
     for w in walls:
         if not w.closed:
-            pts.append(w.point_at(0.0))
-            pts.append(w.point_at(w.length))
+            pts.append(w.frame_at(0.0)[0])
+            pts.append(w.frame_at(w.length)[0])
 
     best = 0.0
     for a in range(len(pts)):
         for b in range(a + 1, len(pts)):
-            best = max(best, float(np.hypot(*(pts[a] - pts[b]))))
+            best = max(best, _dist(pts[a], pts[b]))
 
-    def far_point_on(w: ArcWall, p: np.ndarray):
-        c = np.asarray(w.center)
-        d = c - p
-        nd = np.hypot(*d)
+    def far_point_on(w: ArcWall, p):
+        c = w.center
+        dx, dy = c[0] - p[0], c[1] - p[1]
+        nd = _dist(c, p)
         if nd < 1e-15:
             return None
-        th = math.atan2(d[1], d[0])
-        if w.contains_angle(th):
-            return c + w.radius * d / nd
+        if w.contains_angle(math.atan2(dy, dx)):
+            return (c[0] + w.radius * dx / nd, c[1] + w.radius * dy / nd)
         return None
 
     for w in walls:
         for p in pts:
             q = far_point_on(w, p)
             if q is not None:
-                best = max(best, float(np.hypot(*(q - p))))
+                best = max(best, _dist(q, p))
     for wa in walls:
         for wb in walls:
             if wb.wall_id < wa.wall_id:
                 continue
-            ca, cb = np.asarray(wa.center), np.asarray(wb.center)
+            ca, cb = wa.center, wb.center
             if wa is wb:
                 if wa.span >= math.pi:
                     best = max(best, 2.0 * wa.radius)
                 continue
-            d = cb - ca
-            nd = np.hypot(*d)
+            nd = _dist(cb, ca)
             if nd < 1e-15:
                 continue
-            u = d / nd
-            pa = ca - wa.radius * u
-            qb = cb + wb.radius * u
-            if wa.contains_angle(math.atan2(-u[1], -u[0])) and \
-               wb.contains_angle(math.atan2(u[1], u[0])):
-                best = max(best, float(np.hypot(*(qb - pa))))
+            ux, uy = (cb[0] - ca[0]) / nd, (cb[1] - ca[1]) / nd
+            pa = (ca[0] - wa.radius * ux, ca[1] - wa.radius * uy)
+            qb = (cb[0] + wb.radius * ux, cb[1] + wb.radius * uy)
+            if wa.contains_angle(math.atan2(-uy, -ux)) and \
+               wb.contains_angle(math.atan2(uy, ux)):
+                best = max(best, _dist(qb, pa))
     return best
 
 

@@ -82,6 +82,7 @@ class _Canvas:
                  'stroke="%s"/>' % (_f(x), _f(y), _f(w), _f(h), stroke))
 
     def text(self, x, y, s, size=12, fill="#333333") -> None:
+        s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self.add('<text x="%s" y="%s" font-family="monospace" '
                  'font-size="%s" fill="%s">%s</text>'
                  % (_f(x), _f(y), _f(size), fill, s))
@@ -105,11 +106,7 @@ class _Canvas:
 # table view
 
 def _wall_samples(wall, n=256):
-    pts = []
-    for i in range(n + 1):
-        p = wall.point_at(wall.length * i / n)
-        pts.append((float(p[0]), float(p[1])))
-    return pts
+    return [wall.frame_at(wall.length * i / n)[0] for i in range(n + 1)]
 
 
 def _torus_segments(origin, direction, tau):

@@ -16,14 +16,14 @@ combinatorics stop changing; that stabilized decomposition is the portrait.
 import math
 from dataclasses import dataclass, field
 
-from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, inverse, orbit,
-                   outgoing_ray, strip_index)
+from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge, inverse,
+                   orbit, outgoing_ray, strip_index)
 # singularities does not call forward; the name stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too
 from .bmap import forward  # noqa: F401
 from .errors import BilliardError, UnstablePortrait
 from .flow import Ray, first_collision
-from .geometry import BilliardTable, boundary_point
+from .geometry import BilliardTable
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,7 +50,7 @@ ACTIVE_QUADRANTS = ("NW", "SE")
 class SingularityCurve:
     level: int
     nodes: tuple                 # PhasePoints, all on one wall chart
-    origin: str                  # grazing-preimage | corner-preimage | strip-boundary
+    origin: str                  # grazing-preimage | corner-preimage
     fragment: bool = False
 
     @property
@@ -80,18 +80,13 @@ def _linspace(a: float, b: float, m: int):
     return [a + i * step for i in range(m)]
 
 
-def _s0_curves(table: BilliardTable, resolution: int, strips):
+def _s0_curves(table: BilliardTable, resolution: int):
     out = []
     for w in table.walls:
         rs = _linspace(0.0, w.length, resolution)
         for sign in (1.0, -1.0):
             nodes = tuple(PhasePoint(w.wall_id, r, sign * HALF_PI) for r in rs)
             out.append(SingularityCurve(0, nodes, "grazing-preimage"))
-        for k in strips:
-            phi = HALF_PI - 1.0 / (k * k)
-            for sign in (1.0, -1.0):
-                nodes = tuple(PhasePoint(w.wall_id, r, sign * phi) for r in rs)
-                out.append(SingularityCurve(0, nodes, "strip-boundary"))
     phis = _linspace(-HALF_PI, HALF_PI, resolution)
     for c in table.corners:
         left = table.wall(c.left_wall_id)
@@ -231,64 +226,6 @@ def _graze_phi(table, wall, shift, other, side):
     return probe
 
 
-def _strip_phi(table, wall, shift, other, side, k):
-    """Aim so the arrival on `other` sits exactly on the strip-k boundary."""
-    graze = _graze_phi(table, wall, shift, other, side)
-    u_target = 1.0 / (k * k)
-
-    def on_other(r, phi):
-        oc, _tau = _march(table, wall, r, phi, target_wall=other.wall_id)
-        if oc is not None and oc.kind == "regular" and oc.wall_id == other.wall_id:
-            return _arrival_depth(oc)
-        return None
-
-    def probe(r):
-        phi0 = graze(r)
-        if phi0 is None:
-            return None
-        step = None
-        for sgn in (1.0, -1.0):
-            if on_other(r, phi0 + sgn * 1e-7) is not None:
-                step = sgn
-                break
-        if step is None:
-            return None
-        lo, eps = 0.0, 1e-12
-        while eps < 0.5:
-            u = on_other(r, phi0 + step * eps)
-            if u is None:
-                return None
-            if u >= u_target:
-                break
-            lo, eps = eps, eps * 4.0
-        else:
-            return None
-        for _ in range(60):
-            mid = 0.5 * (lo + eps)
-            u = on_other(r, phi0 + step * mid)
-            if u is None or u >= u_target:
-                eps = mid
-            else:
-                lo = mid
-        phi = phi0 + step * 0.5 * (lo + eps)
-        return phi if abs(phi) < HALF_PI - 1e-12 else None
-
-    return probe
-
-
-def _refine_edge(probe, r_good, r_bad, tol):
-    """Bisect the acceptance boundary of a shooting probe along r."""
-    for _ in range(60):
-        mid = 0.5 * (r_good + r_bad)
-        if probe(mid) is not None:
-            r_good = mid
-        else:
-            r_bad = mid
-        if abs(r_bad - r_good) <= tol:
-            break
-    return r_good
-
-
 def _split_monotone(nodes, want: float):
     runs, cur = [], [nodes[0]]
     for a, b in zip(nodes, nodes[1:]):
@@ -314,13 +251,17 @@ def _emit_run(level, nodes, origin, out):
 def _trace_probe(table, wall, probe, resolution, origin, out):
     rs = _linspace(0.0, wall.length, resolution)
     tol = max(wall.length, 1.0) * 1e-10
+
+    def accepted(r):
+        return probe(r) is not None
+
     run = []                     # list of PhasePoint on this wall
     prev_bad = None
     for r in rs:
         phi = probe(r)
         if phi is not None:
             if not run and prev_bad is not None:
-                r_edge = _refine_edge(probe, r, prev_bad, tol)
+                r_edge, _ = bisect_edge(accepted, r, prev_bad, tol)
                 p_edge = probe(r_edge)
                 if p_edge is not None and abs(r_edge - r) > tol:
                     run.append(PhasePoint(wall.wall_id, r_edge, p_edge))
@@ -328,7 +269,7 @@ def _trace_probe(table, wall, probe, resolution, origin, out):
             prev_bad = None
         else:
             if run:
-                r_edge = _refine_edge(probe, run[-1].r, r, tol)
+                r_edge, _ = bisect_edge(accepted, run[-1].r, r, tol)
                 p_edge = probe(r_edge)
                 if p_edge is not None and abs(r_edge - run[-1].r) > tol:
                     run.append(PhasePoint(wall.wall_id, r_edge, p_edge))
@@ -339,7 +280,7 @@ def _trace_probe(table, wall, probe, resolution, origin, out):
         _emit_run(-1, run, origin, out)
 
 
-def _trace_level_minus_one(table, resolution, strips, horizon):
+def _trace_level_minus_one(table, resolution, horizon):
     out = []
     shifts = _shifts(table, horizon)
     for wall in table.walls:
@@ -353,10 +294,6 @@ def _trace_level_minus_one(table, resolution, strips, horizon):
                     probe = _graze_phi(table, wall, shift, other, side)
                     _trace_probe(table, wall, probe, resolution,
                                  "grazing-preimage", out)
-                    for k in strips:
-                        sprobe = _strip_phi(table, wall, shift, other, side, k)
-                        _trace_probe(table, wall, sprobe, resolution,
-                                     "strip-boundary", out)
     return out
 
 
@@ -375,12 +312,11 @@ def _pull_back(table, curve):
 
     def image_of(z):
         try:
-            res = inverse(table, z)
+            im = inverse(table, z).smooth
         except BilliardError:
             return None
-        if len(res.images) != 1 or res.images[0].grazing:
+        if im is None:
             return None
-        im = res.images[0]
         return (im.point.wall_id, im.branch), im.point
 
     prev = None
@@ -392,18 +328,17 @@ def _pull_back(table, curve):
             continue
         new_sig, pt = got
         if sig is not None and new_sig != sig and prev is not None:
-            lo, hi = 0.0, 1.0
-
             def lerp(t):
                 return PhasePoint(z.wall_id, prev.r + t * (z.r - prev.r),
                                   prev.phi + t * (z.phi - prev.phi))
 
-            for _ in range(48):
-                g = image_of(lerp(0.5 * (lo + hi)))
-                if g is not None and g[0] == sig:
-                    lo = 0.5 * (lo + hi)
-                else:
-                    hi = 0.5 * (lo + hi)
+            def same_branch(t):
+                g = image_of(lerp(t))
+                return g is not None and g[0] == sig
+
+            # 48 halvings of [0, 1]: the ends stay dyadic, so the gap is
+            # exactly 2**-48 when the search stops
+            lo, hi = bisect_edge(same_branch, 0.0, 1.0, 2.0 ** -48)
             edge = image_of(lerp(lo))
             if edge is not None:
                 run.append(edge[1])
@@ -417,25 +352,23 @@ def _pull_back(table, curve):
     return out
 
 
-def trace_singularity(table: BilliardTable, level: int, resolution: int = 400,
-                      strips=()):
+def trace_singularity(table: BilliardTable, level: int, resolution: int = 400):
     """Trace the level-l singularity curves as per-wall polylines.
 
-    `strips` adds the listed homogeneity-strip boundaries to the level-0 set.
     On the torus the periodic copies are enumerated up to the table's
     certified free-path bound, capped at 8.
     """
     if abs(level) > LEVEL_CAP:
         raise ValueError(f"|level| capped at {LEVEL_CAP}, got {level}")
     if level == 0:
-        return _s0_curves(table, resolution, strips)
+        return _s0_curves(table, resolution)
     if level > 0:
         return [_involution_of(c)
-                for c in trace_singularity(table, -level, resolution, strips)]
+                for c in trace_singularity(table, -level, resolution)]
     horizon = 8.0
     if table.constants is not None and table.constants.tau_max:
         horizon = min(horizon, table.constants.tau_max)
-    curves = _trace_level_minus_one(table, resolution, strips, horizon)
+    curves = _trace_level_minus_one(table, resolution, horizon)
     for _ in range(-level - 1):
         nxt = []
         for c in curves:
@@ -472,9 +405,9 @@ def _front_back_bit(table, z, im) -> str:
     wall before landing; the artificial front/back split."""
     ray = outgoing_ray(table, z)
     p1 = ray.at(im.tau)
-    p_chart, _, _ = boundary_point(table, im.point.wall_id, im.point.r)
-    sx, sy = p_chart[0] - p1[0], p_chart[1] - p1[1]
     wall = table.wall(im.point.wall_id)
+    p_chart, _, _ = wall.chart_frame(im.point.r)
+    sx, sy = p_chart[0] - p1[0], p_chart[1] - p1[1]
     for cid, flip in ((table.corner_at_start[wall.wall_id], False),
                       (table.corner_at_end[wall.wall_id], True)):
         if cid is None:
@@ -898,7 +831,7 @@ def find_multiple_points(table: BilliardTable, resolution: int = 300):
     """
     curves = [c for c in trace_singularity(table, -1, resolution)
               if not c.fragment]
-    curves += [c for c in _s0_curves(table, 16, ())
+    curves += [c for c in _s0_curves(table, 16)
                if c.origin == "corner-preimage"]
     by_wall = {}
     for c in curves:

@@ -33,12 +33,15 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import polygamma
 
-from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, expansion_factor,
-                   forward, interior_slope, random_phase_point, strip_index,
-                   unstable_cone_at)
+from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
+                   certify_expansion_constant, certify_hyperbolicity,
+                   expansion_factor, forward, interior_slope,
+                   random_phase_point, strip_index, unstable_cone_at)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN, SingularInput,
                      SingularSeed)
 from .geometry import BilliardTable
+from .singularities import (find_multiple_points, fit_complexity_slope,
+                            regular_complexity, trace_singularity)
 
 K_CAP = 10_000         # deepest strip resolved one by one before the tail
 N_CAP = 12
@@ -262,13 +265,10 @@ class HComponent:
 def _probe(table, arc, s):
     """(signature, image) at parameter s, or (None, None) on a cut sample."""
     try:
-        res = forward(table, arc.at(s))
+        im = forward(table, arc.at(s)).smooth
     except BilliardError:
         return None, None
-    if len(res.images) != 1:
-        return None, None
-    im = res.images[0]
-    if im.grazing or im.derivative is None:
+    if im is None:
         return None, None
     return (im.point.wall_id, im.branch), im
 
@@ -281,18 +281,6 @@ def _probe_at(table, arc, s):
     if hit is None:
         hit = arc.memo[s] = _probe(table, arc, s)
     return hit
-
-
-def _bisect_sig(table, arc, s_true, s_false, sig_true):
-    # direction-free: keeps sig(s_true) == sig_true, shrinks toward the cut
-    while abs(s_false - s_true) > CUT_TOL:
-        mid = 0.5 * (s_true + s_false)
-        sig, _ = _probe(table, arc, mid)
-        if sig == sig_true:
-            s_true = mid
-        else:
-            s_false = mid
-    return 0.5 * (s_true + s_false)
 
 
 def _grid_for(total):
@@ -319,14 +307,14 @@ def _primary_segments(table, arc, n_s):
     cuts = []
     for left, right in zip(runs, runs[1:]):
         sa, sb = ss[left[1]], ss[right[0]]
-        if left[2] is not None:
-            cuts.append(_bisect_sig(table, arc, sa, sb, left[2]))
-        elif right[2] is not None:
+        sig = left[2]
+        if sig is None:
             # approach the valid side from the cut sample
-            c = _bisect_sig(table, arc, sb, sa, right[2])
-            cuts.append(c)
-        else:
-            cuts.append(0.5 * (sa + sb))
+            sa, sb, sig = sb, sa, right[2]
+        if sig is not None:
+            sa, sb = bisect_edge(
+                lambda s: _probe(table, arc, s)[0] == sig, sa, sb, CUT_TOL)
+        cuts.append(0.5 * (sa + sb))
     edges = [0.0] + cuts + [1.0]
     segments = []
     for lo, hi in zip(edges, edges[1:]):
@@ -345,7 +333,7 @@ def _primary_segments(table, arc, n_s):
 
 
 def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0):
-    """Resolve strip-boundary crossings between two parameters.
+    """Resolve the crossings of strip boundaries between two parameters.
 
     u is monotone from u_shallow down to u_deep as the parameter moves from
     shallow_s toward deep_s.  Returns (cut params ordered shallow->deep,
@@ -782,8 +770,6 @@ class FittedConstants:
 def _graze_anchors(table: BilliardTable):
     """Interior nodes of the one-step tangency preimage curves, about 8 per
     branch."""
-    from .singularities import trace_singularity
-
     anchors = []
     for c in trace_singularity(table, -1, resolution=200):
         if c.origin != "grazing-preimage" or len(c.nodes) < 8:
@@ -849,9 +835,6 @@ def fit_constants(table: BilliardTable, seed: int, *,
     two centers: the first two multiple points, or two random points on a
     table without corners.
     """
-    from .bmap import certify_expansion_constant, certify_hyperbolicity
-    from . import singularities as _sing
-
     c_exp, _ = certify_expansion_constant(table, expansion_samples, seed)
     c_hyp, lam, _resid, _mins = certify_hyperbolicity(
         table, hyper_samples, seed, n_max=10)
@@ -859,7 +842,7 @@ def fit_constants(table: BilliardTable, seed: int, *,
 
     centers = []
     if table.corners:
-        pts = _sing.find_multiple_points(table, resolution=200)
+        pts = find_multiple_points(table, resolution=200)
         centers = [PhasePoint(p.wall_id, p.r, p.phi) for p in pts[:2]]
     if not centers:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC3]))
@@ -868,11 +851,11 @@ def fit_constants(table: BilliardTable, seed: int, *,
     for z in centers:
         for n in (1, 2, 3):
             try:
-                records.append(_sing.regular_complexity(table, z, n, k0))
+                records.append(regular_complexity(table, z, n, k0))
             except BilliardError:
                 continue
     if records:
-        xi = _sing.fit_complexity_slope(records)
+        xi = fit_complexity_slope(records)
         k_hat = max(r.k_hat for r in records)
     else:
         xi, k_hat = 1.0, 1

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 
@@ -58,6 +59,12 @@ def test_usage_errors(capsys):
                    "--n", n) == 1
     assert run("expansion", "--table", "tri", "--seed", "1",
                "--N", "13") == 1
+    for level in ("7", "-7"):    # |level| capped at singularities.LEVEL_CAP
+        assert run("singularities", "--table", "tri", "--level", level) == 1
+    assert run("singularities", "--table", "tri", "--resolution", "1") == 1
+    assert run("orbit", "--table", "tri", "--r", "0.5", "--phi", "0.1",
+               "--n", "-3") == 1
+    assert list(pathlib.Path().iterdir()) == []
     # the strip cap is fixed, neither a flag nor a config key
     capsys.readouterr()
     assert run("expansion", "--table", "tri", "--seed", "1",
@@ -259,6 +266,31 @@ def test_format_table(tmp_path, capsys):
     assert (tmp_path / "orbit.svg").read_text().startswith("<svg ")
 
 
+@pytest.mark.parametrize("kind,table,name,text", [
+    ("phase", None, "in.csv", "wall_id,r,phi,k\n0,0.5\n"),
+    ("phase", None, "in.csv", "wall_id,r,phi,k\n0,abc,0.1,1\n"),
+    ("phase", "tri", "in.csv", "wall_id,r,phi,k\n7,0.5,0.1,1\n"),
+    ("table", "tri", "in.csv", "wall_id,r,phi,tau\n7,0.5,0.1,1\n"),
+    ("table", "tri", "in.csv", "wall_id,r,phi,tau\n0,0.5,0.1,nan\n"),
+    ("table", "tri", "in.csv", "wall_id,r,phi,tau\n0,0.5,2.0,1\n"),
+    ("portrait", None, "in.json", '{"sectors": 5}'),
+    ("portrait", None, "in.json", '{"sectors": [{"theta_lo": "x"}]}'),
+    ("portrait", None, "in.json",
+     '{"sectors": [{"theta_lo": 0, "theta_hi": 1}]}'),
+], ids=["short-row", "text-cell", "phase-wall-id", "table-wall-id",
+        "tau-nan", "phi-off-table", "sectors-number", "theta-text",
+        "active-missing"])
+def test_render_refuses_malformed_input(tmp_path, capsys, kind, table, name,
+                                        text):
+    (tmp_path / name).write_text(text)
+    argv = ["render", "--kind", kind, "--input", name, "--out", "o.svg"]
+    if table is not None:
+        argv += ["--table", table]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("billexp: ")
+    assert not (tmp_path / "o.svg").exists()
+
+
 def test_render_unknown_kind(capsys):
     assert run("render", "--kind", "hologram", "--table", "tri") == 2
     assert "UnknownKind" in capsys.readouterr().err
@@ -375,6 +407,10 @@ def _check_artifact(path):
     text = path.read_text()
     if path.suffix == ".json":
         json.loads(text, parse_constant=_refuse_constant)
+    elif path.suffix == ".svg":
+        for element in ET.fromstring(text).iter():
+            for val in element.attrib.values():
+                assert not re.search("nan|inf", val, re.IGNORECASE), val
     else:
         lines = text.splitlines()
         width = len(lines[0].split(","))
@@ -432,7 +468,8 @@ _WRONG_TYPE = st.one_of(st.text(max_size=4), st.booleans(),
 _SAMPLES = st.one_of(st.integers(max_value=25), st.floats())
 _VALUES = {"wall": _NUMBER, "r": _NUMBER, "phi": _NUMBER, "rho": _NUMBER,
            "length": _NUMBER, "delta": _NUMBER, "k0": _NUMBER,
-           "samples": _SAMPLES}
+           "samples": _SAMPLES, "level": st.integers(-8, 8),
+           "resolution": _SAMPLES}
 _CONTRACT_RUNS = {
     "orbit": (("orbit", *_PT, "--n", "3"), ("wall", "r", "phi"), ".csv"),
     "evolve": (("evolve", *_PT, "--n", "1"),
@@ -444,6 +481,8 @@ _CONTRACT_RUNS = {
                     ("delta", "k0", "samples"), ".json"),
     "expansion": (("expansion", "--samples", "2", "--N", "1", "--seed", "1"),
                   ("delta", "k0", "samples"), ".json"),
+    "singularities": (("singularities", "--resolution", "12"),
+                      ("level", "resolution", "k0"), ".csv"),
 }
 
 
@@ -472,6 +511,9 @@ def _invocations(draw):
 @example(("orbit", {"wall": -1}, {}))
 @example(("validate", {}, {"samples": "10"}))
 @example(("evolve", {}, {"k0": 2.5}))
+@example(("singularities", {"level": 7}, {}))
+@example(("singularities", {"level": -7}, {}))
+@example(("singularities", {"resolution": 1}, {}))
 def test_cli_exit_codes_and_artifacts(invocation):
     cmd, flags, config = invocation
     base, _, suffix = _CONTRACT_RUNS[cmd]
@@ -558,3 +600,99 @@ def test_table_spec_builds_or_is_refused(spec):
         assert code in ((0, 2) if built else (2,))
         if code == 0:
             _check_artifact(pathlib.Path(d) / "v.json")
+
+
+# ---------------------------------------------------------------------------
+# generated render inputs
+
+@st.composite
+def _or_odd(draw, valid):
+    # the valid value three times in four, else an odd or wrong-typed one
+    return draw(_ODD if draw(st.integers(0, 3)) == 0 else valid)
+
+
+_CELL = st.one_of(
+    st.sampled_from(["7", "-1", "2.0", "nan", "inf", "-inf", "1e300", "",
+                     "abc"]),
+    st.floats().map(repr), st.integers(-10, 10).map(str),
+    st.text(max_size=4).filter(lambda t: "," not in t))
+# cells of a row that tri accepts, by column
+_GOOD_CELL = {"wall_id": st.integers(0, 2), "r": st.floats(0.0, 2.0),
+              "phi": st.floats(-1.5, 1.5), "tau": st.floats(0.0, 2.0),
+              "k": st.integers(-3, 3)}
+_CSV_COLUMNS = {"table": ("wall_id", "r", "phi", "tau"),
+                "phase": ("wall_id", "r", "phi", "k")}
+
+
+@st.composite
+def _csv_row(draw, columns):
+    """A row of good cells with up to two replaced by odd ones, or a row of
+    odd cells whose width may differ from the header's."""
+    if draw(st.booleans()):
+        return draw(st.lists(_CELL, min_size=3, max_size=5))
+    row = [repr(draw(_GOOD_CELL[c])) for c in columns]
+    for i in draw(st.lists(st.integers(0, len(row) - 1), max_size=2)):
+        row[i] = draw(_CELL)
+    return row
+
+
+_PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                     max_size=4)
+
+
+@st.composite
+def _sectors(draw):
+    sec = {"theta_lo": draw(_or_odd(st.floats(-7.0, 7.0))),
+           "theta_hi": draw(_or_odd(st.floats(-7.0, 7.0))),
+           "active": draw(_or_odd(st.booleans())),
+           "type": draw(_or_odd(st.sampled_from(["A", "B", None]))),
+           "itinerary": draw(_or_odd(st.lists(
+               _PRINTABLE | st.text(max_size=4), max_size=2)))}
+    if draw(st.integers(0, 3)) == 0:
+        del sec[draw(st.sampled_from(sorted(sec)))]
+    return sec
+
+
+@st.composite
+def _render_inputs(draw):
+    """(kind, table, input name, input text): a table or phase CSV with odd
+    cells and short or long rows, or a portrait document with odd or
+    wrong-typed fields."""
+    kind = draw(st.sampled_from(["table", "phase", "portrait"]))
+    table = "tri" if kind == "table" else draw(st.sampled_from([None, "tri"]))
+    if kind == "portrait":
+        doc = {"center": draw(_or_odd(st.just({"wall_id": 0, "r": 0.5,
+                                               "phi": 0.1}))),
+               "rho_hat": draw(_or_odd(st.floats(0.0, 1.0))), "order": 1,
+               "k0": 30,
+               "sectors": draw(_or_odd(st.lists(_sectors(), max_size=3)))}
+        return kind, table, "in.json", json.dumps(doc)
+    columns = _CSV_COLUMNS[kind]
+    rows = draw(st.lists(_csv_row(columns), max_size=3))
+    lines = [",".join(columns)] + [",".join(r) for r in rows]
+    return kind, table, "in.csv", "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_render_inputs())
+@example(("table", "tri", "in.csv", "wall_id,r,phi,tau\n0,0.5,0.1,1\n"))
+@example(("phase", None, "in.csv", "wall_id,r,phi,k\n-1,-1e300,0.1,1\n"))
+@example(("portrait", None, "in.json", json.dumps(
+    {"sectors": [{"theta_lo": 0, "theta_hi": 1, "active": True,
+                  "itinerary": ["<&>"]}]})))
+def test_render_writes_svg_or_refuses(render_input):
+    kind, table, name, text = render_input
+    with tempfile.TemporaryDirectory() as d:
+        d = pathlib.Path(d)
+        (d / name).write_text(text)
+        argv = ["render", "--kind", kind, "--input", str(d / name),
+                "--out", str(d / "o.svg")]
+        if table is not None:
+            argv += ["--table", table]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+        assert code in (0, 2)
+        assert (d / "o.svg").exists() == (code == 0)
+        if code == 0:
+            _check_artifact(d / "o.svg")

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from billexp import geometry
 from billexp.bmap import PhasePoint, forward, outgoing_ray
 from billexp.errors import EscapedDomain, SectorBoundary
 from billexp.flow import Ray, classify_collision, first_collision, reflect
@@ -277,7 +276,7 @@ def rattle_exit(table, ray, center, radius=0.05, cap=12):
         if math.hypot(out.point[0] - center[0],
                       out.point[1] - center[1]) > radius:
             return ray.direction
-        _, n, _ = geometry.boundary_point(table, out.wall_id, out.r)
+        _, n, _ = table.walls[out.wall_id].chart_frame(out.r)
         ray = Ray(out.point, reflect(ray.direction, n))
     raise AssertionError("orbit stuck near the corner")
 

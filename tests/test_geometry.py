@@ -14,7 +14,7 @@ from billexp.errors import (
     UnboundedHorizon,
     ValidationError,
 )
-from billexp.geometry import build_table, boundary_point
+from billexp.geometry import build_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,12 +37,12 @@ def rotate_spec(spec, ang, shift):
 # ---------------------------------------------------------------------------
 # arc parameterization
 
-def test_boundary_point_basic(circle_oracle):
-    p, n, t = boundary_point(circle_oracle, 0, 0.0)
+def test_chart_frame_basic(circle_oracle):
+    p, n, t = circle_oracle.walls[0].chart_frame(0.0)
     assert np.allclose(p, [1.0, 0.0], atol=1e-15)
     # focusing circle: interior is the disk, normal points at the center
     assert np.allclose(n, [-1.0, 0.0], atol=1e-15)
-    p2, _, _ = boundary_point(circle_oracle, 0, circle_oracle.walls[0].length)
+    p2, _, _ = circle_oracle.walls[0].chart_frame(circle_oracle.walls[0].length)
     assert np.allclose(p, p2, atol=1e-12)
 
 
@@ -51,7 +51,7 @@ def test_frames_orthonormal_on_arc(tri):
     for _ in range(300):
         w = tri.walls[rng.integers(len(tri.walls))]
         r = rng.random() * w.length
-        p, n, t = boundary_point(tri, w.wall_id, r)
+        p, n, t = map(np.array, w.chart_frame(r))
         assert abs(np.dot(n, n) - 1) < 1e-12
         assert abs(np.dot(t, t) - 1) < 1e-12
         assert abs(np.dot(n, t)) < 1e-12
@@ -60,9 +60,9 @@ def test_frames_orthonormal_on_arc(tri):
 
 def test_out_of_range(tri):
     with pytest.raises(OutOfRange):
-        boundary_point(tri, 0, tri.walls[0].length + 1.0)
+        tri.walls[0].chart_frame(tri.walls[0].length + 1.0)
     with pytest.raises(OutOfRange):
-        boundary_point(tri, 0, -0.5)
+        tri.walls[0].chart_frame(-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_tri_gamma_symbolic_oracle(tri):
 def test_tri_midpoint_normal_hits_opposite_vertex(tri):
     A = np.array([0.0, math.sqrt(3.0)])
     w = tri.walls[0]
-    p, n, _ = boundary_point(tri, 0, w.length / 2)
+    p, n, _ = map(np.array, w.chart_frame(w.length / 2))
     d = A - p
     assert abs(d[0] * n[1] - d[1] * n[0]) < 1e-12    # collinear
     assert np.dot(d, n) > 0                          # and on the inward side

@@ -21,7 +21,6 @@ from billexp.bmap import (
 )
 from billexp.errors import BilliardError, SingularInput
 from billexp.flow import Ray, first_collision
-from billexp.geometry import boundary_point
 
 TWO_PI = 2.0 * math.pi
 
@@ -416,10 +415,10 @@ def _aimed_points(table, rng, count):
         r = float(rng.uniform(0.0, w.length))
         if table.corners and rng.random() < 0.5:
             c = table.corners[int(rng.integers(len(table.corners)))]
-            p, n, t = boundary_point(table, w.wall_id, r)
+            p, n, t = w.chart_frame(r)
             dx, dy = c.position[0] - p[0], c.position[1] - p[1]
         else:
-            q, _n, t = boundary_point(table, w.wall_id, r)
+            q, _n, t = w.chart_frame(r)
             sign = 1.0 if rng.random() < 0.5 else -1.0
             dx, dy = sign * t[0], sign * t[1]
             try:
@@ -427,7 +426,7 @@ def _aimed_points(table, rng, count):
             except BilliardError:
                 continue
             w, r = table.walls[hit.wall_id], hit.r
-            p, n, t = boundary_point(table, w.wall_id, r)
+            p, n, t = w.chart_frame(r)
         phi = math.atan2(dx * t[0] + dy * t[1], dx * n[0] + dy * n[1])
         if abs(phi) < HALF_PI:
             out.append(PhasePoint(w.wall_id, float(r), float(phi)))

@@ -35,14 +35,6 @@ def test_level0_inventory(tri):
         rs = {p.r for p in c.nodes}
         assert len(rs) == 1
 
-def test_level0_strip_lines(tri):
-    curves = S.trace_singularity(tri, 0, resolution=20, strips=(30,))
-    strips = [c for c in curves if c.origin == "strip-boundary"]
-    assert len(strips) == 2 * len(tri.walls)
-    for c in strips:
-        assert all(abs(abs(p.phi) - (HALF_PI - 1.0 / 900.0)) < 1e-15
-                   for p in c.nodes)
-
 
 def test_level_cap(tri):
     with pytest.raises(ValueError):
@@ -259,37 +251,3 @@ def test_portrait_json_shape(tri):
         assert set(s) == {"theta_lo", "theta_hi", "itinerary", "regular",
                           "active", "type"}
         assert isinstance(s["itinerary"], list)
-
-
-# ---------------------------------------------------------------------------
-# strip-boundary preimages
-
-def test_strip_preimages_hug_graze_curves(tri):
-    curves = S.trace_singularity(tri, -1, resolution=120, strips=(30,))
-    strips = [c for c in curves if c.origin == "strip-boundary"
-              and not c.fragment]
-    grazes = [c for c in curves if c.origin == "grazing-preimage"
-              and not c.fragment]
-    assert len(strips) == len(grazes) == 6
-    assert all(c.monotone_ok() for c in strips)
-    def graze_phi_at(mates, r):
-        for g in mates:
-            for a, b in zip(g.nodes, g.nodes[1:]):
-                lo, hi = sorted((a.r, b.r))
-                if lo <= r <= hi and hi > lo:
-                    t = (r - a.r) / (b.r - a.r)
-                    return a.phi + t * (b.phi - a.phi)
-        return None
-
-    for sc in strips:
-        mates = [g for g in grazes if g.wall_id == sc.wall_id]
-        probed = 0
-        for p in sc.nodes[2:-2:max(1, len(sc.nodes) // 4)]:
-            gphi = graze_phi_at(mates, p.r)
-            if gphi is None:
-                continue
-            probed += 1
-            # strictly inside the grazing curve, by a hair
-            assert abs(gphi) > abs(p.phi)
-            assert abs(gphi) - abs(p.phi) < 5e-5
-        assert probed >= 2
