@@ -9,14 +9,14 @@ strip cutoff k0.
 
 from billexp import load_builtin, one_step_grazing_sum, seed_ucurve
 from billexp.bmap import PhasePoint
-from billexp.ucurves import _graze_anchors, evolve_one_step
+from billexp.ucurves import evolve_one_step, graze_anchors
 
 DELTA = 1e-4
 
 
 def main():
     table = load_builtin("tri")
-    anchor = _graze_anchors(table)[0]
+    anchor = graze_anchors(table)[0]
     z = PhasePoint(anchor.wall_id, anchor.r, anchor.phi)
     W = seed_ucurve(table, z, DELTA)
     print(f"seed curve: wall {z.wall_id}, r {z.r:.6f}, phi {z.phi:.6f}, "

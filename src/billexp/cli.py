@@ -582,11 +582,19 @@ def _read_csv_rows(path, columns):
     return rows
 
 
-def _check_walls(table, rows):
-    for row in rows:
-        if not 0 <= row[0] < len(table.walls):
-            raise OutOfRange(f"wall_id {row[0]}: the table has walls "
+def _check_points(table, rows):
+    """Refuse a (wall_id, r, phi, ...) row with phi outside [-pi/2, pi/2]
+    or, given a table, off the chart of one of its walls (open walls refuse
+    r off [0, L]; closed walls wrap)."""
+    for wall_id, r, phi, *_ in rows:
+        if abs(phi) > HALF_PI:
+            raise OutOfRange(f"phi {phi} outside [-pi/2, pi/2]")
+        if table is None:
+            continue
+        if not 0 <= wall_id < len(table.walls):
+            raise OutOfRange(f"wall_id {wall_id}: the table has walls "
                              f"0..{len(table.walls) - 1}")
+        table.wall(wall_id).chart_frame(r)
 
 
 def _read_portrait(path) -> dict:
@@ -634,21 +642,18 @@ def _cmd_render(opts) -> int:
         if opts["input"]:
             rows = _read_csv_rows(opts["input"],
                                   ("wall_id", "r", "phi", "tau"))
-            _check_walls(table, rows)
+            _check_points(table, rows)
             # a flight is no longer than the certified free path, up to
             # rounding
             tau_max = table.constants.tau_max * (1.0 + 1e-9)
-            for _, _, phi, tau in rows:
-                if abs(phi) > HALF_PI:
-                    raise OutOfRange(f"phi {phi} outside [-pi/2, pi/2]")
+            for _, _, _, tau in rows:
                 if not 0.0 <= tau <= tau_max:
                     raise OutOfRange(f"tau {tau} outside [0, {tau_max:g}]")
         svg = table_svg(table, rows)
     elif kind == "phase":
         _require(opts, "input")
         rows = _read_csv_rows(opts["input"], ("wall_id", "r", "phi", "k"))
-        if table is not None:
-            _check_walls(table, rows)
+        _check_points(table, rows)
         svg = phase_svg(rows, table, opts["k0"])
     elif kind == "portrait":
         _require(opts, "input")

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import EscapedDomain, SectorBoundary
-from .geometry import EPS_CORNER, TWO_PI, BilliardTable, Corner
+from .geometry import (EPS_CORNER, TWO_PI, BilliardTable, Corner,
+                       corner_angle)
 
 EPS_TAN = 1e-9       # rad; tangency / sector-boundary tolerance
 TAU_FLOOR = 1e-12    # departure exclusion window for root acceptance
@@ -160,10 +161,6 @@ def first_collision(table: BilliardTable, ray: Ray) -> CollisionOutcome:
 # ---------------------------------------------------------------------------
 # corner classification
 
-def _cw_from(a, d) -> float:
-    return (math.atan2(a[1], a[0]) - math.atan2(d[1], d[0])) % TWO_PI
-
-
 def classify_collision(corner: Corner, incoming) -> str:
     """'proper' when the incoming velocity lies in the open external sector.
 
@@ -171,8 +168,7 @@ def classify_collision(corner: Corner, incoming) -> str:
     angle gamma; arrivals within EPS_TAN of either boundary raise
     SectorBoundary so the caller can pick the branch set explicitly.
     """
-    neg_wm = (-corner.w_minus[0], -corner.w_minus[1])
-    alpha = _cw_from(neg_wm, incoming)
+    alpha = corner_angle(corner.w_minus, incoming)
     g = corner.gamma
     if alpha <= EPS_TAN or alpha >= TWO_PI - EPS_TAN or abs(alpha - g) <= EPS_TAN:
         raise SectorBoundary(

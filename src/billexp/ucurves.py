@@ -234,7 +234,6 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
 @dataclass(frozen=True)
 class HComponent:
     curve: UCurve
-    generation: int
     itinerary: tuple[tuple[int, str, int], ...]
     min_expansion: float            # certified: product of per-step node minima
     min_expansion_sampled: float    # node-wise chained derivative minimum
@@ -389,11 +388,11 @@ def _secondary_pieces(table, arc, seg, k0):
     _, im_lo = _probe_at(table, arc, lo + inset)
     _, im_hi = _probe_at(table, arc, hi - inset)
     if im_lo is None or im_hi is None:
-        return [(lo, hi, sig, "strip")]
+        return [(lo, hi, sig, 0)]
     u_lo, u_hi = _u_of(im_lo), _u_of(im_hi)
     h0 = 1.0 / (k0 * k0)
 
-    pieces = []   # (s_a, s_b, sig, kind) with kind "strip" or ("tail", m)
+    pieces = []   # (s_a, s_b, sig, tail_from), tail_from 0 on a strip piece
     crossing = im_lo.point.phi * im_hi.point.phi < 0.0
     if crossing:
         def phi_at(t):
@@ -434,7 +433,7 @@ def _secondary_pieces(table, arc, seg, k0):
             continue
         m = next((mm for (ta, tb), mm in tail_spans.items()
                   if a >= ta - CUT_TOL and b <= tb + CUT_TOL), 0)
-        pieces.append((a, b, sig, ("tail", m) if m else "strip"))
+        pieces.append((a, b, sig, m))
     return pieces
 
 
@@ -469,103 +468,91 @@ def _refine_params(table, arc, base):
             for s, f in zip(params, factors) if f is not None]
 
 
-def _build_component(table, arc, piece, k0, generation, itinerary_prefix,
-                     lam_prefix, parent, birth, mid_prefix=()):
-    s_lo, s_hi, sig, kind = piece
-    w = s_hi - s_lo
-    inset = max(1e-15, 1e-6 * w)
-    rows = _refine_params(table, arc,
-                          [s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset])
-    if len(rows) < 2:
-        return None
-    step_min = min(f for _, f, _ in rows)
-    pts = [im.point for _, _, im in rows]
-    params = [arc.root_param(s) for s, _, _ in rows]
-    growth = [arc.growth_at(s) * f for s, f, _ in rows]
-    # image of an increasing curve is traversed backwards
-    try:
-        curve = make_ucurve(pts[0].wall_id, pts[::-1], None, params[::-1],
-                            growth[::-1])
-    except ValueError:
-        return None
-    mid_im = rows[len(rows) // 2][2]
-    k = strip_index(mid_im.point.phi, k0)
-    wid, branch = sig
+def _root(W):
+    """The depth-0 H-component: W itself, with no itinerary and expansion 1."""
+    return HComponent(curve=W, itinerary=(), min_expansion=1.0,
+                      min_expansion_sampled=1.0, source_interval=(0.0, 1.0),
+                      parent=None, birth=0)
+
+
+def _child(table, arc, piece, parent, birth, k0, c_expansion):
+    """The H-component of parent's image over one piece, or None when the
+    piece's valid probes cannot carry a curve.
+
+    A strip's certified expansion is the parent's times the step's node
+    minimum.  A tail lumps the strips k >= |tail_from| that the ladder left
+    unresolved into a curve through three raw probes; their 1/expansion sum
+    is at most polygamma(1, m) / C, C the local expansion constant.
+    """
+    s_lo, s_hi, (wid, branch), tail_from = piece
+    lam = parent.min_expansion
+    if tail_from:
+        c_loc = _local_expansion_constant(table, arc, piece, c_expansion)
+        m = abs(tail_from)
+        inset = max(1e-15, 1e-3 * (s_hi - s_lo))
+        rows = []
+        for s in (s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset):
+            _, im = _probe_at(table, arc, s)
+            if im is not None:
+                rows.append((s, im))
+        if not rows:
+            return None
+        pts = [im.point for _, im in rows]
+        params = [arc.root_param(s) for s, _ in rows]
+        try:
+            curve = make_ucurve(pts[0].wall_id, pts[::-1], None, params[::-1])
+        except ValueError:
+            # fewer than two monotone probes: a stub at the first one
+            p = pts[0]
+            curve = make_ucurve(p.wall_id, [p, PhasePoint(
+                p.wall_id, p.r + 1e-15, p.phi + 1e-15)])
+        lam_min = lam_sampled = lam * c_loc * m * m
+        tail_inv = float(polygamma(1, m)) / c_loc / lam
+    else:
+        inset = max(1e-15, 1e-6 * (s_hi - s_lo))
+        rows = _refine_params(
+            table, arc, [s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset])
+        if len(rows) < 2:
+            return None
+        pts = [im.point for _, _, im in rows]
+        params = [arc.root_param(s) for s, _, _ in rows]
+        growth = [arc.growth_at(s) * f for s, f, _ in rows]
+        # image of an increasing curve is traversed backwards
+        try:
+            curve = make_ucurve(pts[0].wall_id, pts[::-1], None,
+                                params[::-1], growth[::-1])
+        except ValueError:
+            return None
+        lam_min = lam * min(f for _, f, _ in rows)
+        lam_sampled = min(growth)
+        tail_inv = 0.0
+    mid = pts[len(pts) // 2]
     ra, rb = arc.root_param(s_lo), arc.root_param(s_hi)
-    interval = (min(ra, rb), max(ra, rb))
     return HComponent(
-        curve=curve, generation=generation,
-        itinerary=itinerary_prefix + ((wid, branch, k),),
-        min_expansion=lam_prefix * step_min,
-        min_expansion_sampled=min(growth),
-        source_interval=interval, parent=parent, birth=birth,
-        mid_phis=mid_prefix + (mid_im.point.phi,))
+        curve=curve,
+        itinerary=parent.itinerary
+        + ((wid, branch, tail_from or strip_index(mid.phi, k0)),),
+        min_expansion=lam_min, min_expansion_sampled=lam_sampled,
+        source_interval=(min(ra, rb), max(ra, rb)), parent=parent.birth,
+        birth=birth, mid_phis=parent.mid_phis + (mid.phi,),
+        tail=tail_from != 0, tail_inv=tail_inv, tail_from=tail_from)
 
 
-def _tail_component(table, arc, piece, c_loc, generation, itinerary_prefix,
-                    lam_prefix, parent, birth, mid_prefix=()):
-    s_lo, s_hi, sig, kind = piece
-    m = abs(kind[1])
-    side = 1 if kind[1] >= 0 else -1
-    inset = max(1e-15, 1e-3 * (s_hi - s_lo))
-    rows = []
-    for s in (s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset):
-        _, im = _probe_at(table, arc, s)
-        if im is not None:
-            rows.append((s, im))
-    if not rows:
-        return None
-    pts = [im.point for _, im in rows]
-    if len(pts) == 1:
-        p = pts[0]
-        pts = [p, PhasePoint(p.wall_id, p.r + 1e-15, p.phi + 1e-15)]
-        rows = rows + rows
-    params = [arc.root_param(s) for s, _ in rows]
-    try:
-        curve = make_ucurve(pts[0].wall_id, pts[::-1], None, params[::-1])
-    except ValueError:
-        curve = make_ucurve(pts[0].wall_id,
-                            [pts[0], PhasePoint(pts[0].wall_id,
-                                                pts[0].r + 1e-15,
-                                                pts[0].phi + 1e-15)])
-    wid, branch = sig
-    ra, rb = arc.root_param(s_lo), arc.root_param(s_hi)
-    interval = (min(ra, rb), max(ra, rb))
-    tail_inv = float(polygamma(1, m)) / c_loc
-    return HComponent(
-        curve=curve, generation=generation,
-        itinerary=itinerary_prefix + ((wid, branch, side * m),),
-        min_expansion=lam_prefix * c_loc * m * m,
-        min_expansion_sampled=lam_prefix * c_loc * m * m,
-        source_interval=interval, parent=parent, birth=birth,
-        mid_phis=mid_prefix + (rows[len(rows) // 2][1].point.phi,),
-        tail=True, tail_inv=tail_inv / lam_prefix, tail_from=side * m)
-
-
-def _one_step(table, W, k0, c_expansion, generation=1,
-              itinerary_prefix=(), lam_prefix=1.0, parent=None, birth0=0,
-              mid_prefix=()):
-    arc = _Arc(W)
+def _one_step(table, parent, k0, c_expansion, birth):
+    """(children, degenerate pieces merged) of parent's one-step image; the
+    children are numbered from birth."""
+    arc = _Arc(parent.curve)
     segments = _primary_segments(table, arc, _grid_for(arc.total))
     pieces = []
     for seg in segments:
         pieces.extend(_secondary_pieces(table, arc, seg, k0))
     comps, degenerate = [], 0
-    birth = birth0
     pending = None    # degenerate piece interval folded into the next one
     for piece in pieces:
         if pending is not None:
-            piece = (pending[0], piece[1], piece[2], piece[3])
+            piece = (pending[0],) + piece[1:]
             pending = None
-        if piece[3] == "strip":
-            comp = _build_component(table, arc, piece, k0, generation,
-                                    itinerary_prefix, lam_prefix, parent,
-                                    birth, mid_prefix)
-        else:
-            c_loc = _local_expansion_constant(table, arc, piece, c_expansion)
-            comp = _tail_component(table, arc, piece, c_loc, generation,
-                                   itinerary_prefix, lam_prefix, parent,
-                                   birth, mid_prefix)
+        comp = _child(table, arc, piece, parent, birth, k0, c_expansion)
         if comp is None:
             pending = piece
             degenerate += 1
@@ -615,8 +602,7 @@ def _local_expansion_constant(table, arc, piece, c_expansion):
 def evolve_one_step(table: BilliardTable, W: UCurve,
                     k0: int = K0_DEFAULT) -> list[HComponent]:
     """H-components of the image of W: primary cuts, strip cuts, tails."""
-    comps, _ = _one_step(table, W, k0, None)
-    return comps
+    return _one_step(table, _root(W), k0, None, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +649,7 @@ def _grow(table, tree, k0, constants):
     for comp in tree.generations[-1]:
         if comp.tail:
             continue
-        kids, ndeg = _one_step(table, comp.curve, k0, c_exp,
-                               generation=g, itinerary_prefix=comp.itinerary,
-                               lam_prefix=comp.min_expansion,
-                               parent=comp.birth, birth0=birth,
-                               mid_prefix=comp.mid_phis)
+        kids, ndeg = _one_step(table, comp, k0, c_exp, birth)
         tree.degenerate_merged += ndeg
         nxt.extend(kids)
         birth += len(kids)
@@ -690,10 +672,7 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
     """
     if n > N_CAP:
         raise ValueError(f"depth {n} exceeds the cap {N_CAP}")
-    root = HComponent(curve=W, generation=0, itinerary=(),
-                      min_expansion=1.0, min_expansion_sampled=1.0,
-                      source_interval=(0.0, 1.0), parent=None, birth=0)
-    tree = EvolutionTree(root=W, generations=[[root]])
+    tree = EvolutionTree(root=W, generations=[[_root(W)]])
     for _ in range(n):
         _grow(table, tree, k0, constants)
     return tree
@@ -767,7 +746,7 @@ class FittedConstants:
         return cls(**doc)
 
 
-def _graze_anchors(table: BilliardTable):
+def graze_anchors(table: BilliardTable):
     """Interior nodes of the one-step tangency preimage curves, about 8 per
     branch."""
     anchors = []
@@ -799,7 +778,7 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     the same random draws, so the remaining samples are unaffected.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
-    anchors = _graze_anchors(table)
+    anchors = graze_anchors(table)
     best, used = 0.0, 0
     lo, hi = math.log(delta_lo), math.log(delta_hi)
     for i in range(samples):

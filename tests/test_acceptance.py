@@ -352,7 +352,7 @@ def test_11_nearly_grazing_sum_small_and_halved_by_deeper_cutoff(tri):
     # Deterministic curves astride traced grazing preimages exercise the
     # halving claim with content (every sum nonzero, worst case included).
     g30, g60 = [], []
-    anchors = ucurves._graze_anchors(tri)
+    anchors = ucurves.graze_anchors(tri)
     for a in anchors:
         for f in (0.0, 0.1, -0.1):
             z = PhasePoint(a.wall_id, a.r + f * delta, a.phi + f * delta)

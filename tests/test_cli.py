@@ -270,6 +270,10 @@ def test_format_table(tmp_path, capsys):
     ("phase", None, "in.csv", "wall_id,r,phi,k\n0,0.5\n"),
     ("phase", None, "in.csv", "wall_id,r,phi,k\n0,abc,0.1,1\n"),
     ("phase", "tri", "in.csv", "wall_id,r,phi,k\n7,0.5,0.1,1\n"),
+    ("phase", "tri", "in.csv", "wall_id,r,phi,k\n0,5.0,0.1,1\n"),
+    ("phase", "tri", "in.csv", "wall_id,r,phi,k\n0,-3.0,0.1,1\n"),
+    ("phase", "tri", "in.csv", "wall_id,r,phi,k\n0,0.5,1.9,1\n"),
+    ("phase", None, "in.csv", "wall_id,r,phi,k\n0,0.5,1.9,1\n"),
     ("table", "tri", "in.csv", "wall_id,r,phi,tau\n7,0.5,0.1,1\n"),
     ("table", "tri", "in.csv", "wall_id,r,phi,tau\n0,0.5,0.1,nan\n"),
     ("table", "tri", "in.csv", "wall_id,r,phi,tau\n0,0.5,2.0,1\n"),
@@ -277,7 +281,9 @@ def test_format_table(tmp_path, capsys):
     ("portrait", None, "in.json", '{"sectors": [{"theta_lo": "x"}]}'),
     ("portrait", None, "in.json",
      '{"sectors": [{"theta_lo": 0, "theta_hi": 1}]}'),
-], ids=["short-row", "text-cell", "phase-wall-id", "table-wall-id",
+], ids=["short-row", "text-cell", "phase-wall-id", "phase-r-past-end",
+        "phase-r-negative", "phase-phi-off-chart", "phase-phi-no-table",
+        "table-wall-id",
         "tau-nan", "phi-off-table", "sectors-number", "theta-text",
         "active-missing"])
 def test_render_refuses_malformed_input(tmp_path, capsys, kind, table, name,

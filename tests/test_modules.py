@@ -1,4 +1,5 @@
-"""Package structure: billexp modules use only each other's public names."""
+"""Package structure: billexp modules and the demos use only the public names
+of other billexp modules."""
 
 import ast
 import pathlib
@@ -6,6 +7,7 @@ import pathlib
 import billexp
 
 SRC = pathlib.Path(billexp.__file__).parent
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 MODULES = {p.stem for p in SRC.glob("*.py")}
 
 
@@ -49,7 +51,8 @@ def private_uses(path):
 
 
 def test_no_private_cross_imports():
-    bad = {p.name: uses for p in sorted(SRC.glob("*.py"))
+    files = sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+    bad = {f"{p.parent.name}/{p.name}": uses for p in files
            if (uses := private_uses(p))}
     assert bad == {}
 

@@ -259,15 +259,46 @@ def test_rank_bookkeeping(tri, straddle_curve):
             assert c.itinerary[p - 1][2] != 0 or c.tail
 
 
-def test_reevolving_parent_reproduces_children(tri, straddle_curve):
-    tree = U.evolve_n(tri, straddle_curve, 2)
-    parent = next(c for c in tree.generations[1]
-                  if not c.tail and c.regular)
-    redo = U.evolve_one_step(tri, parent.curve)
-    want = [c.itinerary[-1] for c in tree.generations[2]
-            if c.parent == parent.birth]
-    got = [c.itinerary[-1] for c in redo]
-    assert want == got
+def _check_lineage(table, W):
+    """Each depth-2 child of W's tree is its depth-1 parent grown by the
+    matching component of the parent's curve re-evolved one step; returns
+    the number of tail children checked."""
+    tree = U.evolve_n(table, W, 2)
+    assert U.evolve_one_step(table, W) == tree.generations[1]
+    tails = 0
+    for parent in tree.generations[1]:
+        if parent.tail:
+            continue
+        redo = U.evolve_one_step(table, parent.curve)
+        kids = [c for c in tree.generations[2] if c.parent == parent.birth]
+        assert [c.itinerary[-1] for c in kids] \
+            == [r.itinerary[-1] for r in redo]
+        for c, r in zip(kids, redo):
+            assert c.itinerary == parent.itinerary + r.itinerary
+            assert c.mid_phis == parent.mid_phis + r.mid_phis
+            assert c.curve == r.curve
+            assert c.source_interval == r.source_interval
+            if c.tail:
+                assert c.tail_inv == r.tail_inv / parent.min_expansion
+                tails += 1
+            else:
+                assert c.min_expansion \
+                    == parent.min_expansion * r.min_expansion
+                assert c.min_expansion_sampled == r.min_expansion_sampled
+    return tails
+
+
+def test_reevolving_parent_reproduces_children(tri, lens, straddle_curve):
+    # the lens curve crosses a level -2 grazing preimage, so its one
+    # depth-1 parent straddles a level -1 one and has a tail child
+    branch = next(c for c in S.trace_singularity(lens, -2, resolution=150)
+                  if not c.fragment and c.origin == "grazing-preimage"
+                  and len(c.nodes) >= 8)
+    p = branch.nodes[len(branch.nodes) // 2]
+    W = U.seed_ucurve(lens, PhasePoint(p.wall_id, p.r + 2e-5, p.phi + 2e-5),
+                      1e-4, None)
+    assert _check_lineage(tri, straddle_curve) \
+        + _check_lineage(lens, W) > 0
 
 
 def test_certified_floor(tri, straddle_curve, cheap_constants):
@@ -422,7 +453,7 @@ def test_choose_depth_matches_rebuilt_trees(tri, monkeypatch):
 
     def doubled(table, W, *args, **kwargs):
         kids, ndeg = one_step(table, W, *args, **kwargs)
-        return (kids + kids if W.wall_id == 2 else kids), ndeg
+        return (kids + kids if W.curve.wall_id == 2 else kids), ndeg
 
     monkeypatch.setattr(U, "_one_step", doubled)
     monkeypatch.setattr(U, "LEAF_CAP", 2)
