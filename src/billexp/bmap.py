@@ -19,7 +19,8 @@ so det D = cos(phi)/cos(phi'), and the map preserves cos(phi) dr dphi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     SequenceOverflow,
     SingularInput,
 )
-from .flow import EPS_TAN, Ray, classify_collision, first_collision, reflect
+from .flow import EPS_TAN, Ray, classify_collision, first_collision
 from .geometry import EPS_CORNER, BilliardTable, Corner
 
 HALF_PI = math.pi / 2.0
@@ -39,15 +40,13 @@ K_INF = 10 ** 9      # sentinel strip index for phi = +-pi/2 exactly
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(NamedTuple):
     wall_id: int
     r: float
     phi: float
 
 
-@dataclass(frozen=True)
-class MapImage:
+class MapImage(NamedTuple):
     point: PhasePoint
     tau: float                    # total free path, through any fly-bys
     label: str                    # regular | left-wall | right-wall | graze | corner-step
@@ -63,8 +62,7 @@ class MapImage:
         return self.label + "|" + ",".join(self.trail)
 
 
-@dataclass(frozen=True)
-class MapResult:
+class MapResult(NamedTuple):
     images: tuple[MapImage, ...]
 
     @property
@@ -125,15 +123,18 @@ def outgoing_ray(table: BilliardTable, p: PhasePoint) -> Ray:
 # ---------------------------------------------------------------------------
 # forward map
 
-def _phi_from(v_out, n, t) -> float:
-    return math.atan2(v_out[0] * t[0] + v_out[1] * t[1],
-                      v_out[0] * n[0] + v_out[1] * n[1])
-
-
-def _reflection_image(table, wall, r_img, v_in, tau, kappa0, phi0, label, trail):
-    _, n, t = wall.frame_at(r_img)
-    v_out = reflect(v_in, n)
-    phi1 = _phi_from(v_out, n, t)
+def _reflection_image(wall, r_img, v_in, tau, kappa0, phi0, label, trail):
+    # the frame wall.frame_at(r_img), the mirror image flow.reflect(v_in, n)
+    # and the angle of v_out from n toward t, inline
+    o = wall.orientation
+    th = wall.theta_start + o * r_img / wall.radius
+    ct, st = math.cos(th), math.sin(th)
+    tx, ty = -o * st, o * ct
+    nx, ny = -ty, tx
+    dx, dy = v_in
+    dn = dx * nx + dy * ny
+    vx, vy = dx - 2.0 * dn * nx, dy - 2.0 * dn * ny
+    phi1 = math.atan2(vx * tx + vy * ty, vx * nx + vy * ny)
     if abs(phi1) >= HALF_PI - EPS_TAN:
         phi1 = math.copysign(HALF_PI, phi1)
         return MapImage(point=PhasePoint(wall.wall_id, r_img, phi1), tau=tau,
@@ -175,12 +176,12 @@ def _fly(table, ray, kappa0, phi0, tau_acc, trail, depth) -> list[MapImage]:
     v = ray.direction
 
     if oc.kind == "regular":
-        w = table.wall(oc.wall_id)
-        return [_reflection_image(table, w, oc.r, v, tau, kappa0, phi0,
-                                  "regular", trail)]
+        w = table.walls[oc.wall_id]
+        return [_reflection_image(w, oc.r, v, tau, kappa0, phi0, "regular",
+                                  trail)]
 
     if oc.kind == "grazing":
-        w = table.wall(oc.wall_id)
+        w = table.walls[oc.wall_id]
         images = [_graze_image(w, oc.r, v, tau, trail)]
         cont = Ray(oc.point, v)
         images += _fly(table, cont, kappa0, phi0, tau,
@@ -194,13 +195,13 @@ def _fly(table, ray, kappa0, phi0, tau_acc, trail, depth) -> list[MapImage]:
     images = []
     for wall_id, (ext, n) in frames.items():
         press = v[0] * n[0] + v[1] * n[1]
-        w = table.wall(wall_id)
+        w = table.walls[wall_id]
         r_img = w.length if wall_id == corner.left_wall_id else 0.0
         label = ("left-wall" if wall_id == corner.left_wall_id
                  else "right-wall")
         if press < -EPS_TAN:
-            images.append(_reflection_image(table, w, r_img, v, tau,
-                                            kappa0, phi0, label, trail))
+            images.append(_reflection_image(w, r_img, v, tau, kappa0,
+                                            phi0, label, trail))
         elif abs(press) <= EPS_TAN and v[0] * ext[0] + v[1] * ext[1] > 0.0:
             images.append(_graze_image(w, r_img, v, tau, trail))
     if oc.properness == "improper":
@@ -233,7 +234,7 @@ def forward(table: BilliardTable, p: PhasePoint) -> MapResult:
     """
     if abs(p.phi) >= HALF_PI:
         raise SingularInput("departure tangent to the wall")
-    wall = table.wall(p.wall_id)
+    wall = table.walls[p.wall_id]
     ray = outgoing_ray(table, p)
     v = ray.direction
 
@@ -250,10 +251,10 @@ def forward(table: BilliardTable, p: PhasePoint) -> MapResult:
         if into_wall:
             # immediate collision with the other wall of the corner
             other_id = table.other_wall_at(cid, wall.wall_id)
-            other = table.wall(other_id)
+            other = table.walls[other_id]
             r_img = other.length if other_id == corner.left_wall_id else 0.0
-            img = _reflection_image(table, other, r_img, v, 0.0, wall.kappa,
-                                    p.phi, "corner-step", ())
+            img = _reflection_image(other, r_img, v, 0.0, wall.kappa, p.phi,
+                                    "corner-step", ())
             return MapResult((img,))
         ray = Ray(corner.position, v)
 
@@ -269,7 +270,7 @@ def inverse(table: BilliardTable, p: PhasePoint) -> MapResult:
         d = im.derivative
         if d is not None:
             d = ((d[0][0], -d[0][1]), (-d[1][0], d[1][1]))
-        out.append(replace(im, point=involute(im.point), derivative=d))
+        out.append(im._replace(point=involute(im.point), derivative=d))
     return MapResult(tuple(out))
 
 

@@ -12,7 +12,7 @@ per wall it presses into, plus the fly-by of an improper hit) is resolved by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EscapedDomain, SectorBoundary
 from .geometry import (EPS_CORNER, TWO_PI, BilliardTable, Corner,
@@ -23,8 +23,7 @@ TAU_FLOOR = 1e-12    # departure exclusion window for root acceptance
 _MAX_TORUS_RING = 64
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple):
     origin: tuple[float, float]
     direction: tuple[float, float]
 
@@ -33,8 +32,7 @@ class Ray:
                 self.origin[1] + t * self.direction[1])
 
 
-@dataclass(frozen=True)
-class CollisionOutcome:
+class CollisionOutcome(NamedTuple):
     kind: str              # regular | grazing | corner
     tau: float
     point: tuple[float, float]
@@ -149,13 +147,10 @@ def first_collision(table: BilliardTable, ray: Ray) -> CollisionOutcome:
             properness = "improper"   # tangent arrivals behave like grazing
         pos = corner.position if table.ambient == "plane" else (
             corner.position[0] + cell[0], corner.position[1] + cell[1])
-        return CollisionOutcome(kind="corner", tau=t, point=pos,
-                                wall_id=w.wall_id, r=r,
-                                normal_component=ddn, corner_id=corner_id,
-                                properness=properness)
+        return CollisionOutcome("corner", t, pos, w.wall_id, r, ddn,
+                                corner_id, properness)
     kind = "grazing" if abs(ddn) <= EPS_TAN else "regular"
-    return CollisionOutcome(kind=kind, tau=t, point=(px, py), wall_id=w.wall_id,
-                            r=r, normal_component=ddn)
+    return CollisionOutcome(kind, t, (px, py), w.wall_id, r, ddn)
 
 
 # ---------------------------------------------------------------------------

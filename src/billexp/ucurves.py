@@ -37,7 +37,7 @@ from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    certify_expansion_constant, certify_hyperbolicity,
                    expansion_factor, forward, interior_slope,
                    random_phase_point, strip_index, unstable_cone_at)
-from .errors import (BilliardError, ComponentExplosion, NoSuchN, SingularInput,
+from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      SingularSeed)
 from .geometry import BilliardTable
 from .singularities import (find_multiple_points, fit_complexity_slope,
@@ -129,16 +129,21 @@ class _Arc:
 
     def __init__(self, W: UCurve):
         self.W = W
-        r = np.array([p.r for p in W.nodes])
-        phi = np.array([p.phi for p in W.nodes])
-        seg = np.hypot(np.diff(r), np.diff(phi))
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self.total = float(cum[-1])
-        self.frac = (cum / self.total).tolist()
-        self.r, self.phi = r.tolist(), phi.tolist()
+        self.r = r = [p.r for p in W.nodes]
+        self.phi = phi = [p.phi for p in W.nodes]
+        dr = [b - a for a, b in zip(r, r[1:])]
+        dphi = [b - a for a, b in zip(phi, phi[1:])]
+        # np.hypot, not math.hypot: the two may round differently, and the
+        # lengths fix every cut parameter
+        cum, total = [0.0], 0.0
+        for seg in np.hypot(dr, dphi).tolist():
+            total += seg        # np.cumsum adds in this order too
+            cum.append(total)
+        self.total = total
+        self.frac = [c / total for c in cum]
         self.params = list(W.params)
         self.growth = list(W.growth)
-        self.seg_slope = (np.diff(phi) / np.diff(r)).tolist()
+        self.seg_slope = [a / b for a, b in zip(dphi, dr)]
         self.memo = {}
 
     def at(self, s: float) -> PhasePoint:
@@ -195,7 +200,7 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
     def cone_slope(p, m_prev):
         try:
             lo, hi = unstable_cone_at(table, p)
-        except (SingularInput, BilliardError) as e:
+        except BilliardError as e:
             raise SingularSeed(f"cone undefined along the seed: {e}") from e
         if lo < m_prev < hi:
             return m_prev
@@ -203,10 +208,11 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
 
     half = 4                     # nodes on each side of z
     ds = 0.5 * length / half
+    m_z = cone_slope(z, -1.0)
 
     def grow(sign):
         out = []
-        p, m = z, cone_slope(z, -1.0)
+        p, m = z, m_z
         for _ in range(half):
             dr = sign * ds / math.hypot(1.0, m)
             p = PhasePoint(z.wall_id, p.r + dr, p.phi + m * dr)
@@ -218,8 +224,7 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
 
     back, fore = grow(-1.0), grow(+1.0)
     pts = [p for p, _ in reversed(back)] + [z] + [p for p, _ in fore]
-    slopes = [m for _, m in reversed(back)] + [cone_slope(z, -1.0)] \
-        + [m for _, m in fore]
+    slopes = [m for _, m in reversed(back)] + [m_z] + [m for _, m in fore]
     params = [i / (len(pts) - 1) for i in range(len(pts))]
     try:
         return make_ucurve(z.wall_id, pts, slopes, params)
@@ -295,7 +300,9 @@ def _u_of(im):
 
 
 def _primary_segments(table, arc, n_s):
-    ss = np.linspace(0.0, 1.0, n_s).tolist()
+    # np.linspace(0.0, 1.0, n_s) bit for bit: i * step, then the end
+    step = 1.0 / (n_s - 1)
+    ss = [i * step for i in range(n_s - 1)] + [1.0]
     probes = [_probe_at(table, arc, s) for s in ss]
     runs = []   # (first index, last index, sig)
     for i, (sig, _) in enumerate(probes):

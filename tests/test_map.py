@@ -9,6 +9,8 @@ from billexp import tables
 from billexp.bmap import (
     HALF_PI,
     K_INF,
+    MapImage,
+    MapResult,
     PhasePoint,
     cone_slopes,
     flight_derivative,
@@ -20,7 +22,7 @@ from billexp.bmap import (
     strip_index,
 )
 from billexp.errors import BilliardError, SingularInput
-from billexp.flow import Ray, first_collision
+from billexp.flow import CollisionOutcome, Ray, first_collision
 
 TWO_PI = 2.0 * math.pi
 
@@ -467,6 +469,67 @@ MAP_DIGESTS = {
 def test_map_bit_identity(name, request):
     table = request.getfixturevalue(name)
     assert map_digest(table, 20260) == MAP_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the value types of one collision step
+
+def test_value_types_are_immutable_hashable_and_ordered():
+    p = PhasePoint(1, 0.5, 0.25)
+    assert (p.wall_id, p.r, p.phi) == (1, 0.5, 0.25)
+    im = MapImage(p, 2.0, "regular", ((1.0, 0.0), (0.0, 1.0)))
+    assert (im.point, im.tau, im.label) == (p, 2.0, "regular")
+    assert im.derivative == ((1.0, 0.0), (0.0, 1.0))
+    assert im.trail == () and im.grazing is False
+    assert MapImage(p, 2.0, "graze", None, ("pass:c0",), True).branch \
+        == "graze|pass:c0"
+    res = MapResult((im,))
+    assert res.images == (im,) and res.regular and res.smooth is im
+    ray = Ray((0.0, 1.0), (1.0, 0.0))
+    assert (ray.origin, ray.direction) == ((0.0, 1.0), (1.0, 0.0))
+    assert ray.at(2.0) == (2.0, 1.0)
+    oc = CollisionOutcome("regular", 1.5, (3.0, 4.0))
+    assert (oc.kind, oc.tau, oc.point) == ("regular", 1.5, (3.0, 4.0))
+    assert (oc.wall_id, oc.r, oc.normal_component, oc.corner_id,
+            oc.properness) == (None,) * 5
+    for value, field in ((p, "phi"), (im, "tau"), (res, "images"),
+                         (ray, "origin"), (oc, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        assert hash(value) == hash(type(value)(*value))
+    assert len({p, PhasePoint(1, 0.5, 0.25)}) == 1
+
+
+def _conjugate(im):
+    d = im.derivative
+    if d is not None:
+        d = ((d[0][0], -d[0][1]), (-d[1][0], d[1][1]))
+    return MapImage(involute(im.point), im.tau, im.label, d, im.trail,
+                    im.grazing)
+
+
+@pytest.mark.parametrize("name", ["tri", "torus2", "lens"])
+def test_inverse_is_conjugated_forward_of_involute(name, request):
+    table = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    pts = [random_phase_point(table, rng) for _ in range(150)]
+    # points whose backward step is aimed at a corner or grazes a wall
+    pts += [involute(q) for q in _aimed_points(table, rng, 50)]
+    branched = 0
+    for p in pts:
+        try:
+            want = forward(table, involute(p))
+        except BilliardError as err:
+            with pytest.raises(type(err)):
+                inverse(table, p)
+            continue
+        got = inverse(table, p)
+        assert got == MapResult(tuple(map(_conjugate, want.images)))
+        assert type(got) is MapResult
+        assert all(type(im) is MapImage and type(im.point) is PhasePoint
+                   for im in got.images)
+        branched += len(got.images) > 1
+    assert branched > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -8,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from billexp import singularities as S, ucurves as U
 from billexp.bmap import (PhasePoint, certify_hyperbolicity, forward,
-                          involute, strip_index, unstable_cone_at)
+                          involute, random_phase_point, strip_index,
+                          unstable_cone_at)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
+from billexp.flow import Ray, first_collision
 from billexp.serialize import csv_text, json_bytes
 
 
@@ -299,6 +302,89 @@ def test_reevolving_parent_reproduces_children(tri, lens, straddle_curve):
                       1e-4, None)
     assert _check_lineage(tri, straddle_curve) \
         + _check_lineage(lens, W) > 0
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the evolution
+
+def _graze_points(table, rng, count):
+    """Phase points whose next collision is tangent to a wall, found by
+    flying a tangent ray backward from a random boundary point."""
+    out = []
+    while len(out) < count:
+        w = table.walls[int(rng.integers(len(table.walls)))]
+        q, _n, t = w.chart_frame(float(rng.uniform(0.0, w.length)))
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        dx, dy = sign * t[0], sign * t[1]
+        try:
+            hit = first_collision(table, Ray(q, (-dx, -dy)))
+        except BilliardError:
+            continue
+        if hit.kind != "regular":
+            continue
+        _p, n, t = table.walls[hit.wall_id].chart_frame(hit.r)
+        phi = math.atan2(dx * t[0] + dy * t[1], dx * n[0] + dy * n[1])
+        out.append(PhasePoint(hit.wall_id, hit.r, phi))
+    return out
+
+
+def _component_tokens(c):
+    W = c.curve
+    return [str(W.wall_id),
+            *(_bits(v) for p in W.nodes for v in (p.r, p.phi)),
+            *map(_bits, W.slopes), *map(_bits, W.params),
+            *map(_bits, W.growth), repr(c.itinerary),
+            _bits(c.min_expansion), _bits(c.min_expansion_sampled),
+            *map(_bits, c.source_interval), str(c.parent), str(c.birth),
+            *map(_bits, c.mid_phis), str(c.tail), _bits(c.tail_inv),
+            str(c.tail_from)]
+
+
+def evolution_digest(table, seed, count=12, grazing=3):
+    """sha256 over every field of the depth-3 trees of seeded curves.
+
+    ``count`` curves are seeded at random points of the invariant measure
+    (of the longest length, so that some of them are cut), ``grazing`` more astride
+    a tangency preimage, where the strip ladder ends in a tail.
+    """
+    rng = np.random.default_rng(seed)
+    curves = []
+    while len(curves) < count:
+        try:
+            curves.append(U.seed_ucurve(
+                table, random_phase_point(table, rng), U.MAX_LENGTH, rng))
+        except SingularSeed:
+            continue
+    for a in _graze_points(table, rng, grazing):
+        z = PhasePoint(a.wall_id, a.r + 1e-5, a.phi + 1e-5)
+        try:
+            curves.append(U.seed_ucurve(table, z, 1e-4, None))
+        except SingularSeed:
+            continue
+    h = hashlib.sha256()
+    for W in curves:
+        tree = U.evolve_n(table, W, 3)
+        h.update(str(tree.degenerate_merged).encode() + b"\n")
+        for g, gen in enumerate(tree.generations):
+            for c in gen:
+                h.update(f"{g}|".encode()
+                         + "|".join(_component_tokens(c)).encode() + b"\n")
+    return h.hexdigest()
+
+
+# digests of the evolution before the allocation-light collision step; the
+# seeding, cutting and tail code must reproduce every bit of them
+EVOLUTION_DIGESTS = {
+    "tri": "1c28d6184277f1bcb3b447721d53e96669531fbed551b968615433a2388b3d1d",
+    "lens": "32214b25eb855a2e9f85516f064a8d970c63672a454b65691817b17721e278af",
+    "torus2": "6ba4ac810de141e38353060b1128d66a7d423269e86d47352c45ac374b066f18",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVOLUTION_DIGESTS))
+def test_evolution_bit_identity(name, request):
+    table = request.getfixturevalue(name)
+    assert evolution_digest(table, 20261) == EVOLUTION_DIGESTS[name]
 
 
 def test_certified_floor(tri, straddle_curve, cheap_constants):

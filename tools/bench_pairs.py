@@ -1,0 +1,79 @@
+"""Alternating parent/change pairs of benchmark runs, kept as BENCH_<name>.json.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --name NAME \\
+        --what "what the change does" --workload scan-deep-tri \\
+        --seeds 1 2 3 [--trace 0]
+
+For each seed, runs each checkout's own ``perfbench/run.py --trace K`` for
+the benchmark's ``run_seconds`` (BENCHMARK.json), parent and change one after
+the other, alternating which runs first.  A side keeps every metric and the
+"correct" flag of its run's last stdout line.  The pairs are appended to
+BENCH_<NAME>.json in the current directory, made when missing.
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SECONDS = json.loads((Path(__file__).resolve().parent.parent
+                      / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def run_side(checkout, workload, seed, trace) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace",
+         str(trace)], cwd=checkout, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(proc.stdout + proc.stderr)
+        return {"correct": False}
+    side = {k: v["value"] for k, v in result["metrics"].items()}
+    side["correct"] = result["correct"]
+    return side
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    for opt in ("--parent", "--change", "--name", "--what", "--workload"):
+        ap.add_argument(opt, required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+
+    out = Path(f"BENCH_{args.name}.json")
+    doc = json.loads(out.read_text()) if out.exists() else {
+        "what": args.what,
+        "host": f"{os.cpu_count()}-core {platform.machine()} container, "
+                f"Python {platform.python_version()}, numpy {np.__version__}",
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds "
+                   "<seconds> --trace K, run in a fresh copy of each commit; "
+                   "pairs alternate which side runs first",
+        "seconds": SECONDS,
+        "pairs": []}
+    for seed in args.seeds:
+        order = ["parent", "change"]
+        if len(doc["pairs"]) % 2:
+            order.reverse()
+        pair = {"workload": args.workload, "seed": seed, "first": order[0],
+                "trace": args.trace}
+        for side in order:
+            pair[side] = run_side(getattr(args, side), args.workload, seed,
+                                  args.trace)
+        doc["pairs"].append(pair)
+        print(json.dumps(pair), flush=True)
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
