@@ -275,6 +275,102 @@ def inverse(table: BilliardTable, p: PhasePoint) -> MapResult:
 
 
 # ---------------------------------------------------------------------------
+# single-branch certificate
+
+# margin of single_branch, in length units (see its docstring)
+SINGLE_BRANCH_MU = 1e-8
+
+
+def single_branch(table: BilliardTable, wall_id: int, r_lo: float,
+                  r_hi: float, phi_lo: float, phi_hi: float) -> bool:
+    """True only if every phase point of the box [r_lo, r_hi] x [phi_lo,
+    phi_hi] on wall ``wall_id`` maps by one regular, non-grazing branch to
+    one wall.
+
+    A sound certificate: True proves it, False proves nothing.  Plane tables
+    only; on the torus the answer is always False.
+
+    Proof.  Over the box the departure point O(r) and the unit velocity
+    u(r, phi), at angle phi from the wall normal, stay near their values
+    O_c, u_c at the box centre: with half-widths dr, dphi and the departure
+    wall's curvature kappa, |O - O_c| <= dr (a chord is no longer than its
+    arc) and |u - u_c| <= |kappa| dr + dphi (the normal turns at rate
+    |kappa|).  So for any point X, the offset cross(u, X - O) of X from the
+    ray's line and its position dot(u, X - O) along the ray both stay within
+
+        E_X = |X - O_c| (|kappa| dr + dphi) + dr
+
+    of their values at the centre.  ``flow.first_collision`` takes the
+    nearest root t > TAU_FLOOR of the ray with a wall circle that arrives
+    against the wall normal (d.n <= EPS_TAN) within EPS_CORNER of the arc.
+    The box is connected and the roots move continuously with the point, so
+    the wall hit first, and the kind of the hit, can change only where
+
+    1. a ray line becomes tangent to a wall circle: a root appears or
+       vanishes, or its d.n reaches 0 (a grazing hit);
+    2. a ray line passes through a corner: a hit leaves its arc, since every
+       arc end lies within EPS_JOIN / 2 of a corner;
+    3. a ray line passes through a point on two arcs, where two admissible
+       hits meet: a corner, or a crossing of walls (``table.crossings``);
+    4. the departure point reaches another wall's circle, where a root
+       crosses TAU_FLOOR (the departure wall's own root at t = 0 arrives
+       with d.n = cos(phi) > 0 and is never admissible);
+    5. the departure point reaches a wall end (``forward`` then departs from
+       the corner), or |phi| reaches pi/2.
+
+    With MU = SINGLE_BRANCH_MU, the certificate excludes each of them over
+    the whole box by requiring at the centre
+
+    - for every wall circle (centre C, radius R): | |g| - R | > E_C + MU,
+      where g = cross(u_c, C - O_c) is the signed distance from C to the line;
+    - for every corner and crossing X: |cross(u_c, X - O_c)| > E_X + MU, or
+      X lies behind the origin, dot(u_c, X - O_c) < -(E_X + MU);
+    - for every other wall: | |C - O_c| - R | > dr + MU;
+    - r more than MU from the ends of an open departure wall, and
+      |phi| < pi/2 - MU.
+
+    Then every image has the centre's wall, and it is regular: a corner hit
+    lies within EPS_CORNER + EPS_JOIN / 2 < MU of a corner on the line, and
+    a line at least MU clear of tangency crosses a circle with
+    |d.n| = sqrt(R^2 - g^2) / R >= sqrt(MU / R) >= 1e-7 > EPS_TAN, since
+    R <= SPEC_LIMIT.  MU dominates the tolerances it must: EPS_CORNER and
+    EPS_JOIN (above), EPS_TAN (above, and cos(phi) >= sin(MU) at departure),
+    TAU_FLOOR (roots of other circles have |t| > MU), and the rounding of
+    the collision kernel, which stays below EPS_JOIN for coordinates at
+    SPEC_LIMIT scale (as does a node interpolated an ulp outside the box).
+    MU is far below the length of any curve that the evolution cuts.
+    """
+    if table.ambient != "plane":
+        return False
+    mu = SINGLE_BRANCH_MU
+    wall = table.walls[wall_id]
+    if max(abs(phi_lo), abs(phi_hi)) >= HALF_PI - mu:
+        return False
+    if not wall.closed and (r_lo <= mu or r_hi >= wall.length - mu):
+        return False
+    dr = 0.5 * (r_hi - r_lo)
+    phi = 0.5 * (phi_lo + phi_hi)
+    turn = abs(wall.kappa) * dr + 0.5 * (phi_hi - phi_lo)
+    (ox, oy), n, t = wall.frame_at(0.5 * (r_lo + r_hi))
+    c, s = math.cos(phi), math.sin(phi)
+    ux, uy = c * n[0] + s * t[0], c * n[1] + s * t[1]
+    for w in table.walls:
+        vx, vy = w.center[0] - ox, w.center[1] - oy
+        dist = math.hypot(vx, vy)
+        e = dist * turn + dr + mu
+        if abs(abs(ux * vy - uy * vx) - w.radius) <= e:
+            return False
+        if w is not wall and abs(dist - w.radius) <= dr + mu:
+            return False
+    for x, y in (*(k.position for k in table.corners), *table.crossings):
+        vx, vy = x - ox, y - oy
+        e = math.hypot(vx, vy) * turn + dr + mu
+        if abs(ux * vy - uy * vx) <= e and ux * vx + uy * vy >= -e:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # orbits
 
 @dataclass(frozen=True)

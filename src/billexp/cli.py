@@ -115,6 +115,17 @@ def _finite(text: str) -> float:
     return val
 
 
+def _seed(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError:
+        val = -1
+    if val < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return val
+
+
 _SWITCH = {"action": "store_const", "const": True, "default": False}
 
 # option dest -> (flag, argparse keywords); options without a default are
@@ -124,7 +135,7 @@ _FLAGS = {
     "table": ("--table", {}),
     "out": ("--out", {}),
     "format": ("--format", {}),
-    "seed": ("--seed", {"type": int}),
+    "seed": ("--seed", {"type": _seed}),
     "wall": ("--wall", {"type": int, "default": 0}),
     "r": ("--r", {"type": _finite}),
     "phi": ("--phi", {"type": _finite}),

@@ -37,6 +37,7 @@ EPS_JOIN = 1e-9      # endpoint coincidence tolerance
 GAMMA_TOL = 1e-6     # rad; corner angles within this of 0 or 2*pi are cusps
 FLAT_TOL = 1e-9      # rad; |gamma - pi| below this counts as flat
 EPS_CORNER = 1e-9    # arclength tolerance for corner membership
+EPS_CROSS = 1e-8     # arclength slack for a meeting of circles to be on an arc
 MAX_RATIONAL = 20    # corridor scan checks all coprime (p, q) up to this
 N_SCAN_DIRECTIONS = 10_000
 FREE_SEGMENT_LEN = 30.0
@@ -159,6 +160,10 @@ class BilliardTable:
     gamma_min: float = field(init=False)
     sequence_cap: int = field(init=False)
     max_radius: float = field(init=False)
+    # plane only: points where the circles of two walls meet within
+    # EPS_CROSS of both arcs, i.e. every corner (to rounding) and any
+    # crossing of two walls, which the builder does not refuse
+    crossings: tuple[tuple[float, float], ...] = field(init=False)
 
     def __post_init__(self):
         gamma_min = min((c.gamma for c in self.corners), default=math.pi)
@@ -167,6 +172,8 @@ class BilliardTable:
                            int(math.ceil(TWO_PI / gamma_min)) + 2)
         object.__setattr__(self, "max_radius",
                            max(w.radius for w in self.walls))
+        object.__setattr__(self, "crossings", _crossings(self.walls)
+                           if self.ambient == "plane" else ())
 
     def wall(self, wall_id: int) -> ArcWall:
         return self.walls[wall_id]
@@ -192,6 +199,28 @@ class BilliardTable:
                 for w in self.walls
             ],
         }
+
+
+def _crossings(walls) -> tuple[tuple[float, float], ...]:
+    out = []
+    for i, a in enumerate(walls):
+        for b in walls[i + 1:]:
+            dx, dy = b.center[0] - a.center[0], b.center[1] - a.center[1]
+            d = math.hypot(dx, dy)
+            if d == 0.0 or d > a.radius + b.radius + EPS_CROSS \
+                    or d < abs(a.radius - b.radius) - EPS_CROSS:
+                continue
+            # foot of the common chord along the centre line, half its length
+            x = (d * d + a.radius * a.radius - b.radius * b.radius) / (2 * d)
+            h = math.sqrt(max(a.radius * a.radius - x * x, 0.0))
+            for sign in (1.0, -1.0):
+                px = a.center[0] + (x * dx - sign * h * dy) / d
+                py = a.center[1] + (x * dy + sign * h * dx) / d
+                if all(w.contains_angle(
+                        math.atan2(py - w.center[1], px - w.center[0]),
+                        slack=EPS_CROSS / w.radius) for w in (a, b)):
+                    out.append((px, py))
+    return tuple(out)
 
 
 def _angle(v) -> float:

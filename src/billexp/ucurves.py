@@ -36,7 +36,8 @@ from scipy.special import polygamma
 from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    certify_expansion_constant, certify_hyperbolicity,
                    expansion_factor, forward, interior_slope,
-                   random_phase_point, strip_index, unstable_cone_at)
+                   random_phase_point, single_branch, strip_index,
+                   unstable_cone_at)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      SingularSeed)
 from .geometry import BilliardTable
@@ -279,8 +280,9 @@ def _probe(table, arc, s):
 
 def _probe_at(table, arc, s):
     """``_probe`` through the arc's memo, for parameters that the grid, the
-    insets and the node refinement probe more than once.  Root finders call
-    ``_probe`` directly: their iterates are never probed again."""
+    insets, the root finders' end points and the node refinement probe more
+    than once.  The cut bisection calls ``_probe`` directly: its iterates
+    are never probed again."""
     hit = arc.memo.get(s)
     if hit is None:
         hit = arc.memo[s] = _probe(table, arc, s)
@@ -300,6 +302,18 @@ def _u_of(im):
 
 
 def _primary_segments(table, arc, n_s):
+    """(lo, hi, signature) of the arc's pieces between branch changes.
+
+    When ``bmap.single_branch`` certifies the box of the first and last
+    nodes (the nodes increase in r and phi, so the box holds the whole arc),
+    every probe of the grid would return the midpoint's signature, and the
+    grid is skipped: the result is the grid's, bit for bit.
+    """
+    a, b = arc.W.nodes[0], arc.W.nodes[-1]
+    if single_branch(table, arc.W.wall_id, a.r, b.r, a.phi, b.phi):
+        sig, _ = _probe_at(table, arc, 0.5)
+        if sig is not None:
+            return [(0.0, 1.0, sig)]
     # np.linspace(0.0, 1.0, n_s) bit for bit: i * step, then the end
     step = 1.0 / (n_s - 1)
     ss = [i * step for i in range(n_s - 1)] + [1.0]
@@ -354,7 +368,7 @@ def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0):
     sign = 1.0 if deep_s > shallow_s else -1.0
 
     def f(t, level):
-        _, im = _probe(table, arc, t)
+        _, im = _probe_at(table, arc, t)
         if im is None:
             return -level
         return _u_of(im) - level
@@ -403,7 +417,7 @@ def _secondary_pieces(table, arc, seg, k0):
     crossing = im_lo.point.phi * im_hi.point.phi < 0.0
     if crossing:
         def phi_at(t):
-            _, im = _probe(table, arc, t)
+            _, im = _probe_at(table, arc, t)
             return im.point.phi if im is not None else 0.0
 
         try:

@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from billexp import singularities as S, ucurves as U
-from billexp.bmap import (PhasePoint, certify_hyperbolicity, forward,
-                          involute, random_phase_point, strip_index,
-                          unstable_cone_at)
+from billexp import geometry, singularities as S, tables, ucurves as U
+from billexp.bmap import (HALF_PI, PhasePoint, certify_hyperbolicity,
+                          forward, involute, random_phase_point,
+                          single_branch, strip_index, unstable_cone_at)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
 from billexp.flow import Ray, first_collision
@@ -302,6 +302,117 @@ def test_reevolving_parent_reproduces_children(tri, lens, straddle_curve):
                       1e-4, None)
     assert _check_lineage(tri, straddle_curve) \
         + _check_lineage(lens, W) > 0
+
+
+# ---------------------------------------------------------------------------
+# single-branch certificate
+
+_CERT_TABLES = {}
+
+
+def _cert_table(name):
+    """(table, {"graze": graze anchors, "corner": nodes of the corner
+    preimage curves}) of tri or lens, built once per module."""
+    if name not in _CERT_TABLES:
+        table = tables.load_builtin("tri") if name == "tri" \
+            else geometry.build_table(tables.make_lens_spec())
+        corner = [p for c in S.trace_singularity(table, -1, resolution=200)
+                  if c.origin == "corner-preimage" for p in c.nodes]
+        _CERT_TABLES[name] = table, {"graze": U.graze_anchors(table),
+                                     "corner": corner}
+    return _CERT_TABLES[name]
+
+
+def _grid(n_s):
+    step = 1.0 / (n_s - 1)
+    return [i * step for i in range(n_s - 1)] + [1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["tri", "lens"]),
+       place=st.sampled_from(["random", "graze", "corner", "end", "steep"]),
+       pick=st.integers(0, 10 ** 6), u=st.floats(0.0, 1.0),
+       v=st.floats(0.0, 1.0), log_len=st.floats(-7.0, -2.0),
+       slope=st.floats(0.05, 20.0))
+def test_single_branch_is_sound(name, place, pick, u, v, log_len, slope):
+    """Where the certificate holds, every grid probe of every grid size has
+    the midpoint's regular signature, and the cut search returns what the
+    full grid returns."""
+    table, anchors = _cert_table(name)
+    length = 10.0 ** log_len
+    wall = table.walls[pick % len(table.walls)]
+    r, phi = u * wall.length, (2.0 * v - 1.0) * 1.5
+    if place in anchors:
+        # astride a tangency or corner preimage, at a varying fraction of
+        # the curve
+        a = anchors[place][pick % len(anchors[place])]
+        wall = table.walls[a.wall_id]
+        r, phi = a.r + (u - 0.5) * length, a.phi + (v - 0.5) * length
+    elif place == "end":
+        r = 1e-3 * u if v < 0.5 else wall.length - 1e-3 * u
+        phi = (2.0 * (pick % 1000) / 999 - 1.0) * 1.5
+    elif place == "steep":
+        phi = math.copysign(1.5 + v * (HALF_PI - 1.5 - 1e-9),
+                            (pick % 2) - 0.5)
+    h = math.hypot(1.0, slope)
+    dr, dphi = length / h / 8, length * slope / h / 8
+    pts = [PhasePoint(wall.wall_id, r + (i - 4) * dr, phi + (i - 4) * dphi)
+           for i in range(9)]
+    assume(all(0.0 <= p.r <= wall.length and abs(p.phi) < HALF_PI
+               for p in pts))
+    W = U.make_ucurve(wall.wall_id, pts)
+    a, b = W.nodes[0], W.nodes[-1]
+    if single_branch(table, wall.wall_id, a.r, b.r, a.phi, b.phi):
+        arc = U._Arc(W)
+        sig = U._probe(table, arc, 0.5)[0]
+        assert sig == (sig[0], "regular")
+        for n_s in (5, 9, 17):
+            assert all(U._probe(table, arc, s)[0] == sig for s in _grid(n_s))
+    n_s = U._grid_for(U._Arc(W).total)
+    fast = U._primary_segments(table, U._Arc(W), n_s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(U, "single_branch", lambda *args: False)
+        assert U._primary_segments(table, U._Arc(W), n_s) == fast
+
+
+def test_single_branch_false_on_torus(torus2):
+    for w in torus2.walls:
+        for phi in (-1.2, 0.0, 0.7):
+            assert not single_branch(torus2, w.wall_id, 0.3, 0.3 + 1e-6,
+                                     phi, phi + 1e-6)
+
+
+def test_single_branch_refuses_events(tri):
+    """Boxes holding a corner departure, a grazing image or |phi| = pi/2
+    are refused; a box far from all of them is certified."""
+    L = tri.wall(0).length
+    assert single_branch(tri, 0, 0.5 * L, 0.5 * L + 1e-6, 0.3, 0.3 + 1e-6)
+    assert not single_branch(tri, 0, 0.0, 1e-6, 0.3, 0.3 + 1e-6)
+    assert not single_branch(tri, 0, L - 1e-6, L, 0.3, 0.3 + 1e-6)
+    assert not single_branch(tri, 0, 0.5 * L, 0.5 * L + 1e-6,
+                             HALF_PI - 1e-9, HALF_PI - 1e-10)
+    # a box astride a tangency preimage holds a grazing image
+    g = U.graze_anchors(tri)[0]
+    assert not single_branch(tri, g.wall_id, g.r - 1e-4, g.r + 1e-4,
+                             g.phi - 1e-4, g.phi + 1e-4)
+
+
+def test_single_branch_fast_path_is_taken(tri, monkeypatch):
+    """On seeded tri curves evolved to depth 3, at least 90% of the
+    one-steps skip the cut grid."""
+    calls = []
+
+    def counted(*args):
+        calls.append(single_branch(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(U, "single_branch", counted)
+    for i in range(40):
+        rng = np.random.default_rng(np.random.SeedSequence([7, 1, i]))
+        W, _ = U._draw_curve(tri, rng, 1e-4, 30)
+        U.evolve_n(tri, W, 3)
+    assert len(calls) >= 120
+    assert sum(calls) >= 0.9 * len(calls)
 
 
 # ---------------------------------------------------------------------------
