@@ -349,11 +349,9 @@ def single_branch(table: BilliardTable, wall_id: int, r_lo: float,
     if not wall.closed and (r_lo <= mu or r_hi >= wall.length - mu):
         return False
     dr = 0.5 * (r_hi - r_lo)
-    phi = 0.5 * (phi_lo + phi_hi)
     turn = abs(wall.kappa) * dr + 0.5 * (phi_hi - phi_lo)
-    (ox, oy), n, t = wall.frame_at(0.5 * (r_lo + r_hi))
-    c, s = math.cos(phi), math.sin(phi)
-    ux, uy = c * n[0] + s * t[0], c * n[1] + s * t[1]
+    (ox, oy), (ux, uy) = outgoing_ray(table, PhasePoint(
+        wall_id, 0.5 * (r_lo + r_hi), 0.5 * (phi_lo + phi_hi)))
     for w in table.walls:
         vx, vy = w.center[0] - ox, w.center[1] - oy
         dist = math.hypot(vx, vy)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -160,10 +161,6 @@ class BilliardTable:
     gamma_min: float = field(init=False)
     sequence_cap: int = field(init=False)
     max_radius: float = field(init=False)
-    # plane only: points where the circles of two walls meet within
-    # EPS_CROSS of both arcs, i.e. every corner (to rounding) and any
-    # crossing of two walls, which the builder does not refuse
-    crossings: tuple[tuple[float, float], ...] = field(init=False)
 
     def __post_init__(self):
         gamma_min = min((c.gamma for c in self.corners), default=math.pi)
@@ -172,8 +169,13 @@ class BilliardTable:
                            int(math.ceil(TWO_PI / gamma_min)) + 2)
         object.__setattr__(self, "max_radius",
                            max(w.radius for w in self.walls))
-        object.__setattr__(self, "crossings", _crossings(self.walls)
-                           if self.ambient == "plane" else ())
+
+    @cached_property
+    def crossings(self) -> tuple[tuple[float, float], ...]:
+        """Plane tables: the points where the circles of two walls meet
+        within EPS_CROSS of both arcs, i.e. every corner (to rounding) and
+        any crossing of two walls, which build_table does not refuse."""
+        return _crossings(self.walls) if self.ambient == "plane" else ()
 
     def wall(self, wall_id: int) -> ArcWall:
         return self.walls[wall_id]

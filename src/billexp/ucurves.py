@@ -278,14 +278,17 @@ def _probe(table, arc, s):
     return (im.point.wall_id, im.branch), im
 
 
-def _probe_at(table, arc, s):
+def _probe_at(table, arc, s, keep=True):
     """``_probe`` through the arc's memo, for parameters that the grid, the
     insets, the root finders' end points and the node refinement probe more
-    than once.  The cut bisection calls ``_probe`` directly: its iterates
-    are never probed again."""
+    than once.  With ``keep`` false a missed parameter is not stored: a
+    root finder's iterates are never probed again, and a deep strip ladder
+    makes thousands of them."""
     hit = arc.memo.get(s)
     if hit is None:
-        hit = arc.memo[s] = _probe(table, arc, s)
+        hit = _probe(table, arc, s)
+        if keep:
+            arc.memo[s] = hit
     return hit
 
 
@@ -367,8 +370,8 @@ def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0):
     prev = shallow_s
     sign = 1.0 if deep_s > shallow_s else -1.0
 
-    def f(t, level):
-        _, im = _probe_at(table, arc, t)
+    def f(t, level, keep=False):
+        _, im = _probe_at(table, arc, t, keep)
         if im is None:
             return -level
         return _u_of(im) - level
@@ -383,7 +386,7 @@ def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0):
             return cuts, max(k - 1, k0)
         a, b = prev, deep_s
         try:
-            fa, fb = f(a, level), f(b, level)
+            fa, fb = f(a, level, True), f(b, level, True)
             if fa <= 0.0 or fb >= 0.0:
                 return cuts, max(k - 1, k0)
             t = brentq(f, a, b, args=(level,), xtol=1e-13, rtol=8.9e-16)
@@ -417,7 +420,7 @@ def _secondary_pieces(table, arc, seg, k0):
     crossing = im_lo.point.phi * im_hi.point.phi < 0.0
     if crossing:
         def phi_at(t):
-            _, im = _probe_at(table, arc, t)
+            _, im = _probe_at(table, arc, t, False)
             return im.point.phi if im is not None else 0.0
 
         try:

@@ -15,6 +15,7 @@ from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
 from billexp.flow import Ray, first_collision
 from billexp.serialize import csv_text, json_bytes
+from conftest import wedge_table
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +396,45 @@ def test_single_branch_refuses_events(tri):
     g = U.graze_anchors(tri)[0]
     assert not single_branch(tri, g.wall_id, g.r - 1e-4, g.r + 1e-4,
                              g.phi - 1e-4, g.phi + 1e-4)
+
+
+def _cut_box(table, wall_id, r, phi, dr, dphi):
+    """(certificate, grid segments) of the straight curve from (r, phi)
+    to (r + dr, phi + dphi)."""
+    W = U.make_ucurve(wall_id, [PhasePoint(wall_id, r + i * dr / 8,
+                                           phi + i * dphi / 8)
+                                for i in range(9)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(U, "single_branch", lambda *args: False)
+        segments = U._primary_segments(table, U._Arc(W), 17)
+    return single_branch(table, wall_id, r, r + dr, phi, phi + dphi), segments
+
+
+def test_single_branch_sees_crossings_and_near_cusps():
+    """Two branch changes that no corner or tangency marks: rays through a
+    crossing of two walls, and departures so close to a near-cusp corner
+    that the other wall's hit falls below TAU_FLOOR."""
+    spec = tables.make_tri_spec()
+    w0 = geometry.build_table(spec).walls[0]
+    (mx, my), _n, _t = w0.frame_at(0.5 * w0.length)
+    spec["walls"].append({"center": [mx, my], "radius": 0.1,
+                          "theta_start": 0.0, "theta_end": 0.0,
+                          "orientation": -1})
+    crossed = geometry.build_table(spec)
+    # the crossing nearer wall 1, where the disk meets wall 0
+    x, y = max((p for p in crossed.crossings
+                if all(math.dist(p, c.position) > 1e-3
+                       for c in crossed.corners)), key=lambda p: p[0])
+    (ox, oy), n, t = crossed.walls[1].frame_at(0.3)
+    phi = math.atan2((x - ox) * t[0] + (y - oy) * t[1],
+                     (x - ox) * n[0] + (y - oy) * n[1])
+    held, segments = _cut_box(crossed, 1, 0.3 - 1e-6, phi - 1e-6, 2e-6, 2e-6)
+    assert not held and len(segments) == 2
+
+    wedge = wedge_table(1e-5)
+    L = wedge.walls[0].length
+    held, segments = _cut_box(wedge, 0, L - 3e-7, -1e-7, 2.5e-7, 2e-7)
+    assert not held and segments[0][1] < 1.0
 
 
 def test_single_branch_fast_path_is_taken(tri, monkeypatch):
