@@ -338,7 +338,6 @@ def single_branch(table: BilliardTable, wall_id: int, r_lo: float,
     TAU_FLOOR (roots of other circles have |t| > MU), and the rounding of
     the collision kernel, which stays below EPS_JOIN for coordinates at
     SPEC_LIMIT scale (as does a node interpolated an ulp outside the box).
-    MU is far below the length of any curve that the evolution cuts.
     """
     if table.ambient != "plane":
         return False

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -308,20 +309,15 @@ def test_reevolving_parent_reproduces_children(tri, lens, straddle_curve):
 # ---------------------------------------------------------------------------
 # single-branch certificate
 
-_CERT_TABLES = {}
-
-
+@functools.cache
 def _cert_table(name):
     """(table, {"graze": graze anchors, "corner": nodes of the corner
-    preimage curves}) of tri or lens, built once per module."""
-    if name not in _CERT_TABLES:
-        table = tables.load_builtin("tri") if name == "tri" \
-            else geometry.build_table(tables.make_lens_spec())
-        corner = [p for c in S.trace_singularity(table, -1, resolution=200)
-                  if c.origin == "corner-preimage" for p in c.nodes]
-        _CERT_TABLES[name] = table, {"graze": U.graze_anchors(table),
-                                     "corner": corner}
-    return _CERT_TABLES[name]
+    preimage curves}) of tri or lens."""
+    table = tables.load_builtin("tri") if name == "tri" \
+        else geometry.build_table(tables.make_lens_spec())
+    corner = [p for c in S.trace_singularity(table, -1, resolution=200)
+              if c.origin == "corner-preimage" for p in c.nodes]
+    return table, {"graze": U.graze_anchors(table), "corner": corner}
 
 
 def _grid(n_s):
