@@ -12,14 +12,13 @@ Subcommands:
 * ``grazing-sum``  -- sampled supremum of the one-step nearly-grazing sum,
   over the same per-sample curves as ``expansion`` at the same seed.
 * ``expansion``    -- the full expansion-sum scan with auto depth selection.
-* ``render``       -- SVG view of a previously written artifact.
 
 Exit codes: 0 success; 1 usage error, including a non-finite or
 out-of-range numeric flag (``--delta`` and ``--length`` lie in (0, 1e-2],
 counts are positive, ``--resolution`` is at least 2, ``--level`` is nonzero
 with magnitude at most ``LEVEL_CAP``) and an unwritable ``--out``; 2
-validation failure (bad table, bad input artifact, a phase point off the
-table); 3 numerical abort.
+validation failure (bad table, a phase point off the table); 3 numerical
+abort.
 Aborts write whatever partial artifact exists before exiting.  Commands that
 sample require an explicit --seed; there is no wall-clock fallback, the same
 invocation always rebuilds the same bytes.  Output files are written
@@ -48,7 +47,6 @@ from .errors import (
     ComponentExplosion,
     NumericalAbort,
     OutOfRange,
-    UnknownKind,
     UnstablePortrait,
     ValidationError,
 )
@@ -73,7 +71,7 @@ from .ucurves import (
 PROG = "billexp"
 
 COMMANDS = ("validate", "orbit", "singularities", "portrait", "evolve",
-            "grazing-sum", "expansion", "render")
+            "grazing-sum", "expansion")
 
 # fixed, documented seed for validate's constant sampling; everything
 # stochastic beyond that demands an explicit --seed
@@ -85,7 +83,7 @@ FORMATS = {
     "validate": ("json",), "orbit": ("csv", "svg"),
     "singularities": ("csv", "svg"), "portrait": ("json", "svg"),
     "evolve": ("json", "csv", "svg"), "grazing-sum": ("json", "csv"),
-    "expansion": ("json", "csv"), "render": ("svg",),
+    "expansion": ("json", "csv"),
 }
 
 
@@ -152,8 +150,6 @@ _FLAGS = {
     "rho": ("--rho", {"type": _finite}),
     "front_back": ("--front-back", _SWITCH),
     "fit": ("--fit", _SWITCH),
-    "kind": ("--kind", {"default": "table"}),
-    "input": ("--input", {}),
 }
 
 _POINT = ("wall", "r", "phi")
@@ -167,7 +163,6 @@ _COMMAND_FLAGS = {
     "grazing-sum": ("k0", "delta", "samples", "seed"),
     "expansion": ("k0", "delta", "samples", "seed", "depth", "threads",
                   "fit"),
-    "render": ("kind", "input", "k0"),
 }
 
 
@@ -542,140 +537,6 @@ def _cmd_expansion(opts) -> int:
     return 0
 
 
-# every number of a render input is finite and at most this in magnitude,
-# which keeps each drawn coordinate finite
-INPUT_LIMIT = 1e9
-_INT_COLUMNS = ("wall_id", "k")
-
-
-def _input_number(val, what: str):
-    # bool is an int subclass; NaN fails the comparison
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not abs(val) <= INPUT_LIMIT:
-        raise ValidationError(
-            f"{what} must be a number within +-{INPUT_LIMIT:g}, got {val!r}")
-    return val
-
-
-def _read_input(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as err:
-        raise ValidationError(f"cannot read input artifact: {err}")
-
-
-def _read_csv_rows(path, columns):
-    """The named columns of a CSV artifact, wall_id and k as ints and the
-    others as floats; a short row or a bad number is a ValidationError."""
-    lines = [l for l in _read_input(path).splitlines() if l]
-    if not lines:
-        raise ValidationError(f"empty input artifact: {path}")
-    header = lines[0].split(",")
-    try:
-        idx = [header.index(c) for c in columns]
-    except ValueError:
-        raise ValidationError(
-            f"{path}: expected columns {columns}, found {header}")
-    rows = []
-    for n, line in enumerate(lines[1:], 2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValidationError(f"{path} line {n}: {len(cells)} cells, "
-                                  f"expected {len(header)}")
-        try:
-            vals = [(int if c in _INT_COLUMNS else float)(cells[i])
-                    for i, c in zip(idx, columns)]
-        except ValueError as err:
-            raise ValidationError(f"{path} line {n}: {err}")
-        rows.append(tuple(_input_number(v, f"{path} line {n} {c}")
-                          for v, c in zip(vals, columns)))
-    return rows
-
-
-def _check_points(table, rows):
-    """Refuse a (wall_id, r, phi, ...) row with phi outside [-pi/2, pi/2]
-    or, given a table, off the chart of one of its walls (open walls refuse
-    r off [0, L]; closed walls wrap)."""
-    for wall_id, r, phi, *_ in rows:
-        if abs(phi) > HALF_PI:
-            raise OutOfRange(f"phi {phi} outside [-pi/2, pi/2]")
-        if table is None:
-            continue
-        if not 0 <= wall_id < len(table.walls):
-            raise OutOfRange(f"wall_id {wall_id}: the table has walls "
-                             f"0..{len(table.walls) - 1}")
-        table.wall(wall_id).chart_frame(r)
-
-
-def _read_portrait(path) -> dict:
-    """A portrait document: sectors with numeric angles and a boolean
-    active flag, and a numeric center and rho_hat where present."""
-    try:
-        doc = json.loads(_read_input(path))
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"input is not valid JSON: {err}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("sectors"), list):
-        raise ValidationError("input is not a portrait document")
-    if "rho_hat" in doc:
-        _input_number(doc["rho_hat"], "rho_hat")
-    center = doc.get("center")
-    if center is not None:
-        if not isinstance(center, dict):
-            raise ValidationError("center must be an object")
-        for key in ("wall_id", "r", "phi"):
-            if key in center:
-                _input_number(center[key], f"center {key}")
-    for i, sec in enumerate(doc["sectors"]):
-        if not isinstance(sec, dict):
-            raise ValidationError(f"sector {i} must be an object")
-        for key in ("theta_lo", "theta_hi"):
-            _input_number(sec.get(key), f"sector {i} {key}")
-        if not isinstance(sec.get("active"), bool):
-            raise ValidationError(f"sector {i} active must be true or false")
-        if not isinstance(sec.get("type"), (str, type(None))):
-            raise ValidationError(f"sector {i} type must be a string")
-        itinerary = sec.get("itinerary") or []
-        if not isinstance(itinerary, list) or not all(
-                isinstance(sym, str) and sym.isprintable() for sym in itinerary):
-            raise ValidationError(
-                f"sector {i} itinerary must be a list of printable strings")
-    return doc
-
-
-def _cmd_render(opts) -> int:
-    kind = opts["kind"]
-    table = _load_table(opts["table"]) if opts["table"] else None
-    if kind == "table":
-        if table is None:
-            raise _UsageError("--table is required for the table view")
-        rows = []
-        if opts["input"]:
-            rows = _read_csv_rows(opts["input"],
-                                  ("wall_id", "r", "phi", "tau"))
-            _check_points(table, rows)
-            # a flight is no longer than the certified free path, up to
-            # rounding
-            tau_max = table.constants.tau_max * (1.0 + 1e-9)
-            for _, _, _, tau in rows:
-                if not 0.0 <= tau <= tau_max:
-                    raise OutOfRange(f"tau {tau} outside [0, {tau_max:g}]")
-        svg = table_svg(table, rows)
-    elif kind == "phase":
-        _require(opts, "input")
-        rows = _read_csv_rows(opts["input"], ("wall_id", "r", "phi", "k"))
-        _check_points(table, rows)
-        svg = phase_svg(rows, table, opts["k0"])
-    elif kind == "portrait":
-        _require(opts, "input")
-        svg = portrait_svg(_read_portrait(opts["input"]))
-    else:
-        raise UnknownKind(f"no such render kind: {kind}")
-    _write(opts["out"], svg)
-    print(f"wrote {opts['out']}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -687,7 +548,6 @@ _DISPATCH = {
     "evolve": _cmd_evolve,
     "grazing-sum": _cmd_grazing_sum,
     "expansion": _cmd_expansion,
-    "render": _cmd_render,
 }
 
 
@@ -698,8 +558,7 @@ def run(argv=None) -> int:
         _check_length(opts, "delta", "length")
         if opts.get("threads") is not None and opts["threads"] < 0:
             raise _UsageError("--threads must be >= 0")
-        if opts["command"] != "render":
-            _require(opts, "table")
+        _require(opts, "table")
         return _DISPATCH[opts["command"]](opts)
     except _UsageError as err:
         print(f"{PROG}: usage error: {err}", file=sys.stderr)

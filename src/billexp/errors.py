@@ -37,10 +37,6 @@ class OutOfRange(BilliardError):
     pass
 
 
-class UnknownKind(BilliardError):
-    pass
-
-
 class EscapedDomain(BilliardError):
     """Ray left the domain without a collision; valid tables never do this."""
 

@@ -174,7 +174,7 @@ class BilliardTable:
     def crossings(self) -> tuple[tuple[float, float], ...]:
         """Plane tables: the points where the circles of two walls meet
         within EPS_CROSS of both arcs, i.e. every corner (to rounding) and
-        any crossing of two walls, which build_table does not refuse."""
+        any crossing of two walls, which only a strict=False build keeps."""
         return _crossings(self.walls) if self.ambient == "plane" else ()
 
     def wall(self, wall_id: int) -> ArcWall:
@@ -349,9 +349,11 @@ def build_table(spec: dict, *, strict: bool = True) -> BilliardTable:
         boundary loop enclosing the table, and on the torus a bounded
         horizon.  ``strict=False`` skips the dispersing and horizon
         checks so that focusing reference tables can be built for comparisons.
+        A strict plane build also refuses two walls that cross away from a
+        corner: a ray through the crossing switches wall there.
 
-    Raises NonDispersing, CuspDetected, NonSimpleCorner, OpenBoundary, or
-    UnboundedHorizon accordingly.
+    Raises NonDispersing, CuspDetected, NonSimpleCorner, OpenBoundary,
+    UnboundedHorizon or ValidationError accordingly.
     """
     if not isinstance(spec, dict):
         raise ValidationError("table spec must be an object")
@@ -384,6 +386,13 @@ def build_table(spec: dict, *, strict: bool = True) -> BilliardTable:
     table = BilliardTable(ambient=ambient, walls=walls, corners=corners,
                           constants=constants, corner_at_end=at_end,
                           corner_at_start=at_start)
+    if strict and ambient == "plane":
+        for x, y in table.crossings:
+            if all(math.hypot(x - c.position[0], y - c.position[1])
+                   > EPS_CROSS for c in corners):
+                raise ValidationError(
+                    f"walls cross at ({x:.6g}, {y:.6g}), away from every "
+                    "corner")
     if strict and ambient == "torus":
         corridor = find_corridor(table)
         if corridor is not None:
@@ -459,10 +468,10 @@ def _exact_diameter(walls, corners) -> float:
             pts.append(w.frame_at(0.0)[0])
             pts.append(w.frame_at(w.length)[0])
 
-    best = 0.0
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            best = max(best, _dist(pts[a], pts[b]))
+    # every pair in one call, each with the bits _dist gives it
+    x, y = np.array(pts, dtype=float).reshape(-1, 2).T
+    best = float(np.hypot(np.subtract.outer(x, x),
+                          np.subtract.outer(y, y)).max(initial=0.0))
 
     def far_point_on(w: ArcWall, p):
         c = w.center

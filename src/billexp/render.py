@@ -207,24 +207,17 @@ MARGIN = 34.0
 JOIN_GAP = 0.05
 
 
-def phase_svg(rows, table: BilliardTable | None = None,
-              k0: int | None = None) -> str:
-    """Plot tagged phase points, one panel per wall, r horizontal.
+def phase_svg(rows, table: BilliardTable, k0: int | None = None) -> str:
+    """Plot tagged phase points, one panel per wall of ``table``, r
+    horizontal.
 
     ``rows`` is a sequence of (wall_id, r, phi, k).  Consecutive rows on the
     same wall with the same tag and a small gap are joined into a polyline;
     anything isolated is drawn as a dot.
     """
     rows = [(int(w), float(r), float(phi), int(k)) for w, r, phi, k in rows]
-    if table is not None:
-        lengths = {w.wall_id: w.length for w in table.walls}
-    else:
-        lengths = {}
-        for w, r, _, _ in rows:
-            lengths[w] = max(lengths.get(w, 1e-9), r)
+    lengths = {w.wall_id: w.length for w in table.walls}
     wall_ids = sorted(lengths)
-    if not wall_ids:
-        wall_ids, lengths = [0], {0: 1.0}
 
     usable = PHASE_WIDTH - 2 * MARGIN - CHART_GAP * (len(wall_ids) - 1)
     total_len = sum(lengths[w] for w in wall_ids)

@@ -898,7 +898,7 @@ class ExpansionReport:
     k0: int
     delta: float
     n_steps: int
-    n_source: str               # "select" | "empirical" | "given"
+    n_source: str   # "select" | "empirical" | "empirical-best" | "given"
     samples: int
     used: int
     seed: int

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from billexp import cli, geometry, singularities, tables, ucurves
+from billexp import cli, geometry, render, singularities, tables, ucurves
 from billexp.errors import SingularSeed, ValidationError
 
 
@@ -46,6 +46,10 @@ def test_validate_unbounded_horizon(tmp_path, capsys):
 def test_usage_errors(capsys):
     assert run() == 1
     assert run("no-such-command") == 1
+    capsys.readouterr()
+    # deleted: orbit, singularities, portrait and evolve write their own SVG
+    assert run("render", "--table", "tri") == 1
+    assert capsys.readouterr().err.startswith("billexp: usage error")
     assert run("expansion", "--table", "tri", "--N", "2") == 1  # no seed
     assert "--seed" in capsys.readouterr().err
     assert run("orbit", "--table", "tri", "--r", "0.5") == 1    # no phi
@@ -154,10 +158,10 @@ def test_singularities_csv_and_phase_svg(tmp_path):
                "--resolution", "120", "--out", "s.csv") == 0
     header = (tmp_path / "s.csv").read_text().splitlines()[0]
     assert header == "wall_id,r,phi,k"
-    assert run("render", "--kind", "phase", "--input", "s.csv",
-               "--table", "tri", "--out", "a.svg") == 0
-    assert run("render", "--kind", "phase", "--input", "s.csv",
-               "--table", "tri", "--out", "b.svg") == 0
+    for name in ("a.svg", "b.svg"):
+        assert run("singularities", "--table", "tri", "--level", "-1",
+                   "--resolution", "120", "--format", "svg",
+                   "--out", name) == 0
     a = (tmp_path / "a.svg").read_bytes()
     assert a == (tmp_path / "b.svg").read_bytes()
     assert a.startswith(b"<svg ") and a.endswith(b"</svg>\n")
@@ -168,8 +172,8 @@ def test_portrait_json_and_svg(tmp_path):
                "--r", "1e-6", "--phi", "0.0", "--out", "p.json") == 0
     doc = json.loads((tmp_path / "p.json").read_text())
     assert set(doc) == {"center", "rho_hat", "order", "k0", "sectors"}
-    assert run("render", "--kind", "portrait", "--input", "p.json",
-               "--out", "p.svg") == 0
+    assert run("portrait", "--table", "tri", "--wall", "0", "--r", "1e-6",
+               "--phi", "0.0", "--format", "svg", "--out", "p.svg") == 0
     svg = (tmp_path / "p.svg").read_bytes()
     assert b"path" in svg
 
@@ -195,7 +199,7 @@ def test_portrait_partial_artifact_follows_format(tmp_path, monkeypatch,
         assert ET.fromstring(text).tag.endswith("svg")
 
 
-def test_portrait_active_shading_differs(tmp_path):
+def test_portrait_active_shading_differs():
     doc = {"center": {"wall_id": 0, "r": 0.5, "phi": 0.0},
            "rho_hat": 1e-3, "order": 1, "k0": 30,
            "sectors": [
@@ -204,13 +208,19 @@ def test_portrait_active_shading_differs(tmp_path):
                 "active": True, "type": "A"},
                {"theta_lo": 1.2, "theta_hi": 2.0, "itinerary": [],
                 "regular": False, "active": False, "type": None}]}
-    (tmp_path / "q.json").write_text(json.dumps(doc))
-    assert run("render", "--kind", "portrait", "--input", "q.json",
-               "--out", "q.svg") == 0
-    svg = (tmp_path / "q.svg").read_text()
+    svg = render.portrait_svg(doc)
     assert 'fill="#cccccc"' in svg        # inactive: pale, dashed
     assert "stroke-dasharray" in svg
     assert 'fill-opacity="0.550000"' in svg   # active: solid type color
+
+
+def test_portrait_svg_escapes_itinerary():
+    doc = {"center": {"wall_id": 0, "r": 0.5, "phi": 0.1}, "rho_hat": 0.5,
+           "order": 1, "k0": 30,
+           "sectors": [{"theta_lo": 0.0, "theta_hi": 1.0, "active": True,
+                        "itinerary": ["<&>"]}]}
+    root = ET.fromstring(render.portrait_svg(doc))
+    assert [el.text for el in root.iter() if el.text == "<&>"] == ["<&>"]
 
 
 def test_evolve_json_and_csv(tmp_path):
@@ -241,6 +251,21 @@ def test_evolve_partial_artifact_follows_format(tmp_path, monkeypatch, fmt):
         _check_artifact(tmp_path / "evolve.csv")
     else:
         assert text.startswith("<svg ") and text.endswith("</svg>\n")
+        _check_artifact(tmp_path / "evolve.svg")
+
+
+def test_readme_lists_commands_and_formats():
+    """The README's command block and formats table name exactly the
+    commands and formats of the parser."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```text\n(.*?)```", readme, re.S)
+    commands = [line.split()[1] for block in blocks
+                for line in block.splitlines() if line.startswith("billexp ")]
+    assert commands == list(cli.COMMANDS)
+    table = next(block for block in blocks if block.startswith("validate "))
+    formats = {cmd: tuple(fmts.split(", ")) for cmd, fmts in
+               re.findall(r"([a-z-]+) +([a-z]+(?:, [a-z]+)*)", table)}
+    assert formats == cli.FORMATS
 
 
 def test_format_table(tmp_path, capsys):
@@ -254,8 +279,7 @@ def test_format_table(tmp_path, capsys):
         assert cli._parse([cmd])["format"] == cli.FORMATS[cmd][0]
     refused = [("orbit", "json"), ("singularities", "json"),
                ("portrait", "csv"), ("grazing-sum", "svg"),
-               ("expansion", "svg"), ("render", "json"),
-               ("validate", "csv")]
+               ("expansion", "svg"), ("validate", "csv")]
     for cmd, fmt in refused:
         assert fmt not in cli.FORMATS[cmd]
         assert run(cmd, "--table", "tri", "--format", fmt) == 1
@@ -266,47 +290,11 @@ def test_format_table(tmp_path, capsys):
     assert (tmp_path / "orbit.svg").read_text().startswith("<svg ")
 
 
-@pytest.mark.parametrize("kind,table,name,text", [
-    ("phase", None, "in.csv", "wall_id,r,phi,k\n0,0.5\n"),
-    ("phase", None, "in.csv", "wall_id,r,phi,k\n0,abc,0.1,1\n"),
-    ("phase", "tri", "in.csv", "wall_id,r,phi,k\n7,0.5,0.1,1\n"),
-    ("phase", "tri", "in.csv", "wall_id,r,phi,k\n0,5.0,0.1,1\n"),
-    ("phase", "tri", "in.csv", "wall_id,r,phi,k\n0,-3.0,0.1,1\n"),
-    ("phase", "tri", "in.csv", "wall_id,r,phi,k\n0,0.5,1.9,1\n"),
-    ("phase", None, "in.csv", "wall_id,r,phi,k\n0,0.5,1.9,1\n"),
-    ("table", "tri", "in.csv", "wall_id,r,phi,tau\n7,0.5,0.1,1\n"),
-    ("table", "tri", "in.csv", "wall_id,r,phi,tau\n0,0.5,0.1,nan\n"),
-    ("table", "tri", "in.csv", "wall_id,r,phi,tau\n0,0.5,2.0,1\n"),
-    ("portrait", None, "in.json", '{"sectors": 5}'),
-    ("portrait", None, "in.json", '{"sectors": [{"theta_lo": "x"}]}'),
-    ("portrait", None, "in.json",
-     '{"sectors": [{"theta_lo": 0, "theta_hi": 1}]}'),
-], ids=["short-row", "text-cell", "phase-wall-id", "phase-r-past-end",
-        "phase-r-negative", "phase-phi-off-chart", "phase-phi-no-table",
-        "table-wall-id",
-        "tau-nan", "phi-off-table", "sectors-number", "theta-text",
-        "active-missing"])
-def test_render_refuses_malformed_input(tmp_path, capsys, kind, table, name,
-                                        text):
-    (tmp_path / name).write_text(text)
-    argv = ["render", "--kind", kind, "--input", name, "--out", "o.svg"]
-    if table is not None:
-        argv += ["--table", table]
-    assert run(*argv) == 2
-    assert capsys.readouterr().err.startswith("billexp: ")
-    assert not (tmp_path / "o.svg").exists()
-
-
-def test_render_unknown_kind(capsys):
-    assert run("render", "--kind", "hologram", "--table", "tri") == 2
-    assert "UnknownKind" in capsys.readouterr().err
-
-
 def test_render_orbit_overlay(tmp_path):
     assert run("orbit", "--table", "torus2", "--wall", "0", "--r", "0.3",
-               "--phi", "0.2", "--n", "8", "--out", "t.csv") == 0
-    assert run("render", "--kind", "table", "--table", "torus2",
-               "--input", "t.csv", "--out", "t.svg") == 0
+               "--phi", "0.2", "--n", "8", "--format", "svg",
+               "--out", "t.svg") == 0
+    _check_artifact(tmp_path / "t.svg")
     svg = (tmp_path / "t.svg").read_text()
     assert svg.count("<polyline") > 10   # walls + wrapped flight segments
 
@@ -396,8 +384,11 @@ def test_config_file_defaults_and_override(tmp_path):
     assert json.loads((tmp_path / "c2.json").read_text())["samples"] == 10
 
 
-def test_config_unknown_key(tmp_path, capsys):
-    (tmp_path / "bad.json").write_text(json.dumps({"tabel": "tri"}))
+@pytest.mark.parametrize("config", [
+    {"tabel": "tri"}, {"kind": "table"}, {"input": "x.csv"},
+], ids=["tabel", "kind", "input"])
+def test_config_unknown_key(tmp_path, capsys, config):
+    (tmp_path / "bad.json").write_text(json.dumps(config))
     assert run("grazing-sum", "--config", "bad.json", "--seed", "1") == 1
     assert "unknown config key" in capsys.readouterr().err
 
@@ -613,99 +604,3 @@ def test_table_spec_builds_or_is_refused(spec):
         assert code in ((0, 2) if built else (2,))
         if code == 0:
             _check_artifact(pathlib.Path(d) / "v.json")
-
-
-# ---------------------------------------------------------------------------
-# generated render inputs
-
-@st.composite
-def _or_odd(draw, valid):
-    # the valid value three times in four, else an odd or wrong-typed one
-    return draw(_ODD if draw(st.integers(0, 3)) == 0 else valid)
-
-
-_CELL = st.one_of(
-    st.sampled_from(["7", "-1", "2.0", "nan", "inf", "-inf", "1e300", "",
-                     "abc"]),
-    st.floats().map(repr), st.integers(-10, 10).map(str),
-    st.text(max_size=4).filter(lambda t: "," not in t))
-# cells of a row that tri accepts, by column
-_GOOD_CELL = {"wall_id": st.integers(0, 2), "r": st.floats(0.0, 2.0),
-              "phi": st.floats(-1.5, 1.5), "tau": st.floats(0.0, 2.0),
-              "k": st.integers(-3, 3)}
-_CSV_COLUMNS = {"table": ("wall_id", "r", "phi", "tau"),
-                "phase": ("wall_id", "r", "phi", "k")}
-
-
-@st.composite
-def _csv_row(draw, columns):
-    """A row of good cells with up to two replaced by odd ones, or a row of
-    odd cells whose width may differ from the header's."""
-    if draw(st.booleans()):
-        return draw(st.lists(_CELL, min_size=3, max_size=5))
-    row = [repr(draw(_GOOD_CELL[c])) for c in columns]
-    for i in draw(st.lists(st.integers(0, len(row) - 1), max_size=2)):
-        row[i] = draw(_CELL)
-    return row
-
-
-_PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126),
-                     max_size=4)
-
-
-@st.composite
-def _sectors(draw):
-    sec = {"theta_lo": draw(_or_odd(st.floats(-7.0, 7.0))),
-           "theta_hi": draw(_or_odd(st.floats(-7.0, 7.0))),
-           "active": draw(_or_odd(st.booleans())),
-           "type": draw(_or_odd(st.sampled_from(["A", "B", None]))),
-           "itinerary": draw(_or_odd(st.lists(
-               _PRINTABLE | st.text(max_size=4), max_size=2)))}
-    if draw(st.integers(0, 3)) == 0:
-        del sec[draw(st.sampled_from(sorted(sec)))]
-    return sec
-
-
-@st.composite
-def _render_inputs(draw):
-    """(kind, table, input name, input text): a table or phase CSV with odd
-    cells and short or long rows, or a portrait document with odd or
-    wrong-typed fields."""
-    kind = draw(st.sampled_from(["table", "phase", "portrait"]))
-    table = "tri" if kind == "table" else draw(st.sampled_from([None, "tri"]))
-    if kind == "portrait":
-        doc = {"center": draw(_or_odd(st.just({"wall_id": 0, "r": 0.5,
-                                               "phi": 0.1}))),
-               "rho_hat": draw(_or_odd(st.floats(0.0, 1.0))), "order": 1,
-               "k0": 30,
-               "sectors": draw(_or_odd(st.lists(_sectors(), max_size=3)))}
-        return kind, table, "in.json", json.dumps(doc)
-    columns = _CSV_COLUMNS[kind]
-    rows = draw(st.lists(_csv_row(columns), max_size=3))
-    lines = [",".join(columns)] + [",".join(r) for r in rows]
-    return kind, table, "in.csv", "\n".join(lines) + "\n"
-
-
-@settings(max_examples=150, deadline=None)
-@given(_render_inputs())
-@example(("table", "tri", "in.csv", "wall_id,r,phi,tau\n0,0.5,0.1,1\n"))
-@example(("phase", None, "in.csv", "wall_id,r,phi,k\n-1,-1e300,0.1,1\n"))
-@example(("portrait", None, "in.json", json.dumps(
-    {"sectors": [{"theta_lo": 0, "theta_hi": 1, "active": True,
-                  "itinerary": ["<&>"]}]})))
-def test_render_writes_svg_or_refuses(render_input):
-    kind, table, name, text = render_input
-    with tempfile.TemporaryDirectory() as d:
-        d = pathlib.Path(d)
-        (d / name).write_text(text)
-        argv = ["render", "--kind", kind, "--input", str(d / name),
-                "--out", str(d / "o.svg")]
-        if table is not None:
-            argv += ["--table", table]
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli.run(argv)
-        assert code in (0, 2)
-        assert (d / "o.svg").exists() == (code == 0)
-        if code == 0:
-            _check_artifact(d / "o.svg")

@@ -159,6 +159,25 @@ def test_overlapping_disks_rejected():
         build_table(spec)
 
 
+def test_walls_crossing_away_from_corner_rejected(tri, lens):
+    # a disk centred on wall 0's midpoint crosses it twice, away from the
+    # corners; rays through a crossing switch wall there
+    spec = tables.make_tri_spec()
+    (mx, my), _, _ = tri.walls[0].frame_at(0.5 * tri.walls[0].length)
+    spec["walls"].append({"center": [mx, my], "radius": 0.1,
+                          "theta_start": 0.0, "theta_end": 0.0,
+                          "orientation": -1})
+    with pytest.raises(ValidationError, match="cross"):
+        build_table(spec)
+    crossed = build_table(spec, strict=False)
+    assert len(crossed.crossings) == len(tri.crossings) + 2
+    # the built-in plane tables cross only at their corners
+    for table in (tri, lens):
+        for x, y in table.crossings:
+            assert min(math.hypot(x - c.position[0], y - c.position[1])
+                       for c in table.corners) <= geometry.EPS_CROSS
+
+
 # ---------------------------------------------------------------------------
 # the tri fixture
 

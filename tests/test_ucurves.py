@@ -416,7 +416,8 @@ def test_single_branch_sees_crossings_and_near_cusps():
     spec["walls"].append({"center": [mx, my], "radius": 0.1,
                           "theta_start": 0.0, "theta_end": 0.0,
                           "orientation": -1})
-    crossed = geometry.build_table(spec)
+    # a strict build refuses walls that cross away from a corner
+    crossed = geometry.build_table(spec, strict=False)
     # the crossing nearer wall 1, where the disk meets wall 0
     x, y = max((p for p in crossed.crossings
                 if all(math.dist(p, c.position) > 1e-3
