@@ -30,8 +30,8 @@ from .errors import (
     SequenceOverflow,
     SingularInput,
 )
-from .flow import EPS_TAN, Ray, classify_collision, first_collision
-from .geometry import EPS_CORNER, BilliardTable, Corner
+from .flow import EPS_TAN, TAU_FLOOR, Ray, classify_collision, first_collision
+from .geometry import EPS_CORNER, TWO_PI, BilliardTable, Corner
 
 HALF_PI = math.pi / 2.0
 K0_DEFAULT = 30
@@ -275,6 +275,127 @@ def inverse(table: BilliardTable, p: PhasePoint) -> MapResult:
 
 
 # ---------------------------------------------------------------------------
+# batched regular step
+
+# most points one call of regular_images gets from the batched estimators
+BATCH_ROWS = 512
+
+
+def _each(fn, *cols) -> np.ndarray:
+    """``fn`` from ``math`` applied element by element, as a float array."""
+    return np.fromiter(map(fn, *(c.tolist() for c in cols)), float,
+                       cols[0].size)
+
+
+def regular_images(table: BilliardTable, points) -> list[MapImage | None]:
+    """``forward(table, p).images[0]`` for each point p that ``forward`` maps
+    by one plain regular step (no trail, not grazing), else None.
+
+    The regular path of ``forward`` for many independent points at once:
+    numpy does the + - * /, sqrt, comparisons and remainders in the scalar
+    code's order, so every image given is bit-identical to ``forward``'s,
+    and each transcendental goes through ``math`` one element at a time,
+    since numpy's arctan2 and hypot differ from math's in the last bit.
+    None, for the caller to resolve with ``forward``: torus tables,
+    |phi| >= pi/2, departures and arrivals within EPS_CORNER of a wall end,
+    grazing hits and images, cos(phi') < 1e-6 (where ``flight_derivative``
+    sums exactly), and rays that meet no wall.
+    """
+    out: list[MapImage | None] = [None] * len(points)
+    if table.ambient != "plane" or not points:
+        return out
+    walls = table.walls
+    wid, r, phi = (np.array(col) for col in zip(*points))
+    rows = np.arange(len(points))
+    cols = np.array([(w.theta_start, w.orientation, w.radius, w.kappa,
+                      w.length, w.closed, w.span, w.center[0], w.center[1])
+                     for w in walls], dtype=float)
+
+    # departure: outgoing_ray, away from the wall ends
+    ts, o, R, kap, L, closed, _, cx, cy = cols[wid].T
+    closed = closed > 0.0
+    keep = np.abs(phi) < HALF_PI
+    keep &= np.where(closed, np.isfinite(r),
+                     (r > EPS_CORNER) & (r < L - EPS_CORNER))
+    rows, r, phi, ts, o, R, kap, L, closed, cx, cy = (
+        a[keep] for a in (rows, r, phi, ts, o, R, kap, L, closed, cx, cy))
+    r = np.where(closed, np.remainder(r, L), r)
+    th = ts + o * r / R
+    ct, st = _each(math.cos, th), _each(math.sin, th)
+    tx, ty = -o * st, o * ct
+    ox, oy = cx + R * ct, cy + R * st
+    c, s = _each(math.cos, phi), _each(math.sin, phi)
+    dx, dy = c * -ty + s * tx, c * tx + s * ty
+
+    # first_collision: the nearest admissible root over the walls in order
+    best_t = np.full(rows.size, np.inf)
+    best_w = np.zeros(rows.size, dtype=int)
+    best_ddn = np.zeros(rows.size)
+    best_th = np.zeros(rows.size)
+    for w in walls:
+        # the (0, 0) cell offset of first_collision, signed zeros included
+        wx, wy, wr = w.center[0] + 0, w.center[1] + 0, w.radius
+        ux, uy = ox - wx, oy - wy
+        b = dx * ux + dy * uy
+        cc = ux * ux + uy * uy - wr * wr
+        disc = b * b - cc
+        meets = disc >= 0.0
+        sq = np.sqrt(np.where(meets, disc, 0.0))
+        q = np.where(b >= 0.0, -(b + sq), -(b - sq))
+        meets &= q != 0.0
+        for t in (q, cc / np.where(meets, q, 1.0)):
+            ddn = -w.orientation * (b + t) / wr
+            idx = np.flatnonzero(meets & (t > TAU_FLOOR) & (ddn <= EPS_TAN)
+                                 & (t < best_t))
+            if not idx.size:
+                continue
+            theta = _each(math.atan2, oy[idx] + t[idx] * dy[idx] - wy,
+                          ox[idx] + t[idx] * dx[idx] - wx)
+            if not w.closed:
+                u = np.remainder(w.orientation * (theta - w.theta_start),
+                                 TWO_PI)
+                slack = EPS_CORNER / wr
+                on = (u <= w.span + slack) | (u >= TWO_PI - slack)
+                idx, theta = idx[on], theta[on]
+            best_t[idx] = t[idx]
+            best_w[idx] = w.wall_id
+            best_ddn[idx] = ddn[idx]
+            best_th[idx] = theta
+    keep = np.isfinite(best_t) & (np.abs(best_ddn) > EPS_TAN)
+    # arrival: r_from_angle, away from the wall ends
+    ts, o, R, kap1, L, closed, span = cols[best_w].T[:7]
+    u = np.remainder(o * (best_th - ts), TWO_PI)
+    u = np.where(u > span, np.where(TWO_PI - u < u - span, 0.0, span), u)
+    r1 = u * R
+    r1 = np.where(0.0 > r1, 0.0, r1)
+    r1 = np.where(L < r1, L, r1)
+    keep &= (closed > 0.0) | ((r1 > EPS_CORNER) & (r1 < L - EPS_CORNER))
+    rows, wid1, r1, tau, c0, kap, kap1, ts, o, R, dx, dy = (
+        a[keep] for a in (rows, best_w, r1, 0.0 + best_t, c, kap, kap1, ts,
+                          o, R, dx, dy))
+
+    # _reflection_image and flight_derivative (cos(phi0) is the c above)
+    th = ts + o * r1 / R
+    ct, st = _each(math.cos, th), _each(math.sin, th)
+    tx, ty = -o * st, o * ct
+    nx, ny = -ty, tx
+    dn = dx * nx + dy * ny
+    vx, vy = dx - 2.0 * dn * nx, dy - 2.0 * dn * ny
+    phi1 = _each(math.atan2, vx * tx + vy * ty, vx * nx + vy * ny)
+    c1 = _each(math.cos, phi1)
+    keep = (np.abs(phi1) < HALF_PI - EPS_TAN) & (c1 >= 1e-6)
+    f = -1.0 / np.where(keep, c1, 1.0)
+    m10 = tau * kap * kap1 + kap * c1 + kap1 * c0
+    entries = (f * (tau * kap + c0), f * tau, f * m10, f * (tau * kap1 + c1))
+    for i, w, r_img, p1, t, a, b, c, d in zip(
+            *(x[keep].tolist() for x in (rows, wid1, r1, phi1, tau,
+                                          *entries))):
+        out[i] = MapImage(PhasePoint(w, r_img, p1), t, "regular",
+                          ((a, b), (c, d)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # single-branch certificate
 
 # margin of single_branch, in length units (see its docstring)
@@ -403,6 +524,32 @@ def orbit(table: BilliardTable, p: PhasePoint, n: int) -> OrbitResult:
     return OrbitResult(p, tuple(images), "ok")
 
 
+def regular_steps(table: BilliardTable, points, n: int):
+    """Walk the points n steps in lockstep, and yield per step the list of
+    (row, image) for the rows whose steps so far were all regular: one
+    plain "regular" image (``MapResult.regular``), as ``orbit`` walks them.
+
+    Each step is one ``regular_images`` call, with ``forward`` for the rows
+    it declines; a row that is not regular leaves the walk.
+    """
+    live = list(enumerate(points))
+    for _ in range(n):
+        step = []
+        for (i, p), im in zip(live, regular_images(table,
+                                                   [p for _, p in live])):
+            if im is None:
+                try:
+                    res = forward(table, p)
+                except BilliardError:
+                    continue
+                if not res.regular:
+                    continue
+                im = res.images[0]
+            step.append((i, im))
+        yield step
+        live = [(i, im.point) for i, im in step]
+
+
 # ---------------------------------------------------------------------------
 # homogeneity strips
 
@@ -464,35 +611,60 @@ def expansion_factor(deriv: Matrix2, slope: float) -> float:
 # ---------------------------------------------------------------------------
 # sampling
 
-def random_phase_point(table: BilliardTable, rng) -> PhasePoint:
-    """Draw from the invariant collision measure cos(phi) dr dphi."""
+def _points_from_uniforms(table: BilliardTable, u) -> list[PhasePoint]:
+    """One phase point per pair of uniforms: the first picks the arclength
+    over all walls, the second sin(phi)."""
     lengths = [w.length for w in table.walls]
     total = sum(lengths)
-    x = rng.random() * total
-    for w, L in zip(table.walls, lengths):
-        if x <= L or w is table.walls[-1]:
-            r = min(x, L)
-            break
-        x -= L
-    phi = math.asin(2.0 * rng.random() - 1.0)
-    return PhasePoint(w.wall_id, r, phi)
+    out = []
+    for a, b in zip(u[::2], u[1::2]):
+        x = a * total
+        for w, L in zip(table.walls, lengths):
+            if x <= L or w is table.walls[-1]:
+                r = min(x, L)
+                break
+            x -= L
+        out.append(PhasePoint(w.wall_id, r, math.asin(2.0 * b - 1.0)))
+    return out
+
+
+def random_phase_point(table: BilliardTable, rng) -> PhasePoint:
+    """Draw from the invariant collision measure cos(phi) dr dphi."""
+    return _points_from_uniforms(table, (rng.random(), rng.random()))[0]
+
+
+def random_phase_points(table: BilliardTable, rng,
+                        count: int) -> list[PhasePoint]:
+    """``count`` draws of random_phase_point, from one call of rng.random."""
+    return _points_from_uniforms(table, rng.random(2 * count).tolist())
 
 
 # ---------------------------------------------------------------------------
 # operative cones
+
+def _cone_from(table: BilliardTable, z: PhasePoint, im: MapImage):
+    """The cone at z pushed along ``im``, the regular image of involute(z)."""
+    return cone_slopes(im.tau, table.walls[im.point.wall_id].kappa,
+                       -im.point.phi, table.walls[z.wall_id].kappa, z.phi)
+
 
 def unstable_cone_at(table: BilliardTable, z: PhasePoint):
     """Operative unstable cone at z: the push-forward along the arriving step.
 
     Needs a unique non-grazing arriving branch; otherwise SingularInput.
     """
-    res = inverse(table, z)
+    res = forward(table, involute(z))
     if not res.regular:
         raise SingularInput("no single smooth branch arrives at this point")
-    pre = res.images[0]
-    k0 = table.wall(pre.point.wall_id).kappa
-    k1 = table.wall(z.wall_id).kappa
-    return cone_slopes(pre.tau, k0, pre.point.phi, k1, z.phi)
+    return _cone_from(table, z, res.images[0])
+
+
+def _unstable_cones(table: BilliardTable, points) -> list:
+    """unstable_cone_at at each point, or None where it raises."""
+    cones = [None] * len(points)
+    for i, im in next(regular_steps(table, list(map(involute, points)), 1)):
+        cones[i] = _cone_from(table, points[i], im)
+    return cones
 
 
 def interior_slope(lo: float, hi: float, x: float = 0.5) -> float:
@@ -526,19 +698,16 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     best = math.inf
     used = 0
-    for _ in range(samples):
-        z = random_phase_point(table, rng)
-        try:
-            lo, _hi = unstable_cone_at(table, z)
-            res = forward(table, z)
-        except BilliardError:
-            continue
-        if not res.regular:
-            continue
-        im = res.images[0]
-        m = expansion_factor(im.derivative, lo)
-        best = min(best, m * math.cos(im.point.phi))
-        used += 1
+    for start in range(0, samples, BATCH_ROWS):
+        block = random_phase_points(table, rng,
+                                    min(BATCH_ROWS, samples - start))
+        cones = _unstable_cones(table, block)
+        for i, im in next(regular_steps(table, block, 1)):
+            if cones[i] is None:
+                continue
+            m = expansion_factor(im.derivative, cones[i][0])
+            best = min(best, m * math.cos(im.point.phi))
+            used += 1
     if used == 0:
         raise ValueError("no regular samples; table or sampler is broken")
     return best, used
@@ -555,25 +724,40 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
     mins = [math.inf] * n_max
     used = 0
     attempts = 0
-    while used < samples and attempts < 20 * samples:
-        attempts += 1
-        z = random_phase_point(table, rng)
-        try:
-            lo, hi = unstable_cone_at(table, z)
-        except BilliardError:
-            continue
-        walk = orbit(table, z, n_max)
-        if walk.status != "ok" or any(im.label != "regular" or im.trail
-                                      for im in walk.images):
-            continue
-        s = interior_slope(lo, hi)
-        h = math.hypot(1.0, s)
-        vx, vy = 1.0 / h, s / h
-        used += 1
-        for i, im in enumerate(walk.images):
-            (a, b), (c, d) = im.derivative
-            vx, vy = a * vx + b * vy, c * vx + d * vy
-            mins[i] = min(mins[i], math.hypot(vx, vy))
+    cap = 20 * samples
+    while used < samples and attempts < cap:
+        block = random_phase_points(table, rng,
+                                    min(BATCH_ROWS, cap - attempts))
+        cones = _unstable_cones(table, block)
+        # |DF^k v| at k = 1, 2, ... along each orbit, v inside the cone
+        vecs, norms = [], []
+        for cone in cones:
+            if cone is not None:
+                s = interior_slope(*cone)
+                h = math.hypot(1.0, s)
+                vecs.append((1.0 / h, s / h))
+                norms.append([])
+        starts = [z for z, cone in zip(block, cones) if cone is not None]
+        for step in regular_steps(table, starts, n_max):
+            for j, im in step:
+                (a, b), (c, d) = im.derivative
+                vx, vy = vecs[j]
+                vx, vy = a * vx + b * vy, c * vx + d * vy
+                vecs[j] = (vx, vy)
+                norms[j].append(math.hypot(vx, vy))
+        grown = iter(norms)
+        for cone in cones:
+            if used >= samples:
+                break
+            attempts += 1
+            if cone is None:
+                continue
+            growth = next(grown)
+            if len(growth) < n_max:
+                continue
+            used += 1
+            for k, norm in enumerate(growth):
+                mins[k] = min(mins[k], norm)
     if used == 0:
         raise ValueError("no full-length regular orbits sampled")
     ns = np.arange(1, n_max + 1, dtype=float)

@@ -177,6 +177,12 @@ class BilliardTable:
         any crossing of two walls, which only a strict=False build keeps."""
         return _crossings(self.walls) if self.ambient == "plane" else ()
 
+    @cached_property
+    def memo(self) -> dict:
+        """Data that other layers derive from this table once and share,
+        by key; it lives exactly as long as this table object."""
+        return {}
+
     def wall(self, wall_id: int) -> ArcWall:
         return self.walls[wall_id]
 

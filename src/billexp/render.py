@@ -306,7 +306,7 @@ def portrait_svg(doc: dict) -> str:
     cv.circle(cx, cy, 2.5, "#000000")
 
     for sec in doc["sectors"]:
-        lo, hi = float(sec["theta_lo"]), float(sec["theta_hi"])
+        lo, hi = sec["theta_lo"], sec["theta_hi"]
         if hi < lo:
             hi += 2 * math.pi
         if hi - lo >= 2 * math.pi - 1e-9:
@@ -317,13 +317,13 @@ def portrait_svg(doc: dict) -> str:
         else:
             path = _wedge(cx, cy, SECTOR_R, lo, hi)
         if sec["active"]:
-            fill = {"A": PALETTE[0], "B": PALETTE[1]}.get(sec.get("type"),
+            fill = {"A": PALETTE[0], "B": PALETTE[1]}.get(sec["type"],
                                                           "#999999")
             cv.path(path, fill, "#333333", opacity=0.55)
         else:
             cv.path(path, "#cccccc", FRAME_STROKE, opacity=0.25, dash="3,3")
-        if hi - lo >= LABEL_MIN_WIDTH and sec.get("itinerary"):
-            label = ";".join(map(str, sec["itinerary"]))
+        if hi - lo >= LABEL_MIN_WIDTH and sec["itinerary"]:
+            label = ";".join(sec["itinerary"])
             if len(label) > 14:
                 label = label[:13] + "~"
             mid = 0.5 * (lo + hi)
@@ -331,13 +331,10 @@ def portrait_svg(doc: dict) -> str:
             ty = cy - 0.62 * SECTOR_R * math.sin(mid)
             cv.text(tx, ty, label, 10)
 
-    center = doc.get("center") or {}
-    where = ("wall %d r=%s phi=%s"
-             % (int(center.get("wall_id", 0)),
-                _f(float(center.get("r", 0.0))),
-                _f(float(center.get("phi", 0.0)))))
+    center = doc["center"]
+    where = "wall %d r=%s phi=%s" % (center["wall_id"], _f(center["r"]),
+                                     _f(center["phi"]))
     cv.text(12, size - 14,
             "center %s  rho_hat %s  sectors %d"
-            % (where, _f(float(doc.get("rho_hat", 0.0))),
-               len(doc["sectors"])), 11)
+            % (where, _f(doc["rho_hat"]), len(doc["sectors"])), 11)
     return cv.render()

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge, inverse,
-                   orbit, outgoing_ray, strip_index)
+                   orbit, outgoing_ray, regular_steps, strip_index)
 # singularities does not call forward; the name stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too
 from .bmap import forward  # noqa: F401
@@ -379,6 +379,16 @@ def trace_singularity(table: BilliardTable, level: int, resolution: int = 400):
     return curves
 
 
+def level_minus_one(table: BilliardTable, resolution: int) -> tuple:
+    """trace_singularity(table, -1, resolution), traced once per table
+    object: the graze anchors and the multiple points read the same curves.
+    """
+    key = ("level -1", resolution)
+    if key not in table.memo:
+        table.memo[key] = tuple(trace_singularity(table, -1, resolution))
+    return table.memo[key]
+
+
 # ---------------------------------------------------------------------------
 # itineraries
 
@@ -422,13 +432,10 @@ def _front_back_bit(table, z, im) -> str:
     return "f"
 
 
-def itinerary(table, z, n: int, k0: int, front_back: bool = False):
-    """One symbol per step of z's n-step orbit; where the orbit stops being
-    smooth (graze, split, singular departure) a last "!" symbol says why."""
-    walk = orbit(table, z, n)
+def _symbols(table, z, images, k0: int, front_back: bool) -> list:
     syms = []
     prev = z
-    for im in walk.images:
+    for im in images:
         if im.grazing:
             syms.append(("!", "graze", ""))
             break
@@ -438,11 +445,31 @@ def itinerary(table, z, n: int, k0: int, front_back: bool = False):
             sym += (_front_back_bit(table, prev, im),)
         syms.append(sym)
         prev = im.point
+    return syms
+
+
+def itinerary(table, z, n: int, k0: int, front_back: bool = False):
+    """One symbol per step of z's n-step orbit; where the orbit stops being
+    smooth (graze, split, singular departure) a last "!" symbol says why."""
+    walk = orbit(table, z, n)
+    syms = _symbols(table, z, walk.images, k0, front_back)
     if walk.status == "singular":
         syms.append(("!", walk.error, ""))
     elif walk.status == "branched":
         syms.append(("!", "+".join(sorted(im.label for im in walk.split)), ""))
     return tuple(syms)
+
+
+def _itineraries(table, points, n: int, k0: int, front_back: bool) -> list:
+    """itinerary at each point: the rows whose n steps are all regular come
+    from one lockstep walk, and ``itinerary`` walks the rest."""
+    walks = [[] for _ in points]
+    for step in regular_steps(table, points, n):
+        for i, im in step:
+            walks[i].append(im)
+    return [tuple(_symbols(table, z, images, k0, front_back))
+            if len(images) == n else itinerary(table, z, n, k0, front_back)
+            for z, images in zip(points, walks)]
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +588,8 @@ def _sectors_at(table, z, n, k0, rho, arc, front_back):
         thetas = [lo + TWO_PI * i / PROBES for i in range(PROBES)]
     else:
         thetas = [lo + (hi - lo) * (i + 0.5) / PROBES for i in range(PROBES)]
-    itins = [itin_of(t) for t in thetas]
+    itins = _itineraries(table, [_probe_point(z, rho, t) for t in thetas],
+                         n, k0, front_back)
 
     runs = []                    # [first_theta, last_theta, itinerary]
     for t, it in zip(thetas, itins):
@@ -829,7 +857,7 @@ def find_multiple_points(table: BilliardTable, resolution: int = 300):
     Points closer than JUNCTION_TOL are merged, which also bounds the
     reported accuracy.
     """
-    curves = [c for c in trace_singularity(table, -1, resolution)
+    curves = [c for c in level_minus_one(table, resolution)
               if not c.fragment]
     curves += [c for c in _s0_curves(table, 16)
                if c.origin == "corner-preimage"]

@@ -42,7 +42,7 @@ from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      SingularSeed)
 from .geometry import BilliardTable
 from .singularities import (find_multiple_points, fit_complexity_slope,
-                            regular_complexity, trace_singularity)
+                            level_minus_one, regular_complexity)
 
 K_CAP = 10_000         # deepest strip resolved one by one before the tail
 N_CAP = 12
@@ -774,7 +774,7 @@ def graze_anchors(table: BilliardTable):
     """Interior nodes of the one-step tangency preimage curves, about 8 per
     branch."""
     anchors = []
-    for c in trace_singularity(table, -1, resolution=200):
+    for c in level_minus_one(table, 200):
         if c.origin != "grazing-preimage" or len(c.nodes) < 8:
             continue
         step = max(1, len(c.nodes) // 8)

@@ -217,8 +217,9 @@ def test_portrait_active_shading_differs():
 def test_portrait_svg_escapes_itinerary():
     doc = {"center": {"wall_id": 0, "r": 0.5, "phi": 0.1}, "rho_hat": 0.5,
            "order": 1, "k0": 30,
-           "sectors": [{"theta_lo": 0.0, "theta_hi": 1.0, "active": True,
-                        "itinerary": ["<&>"]}]}
+           "sectors": [{"theta_lo": 0.0, "theta_hi": 1.0,
+                        "itinerary": ["<&>"], "regular": True,
+                        "active": True, "type": "A"}]}
     root = ET.fromstring(render.portrait_svg(doc))
     assert [el.text for el in root.iter() if el.text == "<&>"] == ["<&>"]
 

@@ -12,6 +12,8 @@ from billexp.bmap import (
     MapImage,
     MapResult,
     PhasePoint,
+    certify_expansion_constant,
+    certify_hyperbolicity,
     cone_slopes,
     flight_derivative,
     forward,
@@ -19,10 +21,14 @@ from billexp.bmap import (
     involute,
     orbit,
     random_phase_point,
+    random_phase_points,
+    regular_images,
     strip_index,
 )
 from billexp.errors import BilliardError, SingularInput
 from billexp.flow import CollisionOutcome, Ray, first_collision
+
+from conftest import wedge_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -391,19 +397,20 @@ def _hex(x):
     return "-" if x is None else float(x).hex()
 
 
+def _image_tokens(im):
+    d = im.derivative
+    return [str(im.point.wall_id), _hex(im.point.r), _hex(im.point.phi),
+            _hex(im.tau), im.label, ",".join(im.trail), str(im.grazing),
+            "-" if d is None else ",".join(_hex(v) for row in d
+                                           for v in row)]
+
+
 def _map_tokens(fn, table, p):
     try:
         res = fn(table, p)
     except BilliardError as err:   # the raised type and message count too
         return [type(err).__name__, str(err)]
-    out = []
-    for im in res.images:
-        d = im.derivative
-        out += [str(im.point.wall_id), _hex(im.point.r), _hex(im.point.phi),
-                _hex(im.tau), im.label, ",".join(im.trail), str(im.grazing),
-                "-" if d is None else ",".join(_hex(v) for row in d
-                                               for v in row)]
-    return out
+    return [tok for im in res.images for tok in _image_tokens(im)]
 
 
 def _aimed_points(table, rng, count):
@@ -435,12 +442,10 @@ def _aimed_points(table, rng, count):
     return out
 
 
-def map_digest(table, seed, count=2000, ends=200, aimed=200):
-    """sha256 over every field of forward and inverse at seeded points.
-
-    ``count`` points come from the invariant measure, ``ends`` more depart
+def _digest_points(table, seed, count=2000, ends=200, aimed=200):
+    """``count`` points from the invariant measure, ``ends`` more departing
     from wall endpoints (corner departures and corner steps), and ``aimed``
-    more are aimed at a corner or graze a wall (branched and grazing images).
+    more aimed at a corner or grazing a wall (branched and grazing images).
     """
     rng = np.random.default_rng(seed)
     pts = [random_phase_point(table, rng) for _ in range(count)]
@@ -448,9 +453,13 @@ def map_digest(table, seed, count=2000, ends=200, aimed=200):
         w = table.walls[int(rng.integers(len(table.walls)))]
         r = w.length if rng.random() < 0.5 else 0.0
         pts.append(PhasePoint(w.wall_id, r, float(rng.uniform(-1.5, 1.5))))
-    pts += _aimed_points(table, rng, aimed)
+    return pts + _aimed_points(table, rng, aimed)
+
+
+def map_digest(table, seed):
+    """sha256 over every field of forward and inverse at seeded points."""
     h = hashlib.sha256()
-    for p in pts:
+    for p in _digest_points(table, seed):
         for fn in (forward, inverse):
             h.update("|".join(_map_tokens(fn, table, p)).encode() + b"\n")
     return h.hexdigest()
@@ -629,3 +638,102 @@ def test_orbit_chains_forward_property(request, drawn, n):
         with pytest.raises(BilliardError) as err:
             forward(table, cur)
         assert type(err.value).__name__ == walk.error
+
+
+# ---------------------------------------------------------------------------
+# the batched regular step and the estimators built on it
+
+def _assert_is_forward_image(table, p, im):
+    """im is forward's one plain regular image at p, bit for bit."""
+    res = forward(table, p)
+    assert res.regular
+    assert _image_tokens(im) == _image_tokens(res.images[0])
+    assert type(im.point.wall_id) is int and type(im.tau) is float
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "torus2", "wedge"])
+def test_regular_images_equal_forward(name, request):
+    table = (wedge_table(1e-5) if name == "wedge"
+             else request.getfixturevalue(name))
+    pts = _digest_points(table, 20260)
+    pts += [involute(p) for p in pts]
+    accepted = 0
+    for p, im in zip(pts, regular_images(table, pts)):
+        if im is not None:
+            _assert_is_forward_image(table, p, im)
+            accepted += 1
+    if name == "torus2":
+        assert accepted == 0
+    else:
+        assert accepted > len(pts) // 2
+
+
+def test_regular_images_accept_most_random_points(tri):
+    pts = random_phase_points(tri, np.random.default_rng(3), 2000)
+    got = regular_images(tri, pts)
+    assert sum(im is not None for im in got) >= 0.95 * len(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_points())
+def test_regular_images_property(request, drawn):
+    table, z = _point(request, drawn)
+    (im,) = regular_images(table, [z])
+    if im is not None:
+        _assert_is_forward_image(table, z, im)
+
+
+def test_block_draws_equal_scalar_draws(tri, lens):
+    for table in (tri, lens):
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        block = random_phase_points(table, a, 300)
+        assert block == [random_phase_point(table, b) for _ in range(300)]
+        assert a.random() == b.random()
+
+
+# recorded from the one-point-at-a-time estimators
+_ESTIMATES = {
+    "tri": (
+        (0.33624332764501735, 2000),
+        (6.418171734908016, 1.3530752042790595,
+         (0.48570504796960634, 0.30231593570347703, 0.08560979590592949,
+          -0.14515038635919167, -0.3780491526710764, -0.6008893044815578,
+          -0.7817854397594686, -0.09007565179143473, 0.30107143360230304,
+          0.8212477218814216),
+         (0.7488153295121339, 0.8434353176749428, 0.9188813506411819,
+          0.9871053346012792, 1.0581294097723069, 1.1457304951610794,
+          1.2937257272893796, 3.495987685409223, 6.994631678053037,
+          15.92195813014496))),
+    "torus2": (
+        (1.5221661031786686, 2000),
+        (1.6134130238476694, 2.4424564526393895,
+         (0.08544111251711328, -0.05527448441123961, -0.1885296594310999,
+          -0.1774555068178123, 0.01533671189442476, 0.278754188216765,
+          0.24611359092416496, 0.09871919607425905, -0.06981295769961093,
+          -0.23329219126694234),
+         (2.0821182267456066, 4.417944013687305, 9.444414734038485,
+          23.324445221139012, 69.0822936955995, 219.58078554354066,
+          519.0934302709403, 1094.106981677703, 2257.8445306483663,
+          4682.984652300685))),
+    "lens": (
+        (0.2967141943651992, 2000),
+        (14.827168345079391, 1.6722902213255975,
+         (0.8269011376825023, 0.28464752998260623, -0.1295034911367962,
+          -0.47696113556183445, -0.7269359305578351, -0.8288309354388463,
+          0.10858706942120167, 0.1285916257230082, 0.416059707160251,
+          0.3974444227257625),
+         (0.5906479957689725, 0.5743050501308478, 0.6347325678566248,
+          0.7499002440297546, 0.9766803970676597, 1.4750667820893524,
+          6.29852416586042, 10.745789246248778, 23.954977670747645,
+          39.320850714525925))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATES))
+def test_estimators_reproduce_recorded_values(name, request):
+    table = request.getfixturevalue(name)
+    expansion, hyperbolicity = _ESTIMATES[name]
+    assert repr(certify_expansion_constant(table, 2000, 61)) \
+        == repr(expansion)
+    assert repr(certify_hyperbolicity(table, 200, 61, n_max=10)) \
+        == repr(hyperbolicity)

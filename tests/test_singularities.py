@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -251,3 +253,39 @@ def test_portrait_json_shape(tri):
         assert set(s) == {"theta_lo", "theta_hi", "itinerary", "regular",
                           "active", "type"}
         assert isinstance(s["itinerary"], list)
+
+
+# ---------------------------------------------------------------------------
+# complexity counts on the batched probe ring
+
+# a centre on a level -1 curve per table, and per order n = 1, 2, 3 the
+# (k_hat, quadrant_counts) and the sha256 prefix of the portrait's JSON,
+# recorded from the probe ring walked one direction at a time
+_CENTRES = {
+    "tri": ((0, "0x1.07a18cf41e625p+0", "-0x1.48b9156547ca5p-7"), (
+        (2, (1, 2, 1, 2), "2ee23695d4958934"),
+        (6, (1, 4, 1, 4), "abad50ce04ec24c8"),
+        (10, (1, 6, 1, 6), "ab73808f3b517e8d"))),
+    "torus2": ((0, "0x1.251a866617ac0p+0", "0x1.add44a8b2d560p-4"), (
+        (1, (1, 1, 1, 1), "629d7040824f806d"),
+        (1, (1, 1, 1, 1), "069ee6e2281e3969"),
+        (6, (2, 3, 1, 4), "1b1ab3e99123e0c6"))),
+    "lens": ((0, "0x1.4c2cd57107905p+1", "0x1.32ed279c1ed06p-3"), (
+        (2, (1, 2, 1, 2), "6f5fb258d7f26dcc"),
+        (6, (1, 4, 1, 4), "3a34c83e4fe3de2b"),
+        (10, (1, 6, 1, 6), "0be4cfc4bc35b3f9"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CENTRES))
+def test_regular_complexity_reproduces_recorded_records(name, request):
+    table = request.getfixturevalue(name)
+    (wall_id, r, phi), want = _CENTRES[name]
+    z = PhasePoint(wall_id, float.fromhex(r), float.fromhex(phi))
+    for n, (k_hat, counts, digest) in enumerate(want, start=1):
+        rec = S.regular_complexity(table, z, n)
+        assert (rec.center, rec.order, rec.k_hat) == (z, n, k_hat)
+        assert rec.quadrant_counts == dict(zip(("NE", "NW", "SW", "SE"),
+                                               counts))
+        doc = json.dumps(S.sector_portrait(table, z, n).to_json())
+        assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest

@@ -11,6 +11,12 @@ the benchmark's ``run_seconds`` (BENCHMARK.json), parent and change one after
 the other, alternating which runs first.  A side keeps every metric and the
 "correct" flag of its run's last stdout line.  The pairs are appended to
 BENCH_<NAME>.json in the current directory, made when missing.
+
+After its pairs it prints a summary of every pair in that file, per workload
+and metric: each side's median and quartiles, the change's wins out of the
+pairs (ties count for neither side), and whether the gap between the medians
+exceeds the distance between the parent's quartiles.  A gain may be claimed
+where the change wins at least nine pairs in ten and the gap exceeds it.
 """
 
 import argparse
@@ -23,8 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-SECONDS = json.loads((Path(__file__).resolve().parent.parent
-                      / "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent
+                        / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
+# metric name -> "lower" or "higher", whichever is better
+BETTER = {m["name"]: m["better"]
+          for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
 
 
 def run_side(checkout, workload, seed, trace) -> dict:
@@ -40,6 +50,35 @@ def run_side(checkout, workload, seed, trace) -> dict:
     side = {k: v["value"] for k, v in result["metrics"].items()}
     side["correct"] = result["correct"]
     return side
+
+
+def summary(pairs) -> list[str]:
+    """One line per workload, trace level and metric over the given pairs,
+    from the pairs where both sides report that metric."""
+    lines = []
+    for workload, trace in sorted({(p["workload"], p["trace"])
+                                   for p in pairs}):
+        group = [p for p in pairs
+                 if (p["workload"], p["trace"]) == (workload, trace)]
+        for name, better in BETTER.items():
+            both = [p for p in group
+                    if name in p["parent"] and name in p["change"]]
+            if not both:
+                continue
+            par = np.array([p["parent"][name] for p in both], dtype=float)
+            chg = np.array([p["change"][name] for p in both], dtype=float)
+            gain = par - chg if better == "lower" else chg - par
+            pq = np.percentile(par, [25, 50, 75])
+            cq = np.percentile(chg, [25, 50, 75])
+            gap, iqr = abs(cq[1] - pq[1]), pq[2] - pq[0]
+            lines.append(
+                f"{workload} --trace {trace} {name}: parent {pq[1]:.6g} "
+                f"[{pq[0]:.6g}, {pq[2]:.6g}], change {cq[1]:.6g} "
+                f"[{cq[0]:.6g}, {cq[2]:.6g}], change wins "
+                f"{int(np.sum(gain > 0.0))}/{len(both)}, median gap "
+                f"{gap:.6g} {'exceeds' if gap > iqr else 'within'} the "
+                f"parent's quartile distance {iqr:.6g}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -72,6 +111,7 @@ def main(argv=None) -> int:
         doc["pairs"].append(pair)
         print(json.dumps(pair), flush=True)
         out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(summary(doc["pairs"])))
     return 0
 
 
