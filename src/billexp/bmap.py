@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     BilliardError,
+    NumericalAbort,
     SectorBoundary,
     SequenceOverflow,
     SingularInput,
@@ -693,7 +694,8 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
     the minimum settles at desk-scale sample counts.
 
     Returns (C, used) where used counts samples whose arriving and
-    departing branches were both regular.
+    departing branches were both regular; raises NumericalAbort when none
+    were.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     best = math.inf
@@ -709,7 +711,7 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
             best = min(best, m * math.cos(im.point.phi))
             used += 1
     if used == 0:
-        raise ValueError("no regular samples; table or sampler is broken")
+        raise NumericalAbort("no regular samples; table or sampler is broken")
     return best, used
 
 
@@ -719,6 +721,7 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
 
     v starts inside the operative cone.  Returns (c, Lambda, residuals, mins);
     c is inflated after the least-squares fit so the floor holds at every n.
+    Raises NumericalAbort when no orbit stays regular for all n_max steps.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
     mins = [math.inf] * n_max
@@ -759,7 +762,7 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
             for k, norm in enumerate(growth):
                 mins[k] = min(mins[k], norm)
     if used == 0:
-        raise ValueError("no full-length regular orbits sampled")
+        raise NumericalAbort("no full-length regular orbits sampled")
     ns = np.arange(1, n_max + 1, dtype=float)
     logs = np.log(np.asarray(mins))
     slope, intercept = np.polyfit(ns, logs, 1)

@@ -16,7 +16,9 @@ the remainder is lumped into a single tail component per side whose
 contribution to expansion sums is the closed-form bound
 sum_{k >= m} 1/(C k^2) = polygamma(1, m)/C, with C a certified local
 expansion-times-cos constant.  Underestimating C only inflates the sums, so
-the headline verdicts stay conservative.
+the headline verdicts stay conservative.  The length constant's estimator
+resolves a ladder that must end in a tail lazily: only while a box bound on
+its remaining strips could still raise the maximum.
 
 Monte-Carlo suprema over seeded curves are aggregated into reports with
 per-sample substreams, making results independent of thread scheduling.
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,7 +43,7 @@ from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    random_phase_point, single_branch, strip_index,
                    unstable_cone_at)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
-                     SingularSeed)
+                     NumericalAbort, SingularSeed)
 from .geometry import BilliardTable
 from .singularities import (find_multiple_points, fit_complexity_slope,
                             level_minus_one, regular_complexity)
@@ -355,18 +359,30 @@ def _primary_segments(table, arc, n_s):
     return segments
 
 
+def _first_level(u_shallow, k0):
+    """The k of the first boundary level 1/k^2 that a ladder cuts."""
+    if u_shallow >= 1.0 / (k0 * k0):
+        return k0
+    return max(k0, int(math.floor(1.0 / math.sqrt(u_shallow))) + 1)
+
+
+def _ladder_tails(u_shallow, u_deep, k0):
+    """Whether the ladder from u_shallow to u_deep always ends in a tail:
+    LADDER_MAX cuts cannot reach a level at or below u_deep."""
+    k = _first_level(u_shallow, k0) + LADDER_MAX
+    return 1.0 / (k * k) > u_deep
+
+
 def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0):
     """Resolve the crossings of strip boundaries between two parameters.
 
     u is monotone from u_shallow down to u_deep as the parameter moves from
-    shallow_s toward deep_s.  Returns (cut params ordered shallow->deep,
-    tail_from or 0).  tail_from = m means strips k >= m stay unresolved.
+    shallow_s toward deep_s.  Yields the cut params one at a time, ordered
+    shallow->deep, and returns tail_from or 0 (see ``_drain``).
+    tail_from = m means strips k >= m stay unresolved.
     """
-    if u_shallow >= 1.0 / (k0 * k0):
-        k = k0
-    else:
-        k = max(k0, int(math.floor(1.0 / math.sqrt(u_shallow))) + 1)
-    cuts = []
+    k = _first_level(u_shallow, k0)
+    n = 0           # cuts made
     prev = shallow_s
     sign = 1.0 if deep_s > shallow_s else -1.0
 
@@ -381,30 +397,57 @@ def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0):
     while True:
         level = 1.0 / (k * k)
         if level <= u_deep:
-            return cuts, 0
-        if k > K_CAP + 1 or len(cuts) >= LADDER_MAX:
-            return cuts, max(k - 1, k0)
+            return 0
+        if k > K_CAP + 1 or n >= LADDER_MAX:
+            return max(k - 1, k0)
         a, b = prev, deep_s
         try:
             fa, fb = f(a, level, True), f(b, level, True)
             if fa <= 0.0 or fb >= 0.0:
-                return cuts, max(k - 1, k0)
+                return max(k - 1, k0)
             t = brentq(f, a, b, args=(level,), xtol=1e-13, rtol=8.9e-16)
         except (ValueError, RuntimeError):
-            return cuts, max(k - 1, k0)
-        if abs(t - prev) < LADDER_FLOOR and cuts:
-            return cuts, max(k - 1, k0)
-        cuts.append(float(t))
+            return max(k - 1, k0)
+        if abs(t - prev) < LADDER_FLOOR and n:
+            return max(k - 1, k0)
+        yield float(t)
+        n += 1
         prev = t + sign * 1e-15
         k += 1
 
 
-def _secondary_pieces(table, arc, seg, k0):
+def _drain(ladder, stop_after=None):
+    """(cuts, tail_from) of a ladder run to its end, or (cuts, None) once
+    ``stop_after`` cuts are in."""
+    cuts = []
+    while len(cuts) != stop_after:
+        try:
+            cuts.append(next(ladder))
+        except StopIteration as end:
+            return cuts, end.value
+    return cuts, None
+
+
+class _Stopped(NamedTuple):
+    """A ladder stopped after its first cut, with what resuming it needs."""
+    arc: _Arc
+    ladder: Iterator[float]
+    sig: tuple
+    cut0: float
+    deep: float
+
+
+def _secondary_pieces(table, arc, seg, k0, stopped=None):
     """Split one primary segment at strip boundaries of the image angle.
 
     The image angle is strictly monotone along a branch, so u = pi/2 - |phi'|
     has its minima at the segment ends; a ladder of boundary levels is walked
     toward each deep end and lumped into a tail once unresolvable.
+
+    With a list ``stopped``, a ladder that always ends in a tail
+    (``_ladder_tails``) stops after its first cut and is appended to it as a
+    ``_Stopped``; the pieces beyond that cut (its strips and its tail) are
+    left out.
     """
     lo, hi, sig = seg
     w = hi - lo
@@ -438,12 +481,18 @@ def _secondary_pieces(table, arc, seg, k0):
 
     all_cuts = []
     tails = []
+    left_out = set()
     for shallow, deep, u_s, u_d, edge in arcs:
         if u_d >= h0:
             continue
-        cuts, tail_from = _ladder(table, arc, shallow, deep, u_s, u_d, k0)
+        ladder = _ladder(table, arc, shallow, deep, u_s, u_d, k0)
+        lazy = stopped is not None and _ladder_tails(u_s, u_d, k0)
+        cuts, tail_from = _drain(ladder, 1 if lazy else None)
         all_cuts.extend(cuts)
-        if tail_from:
+        if tail_from is None:
+            stopped.append(_Stopped(arc, ladder, sig, cuts[0], deep))
+            left_out.add((min(cuts[0], edge), max(cuts[0], edge)))
+        elif tail_from:
             side = 1 if (im_lo.point.phi if edge == lo else
                          im_hi.point.phi) >= 0.0 else -1
             start = cuts[-1] if cuts else shallow
@@ -453,7 +502,7 @@ def _secondary_pieces(table, arc, seg, k0):
                     *(t[1] for t in tails)})
     tail_spans = {(a, b): m for a, b, m in tails}
     for a, b in zip(edges, edges[1:]):
-        if b - a <= 0.0:
+        if b - a <= 0.0 or (a, b) in left_out:
             continue
         m = next((mm for (ta, tb), mm in tail_spans.items()
                   if a >= ta - CUT_TOL and b <= tb + CUT_TOL), 0)
@@ -562,40 +611,56 @@ def _child(table, arc, piece, parent, birth, k0, c_expansion):
         tail=tail_from != 0, tail_inv=tail_inv, tail_from=tail_from)
 
 
-def _one_step(table, parent, k0, c_expansion, birth):
+def _kept(comp):
+    """Whether a child is kept as a component: built, and a tail or at least
+    DEGEN_LEN long."""
+    return comp is not None and (
+        comp.tail or comp.curve.euclidean_length >= DEGEN_LEN)
+
+
+def _widened(comp, span):
+    """comp with its source interval widened to cover the interval span."""
+    return replace(comp, source_interval=_hull(comp.source_interval, span))
+
+
+def _hull(a, b):
+    return (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def _one_step(table, parent, k0, c_expansion, birth, stopped=None):
     """(children, degenerate pieces merged) of parent's one-step image; the
-    children are numbered from birth."""
+    children are numbered from birth.
+
+    Each child is built from its own piece alone.  A piece that gives no
+    child, or one shorter than DEGEN_LEN, is merged: its root-parameter
+    interval joins the source interval of the previous child, or of the
+    next one when none precedes it.  ``stopped`` is passed on to
+    ``_secondary_pieces``.
+    """
     arc = _Arc(parent.curve)
     segments = _primary_segments(table, arc, _grid_for(arc.total))
     pieces = []
     for seg in segments:
-        pieces.extend(_secondary_pieces(table, arc, seg, k0))
+        pieces.extend(_secondary_pieces(table, arc, seg, k0, stopped))
     comps, degenerate = [], 0
-    pending = None    # degenerate piece interval folded into the next one
+    lead = None     # merged interval waiting for the first child
     for piece in pieces:
-        if pending is not None:
-            piece = (pending[0],) + piece[1:]
-            pending = None
         comp = _child(table, arc, piece, parent, birth, k0, c_expansion)
+        if _kept(comp):
+            comps.append(comp if lead is None else _widened(comp, lead))
+            lead = None
+            birth += 1
+            continue
+        degenerate += 1
         if comp is None:
-            pending = piece
-            degenerate += 1
-            continue
-        if not comp.tail and comp.curve.euclidean_length < DEGEN_LEN:
-            if comps:
-                prev = comps[-1]
-                comps[-1] = replace(prev, source_interval=(
-                    min(prev.source_interval[0], comp.source_interval[0]),
-                    max(prev.source_interval[1], comp.source_interval[1])))
-            degenerate += 1
-            continue
-        comps.append(comp)
-        birth += 1
-    if pending is not None and comps:
-        prev = comps[-1]
-        lo = min(prev.source_interval[0], arc.root_param(pending[0]))
-        hi = max(prev.source_interval[1], arc.root_param(pending[1]))
-        comps[-1] = replace(prev, source_interval=(lo, hi))
+            ra, rb = arc.root_param(piece[0]), arc.root_param(piece[1])
+            span = (min(ra, rb), max(ra, rb))
+        else:
+            span = comp.source_interval
+        if comps:
+            comps[-1] = _widened(comps[-1], span)
+        else:
+            lead = span if lead is None else _hull(lead, span)
     return comps, degenerate
 
 
@@ -740,7 +805,8 @@ class FittedConstants:
 
     c_expansion: min over samples of (one-step expansion) * cos(phi').
     c_hyper, lam_hyper: n-step Euclidean floor |DF^n v| >= lam^n / c.
-    c_length: max observed |W'| / |W|^(1/2) over one-step components.
+    c_length: max observed |W'| / |W|^(1/2) over non-tail one-step
+        components.
     xi_complexity: fitted slope of the regular complexity counts.
     k_complexity: largest regular complexity count seen while fitting.
     """
@@ -788,10 +854,48 @@ _ANCHOR_OFFSETS = (0.25, -0.25, 0.1, 0.0, -0.1, 0.35)
 GRAZE_STRIDE = 50      # every GRAZE_STRIDE-th length sample sits on an anchor
 
 
+BOX_SLACK = 1e-9       # relative allowance for rounding in the strip bound
+
+
+def _image_box(table, arc, s_a, s_b):
+    """|dr| + |dphi| between the images at parameters s_a and s_b of one
+    primary segment, or inf when either probe is cut.
+
+    The segment's image is one increasing curve (unstable-cone invariance),
+    so every image point between the two lies in their (r, phi) box, and a
+    child curve over a piece between them, whose nodes make_ucurve keeps
+    strictly increasing, is at most this long.  On a closed wall r is
+    lifted: it moves the way phi does, by less than one turn.
+    """
+    _, im_a = _probe_at(table, arc, s_a)
+    _, im_b = _probe_at(table, arc, s_b)
+    if im_a is None or im_b is None:
+        return math.inf
+    a, b = im_a.point, im_b.point
+    dphi, dr = b.phi - a.phi, b.r - a.r
+    wall = table.wall(a.wall_id)
+    if wall.closed:
+        dr = math.copysign(dr, dphi) % wall.length
+    return abs(dr) + abs(dphi)
+
+
+def _strip_children(table, stop, k0):
+    """(cut, child or None) of each strip of a stopped ladder, resuming the
+    ladder one cut at a time; a strip runs from the previous cut to this
+    one, as in ``_secondary_pieces``."""
+    parent = _root(stop.arc.W)
+    prev = stop.cut0
+    for cut in stop.ladder:
+        piece = (min(prev, cut), max(prev, cut), stop.sig, 0)
+        yield cut, _child(table, stop.arc, piece, parent, 1, k0, None)
+        prev = cut
+
+
 def certify_length_constant(table: BilliardTable, samples: int, seed: int,
                             delta_lo: float = 1e-6, delta_hi: float = 1e-3,
                             k0: int = K0_DEFAULT) -> tuple[float, int]:
-    """Max of |W'| / |W|^(1/2) over one-step components of sampled curves.
+    """Max of |W'| / |W|^(1/2) over the non-tail one-step components of
+    sampled curves.
 
     Uniformly random curves almost never straddle a tangency preimage, yet
     that is where the square-root stretch law peaks, so the sampled max
@@ -800,10 +904,26 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     instead; those samples saturate the constant and the max becomes stable
     under changes of the length range.  The anchor samples still consume
     the same random draws, so the remaining samples are unaffected.
+
+    The result is the max over ``evolve_one_step``'s components, bit for
+    bit, but strips that cannot set it are not resolved.  A strip ladder
+    that always ends in a tail (``_ladder_tails``) is stopped after its
+    first cut cut0, which fixes every other piece exactly; children depend
+    on their own piece only.  Its unresolved strips lie between cut0 and the
+    ladder's deep end, so each strip child is at most B long, B the
+    ``_image_box`` of those two parameters.  Pass 1 scores every sample
+    with such ladders stopped.  Pass 2 resumes each stopped ladder whose
+    B * (1 + BOX_SLACK) reaches best * |W|^(1/2), scoring strip by strip,
+    until the box from its latest cut to the deep end falls below that or
+    the ladder ends.  Tails never score, so a stopped ladder's tail is never
+    built.
+
+    Raises NumericalAbort when no curve could be seeded.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
     anchors = graze_anchors(table)
     best, used = 0.0, 0
+    stopped = []        # (|W|^(1/2), _Stopped) over every sample
     lo, hi = math.log(delta_lo), math.log(delta_hi)
     for i in range(samples):
         length = math.exp(rng.uniform(lo, hi))
@@ -813,18 +933,30 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
             a = anchors[j % len(anchors)]
             f = _ANCHOR_OFFSETS[j % len(_ANCHOR_OFFSETS)]
             z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
+        ladders = []
         try:
             W = seed_ucurve(table, z, length, rng, k0)
-            comps = evolve_one_step(table, W, k0)
+            comps, _ = _one_step(table, _root(W), k0, None, 1, ladders)
         except (SingularSeed, BilliardError):
             continue
         root = math.sqrt(W.euclidean_length)
         for comp in comps:
             if not comp.tail:
                 best = max(best, comp.curve.euclidean_length / root)
+        stopped.extend((root, stop) for stop in ladders)
         used += 1
     if used == 0:
-        raise ValueError("no curve survived seeding; table constants suspect")
+        raise NumericalAbort(
+            "no curve survived seeding; table constants suspect")
+    for root, stop in stopped:
+        strips = _strip_children(table, stop, k0)
+        cut = stop.cut0
+        while cut is not None and _image_box(
+                table, stop.arc, cut, stop.deep) * (1.0 + BOX_SLACK) \
+                >= best * root:
+            cut, comp = next(strips, (None, None))
+            if _kept(comp):
+                best = max(best, comp.curve.euclidean_length / root)
     return best, used
 
 

@@ -113,6 +113,19 @@ def test_malformed_table_spec_is_validation_failure(tmp_path, capsys,
         geometry.build_table(spec)
 
 
+def test_fit_abort_exits_3_without_artifact(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise SingularSeed("refused by the test")
+
+    monkeypatch.setattr(ucurves, "seed_ucurve", refuse)
+    assert run("expansion", "--table", "tri", "--fit", "--N", "auto",
+               "--seed", "3", "--samples", "4", "--out", "e.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("billexp: NumericalAbort: no curve survived")
+    assert "Traceback" not in err
+    assert not (tmp_path / "e.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 

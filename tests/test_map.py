@@ -25,7 +25,7 @@ from billexp.bmap import (
     regular_images,
     strip_index,
 )
-from billexp.errors import BilliardError, SingularInput
+from billexp.errors import BilliardError, NumericalAbort, SingularInput
 from billexp.flow import CollisionOutcome, Ray, first_collision
 
 from conftest import wedge_table
@@ -737,3 +737,10 @@ def test_estimators_reproduce_recorded_values(name, request):
         == repr(expansion)
     assert repr(certify_hyperbolicity(table, 200, 61, n_max=10)) \
         == repr(hyperbolicity)
+
+
+def test_estimators_abort_when_nothing_was_sampled(tri):
+    with pytest.raises(NumericalAbort, match="no regular samples"):
+        certify_expansion_constant(tri, 0, 61)
+    with pytest.raises(NumericalAbort, match="no full-length regular orbits"):
+        certify_hyperbolicity(tri, 0, 61)

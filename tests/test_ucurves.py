@@ -232,6 +232,163 @@ def test_grazing_sum(tri, far_curve, straddle_curve):
     assert g60 <= g30
 
 
+@pytest.mark.parametrize("drop", [0, 5])
+def test_dropped_child_joins_a_neighbour(tri, straddle_curve, monkeypatch,
+                                         drop):
+    # piece `drop` gives no child: its interval joins the previous child's
+    # source interval (the next one's for the first piece), and no other
+    # child changes
+    full = U.evolve_n(tri, straddle_curve, 1)
+    child, calls = U._child, []
+
+    def refuse_one(*args):
+        calls.append(None)
+        return None if len(calls) == drop + 1 else child(*args)
+
+    monkeypatch.setattr(U, "_child", refuse_one)
+    cut = U.evolve_n(tri, straddle_curve, 1)
+    kept = full.generations[1][:drop] + full.generations[1][drop + 1:]
+    assert [c.curve for c in cut.generations[1]] == [c.curve for c in kept]
+    assert cut.degenerate_merged == full.degenerate_merged + 1
+    spans = [c.source_interval for c in cut.generations[1]]
+    assert spans[0][0] == 0.0 and spans[-1][1] == 1.0
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+# ---------------------------------------------------------------------------
+# lazy strip ladders of the length constant
+
+def _length_constant_by_full_evolution(table, samples, seed, k0=30):
+    """certify_length_constant without lazy ladders: every sample evolved
+    by evolve_one_step, then the max over its non-tail components."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
+    anchors = U.graze_anchors(table)
+    best, used = 0.0, 0
+    lo, hi = math.log(1e-6), math.log(1e-3)
+    for i in range(samples):
+        length = math.exp(rng.uniform(lo, hi))
+        z = random_phase_point(table, rng)
+        if anchors and i % U.GRAZE_STRIDE == 0:
+            j = i // U.GRAZE_STRIDE
+            a = anchors[j % len(anchors)]
+            f = U._ANCHOR_OFFSETS[j % len(U._ANCHOR_OFFSETS)]
+            z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
+        try:
+            W = U.seed_ucurve(table, z, length, rng, k0)
+            comps = U.evolve_one_step(table, W, k0)
+        except BilliardError:
+            continue
+        root = math.sqrt(W.euclidean_length)
+        for comp in comps:
+            if not comp.tail:
+                best = max(best, comp.curve.euclidean_length / root)
+        used += 1
+    return best, used
+
+
+# (best, used) of 101 samples (anchors 0, 50 and 100), recorded before
+# lazy ladders
+LENGTH_CONSTANTS = {
+    ("tri", 61): (2.7495472114392707, 101),
+    ("tri", 1061): (3.1626510592359636, 101),
+    ("lens", 61): (5.270289027957431, 101),
+    ("lens", 1061): (6.700684428137302, 101),
+    ("torus2", 61): (3.425750488984956, 101),
+    ("torus2", 1061): (3.56464426132658, 101),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(LENGTH_CONSTANTS))
+def test_length_constant_equals_full_evolution(name, seed, request,
+                                               monkeypatch):
+    table = request.getfixturevalue(name)
+    strips, resumed = U._strip_children, []
+
+    def counted(*args):
+        for item in strips(*args):
+            resumed.append(item)
+            yield item
+
+    monkeypatch.setattr(U, "_strip_children", counted)
+    got = U.certify_length_constant(table, 101, seed)
+    assert got == LENGTH_CONSTANTS[name, seed]
+    assert _length_constant_by_full_evolution(table, 101, seed) == got
+    if (name, seed) == ("tri", 61):
+        assert resumed     # pass 2 resumed a stopped ladder here
+
+
+def _anchor_curves(table, count):
+    """Curves seeded astride tangency-preimage anchors, the way the anchor
+    samples of certify_length_constant are, at three lengths."""
+    anchors = U.graze_anchors(table)
+    out = []
+    for j, a in enumerate(anchors[::max(1, len(anchors) // count)][:count]):
+        length = (1e-5, 1e-4, 1e-3)[j % 3]
+        f = U._ANCHOR_OFFSETS[j % len(U._ANCHOR_OFFSETS)]
+        z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
+        try:
+            out.append(U.seed_ucurve(table, z, length, None))
+        except SingularSeed:
+            continue
+    return out
+
+
+@pytest.fixture(scope="module")
+def lazy_runs(tri, lens):
+    """Per anchor curve of tri and lens: the full one-step components, the
+    (u_shallow, u_deep, k0, tail_from) of each of their ladders, the lazy
+    components, and per stopped ladder its box bound and strip children."""
+    runs = []
+    ladder = U._ladder
+    for table in (tri, lens):
+        for W in _anchor_curves(table, 8):
+            seen = []
+
+            def recorded(table_, arc, shallow, deep, u_s, u_d, k0):
+                cuts, tail_from = U._drain(
+                    ladder(table_, arc, shallow, deep, u_s, u_d, k0))
+                seen.append((u_s, u_d, k0, tail_from))
+                yield from cuts
+                return tail_from
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(U, "_ladder", recorded)
+                full = U.evolve_one_step(table, W)
+            stopped = []
+            lazy, _ = U._one_step(table, U._root(W), 30, None, 1, stopped)
+            resumed = [(U._image_box(table, s.arc, s.cut0, s.deep),
+                        [c for _, c in U._strip_children(table, s, 30)])
+                       for s in stopped]
+            runs.append((full, seen, lazy, resumed))
+    return runs
+
+
+def test_lazy_ladder_strips_stay_within_the_box(lazy_runs):
+    checked = 0
+    for full, _seen, lazy, resumed in lazy_runs:
+        for bound, children in resumed:
+            for c in children:
+                if c is not None:
+                    assert c.curve.euclidean_length <= bound
+                    checked += 1
+        # resuming every stopped ladder rebuilds the full run's strips
+        strips = {c.curve for _, children in resumed for c in children
+                  if U._kept(c)}
+        assert {c.curve for c in full if not c.tail} \
+            == {c.curve for c in lazy if not c.tail} | strips
+    assert checked > 500
+
+
+def test_ladder_that_cannot_complete_ends_in_a_tail(lazy_runs):
+    lazy = 0
+    for _full, seen, _lazy, _resumed in lazy_runs:
+        for u_s, u_d, k0, tail_from in seen:
+            if U._ladder_tails(u_s, u_d, k0):
+                assert tail_from > 0
+                lazy += 1
+    assert lazy > 5
+
+
 # ---------------------------------------------------------------------------
 # depth-n trees
 
