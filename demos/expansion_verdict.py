@@ -33,7 +33,7 @@ def main():
             depth = 6
             source = "fallback scan up to depth 6"
         report = sup_scan(table, 1e-4, SAMPLES, depth, 30, seed=SEED,
-                          table_id=name, keep_rows=False)
+                          table_id=name)
         sups = " ".join(f"{v:.3f}" for v in report.sup_e)
         print(f"{name}: depth {depth} ({source})")
         print(f"{name}: sup E_n for n=0..{report.n_steps}: {sups}")

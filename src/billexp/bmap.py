@@ -678,7 +678,7 @@ def interior_slope(lo: float, hi: float, x: float = 0.5) -> float:
 
 
 # ---------------------------------------------------------------------------
-# certified empirical constants
+# sampled constants: empirical floors, not certified bounds
 
 def certify_expansion_constant(table: BilliardTable, samples: int,
                                seed: int) -> tuple[float, int]:

@@ -9,9 +9,8 @@ Subcommands:
 * ``portrait``     -- sector portrait at a phase point; JSON.
 * ``evolve``       -- evolve one curve n steps; component tree summary, or
   phase CSV or SVG of the leaf components.
-* ``grazing-sum``  -- sampled supremum of the one-step nearly-grazing sum,
-  over the same per-sample curves as ``expansion`` at the same seed.
-* ``expansion``    -- the full expansion-sum scan with auto depth selection.
+* ``expansion``    -- the full expansion-sum scan with auto depth selection;
+  each sample's one-step nearly-grazing sum is its ``grazing_sum`` column.
 
 Exit codes: 0 success; 1 usage error, including a non-finite or
 out-of-range numeric flag (``--delta`` and ``--length`` lie in (0, 1e-2],
@@ -71,7 +70,7 @@ from .ucurves import (
 PROG = "billexp"
 
 COMMANDS = ("validate", "orbit", "singularities", "portrait", "evolve",
-            "grazing-sum", "expansion")
+            "expansion")
 
 # fixed, documented seed for validate's constant sampling; everything
 # stochastic beyond that demands an explicit --seed
@@ -82,8 +81,7 @@ VALIDATE_SEED = 0
 FORMATS = {
     "validate": ("json",), "orbit": ("csv", "svg"),
     "singularities": ("csv", "svg"), "portrait": ("json", "svg"),
-    "evolve": ("json", "csv", "svg"), "grazing-sum": ("json", "csv"),
-    "expansion": ("json", "csv"),
+    "evolve": ("json", "csv", "svg"), "expansion": ("json", "csv"),
 }
 
 
@@ -160,7 +158,6 @@ _COMMAND_FLAGS = {
     "singularities": ("level", "resolution", "k0"),
     "portrait": (*_POINT, "order", "k0", "rho", "front_back"),
     "evolve": (*_POINT, "length", "steps", "k0"),
-    "grazing-sum": ("k0", "delta", "samples", "seed"),
     "expansion": ("k0", "delta", "samples", "seed", "depth", "threads",
                   "fit"),
 }
@@ -479,32 +476,6 @@ def _cmd_evolve(opts) -> int:
     return 0
 
 
-def _cmd_grazing_sum(opts) -> int:
-    _require(opts, "seed")
-    table = _load_table(opts["table"])
-    k0 = opts["k0"]
-    report = sup_scan(table, opts["delta"], opts["samples"], 1, k0,
-                      opts["seed"])
-    rows = [r for r in report.rows if r["flag"] != "skipped"]
-    if not rows:
-        raise NumericalAbort("no admissible curves could be seeded")
-    values = [r["grazing_sum"] for r in rows]
-    doc = {"table": _table_id(opts["table"]), "k0": k0, "k_cap": K_CAP,
-           "delta": opts["delta"], "samples": opts["samples"],
-           "used": len(values), "seed": opts["seed"],
-           "sup": max(values), "mean": sum(values) / len(values),
-           "nonzero": sum(1 for v in values if v > 0.0)}
-    if opts["format"] == "csv":
-        _write(opts["out"], csv_text(
-            ("sample_id", "grazing_sum"),
-            ((r["sample_id"], r["grazing_sum"]) for r in rows)))
-    else:
-        _write(opts["out"], json_bytes(doc))
-    print(f"wrote {opts['out']} (sup {doc['sup']:.6g} over "
-          f"{doc['used']} curves)")
-    return 0
-
-
 def _parse_depth(raw) -> int | None:
     if raw in (None, "auto"):
         return None
@@ -546,7 +517,6 @@ _DISPATCH = {
     "singularities": _cmd_singularities,
     "portrait": _cmd_portrait,
     "evolve": _cmd_evolve,
-    "grazing-sum": _cmd_grazing_sum,
     "expansion": _cmd_expansion,
 }
 

@@ -5,16 +5,16 @@ A u-curve is a short polyline in one wall chart, strictly increasing in both
 map breaks at primary cuts (branch changes: different wall, corner passage,
 tangency) and at secondary cuts (homogeneity strip boundaries of the image
 angle).  The resulting pieces are H-components; each carries the itinerary of
-(wall, branch, strip) symbols since the root curve, a certified minimum
-expansion (product of per-step node minima) and a sampled one (node-wise
-derivative chaining), a rank, and a regular flag.
+(wall, branch, strip) symbols since the root curve, a minimum expansion
+sampled at the nodes (product of per-step node minima) and a second sampled
+one (node-wise derivative chaining), a rank, and a regular flag.
 
 Strips accumulate at grazing, so a curve straddling a grazing preimage splits
 into infinitely many pieces.  Strips are resolved one by one while their
 parameter width stays above the cut-location resolution and fixed caps;
 the remainder is lumped into a single tail component per side whose
 contribution to expansion sums is the closed-form bound
-sum_{k >= m} 1/(C k^2) = polygamma(1, m)/C, with C a certified local
+sum_{k >= m} 1/(C k^2) = polygamma(1, m)/C, with C a sampled local
 expansion-times-cos constant.  Underestimating C only inflates the sums, so
 the headline verdicts stay conservative.  The length constant's estimator
 resolves a ladder that must end in a tail lazily: only while a box bound on
@@ -245,7 +245,7 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
 class HComponent:
     curve: UCurve
     itinerary: tuple[tuple[int, str, int], ...]
-    min_expansion: float            # certified: product of per-step node minima
+    min_expansion: float            # sampled: product of per-step node minima
     min_expansion_sampled: float    # node-wise chained derivative minimum
     source_interval: tuple[float, float]
     parent: int | None
@@ -552,7 +552,7 @@ def _child(table, arc, piece, parent, birth, k0, c_expansion):
     """The H-component of parent's image over one piece, or None when the
     piece's valid probes cannot carry a curve.
 
-    A strip's certified expansion is the parent's times the step's node
+    A strip's sampled expansion floor is the parent's times the step's node
     minimum.  A tail lumps the strips k >= |tail_from| that the ladder left
     unresolved into a curve through three raw probes; their 1/expansion sum
     is at most polygamma(1, m) / C, C the local expansion constant.
@@ -665,12 +665,14 @@ def _one_step(table, parent, k0, c_expansion, birth, stopped=None):
 
 
 def _local_expansion_constant(table, arc, piece, c_expansion):
-    """Floor C with (expansion) >= C / cos(phi') near the lumped strips.
+    """Sampled floor C with (expansion) >= C / cos(phi') near the lumped
+    strips.
 
-    In strip k the image angle satisfies cos(phi') < 1/k^2, so this floor
-    certifies expansion >= C k^2 for every lumped strip.  Sampled at a few
-    parameters of the tail sliver and of its shallow neighborhood; the table
-    constant, when given, can only lower C and thus inflate the tail bound.
+    In strip k the image angle satisfies cos(phi') < 1/k^2, so where this
+    floor holds it gives expansion >= C k^2 for every lumped strip.  Sampled
+    at a few parameters of the tail sliver and of its shallow neighborhood;
+    the table constant, when given, can only lower C and thus inflate the
+    tail bound.
     """
     s_lo, s_hi = piece[0], piece[1]
     w = s_hi - s_lo
@@ -756,7 +758,7 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
     """Breadth-first component tree of F^n W.
 
     Tail components are terminal: their expansion-sum contribution at depth
-    N uses the certified per-step floor for the remaining N - g steps when
+    N uses the fitted per-step floor for the remaining N - g steps when
     constants are supplied, and 1 otherwise.
     """
     if n > N_CAP:
@@ -776,7 +778,7 @@ def expansion_total(tree: EvolutionTree, n: int, constants=None) -> float:
         for comp in tree.generations[g]:
             if comp.tail:
                 # tail_inv folds the ancestry expansion in already; the
-                # remaining n - g steps contribute the certified floor
+                # remaining n - g steps contribute the fitted floor
                 total += comp.tail_inv / _remaining_floor(constants, n - g)
             elif g == n:
                 total += 1.0 / comp.min_expansion
@@ -830,10 +832,6 @@ class FittedConstants:
             "n_cap": self.n_cap,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FittedConstants":
-        return cls(**doc)
 
 
 def graze_anchors(table: BilliardTable):
@@ -1055,14 +1053,6 @@ class ExpansionReport:
             else self.constants.to_json()
         return doc
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "ExpansionReport":
-        doc = dict(doc)
-        cons = doc.pop("constants")
-        doc.pop("k_cap")
-        return cls(constants=None if cons is None
-                   else FittedConstants.from_json(cons), **doc)
-
     def csv_rows(self):
         """One row per used sample and depth, in CSV_HEADER order."""
         for row in self.rows:
@@ -1124,8 +1114,7 @@ def _etree_margins(sup_e, k_max, constants, n_steps):
 def sup_scan(table: BilliardTable, delta: float, samples: int,
              n_steps: int | None, k0: int, seed: int,
              constants: FittedConstants | None = None,
-             threads: int = 0, table_id: str = "",
-             keep_rows: bool = True) -> ExpansionReport:
+             threads: int = 0, table_id: str = "") -> ExpansionReport:
     """Empirical supremum of the depth-n expansion sums over seeded curves.
 
     Per-sample substreams keyed by (seed, index) make the report identical
@@ -1177,8 +1166,7 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
         samples=samples, used=len(good), seed=seed,
         constants=constants, sup_e=sup_e, k_max=k_max,
         sup_grazing=sup_grazing, verdict=verdict, degenerate_total=degen,
-        partial=partial, etree_margins=margins,
-        rows=rows if keep_rows else [])
+        partial=partial, etree_margins=margins, rows=rows)
 
 
 def choose_depth(table: BilliardTable, delta: float, k0: int,

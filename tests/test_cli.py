@@ -50,10 +50,13 @@ def test_usage_errors(capsys):
     # deleted: orbit, singularities, portrait and evolve write their own SVG
     assert run("render", "--table", "tri") == 1
     assert capsys.readouterr().err.startswith("billexp: usage error")
+    # deleted: its values are the grazing_sum column of expansion --N 1
+    assert run("grazing-sum", "--table", "tri", "--seed", "1") == 1
+    assert capsys.readouterr().err.startswith("billexp: usage error")
     assert run("expansion", "--table", "tri", "--N", "2") == 1  # no seed
     assert "--seed" in capsys.readouterr().err
     assert run("orbit", "--table", "tri", "--r", "0.5") == 1    # no phi
-    assert run("grazing-sum", "--table", "tri", "--seed", "1",
+    assert run("expansion", "--table", "tri", "--seed", "1", "--N", "1",
                "--samples", "-3") == 1
     assert run("expansion", "--table", "tri", "--seed", "1",
                "--N", "zero") == 1
@@ -75,7 +78,7 @@ def test_usage_errors(capsys):
                "--k-cap", "10000") == 1
     assert capsys.readouterr().err.startswith("billexp: usage error")
     pathlib.Path("kcap.json").write_text(json.dumps({"k_cap": 10000}))
-    assert run("grazing-sum", "--table", "tri", "--seed", "1",
+    assert run("expansion", "--table", "tri", "--seed", "1", "--N", "1",
                "--config", "kcap.json") == 1
     assert capsys.readouterr().err.startswith("billexp: usage error")
 
@@ -292,8 +295,8 @@ def test_format_table(tmp_path, capsys):
     for cmd in cli.COMMANDS:
         assert cli._parse([cmd])["format"] == cli.FORMATS[cmd][0]
     refused = [("orbit", "json"), ("singularities", "json"),
-               ("portrait", "csv"), ("grazing-sum", "svg"),
-               ("expansion", "svg"), ("validate", "csv")]
+               ("portrait", "csv"), ("expansion", "svg"),
+               ("validate", "csv")]
     for cmd, fmt in refused:
         assert fmt not in cli.FORMATS[cmd]
         assert run(cmd, "--table", "tri", "--format", fmt) == 1
@@ -315,17 +318,6 @@ def test_render_orbit_overlay(tmp_path):
 
 # ---------------------------------------------------------------------------
 # scans
-
-def test_grazing_sum_deterministic(tmp_path):
-    args = ("grazing-sum", "--table", "tri", "--samples", "20",
-            "--seed", "11", "--out", "g.json")
-    assert run(*args) == 0
-    first = (tmp_path / "g.json").read_bytes()
-    doc = json.loads(first)
-    assert doc["used"] == 20 and doc["sup"] >= 0.0
-    assert run(*args) == 0
-    assert (tmp_path / "g.json").read_bytes() == first
-
 
 def test_expansion_given_depth_and_threads(tmp_path):
     base = ("expansion", "--table", "tri", "--samples", "12",
@@ -357,20 +349,18 @@ def _skip_first_draw(monkeypatch):
 
 
 def test_skipped_sample_has_no_csv_line(tmp_path, monkeypatch):
-    base = ("--table", "tri", "--seed", "5", "--samples", "4",
-            "--format", "csv")
+    base = ("expansion", "--table", "tri", "--seed", "5", "--samples", "4",
+            "--N", "1", "--format", "csv")
 
     def lines(name):
         return (tmp_path / name).read_text().splitlines()[1:]
 
+    assert run(*base, "--out", "all.csv") == 0
     _skip_first_draw(monkeypatch)
-    assert run("expansion", *base, "--N", "1", "--out", "e.csv") == 0
+    assert run(*base, "--out", "e.csv") == 0
     assert {line.split(",")[0] for line in lines("e.csv")} == {"1", "2", "3"}
-
-    assert run("grazing-sum", *base, "--out", "all.csv") == 0
-    _skip_first_draw(monkeypatch)
-    assert run("grazing-sum", *base, "--out", "g.csv") == 0
-    assert lines("g.csv") == lines("all.csv")[1:]
+    assert lines("e.csv") == [line for line in lines("all.csv")
+                              if not line.startswith("0,")]
 
 
 def test_expansion_auto_depth(tmp_path):
@@ -387,14 +377,14 @@ def test_expansion_auto_depth(tmp_path):
 def test_config_file_defaults_and_override(tmp_path):
     (tmp_path / "run.json").write_text(json.dumps(
         {"table": "tri", "samples": 20, "seed": 11}))
-    assert run("grazing-sum", "--config", "run.json",
+    assert run("expansion", "--config", "run.json", "--N", "1",
                "--out", "c1.json") == 0
     doc = json.loads((tmp_path / "c1.json").read_text())
     assert doc["samples"] == 20 and doc["seed"] == 11
 
     # explicit flag beats the config value
-    assert run("grazing-sum", "--config", "run.json", "--samples", "10",
-               "--out", "c2.json") == 0
+    assert run("expansion", "--config", "run.json", "--N", "1",
+               "--samples", "10", "--out", "c2.json") == 0
     assert json.loads((tmp_path / "c2.json").read_text())["samples"] == 10
 
 
@@ -403,7 +393,8 @@ def test_config_file_defaults_and_override(tmp_path):
 ], ids=["tabel", "kind", "input"])
 def test_config_unknown_key(tmp_path, capsys, config):
     (tmp_path / "bad.json").write_text(json.dumps(config))
-    assert run("grazing-sum", "--config", "bad.json", "--seed", "1") == 1
+    assert run("expansion", "--config", "bad.json", "--seed", "1",
+               "--N", "1") == 1
     assert "unknown config key" in capsys.readouterr().err
 
 
@@ -442,8 +433,8 @@ _NAN, _INF = float("nan"), float("inf")
      None, 1),
     (("expansion", "--table", "tri", "--seed", "1", "--delta", "inf"),
      None, 1),
-    (("grazing-sum", "--table", "tri", "--seed", "1", "--delta", "nan"),
-     None, 1),
+    (("expansion", "--table", "tri", "--N", "1", "--seed", "1",
+      "--delta", "nan"), None, 1),
     (("orbit", "--table", "tri", "--wall", "3", "--r", "0.9",
       "--phi", "0.1"), None, 2),
     (("orbit", "--table", "tri", "--wall", "-1", "--r", "0.9",
@@ -458,10 +449,10 @@ _NAN, _INF = float("nan"), float("inf")
     (("evolve", "--table", "tri", *_PT, "--length", "1e-300"), None, 2),
     (("validate", "--table", "tri", "--seed", "-1", "--out", "v.json"),
      None, 1),
-    (("grazing-sum", "--table", "tri", "--seed", "-1"), None, 1),
+    (("expansion", "--table", "tri", "--N", "1", "--seed", "-1"), None, 1),
     (("expansion", "--table", "tri", "--seed", "-1"), None, 1),
     (("validate", "--table", "tri", "--out", "v.json"), {"seed": -1}, 1),
-    (("grazing-sum", "--table", "tri"), {"seed": -1}, 1),
+    (("expansion", "--table", "tri", "--N", "1"), {"seed": -1}, 1),
     (("expansion", "--table", "tri"), {"seed": -1}, 1),
 ])
 def test_bad_numeric_input_is_refused(tmp_path, capsys, argv, config, code):
@@ -495,8 +486,6 @@ _CONTRACT_RUNS = {
     "portrait": (("portrait", *_PT), ("wall", "r", "phi", "rho", "k0"),
                  ".json"),
     "validate": (("validate", "--samples", "20"), ("samples",), ".json"),
-    "grazing-sum": (("grazing-sum", "--samples", "2", "--seed", "1"),
-                    ("delta", "k0", "samples"), ".json"),
     "expansion": (("expansion", "--samples", "2", "--N", "1", "--seed", "1"),
                   ("delta", "k0", "samples"), ".json"),
     "singularities": (("singularities", "--resolution", "12"),
@@ -523,7 +512,7 @@ def _invocations(draw):
 @example(("evolve", {"length": _NAN}, {}))
 @example(("evolve", {"length": 1e-300}, {}))
 @example(("expansion", {"delta": 0.05}, {}))
-@example(("grazing-sum", {"delta": _INF}, {}))
+@example(("expansion", {"delta": _INF}, {}))
 @example(("expansion", {"delta": _NAN}, {}))
 @example(("orbit", {"wall": 3}, {}))
 @example(("orbit", {"wall": -1}, {}))
