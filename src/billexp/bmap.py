@@ -660,7 +660,7 @@ def unstable_cone_at(table: BilliardTable, z: PhasePoint):
     return _cone_from(table, z, res.images[0])
 
 
-def _unstable_cones(table: BilliardTable, points) -> list:
+def unstable_cones(table: BilliardTable, points) -> list:
     """unstable_cone_at at each point, or None where it raises."""
     cones = [None] * len(points)
     for i, im in next(regular_steps(table, list(map(involute, points)), 1)):
@@ -703,7 +703,7 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
     for start in range(0, samples, BATCH_ROWS):
         block = random_phase_points(table, rng,
                                     min(BATCH_ROWS, samples - start))
-        cones = _unstable_cones(table, block)
+        cones = unstable_cones(table, block)
         for i, im in next(regular_steps(table, block, 1)):
             if cones[i] is None:
                 continue
@@ -731,7 +731,7 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
     while used < samples and attempts < cap:
         block = random_phase_points(table, rng,
                                     min(BATCH_ROWS, cap - attempts))
-        cones = _unstable_cones(table, block)
+        cones = unstable_cones(table, block)
         # |DF^k v| at k = 1, 2, ... along each orbit, v inside the cone
         vecs, norms = [], []
         for cone in cones:

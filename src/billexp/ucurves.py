@@ -37,11 +37,12 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import polygamma
 
-from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
+from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    certify_expansion_constant, certify_hyperbolicity,
                    expansion_factor, forward, interior_slope,
-                   random_phase_point, single_branch, strip_index,
-                   unstable_cone_at)
+                   random_phase_point, regular_images, regular_steps,
+                   single_branch, strip_index, unstable_cone_at,
+                   unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
 from .geometry import BilliardTable
@@ -58,6 +59,15 @@ NODE_RATIO = 1.1       # refine nodes until adjacent expansion factors agree
 LADDER_FLOOR = 1e-9    # stop resolving strips narrower than this in parameter
 LADDER_MAX = 256       # hard cap on individually resolved strips per ladder
 EPS_SEED = 1e-9
+SEED_HALF = 4          # seed curve nodes on each side of the base point
+# Work on many curves at once goes through the batched kernels
+# (regular_images, regular_steps, unstable_cones) only when one call has
+# at least BATCH_MIN rows.  On random tri points regular_images costs 355 us
+# at 1 row, 29 us per row at 16, 10 us per row at 64 and 4.7 us per row at
+# 512, against 15 us per forward call (2-core x86-64 host, Python 3.11.7),
+# so it loses to forward below about 40 rows.  Single curves take the
+# scalar path; the lockstep scan's seeding and prefetch run batched.
+BATCH_MIN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +140,8 @@ class _Arc:
     """Arclength-fraction view of a UCurve for cutting and sampling.
 
     ``memo`` maps a parameter to its ``_probe`` result; see ``_probe_at``.
+    ``single`` is the arc's ``single_branch`` certificate once
+    ``_prefetched`` has decided it, else None.
     """
 
     def __init__(self, W: UCurve):
@@ -150,6 +162,7 @@ class _Arc:
         self.growth = list(W.growth)
         self.seg_slope = [a / b for a, b in zip(dphi, dr)]
         self.memo = {}
+        self.single = None
 
     def at(self, s: float) -> PhasePoint:
         return PhasePoint(self.W.wall_id, _interp(s, self.frac, self.r),
@@ -192,50 +205,133 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
     regular, or when the curve is too short for its nodes to differ in
     floating point.
     """
+    W, = _seeds(table, [z], [rng], length, k0)
+    if isinstance(W, str):
+        raise SingularSeed(W)
+    return W
+
+
+def _seeds(table, zs, rngs, length, k0):
+    """``seed_ucurve`` at each base point z with its rng (or None): the
+    curve, or a str saying why there is none.
+
+    Each row checks its base's distance to the strip boundaries, then
+    whether ``forward`` is regular there, and only then draws its cone
+    position x from its own rng and walks (``_seed_walks``), so a row's
+    result does not depend on the other rows.
+    """
     if not 0.0 < length <= MAX_LENGTH:
         raise ValueError(f"length must lie in (0, {MAX_LENGTH:g}]")
-    if _near_strip_boundary(z.phi, k0):
-        raise SingularSeed("base angle within tolerance of a strip boundary")
-    if not forward(table, z).regular:
-        raise SingularSeed("forward image at the base is not regular")
-    x = 0.5 if rng is None else float(rng.uniform(0.35, 0.65))
-    wall = table.wall(z.wall_id)
-    r_lo, r_hi = (-math.inf, math.inf) if wall.closed else (0.0, wall.length)
+    out = ["base angle within tolerance of a strip boundary"
+           if _near_strip_boundary(z.phi, k0) else None for z in zs]
+    rows = [i for i, why in enumerate(out) if why is None]
+    for i, regular in zip(rows, _regular(table, [zs[i] for i in rows])):
+        if not regular:
+            out[i] = "forward image at the base is not regular"
+    rows = [i for i in rows if out[i] is None]
+    xs = [0.5 if rngs[i] is None else float(rngs[i].uniform(0.35, 0.65))
+          for i in rows]
+    for i, W in zip(rows, _seed_walks(table, [zs[i] for i in rows], xs,
+                                      length)):
+        out[i] = W
+    return out
 
-    def cone_slope(p, m_prev):
-        try:
-            lo, hi = unstable_cone_at(table, p)
-        except BilliardError as e:
-            raise SingularSeed(f"cone undefined along the seed: {e}") from e
-        if lo < m_prev < hi:
-            return m_prev
-        return interior_slope(lo, hi, x)
 
-    half = 4                     # nodes on each side of z
-    ds = 0.5 * length / half
-    m_z = cone_slope(z, -1.0)
-
-    def grow(sign):
-        out = []
-        p, m = z, m_z
-        for _ in range(half):
-            dr = sign * ds / math.hypot(1.0, m)
-            p = PhasePoint(z.wall_id, p.r + dr, p.phi + m * dr)
-            if abs(p.phi) >= HALF_PI - EPS_SEED or not r_lo < p.r < r_hi:
-                raise SingularSeed("seed curve left the open chart")
-            out.append((p, m))
-            m = cone_slope(p, m)
+def _regular(table, points):
+    """Whether ``forward`` at each point is regular (False where it
+    raises)."""
+    if len(points) >= BATCH_MIN:
+        out = [False] * len(points)
+        for i, _ in next(regular_steps(table, points, 1)):
+            out[i] = True
         return out
+    out = []
+    for p in points:
+        try:
+            out.append(forward(table, p).regular)
+        except BilliardError:
+            out.append(False)
+    return out
 
-    back, fore = grow(-1.0), grow(+1.0)
-    pts = [p for p, _ in reversed(back)] + [z] + [p for p, _ in fore]
-    slopes = [m for _, m in reversed(back)] + [m_z] + [m for _, m in fore]
-    params = [i / (len(pts) - 1) for i in range(len(pts))]
-    try:
-        return make_ucurve(z.wall_id, pts, slopes, params)
-    except ValueError as err:
-        raise SingularSeed(
-            f"seed curve of length {length:g}: {err}") from err
+
+def _cones(table, points):
+    """``unstable_cone_at`` at each point, or None where it raises."""
+    if len(points) >= BATCH_MIN:
+        return unstable_cones(table, points)
+    out = []
+    for p in points:
+        try:
+            out.append(unstable_cone_at(table, p))
+        except BilliardError:
+            out.append(None)
+    return out
+
+
+def _seed_walks(table, bases, xs, length):
+    """``seed_ucurve``'s curve through each base point z, with x its
+    position in the cone, or a str saying why there is none.
+
+    From z each walk takes SEED_HALF equal steps to each side, along the
+    slope it carries; after a step the slope is kept if it lies inside the
+    unstable cone at the new node, else replaced by the cone's interior
+    slope at x.  The walks go in lockstep: one ``_cones`` call at the base
+    points, then one per step for both sides of every walk still alive.
+    The cone at a side's last node sets no slope, but a walk fails where it
+    is undefined, as at every other node.
+    """
+    ds = 0.5 * length / SEED_HALF
+    out = [None] * len(bases)
+    sides = {}      # (row, sign) -> (nodes from z, slope taken from each)
+
+    def turn(cone, m, x):
+        lo, hi = cone
+        return m if lo < m < hi else interior_slope(lo, hi, x)
+
+    for i, (z, x, cone) in enumerate(zip(bases, xs, _cones(table, bases))):
+        if cone is None:
+            out[i] = "cone undefined along the seed"
+            continue
+        m_z = turn(cone, -1.0, x)
+        for sign in (-1.0, 1.0):
+            sides[i, sign] = ([z], [m_z])
+    for _ in range(SEED_HALF):
+        stepped = []
+        for (i, sign), (nodes, slopes) in sides.items():
+            if out[i] is not None:
+                continue
+            p, m = nodes[-1], slopes[-1]
+            wall = table.wall(p.wall_id)
+            r_lo, r_hi = (-math.inf, math.inf) if wall.closed \
+                else (0.0, wall.length)
+            dr = sign * ds / math.hypot(1.0, m)
+            p = PhasePoint(p.wall_id, p.r + dr, p.phi + m * dr)
+            if abs(p.phi) >= HALF_PI - EPS_SEED or not r_lo < p.r < r_hi:
+                out[i] = "seed curve left the open chart"
+                continue
+            nodes.append(p)
+            stepped.append((i, sign))
+        stepped = [key for key in stepped if out[key[0]] is None]
+        cones = _cones(table, [sides[key][0][-1] for key in stepped])
+        for (i, sign), cone in zip(stepped, cones):
+            if cone is None:
+                out[i] = "cone undefined along the seed"
+            elif out[i] is None:
+                slopes = sides[i, sign][1]
+                slopes.append(turn(cone, slopes[-1], xs[i]))
+    params = [k / (2 * SEED_HALF) for k in range(2 * SEED_HALF + 1)]
+    for i, z in enumerate(bases):
+        if out[i] is not None:
+            continue
+        (back, m_back), (fore, m_fore) = sides[i, -1.0], sides[i, 1.0]
+        # a node carries the slope of the step that reached it, and z
+        # its own: m_z, which is also the first step's on each side
+        pts = back[:0:-1] + fore
+        slopes = m_back[SEED_HALF - 1::-1] + m_fore[:1] + m_fore[:SEED_HALF]
+        try:
+            out[i] = make_ucurve(z.wall_id, pts, slopes, params)
+        except ValueError as err:
+            out[i] = f"seed curve of length {length:g}: {err}"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +373,11 @@ def _probe(table, arc, s):
         im = forward(table, arc.at(s)).smooth
     except BilliardError:
         return None, None
+    return _signed(im)
+
+
+def _signed(im):
+    """``_probe``'s result for the smooth image im, or for None."""
     if im is None:
         return None, None
     return (im.point.wall_id, im.branch), im
@@ -304,6 +405,18 @@ def _grid_for(total):
     return 5
 
 
+def _grid(n_s):
+    """np.linspace(0.0, 1.0, n_s) bit for bit: i * step, then the end."""
+    step = 1.0 / (n_s - 1)
+    return [i * step for i in range(n_s - 1)] + [1.0]
+
+
+def _single(table, arc):
+    """``bmap.single_branch`` on the box of arc's first and last nodes."""
+    a, b = arc.W.nodes[0], arc.W.nodes[-1]
+    return single_branch(table, arc.W.wall_id, a.r, b.r, a.phi, b.phi)
+
+
 def _u_of(im):
     return HALF_PI - abs(im.point.phi)
 
@@ -314,16 +427,16 @@ def _primary_segments(table, arc, n_s):
     When ``bmap.single_branch`` certifies the box of the first and last
     nodes (the nodes increase in r and phi, so the box holds the whole arc),
     every probe of the grid would return the midpoint's signature, and the
-    grid is skipped: the result is the grid's, bit for bit.
+    grid is skipped: the result is the grid's, bit for bit.  An arc from
+    ``_prefetched`` carries its certificate already.
     """
-    a, b = arc.W.nodes[0], arc.W.nodes[-1]
-    if single_branch(table, arc.W.wall_id, a.r, b.r, a.phi, b.phi):
+    if arc.single is None:
+        arc.single = _single(table, arc)
+    if arc.single:
         sig, _ = _probe_at(table, arc, 0.5)
         if sig is not None:
             return [(0.0, 1.0, sig)]
-    # np.linspace(0.0, 1.0, n_s) bit for bit: i * step, then the end
-    step = 1.0 / (n_s - 1)
-    ss = [i * step for i in range(n_s - 1)] + [1.0]
+    ss = _grid(n_s)
     probes = [_probe_at(table, arc, s) for s in ss]
     runs = []   # (first index, last index, sig)
     for i, (sig, _) in enumerate(probes):
@@ -627,7 +740,8 @@ def _hull(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]))
 
 
-def _one_step(table, parent, k0, c_expansion, birth, stopped=None):
+def _one_step(table, parent, k0, c_expansion, birth, stopped=None,
+              arc=None):
     """(children, degenerate pieces merged) of parent's one-step image; the
     children are numbered from birth.
 
@@ -635,9 +749,11 @@ def _one_step(table, parent, k0, c_expansion, birth, stopped=None):
     child, or one shorter than DEGEN_LEN, is merged: its root-parameter
     interval joins the source interval of the previous child, or of the
     next one when none precedes it.  ``stopped`` is passed on to
-    ``_secondary_pieces``.
+    ``_secondary_pieces``.  ``arc`` is parent's curve as an ``_Arc`` from
+    ``_prefetched``; without it a fresh one is made.
     """
-    arc = _Arc(parent.curve)
+    if arc is None:
+        arc = _Arc(parent.curve)
     segments = _primary_segments(table, arc, _grid_for(arc.total))
     pieces = []
     for seg in segments:
@@ -727,30 +843,99 @@ def _remaining_floor(constants, m):
     return max(1e-12, constants.lam_hyper ** m / constants.c_hyper)
 
 
-def _grow(table, tree, k0, constants):
-    """Append the next generation of H-components to tree.
+# the parameters that _one_step probes first on an arc that single_branch
+# certifies: the midpoint, which gives the one segment (0, 1), then that
+# segment's insets max(CUT_TOL, 1e-6 * 1.0), which _secondary_pieces and
+# _child both take
+_KNOWN = (0.5, 1e-6, 1.0 - 1e-6)
 
-    Raises ComponentExplosion once the generation holds more than LEAF_CAP
-    components; its ``.partial`` is the tree with the cut-short generation.
+
+def _prefetched(table, curves):
+    """An ``_Arc`` per curve, with its certificate and the probes that
+    ``_one_step`` makes first already decided.
+
+    ``single_branch`` certifies each arc.  ``regular_images`` then maps,
+    BATCH_ROWS rows a call, the _KNOWN parameters of each certified arc and
+    the cut grid of each other arc into the arc's memo.  It is
+    bit-identical to ``forward`` wherever it answers, so every entry is
+    what ``_probe`` would store; a parameter it declines, or one that
+    ``_one_step`` never probes, costs only a miss or an unused entry.
     """
-    g = len(tree.generations)
+    arcs = [_Arc(W) for W in curves]
+    keys = []
+    for arc in arcs:
+        arc.single = _single(table, arc)
+        keys.extend((arc, s) for s in (
+            _KNOWN if arc.single else _grid(_grid_for(arc.total))))
+    for start in range(0, len(keys), BATCH_ROWS):
+        block = keys[start:start + BATCH_ROWS]
+        images = regular_images(table, [arc.at(s) for arc, s in block])
+        for (arc, s), im in zip(block, images):
+            if im is not None:
+                arc.memo[s] = _signed(im)
+    return arcs
+
+
+def _arcs(table, curves):
+    """An ``_Arc`` per curve, in order.  With BATCH_MIN curves or more they
+    are ``_prefetched`` BATCH_ROWS at a time, so that no more than
+    BATCH_ROWS arcs are alive at once."""
+    if len(curves) < BATCH_MIN:
+        yield from map(_Arc, curves)
+        return
+    for start in range(0, len(curves), BATCH_ROWS):
+        yield from _prefetched(table, curves[start:start + BATCH_ROWS])
+
+
+def _tree(W):
+    """The depth-0 evolution tree of W."""
+    return EvolutionTree(root=W, generations=[[_root(W)]])
+
+
+def _grow(table, trees, k0, constants):
+    """Append the next generation of H-components to each tree.
+
+    Returns, per tree, None or the BilliardError that stopped it: a
+    ComponentExplosion once the generation holds more than LEAF_CAP
+    components, whose ``.partial`` is the tree with the cut-short
+    generation, or an error of ``_one_step``, after which the tree gains no
+    generation.  The parents' arcs come from ``_arcs`` over all the trees.
+    """
     c_exp = constants.c_expansion if constants is not None else None
-    birth = sum(len(gen) for gen in tree.generations)
-    nxt = []
-    for comp in tree.generations[-1]:
-        if comp.tail:
-            continue
-        kids, ndeg = _one_step(table, comp, k0, c_exp, birth)
-        tree.degenerate_merged += ndeg
-        nxt.extend(kids)
-        birth += len(kids)
-        if len(nxt) > LEAF_CAP:
+    fronts = [[c for c in tree.generations[-1] if not c.tail]
+              for tree in trees]
+    arcs = _arcs(table, [c.curve for front in fronts for c in front])
+    outcomes = []
+    for tree, front in zip(trees, fronts):
+        g = len(tree.generations)
+        birth = sum(len(gen) for gen in tree.generations)
+        nxt, stop = [], None
+        for comp in front:
+            arc = next(arcs)    # taken even once stopped, to stay in step
+            if stop is not None:
+                continue
+            try:
+                kids, ndeg = _one_step(table, comp, k0, c_exp, birth,
+                                       arc=arc)
+            except BilliardError as err:
+                stop, nxt = err, None
+                continue
+            tree.degenerate_merged += ndeg
+            nxt.extend(kids)
+            birth += len(kids)
+            if len(nxt) > LEAF_CAP:
+                stop = ComponentExplosion(
+                    f"component count exceeded {LEAF_CAP} at depth {g}")
+                stop.partial = tree
+        if nxt is not None:
             tree.generations.append(nxt)
-            err = ComponentExplosion(
-                f"component count exceeded {LEAF_CAP} at depth {g}")
-            err.partial = tree
-            raise err
-    tree.generations.append(nxt)
+        outcomes.append(stop)
+    return outcomes
+
+
+def _check_depth(n):
+    if n > N_CAP:
+        raise ValueError(f"depth {n} exceeds the cap {N_CAP}")
 
 
 def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
@@ -759,13 +944,15 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
 
     Tail components are terminal: their expansion-sum contribution at depth
     N uses the fitted per-step floor for the remaining N - g steps when
-    constants are supplied, and 1 otherwise.
+    constants are supplied, and 1 otherwise.  Raises what ``_grow``
+    reports.
     """
-    if n > N_CAP:
-        raise ValueError(f"depth {n} exceeds the cap {N_CAP}")
-    tree = EvolutionTree(root=W, generations=[[_root(W)]])
+    _check_depth(n)
+    tree = _tree(W)
     for _ in range(n):
-        _grow(table, tree, k0, constants)
+        stop, = _grow(table, [tree], k0, constants)
+        if stop is not None:
+            raise stop
     return tree
 
 
@@ -1064,29 +1251,71 @@ class ExpansionReport:
 
 
 SEED_TRIES = 200       # random base points tried per seed curve
+SCAN_BLOCK = 128       # curves that sup_scan grows in lockstep
 
 
 def _draw_curve(table, rng, delta, k0):
-    for attempt in range(SEED_TRIES):
-        z = random_phase_point(table, rng)
-        try:
-            return seed_ucurve(table, z, delta, rng, k0), attempt + 1
-        except (SingularSeed, BilliardError):
-            continue
-    raise SingularSeed(f"no admissible seed in {SEED_TRIES} draws")
+    """``_draw_curves`` for one rng; SingularSeed where it gives None."""
+    drawn, = _draw_curves(table, [rng], delta, k0)
+    if drawn is None:
+        raise SingularSeed(f"no admissible seed in {SEED_TRIES} draws")
+    return drawn
 
 
-def _scan_row(table, i, seed, delta, n, k0, constants):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
-    W, tries = _draw_curve(table, rng, delta, k0)
+def _draw_curves(table, rngs, delta, k0):
+    """Per rng, (curve, tries) of the first random base point drawn from it
+    at which ``seed_ucurve`` admits a curve, or None after SEED_TRIES
+    refused points.
+
+    The rows still without a curve try a base point each in lockstep
+    through ``_seeds``.  Each row draws from its own rng in a fixed order,
+    so its result does not depend on the other rows.
+    """
+    out = [None] * len(rngs)
+    rows = list(range(len(rngs)))
+    for tries in range(1, SEED_TRIES + 1):
+        if not rows:
+            break
+        zs = [random_phase_point(table, rngs[i]) for i in rows]
+        for i, W in zip(rows, _seeds(table, zs, [rngs[i] for i in rows],
+                                     delta, k0)):
+            if not isinstance(W, str):
+                out[i] = (W, tries)
+        rows = [i for i in rows if out[i] is None]
+    return out
+
+
+def _scan_block(table, ids, seed, delta, n, k0, constants):
+    """sup_scan's rows of the samples ``ids``, their curves seeded by
+    ``_draw_curves`` and their trees grown a generation at a time by
+    ``_grow``.  Raises the first error other than a ComponentExplosion that
+    stopped a tree, in sample order."""
+    drawn = _draw_curves(table, [
+        np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
+        for i in ids], delta, k0)
+    trees = [None if d is None else _tree(d[0]) for d in drawn]
+    stops = [None] * len(trees)
+    live = [t for t, tree in enumerate(trees) if tree is not None]
+    for _ in range(n):
+        for t, stop in zip(live, _grow(table, [trees[t] for t in live], k0,
+                                       constants)):
+            stops[t] = stop
+        live = [t for t in live if stops[t] is None]
+    for stop in stops:
+        if stop is not None and not isinstance(stop, ComponentExplosion):
+            raise stop
+    return [{"sample_id": i, "flag": "skipped"} if d is None
+            else _row(i, d[1], tree, stop, n, constants)
+            for i, d, tree, stop in zip(ids, drawn, trees, stops)]
+
+
+def _row(i, tries, tree, stop, n, constants):
+    """sup_scan's row of sample i, whose tree stopped at ``stop``."""
+    W = tree.root
     z0 = W.nodes[len(W.nodes) // 2]
     row = {"sample_id": i, "base": [z0.wall_id, z0.r, z0.phi],
-           "length": W.euclidean_length, "tries": tries, "flag": ""}
-    try:
-        tree = evolve_n(table, W, n, k0, constants)
-    except ComponentExplosion as err:
-        tree = err.partial
-        row["flag"] = "explosion"
+           "length": W.euclidean_length, "tries": tries,
+           "flag": "" if stop is None else "explosion"}
     depth = len(tree.generations) - 1
     # depths past an explosion have no sum: null in JSON, empty in CSV
     row["e"] = [expansion_total(tree, m, constants)
@@ -1117,27 +1346,31 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
              threads: int = 0, table_id: str = "") -> ExpansionReport:
     """Empirical supremum of the depth-n expansion sums over seeded curves.
 
-    Per-sample substreams keyed by (seed, index) make the report identical
-    across thread counts; reduction happens in sample order.
+    Sample i draws its curve from its own substream, keyed by (seed, 1, i).
+    The samples are grown in blocks of SCAN_BLOCK curves, in lockstep one
+    generation at a time, and the blocks are mapped over ``threads``
+    workers.  A row is a function of its substream alone, bit for bit
+    whichever path (batched or scalar) computed it, so the report's bytes
+    do not depend on ``threads`` or on the blocks; reduction happens in
+    sample order.
     """
     if seed is None:
         raise ValueError("a seed is required; suprema must be reproducible")
     n_source = "given"
     if n_steps is None:
         n_steps, n_source = choose_depth(table, delta, k0, seed, constants)
-    ids = list(range(samples))
+    _check_depth(n_steps)
+    blocks = [range(start, min(start + SCAN_BLOCK, samples))
+              for start in range(0, samples, SCAN_BLOCK)]
 
-    def work(i):
-        try:
-            return _scan_row(table, i, seed, delta, n_steps, k0, constants)
-        except SingularSeed:
-            return {"sample_id": i, "flag": "skipped"}
+    def work(ids):
+        return _scan_block(table, ids, seed, delta, n_steps, k0, constants)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, ids))
+            rows = [row for block in pool.map(work, blocks) for row in block]
     else:
-        rows = [work(i) for i in ids]
+        rows = [row for ids in blocks for row in work(ids)]
 
     good = [r for r in rows if r["flag"] != "skipped"]
     sup_e = [0.0] * (n_steps + 1)
@@ -1174,9 +1407,9 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
                  probe_samples: int = 32) -> tuple[int, str]:
     """Depth from the margin inequality, else smallest empirically working.
 
-    The probe curves are drawn once and their trees grown one generation
-    per depth; a tree that explodes or fails at generation g drops out of
-    every depth >= g.
+    The probe curves are drawn once and their trees grown together, one
+    generation per depth; a tree that explodes or fails at generation g
+    drops out of every depth >= g.
     """
     if constants is not None:
         try:
@@ -1194,14 +1427,8 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
     best_n, best_sup = N_CAP, math.inf
     first_ok = None
     for n in range(1, N_CAP + 1):
-        live = []
-        for tree in trees:
-            try:
-                _grow(table, tree, k0, constants)
-            except BilliardError:     # ComponentExplosion included
-                continue
-            live.append(tree)
-        trees = live
+        stops = _grow(table, trees, k0, constants)
+        trees = [t for t, stop in zip(trees, stops) if stop is None]
         sup = max([0.0] + [expansion_total(t, n, constants) for t in trees])
         if sup < best_sup:
             best_n, best_sup = n, sup

@@ -339,13 +339,13 @@ def test_expansion_given_depth_and_threads(tmp_path):
 
 
 def _skip_first_draw(monkeypatch):
-    draw = ucurves._draw_curve
+    draw = ucurves._draw_curves
 
-    def skip(*args, **kwargs):
-        monkeypatch.setattr(ucurves, "_draw_curve", draw)
-        raise SingularSeed("forced skip")
+    def skip(table, rngs, *args):
+        monkeypatch.setattr(ucurves, "_draw_curves", draw)
+        return [None] + draw(table, rngs[1:], *args)
 
-    monkeypatch.setattr(ucurves, "_draw_curve", skip)
+    monkeypatch.setattr(ucurves, "_draw_curves", skip)
 
 
 def test_skipped_sample_has_no_csv_line(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from billexp.bmap import (HALF_PI, PhasePoint, certify_hyperbolicity,
                           forward, involute, random_phase_point,
                           single_branch, strip_index, unstable_cone_at)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
-                            SingularSeed)
+                            SingularInput, SingularSeed)
 from billexp.flow import Ray, first_collision
 from billexp.serialize import csv_text, json_bytes
 from conftest import wedge_table
@@ -602,9 +602,8 @@ def test_single_branch_sees_crossings_and_near_cusps():
     assert not held and segments[0][1] < 1.0
 
 
-def test_single_branch_fast_path_is_taken(tri, monkeypatch):
-    """On seeded tri curves evolved to depth 3, at least 90% of the
-    one-steps skip the cut grid."""
+def _counted_single_branch(monkeypatch):
+    """The list to which each single_branch answer in ucurves is appended."""
     calls = []
 
     def counted(*args):
@@ -612,12 +611,96 @@ def test_single_branch_fast_path_is_taken(tri, monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(U, "single_branch", counted)
+    return calls
+
+
+def test_single_branch_fast_path_is_taken(tri, monkeypatch):
+    """On seeded tri curves evolved to depth 3, at least 90% of the
+    one-steps skip the cut grid."""
+    calls = _counted_single_branch(monkeypatch)
     for i in range(40):
         rng = np.random.default_rng(np.random.SeedSequence([7, 1, i]))
         W, _ = U._draw_curve(tri, rng, 1e-4, 30)
         U.evolve_n(tri, W, 3)
     assert len(calls) >= 120
     assert sum(calls) >= 0.9 * len(calls)
+
+
+def test_single_branch_fast_path_is_taken_in_the_scan(tri, monkeypatch):
+    """The same bound on a block of seeded tri curves that the scan grows
+    to depth 3 together, whose arcs _prefetched certifies."""
+    calls = _counted_single_branch(monkeypatch)
+    U.sup_scan(tri, 1e-4, U.SCAN_BLOCK, 3, 30, seed=7)
+    assert len(calls) >= 120
+    assert sum(calls) >= 0.9 * len(calls)
+
+
+def _straight_curve(table, place, pick, u, v, log_len, slope):
+    """A 9-node increasing straight curve of length 10**log_len and the
+    given slope: astride a point whose next collision is tangent
+    (``_graze_points``), near a wall end, or at random; None when a node
+    leaves the chart."""
+    length = 10.0 ** log_len
+    wall = table.walls[pick % len(table.walls)]
+    r, phi = u * wall.length, (2.0 * v - 1.0) * 1.5
+    if place == "graze":
+        a = _graze_points(table, np.random.default_rng(pick), 1)[0]
+        wall = table.walls[a.wall_id]
+        r, phi = a.r + (u - 0.5) * length, a.phi + (v - 0.5) * length
+    elif place == "corner":
+        r = 1e-3 * u if v < 0.5 else wall.length - 1e-3 * u
+        phi = (2.0 * (pick % 1000) / 999 - 1.0) * 1.5
+    h = math.hypot(1.0, slope)
+    dr, dphi = length / h / 8, length * slope / h / 8
+    pts = [PhasePoint(wall.wall_id, r + (i - 4) * dr, phi + (i - 4) * dphi)
+           for i in range(9)]
+    if not all((wall.closed or 0.0 <= p.r <= wall.length)
+               and abs(p.phi) < HALF_PI for p in pts):
+        return None
+    return U.make_ucurve(wall.wall_id, pts)
+
+
+@functools.cache
+def _wedge():
+    return wedge_table(1e-5)
+
+
+def _probe_tokens(hit):
+    sig, im = hit
+    if im is None:
+        return [repr(sig)]
+    (a, b), (c, d) = im.derivative
+    return [repr(sig), str(im.point.wall_id), *map(_bits, (
+        im.point.r, im.point.phi, im.tau, a, b, c, d)), im.label,
+        repr(im.trail), str(im.grazing)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["tri", "lens", "wedge"]),
+       drawn=st.lists(st.tuples(
+           st.sampled_from(["graze", "corner", "random"]),
+           st.integers(0, 10 ** 6), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(-7.0, -2.0), st.floats(0.05, 20.0)),
+           min_size=1, max_size=4))
+def test_prefetch_cannot_move_a_number(name, drawn):
+    """Every entry that _prefetched puts in an arc's memo is what _probe
+    returns there, and _one_step on a prefetched arc builds the children
+    and merges that it builds on a fresh one, near tangencies and corners
+    too, where regular_images declines rows."""
+    table = _wedge() if name == "wedge" else _cert_table(name)[0]
+    curves = [W for W in (_straight_curve(table, *d) for d in drawn)
+              if W is not None]
+    assume(curves)
+    for W, arc in zip(curves, U._prefetched(table, curves)):
+        for s, hit in arc.memo.items():
+            assert _probe_tokens(hit) \
+                == _probe_tokens(U._probe(table, U._Arc(W), s))
+        kids, ndeg = U._one_step(table, U._root(W), 30, None, 1)
+        fetched, fetched_ndeg = U._one_step(table, U._root(W), 30, None, 1,
+                                            arc=arc)
+        assert fetched_ndeg == ndeg
+        assert [_component_tokens(c) for c in fetched] \
+            == [_component_tokens(c) for c in kids]
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +837,147 @@ def test_sup_scan_deterministic(tri):
     c = U.sup_scan(tri, 1e-4, 20, 1, 30, seed=13, threads=4)
     assert json_bytes(a.to_json()) == json_bytes(b.to_json()) \
         == json_bytes(c.to_json())
+
+
+def _draw_by_itself(table, rng, delta, k0):
+    """(curve, tries) of the first seed_ucurve curve at a random base point
+    drawn from rng, one point at a time, or None after SEED_TRIES."""
+    for tries in range(1, U.SEED_TRIES + 1):
+        z = random_phase_point(table, rng)
+        try:
+            return U.seed_ucurve(table, z, delta, rng, k0), tries
+        except BilliardError:
+            continue
+    return None
+
+
+def _scan_row_by_itself(table, i, seed, delta, n, k0, constants):
+    """sup_scan's row of sample i, built from that sample alone: its curve
+    from ``_draw_by_itself``, its tree from ``evolve_n``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
+    drawn = _draw_by_itself(table, rng, delta, k0)
+    if drawn is None:
+        return {"sample_id": i, "flag": "skipped"}
+    W, tries = drawn
+    z0 = W.nodes[len(W.nodes) // 2]
+    row = {"sample_id": i, "base": [z0.wall_id, z0.r, z0.phi],
+           "length": W.euclidean_length, "tries": tries, "flag": ""}
+    try:
+        tree = U.evolve_n(table, W, n, k0, constants)
+    except ComponentExplosion as err:
+        tree = err.partial
+        row["flag"] = "explosion"
+    depth = len(tree.generations) - 1
+    row["e"] = [U.expansion_total(tree, m, constants)
+                for m in range(depth + 1)] + [None] * (n - depth)
+    row["k"] = tree.regular_counts() + [0] * (n - depth)
+    row["leaves"] = [len(tree.leaves(m)) for m in range(depth + 1)] \
+        + [0] * (n - depth)
+    row["grazing_sum"] = U.grazing_sum(tree.generations[1]) \
+        if depth >= 1 else 0.0
+    row["degenerate"] = tree.degenerate_merged
+    return row
+
+
+@pytest.mark.parametrize("explode", [False, True])
+def test_block_scan_equals_per_curve_evolution(tri, cheap_constants,
+                                               monkeypatch, explode):
+    """A scan of three blocks, the last one partial and so scalar, gives at
+    any thread count the rows of its samples evolved one by one.  Made to
+    explode, the trees of curves on wall 2 outgrow LEAF_CAP after depth 2
+    while the others of their block grow on."""
+    if explode:
+        one_step = U._one_step
+
+        def doubled(table, W, *args, **kwargs):
+            kids, ndeg = one_step(table, W, *args, **kwargs)
+            return (kids + kids if W.curve.wall_id == 2 else kids), ndeg
+
+        monkeypatch.setattr(U, "_one_step", doubled)
+        monkeypatch.setattr(U, "LEAF_CAP", 2)
+    samples = 2 * U.SCAN_BLOCK + 44
+    rows = [_scan_row_by_itself(tri, i, 17, 1e-4, 3, 30, cheap_constants)
+            for i in range(samples)]
+    for threads in (1, 4):
+        rep = U.sup_scan(tri, 1e-4, samples, 3, 30, seed=17,
+                         constants=cheap_constants, threads=threads)
+        assert json_bytes(rep.rows) == json_bytes(rows)
+    exploded = [r["flag"] == "explosion" for r in rows]
+    assert any(exploded[:U.SCAN_BLOCK]) == explode
+    assert not all(exploded[:U.SCAN_BLOCK])
+
+
+def _substreams(seed, count):
+    return [np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
+            for i in range(count)]
+
+
+def _drawn_tokens(drawn):
+    return [None if d is None else (_component_tokens(U._root(d[0])), d[1])
+            for d in drawn]
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+@pytest.mark.parametrize("harsh", [False, True])
+def test_block_seeding_equals_curve_by_curve(name, harsh, request,
+                                             monkeypatch):
+    """_draw_curves in blocks of 400 rows gives the curve, tries and skipped
+    rows of seed_ucurve tried one base point at a time, on each of 2,000
+    substreams.  Made harsh, with EPS_SEED = 1 (|phi| >= 0.57 is refused)
+    and three tries a row, the blocks take several lockstep rounds and
+    skip rows."""
+    table = request.getfixturevalue(name)
+    if harsh:
+        monkeypatch.setattr(U, "EPS_SEED", 1.0)
+        monkeypatch.setattr(U, "SEED_TRIES", 3)
+    want = [_draw_by_itself(table, rng, 1e-4, 30)
+            for rng in _substreams(29, 2000)]
+    rngs = _substreams(29, 2000)
+    got = [d for start in range(0, 2000, 400)
+           for d in U._draw_curves(table, rngs[start:start + 400], 1e-4, 30)]
+    assert _drawn_tokens(got) == _drawn_tokens(want)
+    tries = [d[1] for d in want if d is not None]
+    if harsh:
+        assert None in want and max(tries) == 3
+    else:
+        assert None not in want
+
+
+def test_block_seeding_checks_the_last_cone(tri, monkeypatch):
+    """The cone at the last node of each side sets no slope, yet a seed is
+    refused where it is undefined, by the block seeding as by seed_ucurve:
+    with the cones at the first curves' end nodes made undefined, every row
+    takes another try."""
+    first = U._draw_curves(tri, _substreams(31, U.SCAN_BLOCK), 1e-4, 30)
+    assert all(d[1] == 1 for d in first)
+    ends = {p for W, _ in first for p in (W.nodes[0], W.nodes[-1])}
+    cone_at, cones = U.unstable_cone_at, U.unstable_cones
+
+    def cone_or_raise(table, p):
+        if p in ends:
+            raise SingularInput("undefined by the test")
+        return cone_at(table, p)
+
+    def cones_or_none(table, points):
+        return [None if p in ends else c
+                for p, c in zip(points, cones(table, points))]
+
+    monkeypatch.setattr(U, "unstable_cone_at", cone_or_raise)
+    monkeypatch.setattr(U, "unstable_cones", cones_or_none)
+    got = U._draw_curves(tri, _substreams(31, U.SCAN_BLOCK), 1e-4, 30)
+    want = [_draw_by_itself(tri, rng, 1e-4, 30)
+            for rng in _substreams(31, U.SCAN_BLOCK)]
+    assert _drawn_tokens(got) == _drawn_tokens(want)
+    assert all(d[1] >= 2 for d in got)
+
+
+def test_sup_scan_refuses_depth_past_the_cap(tri, monkeypatch):
+    def no_growth(*args):
+        raise AssertionError("grew trees past the cap")
+
+    monkeypatch.setattr(U, "_grow", no_growth)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        U.sup_scan(tri, 1e-4, 4, U.N_CAP + 1, 30, seed=3)
 
 
 def test_sup_scan_report_shape(tri, cheap_constants):
