@@ -68,8 +68,7 @@ class MapResult(NamedTuple):
 
     @property
     def regular(self) -> bool:
-        im = self.smooth
-        return im is not None and im.label == "regular" and not im.trail
+        return _plain(self.smooth)
 
     @property
     def smooth(self) -> MapImage | None:
@@ -77,6 +76,11 @@ class MapResult(NamedTuple):
         if len(self.images) != 1 or self.images[0].grazing:
             return None
         return self.images[0]
+
+
+def _plain(im: MapImage | None) -> bool:
+    """Whether a smooth image is one plain "regular" step, with no trail."""
+    return im is not None and im.label == "regular" and not im.trail
 
 
 def bisect_edge(keep, good: float, bad: float,
@@ -278,8 +282,13 @@ def inverse(table: BilliardTable, p: PhasePoint) -> MapResult:
 # ---------------------------------------------------------------------------
 # batched regular step
 
-# most points one call of regular_images gets from the batched estimators
+# most points one call of regular_images gets
 BATCH_ROWS = 512
+# fewest points for which smooth_images calls regular_images: on random tri
+# points it costs 355 us at 1 row, 29 us per row at 16, 10 us per row at 64
+# and 4.7 us per row at 512, against 15 us per forward call (2-core x86-64
+# host, Python 3.11.7), so it loses to forward below about 40 rows
+BATCH_MIN = 64
 
 
 def _each(fn, *cols) -> np.ndarray:
@@ -393,6 +402,32 @@ def regular_images(table: BilliardTable, points) -> list[MapImage | None]:
                                           *entries))):
         out[i] = MapImage(PhasePoint(w, r_img, p1), t, "regular",
                           ((a, b), (c, d)))
+    return out
+
+
+def smooth_images(table: BilliardTable, points) -> list[MapImage | None]:
+    """``forward(table, p).smooth`` for each point p, or None where
+    ``forward`` raises.
+
+    The one choice between the scalar and the batched map.  It works
+    BATCH_ROWS points at a time: a block of BATCH_MIN points or more goes
+    through ``regular_images`` first, and ``forward`` resolves the points
+    it declines; a smaller block goes to ``forward`` alone.  The two agree
+    bit for bit wherever ``regular_images`` answers, so the choice moves no
+    number.
+    """
+    out = []
+    for start in range(0, len(points), BATCH_ROWS):
+        block = points[start:start + BATCH_ROWS]
+        batched = regular_images(table, block) if len(block) >= BATCH_MIN \
+            else [None] * len(block)
+        for p, im in zip(block, batched):
+            if im is None:
+                try:
+                    im = forward(table, p).smooth
+                except BilliardError:
+                    pass
+            out.append(im)
     return out
 
 
@@ -530,23 +565,13 @@ def regular_steps(table: BilliardTable, points, n: int):
     (row, image) for the rows whose steps so far were all regular: one
     plain "regular" image (``MapResult.regular``), as ``orbit`` walks them.
 
-    Each step is one ``regular_images`` call, with ``forward`` for the rows
-    it declines; a row that is not regular leaves the walk.
+    Each step is one ``smooth_images`` call over the rows still walking; a
+    row that is not regular leaves the walk.
     """
     live = list(enumerate(points))
     for _ in range(n):
-        step = []
-        for (i, p), im in zip(live, regular_images(table,
-                                                   [p for _, p in live])):
-            if im is None:
-                try:
-                    res = forward(table, p)
-                except BilliardError:
-                    continue
-                if not res.regular:
-                    continue
-                im = res.images[0]
-            step.append((i, im))
+        step = [(i, im) for (i, _), im in zip(
+            live, smooth_images(table, [p for _, p in live])) if _plain(im)]
         yield step
         live = [(i, im.point) for i, im in step]
 

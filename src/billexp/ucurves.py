@@ -40,9 +40,8 @@ from scipy.special import polygamma
 from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    certify_expansion_constant, certify_hyperbolicity,
                    expansion_factor, forward, interior_slope,
-                   random_phase_point, regular_images, regular_steps,
-                   single_branch, strip_index, unstable_cone_at,
-                   unstable_cones)
+                   random_phase_point, regular_steps, single_branch,
+                   smooth_images, strip_index, unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
 from .geometry import BilliardTable
@@ -60,14 +59,6 @@ LADDER_FLOOR = 1e-9    # stop resolving strips narrower than this in parameter
 LADDER_MAX = 256       # hard cap on individually resolved strips per ladder
 EPS_SEED = 1e-9
 SEED_HALF = 4          # seed curve nodes on each side of the base point
-# Work on many curves at once goes through the batched kernels
-# (regular_images, regular_steps, unstable_cones) only when one call has
-# at least BATCH_MIN rows.  On random tri points regular_images costs 355 us
-# at 1 row, 29 us per row at 16, 10 us per row at 64 and 4.7 us per row at
-# 512, against 15 us per forward call (2-core x86-64 host, Python 3.11.7),
-# so it loses to forward below about 40 rows.  Single curves take the
-# scalar path; the lockstep scan's seeding and prefetch run batched.
-BATCH_MIN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +131,9 @@ class _Arc:
     """Arclength-fraction view of a UCurve for cutting and sampling.
 
     ``memo`` maps a parameter to its ``_probe`` result; see ``_probe_at``.
-    ``single`` is the arc's ``single_branch`` certificate once
-    ``_prefetched`` has decided it, else None.
+    ``single`` is the arc's ``single_branch`` certificate, which
+    ``_prefetched`` decides; on a fresh arc it is False, and
+    ``_primary_segments`` takes the cut grid.
     """
 
     def __init__(self, W: UCurve):
@@ -162,7 +154,7 @@ class _Arc:
         self.growth = list(W.growth)
         self.seg_slope = [a / b for a, b in zip(dphi, dr)]
         self.memo = {}
-        self.single = None
+        self.single = False
 
     def at(self, s: float) -> PhasePoint:
         return PhasePoint(self.W.wall_id, _interp(s, self.frac, self.r),
@@ -224,46 +216,16 @@ def _seeds(table, zs, rngs, length, k0):
         raise ValueError(f"length must lie in (0, {MAX_LENGTH:g}]")
     out = ["base angle within tolerance of a strip boundary"
            if _near_strip_boundary(z.phi, k0) else None for z in zs]
-    rows = [i for i, why in enumerate(out) if why is None]
-    for i, regular in zip(rows, _regular(table, [zs[i] for i in rows])):
-        if not regular:
-            out[i] = "forward image at the base is not regular"
-    rows = [i for i in rows if out[i] is None]
+    far = [i for i, why in enumerate(out) if why is None]
+    rows = [far[j] for j, _ in next(regular_steps(
+        table, [zs[i] for i in far], 1))]
+    for i in set(far) - set(rows):
+        out[i] = "forward image at the base is not regular"
     xs = [0.5 if rngs[i] is None else float(rngs[i].uniform(0.35, 0.65))
           for i in rows]
     for i, W in zip(rows, _seed_walks(table, [zs[i] for i in rows], xs,
                                       length)):
         out[i] = W
-    return out
-
-
-def _regular(table, points):
-    """Whether ``forward`` at each point is regular (False where it
-    raises)."""
-    if len(points) >= BATCH_MIN:
-        out = [False] * len(points)
-        for i, _ in next(regular_steps(table, points, 1)):
-            out[i] = True
-        return out
-    out = []
-    for p in points:
-        try:
-            out.append(forward(table, p).regular)
-        except BilliardError:
-            out.append(False)
-    return out
-
-
-def _cones(table, points):
-    """``unstable_cone_at`` at each point, or None where it raises."""
-    if len(points) >= BATCH_MIN:
-        return unstable_cones(table, points)
-    out = []
-    for p in points:
-        try:
-            out.append(unstable_cone_at(table, p))
-        except BilliardError:
-            out.append(None)
     return out
 
 
@@ -274,8 +236,9 @@ def _seed_walks(table, bases, xs, length):
     From z each walk takes SEED_HALF equal steps to each side, along the
     slope it carries; after a step the slope is kept if it lies inside the
     unstable cone at the new node, else replaced by the cone's interior
-    slope at x.  The walks go in lockstep: one ``_cones`` call at the base
-    points, then one per step for both sides of every walk still alive.
+    slope at x.  The walks go in lockstep: one ``unstable_cones`` call at
+    the base points, then one per step for both sides of every walk still
+    alive.
     The cone at a side's last node sets no slope, but a walk fails where it
     is undefined, as at every other node.
     """
@@ -287,7 +250,8 @@ def _seed_walks(table, bases, xs, length):
         lo, hi = cone
         return m if lo < m < hi else interior_slope(lo, hi, x)
 
-    for i, (z, x, cone) in enumerate(zip(bases, xs, _cones(table, bases))):
+    for i, (z, x, cone) in enumerate(zip(bases, xs,
+                                         unstable_cones(table, bases))):
         if cone is None:
             out[i] = "cone undefined along the seed"
             continue
@@ -311,7 +275,8 @@ def _seed_walks(table, bases, xs, length):
             nodes.append(p)
             stepped.append((i, sign))
         stepped = [key for key in stepped if out[key[0]] is None]
-        cones = _cones(table, [sides[key][0][-1] for key in stepped])
+        cones = unstable_cones(table,
+                               [sides[key][0][-1] for key in stepped])
         for (i, sign), cone in zip(stepped, cones):
             if cone is None:
                 out[i] = "cone undefined along the seed"
@@ -427,11 +392,9 @@ def _primary_segments(table, arc, n_s):
     When ``bmap.single_branch`` certifies the box of the first and last
     nodes (the nodes increase in r and phi, so the box holds the whole arc),
     every probe of the grid would return the midpoint's signature, and the
-    grid is skipped: the result is the grid's, bit for bit.  An arc from
-    ``_prefetched`` carries its certificate already.
+    grid is skipped: the result is the grid's, bit for bit.  The arc carries
+    its certificate from ``_prefetched``.
     """
-    if arc.single is None:
-        arc.single = _single(table, arc)
     if arc.single:
         sig, _ = _probe_at(table, arc, 0.5)
         if sig is not None:
@@ -740,20 +703,17 @@ def _hull(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]))
 
 
-def _one_step(table, parent, k0, c_expansion, birth, stopped=None,
-              arc=None):
+def _one_step(table, parent, arc, k0, c_expansion, birth, stopped=None):
     """(children, degenerate pieces merged) of parent's one-step image; the
-    children are numbered from birth.
+    children are numbered from birth.  ``arc`` is parent's curve as an
+    ``_Arc`` from ``_prefetched``.
 
     Each child is built from its own piece alone.  A piece that gives no
     child, or one shorter than DEGEN_LEN, is merged: its root-parameter
     interval joins the source interval of the previous child, or of the
     next one when none precedes it.  ``stopped`` is passed on to
-    ``_secondary_pieces``.  ``arc`` is parent's curve as an ``_Arc`` from
-    ``_prefetched``; without it a fresh one is made.
+    ``_secondary_pieces``.
     """
-    if arc is None:
-        arc = _Arc(parent.curve)
     segments = _primary_segments(table, arc, _grid_for(arc.total))
     pieces = []
     for seg in segments:
@@ -809,7 +769,8 @@ def _local_expansion_constant(table, arc, piece, c_expansion):
 def evolve_one_step(table: BilliardTable, W: UCurve,
                     k0: int = K0_DEFAULT) -> list[HComponent]:
     """H-components of the image of W: primary cuts, strip cuts, tails."""
-    return _one_step(table, _root(W), k0, None, 1)[0]
+    arc, = _prefetched(table, [W])
+    return _one_step(table, _root(W), arc, k0, None, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -854,12 +815,11 @@ def _prefetched(table, curves):
     """An ``_Arc`` per curve, with its certificate and the probes that
     ``_one_step`` makes first already decided.
 
-    ``single_branch`` certifies each arc.  ``regular_images`` then maps,
-    BATCH_ROWS rows a call, the _KNOWN parameters of each certified arc and
-    the cut grid of each other arc into the arc's memo.  It is
-    bit-identical to ``forward`` wherever it answers, so every entry is
-    what ``_probe`` would store; a parameter it declines, or one that
-    ``_one_step`` never probes, costs only a miss or an unused entry.
+    ``single_branch`` certifies each arc.  One ``smooth_images`` call then
+    maps the _KNOWN parameters of each certified arc and the cut grid of
+    each other arc into the arc's memo: every entry is what ``_probe``
+    would store there, and one that ``_one_step`` never probes costs only
+    an unused entry.
     """
     arcs = [_Arc(W) for W in curves]
     keys = []
@@ -867,22 +827,15 @@ def _prefetched(table, curves):
         arc.single = _single(table, arc)
         keys.extend((arc, s) for s in (
             _KNOWN if arc.single else _grid(_grid_for(arc.total))))
-    for start in range(0, len(keys), BATCH_ROWS):
-        block = keys[start:start + BATCH_ROWS]
-        images = regular_images(table, [arc.at(s) for arc, s in block])
-        for (arc, s), im in zip(block, images):
-            if im is not None:
-                arc.memo[s] = _signed(im)
+    for (arc, s), im in zip(keys, smooth_images(
+            table, [arc.at(s) for arc, s in keys])):
+        arc.memo[s] = _signed(im)
     return arcs
 
 
 def _arcs(table, curves):
-    """An ``_Arc`` per curve, in order.  With BATCH_MIN curves or more they
-    are ``_prefetched`` BATCH_ROWS at a time, so that no more than
-    BATCH_ROWS arcs are alive at once."""
-    if len(curves) < BATCH_MIN:
-        yield from map(_Arc, curves)
-        return
+    """An ``_Arc`` per curve, in order, ``_prefetched`` BATCH_ROWS curves at
+    a time, so that no more than BATCH_ROWS arcs are alive at once."""
     for start in range(0, len(curves), BATCH_ROWS):
         yield from _prefetched(table, curves[start:start + BATCH_ROWS])
 
@@ -915,8 +868,7 @@ def _grow(table, trees, k0, constants):
             if stop is not None:
                 continue
             try:
-                kids, ndeg = _one_step(table, comp, k0, c_exp, birth,
-                                       arc=arc)
+                kids, ndeg = _one_step(table, comp, arc, k0, c_exp, birth)
             except BilliardError as err:
                 stop, nxt = err, None
                 continue
@@ -934,6 +886,8 @@ def _grow(table, trees, k0, constants):
 
 
 def _check_depth(n):
+    if n < 0:
+        raise ValueError(f"depth {n} is negative")
     if n > N_CAP:
         raise ValueError(f"depth {n} exceeds the cap {N_CAP}")
 
@@ -1121,7 +1075,8 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
         ladders = []
         try:
             W = seed_ucurve(table, z, length, rng, k0)
-            comps, _ = _one_step(table, _root(W), k0, None, 1, ladders)
+            arc, = _prefetched(table, [W])
+            comps, _ = _one_step(table, _root(W), arc, k0, None, 1, ladders)
         except (SingularSeed, BilliardError):
             continue
         root = math.sqrt(W.euclidean_length)
@@ -1252,14 +1207,7 @@ class ExpansionReport:
 
 SEED_TRIES = 200       # random base points tried per seed curve
 SCAN_BLOCK = 128       # curves that sup_scan grows in lockstep
-
-
-def _draw_curve(table, rng, delta, k0):
-    """``_draw_curves`` for one rng; SingularSeed where it gives None."""
-    drawn, = _draw_curves(table, [rng], delta, k0)
-    if drawn is None:
-        raise SingularSeed(f"no admissible seed in {SEED_TRIES} draws")
-    return drawn
+PROBE_SAMPLES = 32     # curves choose_depth grows to pick a depth
 
 
 def _draw_curves(table, rngs, delta, k0):
@@ -1350,9 +1298,9 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
     The samples are grown in blocks of SCAN_BLOCK curves, in lockstep one
     generation at a time, and the blocks are mapped over ``threads``
     workers.  A row is a function of its substream alone, bit for bit
-    whichever path (batched or scalar) computed it, so the report's bytes
-    do not depend on ``threads`` or on the blocks; reduction happens in
-    sample order.
+    however many rows each ``smooth_images`` call held, so the report's
+    bytes do not depend on ``threads`` or on the blocks; reduction happens
+    in sample order.
     """
     if seed is None:
         raise ValueError("a seed is required; suprema must be reproducible")
@@ -1403,11 +1351,12 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
 
 
 def choose_depth(table: BilliardTable, delta: float, k0: int,
-                 seed: int, constants: FittedConstants | None,
-                 probe_samples: int = 32) -> tuple[int, str]:
+                 seed: int, constants: FittedConstants | None
+                 ) -> tuple[int, str]:
     """Depth from the margin inequality, else smallest empirically working.
 
-    The probe curves are drawn once and their trees grown together, one
+    The PROBE_SAMPLES probe curves, probe i drawn from the substream keyed
+    by (seed, 0xD0, i), are drawn once and their trees grown together, one
     generation per depth; a tree that explodes or fails at generation g
     drops out of every depth >= g.
     """
@@ -1416,14 +1365,12 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
             return select_N(constants), "select"
         except NoSuchN:
             pass
-    trees = []
-    for i in range(probe_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0, i]))
-        try:
-            W, _ = _draw_curve(table, rng, delta, k0)
-        except SingularSeed:
-            continue
-        trees.append(evolve_n(table, W, 0, k0, constants))
+    drawn = _draw_curves(table, [
+        np.random.default_rng(np.random.SeedSequence([seed, 0xD0, i]))
+        for i in range(PROBE_SAMPLES)], delta, k0)
+    # started by evolve_n, whose calls perfbench counts as the probe trees
+    trees = [evolve_n(table, d[0], 0, k0, constants)
+             for d in drawn if d is not None]
     best_n, best_sup = N_CAP, math.inf
     first_ok = None
     for n in range(1, N_CAP + 1):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from billexp import tables
+from billexp import bmap, tables
 from billexp.bmap import (
+    BATCH_MIN,
+    BATCH_ROWS,
     HALF_PI,
     K_INF,
     MapImage,
@@ -23,6 +25,7 @@ from billexp.bmap import (
     random_phase_point,
     random_phase_points,
     regular_images,
+    smooth_images,
     strip_index,
 )
 from billexp.errors import BilliardError, NumericalAbort, SingularInput
@@ -666,6 +669,68 @@ def test_regular_images_equal_forward(name, request):
         assert accepted == 0
     else:
         assert accepted > len(pts) // 2
+
+
+def _outcome(table, p):
+    try:
+        res = forward(table, p)
+    except BilliardError:
+        return "raises"
+    if any(im.grazing for im in res.images):
+        return "grazing"
+    return "branched" if len(res.images) > 1 else "single"
+
+
+def _mixed_points(table, count):
+    """count points of test_regular_images_equal_forward's set: up to three
+    where forward raises (among them |phi| = pi/2), branches or grazes at
+    each end, and single-image points between them."""
+    pool = _digest_points(table, 20260)
+    pool += [involute(p) for p in pool]
+    pool += [PhasePoint(0, 0.5 * table.walls[0].length, s * HALF_PI)
+             for s in (1.0, -1.0)]
+    kinds = {}
+    for p in pool:
+        kinds.setdefault(_outcome(table, p), []).append(p)
+    ends = [p for kind in ("raises", "branched", "grazing")
+            for p in kinds.get(kind, [])[-3:]]
+    return ends + kinds["single"][:count - 2 * len(ends)] + ends
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "torus2", "wedge"])
+def test_smooth_images_equal_forward(name, request, monkeypatch):
+    """forward(table, p).smooth at each point, or None where forward
+    raises; a block of BATCH_MIN rows or more goes through regular_images,
+    and the tail of BATCH_ROWS + 10 rows, below BATCH_MIN, does not."""
+    table = (wedge_table(1e-5) if name == "wedge"
+             else request.getfixturevalue(name))
+    batched = []
+
+    def recorded(table_, points):
+        batched.append(len(points))
+        return regular_images(table_, points)
+
+    monkeypatch.setattr(bmap, "regular_images", recorded)
+    kinds = set()
+    for count, calls in ((BATCH_MIN - 1, []), (BATCH_MIN, [BATCH_MIN]),
+                         (BATCH_ROWS + 10, [BATCH_ROWS])):
+        pts = _mixed_points(table, count)
+        assert len(pts) == count
+        batched.clear()
+        got = smooth_images(table, pts)
+        assert batched == calls and len(got) == count
+        for p, im in zip(pts, got):
+            kinds.add(_outcome(table, p))
+            try:
+                want = forward(table, p).smooth
+            except BilliardError:
+                want = None
+            assert (im is None) == (want is None)
+            if im is not None:
+                assert _image_tokens(im) == _image_tokens(want)
+    assert {"raises", "grazing", "single"} <= kinds
+    if table.corners:
+        assert "branched" in kinds
 
 
 def test_regular_images_accept_most_random_points(tri):

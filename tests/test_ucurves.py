@@ -13,7 +13,7 @@ from billexp.bmap import (HALF_PI, PhasePoint, certify_hyperbolicity,
                           forward, involute, random_phase_point,
                           single_branch, strip_index, unstable_cone_at)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
-                            SingularInput, SingularSeed)
+                            SingularSeed)
 from billexp.flow import Ray, first_collision
 from billexp.serialize import csv_text, json_bytes
 from conftest import wedge_table
@@ -238,7 +238,7 @@ def test_scan_grazing_column_is_one_step_grazing_sum(tri):
     rows = U.sup_scan(tri, 1e-2, 1000, 1, 30, seed=5).rows
     for i in (0, 1, 811, 872, 998):
         rng = np.random.default_rng(np.random.SeedSequence([5, 1, i]))
-        W, _ = U._draw_curve(tri, rng, 1e-2, 30)
+        W, _ = U._draw_curves(tri, [rng], 1e-2, 30)[0]
         assert U.one_step_grazing_sum(tri, W, 30) == rows[i]["grazing_sum"]
     assert all(rows[i]["grazing_sum"] > 0.0 for i in (811, 872, 998))
 
@@ -366,7 +366,9 @@ def lazy_runs(tri, lens):
                 mp.setattr(U, "_ladder", recorded)
                 full = U.evolve_one_step(table, W)
             stopped = []
-            lazy, _ = U._one_step(table, U._root(W), 30, None, 1, stopped)
+            lazy, _ = U._one_step(table, U._root(W),
+                                  U._prefetched(table, [W])[0], 30, None, 1,
+                                  stopped)
             resumed = [(U._image_box(table, s.arc, s.cut0, s.deep),
                         [c for _, c in U._strip_children(table, s, 30)])
                        for s in stopped]
@@ -527,17 +529,22 @@ def test_single_branch_is_sound(name, place, pick, u, v, log_len, slope):
                for p in pts))
     W = U.make_ucurve(wall.wall_id, pts)
     a, b = W.nodes[0], W.nodes[-1]
-    if single_branch(table, wall.wall_id, a.r, b.r, a.phi, b.phi):
+    held = single_branch(table, wall.wall_id, a.r, b.r, a.phi, b.phi)
+    if held:
         arc = U._Arc(W)
         sig = U._probe(table, arc, 0.5)[0]
         assert sig == (sig[0], "regular")
         for n_s in (5, 9, 17):
             assert all(U._probe(table, arc, s)[0] == sig for s in _grid(n_s))
-    n_s = U._grid_for(U._Arc(W).total)
-    fast = U._primary_segments(table, U._Arc(W), n_s)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(U, "single_branch", lambda *args: False)
-        assert U._primary_segments(table, U._Arc(W), n_s) == fast
+    arc, = U._prefetched(table, [W])
+    assert arc.single == held
+    n_s = U._grid_for(arc.total)
+    fast = U._primary_segments(table, arc, n_s)
+    if arc.single:
+        # the grid was skipped: only the prefetched probes were made
+        assert set(arc.memo) == set(U._KNOWN)
+    # a fresh arc is not certified, so it takes the cut grid
+    assert U._primary_segments(table, U._Arc(W), n_s) == fast
 
 
 def test_single_branch_false_on_torus(torus2):
@@ -564,13 +571,12 @@ def test_single_branch_refuses_events(tri):
 
 def _cut_box(table, wall_id, r, phi, dr, dphi):
     """(certificate, grid segments) of the straight curve from (r, phi)
-    to (r + dr, phi + dphi)."""
+    to (r + dr, phi + dphi); a fresh arc is not certified, so it takes the
+    grid."""
     W = U.make_ucurve(wall_id, [PhasePoint(wall_id, r + i * dr / 8,
                                            phi + i * dphi / 8)
                                 for i in range(9)])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(U, "single_branch", lambda *args: False)
-        segments = U._primary_segments(table, U._Arc(W), 17)
+    segments = U._primary_segments(table, U._Arc(W), 17)
     return single_branch(table, wall_id, r, r + dr, phi, phi + dphi), segments
 
 
@@ -620,7 +626,7 @@ def test_single_branch_fast_path_is_taken(tri, monkeypatch):
     calls = _counted_single_branch(monkeypatch)
     for i in range(40):
         rng = np.random.default_rng(np.random.SeedSequence([7, 1, i]))
-        W, _ = U._draw_curve(tri, rng, 1e-4, 30)
+        W, _ = U._draw_curves(tri, [rng], 1e-4, 30)[0]
         U.evolve_n(tri, W, 3)
     assert len(calls) >= 120
     assert sum(calls) >= 0.9 * len(calls)
@@ -685,8 +691,9 @@ def _probe_tokens(hit):
 def test_prefetch_cannot_move_a_number(name, drawn):
     """Every entry that _prefetched puts in an arc's memo is what _probe
     returns there, and _one_step on a prefetched arc builds the children
-    and merges that it builds on a fresh one, near tangencies and corners
-    too, where regular_images declines rows."""
+    and merges that it builds on the same certified arc probed only as it
+    goes, near tangencies and corners too, where regular_images declines
+    rows."""
     table = _wedge() if name == "wedge" else _cert_table(name)[0]
     curves = [W for W in (_straight_curve(table, *d) for d in drawn)
               if W is not None]
@@ -695,9 +702,11 @@ def test_prefetch_cannot_move_a_number(name, drawn):
         for s, hit in arc.memo.items():
             assert _probe_tokens(hit) \
                 == _probe_tokens(U._probe(table, U._Arc(W), s))
-        kids, ndeg = U._one_step(table, U._root(W), 30, None, 1)
-        fetched, fetched_ndeg = U._one_step(table, U._root(W), 30, None, 1,
-                                            arc=arc)
+        bare, = U._prefetched(table, [W])
+        bare.memo.clear()
+        kids, ndeg = U._one_step(table, U._root(W), bare, 30, None, 1)
+        fetched, fetched_ndeg = U._one_step(table, U._root(W), arc, 30, None,
+                                            1)
         assert fetched_ndeg == ndeg
         assert [_component_tokens(c) for c in fetched] \
             == [_component_tokens(c) for c in kids]
@@ -951,18 +960,12 @@ def test_block_seeding_checks_the_last_cone(tri, monkeypatch):
     first = U._draw_curves(tri, _substreams(31, U.SCAN_BLOCK), 1e-4, 30)
     assert all(d[1] == 1 for d in first)
     ends = {p for W, _ in first for p in (W.nodes[0], W.nodes[-1])}
-    cone_at, cones = U.unstable_cone_at, U.unstable_cones
-
-    def cone_or_raise(table, p):
-        if p in ends:
-            raise SingularInput("undefined by the test")
-        return cone_at(table, p)
+    cones = U.unstable_cones
 
     def cones_or_none(table, points):
         return [None if p in ends else c
                 for p, c in zip(points, cones(table, points))]
 
-    monkeypatch.setattr(U, "unstable_cone_at", cone_or_raise)
     monkeypatch.setattr(U, "unstable_cones", cones_or_none)
     got = U._draw_curves(tri, _substreams(31, U.SCAN_BLOCK), 1e-4, 30)
     want = [_draw_by_itself(tri, rng, 1e-4, 30)
@@ -971,13 +974,20 @@ def test_block_seeding_checks_the_last_cone(tri, monkeypatch):
     assert all(d[1] >= 2 for d in got)
 
 
-def test_sup_scan_refuses_depth_past_the_cap(tri, monkeypatch):
+def test_sup_scan_refuses_depth_past_the_cap(tri, far_curve, monkeypatch):
     def no_growth(*args):
         raise AssertionError("grew trees past the cap")
 
     monkeypatch.setattr(U, "_grow", no_growth)
     with pytest.raises(ValueError, match="exceeds the cap"):
         U.sup_scan(tri, 1e-4, 4, U.N_CAP + 1, 30, seed=3)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        U.evolve_n(tri, far_curve, U.N_CAP + 1)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="negative"):
+            U.sup_scan(tri, 1e-4, 4, n, 30, seed=3)
+        with pytest.raises(ValueError, match="negative"):
+            U.evolve_n(tri, far_curve, n)
 
 
 def test_sup_scan_report_shape(tri, cheap_constants):
@@ -1022,23 +1032,23 @@ def test_sup_scan_requires_seed(tri):
         U.sup_scan(tri, 1e-4, 5, 1, 30, seed=None)
 
 
-def test_choose_depth_empirical(tri):
-    n, source = U.choose_depth(tri, 1e-4, 30, seed=3,
-                               constants=None, probe_samples=12)
+def test_choose_depth_empirical(tri, monkeypatch):
+    monkeypatch.setattr(U, "PROBE_SAMPLES", 12)
+    n, source = U.choose_depth(tri, 1e-4, 30, seed=3, constants=None)
     assert 1 <= n <= U.N_CAP
     assert source.startswith("empirical")
 
 
 def _depth_by_rebuilding(table, seed, probes):
-    """choose_depth's rule, with every probe tree evolved from scratch at
-    each depth: a probe that fails at depth n is left out of depth n."""
+    """choose_depth's rule, with each probe curve drawn by
+    ``_draw_by_itself`` and every probe tree evolved from scratch at each
+    depth: a probe that fails at depth n is left out of depth n."""
     curves = []
     for i in range(probes):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0, i]))
-        try:
-            curves.append(U._draw_curve(table, rng, 1e-4, 30)[0])
-        except SingularSeed:
-            continue
+        drawn = _draw_by_itself(table, rng, 1e-4, 30)
+        if drawn is not None:
+            curves.append(drawn[0])
     best_n, best_sup, first_ok, alive = U.N_CAP, math.inf, None, []
     for n in range(1, U.N_CAP + 1):
         sups = []
@@ -1061,9 +1071,9 @@ def _depth_by_rebuilding(table, seed, probes):
 
 
 def test_choose_depth_matches_rebuilt_trees(tri, monkeypatch):
+    monkeypatch.setattr(U, "PROBE_SAMPLES", 12)
     want, _ = _depth_by_rebuilding(tri, 3, 12)
-    assert U.choose_depth(tri, 1e-4, 30, seed=3, constants=None,
-                          probe_samples=12) == want
+    assert U.choose_depth(tri, 1e-4, 30, seed=3, constants=None) == want
 
     # probe curves on tri almost never branch: double the children of every
     # curve on wall 2, so that some trees outgrow LEAF_CAP after depth 2
@@ -1077,5 +1087,4 @@ def test_choose_depth_matches_rebuilt_trees(tri, monkeypatch):
     monkeypatch.setattr(U, "LEAF_CAP", 2)
     want, alive = _depth_by_rebuilding(tri, 3, 12)
     assert alive[0] == alive[1] > alive[-1] > 0
-    assert U.choose_depth(tri, 1e-4, 30, seed=3, constants=None,
-                          probe_samples=12) == want
+    assert U.choose_depth(tri, 1e-4, 30, seed=3, constants=None) == want

@@ -13,10 +13,14 @@ the other, alternating which runs first.  A side keeps every metric and the
 BENCH_<NAME>.json in the current directory, made when missing.
 
 After its pairs it prints a summary of every pair in that file, per workload
-and metric: each side's median and quartiles, the change's wins out of the
-pairs (ties count for neither side), and whether the gap between the medians
-exceeds the distance between the parent's quartiles.  A gain may be claimed
-where the change wins at least nine pairs in ten and the gap exceeds it.
+and metric: each side's median and quartiles over its correct runs, the
+change's wins out of the pairs where both sides are correct (ties count for
+neither side), and whether the gap between the medians exceeds the distance
+between the parent's quartiles.  Then, per workload, the number of runs on
+each side that were not correct, with or without metrics.  A gain may be
+claimed where the change wins at least nine pairs in ten and the gap exceeds
+it.  The exit status is 1 when any run of the change in the file was not
+correct.
 """
 
 import argparse
@@ -54,7 +58,9 @@ def run_side(checkout, workload, seed, trace) -> dict:
 
 def summary(pairs) -> list[str]:
     """One line per workload, trace level and metric over the given pairs,
-    from the pairs where both sides report that metric."""
+    from the pairs where both sides are correct and report that metric,
+    then one line per workload and trace level counting the runs of each
+    side that were not correct."""
     lines = []
     for workload, trace in sorted({(p["workload"], p["trace"])
                                    for p in pairs}):
@@ -62,7 +68,8 @@ def summary(pairs) -> list[str]:
                  if (p["workload"], p["trace"]) == (workload, trace)]
         for name, better in BETTER.items():
             both = [p for p in group
-                    if name in p["parent"] and name in p["change"]]
+                    if all(p[side]["correct"] and name in p[side]
+                           for side in ("parent", "change"))]
             if not both:
                 continue
             par = np.array([p["parent"][name] for p in both], dtype=float)
@@ -78,6 +85,12 @@ def summary(pairs) -> list[str]:
                 f"{int(np.sum(gain > 0.0))}/{len(both)}, median gap "
                 f"{gap:.6g} {'exceeds' if gap > iqr else 'within'} the "
                 f"parent's quartile distance {iqr:.6g}")
+        wrong = {side: sum(not p[side]["correct"] for p in group)
+                 for side in ("parent", "change")}
+        lines.append(
+            f"{workload} --trace {trace} incorrect runs: parent "
+            f"{wrong['parent']}/{len(group)}, change "
+            f"{wrong['change']}/{len(group)}")
     return lines
 
 
@@ -112,7 +125,7 @@ def main(argv=None) -> int:
         print(json.dumps(pair), flush=True)
         out.write_text(json.dumps(doc, indent=1) + "\n")
     print("\n".join(summary(doc["pairs"])))
-    return 0
+    return int(any(not p["change"]["correct"] for p in doc["pairs"]))
 
 
 if __name__ == "__main__":
