@@ -129,7 +129,7 @@ def outgoing_ray(table: BilliardTable, p: PhasePoint) -> Ray:
 # forward map
 
 def _reflection_image(wall, r_img, v_in, tau, kappa0, phi0, label, trail):
-    # the frame wall.frame_at(r_img), the mirror image flow.reflect(v_in, n)
+    # the frame wall.frame_at(r_img), the mirror image v_in - 2 (v_in . n) n
     # and the angle of v_out from n toward t, inline
     o = wall.orientation
     th = wall.theta_start + o * r_img / wall.radius

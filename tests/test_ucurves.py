@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from billexp import geometry, singularities as S, tables, ucurves as U
 from billexp.bmap import (HALF_PI, PhasePoint, certify_hyperbolicity,
                           forward, involute, random_phase_point,
-                          single_branch, strip_index, unstable_cone_at)
+                          single_branch, unstable_cone_at)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
 from billexp.flow import Ray, first_collision
@@ -96,32 +96,22 @@ def _ends_and_breaks(xp):
             -1.0, 2.0, math.nan]
 
 
-_fin = st.floats(-1e3, 1e3)
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0), _fin,
-                          _fin), min_size=1, max_size=12),
+@given(st.lists(st.tuples(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0)),
+                min_size=1, max_size=12),
        st.lists(st.floats(-0.25, 1.25), max_size=8))
 def test_arc_interpolation_is_np_interp(steps, probes):
     r, phi = [0.3], [-0.2]
-    for dr, dphi, _, _ in steps:
+    for dr, dphi in steps:
         r.append(r[-1] + dr)
         phi.append(phi[-1] + dphi)
-    params = [0.0] + [p for _, _, p, _ in steps]
-    growth = [1.0] + [g for _, _, _, g in steps]
-    W = U.make_ucurve(0, [PhasePoint(0, a, b) for a, b in zip(r, phi)],
-                      params=params, growth=growth)
+    W = U.make_ucurve(0, [PhasePoint(0, a, b) for a, b in zip(r, phi)])
     arc = U._Arc(W)
     frac = np.asarray(arc.frac)
     for s in _ends_and_breaks(arc.frac) + probes:
         p = arc.at(s)
         assert _bits(p.r) == _bits(np.interp(s, frac, np.array(r)))
         assert _bits(p.phi) == _bits(np.interp(s, frac, np.array(phi)))
-        assert _bits(arc.root_param(s)) \
-            == _bits(np.interp(s, frac, np.array(W.params)))
-        assert _bits(arc.growth_at(s)) \
-            == _bits(np.interp(s, frac, np.array(W.growth)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,7 +137,7 @@ def test_far_curve_single_regular_component(tri, far_curve):
     comps = U.evolve_one_step(tri, far_curve)
     assert len(comps) == 1
     c = comps[0]
-    assert c.regular and c.rank is None
+    assert c.regular
     assert c.itinerary[0][2] == 0
     assert c.min_expansion > 1.0
     assert c.curve.increasing
@@ -170,36 +160,52 @@ def test_straddle_strip_ladder(tri, straddle_curve):
     assert all(a >= b for a, b in zip(lens, lens[1:]))
 
 
-def test_one_step_partition(tri, far_curve, straddle_curve):
+def _one_step_pieces(table, W, monkeypatch):
+    """(piece, child) of each piece that evolve_one_step builds a child
+    from, in order, the child None when the piece gives none."""
+    child, calls = U._child, []
+
+    def recorded(table_, arc, piece, *args):
+        calls.append((piece, child(table_, arc, piece, *args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(U, "_child", recorded)
+        comps = U.evolve_one_step(table, W)
+    assert [c for _, c in calls if U._kept(c)] == comps
+    return calls
+
+
+def test_one_step_partition(tri, far_curve, straddle_curve, monkeypatch):
     for W in (far_curve, straddle_curve):
-        comps = U.evolve_one_step(tri, W)
-        total = sum(b - a for a, b in (c.source_interval for c in comps))
+        spans = [piece[:2] for piece, _ in _one_step_pieces(tri, W,
+                                                            monkeypatch)]
+        total = sum(b - a for a, b in spans)
         assert total == pytest.approx(1.0, abs=1e-5)
-        edges = sorted(x for c in comps for x in c.source_interval)
+        edges = sorted(x for span in spans for x in span)
         for a, b in zip(edges[1:-1:2], edges[2:-1:2]):
             assert b - a < 1e-9   # adjacent pieces share their cut point
 
 
 def test_refinement_conservation(tri, straddle_curve, monkeypatch):
     monkeypatch.setattr(U, "_grid_for", lambda total: 17)
-    coarse = U.evolve_one_step(tri, straddle_curve)
+    coarse = _one_step_pieces(tri, straddle_curve, monkeypatch)
     monkeypatch.setattr(U, "_grid_for", lambda total: 34)
-    fine = U.evolve_one_step(tri, straddle_curve)
+    fine = _one_step_pieces(tri, straddle_curve, monkeypatch)
 
     def key(c):
         return (c.itinerary[-1][0], c.itinerary[-1][2], c.tail)
 
-    fine_by = {key(c): c for c in fine}
+    fine_by = {key(c): (piece, c) for piece, c in fine if U._kept(c)}
+    coarse = [(piece, c) for piece, c in coarse if U._kept(c)]
     matched = 0
-    for c in coarse:
-        mate = fine_by.get(key(c))
+    for piece, c in coarse:
+        mate_piece, mate = fine_by.get(key(c), (None, None))
         if mate is None or c.tail:
             continue
         assert c.min_expansion == pytest.approx(mate.min_expansion, rel=0.05)
-        assert c.source_interval[0] == pytest.approx(
-            mate.source_interval[0], abs=1e-9)
-        assert c.source_interval[1] == pytest.approx(
-            mate.source_interval[1], abs=1e-9)
+        assert piece[0] == pytest.approx(mate_piece[0], abs=1e-9)
+        assert piece[1] == pytest.approx(mate_piece[1], abs=1e-9)
         matched += 1
     assert matched >= len(coarse) - 2
 
@@ -246,9 +252,8 @@ def test_scan_grazing_column_is_one_step_grazing_sum(tri):
 @pytest.mark.parametrize("drop", [0, 5])
 def test_dropped_child_joins_a_neighbour(tri, straddle_curve, monkeypatch,
                                          drop):
-    # piece `drop` gives no child: its interval joins the previous child's
-    # source interval (the next one's for the first piece), and no other
-    # child changes
+    # piece `drop` gives no child: it is dropped and counted as merged, and
+    # no other child changes
     full = U.evolve_n(tri, straddle_curve, 1)
     child, calls = U._child, []
 
@@ -261,9 +266,6 @@ def test_dropped_child_joins_a_neighbour(tri, straddle_curve, monkeypatch,
     kept = full.generations[1][:drop] + full.generations[1][drop + 1:]
     assert [c.curve for c in cut.generations[1]] == [c.curve for c in kept]
     assert cut.degenerate_merged == full.degenerate_merged + 1
-    spans = [c.source_interval for c in cut.generations[1]]
-    assert spans[0][0] == 0.0 and spans[-1][1] == 1.0
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,21 @@ def test_length_constant_equals_full_evolution(name, seed, request,
         assert resumed     # pass 2 resumed a stopped ladder here
 
 
+def test_length_constant_prefetches_its_samples_together(tri, monkeypatch):
+    # the samples share one rng, so they are seeded one by one, but their
+    # arcs are prefetched in one call, large enough for the batched map
+    prefetched, sizes = U._prefetched, []
+
+    def counted(table, curves):
+        sizes.append(len(curves))
+        return prefetched(table, curves)
+
+    monkeypatch.setattr(U, "_prefetched", counted)
+    best, used = U.certify_length_constant(tri, 101, 61)
+    assert (best, used) == LENGTH_CONSTANTS["tri", 61]
+    assert max(sizes) == used > 1
+
+
 def _anchor_curves(table, count):
     """Curves seeded astride tangency-preimage anchors, the way the anchor
     samples of certify_length_constant are, at three lengths."""
@@ -367,7 +384,7 @@ def lazy_runs(tri, lens):
                 full = U.evolve_one_step(table, W)
             stopped = []
             lazy, _ = U._one_step(table, U._root(W),
-                                  U._prefetched(table, [W])[0], 30, None, 1,
+                                  U._prefetched(table, [W])[0], 30, None,
                                   stopped)
             resumed = [(U._image_box(table, s.arc, s.cut0, s.deep),
                         [c for _, c in U._strip_children(table, s, 30)])
@@ -411,55 +428,26 @@ def test_conventions(tri, far_curve):
     assert U.expansion_total(tree, 0) == 1.0
 
 
-def test_tree_regular_counts_independent(tri, straddle_curve):
-    tree = U.evolve_n(tri, straddle_curve, 2)
-    for g in (1, 2):
-        from_flags = sum(1 for c in tree.generations[g] if c.regular)
-        from_phis = sum(
-            1 for c in tree.generations[g]
-            if not c.tail and len(c.mid_phis) == g
-            and all(strip_index(phi, 30) == 0 for phi in c.mid_phis))
-        assert from_flags == from_phis
-
-
-def test_rank_bookkeeping(tri, straddle_curve):
-    tree = U.evolve_n(tri, straddle_curve, 2)
-    for c in tree.generations[2]:
-        if c.regular:
-            assert c.rank is None
-        else:
-            p = c.rank
-            assert 1 <= p <= 2
-            assert all(k == 0 for _, _, k in c.itinerary[:p - 1])
-            assert c.itinerary[p - 1][2] != 0 or c.tail
-
-
 def _check_lineage(table, W):
-    """Each depth-2 child of W's tree is its depth-1 parent grown by the
-    matching component of the parent's curve re-evolved one step; returns
-    the number of tail children checked."""
+    """W's depth-2 generation is, in order, each non-tail depth-1 parent's
+    curve re-evolved one step, each child grown from its parent: the
+    itineraries joined, the floors multiplied, regular only when both are.
+    Returns the number of tail children checked."""
     tree = U.evolve_n(table, W, 2)
     assert U.evolve_one_step(table, W) == tree.generations[1]
+    pairs = [(parent, r) for parent in tree.generations[1] if not parent.tail
+             for r in U.evolve_one_step(table, parent.curve)]
+    assert len(pairs) == len(tree.generations[2])
     tails = 0
-    for parent in tree.generations[1]:
-        if parent.tail:
-            continue
-        redo = U.evolve_one_step(table, parent.curve)
-        kids = [c for c in tree.generations[2] if c.parent == parent.birth]
-        assert [c.itinerary[-1] for c in kids] \
-            == [r.itinerary[-1] for r in redo]
-        for c, r in zip(kids, redo):
-            assert c.itinerary == parent.itinerary + r.itinerary
-            assert c.mid_phis == parent.mid_phis + r.mid_phis
-            assert c.curve == r.curve
-            assert c.source_interval == r.source_interval
-            if c.tail:
-                assert c.tail_inv == r.tail_inv / parent.min_expansion
-                tails += 1
-            else:
-                assert c.min_expansion \
-                    == parent.min_expansion * r.min_expansion
-                assert c.min_expansion_sampled == r.min_expansion_sampled
+    for c, (parent, r) in zip(tree.generations[2], pairs):
+        assert c.itinerary == parent.itinerary + r.itinerary
+        assert c.curve == r.curve
+        assert c.regular == (parent.regular and r.regular)
+        if c.tail:
+            assert c.tail_inv == r.tail_inv / parent.min_expansion
+            tails += 1
+        else:
+            assert c.min_expansion == parent.min_expansion * r.min_expansion
     return tails
 
 
@@ -704,9 +692,8 @@ def test_prefetch_cannot_move_a_number(name, drawn):
                 == _probe_tokens(U._probe(table, U._Arc(W), s))
         bare, = U._prefetched(table, [W])
         bare.memo.clear()
-        kids, ndeg = U._one_step(table, U._root(W), bare, 30, None, 1)
-        fetched, fetched_ndeg = U._one_step(table, U._root(W), arc, 30, None,
-                                            1)
+        kids, ndeg = U._one_step(table, U._root(W), bare, 30, None)
+        fetched, fetched_ndeg = U._one_step(table, U._root(W), arc, 30, None)
         assert fetched_ndeg == ndeg
         assert [_component_tokens(c) for c in fetched] \
             == [_component_tokens(c) for c in kids]
@@ -740,11 +727,8 @@ def _component_tokens(c):
     W = c.curve
     return [str(W.wall_id),
             *(_bits(v) for p in W.nodes for v in (p.r, p.phi)),
-            *map(_bits, W.slopes), *map(_bits, W.params),
-            *map(_bits, W.growth), repr(c.itinerary),
-            _bits(c.min_expansion), _bits(c.min_expansion_sampled),
-            *map(_bits, c.source_interval), str(c.parent), str(c.birth),
-            *map(_bits, c.mid_phis), str(c.tail), _bits(c.tail_inv),
+            *map(_bits, W.slopes), repr(c.itinerary),
+            _bits(c.min_expansion), str(c.tail), _bits(c.tail_inv),
             str(c.tail_from)]
 
 
@@ -780,12 +764,13 @@ def evolution_digest(table, seed, count=12, grazing=3):
     return h.hexdigest()
 
 
-# digests of the evolution before the allocation-light collision step; the
-# seeding, cutting and tail code must reproduce every bit of them
+# digests of the evolution, over the fields a component keeps, taken before
+# the lineage fields (source intervals, birth numbers, chained growth) were
+# deleted; the seeding, cutting and tail code must reproduce every bit of them
 EVOLUTION_DIGESTS = {
-    "tri": "1c28d6184277f1bcb3b447721d53e96669531fbed551b968615433a2388b3d1d",
-    "lens": "32214b25eb855a2e9f85516f064a8d970c63672a454b65691817b17721e278af",
-    "torus2": "6ba4ac810de141e38353060b1128d66a7d423269e86d47352c45ac374b066f18",
+    "tri": "16aad1f0518c6084eb0cee4dcc7febb72d90d1f01badf884b9a68614f2a445e5",
+    "lens": "7bcb11f26780d60f61992c085b9ed061d80ba192b3c22d37468d42bb93d3230d",
+    "torus2": "bbedc9107db5d9b71e4f371ef154c56ff7b84c76a7c21d5969fb9c3d4ee9cc64",
 }
 
 
@@ -803,8 +788,6 @@ def test_certified_floor(tri, straddle_curve, cheap_constants):
         for c in tree.generations[g]:
             if not c.tail:
                 assert c.min_expansion >= 0.5 * floor
-            assert c.min_expansion_sampled >= c.min_expansion * 0.99 \
-                or c.tail
 
 
 def test_component_explosion(tri, straddle_curve, monkeypatch):

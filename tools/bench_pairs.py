@@ -16,11 +16,13 @@ After its pairs it prints a summary of every pair in that file, per workload
 and metric: each side's median and quartiles over its correct runs, the
 change's wins out of the pairs where both sides are correct (ties count for
 neither side), and whether the gap between the medians exceeds the distance
-between the parent's quartiles.  Then, per workload, the number of runs on
-each side that were not correct, with or without metrics.  A gain may be
-claimed where the change wins at least nine pairs in ten and the gap exceeds
-it.  The exit status is 1 when any run of the change in the file was not
-correct.
+between the parent's quartiles.  An end-to-end metric also gets a label
+against its ``bound`` in BENCHMARK.json, a fraction of the parent's median
+(``bound_label``).  Then, per workload, the number of runs on each side that
+were not correct, with or without metrics.  A gain may be claimed where the
+change wins at least nine pairs in ten and the gap exceeds the parent's
+quartile distance.  The exit status is 1 when any run of the change in the
+file was not correct.
 """
 
 import argparse
@@ -39,6 +41,9 @@ SECONDS = BENCHMARK["run_seconds"]
 # metric name -> "lower" or "higher", whichever is better
 BETTER = {m["name"]: m["better"]
           for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+# end-to-end metric name -> the largest worsening allowed, as a fraction of
+# the parent's median
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def run_side(checkout, workload, seed, trace) -> dict:
@@ -56,11 +61,34 @@ def run_side(checkout, workload, seed, trace) -> dict:
     return side
 
 
+def bound_label(par, chg, better, bound) -> str:
+    """Where the change's runs chg stand against the parent's runs par for a
+    metric whose median may worsen by at most bound times the parent's.
+
+    "unresolved" when the parent's quartile distance exceeds that margin,
+    unless every change run beats every parent run; else "worse beyond the
+    bound" when the change's median is worse by more than the margin, and
+    "within the bound" when it is not.
+    """
+    margin = bound * np.median(par)
+    q1, q3 = np.percentile(par, [25, 75])
+    if better == "lower":
+        worse = np.median(chg) - np.median(par)
+        beats_all = chg.max() < par.min()
+    else:
+        worse = np.median(par) - np.median(chg)
+        beats_all = chg.min() > par.max()
+    if q3 - q1 > margin and not beats_all:
+        return "unresolved"
+    return "worse beyond the bound" if worse > margin else "within the bound"
+
+
 def summary(pairs) -> list[str]:
     """One line per workload, trace level and metric over the given pairs,
-    from the pairs where both sides are correct and report that metric,
-    then one line per workload and trace level counting the runs of each
-    side that were not correct."""
+    from the pairs where both sides are correct and report that metric (an
+    end-to-end metric's line ends with its ``bound_label`` and bound), then
+    one line per workload and trace level counting the runs of each side
+    that were not correct."""
     lines = []
     for workload, trace in sorted({(p["workload"], p["trace"])
                                    for p in pairs}):
@@ -84,7 +112,9 @@ def summary(pairs) -> list[str]:
                 f"[{cq[0]:.6g}, {cq[2]:.6g}], change wins "
                 f"{int(np.sum(gain > 0.0))}/{len(both)}, median gap "
                 f"{gap:.6g} {'exceeds' if gap > iqr else 'within'} the "
-                f"parent's quartile distance {iqr:.6g}")
+                f"parent's quartile distance {iqr:.6g}"
+                + (f", {bound_label(par, chg, better, BOUND[name])} "
+                   f"{BOUND[name]:g}" if name in BOUND else ""))
         wrong = {side: sum(not p[side]["correct"] for p in group)
                  for side in ("parent", "change")}
         lines.append(
