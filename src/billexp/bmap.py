@@ -282,7 +282,7 @@ def inverse(table: BilliardTable, p: PhasePoint) -> MapResult:
 # ---------------------------------------------------------------------------
 # batched regular step
 
-# most points one call of regular_images gets
+# most points that regular_rows maps at once
 BATCH_ROWS = 512
 # fewest points for which smooth_images calls regular_images: on random tri
 # points it costs 355 us at 1 row, 29 us per row at 16, 10 us per row at 64
@@ -297,26 +297,70 @@ def _each(fn, *cols) -> np.ndarray:
                        cols[0].size)
 
 
+class RegularRows(NamedTuple):
+    """The images that ``regular_rows`` gives, as arrays over the points
+    it maps, in point order."""
+    rows: np.ndarray        # index of each mapped point
+    wall_id: np.ndarray
+    r: np.ndarray
+    phi: np.ndarray
+    tau: np.ndarray
+    derivative: np.ndarray  # shape (len(rows), 2, 2)
+
+    def images(self, picks) -> list[MapImage]:
+        """The MapImage of each entry ``picks`` selects from the arrays."""
+        (a, b), (c, d) = self.derivative[picks].transpose(1, 2, 0)
+        return [MapImage(PhasePoint(w, r, phi), tau, "regular",
+                         ((a, b), (c, d)))
+                for w, r, phi, tau, a, b, c, d in zip(*(x.tolist() for x in (
+                    self.wall_id[picks], self.r[picks], self.phi[picks],
+                    self.tau[picks], a, b, c, d)))]
+
+
 def regular_images(table: BilliardTable, points) -> list[MapImage | None]:
     """``forward(table, p).images[0]`` for each point p that ``forward`` maps
-    by one plain regular step (no trail, not grazing), else None.
+    by one plain regular step (no trail, not grazing), else None: the
+    images of ``regular_rows``."""
+    out: list[MapImage | None] = [None] * len(points)
+    if points:
+        got = regular_rows(table, *(np.array(col) for col in zip(*points)))
+        for i, im in zip(got.rows.tolist(), got.images(slice(None))):
+            out[i] = im
+    return out
+
+
+def regular_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
+    """The points (wall_ids[i], r[i], phi[i]) that ``forward`` maps by one
+    plain regular step (no trail, not grazing), and their images.
 
     The regular path of ``forward`` for many independent points at once:
     numpy does the + - * /, sqrt, comparisons and remainders in the scalar
     code's order, so every image given is bit-identical to ``forward``'s,
     and each transcendental goes through ``math`` one element at a time,
     since numpy's arctan2 and hypot differ from math's in the last bit.
-    None, for the caller to resolve with ``forward``: torus tables,
-    |phi| >= pi/2, departures and arrivals within EPS_CORNER of a wall end,
-    grazing hits and images, cos(phi') < 1e-6 (where ``flight_derivative``
-    sums exactly), and rays that meet no wall.
+    Left out, for the caller to resolve with ``forward``: every point of a
+    torus table, |phi| >= pi/2, departures and arrivals within EPS_CORNER
+    of a wall end, grazing hits and images, cos(phi') < 1e-6 (where
+    ``flight_derivative`` sums exactly), and rays that meet no wall.  It
+    maps BATCH_ROWS points at a time, which bounds the arrays it holds.
     """
-    out: list[MapImage | None] = [None] * len(points)
-    if table.ambient != "plane" or not points:
-        return out
+    wid = np.asarray(wall_ids, dtype=int)
+    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    if table.ambient != "plane" or not wid.size:
+        none = np.zeros(0)
+        return RegularRows(np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                           none, none, none, np.zeros((0, 2, 2)))
+    blocks = [_regular_block(table, start, *(a[start:start + BATCH_ROWS]
+                                             for a in (wid, r, phi)))
+              for start in range(0, wid.size, BATCH_ROWS)]
+    return RegularRows(*map(np.concatenate, zip(*blocks)))
+
+
+def _regular_block(table, start, wid, r, phi) -> RegularRows:
+    """``regular_rows`` of the points start, start + 1, ... given by the
+    columns wid, r and phi."""
     walls = table.walls
-    wid, r, phi = (np.array(col) for col in zip(*points))
-    rows = np.arange(len(points))
+    rows = np.arange(start, start + wid.size)
     cols = np.array([(w.theta_start, w.orientation, w.radius, w.kappa,
                       w.length, w.closed, w.span, w.center[0], w.center[1])
                      for w in walls], dtype=float)
@@ -396,25 +440,24 @@ def regular_images(table: BilliardTable, points) -> list[MapImage | None]:
     keep = (np.abs(phi1) < HALF_PI - EPS_TAN) & (c1 >= 1e-6)
     f = -1.0 / np.where(keep, c1, 1.0)
     m10 = tau * kap * kap1 + kap * c1 + kap1 * c0
-    entries = (f * (tau * kap + c0), f * tau, f * m10, f * (tau * kap1 + c1))
-    for i, w, r_img, p1, t, a, b, c, d in zip(
-            *(x[keep].tolist() for x in (rows, wid1, r1, phi1, tau,
-                                          *entries))):
-        out[i] = MapImage(PhasePoint(w, r_img, p1), t, "regular",
-                          ((a, b), (c, d)))
-    return out
+    deriv = np.stack([f * (tau * kap + c0), f * tau, f * m10,
+                      f * (tau * kap1 + c1)], axis=1).reshape(-1, 2, 2)
+    return RegularRows(rows[keep], wid1[keep], r1[keep], phi1[keep],
+                       tau[keep], deriv[keep])
 
 
 def smooth_images(table: BilliardTable, points) -> list[MapImage | None]:
     """``forward(table, p).smooth`` for each point p, or None where
     ``forward`` raises.
 
-    The one choice between the scalar and the batched map.  It works
-    BATCH_ROWS points at a time: a block of BATCH_MIN points or more goes
-    through ``regular_images`` first, and ``forward`` resolves the points
-    it declines; a smaller block goes to ``forward`` alone.  The two agree
-    bit for bit wherever ``regular_images`` answers, so the choice moves no
-    number.
+    The choice between the scalar and the batched map for callers that
+    need every image (``ucurves._prefetched`` takes ``regular_rows``'
+    arrays instead, and maps what it leaves out only when it is probed).
+    It works BATCH_ROWS points at a time: a block of BATCH_MIN points or
+    more goes through ``regular_images`` first, and ``forward`` resolves
+    the points it declines; a smaller block goes to ``forward`` alone.  The
+    two agree bit for bit wherever ``regular_images`` answers, so the
+    choice moves no number.
     """
     out = []
     for start in range(0, len(points), BATCH_ROWS):
@@ -438,14 +481,17 @@ def smooth_images(table: BilliardTable, points) -> list[MapImage | None]:
 SINGLE_BRANCH_MU = 1e-8
 
 
-def single_branch(table: BilliardTable, wall_id: int, r_lo: float,
-                  r_hi: float, phi_lo: float, phi_hi: float) -> bool:
-    """True only if every phase point of the box [r_lo, r_hi] x [phi_lo,
-    phi_hi] on wall ``wall_id`` maps by one regular, non-grazing branch to
-    one wall.
+def single_branch(table: BilliardTable, wall_ids, r_lo, r_hi, phi_lo,
+                  phi_hi) -> np.ndarray:
+    """Per row i, True only if every phase point of the box [r_lo[i],
+    r_hi[i]] x [phi_lo[i], phi_hi[i]] on wall ``wall_ids[i]`` maps by one
+    regular, non-grazing branch to one wall; a bool array.
 
     A sound certificate: True proves it, False proves nothing.  Plane tables
-    only; on the torus the answer is always False.
+    only; on the torus the answer is always False.  Each row is decided
+    alone: numpy does the + - * / and comparisons in the order of the
+    one-box arithmetic below, and cos, sin and hypot go through ``math``
+    one element at a time, as in ``regular_rows``.
 
     Proof.  Over the box the departure point O(r) and the unit velocity
     u(r, phi), at angle phi from the wall normal, stay near their values
@@ -496,32 +542,44 @@ def single_branch(table: BilliardTable, wall_id: int, r_lo: float,
     the collision kernel, which stays below EPS_JOIN for coordinates at
     SPEC_LIMIT scale (as does a node interpolated an ulp outside the box).
     """
-    if table.ambient != "plane":
-        return False
+    wid = np.asarray(wall_ids, dtype=int)
+    r_lo, r_hi, phi_lo, phi_hi = (np.asarray(a, dtype=float)
+                                  for a in (r_lo, r_hi, phi_lo, phi_hi))
+    if table.ambient != "plane" or not wid.size:
+        return np.zeros(wid.size, dtype=bool)
     mu = SINGLE_BRANCH_MU
-    wall = table.walls[wall_id]
-    if max(abs(phi_lo), abs(phi_hi)) >= HALF_PI - mu:
-        return False
-    if not wall.closed and (r_lo <= mu or r_hi >= wall.length - mu):
-        return False
+    ts, o, R, kap, L, closed, cx, cy = np.array(
+        [(w.theta_start, w.orientation, w.radius, w.kappa, w.length,
+          w.closed, *w.center) for w in table.walls], dtype=float)[wid].T
+    closed = closed > 0.0
+    # each test below negates the one-box refusal, so that NaN refuses
+    # nothing here either
+    a_lo, a_hi = np.abs(phi_lo), np.abs(phi_hi)
+    held = ~(np.where(a_hi > a_lo, a_hi, a_lo) >= HALF_PI - mu)
+    held &= closed | ~((r_lo <= mu) | (r_hi >= L - mu))
     dr = 0.5 * (r_hi - r_lo)
-    turn = abs(wall.kappa) * dr + 0.5 * (phi_hi - phi_lo)
-    (ox, oy), (ux, uy) = outgoing_ray(table, PhasePoint(
-        wall_id, 0.5 * (r_lo + r_hi), 0.5 * (phi_lo + phi_hi)))
-    for w in table.walls:
+    turn = np.abs(kap) * dr + 0.5 * (phi_hi - phi_lo)
+    # outgoing_ray at the box centre, r wrapped or clamped as chart_frame does
+    r = 0.5 * (r_lo + r_hi)
+    r = np.where(closed, np.remainder(r, L), np.minimum(np.maximum(r, 0.0), L))
+    th = ts + o * r / R
+    ct, st = _each(math.cos, th), _each(math.sin, th)
+    tx, ty = -o * st, o * ct
+    ox, oy = cx + R * ct, cy + R * st
+    phi = 0.5 * (phi_lo + phi_hi)
+    c, s = _each(math.cos, phi), _each(math.sin, phi)
+    ux, uy = c * -ty + s * tx, c * tx + s * ty
+    for i, w in enumerate(table.walls):
         vx, vy = w.center[0] - ox, w.center[1] - oy
-        dist = math.hypot(vx, vy)
+        dist = _each(math.hypot, vx, vy)
         e = dist * turn + dr + mu
-        if abs(abs(ux * vy - uy * vx) - w.radius) <= e:
-            return False
-        if w is not wall and abs(dist - w.radius) <= dr + mu:
-            return False
+        held &= ~(np.abs(np.abs(ux * vy - uy * vx) - w.radius) <= e)
+        held &= (wid == i) | ~(np.abs(dist - w.radius) <= dr + mu)
     for x, y in (*(k.position for k in table.corners), *table.crossings):
         vx, vy = x - ox, y - oy
-        e = math.hypot(vx, vy) * turn + dr + mu
-        if abs(ux * vy - uy * vx) <= e and ux * vx + uy * vy >= -e:
-            return False
-    return True
+        e = _each(math.hypot, vx, vy) * turn + dr + mu
+        held &= ~((np.abs(ux * vy - uy * vx) <= e) & (ux * vx + uy * vy >= -e))
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +690,20 @@ def expansion_factor(deriv: Matrix2, slope: float) -> float:
         vx, vy = 1.0 / h, slope / h
     (a, b), (c, d) = deriv
     return math.hypot(a * vx + b * vy, c * vx + d * vy)
+
+
+def expansion_factors(derivs: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """``expansion_factor(derivs[i], slopes[i])`` for every i, bit for bit:
+    derivs has shape slopes.shape + (2, 2), and hypot goes through ``math``
+    one element at a time."""
+    shape, slopes = slopes.shape, slopes.ravel()
+    up = np.isinf(slopes)
+    m = np.where(up, 0.0, slopes)
+    h = _each(math.hypot, np.ones_like(m), m)
+    vx, vy = np.where(up, 0.0, 1.0 / h), np.where(up, 1.0, m / h)
+    a, b, c, d = derivs.reshape(-1, 4).T
+    return _each(math.hypot, a * vx + b * vy,
+                 c * vx + d * vy).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from .ucurves import (
     MAX_LENGTH,
     N_CAP,
     evolve_n,
-    expansion_total,
+    expansion_totals,
     fit_constants,
     grazing_sum,
     seed_ucurve,
@@ -445,7 +445,7 @@ def _evolve_artifact(opts, table, z, tree, n, aborted=None):
         "k0": opts["k0"], "k_cap": K_CAP,
         "components": [len(g) for g in tree.generations],
         "regular_components": tree.regular_counts(),
-        "expansion_sums": [expansion_total(tree, g) for g in range(n + 1)],
+        "expansion_sums": expansion_totals(tree, n),
         "grazing_sum": grazing_sum(tree.generations[1]),
         "degenerate_merged": tree.degenerate_merged,
     }

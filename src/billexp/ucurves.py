@@ -30,6 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +39,9 @@ from scipy.special import polygamma
 
 from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    certify_expansion_constant, certify_hyperbolicity,
-                   expansion_factor, forward, interior_slope,
-                   random_phase_point, regular_steps, single_branch,
-                   smooth_images, strip_index, unstable_cones)
+                   expansion_factor, expansion_factors, forward,
+                   interior_slope, random_phase_point, regular_rows,
+                   regular_steps, single_branch, strip_index, unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
 from .geometry import BilliardTable
@@ -118,8 +119,65 @@ def _interp(x: float, xp: list, fp: list) -> float:
     return y
 
 
+def _interp_rows(x, xp, fp):
+    """``_interp(x[i, k], xp[i], fp[i])`` for every i and k, bit for bit,
+    with x of shape (n, k) and xp, fp of shape (n, m): the same bracketing
+    search, formula, end clamps and NaN fallbacks."""
+    n, m = xp.shape
+    j = (xp[:, None, :] <= x[:, :, None]).sum(axis=2) - 1
+    rows = np.arange(n)[:, None]
+    j0 = np.clip(j, 0, m - 1)
+    j1 = np.minimum(j0 + 1, m - 1)
+    x0, x1, f0, f1 = xp[rows, j0], xp[rows, j1], fp[rows, j0], fp[rows, j1]
+    inner = (j >= 0) & (j < m - 1) & (x0 != x)
+    slope = (f1 - f0) / np.where(inner, x1 - x0, 1.0)
+    y = slope * (x - x0) + f0
+    y = np.where(y != y, slope * (x - x1) + f1, y)
+    y = np.where((y != y) & (f0 == f1), f0, y)
+    y = np.where(inner, y, f0)
+    y = np.where(x < xp[:, :1], fp[:, :1], y)
+    y = np.where(x > xp[:, -1:], fp[:, -1:], y)
+    return np.where(x != x, x, y)
+
+
+class _Geometry(NamedTuple):
+    """The arc geometry of n curves as (n, m) arrays, m the most nodes of a
+    curve: a shorter curve repeats its last node, which adds 0.0 to its
+    lengths."""
+    r: np.ndarray
+    phi: np.ndarray
+    size: np.ndarray            # (n,) nodes of each curve
+    total: np.ndarray           # (n,) polyline length
+    frac: np.ndarray            # arclength fraction at each node
+    slope: np.ndarray           # dphi/dr of each segment, 0.0 past the end
+
+
+def _geometry(curves) -> _Geometry:
+    """The ``_Geometry`` of the curves.
+
+    The segment lengths are np.hypot's, not math.hypot's: the two may round
+    differently, and the lengths fix every cut parameter.  np.cumsum adds
+    them in order along each row.
+    """
+    size = np.array([len(W.nodes) for W in curves])
+    m = int(size.max())
+    nodes = np.fromiter(chain.from_iterable(chain.from_iterable(
+        W.nodes + W.nodes[-1:] * (m - len(W.nodes)) for W in curves)),
+        float).reshape(len(curves), m, 3)
+    r, phi = nodes[:, :, 1], nodes[:, :, 2]
+    dr, dphi = np.diff(r), np.diff(phi)
+    cum = np.zeros_like(r)
+    np.cumsum(np.hypot(dr, dphi), axis=1, out=cum[:, 1:])
+    total = cum[:, -1]
+    slope = np.divide(dphi, dr, out=np.zeros_like(dr),
+                      where=np.arange(m - 1) < size[:, None] - 1)
+    return _Geometry(r, phi, size, total, cum / total[:, None], slope)
+
+
 class _Arc:
-    """Arclength-fraction view of a UCurve for cutting and sampling.
+    """Arclength-fraction view of a UCurve for cutting and sampling, with
+    its lists taken from row ``row`` of ``geo``, the ``_geometry`` of a list
+    of curves that holds W there.
 
     ``memo`` maps a parameter to its ``_probe`` result; see ``_probe_at``.
     ``single`` is the arc's ``single_branch`` certificate, which
@@ -127,21 +185,13 @@ class _Arc:
     ``_primary_segments`` takes the cut grid.
     """
 
-    def __init__(self, W: UCurve):
+    def __init__(self, W: UCurve, geo: _Geometry, row: int):
+        m = len(W.nodes)
         self.W = W
-        self.r = r = [p.r for p in W.nodes]
-        self.phi = phi = [p.phi for p in W.nodes]
-        dr = [b - a for a, b in zip(r, r[1:])]
-        dphi = [b - a for a, b in zip(phi, phi[1:])]
-        # np.hypot, not math.hypot: the two may round differently, and the
-        # lengths fix every cut parameter
-        cum, total = [0.0], 0.0
-        for seg in np.hypot(dr, dphi).tolist():
-            total += seg        # np.cumsum adds in this order too
-            cum.append(total)
-        self.total = total
-        self.frac = [c / total for c in cum]
-        self.seg_slope = [a / b for a, b in zip(dphi, dr)]
+        self.r, self.phi, self.frac = (
+            a[row, :m].tolist() for a in (geo.r, geo.phi, geo.frac))
+        self.seg_slope = geo.slope[row, :m - 1].tolist()
+        self.total = float(geo.total[row])
         self.memo = {}
         self.single = False
 
@@ -346,12 +396,6 @@ def _grid(n_s):
     return [i * step for i in range(n_s - 1)] + [1.0]
 
 
-def _single(table, arc):
-    """``bmap.single_branch`` on the box of arc's first and last nodes."""
-    a, b = arc.W.nodes[0], arc.W.nodes[-1]
-    return single_branch(table, arc.W.wall_id, a.r, b.r, a.phi, b.phi)
-
-
 def _u_of(im):
     return HALF_PI - abs(im.point.phi)
 
@@ -506,7 +550,10 @@ def _secondary_pieces(table, arc, seg, k0, stopped=None):
     h0 = 1.0 / (k0 * k0)
 
     pieces = []   # (s_a, s_b, sig, tail_from), tail_from 0 on a strip piece
-    crossing = im_lo.point.phi * im_hi.point.phi < 0.0
+    # where both insets lie in strip 0 neither side ladders, and the zero
+    # crossing of phi' would go unused
+    crossing = im_lo.point.phi * im_hi.point.phi < 0.0 \
+        and min(u_lo, u_hi) < h0
     if crossing:
         def phi_at(t):
             _, im = _probe_at(table, arc, t, False)
@@ -700,8 +747,8 @@ def _local_expansion_constant(table, arc, piece, c_expansion):
 def evolve_one_step(table: BilliardTable, W: UCurve,
                     k0: int = K0_DEFAULT) -> list[HComponent]:
     """H-components of the image of W: primary cuts, strip cuts, tails."""
-    arc, = _prefetched(table, [W])
-    return _one_step(table, _root(W), arc, k0, None)[0]
+    arc, = _prefetched(table, [W], k0)
+    return _step(table, _root(W), arc, k0, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +764,16 @@ class EvolutionTree:
         out = [1]
         for gen in self.generations[1:]:
             out.append(sum(1 for c in gen if c.regular))
+        return out
+
+    def leaf_counts(self) -> list[int]:
+        """``len(self.leaves(n))`` for each depth n of the tree."""
+        out, tails = [], 0
+        for g, gen in enumerate(self.generations):
+            t = sum(1 for c in gen if c.tail)
+            if g:
+                tails += t
+            out.append(len(gen) - t + tails)
         return out
 
     def leaves(self, n: int) -> list[HComponent]:
@@ -742,33 +799,147 @@ def _remaining_floor(constants, m):
 _KNOWN = (0.5, 1e-6, 1.0 - 1e-6)
 
 
-def _prefetched(table, curves):
-    """An ``_Arc`` per curve, with its certificate and the probes that
-    ``_one_step`` makes first already decided.
+class _Decided(NamedTuple):
+    """The one-step image of a decided arc: its one child, whatever the
+    parent.  ``curve`` is None where the piece is dropped, the curve being
+    shorter than DEGEN_LEN."""
+    curve: UCurve | None
+    factor: float           # the step's smallest stretch factor
+    symbol: tuple[int, str, int]
 
-    ``single_branch`` certifies each arc.  One ``smooth_images`` call then
-    maps the _KNOWN parameters of each certified arc and the cut grid of
-    each other arc into the arc's memo: every entry is what ``_probe``
-    would store there, and one that ``_one_step`` never probes costs only
-    an unused entry.
+
+def _decided(geo, rows, got, at, k0):
+    """Per certified row of ``geo``, its ``_Decided``, or None where
+    ``_one_step`` must step the arc.  ``at`` holds, per row, the entries of
+    ``got`` (a ``RegularRows``) that are its images at _KNOWN, in that
+    order, -1 where ``regular_rows`` left a probe out.
+
+    A row is decided when its three probes have plain "regular" images,
+    both insets have u = pi/2 - |phi'| >= 1/k0^2 and the three stretch
+    factors are finite, positive and within NODE_RATIO of their neighbours.
+    Then ``_primary_segments`` gives the one segment (0, 1),
+    ``_secondary_pieces`` cuts nothing (with or without a sign change of
+    phi'), ``_refine_params`` adds no node, and ``_child`` builds its child
+    from these three images with ``make_ucurve``: the arithmetic below is
+    theirs, operation for operation.
     """
-    arcs = [_Arc(W) for W in curves]
-    keys = []
-    for arc in arcs:
-        arc.single = _single(table, arc)
-        keys.extend((arc, s) for s in (
-            _KNOWN if arc.single else _grid(_grid_for(arc.total))))
-    for (arc, s), im in zip(keys, smooth_images(
-            table, [arc.at(s) for arc, s in keys])):
-        arc.memo[s] = _signed(im)
+    out = [None] * len(rows)
+    cand = np.flatnonzero((at >= 0).all(axis=1))
+    # per candidate, its images at the insets and the midpoint in the
+    # order _refine_params takes them (lo, mid, hi), and each one's segment
+    # as _Arc.slope_at picks it
+    j, i = at[cand][:, [1, 0, 2]], rows[cand]
+    r, phi = got.r[j], got.phi[j]
+    s = np.array(_KNOWN)[[1, 0, 2], None]
+    seg = (geo.frac[i][:, None, :] < s).sum(axis=2) - 1
+    seg = np.clip(seg, 0, geo.size[i][:, None] - 2)
+    f = expansion_factors(got.derivative[j], geo.slope[i[:, None], seg])
+    u = HALF_PI - np.abs(phi[:, [0, 2]])
+    ok = (u >= 1.0 / (k0 * k0)).all(axis=1)
+    ok &= (np.isfinite(f) & (f > 0.0)).all(axis=1)
+    for a, b in ((f[:, 0], f[:, 1]), (f[:, 1], f[:, 2])):
+        ok &= ~(np.where(b > a, b, a) / np.where(b < a, b, a) > NODE_RATIO)
+    # make_ucurve over the nodes (hi, mid, lo) where they rise, so that it
+    # keeps all three: its segments and slopes
+    dr, dphi = np.diff(r[:, ::-1]), np.diff(phi[:, ::-1])
+    rising = ((dr > 0.0) & (dphi > 0.0)).all(axis=1)
+    slope = dphi / np.where(rising[:, None], dr, 1.0)
+    slopes = np.stack([slope[:, 0], 0.5 * (slope[:, 0] + slope[:, 1]),
+                       slope[:, 1]], axis=1)
+    keep = np.flatnonzero(ok)
+    for k, rise, sl, (dr0, dr1), (dphi0, dphi1), fmin, nodes in zip(
+            cand[keep].tolist(), rising[keep].tolist(),
+            slopes[keep].tolist(), dr[keep].tolist(), dphi[keep].tolist(),
+            f[keep].min(axis=1).tolist(), zip(*(a[keep].tolist() for a in (
+                got.wall_id[j], r, phi)))):
+        lo, mid, hi = map(PhasePoint, *nodes)
+        if rise:
+            curve = UCurve(lo.wall_id, (hi, mid, lo), tuple(sl))
+            # UCurve.euclidean_length
+            size = math.hypot(dr0, dphi0) + math.hypot(dr1, dphi1)
+        else:
+            try:
+                curve = make_ucurve(lo.wall_id, [hi, mid, lo])
+            except ValueError:
+                curve = None
+            size = 0.0 if curve is None else curve.euclidean_length
+        out[k] = _Decided(
+            curve if size >= DEGEN_LEN else None, fmin,
+            (mid.wall_id, "regular", strip_index(mid.phi, k0)))
+    return out
+
+
+def _prefetched(table, curves, k0):
+    """Per curve, the ``_Decided`` of ``_decided`` where it decides the
+    arc, else an ``_Arc`` with its certificate and the probes that
+    ``_one_step`` makes first already made.
+
+    The arcs' geometry is one ``_geometry``, and one ``single_branch`` call
+    certifies every arc.  One ``regular_rows`` call then maps the _KNOWN
+    parameters of each certified arc (placed by ``_interp_rows``) and the
+    cut grid of each other arc.  An arc that is not decided gets in its
+    memo each of its probes that the call mapped: each entry is what
+    ``_probe`` would store there, and one that ``_one_step`` never probes
+    costs only an unused entry.  ``_probe_at`` maps the probes left out
+    with ``forward`` when ``_one_step`` first needs them.
+    """
+    geo = _geometry(curves)
+    wid = np.array([W.wall_id for W in curves])
+    held = single_branch(table, wid, geo.r[:, 0], geo.r[:, -1],
+                         geo.phi[:, 0], geo.phi[:, -1])
+    rows = np.flatnonzero(held)
+    arcs = [None if h else _Arc(W, geo, i)
+            for i, (W, h) in enumerate(zip(curves, held.tolist()))]
+    s = np.broadcast_to(np.array(_KNOWN), (rows.size, len(_KNOWN)))
+    grid = [(arc, t) for arc in arcs if arc is not None
+            for t in _grid(_grid_for(arc.total))]
+    pts = [arc.at(t) for arc, t in grid]
+    got = regular_rows(
+        table,
+        np.concatenate([np.repeat(wid[rows], len(_KNOWN)),
+                        [p.wall_id for p in pts]]),
+        np.concatenate([_interp_rows(s, geo.frac[rows], geo.r[rows]).ravel(),
+                        [p.r for p in pts]]),
+        np.concatenate([
+            _interp_rows(s, geo.frac[rows], geo.phi[rows]).ravel(),
+            [p.phi for p in pts]]))
+    # the entry of got for each probe, -1 where regular_rows left it out
+    at = np.full(s.size + len(pts), -1)
+    at[got.rows] = np.arange(got.rows.size)
+    known = at[:s.size].reshape(s.shape)
+    memo = list(zip(grid, at[s.size:].tolist()))    # ((arc, t), entry)
+    for row, one, entries in zip(rows.tolist(), _decided(
+            geo, rows, got, known, k0), known.tolist()):
+        if one is None:
+            one = _Arc(curves[row], geo, row)
+            one.single = True
+            memo.extend(zip([(one, t) for t in _KNOWN], entries))
+        arcs[row] = one
+    memo = [m for m in memo if m[1] >= 0]
+    for ((arc, t), _), im in zip(memo, got.images([j for _, j in memo])):
+        arc.memo[t] = _signed(im)
     return arcs
 
 
-def _arcs(table, curves):
-    """An ``_Arc`` per curve, in order, ``_prefetched`` BATCH_ROWS curves at
+def _arcs(table, curves, k0):
+    """``_prefetched``'s arcs of the curves, in order, BATCH_ROWS curves at
     a time, so that no more than BATCH_ROWS arcs are alive at once."""
     for start in range(0, len(curves), BATCH_ROWS):
-        yield from _prefetched(table, curves[start:start + BATCH_ROWS])
+        yield from _prefetched(table, curves[start:start + BATCH_ROWS], k0)
+
+
+def _step(table, parent, arc, k0, c_expansion, stopped=None):
+    """(children, pieces dropped) of parent's one-step image, where arc is
+    parent's curve from ``_prefetched``: ``_one_step`` on an ``_Arc``, with
+    ``stopped`` passed on, and the one child, or one dropped piece, of a
+    ``_Decided``, which has no ladder to stop."""
+    if isinstance(arc, _Arc):
+        return _one_step(table, parent, arc, k0, c_expansion, stopped)
+    if arc.curve is None:
+        return [], 1
+    return [HComponent(curve=arc.curve,
+                       itinerary=parent.itinerary + (arc.symbol,),
+                       min_expansion=parent.min_expansion * arc.factor)], 0
 
 
 def _tree(W):
@@ -782,13 +953,13 @@ def _grow(table, trees, k0, constants):
     Returns, per tree, None or the BilliardError that stopped it: a
     ComponentExplosion once the generation holds more than LEAF_CAP
     components, whose ``.partial`` is the tree with the cut-short
-    generation, or an error of ``_one_step``, after which the tree gains no
+    generation, or an error of ``_step``, after which the tree gains no
     generation.  The parents' arcs come from ``_arcs`` over all the trees.
     """
     c_exp = constants.c_expansion if constants is not None else None
     fronts = [[c for c in tree.generations[-1] if not c.tail]
               for tree in trees]
-    arcs = _arcs(table, [c.curve for front in fronts for c in front])
+    arcs = _arcs(table, [c.curve for front in fronts for c in front], k0)
     outcomes = []
     for tree, front in zip(trees, fronts):
         g = len(tree.generations)
@@ -798,7 +969,7 @@ def _grow(table, trees, k0, constants):
             if stop is not None:
                 continue
             try:
-                kids, ndeg = _one_step(table, comp, arc, k0, c_exp)
+                kids, ndeg = _step(table, comp, arc, k0, c_exp)
             except BilliardError as err:
                 stop, nxt = err, None
                 continue
@@ -839,20 +1010,32 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
     return tree
 
 
+def expansion_totals(tree: EvolutionTree, n: int,
+                     constants=None) -> list[float]:
+    """[E_0, ..., E_n], E_m the sum of inverse minimum expansions over the
+    depth-m leaves.  Each generation's tails are found once; a depth-m sum
+    adds its terms in generation order."""
+    gens = tree.generations
+    tails = [[c for c in gen if c.tail] for gen in gens]
+    out = [1.0]
+    for m in range(1, n + 1):
+        total = 0.0
+        for g in range(1, min(m, len(gens) - 1) + 1):
+            for comp in gens[g] if g == m else tails[g]:
+                if comp.tail:
+                    # tail_inv folds the ancestry expansion in already; the
+                    # remaining m - g steps contribute the fitted floor
+                    total += comp.tail_inv / _remaining_floor(constants,
+                                                              m - g)
+                else:
+                    total += 1.0 / comp.min_expansion
+        out.append(total)
+    return out
+
+
 def expansion_total(tree: EvolutionTree, n: int, constants=None) -> float:
     """E_n: sum of inverse minimum expansions over depth-n leaves."""
-    if n == 0:
-        return 1.0
-    total = 0.0
-    for g in range(1, min(n, len(tree.generations) - 1) + 1):
-        for comp in tree.generations[g]:
-            if comp.tail:
-                # tail_inv folds the ancestry expansion in already; the
-                # remaining n - g steps contribute the fitted floor
-                total += comp.tail_inv / _remaining_floor(constants, n - g)
-            elif g == n:
-                total += 1.0 / comp.min_expansion
-    return total
+    return expansion_totals(tree, n, constants)[n]
 
 
 def grazing_sum(components) -> float:
@@ -1008,10 +1191,10 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
             continue
     best, used = 0.0, 0
     stopped = []        # (|W|^(1/2), _Stopped) over every sample
-    for W, arc in zip(curves, _arcs(table, curves)):
+    for W, arc in zip(curves, _arcs(table, curves, k0)):
         ladders = []
         try:
-            comps, _ = _one_step(table, _root(W), arc, k0, None, ladders)
+            comps, _ = _step(table, _root(W), arc, k0, None, ladders)
         except BilliardError:
             continue
         root = math.sqrt(W.euclidean_length)
@@ -1201,11 +1384,9 @@ def _row(i, tries, tree, stop, n, constants):
            "flag": "" if stop is None else "explosion"}
     depth = len(tree.generations) - 1
     # depths past an explosion have no sum: null in JSON, empty in CSV
-    row["e"] = [expansion_total(tree, m, constants)
-                for m in range(depth + 1)] + [None] * (n - depth)
+    row["e"] = expansion_totals(tree, depth, constants) + [None] * (n - depth)
     row["k"] = tree.regular_counts() + [0] * (n - depth)
-    row["leaves"] = [len(tree.leaves(m)) for m in range(depth + 1)] \
-        + [0] * (n - depth)
+    row["leaves"] = tree.leaf_counts() + [0] * (n - depth)
     row["grazing_sum"] = grazing_sum(tree.generations[1]) \
         if depth >= 1 else 0.0
     row["degenerate"] = tree.degenerate_merged
@@ -1233,7 +1414,7 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
     The samples are grown in blocks of SCAN_BLOCK curves, in lockstep one
     generation at a time, and the blocks are mapped over ``threads``
     workers.  A row is a function of its substream alone, bit for bit
-    however many rows each ``smooth_images`` call held, so the report's
+    however many rows each batched map call held, so the report's
     bytes do not depend on ``threads`` or on the blocks; reduction happens
     in sample order.
     """

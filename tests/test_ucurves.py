@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from billexp import geometry, singularities as S, tables, ucurves as U
-from billexp.bmap import (HALF_PI, PhasePoint, certify_hyperbolicity,
-                          forward, involute, random_phase_point,
+from billexp.bmap import (HALF_PI, SINGLE_BRANCH_MU, PhasePoint,
+                          certify_hyperbolicity, expansion_factor, forward,
+                          involute, outgoing_ray, random_phase_point,
                           single_branch, unstable_cone_at)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
@@ -90,6 +91,11 @@ def _bits(x):
     return float(x).hex()
 
 
+def _arc(W):
+    """A fresh ``_Arc`` of W alone: no certificate, nothing probed."""
+    return U._Arc(W, U._geometry([W]), 0)
+
+
 def _ends_and_breaks(xp):
     return [xp[0], xp[-1], -0.0, 0.0, 1.0, *xp,
             math.nextafter(xp[0], -math.inf), math.nextafter(xp[-1], math.inf),
@@ -106,12 +112,38 @@ def test_arc_interpolation_is_np_interp(steps, probes):
         r.append(r[-1] + dr)
         phi.append(phi[-1] + dphi)
     W = U.make_ucurve(0, [PhasePoint(0, a, b) for a, b in zip(r, phi)])
-    arc = U._Arc(W)
+    arc = _arc(W)
     frac = np.asarray(arc.frac)
-    for s in _ends_and_breaks(arc.frac) + probes:
+    xs = _ends_and_breaks(arc.frac) + probes
+    for s in xs:
         p = arc.at(s)
         assert _bits(p.r) == _bits(np.interp(s, frac, np.array(r)))
         assert _bits(p.phi) == _bits(np.interp(s, frac, np.array(phi)))
+    # W and its prefixes as the rows of one padded geometry
+    curves = [U.make_ucurve(0, W.nodes[:k])
+              for k in range(2, len(W.nodes) + 1)]
+    geo = U._geometry(curves)
+    x = np.broadcast_to(np.array(xs), (len(curves), len(xs)))
+    rows = U._interp_rows(x, geo.frac, geo.phi)
+    for i, C in enumerate(curves):
+        arc = U._Arc(C, geo, i)
+        assert list(map(_bits, arc.frac)) == _arc_fractions(C)
+        assert arc.seg_slope == [(b.phi - a.phi) / (b.r - a.r)
+                                 for a, b in zip(C.nodes, C.nodes[1:])]
+        want = np.interp(xs, np.asarray(arc.frac), np.asarray(arc.phi))
+        assert list(map(_bits, rows[i])) == list(map(_bits, want))
+
+
+def _arc_fractions(W):
+    """The arclength fraction at each node of W, as float hex: the segment
+    lengths by np.hypot, summed one after another."""
+    dr = [b.r - a.r for a, b in zip(W.nodes, W.nodes[1:])]
+    dphi = [b.phi - a.phi for a, b in zip(W.nodes, W.nodes[1:])]
+    cum, total = [0.0], 0.0
+    for seg in np.hypot(dr, dphi).tolist():
+        total += seg
+        cum.append(total)
+    return [_bits(c / total) for c in cum]
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,8 +193,10 @@ def test_straddle_strip_ladder(tri, straddle_curve):
 
 
 def _one_step_pieces(table, W, monkeypatch):
-    """(piece, child) of each piece that evolve_one_step builds a child
-    from, in order, the child None when the piece gives none."""
+    """(piece, child) of each piece that _one_step builds a child from on a
+    fresh arc of W, in order, the child None when the piece gives none.
+    The kept children are evolve_one_step's, which builds a decided arc's
+    child without _one_step."""
     child, calls = U._child, []
 
     def recorded(table_, arc, piece, *args):
@@ -171,8 +205,10 @@ def _one_step_pieces(table, W, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(U, "_child", recorded)
-        comps = U.evolve_one_step(table, W)
-    assert [c for _, c in calls if U._kept(c)] == comps
+        comps, _ = U._one_step(table, U._root(W), _arc(W), U.K0_DEFAULT,
+                               None)
+    assert [c for _, c in calls if U._kept(c)] == comps \
+        == U.evolve_one_step(table, W)
     return calls
 
 
@@ -335,9 +371,9 @@ def test_length_constant_prefetches_its_samples_together(tri, monkeypatch):
     # arcs are prefetched in one call, large enough for the batched map
     prefetched, sizes = U._prefetched, []
 
-    def counted(table, curves):
+    def counted(table, curves, k0):
         sizes.append(len(curves))
-        return prefetched(table, curves)
+        return prefetched(table, curves, k0)
 
     monkeypatch.setattr(U, "_prefetched", counted)
     best, used = U.certify_length_constant(tri, 101, 61)
@@ -383,9 +419,8 @@ def lazy_runs(tri, lens):
                 mp.setattr(U, "_ladder", recorded)
                 full = U.evolve_one_step(table, W)
             stopped = []
-            lazy, _ = U._one_step(table, U._root(W),
-                                  U._prefetched(table, [W])[0], 30, None,
-                                  stopped)
+            arc, = U._prefetched(table, [W], 30)
+            lazy, _ = U._step(table, U._root(W), arc, 30, None, stopped)
             resumed = [(U._image_box(table, s.arc, s.cut0, s.deep),
                         [c for _, c in U._strip_children(table, s, 30)])
                        for s in stopped]
@@ -483,6 +518,98 @@ def _grid(n_s):
     return [i * step for i in range(n_s - 1)] + [1.0]
 
 
+def _one_box(table, wall_id, r_lo, r_hi, phi_lo, phi_hi):
+    """single_branch on one box, as a bool."""
+    held, = single_branch(table, [wall_id], [r_lo], [r_hi], [phi_lo],
+                          [phi_hi])
+    return bool(held)
+
+
+def _one_box_reference(table, wall_id, r_lo, r_hi, phi_lo, phi_hi):
+    """The certificate on one box in scalar Python, the reference for
+    single_branch (whose docstring holds the proof): the same tests in the
+    same order, refusing at the first one that fails."""
+    if table.ambient != "plane":
+        return False
+    mu = SINGLE_BRANCH_MU
+    wall = table.walls[wall_id]
+    if max(abs(phi_lo), abs(phi_hi)) >= HALF_PI - mu:
+        return False
+    if not wall.closed and (r_lo <= mu or r_hi >= wall.length - mu):
+        return False
+    dr = 0.5 * (r_hi - r_lo)
+    turn = abs(wall.kappa) * dr + 0.5 * (phi_hi - phi_lo)
+    (ox, oy), (ux, uy) = outgoing_ray(table, PhasePoint(
+        wall_id, 0.5 * (r_lo + r_hi), 0.5 * (phi_lo + phi_hi)))
+    for w in table.walls:
+        vx, vy = w.center[0] - ox, w.center[1] - oy
+        dist = math.hypot(vx, vy)
+        e = dist * turn + dr + mu
+        if abs(abs(ux * vy - uy * vx) - w.radius) <= e:
+            return False
+        if w is not wall and abs(dist - w.radius) <= dr + mu:
+            return False
+    for x, y in (*(k.position for k in table.corners), *table.crossings):
+        vx, vy = x - ox, y - oy
+        e = math.hypot(vx, vy) * turn + dr + mu
+        if abs(ux * vy - uy * vx) <= e and ux * vx + uy * vy >= -e:
+            return False
+    return True
+
+
+def _random_boxes(table, anchors, rng, count):
+    """(wall_ids, r_lo, r_hi, phi_lo, phi_hi) of count boxes of widths
+    1e-12 to 1e-2: a quarter at random, a quarter with an end at or just
+    inside a wall end, a quarter with |phi| near pi/2 - SINGLE_BRANCH_MU
+    and a quarter astride the anchors (a corner or tangency preimage)."""
+    mu = SINGLE_BRANCH_MU
+    walls = rng.integers(len(table.walls), size=count)
+    length = np.array([table.walls[w].length for w in walls])
+    dr = 10.0 ** rng.uniform(-12.0, -2.0, count)
+    dphi = dr * 10.0 ** rng.uniform(-1.5, 1.5, count)
+    r = rng.uniform(0.0, 1.0, count) * (length - dr)
+    phi = rng.uniform(-1.5, 1.5, count)
+    place = rng.integers(4, size=count)
+    end = place == 1
+    inside = rng.choice([0.0, 0.5 * mu, mu, 2.0 * mu, 1e-6], size=count)
+    at_start = rng.random(count) < 0.5
+    r[end] = np.where(at_start, inside, length - dr - inside)[end]
+    steep = place == 2
+    edge = HALF_PI - mu - dphi - rng.choice([-1e-9, 0.0, 1e-12, 1e-9],
+                                            size=count)
+    phi[steep] = np.where(rng.random(count) < 0.5, edge, -edge - dphi)[steep]
+    for k in np.flatnonzero(place == 3):
+        if anchors:
+            a = anchors[int(rng.integers(len(anchors)))]
+            walls[k] = a.wall_id
+            r[k] = a.r - dr[k] * rng.random()
+            phi[k] = a.phi - dphi[k] * rng.random()
+    return walls, r, r + dr, phi, phi + dphi
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "wedge", "torus2"])
+def test_single_branch_equals_the_one_box_reference(name, request):
+    """Row by row, the certificate over arrays is the scalar reference's
+    answer, on random boxes of tri, lens (whose walls cross), a 1e-5 wedge
+    and torus2 (always False)."""
+    if name == "wedge":
+        table, anchors = _wedge(), []
+    elif name == "torus2":
+        table, anchors = request.getfixturevalue("torus2"), []
+    else:
+        table, found = _cert_table(name)
+        anchors = found["graze"] + found["corner"]
+    boxes = _random_boxes(table, anchors, np.random.default_rng(1917), 8000)
+    held = single_branch(table, *boxes)
+    want = [_one_box_reference(table, int(w), *map(float, box))
+            for w, *box in zip(*boxes)]
+    assert held.dtype == bool and held.tolist() == want
+    if name == "torus2":
+        assert not any(want)
+    else:
+        assert 0.1 < np.mean(want) < 0.9
+
+
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(["tri", "lens"]),
        place=st.sampled_from(["random", "graze", "corner", "end", "steep"]),
@@ -517,44 +644,53 @@ def test_single_branch_is_sound(name, place, pick, u, v, log_len, slope):
                for p in pts))
     W = U.make_ucurve(wall.wall_id, pts)
     a, b = W.nodes[0], W.nodes[-1]
-    held = single_branch(table, wall.wall_id, a.r, b.r, a.phi, b.phi)
+    held = _one_box(table, wall.wall_id, a.r, b.r, a.phi, b.phi)
     if held:
-        arc = U._Arc(W)
+        arc = _arc(W)
         sig = U._probe(table, arc, 0.5)[0]
         assert sig == (sig[0], "regular")
         for n_s in (5, 9, 17):
             assert all(U._probe(table, arc, s)[0] == sig for s in _grid(n_s))
-    arc, = U._prefetched(table, [W])
+    arc, = U._prefetched(table, [W], 30)
+    prefetched = isinstance(arc, U._Arc)
+    if not prefetched:
+        # a decided arc is certified; cut a fresh certified arc instead
+        assert held
+        arc = _arc(W)
+        arc.single = True
     assert arc.single == held
     n_s = U._grid_for(arc.total)
     fast = U._primary_segments(table, arc, n_s)
     if arc.single:
-        # the grid was skipped: only the prefetched probes were made
-        assert set(arc.memo) == set(U._KNOWN)
+        # the grid was skipped: only the midpoint and the prefetched
+        # probes are in the memo, which holds no probe that the batched
+        # map left out and the midpoint did not need
+        assert 0.5 in arc.memo
+        assert set(arc.memo) <= (set(U._KNOWN) if prefetched else {0.5})
     # a fresh arc is not certified, so it takes the cut grid
-    assert U._primary_segments(table, U._Arc(W), n_s) == fast
+    assert U._primary_segments(table, _arc(W), n_s) == fast
 
 
 def test_single_branch_false_on_torus(torus2):
     for w in torus2.walls:
         for phi in (-1.2, 0.0, 0.7):
-            assert not single_branch(torus2, w.wall_id, 0.3, 0.3 + 1e-6,
-                                     phi, phi + 1e-6)
+            assert not _one_box(torus2, w.wall_id, 0.3, 0.3 + 1e-6, phi,
+                                phi + 1e-6)
 
 
 def test_single_branch_refuses_events(tri):
     """Boxes holding a corner departure, a grazing image or |phi| = pi/2
     are refused; a box far from all of them is certified."""
     L = tri.wall(0).length
-    assert single_branch(tri, 0, 0.5 * L, 0.5 * L + 1e-6, 0.3, 0.3 + 1e-6)
-    assert not single_branch(tri, 0, 0.0, 1e-6, 0.3, 0.3 + 1e-6)
-    assert not single_branch(tri, 0, L - 1e-6, L, 0.3, 0.3 + 1e-6)
-    assert not single_branch(tri, 0, 0.5 * L, 0.5 * L + 1e-6,
-                             HALF_PI - 1e-9, HALF_PI - 1e-10)
+    assert _one_box(tri, 0, 0.5 * L, 0.5 * L + 1e-6, 0.3, 0.3 + 1e-6)
+    assert not _one_box(tri, 0, 0.0, 1e-6, 0.3, 0.3 + 1e-6)
+    assert not _one_box(tri, 0, L - 1e-6, L, 0.3, 0.3 + 1e-6)
+    assert not _one_box(tri, 0, 0.5 * L, 0.5 * L + 1e-6,
+                        HALF_PI - 1e-9, HALF_PI - 1e-10)
     # a box astride a tangency preimage holds a grazing image
     g = U.graze_anchors(tri)[0]
-    assert not single_branch(tri, g.wall_id, g.r - 1e-4, g.r + 1e-4,
-                             g.phi - 1e-4, g.phi + 1e-4)
+    assert not _one_box(tri, g.wall_id, g.r - 1e-4, g.r + 1e-4,
+                        g.phi - 1e-4, g.phi + 1e-4)
 
 
 def _cut_box(table, wall_id, r, phi, dr, dphi):
@@ -564,8 +700,8 @@ def _cut_box(table, wall_id, r, phi, dr, dphi):
     W = U.make_ucurve(wall_id, [PhasePoint(wall_id, r + i * dr / 8,
                                            phi + i * dphi / 8)
                                 for i in range(9)])
-    segments = U._primary_segments(table, U._Arc(W), 17)
-    return single_branch(table, wall_id, r, r + dr, phi, phi + dphi), segments
+    segments = U._primary_segments(table, _arc(W), 17)
+    return _one_box(table, wall_id, r, r + dr, phi, phi + dphi), segments
 
 
 def test_single_branch_sees_crossings_and_near_cusps():
@@ -597,12 +733,14 @@ def test_single_branch_sees_crossings_and_near_cusps():
 
 
 def _counted_single_branch(monkeypatch):
-    """The list to which each single_branch answer in ucurves is appended."""
+    """The list to which each row's single_branch answer in ucurves is
+    appended."""
     calls = []
 
     def counted(*args):
-        calls.append(single_branch(*args))
-        return calls[-1]
+        held = single_branch(*args)
+        calls.extend(held.tolist())
+        return held
 
     monkeypatch.setattr(U, "single_branch", counted)
     return calls
@@ -678,22 +816,24 @@ def _probe_tokens(hit):
            min_size=1, max_size=4))
 def test_prefetch_cannot_move_a_number(name, drawn):
     """Every entry that _prefetched puts in an arc's memo is what _probe
-    returns there, and _one_step on a prefetched arc builds the children
-    and merges that it builds on the same certified arc probed only as it
-    goes, near tangencies and corners too, where regular_images declines
-    rows."""
+    returns there, and _step on a prefetched arc, decided or not, builds
+    the children and merges that _one_step builds on the same certified
+    arc probed only as it goes, near tangencies and corners too, where
+    regular_images declines rows."""
     table = _wedge() if name == "wedge" else _cert_table(name)[0]
     curves = [W for W in (_straight_curve(table, *d) for d in drawn)
               if W is not None]
     assume(curves)
-    for W, arc in zip(curves, U._prefetched(table, curves)):
-        for s, hit in arc.memo.items():
-            assert _probe_tokens(hit) \
-                == _probe_tokens(U._probe(table, U._Arc(W), s))
-        bare, = U._prefetched(table, [W])
-        bare.memo.clear()
+    for W, arc in zip(curves, U._prefetched(table, curves, 30)):
+        bare = _arc(W)
+        bare.single = True      # a decided arc is certified
+        if isinstance(arc, U._Arc):
+            for s, hit in arc.memo.items():
+                assert _probe_tokens(hit) \
+                    == _probe_tokens(U._probe(table, _arc(W), s))
+            bare.single = arc.single
         kids, ndeg = U._one_step(table, U._root(W), bare, 30, None)
-        fetched, fetched_ndeg = U._one_step(table, U._root(W), arc, 30, None)
+        fetched, fetched_ndeg = U._step(table, U._root(W), arc, 30, None)
         assert fetched_ndeg == ndeg
         assert [_component_tokens(c) for c in fetched] \
             == [_component_tokens(c) for c in kids]
@@ -778,6 +918,208 @@ EVOLUTION_DIGESTS = {
 def test_evolution_bit_identity(name, request):
     table = request.getfixturevalue(name)
     assert evolution_digest(table, 20261) == EVOLUTION_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# decided arcs
+
+H0 = 1.0 / (30 * 30)     # the strip-0 edge of u at k0 = 30
+EDGE_ULP = math.ulp(HALF_PI - H0)   # the spacing of phi', and so of u, there
+
+
+def _polyline(table, z, steps):
+    """The curve from z by the (dr, dphi) steps, or None when a node leaves
+    the chart."""
+    pts = [z]
+    for dr, dphi in steps:
+        pts.append(PhasePoint(z.wall_id, pts[-1].r + dr, pts[-1].phi + dphi))
+    wall = table.walls[z.wall_id]
+    if not all((wall.closed or 0.0 <= p.r <= wall.length)
+               and abs(p.phi) < HALF_PI for p in pts):
+        return None
+    return U.make_ucurve(z.wall_id, pts)
+
+
+def _step_of(length, slope):
+    h = math.hypot(1.0, slope)
+    return length / h, length * slope / h
+
+
+def _inset_u(table, W, s):
+    """u = pi/2 - |phi'| of W's image at parameter s, or None."""
+    im = U._probe(table, _arc(W), s)[1]
+    return None if im is None else HALF_PI - abs(im.point.phi)
+
+
+def _stretch_ratio(table, W):
+    """The ratio of the larger to the smaller of W's stretch factors at the
+    first inset and the midpoint, as _refine_params takes them."""
+    arc = _arc(W)
+    f = [expansion_factor(U._probe(table, arc, s)[1].derivative,
+                          arc.slope_at(s)) for s in (1e-6, 0.5)]
+    return max(f) / min(f)
+
+
+def _bisect_floats(good, bad, holds):
+    """Adjacent floats (good, bad), or as near as halving gets, with
+    holds(good) and not holds(bad)."""
+    while True:
+        mid = 0.5 * (good + bad)
+        if mid in (good, bad):
+            return good, bad
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+
+
+def _strip_edge_pairs(table, rng):
+    """A pair of 2-node curves of length 1e-8 for each inset (1e-6 and
+    1 - 1e-6), alike but for an ulp of phi, whose images at the inset have
+    u on either side of H0, one of them within an ulp of phi' (EDGE_ULP),
+    and at the other inset u >= H0.  Each pair is found by turning the ray
+    of a point whose next collision is tangent until u reaches H0; u moves
+    by many ulps per ulp of phi, so only some of them land that close."""
+    pairs = {}
+    for a in _graze_points(table, rng, 4000):
+        for inset, other in ((1e-6, 1.0 - 1e-6), (1.0 - 1e-6, 1e-6)):
+            for sign in (1.0, -1.0):
+                def curve(t):
+                    z = PhasePoint(a.wall_id, a.r, a.phi + sign * t)
+                    return _polyline(table, z, [_step_of(1e-8, 1.0)])
+
+                def u_at(t, s=inset):
+                    W = curve(t)
+                    return None if W is None else _inset_u(table, W, s)
+
+                def below(t):
+                    u = u_at(t)
+                    return u is not None and u < H0
+
+                ts = [t for t in 10.0 ** np.arange(-12.0, -1.0) if below(t)]
+                if not ts or u_at(10.0 * ts[-1]) is None:
+                    continue
+                lo, hi = _bisect_floats(ts[-1], 10.0 * ts[-1], below)
+                u = u_at(lo), u_at(hi)
+                if u[1] is not None and min(H0 - u[0], u[1] - H0) \
+                        <= EDGE_ULP and (u_at(hi, other) or 0.0) >= H0:
+                    pairs.setdefault(inset, (inset, curve(lo), curve(hi)))
+                break
+        if len(pairs) == 2:
+            break
+    return list(pairs.values())
+
+
+def _ratio_pairs(table, rng, count):
+    """Pairs of 3-node curves, alike but for the slope of the second
+    segment, whose stretch ratio (``_stretch_ratio``) lies on either side of
+    NODE_RATIO."""
+    pairs = []
+    while len(pairs) < count:
+        z = random_phase_point(table, rng)
+        m = 10.0 ** rng.uniform(-1.0, 1.0)
+
+        def curve(q):
+            return _polyline(table, z, [_step_of(1e-5, m),
+                                        _step_of(3e-5, m * q)])
+
+        def smooth(q):
+            W = curve(q)
+            return W is not None and all(
+                U._probe(table, _arc(W), s)[1] is not None
+                for s in U._KNOWN)
+
+        def within(q):
+            return smooth(q) \
+                and _stretch_ratio(table, curve(q)) <= U.NODE_RATIO
+
+        if not within(1.0):
+            continue
+        far = next((q for q in (1.5, 0.5, 3.0, 0.2, 10.0, 0.05, 50.0)
+                    if smooth(q) and not within(q)), None)
+        if far is not None:
+            near, far = _bisect_floats(1.0, far, within)
+            pairs.append((curve(near), curve(far)))
+    return pairs
+
+
+def _decided_cases(table, rng):
+    """Curves for the decided rule: 9-node and 2-node curves of lengths
+    1e-7 to 1e-2 at random and astride tangencies, and 4-node curves whose
+    first or last segment is shorter than 1e-6 of the arc, so that
+    _Arc.slope_at takes the inset's slope from the next segment in."""
+    curves = []
+    for nodes in (9, 2, 4) * 12:
+        z = random_phase_point(table, rng)
+        if nodes != 4 and rng.random() < 0.3:
+            g = _graze_points(table, rng, 1)[0]
+            z = PhasePoint(g.wall_id, g.r - 1e-6 * rng.random(),
+                           g.phi - 1e-6 * rng.random())
+        length = 10.0 ** rng.uniform(-7.0, -2.0)
+        m = 10.0 ** rng.uniform(-1.3, 1.3)
+        steps = [_step_of(length / (nodes - 1), m * rng.uniform(0.9, 1.1))
+                 for _ in range(nodes - 1)]
+        if nodes == 4:
+            # a segment 1e-9 to 5e-7 of the arc, steeper or flatter
+            short = _step_of(length * 10.0 ** rng.uniform(-9.0, -6.3),
+                             m * rng.uniform(0.6, 1.6))
+            steps = [short] + steps[1:] if rng.random() < 0.5 \
+                else steps[:-1] + [short]
+        W = _polyline(table, z, steps)
+        if W is not None:
+            curves.append(W)
+    return curves
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "wedge", "torus2"])
+def test_decided_children_are_one_step_children(name, request):
+    """_grow's children of each parent, built straight from the three known
+    images where the arc is decided, are field for field what _one_step
+    builds on a fresh arc of the parent's curve, and so are the
+    dropped-piece counts: on tri, lens, a 1e-5 wedge and torus2, where
+    every arc is declined."""
+    table = _wedge() if name == "wedge" else request.getfixturevalue(name)
+    rng = np.random.default_rng(2020)
+    curves = _decided_cases(table, rng)
+    edges, ratios = [], []
+    if name != "torus2":
+        edges = _strip_edge_pairs(table, rng)
+        ratios = _ratio_pairs(table, rng, 2)
+        assert len(edges) == 2
+        for inset, below, above in edges:
+            u = [_inset_u(table, W, inset) for W in (below, above)]
+            assert u[0] < H0 <= u[1]
+            assert min(H0 - u[0], u[1] - H0) <= EDGE_ULP
+        for within, beyond in ratios:
+            assert _stretch_ratio(table, within) <= U.NODE_RATIO \
+                < _stretch_ratio(table, beyond)
+        curves += [W for _, *pair in edges for W in pair]
+        curves += [W for pair in ratios for W in pair]
+    assert {2, 4, 9} <= {len(W.nodes) for W in curves}
+    parents = [U.HComponent(W, ((0, "regular", 0),), rng.uniform(0.5, 40.0))
+               for W in curves]
+    trees = [U.EvolutionTree(root=W, generations=[[p]])
+             for W, p in zip(curves, parents)]
+    assert U._grow(table, trees, 30, None) == [None] * len(trees)
+    geo = U._geometry(curves)
+    for i, (parent, tree) in enumerate(zip(parents, trees)):
+        # a fresh arc, uncertified, so _one_step takes the cut grid
+        kids, ndeg = U._one_step(table, parent, U._Arc(curves[i], geo, i),
+                                 30, None)
+        assert tree.degenerate_merged == ndeg
+        assert [_component_tokens(c) for c in tree.generations[1]] \
+            == [_component_tokens(c) for c in kids]
+    decided = [isinstance(a, U._Decided)
+               for a in U._prefetched(table, curves, 30)]
+    if name == "torus2":
+        assert not any(decided)
+        return
+    assert 0.3 * len(curves) < sum(decided) < len(curves)
+    split = dict(zip(curves, decided))
+    assert {2, 4, 9} <= {len(W.nodes) for W in curves if split[W]}
+    # each pair straddles the rule: decided on one side only
+    assert all(split[a] and not split[b] for _, b, a in edges)
+    assert all(split[a] and not split[b] for a, b in ratios)
 
 
 def test_certified_floor(tri, straddle_curve, cheap_constants):
@@ -879,13 +1221,14 @@ def test_block_scan_equals_per_curve_evolution(tri, cheap_constants,
     explode, the trees of curves on wall 2 outgrow LEAF_CAP after depth 2
     while the others of their block grow on."""
     if explode:
-        one_step = U._one_step
+        # _step is where decided and general arcs alike give their children
+        step = U._step
 
-        def doubled(table, W, *args, **kwargs):
-            kids, ndeg = one_step(table, W, *args, **kwargs)
-            return (kids + kids if W.curve.wall_id == 2 else kids), ndeg
+        def doubled(table, parent, *args):
+            kids, ndeg = step(table, parent, *args)
+            return (kids + kids if parent.curve.wall_id == 2 else kids), ndeg
 
-        monkeypatch.setattr(U, "_one_step", doubled)
+        monkeypatch.setattr(U, "_step", doubled)
         monkeypatch.setattr(U, "LEAF_CAP", 2)
     samples = 2 * U.SCAN_BLOCK + 44
     rows = [_scan_row_by_itself(tri, i, 17, 1e-4, 3, 30, cheap_constants)
@@ -1060,13 +1403,13 @@ def test_choose_depth_matches_rebuilt_trees(tri, monkeypatch):
 
     # probe curves on tri almost never branch: double the children of every
     # curve on wall 2, so that some trees outgrow LEAF_CAP after depth 2
-    one_step = U._one_step
+    step = U._step
 
-    def doubled(table, W, *args, **kwargs):
-        kids, ndeg = one_step(table, W, *args, **kwargs)
-        return (kids + kids if W.curve.wall_id == 2 else kids), ndeg
+    def doubled(table, parent, *args):
+        kids, ndeg = step(table, parent, *args)
+        return (kids + kids if parent.curve.wall_id == 2 else kids), ndeg
 
-    monkeypatch.setattr(U, "_one_step", doubled)
+    monkeypatch.setattr(U, "_step", doubled)
     monkeypatch.setattr(U, "LEAF_CAP", 2)
     want, alive = _depth_by_rebuilding(tri, 3, 12)
     assert alive[0] == alive[1] > alive[-1] > 0
