@@ -68,7 +68,10 @@ class MapResult(NamedTuple):
 
     @property
     def regular(self) -> bool:
-        return _plain(self.smooth)
+        """Whether the map is one plain "regular" step: a smooth image with
+        no trail."""
+        im = self.smooth
+        return im is not None and im.label == "regular" and not im.trail
 
     @property
     def smooth(self) -> MapImage | None:
@@ -76,11 +79,6 @@ class MapResult(NamedTuple):
         if len(self.images) != 1 or self.images[0].grazing:
             return None
         return self.images[0]
-
-
-def _plain(im: MapImage | None) -> bool:
-    """Whether a smooth image is one plain "regular" step, with no trail."""
-    return im is not None and im.label == "regular" and not im.trail
 
 
 def bisect_edge(keep, good: float, bad: float,
@@ -284,22 +282,24 @@ def inverse(table: BilliardTable, p: PhasePoint) -> MapResult:
 
 # most points that regular_rows maps at once
 BATCH_ROWS = 512
-# fewest points for which smooth_images calls regular_images: on random tri
-# points it costs 355 us at 1 row, 29 us per row at 16, 10 us per row at 64
-# and 4.7 us per row at 512, against 15 us per forward call (2-core x86-64
-# host, Python 3.11.7), so it loses to forward below about 40 rows
-BATCH_MIN = 64
+# fewest points for which plain_rows calls regular_rows: on random tri points
+# that path costs 465 us at 1 row, 26-32 us per row at 16, 10-18 us per row
+# at 32, 9-11 us per row at 64 and 2.1-3.1 us per row at 512, against 12-16
+# us per forward call (2-core x86-64 host, Python 3.11.7), so the two break
+# even near 32 rows
+BATCH_MIN = 32
 
 
 def _each(fn, *cols) -> np.ndarray:
-    """``fn`` from ``math`` applied element by element, as a float array."""
+    """``fn`` (from ``math``, or ``pow``) applied element by element, as a
+    float array."""
     return np.fromiter(map(fn, *(c.tolist() for c in cols)), float,
                        cols[0].size)
 
 
 class RegularRows(NamedTuple):
-    """The images that ``regular_rows`` gives, as arrays over the points
-    it maps, in point order."""
+    """Plain "regular" images as arrays over the points mapped, in point
+    order (``regular_rows``, ``plain_rows``)."""
     rows: np.ndarray        # index of each mapped point
     wall_id: np.ndarray
     r: np.ndarray
@@ -317,16 +317,16 @@ class RegularRows(NamedTuple):
                     self.tau[picks], a, b, c, d)))]
 
 
-def regular_images(table: BilliardTable, points) -> list[MapImage | None]:
-    """``forward(table, p).images[0]`` for each point p that ``forward`` maps
-    by one plain regular step (no trail, not grazing), else None: the
-    images of ``regular_rows``."""
-    out: list[MapImage | None] = [None] * len(points)
-    if points:
-        got = regular_rows(table, *(np.array(col) for col in zip(*points)))
-        for i, im in zip(got.rows.tolist(), got.images(slice(None))):
-            out[i] = im
-    return out
+def _no_rows() -> RegularRows:
+    none = np.zeros(0)
+    return RegularRows(np.zeros(0, dtype=int), np.zeros(0, dtype=int),
+                       none, none, none, np.zeros((0, 2, 2)))
+
+
+def point_columns(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wall ids, r and phi of a list of phase points, as three arrays."""
+    a = np.array(points, dtype=float).reshape(-1, 3)
+    return a[:, 0].astype(int), a[:, 1], a[:, 2]
 
 
 def regular_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
@@ -347,9 +347,7 @@ def regular_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
     wid = np.asarray(wall_ids, dtype=int)
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     if table.ambient != "plane" or not wid.size:
-        none = np.zeros(0)
-        return RegularRows(np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                           none, none, none, np.zeros((0, 2, 2)))
+        return _no_rows()
     blocks = [_regular_block(table, start, *(a[start:start + BATCH_ROWS]
                                              for a in (wid, r, phi)))
               for start in range(0, wid.size, BATCH_ROWS)]
@@ -446,32 +444,53 @@ def _regular_block(table, start, wid, r, phi) -> RegularRows:
                        tau[keep], deriv[keep])
 
 
-def smooth_images(table: BilliardTable, points) -> list[MapImage | None]:
-    """``forward(table, p).smooth`` for each point p, or None where
-    ``forward`` raises.
+def plain_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
+    """``forward``'s image at each point (wall_ids[i], r[i], phi[i]) that it
+    maps by one plain regular step (no trail, not grazing), as arrays over
+    those points in point order; a point where ``forward`` raises has none.
 
-    The choice between the scalar and the batched map for callers that
-    need every image (``ucurves._prefetched`` takes ``regular_rows``'
-    arrays instead, and maps what it leaves out only when it is probed).
-    It works BATCH_ROWS points at a time: a block of BATCH_MIN points or
-    more goes through ``regular_images`` first, and ``forward`` resolves
-    the points it declines; a smaller block goes to ``forward`` alone.  The
-    two agree bit for bit wherever ``regular_images`` answers, so the
-    choice moves no number.
+    The one choice between the batched and the scalar map.  It works
+    BATCH_ROWS points at a time: a block of BATCH_MIN points or more goes
+    through ``regular_rows`` first, and ``forward`` resolves the points it
+    declines; a smaller block goes to ``forward`` alone.  The two agree bit
+    for bit wherever ``regular_rows`` answers, so the choice moves no
+    number.
     """
-    out = []
-    for start in range(0, len(points), BATCH_ROWS):
-        block = points[start:start + BATCH_ROWS]
-        batched = regular_images(table, block) if len(block) >= BATCH_MIN \
-            else [None] * len(block)
-        for p, im in zip(block, batched):
-            if im is None:
-                try:
-                    im = forward(table, p).smooth
-                except BilliardError:
-                    pass
-            out.append(im)
-    return out
+    wid = np.asarray(wall_ids, dtype=int)
+    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    parts = []
+    for start in range(0, wid.size, BATCH_ROWS):
+        rows = np.arange(start, min(start + BATCH_ROWS, wid.size))
+        if rows.size >= BATCH_MIN:
+            got = regular_rows(table, wid[rows], r[rows], phi[rows])
+            parts.append(got._replace(rows=got.rows + start))
+            rows = np.delete(rows, got.rows)
+        parts.append(_forward_rows(table, rows, wid, r, phi))
+    if len(parts) < 2:
+        return parts[0] if parts else _no_rows()
+    got = RegularRows(*map(np.concatenate, zip(*parts)))
+    return RegularRows(*(a[np.argsort(got.rows, kind="stable")] for a in got))
+
+
+def _forward_rows(table, rows, wid, r, phi) -> RegularRows:
+    """``plain_rows`` of the points ``rows``, each mapped by ``forward``."""
+    got = []
+    for i, p in zip(rows.tolist(), map(PhasePoint, wid[rows].tolist(),
+                                       r[rows].tolist(), phi[rows].tolist())):
+        try:
+            res = forward(table, p)
+        except BilliardError:
+            continue
+        if res.regular:
+            got.append((i, res.images[0]))
+    if not got:
+        return _no_rows()
+    cols = np.array([(i, im.point.wall_id, im.point.r, im.point.phi, im.tau,
+                      *im.derivative[0], *im.derivative[1])
+                     for i, im in got])
+    return RegularRows(cols[:, 0].astype(int), cols[:, 1].astype(int),
+                       cols[:, 2], cols[:, 3], cols[:, 4],
+                       cols[:, 5:].reshape(-1, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -618,20 +637,21 @@ def orbit(table: BilliardTable, p: PhasePoint, n: int) -> OrbitResult:
     return OrbitResult(p, tuple(images), "ok")
 
 
-def regular_steps(table: BilliardTable, points, n: int):
-    """Walk the points n steps in lockstep, and yield per step the list of
-    (row, image) for the rows whose steps so far were all regular: one
-    plain "regular" image (``MapResult.regular``), as ``orbit`` walks them.
+def regular_steps(table: BilliardTable, wall_ids, r, phi, n: int):
+    """Walk the points (wall_ids[i], r[i], phi[i]) n steps in lockstep, and
+    yield per step the ``plain_rows`` of the rows whose steps so far were
+    all one plain "regular" image (``MapResult.regular``), as ``orbit``
+    walks them, with ``rows`` indexing the points given.
 
-    Each step is one ``smooth_images`` call over the rows still walking; a
+    Each step is one ``plain_rows`` call over the rows still walking; a
     row that is not regular leaves the walk.
     """
-    live = list(enumerate(points))
+    rows = np.arange(len(wall_ids))
     for _ in range(n):
-        step = [(i, im) for (i, _), im in zip(
-            live, smooth_images(table, [p for _, p in live])) if _plain(im)]
-        yield step
-        live = [(i, im.point) for i, im in step]
+        got = plain_rows(table, wall_ids, r, phi)
+        rows = rows[got.rows]
+        yield got._replace(rows=rows)
+        wall_ids, r, phi = got.wall_id, got.r, got.phi
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +712,12 @@ def expansion_factor(deriv: Matrix2, slope: float) -> float:
     return math.hypot(a * vx + b * vy, c * vx + d * vy)
 
 
+def slope_norms(m: np.ndarray) -> np.ndarray:
+    """math.hypot(1.0, m) for each slope in the array m, in m's shape: the
+    length of the vector (1, m)."""
+    return _each(math.hypot, np.ones(m.size), m.ravel()).reshape(m.shape)
+
+
 def expansion_factors(derivs: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """``expansion_factor(derivs[i], slopes[i])`` for every i, bit for bit:
     derivs has shape slopes.shape + (2, 2), and hypot goes through ``math``
@@ -699,7 +725,7 @@ def expansion_factors(derivs: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     shape, slopes = slopes.shape, slopes.ravel()
     up = np.isinf(slopes)
     m = np.where(up, 0.0, slopes)
-    h = _each(math.hypot, np.ones_like(m), m)
+    h = slope_norms(m)
     vx, vy = np.where(up, 0.0, 1.0 / h), np.where(up, 1.0, m / h)
     a, b, c, d = derivs.reshape(-1, 4).T
     return _each(math.hypot, a * vx + b * vy,
@@ -709,69 +735,92 @@ def expansion_factors(derivs: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _points_from_uniforms(table: BilliardTable, u) -> list[PhasePoint]:
-    """One phase point per pair of uniforms: the first picks the arclength
-    over all walls, the second sin(phi)."""
-    lengths = [w.length for w in table.walls]
-    total = sum(lengths)
-    out = []
-    for a, b in zip(u[::2], u[1::2]):
-        x = a * total
-        for w, L in zip(table.walls, lengths):
-            if x <= L or w is table.walls[-1]:
-                r = min(x, L)
-                break
-            x -= L
-        out.append(PhasePoint(w.wall_id, r, math.asin(2.0 * b - 1.0)))
-    return out
-
-
 def random_phase_point(table: BilliardTable, rng) -> PhasePoint:
-    """Draw from the invariant collision measure cos(phi) dr dphi."""
-    return _points_from_uniforms(table, (rng.random(), rng.random()))[0]
+    """Draw from the invariant collision measure cos(phi) dr dphi: one
+    uniform picks the arclength over all walls, the next sin(phi)."""
+    lengths = [w.length for w in table.walls]
+    x = rng.random() * sum(lengths)
+    for w, L in zip(table.walls, lengths):
+        if x <= L or w is table.walls[-1]:
+            r = min(x, L)
+            break
+        x -= L
+    return PhasePoint(w.wall_id, r, math.asin(2.0 * rng.random() - 1.0))
 
 
-def random_phase_points(table: BilliardTable, rng,
-                        count: int) -> list[PhasePoint]:
-    """``count`` draws of random_phase_point, from one call of rng.random."""
-    return _points_from_uniforms(table, rng.random(2 * count).tolist())
+def random_phase_points(table: BilliardTable, rng, count: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` draws of random_phase_point as columns (wall ids, r, phi),
+    from one call of rng.random, bit for bit."""
+    u = rng.random(2 * count)
+    lengths = [w.length for w in table.walls]
+    x = u[::2] * sum(lengths)
+    wid = np.zeros(count, dtype=int)
+    r = np.zeros(count)
+    left = np.ones(count, dtype=bool)
+    for w, L in zip(table.walls, lengths):
+        here = left & ((x <= L) | (w is table.walls[-1]))
+        wid[here], r[here] = w.wall_id, np.minimum(x[here], L)
+        left &= ~here
+        x = x - L
+    return wid, r, _each(math.asin, 2.0 * u[1::2] - 1.0)
 
 
 # ---------------------------------------------------------------------------
 # operative cones
 
-def _cone_from(table: BilliardTable, z: PhasePoint, im: MapImage):
-    """The cone at z pushed along ``im``, the regular image of involute(z)."""
-    return cone_slopes(im.tau, table.walls[im.point.wall_id].kappa,
-                       -im.point.phi, table.walls[z.wall_id].kappa, z.phi)
-
-
 def unstable_cone_at(table: BilliardTable, z: PhasePoint):
     """Operative unstable cone at z: the push-forward along the arriving step.
 
-    Needs a unique non-grazing arriving branch; otherwise SingularInput.
+    The one-row form of ``unstable_cones``: SingularInput where z has none.
     """
-    res = forward(table, involute(z))
-    if not res.regular:
+    rows, lo, hi = unstable_cones(table, [z.wall_id], [z.r], [z.phi])
+    if not rows.size:
         raise SingularInput("no single smooth branch arrives at this point")
-    return _cone_from(table, z, res.images[0])
+    return float(lo[0]), float(hi[0])
 
 
-def unstable_cones(table: BilliardTable, points) -> list:
-    """unstable_cone_at at each point, or None where it raises."""
-    cones = [None] * len(points)
-    for i, im in next(regular_steps(table, list(map(involute, points)), 1)):
-        cones[i] = _cone_from(table, points[i], im)
-    return cones
+def unstable_cones(table: BilliardTable, wall_ids, r, phi):
+    """The operative unstable cone at each point (wall_ids[i], r[i], phi[i])
+    that has one, as (rows, lo, hi): the indices of those points in order,
+    and the lower and upper edge slopes of their cones.
+
+    A point z has a cone when ``forward`` maps involute(z) by one plain
+    regular step (``plain_rows``): the cone_slopes of that step's arrival
+    at z, in numpy in cone_slopes' operation order, with cos through
+    ``math``.  The rare z where the flat direction maps to a vertical one
+    (tau * kappa0 + cos(phi0) == 0, where cone_slopes would divide by zero)
+    has none either; so every lo is finite, and so is every hi but the inf
+    of a zero-length flight.
+    """
+    wid = np.asarray(wall_ids, dtype=int)
+    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    back = plain_rows(table, wid, r, -phi)
+    kappa = np.array([w.kappa for w in table.walls])
+    tau, kappa0, kappa1 = back.tau, kappa[back.wall_id], kappa[wid[back.rows]]
+    c0 = _each(math.cos, -back.phi)
+    c1 = _each(math.cos, phi[back.rows])
+    den = tau * kappa0 + c0
+    has = den != 0.0
+    lo = kappa1[has] + kappa0[has] * c1[has] / den[has]
+    tau, kappa1, c1 = tau[has], kappa1[has], c1[has]
+    flies = tau > 0.0
+    hi = np.where(flies, kappa1 + c1 / np.where(flies, tau, 1.0), math.inf)
+    swap = ~(lo <= hi)
+    return (back.rows[has], np.where(swap, hi, lo), np.where(swap, lo, hi))
 
 
-def interior_slope(lo: float, hi: float, x: float = 0.5) -> float:
-    """A slope strictly inside (lo, hi); x in (0,1) picks the position."""
-    if math.isinf(hi):
-        hi = 10.0 * lo + 1.0
-    if lo <= 0.0:
-        return lo + x * (hi - lo)
-    return lo * (hi / lo) ** x
+def interior_slope(lo, hi, x=0.5) -> np.ndarray:
+    """A slope strictly inside (lo[i], hi[i]) for each i, for arrays lo and
+    hi; x in (0,1), one number or one per row, picks the position.  numpy
+    in the one-row operation order, with ** through Python per element."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x = np.broadcast_to(np.asarray(x, dtype=float), lo.shape)
+    hi = np.where(np.isinf(hi), 10.0 * lo + 1.0, hi)
+    out = lo + x * (hi - lo)
+    up = ~(lo <= 0.0)
+    out[up] = lo[up] * _each(pow, hi[up] / lo[up], x[up])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -798,15 +847,19 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
     best = math.inf
     used = 0
     for start in range(0, samples, BATCH_ROWS):
-        block = random_phase_points(table, rng,
-                                    min(BATCH_ROWS, samples - start))
-        cones = unstable_cones(table, block)
-        for i, im in next(regular_steps(table, block, 1)):
-            if cones[i] is None:
-                continue
-            m = expansion_factor(im.derivative, cones[i][0])
-            best = min(best, m * math.cos(im.point.phi))
-            used += 1
+        cols = random_phase_points(table, rng,
+                                   min(BATCH_ROWS, samples - start))
+        rows, lo, _ = unstable_cones(table, *cols)
+        step = plain_rows(table, *cols)
+        both = np.isin(step.rows, rows)
+        slope = lo[np.searchsorted(rows, step.rows[both])]
+        # no NaN: every lo is finite (unstable_cones), and a plain image has
+        # a finite derivative and |phi'| < pi/2
+        floor = expansion_factors(step.derivative[both], slope) \
+            * _each(math.cos, step.phi[both])
+        if floor.size:
+            best = min(best, float(floor.min()))
+        used += floor.size
     if used == 0:
         raise NumericalAbort("no regular samples; table or sampler is broken")
     return best, used
@@ -826,38 +879,36 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
     attempts = 0
     cap = 20 * samples
     while used < samples and attempts < cap:
-        block = random_phase_points(table, rng,
-                                    min(BATCH_ROWS, cap - attempts))
-        cones = unstable_cones(table, block)
+        cols = random_phase_points(table, rng,
+                                   min(BATCH_ROWS, cap - attempts))
+        rows, lo, hi = unstable_cones(table, *cols)
         # |DF^k v| at k = 1, 2, ... along each orbit, v inside the cone
-        vecs, norms = [], []
-        for cone in cones:
-            if cone is not None:
-                s = interior_slope(*cone)
-                h = math.hypot(1.0, s)
-                vecs.append((1.0 / h, s / h))
-                norms.append([])
-        starts = [z for z, cone in zip(block, cones) if cone is not None]
-        for step in regular_steps(table, starts, n_max):
-            for j, im in step:
-                (a, b), (c, d) = im.derivative
-                vx, vy = vecs[j]
-                vx, vy = a * vx + b * vy, c * vx + d * vy
-                vecs[j] = (vx, vy)
-                norms[j].append(math.hypot(vx, vy))
-        grown = iter(norms)
-        for cone in cones:
-            if used >= samples:
-                break
-            attempts += 1
-            if cone is None:
-                continue
-            growth = next(grown)
-            if len(growth) < n_max:
-                continue
-            used += 1
-            for k, norm in enumerate(growth):
-                mins[k] = min(mins[k], norm)
+        s = interior_slope(lo, hi)
+        h = slope_norms(s)
+        vx, vy = 1.0 / h, s / h
+        norms = np.zeros((rows.size, n_max))
+        full = np.arange(rows.size)
+        for k, step in enumerate(regular_steps(
+                table, *(col[rows] for col in cols), n_max)):
+            full = step.rows
+            (a, b), (c, d) = step.derivative.transpose(1, 2, 0)
+            x, y = vx[full], vy[full]
+            vx[full], vy[full] = a * x + b * y, c * x + d * y
+            norms[full, k] = _each(math.hypot, vx[full], vy[full])
+        # the points of the block in order until used reaches samples: each
+        # is an attempt, and one with a full-length orbit is used
+        ok = np.zeros(cols[0].size, dtype=bool)
+        ok[rows[full]] = True
+        total = np.cumsum(ok)
+        take = ok.size
+        if total[-1] >= samples - used:
+            take = int(np.searchsorted(total, samples - used)) + 1
+        attempts += take
+        used += int(total[take - 1])
+        # no NaN: finite derivatives push a finite unit vector
+        grown = norms[full[rows[full] < take]]
+        if grown.size:
+            mins = [min(m, float(g)) for m, g in zip(mins, grown.min(axis=0))]
     if used == 0:
         raise NumericalAbort("no full-length regular orbits sampled")
     ns = np.arange(1, n_max + 1, dtype=float)

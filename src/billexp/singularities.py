@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge, inverse,
-                   orbit, outgoing_ray, regular_steps, strip_index)
+                   orbit, outgoing_ray, point_columns, regular_steps,
+                   strip_index)
 # singularities does not call forward; the name stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too
 from .bmap import forward  # noqa: F401
@@ -464,8 +465,8 @@ def _itineraries(table, points, n: int, k0: int, front_back: bool) -> list:
     """itinerary at each point: the rows whose n steps are all regular come
     from one lockstep walk, and ``itinerary`` walks the rest."""
     walks = [[] for _ in points]
-    for step in regular_steps(table, points, n):
-        for i, im in step:
+    for step in regular_steps(table, *point_columns(points), n):
+        for i, im in zip(step.rows.tolist(), step.images(slice(None))):
             walks[i].append(im)
     return [tuple(_symbols(table, z, images, k0, front_back))
             if len(images) == n else itinerary(table, z, n, k0, front_back)

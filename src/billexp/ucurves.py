@@ -40,8 +40,9 @@ from scipy.special import polygamma
 from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    certify_expansion_constant, certify_hyperbolicity,
                    expansion_factor, expansion_factors, forward,
-                   interior_slope, random_phase_point, regular_rows,
-                   regular_steps, single_branch, strip_index, unstable_cones)
+                   interior_slope, plain_rows, point_columns,
+                   random_phase_point, regular_rows, single_branch,
+                   slope_norms, strip_index, unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
 from .geometry import BilliardTable
@@ -240,94 +241,120 @@ def _seeds(table, zs, rngs, length, k0):
     """``seed_ucurve`` at each base point z with its rng (or None): the
     curve, or a str saying why there is none.
 
-    Each row checks its base's distance to the strip boundaries, then
-    whether ``forward`` is regular there, and only then draws its cone
+    Each row checks its base (``_refusals``), and only then draws its cone
     position x from its own rng and walks (``_seed_walks``), so a row's
     result does not depend on the other rows.
     """
-    if not 0.0 < length <= MAX_LENGTH:
-        raise ValueError(f"length must lie in (0, {MAX_LENGTH:g}]")
-    out = ["base angle within tolerance of a strip boundary"
-           if _near_strip_boundary(z.phi, k0) else None for z in zs]
-    far = [i for i, why in enumerate(out) if why is None]
-    rows = [far[j] for j, _ in next(regular_steps(
-        table, [zs[i] for i in far], 1))]
-    for i in set(far) - set(rows):
-        out[i] = "forward image at the base is not regular"
+    _check_length(length)
+    out = _refusals(table, zs, k0)
+    rows = [i for i, why in enumerate(out) if why is None]
     xs = [0.5 if rngs[i] is None else float(rngs[i].uniform(0.35, 0.65))
           for i in rows]
     for i, W in zip(rows, _seed_walks(table, [zs[i] for i in rows], xs,
-                                      length)):
+                                      [length] * len(rows))):
         out[i] = W
     return out
 
 
-def _seed_walks(table, bases, xs, length):
+def _check_length(length):
+    if not 0.0 < length <= MAX_LENGTH:
+        raise ValueError(f"length must lie in (0, {MAX_LENGTH:g}]")
+
+
+def _refusals(table, zs, k0):
+    """Why no seed curve may grow from each base point z, or None: z lies
+    within EPS_SEED of a strip boundary, or else ``forward`` does not map
+    it by one plain regular step (one ``plain_rows`` call)."""
+    out = ["base angle within tolerance of a strip boundary"
+           if _near_strip_boundary(z.phi, k0) else None for z in zs]
+    far = [i for i, why in enumerate(out) if why is None]
+    mapped = set(plain_rows(table, *point_columns(
+        [zs[i] for i in far])).rows.tolist())
+    for j, i in enumerate(far):
+        if j not in mapped:
+            out[i] = "forward image at the base is not regular"
+    return out
+
+
+def _turn(m, lo, hi, x):
+    """The slope m where it lies inside the cone (lo, hi), else the cone's
+    interior slope at x, element by element."""
+    m = np.array(m, dtype=float)
+    x = np.broadcast_to(x, m.shape)
+    away = ~((lo < m) & (m < hi))
+    m[away] = interior_slope(lo[away], hi[away], x[away])
+    return m
+
+
+def _seed_walks(table, bases, xs, lengths):
     """``seed_ucurve``'s curve through each base point z, with x its
-    position in the cone, or a str saying why there is none.
+    position in the cone and its length from ``lengths``, or a str saying
+    why there is none.
 
     From z each walk takes SEED_HALF equal steps to each side, along the
     slope it carries; after a step the slope is kept if it lies inside the
     unstable cone at the new node, else replaced by the cone's interior
-    slope at x.  The walks go in lockstep: one ``unstable_cones`` call at
-    the base points, then one per step for both sides of every walk still
-    alive.
-    The cone at a side's last node sets no slope, but a walk fails where it
-    is undefined, as at every other node.
+    slope at x.  The walks go as arrays: one ``unstable_cones`` call at the
+    base points, then per step one for both sides of every walk still
+    alive.  A walk fails at its first failing step, and there a chart exit
+    on either side wins over an undefined cone.  The cone at a side's last
+    node sets no slope, but a walk fails where it is undefined, as at every
+    other node.
     """
-    ds = 0.5 * length / SEED_HALF
     out = [None] * len(bases)
-    sides = {}      # (row, sign) -> (nodes from z, slope taken from each)
+    wid, r0, phi0 = point_columns(bases)
+    xs = np.asarray(xs, dtype=float)
+    ds = 0.5 * np.asarray(lengths, dtype=float) / SEED_HALF
+    closed, span = np.array([(w.closed, w.length) for w in table.walls],
+                            dtype=float)[wid].T
+    r_lo = np.where(closed > 0.0, -math.inf, 0.0)
+    r_hi = np.where(closed > 0.0, math.inf, span)
+    sign = np.array([[-1.0], [1.0]])
+    # r, phi and slope of each side (back, fore), row and node from z; a
+    # node carries the slope of the step that left it
+    R, P, M = np.zeros((3, 2, len(bases), SEED_HALF + 1))
+    R[:, :, 0], P[:, :, 0] = r0, phi0
 
-    def turn(cone, m, x):
-        lo, hi = cone
-        return m if lo < m < hi else interior_slope(lo, hi, x)
+    def fail(rows, why):
+        for i in rows.tolist():
+            out[i] = why
 
-    for i, (z, x, cone) in enumerate(zip(bases, xs,
-                                         unstable_cones(table, bases))):
-        if cone is None:
-            out[i] = "cone undefined along the seed"
-            continue
-        m_z = turn(cone, -1.0, x)
-        for sign in (-1.0, 1.0):
-            sides[i, sign] = ([z], [m_z])
-    for _ in range(SEED_HALF):
-        stepped = []
-        for (i, sign), (nodes, slopes) in sides.items():
-            if out[i] is not None:
-                continue
-            p, m = nodes[-1], slopes[-1]
-            wall = table.wall(p.wall_id)
-            r_lo, r_hi = (-math.inf, math.inf) if wall.closed \
-                else (0.0, wall.length)
-            dr = sign * ds / math.hypot(1.0, m)
-            p = PhasePoint(p.wall_id, p.r + dr, p.phi + m * dr)
-            if abs(p.phi) >= HALF_PI - EPS_SEED or not r_lo < p.r < r_hi:
-                out[i] = "seed curve left the open chart"
-                continue
-            nodes.append(p)
-            stepped.append((i, sign))
-        stepped = [key for key in stepped if out[key[0]] is None]
-        cones = unstable_cones(table,
-                               [sides[key][0][-1] for key in stepped])
-        for (i, sign), cone in zip(stepped, cones):
-            if cone is None:
-                out[i] = "cone undefined along the seed"
-            elif out[i] is None:
-                slopes = sides[i, sign][1]
-                slopes.append(turn(cone, slopes[-1], xs[i]))
-    for i, z in enumerate(bases):
-        if out[i] is not None:
-            continue
-        (back, m_back), (fore, m_fore) = sides[i, -1.0], sides[i, 1.0]
+    live, lo, hi = unstable_cones(table, wid, r0, phi0)
+    fail(np.setdiff1d(np.arange(len(bases)), live),
+         "cone undefined along the seed")
+    M[:, live, 0] = _turn(np.full(live.size, -1.0), lo, hi, xs[live])
+    for k in range(SEED_HALF):
+        m = M[:, live, k]
+        dr = sign * ds[live] / slope_norms(m)
+        r, phi = R[:, live, k] + dr, P[:, live, k] + m * dr
+        out_of_chart = ((np.abs(phi) >= HALF_PI - EPS_SEED)
+                        | ~((r_lo[live] < r) & (r < r_hi[live]))).any(axis=0)
+        fail(live[out_of_chart], "seed curve left the open chart")
+        stays = ~out_of_chart
+        live, m, r, phi = live[stays], m[:, stays], r[:, stays], phi[:, stays]
+        R[:, live, k + 1], P[:, live, k + 1] = r, phi
+        got, lo, hi = unstable_cones(table, np.tile(wid[live], 2),
+                                     r.ravel(), phi.ravel())
+        cone = np.zeros((3, 2 * live.size))
+        cone[:, got] = np.ones(got.size), lo, hi
+        has, lo, hi = cone.reshape(3, 2, live.size)
+        defined = (has > 0.0).all(axis=0)
+        fail(live[~defined], "cone undefined along the seed")
+        live = live[defined]
+        M[:, live, k + 1] = _turn(m[:, defined], lo[:, defined],
+                                  hi[:, defined], xs[live])
+    for i in live.tolist():
+        z = bases[i]
+        back, fore = ([PhasePoint(z.wall_id, a, b) for a, b in zip(
+            R[j, i, 1:].tolist(), P[j, i, 1:].tolist())] for j in (0, 1))
+        m_back, m_fore = M[0, i].tolist(), M[1, i].tolist()
         # a node carries the slope of the step that reached it, and z
         # its own: m_z, which is also the first step's on each side
-        pts = back[:0:-1] + fore
         slopes = m_back[SEED_HALF - 1::-1] + m_fore[:1] + m_fore[:SEED_HALF]
         try:
-            out[i] = make_ucurve(z.wall_id, pts, slopes)
+            out[i] = make_ucurve(z.wall_id, back[::-1] + [z] + fore, slopes)
         except ValueError as err:
-            out[i] = f"seed curve of length {length:g}: {err}"
+            out[i] = f"seed curve of length {lengths[i]:g}: {err}"
     return out
 
 
@@ -1154,9 +1181,11 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     sample is therefore centered astride a traced tangency-preimage anchor
     instead; those samples saturate the constant and the max becomes stable
     under changes of the length range.  The anchor samples still consume
-    the same random draws, so the remaining samples are unaffected.  All
-    samples are seeded first, in order on the one rng, and their arcs then
-    come from ``_arcs``, prefetched together.
+    the same random draws, so the remaining samples are unaffected.  Each
+    sample draws its length and base point, and, when ``_refusals`` passes
+    the base, its cone position, in order on the one rng, as
+    ``seed_ucurve`` would; one ``_seed_walks`` call then seeds every
+    sample, and their arcs come from ``_arcs``, prefetched together.
 
     The result is the max over ``evolve_one_step``'s components, bit for
     bit, but strips that cannot set it are not resolved.  A strip ladder
@@ -1175,7 +1204,7 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
     anchors = graze_anchors(table)
-    curves = []
+    bases, xs, lengths = [], [], []
     lo, hi = math.log(delta_lo), math.log(delta_hi)
     for i in range(samples):
         length = math.exp(rng.uniform(lo, hi))
@@ -1185,10 +1214,13 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
             a = anchors[j % len(anchors)]
             f = _ANCHOR_OFFSETS[j % len(_ANCHOR_OFFSETS)]
             z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
-        try:
-            curves.append(seed_ucurve(table, z, length, rng, k0))
-        except BilliardError:
-            continue
+        _check_length(length)
+        if _refusals(table, [z], k0) == [None]:
+            bases.append(z)
+            xs.append(float(rng.uniform(0.35, 0.65)))
+            lengths.append(length)
+    curves = [W for W in _seed_walks(table, bases, xs, lengths)
+              if not isinstance(W, str)]
     best, used = 0.0, 0
     stopped = []        # (|W|^(1/2), _Stopped) over every sample
     for W, arc in zip(curves, _arcs(table, curves, k0)):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from billexp import cli, geometry, render, singularities, tables, ucurves
-from billexp.errors import SingularSeed, ValidationError
+from billexp.errors import ValidationError
 
 
 def run(*argv):
@@ -117,10 +117,10 @@ def test_malformed_table_spec_is_validation_failure(tmp_path, capsys,
 
 
 def test_fit_abort_exits_3_without_artifact(tmp_path, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise SingularSeed("refused by the test")
+    def refuse(table, bases, xs, lengths):
+        return ["refused by the test"] * len(bases)
 
-    monkeypatch.setattr(ucurves, "seed_ucurve", refuse)
+    monkeypatch.setattr(ucurves, "_seed_walks", refuse)
     assert run("expansion", "--table", "tri", "--fit", "--N", "auto",
                "--seed", "3", "--samples", "4", "--out", "e.json") == 3
     err = capsys.readouterr().err

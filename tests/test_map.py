@@ -24,9 +24,12 @@ from billexp.bmap import (
     orbit,
     random_phase_point,
     random_phase_points,
-    regular_images,
-    smooth_images,
+    plain_rows,
+    point_columns,
+    regular_rows,
     strip_index,
+    unstable_cone_at,
+    unstable_cones,
 )
 from billexp.errors import BilliardError, NumericalAbort, SingularInput
 from billexp.flow import CollisionOutcome, Ray, first_collision
@@ -654,17 +657,45 @@ def _assert_is_forward_image(table, p, im):
     assert type(im.point.wall_id) is int and type(im.tau) is float
 
 
+def _by_point(got, count):
+    """The MapImage of each of count points in a RegularRows, or None."""
+    out = [None] * count
+    for i, im in zip(got.rows.tolist(), got.images(slice(None))):
+        out[i] = im
+    return out
+
+
+def _plain_images(table, points):
+    return _by_point(plain_rows(table, *point_columns(points)), len(points))
+
+
+def _plain_image(table, p):
+    """forward's image at p when it is one plain regular step, else None."""
+    try:
+        res = forward(table, p)
+    except BilliardError:
+        return None
+    return res.images[0] if res.regular else None
+
+
 @pytest.mark.parametrize("name", ["tri", "lens", "torus2", "wedge"])
 def test_regular_images_equal_forward(name, request):
+    """regular_rows and plain_rows give forward's image, bit for bit, at
+    every point they map; plain_rows maps every point forward maps plainly,
+    and regular_rows more than half of them off the torus."""
     table = (wedge_table(1e-5) if name == "wedge"
              else request.getfixturevalue(name))
     pts = _digest_points(table, 20260)
     pts += [involute(p) for p in pts]
     accepted = 0
-    for p, im in zip(pts, regular_images(table, pts)):
+    kernel = _by_point(regular_rows(table, *point_columns(pts)), len(pts))
+    for p, im, plain in zip(pts, kernel, _plain_images(table, pts)):
         if im is not None:
             _assert_is_forward_image(table, p, im)
             accepted += 1
+        assert (plain is None) == (_plain_image(table, p) is None)
+        if plain is not None:
+            _assert_is_forward_image(table, p, plain)
     if name == "torus2":
         assert accepted == 0
     else:
@@ -681,10 +712,30 @@ def _outcome(table, p):
     return "branched" if len(res.images) > 1 else "single"
 
 
+def _near_grazing_arrivals(table, rng, count):
+    """count points whose forward image is one plain regular step that
+    arrives with 1e-9 < cos(phi') < 1e-6, where regular_rows declines it:
+    each flies back from a departure that close to tangency."""
+    out = []
+    while len(out) < count:
+        w = table.walls[int(rng.integers(len(table.walls)))]
+        u = 10.0 ** rng.uniform(-8.5, -6.2)
+        y = PhasePoint(w.wall_id, float(rng.uniform(0.05, 0.95)) * w.length,
+                       math.copysign(HALF_PI - u, rng.random() - 0.5))
+        im = _plain_image(table, y)
+        if im is not None:
+            p = involute(im.point)
+            back = _plain_image(table, p)
+            if back is not None and 1e-9 < math.cos(back.point.phi) < 1e-6:
+                out.append(p)
+    return out
+
+
 def _mixed_points(table, count):
     """count points of test_regular_images_equal_forward's set: up to three
-    where forward raises (among them |phi| = pi/2), branches or grazes at
-    each end, and single-image points between them."""
+    where forward raises (among them |phi| = pi/2), branches or grazes, and
+    three whose plain image regular_rows declines near grazing, at each end,
+    and single-image points between them."""
     pool = _digest_points(table, 20260)
     pool += [involute(p) for p in pool]
     pool += [PhasePoint(0, 0.5 * table.walls[0].length, s * HALF_PI)
@@ -694,37 +745,37 @@ def _mixed_points(table, count):
         kinds.setdefault(_outcome(table, p), []).append(p)
     ends = [p for kind in ("raises", "branched", "grazing")
             for p in kinds.get(kind, [])[-3:]]
+    if table.ambient == "plane":
+        ends += _near_grazing_arrivals(table, np.random.default_rng(5), 3)
     return ends + kinds["single"][:count - 2 * len(ends)] + ends
 
 
 @pytest.mark.parametrize("name", ["tri", "lens", "torus2", "wedge"])
 def test_smooth_images_equal_forward(name, request, monkeypatch):
-    """forward(table, p).smooth at each point, or None where forward
-    raises; a block of BATCH_MIN rows or more goes through regular_images,
-    and the tail of BATCH_ROWS + 10 rows, below BATCH_MIN, does not."""
+    """plain_rows gives forward's image at each point it maps plainly and
+    none elsewhere; a block of BATCH_MIN rows or more goes through
+    regular_rows, and the tail of BATCH_ROWS + 10 rows, below BATCH_MIN,
+    does not."""
     table = (wedge_table(1e-5) if name == "wedge"
              else request.getfixturevalue(name))
     batched = []
 
-    def recorded(table_, points):
-        batched.append(len(points))
-        return regular_images(table_, points)
+    def recorded(table_, wall_ids, r, phi):
+        batched.append(len(wall_ids))
+        return regular_rows(table_, wall_ids, r, phi)
 
-    monkeypatch.setattr(bmap, "regular_images", recorded)
+    monkeypatch.setattr(bmap, "regular_rows", recorded)
     kinds = set()
     for count, calls in ((BATCH_MIN - 1, []), (BATCH_MIN, [BATCH_MIN]),
                          (BATCH_ROWS + 10, [BATCH_ROWS])):
         pts = _mixed_points(table, count)
         assert len(pts) == count
         batched.clear()
-        got = smooth_images(table, pts)
+        got = _plain_images(table, pts)
         assert batched == calls and len(got) == count
         for p, im in zip(pts, got):
             kinds.add(_outcome(table, p))
-            try:
-                want = forward(table, p).smooth
-            except BilliardError:
-                want = None
+            want = _plain_image(table, p)
             assert (im is None) == (want is None)
             if im is not None:
                 assert _image_tokens(im) == _image_tokens(want)
@@ -734,25 +785,98 @@ def test_smooth_images_equal_forward(name, request, monkeypatch):
 
 
 def test_regular_images_accept_most_random_points(tri):
-    pts = random_phase_points(tri, np.random.default_rng(3), 2000)
-    got = regular_images(tri, pts)
-    assert sum(im is not None for im in got) >= 0.95 * len(pts)
+    cols = random_phase_points(tri, np.random.default_rng(3), 2000)
+    assert regular_rows(tri, *cols).rows.size >= 0.95 * 2000
+    assert plain_rows(tri, *cols).rows.size >= 0.95 * 2000
+
+
+def _padded(table, z):
+    """z followed by BATCH_MIN random points, so that plain_rows sends it
+    through regular_rows."""
+    rng = np.random.default_rng(11)
+    return [z] + [random_phase_point(table, rng) for _ in range(BATCH_MIN)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_phase_points())
 def test_regular_images_property(request, drawn):
     table, z = _point(request, drawn)
-    (im,) = regular_images(table, [z])
+    (im,) = _by_point(regular_rows(table, [z.wall_id], [z.r], [z.phi]), 1)
     if im is not None:
         _assert_is_forward_image(table, z, im)
+    im = _plain_images(table, _padded(table, z))[0]
+    assert (im is None) == (_plain_image(table, z) is None)
+    if im is not None:
+        _assert_is_forward_image(table, z, im)
+
+
+def _cone_by_forward(table, z):
+    """The operative cone at z from forward one point at a time: the
+    cone_slopes of the plain step that arrives at z, or None."""
+    im = _plain_image(table, involute(z))
+    if im is None:
+        return None
+    return cone_slopes(im.tau, table.wall(im.point.wall_id).kappa,
+                       -im.point.phi, table.wall(z.wall_id).kappa, z.phi)
+
+
+def _assert_cones_by_forward(table, points):
+    """unstable_cones over the points, and unstable_cone_at at each, are
+    _cone_by_forward bit for bit."""
+    rows, lo, hi = unstable_cones(table, *point_columns(points))
+    cones = dict(zip(rows.tolist(), zip(lo.tolist(), hi.tolist())))
+    for i, z in enumerate(points):
+        want = _cone_by_forward(table, z)
+        if want is None:
+            assert i not in cones
+            with pytest.raises(SingularInput):
+                unstable_cone_at(table, z)
+        else:
+            assert [_hex(v) for v in cones[i]] == [_hex(v) for v in want]
+            assert [_hex(v) for v in unstable_cone_at(table, z)] \
+                == [_hex(v) for v in want]
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "torus2", "wedge"])
+def test_unstable_cones_equal_forward_cones(name, request):
+    """Cones over a block of random points, corner departures, points aimed
+    at corners or tangencies, near-tangent departures, |phi| = pi/2 and
+    points whose arriving step regular_rows declines near grazing."""
+    table = (wedge_table(1e-5) if name == "wedge"
+             else request.getfixturevalue(name))
+    rng = np.random.default_rng(808)
+    pts = _digest_points(table, 808, count=300, ends=60, aimed=60)
+    pts += [PhasePoint(w.wall_id, 0.5 * w.length, s * (HALF_PI - u))
+            for w in table.walls for s in (1.0, -1.0)
+            for u in (0.0, 1e-12, 1e-9, 1e-7, 1e-5)]
+    declined = []
+    if table.ambient == "plane":
+        declined = [involute(p) for p in _near_grazing_arrivals(table, rng,
+                                                                 20)]
+    pts += declined
+    assert len(pts) >= BATCH_MIN
+    _assert_cones_by_forward(table, pts)
+    # regular_rows declines each of those arriving steps
+    assert not regular_rows(table, *point_columns(
+        [involute(z) for z in declined])).rows.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(_phase_points())
+@example(("tri", 0, 0.0, 0.4))          # corner departures
+@example(("tri", 1, 1.0, -0.4))
+@example(("lens", 0, 0.5, HALF_PI - 1e-7))
+def test_unstable_cones_property(request, drawn):
+    table, z = _point(request, drawn)
+    _assert_cones_by_forward(table, _padded(table, z))
 
 
 def test_block_draws_equal_scalar_draws(tri, lens):
     for table in (tri, lens):
         a, b = np.random.default_rng(8), np.random.default_rng(8)
         block = random_phase_points(table, a, 300)
-        assert block == [random_phase_point(table, b) for _ in range(300)]
+        assert list(map(PhasePoint, *(c.tolist() for c in block))) \
+            == [random_phase_point(table, b) for _ in range(300)]
         assert a.random() == b.random()
 
 
@@ -802,6 +926,53 @@ def test_estimators_reproduce_recorded_values(name, request):
         == repr(expansion)
     assert repr(certify_hyperbolicity(table, 200, 61, n_max=10)) \
         == repr(hyperbolicity)
+
+
+def _growth_minima_by_point(table, samples, seed, n_max):
+    """certify_hyperbolicity's per-step minima, one point at a time: each
+    point of a block is an attempt until `samples` points were used, and a
+    point is used when it has a cone and n_max plain steps."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
+    mins = [math.inf] * n_max
+    used = attempts = 0
+    cap = 20 * samples
+    while used < samples and attempts < cap:
+        cols = random_phase_points(table, rng,
+                                   min(BATCH_ROWS, cap - attempts))
+        for z in map(PhasePoint, *(c.tolist() for c in cols)):
+            if used >= samples:
+                break
+            attempts += 1
+            cone = _cone_by_forward(table, z)
+            if cone is None:
+                continue
+            lo, hi = cone
+            if math.isinf(hi):
+                hi = 10.0 * lo + 1.0
+            s = lo + 0.5 * (hi - lo) if lo <= 0.0 else lo * (hi / lo) ** 0.5
+            h = math.hypot(1.0, s)
+            vx, vy, p, norms = 1.0 / h, s / h, z, []
+            for _ in range(n_max):
+                im = _plain_image(table, p)
+                if im is None:
+                    break
+                (a, b), (c, d) = im.derivative
+                vx, vy = a * vx + b * vy, c * vx + d * vy
+                norms.append(math.hypot(vx, vy))
+                p = im.point
+            if len(norms) == n_max:
+                used += 1
+                mins = [min(m, g) for m, g in zip(mins, norms)]
+    return tuple(mins)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 40])
+def test_growth_minima_equal_one_point_at_a_time(tri, samples):
+    """Small sample counts end the count inside a block, so a block that
+    used one point too many or too few would change a minimum."""
+    for seed in (61, 62, 63):
+        assert repr(certify_hyperbolicity(tri, samples, seed, n_max=4)[3]) \
+            == repr(_growth_minima_by_point(tri, samples, seed, 4))
 
 
 def test_estimators_abort_when_nothing_was_sampled(tri):

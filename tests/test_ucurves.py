@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -14,7 +15,7 @@ from billexp.bmap import (HALF_PI, SINGLE_BRANCH_MU, PhasePoint,
                           involute, outgoing_ray, random_phase_point,
                           single_branch, unstable_cone_at)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
-                            SingularSeed)
+                            SingularInput, SingularSeed)
 from billexp.flow import Ray, first_collision
 from billexp.serialize import csv_text, json_bytes
 from conftest import wedge_table
@@ -819,7 +820,7 @@ def test_prefetch_cannot_move_a_number(name, drawn):
     returns there, and _step on a prefetched arc, decided or not, builds
     the children and merges that _one_step builds on the same certified
     arc probed only as it goes, near tangencies and corners too, where
-    regular_images declines rows."""
+    regular_rows declines rows."""
     table = _wedge() if name == "wedge" else _cert_table(name)[0]
     curves = [W for W in (_straight_curve(table, *d) for d in drawn)
               if W is not None]
@@ -1288,9 +1289,11 @@ def test_block_seeding_checks_the_last_cone(tri, monkeypatch):
     ends = {p for W, _ in first for p in (W.nodes[0], W.nodes[-1])}
     cones = U.unstable_cones
 
-    def cones_or_none(table, points):
-        return [None if p in ends else c
-                for p, c in zip(points, cones(table, points))]
+    def cones_or_none(table, wall_ids, r, phi):
+        rows, lo, hi = cones(table, wall_ids, r, phi)
+        keep = [PhasePoint(*p) not in ends for p in zip(
+            wall_ids[rows].tolist(), r[rows].tolist(), phi[rows].tolist())]
+        return rows[keep], lo[keep], hi[keep]
 
     monkeypatch.setattr(U, "unstable_cones", cones_or_none)
     got = U._draw_curves(tri, _substreams(31, U.SCAN_BLOCK), 1e-4, 30)
@@ -1298,6 +1301,211 @@ def test_block_seeding_checks_the_last_cone(tri, monkeypatch):
             for rng in _substreams(31, U.SCAN_BLOCK)]
     assert _drawn_tokens(got) == _drawn_tokens(want)
     assert all(d[1] >= 2 for d in got)
+
+
+def _interior_slope_by_itself(lo, hi, x):
+    """interior_slope of one cone, as the seed walks took it one at a time."""
+    if math.isinf(hi):
+        hi = 10.0 * lo + 1.0
+    if lo <= 0.0:
+        return lo + x * (hi - lo)
+    return lo * (hi / lo) ** x
+
+
+def _cone_or_none(table, p, hole):
+    if hole(p):
+        return None
+    try:
+        return unstable_cone_at(table, p)
+    except SingularInput:
+        return None
+
+
+def _seed_walks_side_by_side(table, bases, xs, lengths, hole):
+    """U._seed_walks one side and one node at a time, with every cone from
+    unstable_cone_at, and none at a point p where hole(p): the reference
+    for the walks over arrays."""
+    out = [None] * len(bases)
+    sides = {}      # (row, sign) -> (nodes from z, slope taken from each)
+
+    def turn(cone, m, x):
+        lo, hi = cone
+        return m if lo < m < hi else _interior_slope_by_itself(lo, hi, x)
+
+    for i, (z, x) in enumerate(zip(bases, xs)):
+        cone = _cone_or_none(table, z, hole)
+        if cone is None:
+            out[i] = "cone undefined along the seed"
+            continue
+        m_z = turn(cone, -1.0, x)
+        for sign in (-1.0, 1.0):
+            sides[i, sign] = ([z], [m_z])
+    for _ in range(U.SEED_HALF):
+        stepped = []
+        for (i, sign), (nodes, slopes) in sides.items():
+            if out[i] is not None:
+                continue
+            p, m = nodes[-1], slopes[-1]
+            wall = table.wall(p.wall_id)
+            r_lo, r_hi = (-math.inf, math.inf) if wall.closed \
+                else (0.0, wall.length)
+            dr = sign * (0.5 * lengths[i] / U.SEED_HALF) / math.hypot(1.0, m)
+            p = PhasePoint(p.wall_id, p.r + dr, p.phi + m * dr)
+            if abs(p.phi) >= HALF_PI - U.EPS_SEED or not r_lo < p.r < r_hi:
+                out[i] = "seed curve left the open chart"
+                continue
+            nodes.append(p)
+            stepped.append((i, sign))
+        stepped = [key for key in stepped if out[key[0]] is None]
+        for (i, sign) in stepped:
+            cone = _cone_or_none(table, sides[i, sign][0][-1], hole)
+            if cone is None:
+                out[i] = "cone undefined along the seed"
+            elif out[i] is None:
+                slopes = sides[i, sign][1]
+                slopes.append(turn(cone, slopes[-1], xs[i]))
+    for i, z in enumerate(bases):
+        if out[i] is not None:
+            continue
+        (back, m_back), (fore, m_fore) = sides[i, -1.0], sides[i, 1.0]
+        pts = back[:0:-1] + fore
+        slopes = m_back[U.SEED_HALF - 1::-1] + m_fore[:1] \
+            + m_fore[:U.SEED_HALF]
+        try:
+            out[i] = U.make_ucurve(z.wall_id, pts, slopes)
+        except ValueError as err:
+            out[i] = f"seed curve of length {lengths[i]:g}: {err}"
+    return out
+
+
+def _walk_bases(table, rng, count):
+    """count base points: random ones, ones within 1e-3 of a wall end or on
+    it (chart exits, and corner departures without a cone), ones within 1e-3 of tangency (chart exits) and ones
+    whose arriving flight passes near a corner (undefined cones)."""
+    out = []
+    while len(out) < count:
+        kind = rng.integers(4)
+        if kind == 0:
+            out.append(random_phase_point(table, rng))
+            continue
+        w = table.walls[int(rng.integers(len(table.walls)))]
+        r = float(rng.uniform(0.0, w.length))
+        phi = float(rng.uniform(-1.4, 1.4))
+        if kind == 1:
+            r = float(rng.choice([0.0, w.length - 1e-3])
+                      + rng.choice([0.0, 1e-3]) * rng.uniform(0.0, 1.0))
+        elif kind == 2:
+            phi = math.copysign(HALF_PI - 10.0 ** rng.uniform(-8.5, -3.0),
+                                phi)
+        else:
+            # the involute departs toward a point just beside a corner
+            c = table.corners[int(rng.integers(len(table.corners)))]
+            p, n, t = w.chart_frame(r)
+            dx = c.position[0] - p[0] + float(rng.uniform(-3e-4, 3e-4))
+            dy = c.position[1] - p[1] + float(rng.uniform(-3e-4, 3e-4))
+            phi = -math.atan2(dx * t[0] + dy * t[1], dx * n[0] + dy * n[1])
+            if not abs(phi) < HALF_PI:
+                continue
+        out.append(PhasePoint(w.wall_id, r, phi))
+    return out
+
+
+def _no_hole(p):
+    return False
+
+
+def _hole(p):
+    """About one point in 40, by the digits of its angle."""
+    return int(abs(p.phi) * 1e7) % 41 == 0
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+@pytest.mark.parametrize("hole", [_no_hole, _hole])
+def test_seed_walks_equal_side_by_side_walks(name, hole, request,
+                                             monkeypatch):
+    """The walks over arrays give the curves and failure strings of the
+    walks side by side, on 1,024 bases with lengths from 1e-6 to 1e-3.
+    With holes punched in the cones, walks also fail mid-way on an
+    undefined cone, some in the step where the other side leaves the
+    chart."""
+    table = request.getfixturevalue(name)
+    rng = np.random.default_rng(1024)
+    bases = _walk_bases(table, rng, 1024)
+    xs = [0.5 if i % 5 == 0 else float(rng.uniform(0.35, 0.65))
+          for i in range(len(bases))]
+    lengths = [math.exp(rng.uniform(math.log(1e-6), math.log(1e-3)))
+               for _ in bases]
+    want = _seed_walks_side_by_side(table, bases, xs, lengths, hole)
+    cones = U.unstable_cones
+
+    def punched(table, wall_ids, r, phi):
+        rows, lo, hi = cones(table, wall_ids, r, phi)
+        keep = [not hole(PhasePoint(*p)) for p in zip(
+            wall_ids[rows].tolist(), r[rows].tolist(), phi[rows].tolist())]
+        return rows[keep], lo[keep], hi[keep]
+
+    monkeypatch.setattr(U, "unstable_cones", punched)
+    got = U._seed_walks(table, bases, xs, lengths)
+    assert list(map(repr, got)) == list(map(repr, want))
+    kinds = collections.Counter(w if isinstance(w, str) else "curve"
+                                for w in want)
+    assert kinds["curve"] > 500 and kinds["seed curve left the open chart"]
+    assert kinds["cone undefined along the seed"] > (100 if hole is _hole
+                                                     else 0)
+
+
+def _length_curves_by_itself(table, samples, seed, k0=30):
+    """The curves that certify_length_constant evolves, each seeded by
+    seed_ucurve in sample order, and the number of refused samples."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
+    anchors = U.graze_anchors(table)
+    lo, hi = math.log(1e-6), math.log(1e-3)
+    curves, refused = [], 0
+    for i in range(samples):
+        length = math.exp(rng.uniform(lo, hi))
+        z = random_phase_point(table, rng)
+        if anchors and i % U.GRAZE_STRIDE == 0:
+            j = i // U.GRAZE_STRIDE
+            a = anchors[j % len(anchors)]
+            f = U._ANCHOR_OFFSETS[j % len(U._ANCHOR_OFFSETS)]
+            z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
+        try:
+            curves.append(U.seed_ucurve(table, z, length, rng, k0))
+        except BilliardError:
+            refused += 1
+    return curves, refused
+
+
+@pytest.mark.parametrize("seed,harsh", [(61, False), (205, False),
+                                        (61, True)])
+def test_length_constant_seeds_as_curve_by_curve(tri, monkeypatch, seed,
+                                                 harsh):
+    """certify_length_constant evolves the curves that seed_ucurve grows
+    sample by sample on its rng, and counts as used those whose one-step
+    does not raise.  With EPS_SEED = 1 many bases are refused and draw no
+    cone position."""
+    if harsh:
+        monkeypatch.setattr(U, "EPS_SEED", 1.0)
+    want, refused = _length_curves_by_itself(tri, 300, seed)
+    evolved = []
+    arcs = U._arcs
+
+    def recorded(table, curves, k0):
+        evolved.extend(curves)
+        return arcs(table, curves, k0)
+
+    monkeypatch.setattr(U, "_arcs", recorded)
+    _, used = U.certify_length_constant(tri, 300, seed)
+    assert list(map(repr, evolved)) == list(map(repr, want))
+    stepped = 0
+    for W, arc in zip(want, arcs(tri, want, 30)):
+        try:
+            U._step(tri, U._root(W), arc, 30, None, [])
+        except BilliardError:
+            continue
+        stepped += 1
+    assert used == stepped
+    assert (refused > 100) == harsh
 
 
 def test_sup_scan_refuses_depth_past_the_cap(tri, far_curve, monkeypatch):
