@@ -11,13 +11,24 @@ A sector portrait probes a small circle of phase points around a center,
 groups probe directions by their n-step itineraries, and refines the group
 boundaries by bisection.  The probe radius is halved until the sector
 combinatorics stop changing; that stabilized decomposition is the portrait.
+The probe radii and angles do not depend on n, so the portraits of several
+orders at one center walk each probe once, to the deepest order, and read
+the shorter itineraries off its first symbols.  A ring of probes is walked
+in lockstep with the batched regular step; a bisection midpoint is walked
+on its own.
+
+Multiple points are the crossings and abutting ends of the level -1
+curves and corner verticals on each wall chart, found with array
+arithmetic over all segment pairs of two curves at once.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge, inverse,
-                   orbit, outgoing_ray, point_columns, regular_steps,
+import numpy as np
+
+from .bmap import (HALF_PI, K0_DEFAULT, OrbitResult, PhasePoint, bisect_edge,
+                   inverse, orbit, outgoing_ray, point_columns, regular_steps,
                    strip_index)
 # singularities does not call forward; the name stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too
@@ -449,11 +460,8 @@ def _symbols(table, z, images, k0: int, front_back: bool) -> list:
     return syms
 
 
-def itinerary(table, z, n: int, k0: int, front_back: bool = False):
-    """One symbol per step of z's n-step orbit; where the orbit stops being
-    smooth (graze, split, singular departure) a last "!" symbol says why."""
-    walk = orbit(table, z, n)
-    syms = _symbols(table, z, walk.images, k0, front_back)
+def _itinerary_of(table, walk: OrbitResult, k0: int, front_back: bool):
+    syms = _symbols(table, walk.start, walk.images, k0, front_back)
     if walk.status == "singular":
         syms.append(("!", walk.error, ""))
     elif walk.status == "branched":
@@ -461,16 +469,35 @@ def itinerary(table, z, n: int, k0: int, front_back: bool = False):
     return tuple(syms)
 
 
+def itinerary(table, z, n: int, k0: int, front_back: bool = False):
+    """One symbol per step of z's n-step orbit; where the orbit stops being
+    smooth (graze, split, singular departure) a last "!" symbol says why.
+
+    For m <= n, the m-step itinerary is the first m symbols of this one: a
+    walk that completes m steps ends there ("grazed" if its m-th image
+    grazes), and a shorter walk ends the same way at every depth."""
+    return _itinerary_of(table, orbit(table, z, n), k0, front_back)
+
+
 def _itineraries(table, points, n: int, k0: int, front_back: bool) -> list:
-    """itinerary at each point: the rows whose n steps are all regular come
-    from one lockstep walk, and ``itinerary`` walks the rest."""
+    """itinerary at each point: one lockstep walk takes every row as far as
+    its steps are plain "regular" ones, and ``orbit`` continues each row
+    that leaves it from its last plain image."""
     walks = [[] for _ in points]
     for step in regular_steps(table, *point_columns(points), n):
         for i, im in zip(step.rows.tolist(), step.images(slice(None))):
             walks[i].append(im)
-    return [tuple(_symbols(table, z, images, k0, front_back))
-            if len(images) == n else itinerary(table, z, n, k0, front_back)
-            for z, images in zip(points, walks)]
+    out = []
+    for z, images in zip(points, walks):
+        if len(images) == n:
+            out.append(tuple(_symbols(table, z, images, k0, front_back)))
+            continue
+        rest = orbit(table, images[-1].point if images else z,
+                     n - len(images))
+        walk = OrbitResult(z, tuple(images) + rest.images, rest.status,
+                           rest.error, rest.split)
+        out.append(_itinerary_of(table, walk, k0, front_back))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +606,46 @@ def _transitions(itin_of, ta, ita, tb, itb, depth=0):
             + _transitions(itin_of, tm, itm, tb, itb, depth + 1))
 
 
-def _sectors_at(table, z, n, k0, rho, arc, front_back):
+class _ProbeWalks:
+    """The itineraries of the probes around one centre, keyed by (rho,
+    theta) and each walked once, to the deepest order asked for: order n
+    reads the first n symbols (see ``itinerary``).  A walk is a function
+    of its start point alone, so sharing it moves no number."""
+
+    def __init__(self, table, z, depth, k0, front_back):
+        self.table, self.z, self.depth = table, z, depth
+        self.k0, self.front_back = k0, front_back
+        self.walked = {}
+
+    def ring(self, rho, thetas, n: int) -> list:
+        """The n-step itineraries at radius rho and the angles thetas; the
+        probes not yet walked go through ``_itineraries`` together."""
+        todo = [t for t in thetas if (rho, t) not in self.walked]
+        if todo:
+            self.walked.update(zip(
+                [(rho, t) for t in todo],
+                _itineraries(self.table,
+                             [_probe_point(self.z, rho, t) for t in todo],
+                             self.depth, self.k0, self.front_back)))
+        return [self.walked[rho, t][:n] for t in thetas]
+
+    def one(self, rho, theta, n: int) -> tuple:
+        """The n-step itinerary at (rho, theta), walked by ``itinerary``."""
+        key = rho, theta
+        if key not in self.walked:
+            self.walked[key] = itinerary(
+                self.table, _probe_point(self.z, rho, theta), self.depth,
+                self.k0, self.front_back)
+        return self.walked[key][:n]
+
+
+def _sectors_at(walks, n, rho, arc):
     lo, hi, full = arc
-
-    def itin_of(theta):
-        return itinerary(table, _probe_point(z, rho, theta), n, k0, front_back)
-
     if full:
         thetas = [lo + TWO_PI * i / PROBES for i in range(PROBES)]
     else:
         thetas = [lo + (hi - lo) * (i + 0.5) / PROBES for i in range(PROBES)]
-    itins = _itineraries(table, [_probe_point(z, rho, t) for t in thetas],
-                         n, k0, front_back)
+    itins = walks.ring(rho, thetas, n)
 
     runs = []                    # [first_theta, last_theta, itinerary]
     for t, it in zip(thetas, itins):
@@ -610,7 +665,8 @@ def _sectors_at(table, z, n, k0, rho, arc, front_back):
         pairs.append((runs[-1], [runs[0][0] + TWO_PI, 0.0, runs[0][2]]))
     cuts = []                    # (cut_theta, itinerary_after), ascending
     for a, b in pairs:
-        cuts.extend(_transitions(itin_of, a[1], a[2], b[0], b[2]))
+        cuts.extend(_transitions(lambda t: walks.one(rho, t, n),
+                                 a[1], a[2], b[0], b[2]))
 
     sectors = []
     if full:
@@ -633,6 +689,49 @@ def _portrait_key(sectors, full):
     return min(rots)
 
 
+def _stabilized(walks, n, rho, arc) -> SectorPortrait:
+    """The order-n portrait: ``sector_portrait`` from the seed radius rho."""
+    prev_key, stable = None, 0
+    history = []
+    for _ in range(MAX_HALVINGS + 1):
+        sectors = _sectors_at(walks, n, rho, arc)
+        key = _portrait_key(sectors, arc[2])
+        history.append((rho, sectors))
+        if key == prev_key:
+            stable += 1
+        else:
+            stable = 0
+        prev_key = key
+        if stable >= 2:
+            return SectorPortrait(table=walks.table, center=walks.z,
+                                  rho_hat=rho, order=n, k0=walks.k0,
+                                  sectors=sectors, full_circle=arc[2])
+        rho *= 0.5
+    err = UnstablePortrait("sector combinatorics did not stabilize "
+                           f"after {MAX_HALVINGS} halvings")
+    err.decompositions = tuple(
+        SectorPortrait(table=walks.table, center=walks.z, rho_hat=r,
+                       order=n, k0=walks.k0, sectors=secs,
+                       full_circle=arc[2])
+        for r, secs in history[-2:])
+    raise err
+
+
+def _portraits(table, z, orders, k0, rho0, front_back):
+    """Yield ``sector_portrait(table, z, n, k0, rho0, front_back)`` for each
+    n in orders in turn, or the BilliardError it raised.  The probe radii
+    and angles do not depend on n, so the orders share one walk per probe
+    (``_ProbeWalks``), taken to the deepest of them."""
+    arc = _allowed_arc(table, z)
+    rho = _seed_rho(table, z, rho0)
+    walks = _ProbeWalks(table, z, max(orders), k0, front_back)
+    for n in orders:
+        try:
+            yield _stabilized(walks, n, rho, arc)
+        except BilliardError as err:
+            yield err
+
+
 def sector_portrait(table: BilliardTable, z: PhasePoint, n: int,
                     k0: int = K0_DEFAULT, rho0: float | None = None,
                     front_back: bool = False) -> SectorPortrait:
@@ -644,31 +743,10 @@ def sector_portrait(table: BilliardTable, z: PhasePoint, n: int,
     """
     if n < 1:
         raise ValueError("portrait order must be >= 1")
-    arc = _allowed_arc(table, z)
-    rho = _seed_rho(table, z, rho0)
-    prev_key, stable = None, 0
-    history = []
-    for _ in range(MAX_HALVINGS + 1):
-        sectors = _sectors_at(table, z, n, k0, rho, arc, front_back)
-        key = _portrait_key(sectors, arc[2])
-        history.append((rho, sectors))
-        if key == prev_key:
-            stable += 1
-        else:
-            stable = 0
-        prev_key = key
-        if stable >= 2:
-            return SectorPortrait(table=table, center=z, rho_hat=rho,
-                                  order=n, k0=k0, sectors=sectors,
-                                  full_circle=arc[2])
-        rho *= 0.5
-    err = UnstablePortrait("sector combinatorics did not stabilize "
-                           f"after {MAX_HALVINGS} halvings")
-    err.decompositions = tuple(
-        SectorPortrait(table=table, center=z, rho_hat=r, order=n, k0=k0,
-                       sectors=secs, full_circle=arc[2])
-        for r, secs in history[-2:])
-    raise err
+    got = next(_portraits(table, z, (n,), k0, rho0, front_back))
+    if isinstance(got, BilliardError):
+        raise got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -770,13 +848,31 @@ class ComplexityRecord:
     quadrant_counts: dict
 
 
-def regular_complexity(table: BilliardTable, z: PhasePoint, n: int,
-                       k0: int = K0_DEFAULT) -> ComplexityRecord:
-    portrait = classify_sectors(sector_portrait(table, z, n, k0))
+def _complexity(portrait: SectorPortrait) -> ComplexityRecord:
+    portrait = classify_sectors(portrait)
     regular = [s for s in portrait.sectors if s.regular]
     counts = {q: sum(1 for s in regular if q in s.quadrants) for q in QUADRANTS}
-    return ComplexityRecord(center=z, order=n, k_hat=len(regular),
-                            quadrant_counts=counts)
+    return ComplexityRecord(center=portrait.center, order=portrait.order,
+                            k_hat=len(regular), quadrant_counts=counts)
+
+
+def regular_complexity(table: BilliardTable, z: PhasePoint, n: int,
+                       k0: int = K0_DEFAULT) -> ComplexityRecord:
+    return _complexity(sector_portrait(table, z, n, k0))
+
+
+def regular_complexities(table: BilliardTable, z: PhasePoint, orders,
+                         k0: int = K0_DEFAULT):
+    """Yield ``regular_complexity(table, z, n, k0)`` for each n in orders in
+    turn, or the BilliardError it raised; the orders' portraits share their
+    probe walks."""
+    for got in _portraits(table, z, orders, k0, None, False):
+        if not isinstance(got, BilliardError):
+            try:
+                got = _complexity(got)
+            except BilliardError as err:
+                got = err
+        yield got
 
 
 @dataclass
@@ -824,18 +920,30 @@ def fit_complexity_slope(records) -> float:
 # ---------------------------------------------------------------------------
 # multiple points
 
-def _segment_cross(a0, a1, b0, b1):
-    dax, day = a1[0] - a0[0], a1[1] - a0[1]
-    dbx, dby = b1[0] - b0[0], b1[1] - b0[1]
+def _crossings(a, b):
+    """The crossing points of the polylines with node arrays a and b (one
+    (r, phi) row per node), off the grazing lines, in the order of a's
+    segments and then b's.
+
+    All segment pairs at once: numpy does the + - * / in the order of the
+    one-pair formula, so each point is bit-identical to it."""
+    da, db = np.diff(a, axis=0), np.diff(b, axis=0)
+    # a's segments down the rows, b's along the columns
+    dax, day, dbx, dby = da[:, :1], da[:, 1:], db[:, 0], db[:, 1]
     den = dax * dby - day * dbx
-    if abs(den) < 1e-18:
-        return None
-    ex, ey = b0[0] - a0[0], b0[1] - a0[1]
+    ok = ~(np.abs(den) < 1e-18)
+    den = np.where(ok, den, 1.0)
+    ex = b[:-1, 0] - a[:-1, :1]
+    ey = b[:-1, 1] - a[:-1, 1:]
     s = (ex * dby - ey * dbx) / den
     t = (ex * day - ey * dax) / den
-    if -1e-12 <= s <= 1.0 + 1e-12 and -1e-12 <= t <= 1.0 + 1e-12:
-        return (a0[0] + s * dax, a0[1] + s * day)
-    return None
+    ok &= (-1e-12 <= s) & (s <= 1.0 + 1e-12)
+    ok &= (-1e-12 <= t) & (t <= 1.0 + 1e-12)
+    i, j = np.nonzero(ok)
+    r = a[:-1, 0][i] + s[i, j] * da[i, 0]
+    phi = a[:-1, 1][i] + s[i, j] * da[i, 1]
+    keep = np.abs(phi) < HALF_PI - 1e-9
+    return zip(r[keep].tolist(), phi[keep].tolist())
 
 
 def _point_seg_foot(p, a, b):
@@ -847,6 +955,62 @@ def _point_seg_foot(p, a, b):
         t = max(0.0, min(1.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / norm2))
     fx, fy = ax + t * dx, ay + t * dy
     return math.hypot(p[0] - fx, p[1] - fy), (fx, fy)
+
+
+def _near_segments(p, a0, a1):
+    """A mask of the segments (a0[k], a1[k]) that may lie within
+    JUNCTION_TOL of p: ``_point_seg_foot``'s distance in numpy, whose hypot
+    may differ from math's in the last bit, with a margin for that."""
+    d = a1 - a0
+    norm2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    pos = norm2 > 0.0
+    t = ((p[0] - a0[:, 0]) * d[:, 0] + (p[1] - a0[:, 1]) * d[:, 1]) \
+        / np.where(pos, norm2, 1.0)
+    t = np.where(pos, np.clip(t, 0.0, 1.0), 0.0)
+    dist = np.hypot(p[0] - (a0[:, 0] + t * d[:, 0]),
+                    p[1] - (a0[:, 1] + t * d[:, 1]))
+    return dist <= JUNCTION_TOL * (1.0 + 1e-9)
+
+
+def _junctions(curves) -> list:
+    """``find_multiple_points`` of the given curves."""
+    by_wall = {}
+    for c in curves:
+        by_wall.setdefault(c.wall_id, []).append(c)
+    found = []
+    for wall_id, lst in sorted(by_wall.items()):
+        nodes = [np.array([(p.r, p.phi) for p in c.nodes]) for c in lst]
+        # every segment on the wall, curve after curve
+        a0 = np.concatenate([x[:-1] for x in nodes])
+        a1 = np.concatenate([x[1:] for x in nodes])
+        starts, ends = a0.tolist(), a1.tolist()
+        owner = np.repeat(np.arange(len(lst)), [len(x) - 1 for x in nodes])
+        for i, a in enumerate(lst):
+            for b in nodes[i + 1:]:
+                found += [PhasePoint(wall_id, r, phi)
+                          for r, phi in _crossings(nodes[i], b)]
+            # abutting junction: an endpoint of a resting on another curve
+            for e in (a.nodes[0], a.nodes[-1]):
+                best = None
+                near = _near_segments((e.r, e.phi), a0, a1) & (owner != i)
+                for k in np.flatnonzero(near).tolist():
+                    d, foot = _point_seg_foot((e.r, e.phi), starts[k],
+                                              ends[k])
+                    if d <= JUNCTION_TOL and (best is None or d < best[0]):
+                        best = (d, foot)
+                if best is not None and abs(best[1][1]) < HALF_PI - 1e-9:
+                    found.append(PhasePoint(wall_id,
+                                            0.5 * (e.r + best[1][0]),
+                                            0.5 * (e.phi + best[1][1])))
+    found.sort(key=lambda p: (p.wall_id, p.r, p.phi))
+    kept = []
+    for p in found:
+        if any(q.wall_id == p.wall_id
+               and math.hypot(q.r - p.r, q.phi - p.phi) <= JUNCTION_TOL
+               for q in kept):
+            continue
+        kept.append(p)
+    return kept
 
 
 def find_multiple_points(table: BilliardTable, resolution: int = 300):
@@ -862,44 +1026,4 @@ def find_multiple_points(table: BilliardTable, resolution: int = 300):
               if not c.fragment]
     curves += [c for c in _s0_curves(table, 16)
                if c.origin == "corner-preimage"]
-    by_wall = {}
-    for c in curves:
-        by_wall.setdefault(c.wall_id, []).append(c)
-    found = []
-    for wall_id, lst in sorted(by_wall.items()):
-        for i, a in enumerate(lst):
-            for j, b in enumerate(lst):
-                if j <= i:
-                    continue
-                for a0, a1 in zip(a.nodes, a.nodes[1:]):
-                    for b0, b1 in zip(b.nodes, b.nodes[1:]):
-                        hit = _segment_cross((a0.r, a0.phi), (a1.r, a1.phi),
-                                             (b0.r, b0.phi), (b1.r, b1.phi))
-                        if hit is not None and abs(hit[1]) < HALF_PI - 1e-9:
-                            found.append(PhasePoint(wall_id, hit[0], hit[1]))
-            # abutting junction: an endpoint of a resting on another curve
-            for e in (a.nodes[0], a.nodes[-1]):
-                best = None
-                for b in lst:
-                    if b is a:
-                        continue
-                    for b0, b1 in zip(b.nodes, b.nodes[1:]):
-                        d, foot = _point_seg_foot((e.r, e.phi),
-                                                  (b0.r, b0.phi),
-                                                  (b1.r, b1.phi))
-                        if d <= JUNCTION_TOL and (
-                                best is None or d < best[0]):
-                            best = (d, foot)
-                if best is not None and abs(best[1][1]) < HALF_PI - 1e-9:
-                    found.append(PhasePoint(wall_id,
-                                            0.5 * (e.r + best[1][0]),
-                                            0.5 * (e.phi + best[1][1])))
-    found.sort(key=lambda p: (p.wall_id, p.r, p.phi))
-    kept = []
-    for p in found:
-        if any(q.wall_id == p.wall_id
-               and math.hypot(q.r - p.r, q.phi - p.phi) <= JUNCTION_TOL
-               for q in kept):
-            continue
-        kept.append(p)
-    return kept
+    return _junctions(curves)

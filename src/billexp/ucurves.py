@@ -47,7 +47,7 @@ from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
 from .geometry import BilliardTable
 from .singularities import (find_multiple_points, fit_complexity_slope,
-                            level_minus_one, regular_complexity)
+                            level_minus_one, regular_complexities)
 
 K_CAP = 10_000         # deepest strip resolved one by one before the tail
 N_CAP = 12
@@ -1274,11 +1274,10 @@ def fit_constants(table: BilliardTable, seed: int, *,
         centers = [random_phase_point(table, rng) for _ in range(2)]
     records = []
     for z in centers:
-        for n in (1, 2, 3):
-            try:
-                records.append(regular_complexity(table, z, n, k0))
-            except BilliardError:
+        for got in regular_complexities(table, z, (1, 2, 3), k0):
+            if isinstance(got, BilliardError):
                 continue
+            records.append(got)
     if records:
         xi = fit_complexity_slope(records)
         k_hat = max(r.k_hat for r in records)

@@ -2,11 +2,15 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from billexp import geometry, singularities as S, tables
-from billexp.bmap import HALF_PI, PhasePoint
-from billexp.errors import UnstablePortrait
+from billexp.bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
+                          forward, inverse, orbit, random_phase_point)
+from billexp.errors import BilliardError, UnstablePortrait
+from billexp.flow import Ray, first_collision
+from billexp.geometry import EPS_CORNER
 
 
 def sminus1(table, resolution=400):
@@ -289,3 +293,375 @@ def test_regular_complexity_reproduces_recorded_records(name, request):
                                                counts))
         doc = json.dumps(S.sector_portrait(table, z, n).to_json())
         assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# one probe walk per centre, shared by every order
+
+def _portrait_fields(p):
+    """Everything a classified portrait reports, with the image arcs."""
+    return (json.dumps(p.to_json()), p.rho_hat, p.full_circle,
+            [(s.active, s.wall_type, s.quadrants, s.regular,
+              s.image_lo, s.image_hi) for s in p.sectors])
+
+
+def _centres(name, table):
+    if name == "torus2":
+        rng = np.random.default_rng(np.random.SeedSequence([23, 0xC3]))
+        return [random_phase_point(table, rng) for _ in range(4)]
+    return S.find_multiple_points(table, resolution=200)
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "torus2"])
+def test_shared_walks_equal_one_order_portraits(name, request):
+    """Orders 1-3 walked together give the portraits and classifications of
+    one order at a time, and at the fit's two centres the same records."""
+    table = request.getfixturevalue(name)
+    centres = _centres(name, table)
+    for z in centres:
+        shared = S._portraits(table, z, (1, 2, 3), K0_DEFAULT, None, False)
+        for n, got in zip((1, 2, 3), shared):
+            try:
+                want = S.sector_portrait(table, z, n)
+            except BilliardError as err:
+                assert (type(got), str(got)) == (type(err), str(err))
+                continue
+            assert got.order == n
+            assert _portrait_fields(S.classify_sectors(got)) \
+                == _portrait_fields(S.classify_sectors(want))
+    for z in centres[:2]:
+        assert list(S.regular_complexities(table, z, (1, 2, 3))) \
+            == [S.regular_complexity(table, z, n) for n in (1, 2, 3)]
+
+
+def test_unstable_order_leaves_the_others_unchanged(tri, monkeypatch):
+    (wall_id, r, phi), _ = _CENTRES["tri"]
+    z = PhasePoint(wall_id, float.fromhex(r), float.fromhex(phi))
+    want = {n: S.regular_complexity(tri, z, n) for n in (1, 3)}
+    sectors_at = S._sectors_at
+    calls = []
+
+    def restless(walks, n, rho, arc):
+        got = sectors_at(walks, n, rho, arc)
+        if n == 2:   # a new sector at every radius: order 2 never settles
+            calls.append(rho)
+            got.append(S.Sector(0.0, 1.0, (("x", len(calls)),)))
+        return got
+
+    monkeypatch.setattr(S, "_sectors_at", restless)
+    one, two, three = S.regular_complexities(tri, z, (1, 2, 3))
+    assert isinstance(two, UnstablePortrait)
+    assert len(calls) == S.MAX_HALVINGS + 1
+    assert [p.order for p in two.decompositions] == [2, 2]
+    assert (one, three) == (want[1], want[3])
+
+
+def _split_departures(table, rng, count):
+    """count departures whose first step branches: aimed at a corner, or
+    tangent to a wall at their first hit (found by flying backward from the
+    grazing point, then moving phi by a few ulps until the flight grazes)."""
+    def branches(p):
+        try:
+            return len(forward(table, p).images) > 1
+        except BilliardError:
+            return False
+
+    out = []
+    while len(out) < count:
+        w = table.walls[int(rng.integers(len(table.walls)))]
+        r = float(rng.uniform(0.02, 0.98)) * w.length
+        q, n, t = w.chart_frame(r)
+        if rng.random() < 0.5:
+            c = table.corners[int(rng.integers(len(table.corners)))]
+            dx, dy = c.position[0] - q[0], c.position[1] - q[1]
+        else:
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            dx, dy = sign * t[0], sign * t[1]
+            try:
+                hit = first_collision(table, Ray(q, (-dx, -dy)))
+            except BilliardError:
+                continue
+            w, r = table.walls[hit.wall_id], hit.r
+            q, n, t = w.chart_frame(r)
+        phi = math.atan2(dx * t[0] + dy * t[1], dx * n[0] + dy * n[1])
+        got = [p for p in (PhasePoint(w.wall_id, r, phi + k * 1e-16)
+                           for k in range(-6, 7))
+               if abs(p.phi) < HALF_PI and branches(p)]
+        out += got[:1]
+    return out
+
+
+def _boundary_departures(table):
+    """Corner departures within 1e-12 of each edge in phi where the
+    corner-step into the other wall begins; where that edge is the wedge
+    boundary, forward raises."""
+    def corner_step(p):
+        try:
+            return forward(table, p).images[0].label == "corner-step"
+        except BilliardError:
+            return None
+
+    out = []
+    phis = np.linspace(-1.5, 1.5, 301).tolist()
+    for w in table.walls:
+        for r in (0.0, w.length):
+            steps = [corner_step(PhasePoint(w.wall_id, r, f)) for f in phis]
+            for f0, s0, f1, s1 in zip(phis, steps, phis[1:], steps[1:]):
+                if None not in (s0, s1) and s0 != s1:
+                    good, bad = bisect_edge(
+                        lambda f: corner_step(PhasePoint(w.wall_id, r, f))
+                        == s0, f0, f1, 1e-12)
+                    out.append(PhasePoint(w.wall_id, r, 0.5 * (good + bad)))
+    return out
+
+
+def _preimages(table, points, steps):
+    """The points, and their smooth preimages up to ``steps`` steps back."""
+    out, cur = list(points), list(points)
+    for _ in range(steps):
+        nxt = []
+        for q in cur:
+            try:
+                im = inverse(table, q).smooth
+            except BilliardError:
+                continue
+            if im is not None:
+                nxt.append(im.point)
+        out += nxt
+        cur = nxt
+    return out
+
+
+def _ending(walk):
+    """How a walk ends (a graze or corner split, or its status), and after
+    how many completed steps."""
+    kind = walk.status
+    if kind == "branched":
+        kind = "graze" if any(im.grazing for im in walk.split) else "corner"
+    return kind, len(walk.images)
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+def test_truncated_deep_walks_equal_itineraries(name, request):
+    """The m-step itinerary is the first m symbols of a deeper one, on
+    points whose walks end by a graze, a corner split or a singular
+    departure at the first, second or third step."""
+    table = request.getfixturevalue(name)
+    rng = np.random.default_rng(31)
+    ends = _split_departures(table, rng, 40) + _boundary_departures(table)
+    ends += [PhasePoint(0, 0.5 * table.walls[0].length, s * HALF_PI)
+             for s in (1.0, -1.0)]
+    points = _preimages(table, ends, 2)
+    seen = {_ending(orbit(table, p, 5)) for p in points}
+    for p in points:
+        for front_back in (False, True):
+            deep = S.itinerary(table, p, 5, K0_DEFAULT, front_back)
+            for n in (1, 2, 3, 4):
+                assert deep[:n] == S.itinerary(table, p, n, K0_DEFAULT,
+                                               front_back)
+    for kind in ("graze", "corner", "singular"):
+        assert {(kind, k) for k in (0, 1, 2)} <= seen
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "torus2"])
+def test_lockstep_itineraries_equal_itinerary(name, request):
+    """A row that leaves the lockstep walk, continued from its last plain
+    image, gets ``itinerary``'s symbols: on probe rings around the fit's
+    first centre (on tri it sits 7.6e-11 from a corner, so every probe
+    departs from the corner band) and on random, split and singular
+    departures and their preimages."""
+    table = request.getfixturevalue(name)
+    rng = np.random.default_rng(np.random.SeedSequence([37]))
+    z = _centres(name, table)[0]
+    rho = S._seed_rho(table, z, None)
+    rings = [[S._probe_point(z, rho * 0.5 ** k, 2.0 * math.pi * i / 256)
+              for i in range(256)] for k in (0, 3)]
+    if name == "tri":
+        assert all(p.r < EPS_CORNER for ring in rings for p in ring)
+    mixed = [random_phase_point(table, rng) for _ in range(150)]
+    if table.corners:
+        mixed += _preimages(table, _split_departures(table, rng, 20)
+                            + _boundary_departures(table), 2)
+    for points in rings + [mixed]:
+        for n in (1, 2, 3):
+            for front_back in (False, True):
+                assert S._itineraries(table, points, n, K0_DEFAULT,
+                                      front_back) \
+                    == [S.itinerary(table, p, n, K0_DEFAULT, front_back)
+                        for p in points]
+
+
+# ---------------------------------------------------------------------------
+# multiple points as array crossings
+
+def _segment_cross(a0, a1, b0, b1):
+    dax, day = a1[0] - a0[0], a1[1] - a0[1]
+    dbx, dby = b1[0] - b0[0], b1[1] - b0[1]
+    den = dax * dby - day * dbx
+    if abs(den) < 1e-18:
+        return None
+    ex, ey = b0[0] - a0[0], b0[1] - a0[1]
+    s = (ex * dby - ey * dbx) / den
+    t = (ex * day - ey * dax) / den
+    if -1e-12 <= s <= 1.0 + 1e-12 and -1e-12 <= t <= 1.0 + 1e-12:
+        return (a0[0] + s * dax, a0[1] + s * day)
+    return None
+
+
+def _nested_loop_junctions(curves):
+    """The one-pair-at-a-time junction search that ``S._junctions`` does
+    with arrays: the reference it must equal bit for bit."""
+    by_wall = {}
+    for c in curves:
+        by_wall.setdefault(c.wall_id, []).append(c)
+    found = []
+    for wall_id, lst in sorted(by_wall.items()):
+        for i, a in enumerate(lst):
+            for j, b in enumerate(lst):
+                if j <= i:
+                    continue
+                for a0, a1 in zip(a.nodes, a.nodes[1:]):
+                    for b0, b1 in zip(b.nodes, b.nodes[1:]):
+                        hit = _segment_cross((a0.r, a0.phi), (a1.r, a1.phi),
+                                             (b0.r, b0.phi), (b1.r, b1.phi))
+                        if hit is not None and abs(hit[1]) < HALF_PI - 1e-9:
+                            found.append(PhasePoint(wall_id, hit[0], hit[1]))
+            for e in (a.nodes[0], a.nodes[-1]):
+                best = None
+                for b in lst:
+                    if b is a:
+                        continue
+                    for b0, b1 in zip(b.nodes, b.nodes[1:]):
+                        d, foot = S._point_seg_foot((e.r, e.phi),
+                                                    (b0.r, b0.phi),
+                                                    (b1.r, b1.phi))
+                        if d <= S.JUNCTION_TOL and (
+                                best is None or d < best[0]):
+                            best = (d, foot)
+                if best is not None and abs(best[1][1]) < HALF_PI - 1e-9:
+                    found.append(PhasePoint(wall_id,
+                                            0.5 * (e.r + best[1][0]),
+                                            0.5 * (e.phi + best[1][1])))
+    found.sort(key=lambda p: (p.wall_id, p.r, p.phi))
+    kept = []
+    for p in found:
+        if any(q.wall_id == p.wall_id
+               and math.hypot(q.r - p.r, q.phi - p.phi) <= S.JUNCTION_TOL
+               for q in kept):
+            continue
+        kept.append(p)
+    return kept
+
+
+def _same_points(got, want):
+    assert [(p.wall_id, p.r.hex(), p.phi.hex()) for p in got] \
+        == [(p.wall_id, p.r.hex(), p.phi.hex()) for p in want]
+    assert all(type(p.r) is float and type(p.phi) is float for p in got)
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+def test_multiple_points_equal_nested_loops(name, request):
+    table = request.getfixturevalue(name)
+    for resolution in (200, 300, 600):
+        curves = [c for c in S.level_minus_one(table, resolution)
+                  if not c.fragment]
+        curves += [c for c in S._s0_curves(table, 16)
+                   if c.origin == "corner-preimage"]
+        got = S.find_multiple_points(table, resolution)
+        assert got
+        _same_points(got, _nested_loop_junctions(curves))
+
+
+def _polyline(*nodes, wall_id=0):
+    return S.SingularityCurve(-1, tuple(PhasePoint(wall_id, r, phi)
+                                        for r, phi in nodes),
+                              "grazing-preimage")
+
+
+def _edge_case_sets():
+    """(threshold, curve set) at each threshold of the junction search."""
+    tol, top = S.JUNCTION_TOL, HALF_PI - 1e-9
+    sets = []
+    # parallel and nearly parallel segments: den = 1e-9 * e, on both sides
+    # of 1e-18
+    for e in (0.0, 1e-10, 5e-10, 9e-10, 1e-9, 2e-9, 1e-8):
+        sets.append(("den", [_polyline((0.0, 0.0), (1e-9, 0.0)),
+                             _polyline((0.0, -0.5 * e), (1e-9, 0.5 * e)),
+                             _polyline((0.0, 0.0), (1e-9, 0.0))]))
+    # crossings at s and t near 0 and 1, within and beyond 1e-12
+    for k in range(-20, 21):
+        for at in (0.0, 1.0):
+            x = at + k * 1e-13
+            sets.append(("s", [_polyline((0.0, 0.0), (1.0, 0.0)),
+                               _polyline((x, -0.5), (x, 0.5))]))
+            sets.append(("t", [_polyline((x, -0.5), (x, 0.5)),
+                               _polyline((0.0, 0.0), (1.0, 0.0))]))
+    # crossings with |phi| within 1e-9 of pi/2
+    for k in range(-10, 11):
+        y = top + k * 2e-10
+        for sign in (1.0, -1.0):
+            sets.append(("phi", [_polyline((0.0, sign * y), (1.0, sign * y)),
+                                 _polyline((0.4, sign * (y - 0.1)),
+                                           (0.6, sign * (y + 0.1)))]))
+    # an endpoint JUNCTION_TOL from a segment, and a few ulps either way
+    for d in (tol, math.nextafter(tol, 0.0), math.nextafter(tol, 1.0),
+              tol * (1.0 + 1e-12), tol * (1.0 - 1e-12)):
+        for sign in (1.0, -1.0):
+            sets.append(("tol", [_polyline((0.2, 0.0), (0.8, 0.0)),
+                                 _polyline((0.5, sign * d),
+                                           (0.5, sign * 0.4))]))
+    return sets
+
+
+def _nested_loop_crossings(a, b):
+    return [hit for a0, a1 in zip(a.nodes, a.nodes[1:])
+            for b0, b1 in zip(b.nodes, b.nodes[1:])
+            for hit in [_segment_cross((a0.r, a0.phi), (a1.r, a1.phi),
+                                       (b0.r, b0.phi), (b1.r, b1.phi))]
+            if hit is not None and abs(hit[1]) < HALF_PI - 1e-9]
+
+
+def test_junctions_equal_nested_loops_at_thresholds():
+    """Each threshold is met from both sides: some sets keep a point (a
+    crossing, or for "tol" a junction) and some do not."""
+    outcomes = {}
+    for threshold, curves in _edge_case_sets():
+        want = _nested_loop_junctions(curves)
+        _same_points(S._junctions(curves), want)
+        hits = []
+        for i, a in enumerate(curves):
+            for b in curves[i + 1:]:
+                got = list(S._crossings(
+                    *(np.array([(p.r, p.phi) for p in c.nodes])
+                      for c in (a, b))))
+                assert [(x.hex(), y.hex()) for x, y in got] \
+                    == [(x.hex(), y.hex())
+                        for x, y in _nested_loop_crossings(a, b)]
+                hits += got
+        kept = bool(want) if threshold == "tol" else bool(hits)
+        outcomes.setdefault(threshold, set()).add(kept)
+    assert outcomes == {k: {True, False}
+                        for k in ("den", "s", "t", "phi", "tol")}
+
+
+def test_junctions_equal_nested_loops_on_random_polylines():
+    rng = np.random.default_rng(np.random.SeedSequence([41]))
+    for _ in range(40):
+        curves = []
+        for _ in range(int(rng.integers(2, 7))):
+            m = int(rng.integers(1, 12))
+            r = np.sort(rng.uniform(0.0, 1.0, m))
+            phi = rng.uniform(-1.0, 1.0, m) * HALF_PI
+            curves.append(_polyline(*zip(r.tolist(), phi.tolist()),
+                                    wall_id=int(rng.integers(2))))
+        # endpoints that rest on, or just off, another curve
+        a, b = curves[0].nodes, curves[-1].nodes
+        if len(b) > 1:
+            t = float(rng.uniform())
+            foot = (b[0].r + t * (b[1].r - b[0].r),
+                    b[0].phi + t * (b[1].phi - b[0].phi))
+            off = float(rng.choice([0.0, 0.5, 0.999, 1.001])) * S.JUNCTION_TOL
+            curves.append(_polyline((foot[0], foot[1] + off),
+                                    (a[0].r, a[0].phi),
+                                    wall_id=b[0].wall_id))
+        _same_points(S._junctions(curves), _nested_loop_junctions(curves))
