@@ -317,6 +317,30 @@ class RegularRows(NamedTuple):
                     self.tau[picks], a, b, c, d)))]
 
 
+def _wall_columns(table) -> np.ndarray:
+    """Per wall, (theta_start, orientation, radius, kappa, length, closed,
+    span, centre x, centre y) as one float array."""
+    return np.array([(w.theta_start, w.orientation, w.radius, w.kappa,
+                      w.length, w.closed, w.span, *w.center)
+                     for w in table.walls], dtype=float)
+
+
+def _departures(cols, r, phi):
+    """``outgoing_ray`` over arrays, in its operation order: per row, the
+    origin (ox, oy) and the unit direction (dx, dy) of the ray at angle phi
+    from r, and cos(phi).  Each row of cols is the ``_wall_columns`` row of
+    its departure wall, and r is wrapped or clamped as ``chart_frame``
+    does."""
+    ts, o, R, _, L, closed, _, cx, cy = cols.T
+    r = np.where(closed > 0.0, np.remainder(r, L),
+                 np.minimum(np.maximum(r, 0.0), L))
+    th = ts + o * r / R
+    ct, st = _each(math.cos, th), _each(math.sin, th)
+    tx, ty = -o * st, o * ct
+    c, s = _each(math.cos, phi), _each(math.sin, phi)
+    return cx + R * ct, cy + R * st, c * -ty + s * tx, c * tx + s * ty, c
+
+
 def _no_rows() -> RegularRows:
     none = np.zeros(0)
     return RegularRows(np.zeros(0, dtype=int), np.zeros(0, dtype=int),
@@ -359,25 +383,16 @@ def _regular_block(table, start, wid, r, phi) -> RegularRows:
     columns wid, r and phi."""
     walls = table.walls
     rows = np.arange(start, start + wid.size)
-    cols = np.array([(w.theta_start, w.orientation, w.radius, w.kappa,
-                      w.length, w.closed, w.span, w.center[0], w.center[1])
-                     for w in walls], dtype=float)
+    cols = _wall_columns(table)
 
     # departure: outgoing_ray, away from the wall ends
-    ts, o, R, kap, L, closed, _, cx, cy = cols[wid].T
-    closed = closed > 0.0
+    L, closed = cols[wid, 4], cols[wid, 5] > 0.0
     keep = np.abs(phi) < HALF_PI
     keep &= np.where(closed, np.isfinite(r),
                      (r > EPS_CORNER) & (r < L - EPS_CORNER))
-    rows, r, phi, ts, o, R, kap, L, closed, cx, cy = (
-        a[keep] for a in (rows, r, phi, ts, o, R, kap, L, closed, cx, cy))
-    r = np.where(closed, np.remainder(r, L), r)
-    th = ts + o * r / R
-    ct, st = _each(math.cos, th), _each(math.sin, th)
-    tx, ty = -o * st, o * ct
-    ox, oy = cx + R * ct, cy + R * st
-    c, s = _each(math.cos, phi), _each(math.sin, phi)
-    dx, dy = c * -ty + s * tx, c * tx + s * ty
+    rows, wid, r, phi = (a[keep] for a in (rows, wid, r, phi))
+    kap = cols[wid, 3]
+    ox, oy, dx, dy, c = _departures(cols[wid], r, phi)
 
     # first_collision: the nearest admissible root over the walls in order
     best_t = np.full(rows.size, np.inf)
@@ -567,10 +582,8 @@ def single_branch(table: BilliardTable, wall_ids, r_lo, r_hi, phi_lo,
     if table.ambient != "plane" or not wid.size:
         return np.zeros(wid.size, dtype=bool)
     mu = SINGLE_BRANCH_MU
-    ts, o, R, kap, L, closed, cx, cy = np.array(
-        [(w.theta_start, w.orientation, w.radius, w.kappa, w.length,
-          w.closed, *w.center) for w in table.walls], dtype=float)[wid].T
-    closed = closed > 0.0
+    cols = _wall_columns(table)[wid]
+    kap, L, closed = cols[:, 3], cols[:, 4], cols[:, 5] > 0.0
     # each test below negates the one-box refusal, so that NaN refuses
     # nothing here either
     a_lo, a_hi = np.abs(phi_lo), np.abs(phi_hi)
@@ -578,16 +591,9 @@ def single_branch(table: BilliardTable, wall_ids, r_lo, r_hi, phi_lo,
     held &= closed | ~((r_lo <= mu) | (r_hi >= L - mu))
     dr = 0.5 * (r_hi - r_lo)
     turn = np.abs(kap) * dr + 0.5 * (phi_hi - phi_lo)
-    # outgoing_ray at the box centre, r wrapped or clamped as chart_frame does
-    r = 0.5 * (r_lo + r_hi)
-    r = np.where(closed, np.remainder(r, L), np.minimum(np.maximum(r, 0.0), L))
-    th = ts + o * r / R
-    ct, st = _each(math.cos, th), _each(math.sin, th)
-    tx, ty = -o * st, o * ct
-    ox, oy = cx + R * ct, cy + R * st
-    phi = 0.5 * (phi_lo + phi_hi)
-    c, s = _each(math.cos, phi), _each(math.sin, phi)
-    ux, uy = c * -ty + s * tx, c * tx + s * ty
+    # outgoing_ray at the box centre
+    ox, oy, ux, uy, _ = _departures(cols, 0.5 * (r_lo + r_hi),
+                                    0.5 * (phi_lo + phi_hi))
     for i, w in enumerate(table.walls):
         vx, vy = w.center[0] - ox, w.center[1] - oy
         dist = _each(math.hypot, vx, vy)
@@ -687,20 +693,6 @@ def strip_index(phi: float, k0: int = K0_DEFAULT) -> int:
 # ---------------------------------------------------------------------------
 # expansion helpers
 
-def cone_slopes(tau: float, kappa0: float, phi0: float, kappa1: float,
-                phi1: float) -> tuple[float, float]:
-    """Image under the step derivative of the full upward cone dphi/dr >= 0.
-
-    Both edges stay positive on dispersing walls, so the cone family
-    {0 <= slope <= inf} is forward invariant.
-    """
-    c0 = math.cos(phi0)
-    c1 = math.cos(phi1)
-    lo = kappa1 + kappa0 * c1 / (tau * kappa0 + c0)
-    hi = kappa1 + c1 / tau if tau > 0.0 else math.inf
-    return (lo, hi) if lo <= hi else (hi, lo)
-
-
 def expansion_factor(deriv: Matrix2, slope: float) -> float:
     """Euclidean stretch of a unit vector of given dphi/dr slope."""
     if math.isinf(slope):
@@ -769,29 +761,25 @@ def random_phase_points(table: BilliardTable, rng, count: int
 # ---------------------------------------------------------------------------
 # operative cones
 
-def unstable_cone_at(table: BilliardTable, z: PhasePoint):
-    """Operative unstable cone at z: the push-forward along the arriving step.
-
-    The one-row form of ``unstable_cones``: SingularInput where z has none.
-    """
-    rows, lo, hi = unstable_cones(table, [z.wall_id], [z.r], [z.phi])
-    if not rows.size:
-        raise SingularInput("no single smooth branch arrives at this point")
-    return float(lo[0]), float(hi[0])
-
-
 def unstable_cones(table: BilliardTable, wall_ids, r, phi):
     """The operative unstable cone at each point (wall_ids[i], r[i], phi[i])
     that has one, as (rows, lo, hi): the indices of those points in order,
     and the lower and upper edge slopes of their cones.
 
     A point z has a cone when ``forward`` maps involute(z) by one plain
-    regular step (``plain_rows``): the cone_slopes of that step's arrival
-    at z, in numpy in cone_slopes' operation order, with cos through
-    ``math``.  The rare z where the flat direction maps to a vertical one
-    (tau * kappa0 + cos(phi0) == 0, where cone_slopes would divide by zero)
-    has none either; so every lo is finite, and so is every hi but the inf
-    of a zero-length flight.
+    regular step (``plain_rows``), of flight tau from angle phi0 on a wall
+    of curvature kappa0 to z's angle phi1 on a wall of curvature kappa1:
+    the image under that step's derivative of the upward cone
+    0 <= dphi/dr <= inf, with the edges
+
+        kappa1 + kappa0 cos(phi1) / (tau kappa0 + cos(phi0)),
+        kappa1 + cos(phi1) / tau    (inf when tau = 0),
+
+    in that operation order, with cos through ``math``.  Both stay positive
+    on dispersing walls, so the cone family is forward invariant.  The rare
+    z where the flat direction maps to a vertical one (tau * kappa0 +
+    cos(phi0) == 0) has none either; so every lo is finite, and so is
+    every hi but the inf of a zero-length flight.
     """
     wid = np.asarray(wall_ids, dtype=int)
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)

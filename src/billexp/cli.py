@@ -291,6 +291,8 @@ def _phase_point(table, opts) -> PhasePoint:
                          f"0..{len(table.walls) - 1}")
     if abs(phi) > HALF_PI:
         raise OutOfRange(f"--phi {phi} outside [-pi/2, pi/2]")
+    # OutOfRange off an open wall's chart; a closed wall wraps r
+    table.walls[wall].chart_frame(opts["r"])
     return PhasePoint(wall, opts["r"], phi)
 
 

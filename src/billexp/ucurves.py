@@ -181,9 +181,6 @@ class _Arc:
     of curves that holds W there.
 
     ``memo`` maps a parameter to its ``_probe`` result; see ``_probe_at``.
-    ``single`` is the arc's ``single_branch`` certificate, which
-    ``_prefetched`` decides; on a fresh arc it is False, and
-    ``_primary_segments`` takes the cut grid.
     """
 
     def __init__(self, W: UCurve, geo: _Geometry, row: int):
@@ -194,7 +191,6 @@ class _Arc:
         self.seg_slope = geo.slope[row, :m - 1].tolist()
         self.total = float(geo.total[row])
         self.memo = {}
-        self.single = False
 
     def at(self, s: float) -> PhasePoint:
         return PhasePoint(self.W.wall_id, _interp(s, self.frac, self.r),
@@ -428,18 +424,7 @@ def _u_of(im):
 
 
 def _primary_segments(table, arc, n_s):
-    """(lo, hi, signature) of the arc's pieces between branch changes.
-
-    When ``bmap.single_branch`` certifies the box of the first and last
-    nodes (the nodes increase in r and phi, so the box holds the whole arc),
-    every probe of the grid would return the midpoint's signature, and the
-    grid is skipped: the result is the grid's, bit for bit.  The arc carries
-    its certificate from ``_prefetched``.
-    """
-    if arc.single:
-        sig, _ = _probe_at(table, arc, 0.5)
-        if sig is not None:
-            return [(0.0, 1.0, sig)]
+    """(lo, hi, signature) of the arc's pieces between branch changes."""
     ss = _grid(n_s)
     probes = [_probe_at(table, arc, s) for s in ss]
     runs = []   # (first index, last index, sig)
@@ -728,11 +713,11 @@ def _kept(comp):
 
 
 def _one_step(table, parent, arc, k0, c_expansion, stopped=None):
-    """(children, degenerate pieces merged) of parent's one-step image.
-    ``arc`` is parent's curve as an ``_Arc`` from ``_prefetched``.
+    """(children, pieces dropped) of parent's one-step image.  ``arc`` is
+    parent's curve as an ``_Arc`` from ``_prefetched``.
 
     Each child is built from its own piece alone.  A piece that gives no
-    child, or one shorter than DEGEN_LEN, is dropped and counted as merged.
+    child, or one shorter than DEGEN_LEN, is dropped and counted.
     ``stopped`` is passed on to ``_secondary_pieces``.
     """
     segments = _primary_segments(table, arc, _grid_for(arc.total))
@@ -819,8 +804,8 @@ def _remaining_floor(constants, m):
     return max(1e-12, constants.lam_hyper ** m / constants.c_hyper)
 
 
-# the parameters that _one_step probes first on an arc that single_branch
-# certifies: the midpoint, which gives the one segment (0, 1), then that
+# the parameters at which _decided reads a certified arc: the midpoint,
+# where _primary_segments probes the arc's one segment (0, 1), and that
 # segment's insets max(CUT_TOL, 1e-6 * 1.0), which _secondary_pieces and
 # _child both take
 _KNOWN = (0.5, 1e-6, 1.0 - 1e-6)
@@ -828,9 +813,8 @@ _KNOWN = (0.5, 1e-6, 1.0 - 1e-6)
 
 class _Decided(NamedTuple):
     """The one-step image of a decided arc: its one child, whatever the
-    parent.  ``curve`` is None where the piece is dropped, the curve being
-    shorter than DEGEN_LEN."""
-    curve: UCurve | None
+    parent."""
+    curve: UCurve
     factor: float           # the step's smallest stretch factor
     symbol: tuple[int, str, int]
 
@@ -841,14 +825,16 @@ def _decided(geo, rows, got, at, k0):
     ``got`` (a ``RegularRows``) that are its images at _KNOWN, in that
     order, -1 where ``regular_rows`` left a probe out.
 
-    A row is decided when its three probes have plain "regular" images,
-    both insets have u = pi/2 - |phi'| >= 1/k0^2 and the three stretch
-    factors are finite, positive and within NODE_RATIO of their neighbours.
-    Then ``_primary_segments`` gives the one segment (0, 1),
+    A row is decided when its three probes have plain "regular" images
+    that rise as (hi, mid, lo), both insets have u = pi/2 - |phi'| >=
+    1/k0^2, the three stretch factors are finite, positive and within
+    NODE_RATIO of their neighbours, and the child is at least DEGEN_LEN
+    long.  Then ``_primary_segments`` gives the one segment (0, 1),
     ``_secondary_pieces`` cuts nothing (with or without a sign change of
-    phi'), ``_refine_params`` adds no node, and ``_child`` builds its child
-    from these three images with ``make_ucurve``: the arithmetic below is
-    theirs, operation for operation.
+    phi'), ``_refine_params`` adds no node, ``_child`` builds its child
+    from these three images with ``make_ucurve``, which keeps all three,
+    and ``_kept`` keeps it: the arithmetic below is theirs, operation for
+    operation.
     """
     out = [None] * len(rows)
     cand = np.flatnonzero((at >= 0).all(axis=1))
@@ -866,49 +852,38 @@ def _decided(geo, rows, got, at, k0):
     ok &= (np.isfinite(f) & (f > 0.0)).all(axis=1)
     for a, b in ((f[:, 0], f[:, 1]), (f[:, 1], f[:, 2])):
         ok &= ~(np.where(b > a, b, a) / np.where(b < a, b, a) > NODE_RATIO)
-    # make_ucurve over the nodes (hi, mid, lo) where they rise, so that it
-    # keeps all three: its segments and slopes
+    # make_ucurve's segments and slopes over the nodes (hi, mid, lo)
     dr, dphi = np.diff(r[:, ::-1]), np.diff(phi[:, ::-1])
-    rising = ((dr > 0.0) & (dphi > 0.0)).all(axis=1)
-    slope = dphi / np.where(rising[:, None], dr, 1.0)
+    ok &= ((dr > 0.0) & (dphi > 0.0)).all(axis=1)
+    slope = dphi / np.where(ok[:, None], dr, 1.0)
     slopes = np.stack([slope[:, 0], 0.5 * (slope[:, 0] + slope[:, 1]),
                        slope[:, 1]], axis=1)
     keep = np.flatnonzero(ok)
-    for k, rise, sl, (dr0, dr1), (dphi0, dphi1), fmin, nodes in zip(
-            cand[keep].tolist(), rising[keep].tolist(),
-            slopes[keep].tolist(), dr[keep].tolist(), dphi[keep].tolist(),
-            f[keep].min(axis=1).tolist(), zip(*(a[keep].tolist() for a in (
-                got.wall_id[j], r, phi)))):
-        lo, mid, hi = map(PhasePoint, *nodes)
-        if rise:
-            curve = UCurve(lo.wall_id, (hi, mid, lo), tuple(sl))
-            # UCurve.euclidean_length
-            size = math.hypot(dr0, dphi0) + math.hypot(dr1, dphi1)
-        else:
-            try:
-                curve = make_ucurve(lo.wall_id, [hi, mid, lo])
-            except ValueError:
-                curve = None
-            size = 0.0 if curve is None else curve.euclidean_length
-        out[k] = _Decided(
-            curve if size >= DEGEN_LEN else None, fmin,
-            (mid.wall_id, "regular", strip_index(mid.phi, k0)))
+    for k, sl, (dr0, dr1), (dphi0, dphi1), fmin, nodes in zip(
+            cand[keep].tolist(), slopes[keep].tolist(), dr[keep].tolist(),
+            dphi[keep].tolist(), f[keep].min(axis=1).tolist(),
+            zip(*(a[keep].tolist() for a in (got.wall_id[j], r, phi)))):
+        # UCurve.euclidean_length
+        if math.hypot(dr0, dphi0) + math.hypot(dr1, dphi1) >= DEGEN_LEN:
+            lo, mid, hi = map(PhasePoint, *nodes)
+            out[k] = _Decided(
+                UCurve(lo.wall_id, (hi, mid, lo), tuple(sl)), fmin,
+                (mid.wall_id, "regular", strip_index(mid.phi, k0)))
     return out
 
 
 def _prefetched(table, curves, k0):
     """Per curve, the ``_Decided`` of ``_decided`` where it decides the
-    arc, else an ``_Arc`` with its certificate and the probes that
-    ``_one_step`` makes first already made.
+    arc, else an ``_Arc``.
 
     The arcs' geometry is one ``_geometry``, and one ``single_branch`` call
     certifies every arc.  One ``regular_rows`` call then maps the _KNOWN
     parameters of each certified arc (placed by ``_interp_rows``) and the
-    cut grid of each other arc.  An arc that is not decided gets in its
-    memo each of its probes that the call mapped: each entry is what
-    ``_probe`` would store there, and one that ``_one_step`` never probes
-    costs only an unused entry.  ``_probe_at`` maps the probes left out
-    with ``forward`` when ``_one_step`` first needs them.
+    cut grid of each other arc.  An uncertified arc gets in its memo each
+    of its grid probes that the call mapped, which is what ``_probe`` would
+    store there; ``_probe_at`` maps the probes left out with ``forward``
+    when ``_one_step`` first needs them.  A certified arc that ``_decided``
+    declines is a fresh ``_Arc``, which ``_one_step`` steps on its cut grid.
     """
     geo = _geometry(curves)
     wid = np.array([W.wall_id for W in curves])
@@ -933,18 +908,12 @@ def _prefetched(table, curves, k0):
     # the entry of got for each probe, -1 where regular_rows left it out
     at = np.full(s.size + len(pts), -1)
     at[got.rows] = np.arange(got.rows.size)
-    known = at[:s.size].reshape(s.shape)
-    memo = list(zip(grid, at[s.size:].tolist()))    # ((arc, t), entry)
-    for row, one, entries in zip(rows.tolist(), _decided(
-            geo, rows, got, known, k0), known.tolist()):
-        if one is None:
-            one = _Arc(curves[row], geo, row)
-            one.single = True
-            memo.extend(zip([(one, t) for t in _KNOWN], entries))
-        arcs[row] = one
-    memo = [m for m in memo if m[1] >= 0]
+    memo = [m for m in zip(grid, at[s.size:].tolist()) if m[1] >= 0]
     for ((arc, t), _), im in zip(memo, got.images([j for _, j in memo])):
         arc.memo[t] = _signed(im)
+    for row, one in zip(rows.tolist(), _decided(
+            geo, rows, got, at[:s.size].reshape(s.shape), k0)):
+        arcs[row] = _Arc(curves[row], geo, row) if one is None else one
     return arcs
 
 
@@ -958,12 +927,10 @@ def _arcs(table, curves, k0):
 def _step(table, parent, arc, k0, c_expansion, stopped=None):
     """(children, pieces dropped) of parent's one-step image, where arc is
     parent's curve from ``_prefetched``: ``_one_step`` on an ``_Arc``, with
-    ``stopped`` passed on, and the one child, or one dropped piece, of a
-    ``_Decided``, which has no ladder to stop."""
+    ``stopped`` passed on, and the one child of a ``_Decided``, which has
+    no ladder to stop."""
     if isinstance(arc, _Arc):
         return _one_step(table, parent, arc, k0, c_expansion, stopped)
-    if arc.curve is None:
-        return [], 1
     return [HComponent(curve=arc.curve,
                        itinerary=parent.itinerary + (arc.symbol,),
                        min_expansion=parent.min_expansion * arc.factor)], 0

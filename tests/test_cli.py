@@ -465,6 +465,22 @@ def test_bad_numeric_input_is_refused(tmp_path, capsys, argv, config, code):
         == (["run.json"] if config is not None else [])
 
 
+@pytest.mark.parametrize("cmd", ["orbit", "evolve", "portrait"])
+def test_r_off_the_wall_chart_is_refused(tmp_path, capsys, cmd, tri,
+                                          torus2):
+    """An r more than EPS_CORNER beyond an open wall's chart is a phase
+    point off the table: exit 2, OutOfRange, no artifact.  A closed wall
+    wraps r."""
+    for r in (-1e-3, tri.walls[0].length + 1e-3):
+        assert run(cmd, "--table", "tri", "--wall", "0", "--r", repr(r),
+                   "--phi", "0.1") == 2
+        assert "OutOfRange" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+    assert torus2.walls[1].closed
+    assert run(cmd, "--table", "torus2", "--wall", "1", "--r", "100",
+               "--phi", "0.1") == 0
+
+
 _NUMBER = st.one_of(
     st.floats(), st.integers(),
     st.sampled_from([0, 0.0, -0.0, -1, _NAN, _INF, -_INF, 1e300, 10**40]))

@@ -16,7 +16,6 @@ from billexp.bmap import (
     PhasePoint,
     certify_expansion_constant,
     certify_hyperbolicity,
-    cone_slopes,
     flight_derivative,
     forward,
     inverse,
@@ -28,7 +27,6 @@ from billexp.bmap import (
     point_columns,
     regular_rows,
     strip_index,
-    unstable_cone_at,
     unstable_cones,
 )
 from billexp.errors import BilliardError, NumericalAbort, SingularInput
@@ -330,6 +328,22 @@ def test_strip_membership_random():
 
 # ---------------------------------------------------------------------------
 # invariant cones
+
+def cone_slopes(tau: float, kappa0: float, phi0: float, kappa1: float,
+                phi1: float) -> tuple[float, float]:
+    """Image under the step derivative of the full upward cone dphi/dr >= 0:
+    the reference for ``bmap.unstable_cones``, which takes it in numpy in
+    this operation order.
+
+    Both edges stay positive on dispersing walls, so the cone family
+    {0 <= slope <= inf} is forward invariant.
+    """
+    c0 = math.cos(phi0)
+    c1 = math.cos(phi1)
+    lo = kappa1 + kappa0 * c1 / (tau * kappa0 + c0)
+    hi = kappa1 + c1 / tau if tau > 0.0 else math.inf
+    return (lo, hi) if lo <= hi else (hi, lo)
+
 
 def test_cone_push_positive(tri):
     for z, im in regular_sample(tri, 100, seed=43):
@@ -821,19 +835,21 @@ def _cone_by_forward(table, z):
 
 
 def _assert_cones_by_forward(table, points):
-    """unstable_cones over the points, and unstable_cone_at at each, are
+    """unstable_cones over the points, and over each point as one row, are
     _cone_by_forward bit for bit."""
     rows, lo, hi = unstable_cones(table, *point_columns(points))
     cones = dict(zip(rows.tolist(), zip(lo.tolist(), hi.tolist())))
     for i, z in enumerate(points):
         want = _cone_by_forward(table, z)
+        one, one_lo, one_hi = unstable_cones(table, [z.wall_id], [z.r],
+                                             [z.phi])
         if want is None:
             assert i not in cones
-            with pytest.raises(SingularInput):
-                unstable_cone_at(table, z)
+            assert not one.size
         else:
             assert [_hex(v) for v in cones[i]] == [_hex(v) for v in want]
-            assert [_hex(v) for v in unstable_cone_at(table, z)] \
+            assert one.tolist() == [0]
+            assert [_hex(v) for v in (one_lo[0], one_hi[0])] \
                 == [_hex(v) for v in want]
 
 

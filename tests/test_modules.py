@@ -57,6 +57,64 @@ def test_no_private_cross_imports():
     assert bad == {}
 
 
+# public names that nothing in the package or the demos names, kept on
+# purpose: the spec builders of the built-in tables, which test_geometry
+# compares data/*.json against
+UNNAMED_ON_PURPOSE = {"tables.make_tri_spec", "tables.make_torus2_spec",
+                      "tables.make_lens_spec"}
+
+
+def public_definitions(path):
+    """The public functions and classes defined at the top of the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def named(path):
+    """Every name the file's code reads, as a name, an attribute or an
+    import; docstrings and comments name nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(a.name.rpartition(".")[2] for a in node.names)
+    return out
+
+
+def dead_public_names(files, package=SRC):
+    """'module.name' of each public function or class of a module in the
+    package directory that no file names and ``billexp.__all__`` does not
+    list.  A definition does not name itself."""
+    used = set().union(*map(named, files))
+    return {f"{p.stem}.{name}" for p in files if p.parent == package
+            for name in public_definitions(p)
+            if name not in used and name not in billexp.__all__}
+
+
+def test_no_dead_public_names():
+    files = sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+    assert dead_public_names(files) == UNNAMED_ON_PURPOSE
+
+
+def test_dead_name_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    \"\"\"dead is named here, in a docstring\"\"\"\n"
+        "def dead():\n    pass\n"
+        "class Kind:\n    pass\n"
+        "def _private():\n    pass\n"
+        "def forward():\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import used\nx = m.Kind\n")
+    assert dead_public_names(sorted(tmp_path.glob("*.py")), tmp_path) \
+        == {"a.dead"}
+
+
 def test_private_use_detector(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from . import flow\n"

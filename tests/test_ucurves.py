@@ -13,9 +13,9 @@ from billexp import geometry, singularities as S, tables, ucurves as U
 from billexp.bmap import (HALF_PI, SINGLE_BRANCH_MU, PhasePoint,
                           certify_hyperbolicity, expansion_factor, forward,
                           involute, outgoing_ray, random_phase_point,
-                          single_branch, unstable_cone_at)
+                          single_branch, unstable_cones)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
-                            SingularInput, SingularSeed)
+                            SingularSeed)
 from billexp.flow import Ray, first_collision
 from billexp.serialize import csv_text, json_bytes
 from conftest import wedge_table
@@ -62,8 +62,8 @@ def test_seed_invariants(tri):
         assert W.increasing
         assert W.euclidean_length == pytest.approx(1e-4, abs=1e-12)
         for p, m in zip(W.nodes, W.slopes):
-            lo, hi = unstable_cone_at(tri, p)
-            assert lo < m < hi
+            rows, lo, hi = unstable_cones(tri, [p.wall_id], [p.r], [p.phi])
+            assert rows.tolist() == [0] and lo[0] < m < hi[0]
         checked += 1
 
 
@@ -93,7 +93,7 @@ def _bits(x):
 
 
 def _arc(W):
-    """A fresh ``_Arc`` of W alone: no certificate, nothing probed."""
+    """A fresh ``_Arc`` of W alone, nothing probed."""
     return U._Arc(W, U._geometry([W]), 0)
 
 
@@ -618,9 +618,11 @@ def test_single_branch_equals_the_one_box_reference(name, request):
        v=st.floats(0.0, 1.0), log_len=st.floats(-7.0, -2.0),
        slope=st.floats(0.05, 20.0))
 def test_single_branch_is_sound(name, place, pick, u, v, log_len, slope):
-    """Where the certificate holds, every grid probe of every grid size has
-    the midpoint's regular signature, and the cut search returns what the
-    full grid returns."""
+    """Only a certified arc is decided, and an arc that _prefetched leaves
+    to _one_step cuts the segments that a fresh arc cuts.  Where the
+    certificate holds, every grid probe of every grid size has the
+    midpoint's regular signature, so the cut grid finds the one segment
+    (0, 1) that _decided takes."""
     table, anchors = _cert_table(name)
     length = 10.0 ** log_len
     wall = table.walls[pick % len(table.walls)]
@@ -646,30 +648,22 @@ def test_single_branch_is_sound(name, place, pick, u, v, log_len, slope):
     W = U.make_ucurve(wall.wall_id, pts)
     a, b = W.nodes[0], W.nodes[-1]
     held = _one_box(table, wall.wall_id, a.r, b.r, a.phi, b.phi)
+    # only a certified arc is decided; an arc left to _one_step cuts the
+    # same segments from its prefetched memo as a fresh arc does
+    arc, = U._prefetched(table, [W], 30)
+    assert held or isinstance(arc, U._Arc)
+    n_s = U._grid_for(_arc(W).total)
+    if isinstance(arc, U._Arc):
+        assert U._primary_segments(table, arc, n_s) \
+            == U._primary_segments(table, _arc(W), n_s)
     if held:
         arc = _arc(W)
         sig = U._probe(table, arc, 0.5)[0]
         assert sig == (sig[0], "regular")
         for n_s in (5, 9, 17):
             assert all(U._probe(table, arc, s)[0] == sig for s in _grid(n_s))
-    arc, = U._prefetched(table, [W], 30)
-    prefetched = isinstance(arc, U._Arc)
-    if not prefetched:
-        # a decided arc is certified; cut a fresh certified arc instead
-        assert held
-        arc = _arc(W)
-        arc.single = True
-    assert arc.single == held
-    n_s = U._grid_for(arc.total)
-    fast = U._primary_segments(table, arc, n_s)
-    if arc.single:
-        # the grid was skipped: only the midpoint and the prefetched
-        # probes are in the memo, which holds no probe that the batched
-        # map left out and the midpoint did not need
-        assert 0.5 in arc.memo
-        assert set(arc.memo) <= (set(U._KNOWN) if prefetched else {0.5})
-    # a fresh arc is not certified, so it takes the cut grid
-    assert U._primary_segments(table, _arc(W), n_s) == fast
+        assert U._primary_segments(table, arc, U._grid_for(arc.total)) \
+            == [(0.0, 1.0, sig)]
 
 
 def test_single_branch_false_on_torus(torus2):
@@ -749,7 +743,8 @@ def _counted_single_branch(monkeypatch):
 
 def test_single_branch_fast_path_is_taken(tri, monkeypatch):
     """On seeded tri curves evolved to depth 3, at least 90% of the
-    one-steps skip the cut grid."""
+    one-steps are certified, which _decided may take without the cut
+    grid."""
     calls = _counted_single_branch(monkeypatch)
     for i in range(40):
         rng = np.random.default_rng(np.random.SeedSequence([7, 1, i]))
@@ -818,22 +813,19 @@ def _probe_tokens(hit):
 def test_prefetch_cannot_move_a_number(name, drawn):
     """Every entry that _prefetched puts in an arc's memo is what _probe
     returns there, and _step on a prefetched arc, decided or not, builds
-    the children and merges that _one_step builds on the same certified
-    arc probed only as it goes, near tangencies and corners too, where
-    regular_rows declines rows."""
+    the children and drops that _one_step builds on a fresh arc probed
+    only as it goes, near tangencies and corners too, where regular_rows
+    declines rows."""
     table = _wedge() if name == "wedge" else _cert_table(name)[0]
     curves = [W for W in (_straight_curve(table, *d) for d in drawn)
               if W is not None]
     assume(curves)
     for W, arc in zip(curves, U._prefetched(table, curves, 30)):
-        bare = _arc(W)
-        bare.single = True      # a decided arc is certified
         if isinstance(arc, U._Arc):
             for s, hit in arc.memo.items():
                 assert _probe_tokens(hit) \
                     == _probe_tokens(U._probe(table, _arc(W), s))
-            bare.single = arc.single
-        kids, ndeg = U._one_step(table, U._root(W), bare, 30, None)
+        kids, ndeg = U._one_step(table, U._root(W), _arc(W), 30, None)
         fetched, fetched_ndeg = U._step(table, U._root(W), arc, 30, None)
         assert fetched_ndeg == ndeg
         assert [_component_tokens(c) for c in fetched] \
@@ -974,13 +966,24 @@ def _bisect_floats(good, bad, holds):
             bad = mid
 
 
+def _rising(table, W):
+    """Whether W's images at the insets and the midpoint rise from the
+    inset at 1 - 1e-6 to the one at 1e-6, as a child's nodes must."""
+    arc = _arc(W)
+    pts = [U._probe(table, arc, s)[1] for s in (1.0 - 1e-6, 0.5, 1e-6)]
+    return None not in pts and all(
+        b.point.r > a.point.r and b.point.phi > a.point.phi
+        for a, b in zip(pts, pts[1:]))
+
+
 def _strip_edge_pairs(table, rng):
     """A pair of 2-node curves of length 1e-8 for each inset (1e-6 and
     1 - 1e-6), alike but for an ulp of phi, whose images at the inset have
     u on either side of H0, one of them within an ulp of phi' (EDGE_ULP),
-    and at the other inset u >= H0.  Each pair is found by turning the ray
-    of a point whose next collision is tangent until u reaches H0; u moves
-    by many ulps per ulp of phi, so only some of them land that close."""
+    and at the other inset u >= H0, and the images of the second curve at
+    _KNOWN rise (``_rising``).  Each pair is found by turning the ray of a
+    point whose next collision is tangent until u reaches H0; u moves by
+    many ulps per ulp of phi, so only some of them land that close."""
     pairs = {}
     for a in _graze_points(table, rng, 4000):
         for inset, other in ((1e-6, 1.0 - 1e-6), (1.0 - 1e-6, 1e-6)):
@@ -1003,7 +1006,8 @@ def _strip_edge_pairs(table, rng):
                 lo, hi = _bisect_floats(ts[-1], 10.0 * ts[-1], below)
                 u = u_at(lo), u_at(hi)
                 if u[1] is not None and min(H0 - u[0], u[1] - H0) \
-                        <= EDGE_ULP and (u_at(hi, other) or 0.0) >= H0:
+                        <= EDGE_ULP and (u_at(hi, other) or 0.0) >= H0 \
+                        and _rising(table, curve(hi)):
                     pairs.setdefault(inset, (inset, curve(lo), curve(hi)))
                 break
         if len(pairs) == 2:
@@ -1014,7 +1018,7 @@ def _strip_edge_pairs(table, rng):
 def _ratio_pairs(table, rng, count):
     """Pairs of 3-node curves, alike but for the slope of the second
     segment, whose stretch ratio (``_stretch_ratio``) lies on either side of
-    NODE_RATIO."""
+    NODE_RATIO, and whose images at _KNOWN rise (``_rising``)."""
     pairs = []
     while len(pairs) < count:
         z = random_phase_point(table, rng)
@@ -1026,9 +1030,7 @@ def _ratio_pairs(table, rng, count):
 
         def smooth(q):
             W = curve(q)
-            return W is not None and all(
-                U._probe(table, _arc(W), s)[1] is not None
-                for s in U._KNOWN)
+            return W is not None and _rising(table, W)
 
         def within(q):
             return smooth(q) \
@@ -1046,9 +1048,12 @@ def _ratio_pairs(table, rng, count):
 
 def _decided_cases(table, rng):
     """Curves for the decided rule: 9-node and 2-node curves of lengths
-    1e-7 to 1e-2 at random and astride tangencies, and 4-node curves whose
+    1e-7 to 1e-2 at random and astride tangencies, 4-node curves whose
     first or last segment is shorter than 1e-6 of the arc, so that
-    _Arc.slope_at takes the inset's slope from the next segment in."""
+    _Arc.slope_at takes the inset's slope from the next segment in, and
+    certified 2-node curves 1e-14 to 1e-13 long (any such curve on the
+    torus, where nothing is certified), whose children fall below
+    DEGEN_LEN."""
     curves = []
     for nodes in (9, 2, 4) * 12:
         z = random_phase_point(table, rng)
@@ -1069,6 +1074,16 @@ def _decided_cases(table, rng):
         W = _polyline(table, z, steps)
         if W is not None:
             curves.append(W)
+    # drawn on their own rng, which leaves rng where the cases above left it
+    tiny = np.random.default_rng(1414)
+    for _ in range(12):
+        z = random_phase_point(table, tiny)
+        W = _polyline(table, z, [_step_of(10.0 ** tiny.uniform(-14.0, -13.0),
+                                          10.0 ** tiny.uniform(-1.3, 1.3))])
+        if W is not None and (table.ambient != "plane" or _one_box(
+                table, W.wall_id, *(p.r for p in W.nodes),
+                *(p.phi for p in W.nodes))):
+            curves.append(W)
     return curves
 
 
@@ -1077,8 +1092,8 @@ def test_decided_children_are_one_step_children(name, request):
     """_grow's children of each parent, built straight from the three known
     images where the arc is decided, are field for field what _one_step
     builds on a fresh arc of the parent's curve, and so are the
-    dropped-piece counts: on tri, lens, a 1e-5 wedge and torus2, where
-    every arc is declined."""
+    dropped-piece counts, which are not all 0: on tri, lens, a 1e-5 wedge
+    and torus2, where every arc is declined."""
     table = _wedge() if name == "wedge" else request.getfixturevalue(name)
     rng = np.random.default_rng(2020)
     curves = _decided_cases(table, rng)
@@ -1102,9 +1117,10 @@ def test_decided_children_are_one_step_children(name, request):
     trees = [U.EvolutionTree(root=W, generations=[[p]])
              for W, p in zip(curves, parents)]
     assert U._grow(table, trees, 30, None) == [None] * len(trees)
+    assert sum(tree.degenerate_merged for tree in trees) > 0
     geo = U._geometry(curves)
     for i, (parent, tree) in enumerate(zip(parents, trees)):
-        # a fresh arc, uncertified, so _one_step takes the cut grid
+        # a fresh arc, which _one_step steps on its cut grid
         kids, ndeg = U._one_step(table, parent, U._Arc(curves[i], geo, i),
                                  30, None)
         assert tree.degenerate_merged == ndeg
@@ -1315,16 +1331,14 @@ def _interior_slope_by_itself(lo, hi, x):
 def _cone_or_none(table, p, hole):
     if hole(p):
         return None
-    try:
-        return unstable_cone_at(table, p)
-    except SingularInput:
-        return None
+    rows, lo, hi = unstable_cones(table, [p.wall_id], [p.r], [p.phi])
+    return (float(lo[0]), float(hi[0])) if rows.size else None
 
 
 def _seed_walks_side_by_side(table, bases, xs, lengths, hole):
     """U._seed_walks one side and one node at a time, with every cone from
-    unstable_cone_at, and none at a point p where hole(p): the reference
-    for the walks over arrays."""
+    unstable_cones one row at a time, and none at a point p where hole(p):
+    the reference for the walks over arrays."""
     out = [None] * len(bases)
     sides = {}      # (row, sign) -> (nodes from z, slope taken from each)
 
