@@ -280,13 +280,13 @@ def inverse(table: BilliardTable, p: PhasePoint) -> MapResult:
 # ---------------------------------------------------------------------------
 # batched regular step
 
-# most points that regular_rows maps at once
+# most points that plain_rows maps in one block
 BATCH_ROWS = 512
-# fewest points for which plain_rows calls regular_rows: on random tri points
-# that path costs 465 us at 1 row, 26-32 us per row at 16, 10-18 us per row
-# at 32, 9-11 us per row at 64 and 2.1-3.1 us per row at 512, against 12-16
-# us per forward call (2-core x86-64 host, Python 3.11.7), so the two break
-# even near 32 rows
+# fewest points in a block for which plain_rows calls its kernel
+# _regular_block: on random tri points the kernel costs 465 us at 1 row,
+# 26-32 us per row at 16, 10-18 us per row at 32, 9-11 us per row at 64 and
+# 2.1-3.1 us per row at 512, against 12-16 us per forward call (2-core
+# x86-64 host, Python 3.11.7), so the two break even near 32 rows
 BATCH_MIN = 32
 
 
@@ -299,7 +299,7 @@ def _each(fn, *cols) -> np.ndarray:
 
 class RegularRows(NamedTuple):
     """Plain "regular" images as arrays over the points mapped, in point
-    order (``regular_rows``, ``plain_rows``)."""
+    order (``plain_rows``)."""
     rows: np.ndarray        # index of each mapped point
     wall_id: np.ndarray
     r: np.ndarray
@@ -353,36 +353,23 @@ def point_columns(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a[:, 0].astype(int), a[:, 1], a[:, 2]
 
 
-def regular_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
-    """The points (wall_ids[i], r[i], phi[i]) that ``forward`` maps by one
-    plain regular step (no trail, not grazing), and their images.
+def _regular_block(table, rows, wall_ids, r, phi) -> RegularRows:
+    """``plain_rows`` of the points ``rows`` of a plane table, as far as
+    the regular path of ``forward`` maps them; the kernel that ``plain_rows``
+    runs on each block of BATCH_MIN points or more.
 
-    The regular path of ``forward`` for many independent points at once:
-    numpy does the + - * /, sqrt, comparisons and remainders in the scalar
-    code's order, so every image given is bit-identical to ``forward``'s,
-    and each transcendental goes through ``math`` one element at a time,
-    since numpy's arctan2 and hypot differ from math's in the last bit.
-    Left out, for the caller to resolve with ``forward``: every point of a
-    torus table, |phi| >= pi/2, departures and arrivals within EPS_CORNER
-    of a wall end, grazing hits and images, cos(phi') < 1e-6 (where
-    ``flight_derivative`` sums exactly), and rays that meet no wall.  It
-    maps BATCH_ROWS points at a time, which bounds the arrays it holds.
+    The points go through that path all at once: numpy does the + - * /,
+    sqrt, comparisons and remainders in the scalar code's order, so every
+    image given is bit-identical to ``forward``'s, and each transcendental
+    goes through ``math`` one element at a time, since numpy's arctan2 and
+    hypot differ from math's in the last bit.  Declined, for ``plain_rows``
+    to resolve with ``forward``: |phi| >= pi/2, departures and arrivals
+    within EPS_CORNER of a wall end, grazing hits and images, cos(phi') <
+    1e-6 (where ``flight_derivative`` sums exactly), and rays that meet no
+    wall.  The torus, whose flights cross lattice cells, has no such path.
     """
-    wid = np.asarray(wall_ids, dtype=int)
-    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
-    if table.ambient != "plane" or not wid.size:
-        return _no_rows()
-    blocks = [_regular_block(table, start, *(a[start:start + BATCH_ROWS]
-                                             for a in (wid, r, phi)))
-              for start in range(0, wid.size, BATCH_ROWS)]
-    return RegularRows(*map(np.concatenate, zip(*blocks)))
-
-
-def _regular_block(table, start, wid, r, phi) -> RegularRows:
-    """``regular_rows`` of the points start, start + 1, ... given by the
-    columns wid, r and phi."""
     walls = table.walls
-    rows = np.arange(start, start + wid.size)
+    wid, r, phi = wall_ids[rows], r[rows], phi[rows]
     cols = _wall_columns(table)
 
     # departure: outgoing_ray, away from the wall ends
@@ -465,21 +452,22 @@ def plain_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
     those points in point order; a point where ``forward`` raises has none.
 
     The one choice between the batched and the scalar map.  It works
-    BATCH_ROWS points at a time: a block of BATCH_MIN points or more goes
-    through ``regular_rows`` first, and ``forward`` resolves the points it
-    declines; a smaller block goes to ``forward`` alone.  The two agree bit
-    for bit wherever ``regular_rows`` answers, so the choice moves no
-    number.
+    BATCH_ROWS points at a time: on a plane table a block of BATCH_MIN
+    points or more goes through the kernel ``_regular_block`` first, and
+    ``forward`` maps the points it declines; a smaller block, and every
+    block on the torus, goes to ``forward`` alone.  The two agree bit for
+    bit wherever the kernel answers, so the choice moves no number.
     """
     wid = np.asarray(wall_ids, dtype=int)
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    batched = table.ambient == "plane"
     parts = []
     for start in range(0, wid.size, BATCH_ROWS):
         rows = np.arange(start, min(start + BATCH_ROWS, wid.size))
-        if rows.size >= BATCH_MIN:
-            got = regular_rows(table, wid[rows], r[rows], phi[rows])
-            parts.append(got._replace(rows=got.rows + start))
-            rows = np.delete(rows, got.rows)
+        if batched and rows.size >= BATCH_MIN:
+            got = _regular_block(table, rows, wid, r, phi)
+            parts.append(got)
+            rows = np.delete(rows, got.rows - start)
         parts.append(_forward_rows(table, rows, wid, r, phi))
     if len(parts) < 2:
         return parts[0] if parts else _no_rows()
@@ -525,7 +513,7 @@ def single_branch(table: BilliardTable, wall_ids, r_lo, r_hi, phi_lo,
     only; on the torus the answer is always False.  Each row is decided
     alone: numpy does the + - * / and comparisons in the order of the
     one-box arithmetic below, and cos, sin and hypot go through ``math``
-    one element at a time, as in ``regular_rows``.
+    one element at a time, as in ``plain_rows``' kernel ``_regular_block``.
 
     Proof.  Over the box the departure point O(r) and the unit velocity
     u(r, phi), at angle phi from the wall normal, stay near their values
@@ -832,25 +820,18 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
     were.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
-    best = math.inf
-    used = 0
-    for start in range(0, samples, BATCH_ROWS):
-        cols = random_phase_points(table, rng,
-                                   min(BATCH_ROWS, samples - start))
-        rows, lo, _ = unstable_cones(table, *cols)
-        step = plain_rows(table, *cols)
-        both = np.isin(step.rows, rows)
-        slope = lo[np.searchsorted(rows, step.rows[both])]
-        # no NaN: every lo is finite (unstable_cones), and a plain image has
-        # a finite derivative and |phi'| < pi/2
-        floor = expansion_factors(step.derivative[both], slope) \
-            * _each(math.cos, step.phi[both])
-        if floor.size:
-            best = min(best, float(floor.min()))
-        used += floor.size
-    if used == 0:
+    cols = random_phase_points(table, rng, samples)
+    rows, lo, _ = unstable_cones(table, *cols)
+    step = plain_rows(table, *cols)
+    both = np.isin(step.rows, rows)
+    slope = lo[np.searchsorted(rows, step.rows[both])]
+    # no NaN: every lo is finite (unstable_cones), and a plain image has a
+    # finite derivative and |phi'| < pi/2
+    floor = expansion_factors(step.derivative[both], slope) \
+        * _each(math.cos, step.phi[both])
+    if not floor.size:
         raise NumericalAbort("no regular samples; table or sampler is broken")
-    return best, used
+    return float(floor.min()), floor.size
 
 
 def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,

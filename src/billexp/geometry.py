@@ -193,21 +193,6 @@ class BilliardTable:
     def with_constants(self, constants: TableConstants) -> "BilliardTable":
         return replace(self, constants=constants)
 
-    def to_spec(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "walls": [
-                {
-                    "center": [w.center[0], w.center[1]],
-                    "radius": w.radius,
-                    "theta_start": w.theta_start,
-                    "theta_end": w.theta_end,
-                    "orientation": w.orientation,
-                }
-                for w in self.walls
-            ],
-        }
-
 
 def _crossings(walls) -> tuple[tuple[float, float], ...]:
     out = []

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import math
 
-from .bmap import PhasePoint, outgoing_ray
+from .bmap import HALF_PI, PhasePoint, outgoing_ray
 from .geometry import BilliardTable
-
-HALF_PI = math.pi / 2.0
 
 # tab-style cycle; index 0 is reserved for "untagged" gray
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",

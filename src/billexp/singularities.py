@@ -33,11 +33,9 @@ from .bmap import (HALF_PI, K0_DEFAULT, OrbitResult, PhasePoint, bisect_edge,
 # singularities does not call forward; the name stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too
 from .bmap import forward  # noqa: F401
-from .errors import BilliardError, UnstablePortrait
+from .errors import BilliardError, OutOfRange, UnstablePortrait
 from .flow import Ray, first_collision
-from .geometry import BilliardTable
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, BilliardTable
 
 THETA_TOL = 1e-10        # sector boundary refinement, radians
 FRAGMENT_LEN = 1e-10     # shorter traced pieces collapse to flagged points
@@ -71,14 +69,6 @@ class SingularityCurve:
 
     def length(self) -> float:
         return sum(math.hypot(b.r - a.r, b.phi - a.phi)
-                   for a, b in zip(self.nodes, self.nodes[1:]))
-
-    def monotone_ok(self) -> bool:
-        """Negative levels run strictly decreasing, positive strictly increasing."""
-        if self.level == 0 or len(self.nodes) < 2:
-            return True
-        want = -1.0 if self.level < 0 else 1.0
-        return all((b.r - a.r) * (b.phi - a.phi) * want > 0.0
                    for a, b in zip(self.nodes, self.nodes[1:]))
 
 
@@ -573,18 +563,21 @@ def _allowed_arc(table, z):
 
 
 def _seed_rho(table, z, rho0):
-    if rho0 is not None:
-        return rho0
+    """The seed probe radius: rho0 when given, else 1e-3 or a quarter of the
+    distance from z to the nearest chart edge the probe circle can cross,
+    whichever is smaller.  Raises OutOfRange when rho0 reaches that edge."""
     wall = table.wall(z.wall_id)
     tol = 1e-12 * max(1.0, wall.length)
     dists = [HALF_PI - z.phi, HALF_PI + z.phi]
     if not wall.closed:
         dists += [z.r, wall.length - z.r]
-    clear = [d for d in dists if d > tol]
-    rho = 1e-3
-    if clear:
-        rho = min(rho, min(clear) / 4.0)
-    return rho
+    edge = min((d for d in dists if d > tol), default=math.inf)
+    if rho0 is None:
+        return min(1e-3, edge / 4.0)
+    if rho0 >= edge:
+        raise OutOfRange(f"probe radius {rho0} reaches the chart edge "
+                         f"{edge:.6g} away from the centre")
+    return rho0
 
 
 def _probe_point(z, rho, theta):
@@ -721,7 +714,8 @@ def _portraits(table, z, orders, k0, rho0, front_back):
     """Yield ``sector_portrait(table, z, n, k0, rho0, front_back)`` for each
     n in orders in turn, or the BilliardError it raised.  The probe radii
     and angles do not depend on n, so the orders share one walk per probe
-    (``_ProbeWalks``), taken to the deepest of them."""
+    (``_ProbeWalks``), taken to the deepest of them.  A rho0 that reaches
+    a chart edge raises OutOfRange before any order (``_seed_rho``)."""
     arc = _allowed_arc(table, z)
     rho = _seed_rho(table, z, rho0)
     walks = _ProbeWalks(table, z, max(orders), k0, front_back)
@@ -740,6 +734,7 @@ def sector_portrait(table: BilliardTable, z: PhasePoint, n: int,
     The probe radius is halved until two consecutive halvings leave the
     sector combinatorics unchanged; UnstablePortrait after MAX_HALVINGS
     halvings, its ``decompositions`` the portraits at the last two radii.
+    OutOfRange when a given rho0 reaches a chart edge (``_seed_rho``).
     """
     if n < 1:
         raise ValueError("portrait order must be >= 1")

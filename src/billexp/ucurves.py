@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
@@ -41,8 +41,8 @@ from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    certify_expansion_constant, certify_hyperbolicity,
                    expansion_factor, expansion_factors, forward,
                    interior_slope, plain_rows, point_columns,
-                   random_phase_point, regular_rows, single_branch,
-                   slope_norms, strip_index, unstable_cones)
+                   random_phase_point, single_branch, slope_norms,
+                   strip_index, unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
 from .geometry import BilliardTable
@@ -74,11 +74,6 @@ class UCurve:
     @property
     def euclidean_length(self) -> float:
         return sum(math.hypot(b.r - a.r, b.phi - a.phi)
-                   for a, b in zip(self.nodes, self.nodes[1:]))
-
-    @property
-    def increasing(self) -> bool:
-        return all(b.r > a.r and b.phi > a.phi
                    for a, b in zip(self.nodes, self.nodes[1:]))
 
 
@@ -823,7 +818,7 @@ def _decided(geo, rows, got, at, k0):
     """Per certified row of ``geo``, its ``_Decided``, or None where
     ``_one_step`` must step the arc.  ``at`` holds, per row, the entries of
     ``got`` (a ``RegularRows``) that are its images at _KNOWN, in that
-    order, -1 where ``regular_rows`` left a probe out.
+    order, -1 where a probe has no plain image.
 
     A row is decided when its three probes have plain "regular" images
     that rise as (hi, mid, lo), both insets have u = pi/2 - |phi'| >=
@@ -877,11 +872,11 @@ def _prefetched(table, curves, k0):
     arc, else an ``_Arc``.
 
     The arcs' geometry is one ``_geometry``, and one ``single_branch`` call
-    certifies every arc.  One ``regular_rows`` call then maps the _KNOWN
+    certifies every arc.  One ``plain_rows`` call then maps the _KNOWN
     parameters of each certified arc (placed by ``_interp_rows``) and the
     cut grid of each other arc.  An uncertified arc gets in its memo each
-    of its grid probes that the call mapped, which is what ``_probe`` would
-    store there; ``_probe_at`` maps the probes left out with ``forward``
+    of its grid probes that has a plain image, which is what ``_probe``
+    would store there; ``_probe_at`` maps the other probes with ``forward``
     when ``_one_step`` first needs them.  A certified arc that ``_decided``
     declines is a fresh ``_Arc``, which ``_one_step`` steps on its cut grid.
     """
@@ -896,7 +891,7 @@ def _prefetched(table, curves, k0):
     grid = [(arc, t) for arc in arcs if arc is not None
             for t in _grid(_grid_for(arc.total))]
     pts = [arc.at(t) for arc, t in grid]
-    got = regular_rows(
+    got = plain_rows(
         table,
         np.concatenate([np.repeat(wid[rows], len(_KNOWN)),
                         [p.wall_id for p in pts]]),
@@ -905,7 +900,7 @@ def _prefetched(table, curves, k0):
         np.concatenate([
             _interp_rows(s, geo.frac[rows], geo.phi[rows]).ravel(),
             [p.phi for p in pts]]))
-    # the entry of got for each probe, -1 where regular_rows left it out
+    # the entry of got for each probe, -1 where it has no plain image
     at = np.full(s.size + len(pts), -1)
     at[got.rows] = np.arange(got.rows.size)
     memo = [m for m in zip(grid, at[s.size:].tolist()) if m[1] >= 0]
@@ -1069,16 +1064,7 @@ class FittedConstants:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "c_expansion": self.c_expansion,
-            "c_hyper": self.c_hyper,
-            "lam_hyper": self.lam_hyper,
-            "c_length": self.c_length,
-            "xi_complexity": self.xi_complexity,
-            "k_complexity": self.k_complexity,
-            "n_cap": self.n_cap,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def graze_anchors(table: BilliardTable):

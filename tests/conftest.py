@@ -1,8 +1,26 @@
+import contextlib
 import math
 
 import pytest
 
-from billexp import geometry, tables
+from billexp import bmap, geometry, tables
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """A list that gets (the rows asked, the answer) of each call of
+    ``bmap._regular_block``, the kernel of ``plain_rows``, made inside the
+    with block."""
+    calls = []
+    kernel = bmap._regular_block
+
+    def recorded(table, rows, *cols):
+        calls.append((rows, kernel(table, rows, *cols)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bmap, "_regular_block", recorded)
+        yield calls
 
 
 @pytest.fixture(scope="session")

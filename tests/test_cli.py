@@ -194,6 +194,17 @@ def test_portrait_json_and_svg(tmp_path):
     assert b"path" in svg
 
 
+def test_portrait_rho_off_the_chart_is_refused(tmp_path, capsys):
+    # r = 0.5 puts the wall's start 0.5 away, within reach of --rho 10
+    argv = ("portrait", "--table", "tri", "--wall", "0", "--r", "0.5",
+            "--phi", "0.3", "--order", "2", "--out", "p.json")
+    assert run(*argv, "--rho", "10") == 2
+    assert "OutOfRange" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+    assert run(*argv, "--rho", "1e-4") == 0
+    assert (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "svg"])
 def test_portrait_partial_artifact_follows_format(tmp_path, monkeypatch,
                                                   fmt):

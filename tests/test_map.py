@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from billexp import bmap, tables
+from billexp import tables
 from billexp.bmap import (
     BATCH_MIN,
     BATCH_ROWS,
@@ -25,14 +25,13 @@ from billexp.bmap import (
     random_phase_points,
     plain_rows,
     point_columns,
-    regular_rows,
     strip_index,
     unstable_cones,
 )
 from billexp.errors import BilliardError, NumericalAbort, SingularInput
 from billexp.flow import CollisionOutcome, Ray, first_collision
 
-from conftest import wedge_table
+from conftest import kernel_calls, wedge_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -679,6 +678,16 @@ def _by_point(got, count):
     return out
 
 
+def _kernel_images(calls, count):
+    """The MapImage that the recorded kernel calls gave each of count points,
+    or None where none answered."""
+    out = [None] * count
+    for _, got in calls:
+        for i, im in zip(got.rows.tolist(), got.images(slice(None))):
+            out[i] = im
+    return out
+
+
 def _plain_images(table, points):
     return _by_point(plain_rows(table, *point_columns(points)), len(points))
 
@@ -694,16 +703,18 @@ def _plain_image(table, p):
 
 @pytest.mark.parametrize("name", ["tri", "lens", "torus2", "wedge"])
 def test_regular_images_equal_forward(name, request):
-    """regular_rows and plain_rows give forward's image, bit for bit, at
-    every point they map; plain_rows maps every point forward maps plainly,
-    and regular_rows more than half of them off the torus."""
+    """plain_rows and its kernel give forward's image, bit for bit, at every
+    point they map; plain_rows maps every point forward maps plainly, and
+    the kernel more than half of them off the torus."""
     table = (wedge_table(1e-5) if name == "wedge"
              else request.getfixturevalue(name))
     pts = _digest_points(table, 20260)
     pts += [involute(p) for p in pts]
     accepted = 0
-    kernel = _by_point(regular_rows(table, *point_columns(pts)), len(pts))
-    for p, im, plain in zip(pts, kernel, _plain_images(table, pts)):
+    with kernel_calls() as calls:
+        plains = _plain_images(table, pts)
+    kernel = _kernel_images(calls, len(pts))
+    for p, im, plain in zip(pts, kernel, plains):
         if im is not None:
             _assert_is_forward_image(table, p, im)
             accepted += 1
@@ -728,8 +739,8 @@ def _outcome(table, p):
 
 def _near_grazing_arrivals(table, rng, count):
     """count points whose forward image is one plain regular step that
-    arrives with 1e-9 < cos(phi') < 1e-6, where regular_rows declines it:
-    each flies back from a departure that close to tangency."""
+    arrives with 1e-9 < cos(phi') < 1e-6, where the kernel of plain_rows
+    declines it: each flies back from a departure that close to tangency."""
     out = []
     while len(out) < count:
         w = table.walls[int(rng.integers(len(table.walls)))]
@@ -748,7 +759,7 @@ def _near_grazing_arrivals(table, rng, count):
 def _mixed_points(table, count):
     """count points of test_regular_images_equal_forward's set: up to three
     where forward raises (among them |phi| = pi/2), branches or grazes, and
-    three whose plain image regular_rows declines near grazing, at each end,
+    three whose plain image the kernel declines near grazing, at each end,
     and single-image points between them."""
     pool = _digest_points(table, 20260)
     pool += [involute(p) for p in pool]
@@ -765,28 +776,24 @@ def _mixed_points(table, count):
 
 
 @pytest.mark.parametrize("name", ["tri", "lens", "torus2", "wedge"])
-def test_smooth_images_equal_forward(name, request, monkeypatch):
+def test_smooth_images_equal_forward(name, request):
     """plain_rows gives forward's image at each point it maps plainly and
-    none elsewhere; a block of BATCH_MIN rows or more goes through
-    regular_rows, and the tail of BATCH_ROWS + 10 rows, below BATCH_MIN,
-    does not."""
+    none elsewhere; on a plane table a block of BATCH_MIN rows or more goes
+    through the kernel, and the tail of BATCH_ROWS + 10 rows, below
+    BATCH_MIN, does not; on the torus no block does."""
     table = (wedge_table(1e-5) if name == "wedge"
              else request.getfixturevalue(name))
-    batched = []
-
-    def recorded(table_, wall_ids, r, phi):
-        batched.append(len(wall_ids))
-        return regular_rows(table_, wall_ids, r, phi)
-
-    monkeypatch.setattr(bmap, "regular_rows", recorded)
     kinds = set()
-    for count, calls in ((BATCH_MIN - 1, []), (BATCH_MIN, [BATCH_MIN]),
+    for count, sizes in ((BATCH_MIN - 1, []), (BATCH_MIN, [BATCH_MIN]),
                          (BATCH_ROWS + 10, [BATCH_ROWS])):
         pts = _mixed_points(table, count)
         assert len(pts) == count
-        batched.clear()
-        got = _plain_images(table, pts)
-        assert batched == calls and len(got) == count
+        with kernel_calls() as calls:
+            got = _plain_images(table, pts)
+        if table.ambient != "plane":
+            sizes = []
+        assert [rows.size for rows, _ in calls] == sizes
+        assert len(got) == count
         for p, im in zip(pts, got):
             kinds.add(_outcome(table, p))
             want = _plain_image(table, p)
@@ -800,13 +807,14 @@ def test_smooth_images_equal_forward(name, request, monkeypatch):
 
 def test_regular_images_accept_most_random_points(tri):
     cols = random_phase_points(tri, np.random.default_rng(3), 2000)
-    assert regular_rows(tri, *cols).rows.size >= 0.95 * 2000
-    assert plain_rows(tri, *cols).rows.size >= 0.95 * 2000
+    with kernel_calls() as calls:
+        assert plain_rows(tri, *cols).rows.size >= 0.95 * 2000
+    assert sum(got.rows.size for _, got in calls) >= 0.95 * 2000
 
 
 def _padded(table, z):
     """z followed by BATCH_MIN random points, so that plain_rows sends it
-    through regular_rows."""
+    through its kernel."""
     rng = np.random.default_rng(11)
     return [z] + [random_phase_point(table, rng) for _ in range(BATCH_MIN)]
 
@@ -815,10 +823,12 @@ def _padded(table, z):
 @given(_phase_points())
 def test_regular_images_property(request, drawn):
     table, z = _point(request, drawn)
-    (im,) = _by_point(regular_rows(table, [z.wall_id], [z.r], [z.phi]), 1)
-    if im is not None:
-        _assert_is_forward_image(table, z, im)
-    im = _plain_images(table, _padded(table, z))[0]
+    pts = _padded(table, z)
+    with kernel_calls() as calls:
+        im = _plain_images(table, pts)[0]
+    kernel = _kernel_images(calls, len(pts))[0]
+    if kernel is not None:
+        _assert_is_forward_image(table, z, kernel)
     assert (im is None) == (_plain_image(table, z) is None)
     if im is not None:
         _assert_is_forward_image(table, z, im)
@@ -857,7 +867,8 @@ def _assert_cones_by_forward(table, points):
 def test_unstable_cones_equal_forward_cones(name, request):
     """Cones over a block of random points, corner departures, points aimed
     at corners or tangencies, near-tangent departures, |phi| = pi/2 and
-    points whose arriving step regular_rows declines near grazing."""
+    points whose arriving step the kernel of plain_rows declines near
+    grazing."""
     table = (wedge_table(1e-5) if name == "wedge"
              else request.getfixturevalue(name))
     rng = np.random.default_rng(808)
@@ -871,10 +882,12 @@ def test_unstable_cones_equal_forward_cones(name, request):
                                                                  20)]
     pts += declined
     assert len(pts) >= BATCH_MIN
-    _assert_cones_by_forward(table, pts)
-    # regular_rows declines each of those arriving steps
-    assert not regular_rows(table, *point_columns(
-        [involute(z) for z in declined])).rows.size
+    with kernel_calls() as calls:
+        _assert_cones_by_forward(table, pts)
+    # the kernel maps the block of arriving steps, but none of those
+    answered = {i for _, got in calls for i in got.rows.tolist()}
+    assert bool(calls) == (table.ambient == "plane")
+    assert answered.isdisjoint(range(len(pts) - len(declined), len(pts)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -942,6 +955,18 @@ def test_estimators_reproduce_recorded_values(name, request):
         == repr(expansion)
     assert repr(certify_hyperbolicity(table, 200, 61, n_max=10)) \
         == repr(hyperbolicity)
+
+
+@pytest.mark.parametrize("name,seed,want", [
+    ("tri", 61, (0.28032629280360616, 10000)),
+    ("torus2", 1061, (1.5431402725861232, 10000)),
+])
+def test_expansion_constant_reproduces_recorded_values(name, seed, want,
+                                                       request):
+    """10,000 samples span many BATCH_ROWS blocks: the values recorded when
+    each block was drawn and mapped by its own calls."""
+    table = request.getfixturevalue(name)
+    assert repr(certify_expansion_constant(table, 10000, seed)) == repr(want)
 
 
 def _growth_minima_by_point(table, samples, seed, n_max):

@@ -64,13 +64,21 @@ UNNAMED_ON_PURPOSE = {"tables.make_tri_spec", "tables.make_torus2_spec",
                       "tables.make_lens_spec"}
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def public_definitions(path):
-    """The public functions and classes defined at the top of the file."""
+    """The public functions and classes defined at the top of the file, as
+    'name', and the public methods and properties in the bodies of its
+    classes, as 'Class.name'."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")}
+    out = {node.name for node in tree.body
+           if isinstance(node, (*_FUNCTIONS, ast.ClassDef))
+           and not node.name.startswith("_")}
+    out.update(f"{node.name}.{m.name}" for node in tree.body
+               if isinstance(node, ast.ClassDef) for m in node.body
+               if isinstance(m, _FUNCTIONS) and not m.name.startswith("_"))
+    return out
 
 
 def named(path):
@@ -91,11 +99,13 @@ def named(path):
 def dead_public_names(files, package=SRC):
     """'module.name' of each public function or class of a module in the
     package directory that no file names and ``billexp.__all__`` does not
-    list.  A definition does not name itself."""
+    list, and 'module.Class.name' of each public method or property that no
+    file names.  A definition does not name itself."""
     used = set().union(*map(named, files))
     return {f"{p.stem}.{name}" for p in files if p.parent == package
             for name in public_definitions(p)
-            if name not in used and name not in billexp.__all__}
+            if name.rpartition(".")[2] not in used
+            and name not in billexp.__all__}
 
 
 def test_no_dead_public_names():
@@ -107,12 +117,17 @@ def test_dead_name_detector(tmp_path):
     (tmp_path / "a.py").write_text(
         "def used():\n    \"\"\"dead is named here, in a docstring\"\"\"\n"
         "def dead():\n    pass\n"
-        "class Kind:\n    pass\n"
+        "class Kind:\n"
+        "    def called(self):\n        return self.size\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def unused(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
         "def _private():\n    pass\n"
         "def forward():\n    pass\n")
-    (tmp_path / "b.py").write_text("from .a import used\nx = m.Kind\n")
+    (tmp_path / "b.py").write_text("from .a import used\nx = m.Kind\n"
+                                   "y = x().called()\n")
     assert dead_public_names(sorted(tmp_path.glob("*.py")), tmp_path) \
-        == {"a.dead"}
+        == {"a.dead", "a.Kind.unused"}
 
 
 def test_private_use_detector(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from billexp import geometry, singularities as S, tables
 from billexp.bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                           forward, inverse, orbit, random_phase_point)
-from billexp.errors import BilliardError, UnstablePortrait
+from billexp.errors import BilliardError, OutOfRange, UnstablePortrait
 from billexp.flow import Ray, first_collision
 from billexp.geometry import EPS_CORNER
 
@@ -58,6 +58,16 @@ def test_sminus1_strictly_decreasing(tri):
             assert (b.r - a.r) * (b.phi - a.phi) < 0.0
 
 
+def _monotone(c):
+    """Whether the nodes of c run strictly decreasing on a negative level and
+    strictly increasing on a positive one."""
+    if c.level == 0 or len(c.nodes) < 2:
+        return True
+    want = -1.0 if c.level < 0 else 1.0
+    return all((b.r - a.r) * (b.phi - a.phi) * want > 0.0
+               for a, b in zip(c.nodes, c.nodes[1:]))
+
+
 def test_s1_matches_involuted_sminus1(tri):
     fwd = S.trace_singularity(tri, 1, resolution=200)
     bwd = S.trace_singularity(tri, -1, resolution=200)
@@ -70,7 +80,7 @@ def test_s1_matches_involuted_sminus1(tri):
             assert abs(pf.r - pb.r) <= 1e-8
             assert abs(pf.phi + pb.phi) <= 1e-8
     for c in fwd:
-        assert c.monotone_ok()
+        assert _monotone(c)
 
 
 def test_branch_count_stable_under_doubling(tri):
@@ -87,7 +97,7 @@ def test_sminus2_pullback(tri):
     assert curves
     for c in curves:
         assert c.level == -2
-        assert c.monotone_ok()
+        assert _monotone(c)
 
 
 def test_junction_points(tri):
@@ -173,6 +183,15 @@ def test_unstable_portrait_reports_both(tri, monkeypatch):
     with pytest.raises(UnstablePortrait) as exc:
         S.sector_portrait(tri, z, 1)
     assert len(exc.value.decompositions) == 2
+
+
+def test_probe_radius_reaching_the_chart_edge_is_refused(tri):
+    """At r = 0.5, phi = 0.3 on wall 0 the nearest chart edge the probe
+    circle can cross is r = 0, 0.5 away: a given rho0 must stay below it."""
+    z = PhasePoint(0, 0.5, 0.3)
+    for rho0 in (10.0, 0.5):
+        with pytest.raises(OutOfRange):
+            S.sector_portrait(tri, z, 2, rho0=rho0)
 
 
 def test_vertex_order1_bound(tri):

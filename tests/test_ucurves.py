@@ -10,15 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from billexp import geometry, singularities as S, tables, ucurves as U
-from billexp.bmap import (HALF_PI, SINGLE_BRANCH_MU, PhasePoint,
-                          certify_hyperbolicity, expansion_factor, forward,
-                          involute, outgoing_ray, random_phase_point,
+from billexp.bmap import (BATCH_MIN, BATCH_ROWS, HALF_PI, SINGLE_BRANCH_MU,
+                          PhasePoint, certify_hyperbolicity, expansion_factor,
+                          forward, involute, outgoing_ray, random_phase_point,
                           single_branch, unstable_cones)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
 from billexp.flow import Ray, first_collision
 from billexp.serialize import csv_text, json_bytes
-from conftest import wedge_table
+from conftest import kernel_calls, wedge_table
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,12 @@ def cheap_constants(tri):
 # ---------------------------------------------------------------------------
 # seeding
 
+def _increasing(W):
+    """Whether both r and phi rise strictly from node to node of W."""
+    return all(b.r > a.r and b.phi > a.phi
+               for a, b in zip(W.nodes, W.nodes[1:]))
+
+
 def test_seed_invariants(tri):
     rng = np.random.default_rng(42)
     checked = 0
@@ -59,7 +65,7 @@ def test_seed_invariants(tri):
             W = U.seed_ucurve(tri, z, 1e-4, rng)
         except SingularSeed:
             continue
-        assert W.increasing
+        assert _increasing(W)
         assert W.euclidean_length == pytest.approx(1e-4, abs=1e-12)
         for p, m in zip(W.nodes, W.slopes):
             rows, lo, hi = unstable_cones(tri, [p.wall_id], [p.r], [p.phi])
@@ -173,7 +179,7 @@ def test_far_curve_single_regular_component(tri, far_curve):
     assert c.regular
     assert c.itinerary[0][2] == 0
     assert c.min_expansion > 1.0
-    assert c.curve.increasing
+    assert _increasing(c.curve)
 
 
 def test_straddle_strip_ladder(tri, straddle_curve):
@@ -811,15 +817,79 @@ def _probe_tokens(hit):
            st.floats(-7.0, -2.0), st.floats(0.05, 20.0)),
            min_size=1, max_size=4))
 def test_prefetch_cannot_move_a_number(name, drawn):
-    """Every entry that _prefetched puts in an arc's memo is what _probe
-    returns there, and _step on a prefetched arc, decided or not, builds
-    the children and drops that _one_step builds on a fresh arc probed
-    only as it goes, near tangencies and corners too, where regular_rows
-    declines rows."""
+    """_assert_prefetch_moves_no_number near tangencies and corners too,
+    where the kernel of plain_rows declines rows."""
     table = _wedge() if name == "wedge" else _cert_table(name)[0]
     curves = [W for W in (_straight_curve(table, *d) for d in drawn)
               if W is not None]
     assume(curves)
+    _assert_prefetch_moves_no_number(table, curves)
+
+
+def _seeded_curves(table, seed, count, length=U.MAX_LENGTH):
+    """count curves seeded at random points, all from one rng."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    while len(curves) < count:
+        try:
+            curves.append(U.seed_ucurve(
+                table, random_phase_point(table, rng), length, rng))
+        except SingularSeed:
+            continue
+    return curves
+
+
+def test_prefetch_maps_its_probes_by_the_row_count_rule(tri, monkeypatch):
+    """_prefetched maps its probes with one plain_rows call: one curve's
+    probes are too few for the kernel, and more than BATCH_ROWS probes make
+    one kernel call per block of BATCH_MIN probes or more."""
+    sizes = []
+    plain = U.plain_rows
+
+    def recorded(table, wall_ids, r, phi):
+        sizes.append(len(wall_ids))
+        return plain(table, wall_ids, r, phi)
+
+    monkeypatch.setattr(U, "plain_rows", recorded)
+    curves = _seeded_curves(tri, 5, 200)
+    for block in (curves[:1], curves):
+        sizes.clear()
+        with kernel_calls() as calls:
+            U._prefetched(tri, block, 30)
+        (n,) = sizes
+        blocks = [min(BATCH_ROWS, n - start)
+                  for start in range(0, n, BATCH_ROWS)]
+        assert [rows.size for rows, _ in calls] \
+            == [size for size in blocks if size >= BATCH_MIN]
+    assert n > BATCH_ROWS and len(calls) >= 2
+    monkeypatch.undo()
+    _assert_prefetch_moves_no_number(tri, curves[:1])
+    _assert_prefetch_moves_no_number(tri, curves)
+
+
+def test_torus_memo_holds_the_plain_grid_probes(torus2):
+    """No arc is certified on the torus; each arc's memo holds, from
+    _prefetched, exactly its grid probes that forward maps plainly, each
+    what _probe returns there."""
+    curves = _seeded_curves(torus2, 7, 6)
+    for W, arc in zip(curves, U._prefetched(torus2, curves, 30)):
+        assert isinstance(arc, U._Arc)
+        plain = []
+        for s in _grid(U._grid_for(arc.total)):
+            try:
+                if forward(torus2, arc.at(s)).regular:
+                    plain.append(s)
+            except BilliardError:
+                pass
+        assert plain and sorted(arc.memo) == plain
+    _assert_prefetch_moves_no_number(torus2, curves)
+
+
+def _assert_prefetch_moves_no_number(table, curves):
+    """Every entry that _prefetched puts in an arc's memo is what _probe
+    returns there, and _step on a prefetched arc, decided or not, builds
+    the children and drops that _one_step builds on a fresh arc probed
+    only as it goes."""
     for W, arc in zip(curves, U._prefetched(table, curves, 30)):
         if isinstance(arc, U._Arc):
             for s, hit in arc.memo.items():
