@@ -13,11 +13,11 @@ into infinitely many pieces.  Strips are resolved one by one while their
 parameter width stays above the cut-location resolution and fixed caps;
 the remainder is lumped into a single tail component per side whose
 contribution to expansion sums is the closed-form bound
-sum_{k >= m} 1/(C k^2) = polygamma(1, m)/C, with C a sampled local
-expansion-times-cos constant.  Underestimating C only inflates the sums, so
-the headline verdicts stay conservative.  The length constant's estimator
-resolves a ladder that must end in a tail lazily: only while a box bound on
-its remaining strips could still raise the maximum.
+sum_{k >= m} 1/(C k^2) = psi'(m)/C, with psi' the trigamma function and C a
+sampled local expansion-times-cos constant.  Underestimating C only inflates
+the sums, so the headline verdicts stay conservative.  The length constant's
+estimator resolves a ladder that must end in a tail lazily: only while a box
+bound on its remaining strips could still raise the maximum.
 
 Monte-Carlo suprema over seeded curves are aggregated into reports with
 per-sample substreams, making results independent of thread scheduling.
@@ -30,12 +30,11 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import polygamma
 
 from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    certify_expansion_constant, certify_hyperbolicity,
@@ -45,7 +44,7 @@ from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    strip_index, unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
-from .geometry import BilliardTable
+from .geometry import EPS_CORNER, BilliardTable
 from .singularities import (find_multiple_points, fit_complexity_slope,
                             level_minus_one, regular_complexities)
 
@@ -350,6 +349,133 @@ def _seed_walks(table, bases, xs, lengths):
 
 
 # ---------------------------------------------------------------------------
+# scalar root and trigamma, ported from scipy
+#
+# A cut fixes every node of the children on both sides of it, so the reports
+# and digests rest on the exact bits of each root and tail bound.  These are
+# operation-for-operation ports of the C code that scipy runs; the tests
+# compare them with scipy, which the package itself does not import.
+
+BRENT_ITER = 100        # brentq's default maxiter
+
+
+def _brent_root(f, a, b, xtol, rtol):
+    """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol), bit for bit.
+
+    A port of scipy's C ``brentq`` (scipy/optimize/Zeros/brentq.c) and the
+    checks of its Python wrapper.  f(a) is evaluated first, then f(b), and an
+    endpoint where f is exactly 0 is the root.  Signs are compared by their
+    sign bits, never by products, which can underflow.  Raises ValueError
+    when f(a) and f(b) have the same sign or a value of f is NaN, and
+    RuntimeError when BRENT_ITER iterations do not converge.  Where the C
+    code divides by zero, its quotient (+-inf or NaN) fails the short-step
+    test, so here a zero denominator takes the bisection branch.
+    """
+    def at(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre = at(xpre)
+    fcur = at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_ITER):
+        if fpre != 0.0 and fcur != 0.0 \
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan     # a NaN step fails the test below: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry     # good short step
+        else:
+            spre = scur = sbis          # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = at(xcur)
+    raise RuntimeError(f"brent root: no convergence in {BRENT_ITER} "
+                       "iterations")
+
+
+# cephes zeta's Euler-Maclaurin coefficients: (2j)! / B_2j
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10,
+           -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17,
+           -7.1661652561756670113e18)
+MACHEP = 1.11022302462515654042e-16
+
+
+def _trigamma(q):
+    """The trigamma function psi'(q) for q > 0, bit for bit as
+    scipy.special.polygamma(1, q) computes it: gamma(2) zeta(2, q) = zeta(2, q)
+    by cephes' Hurwitz zeta(x, q) at x = 2, with its asymptotic branch
+    above q = 1e8, its direct sum until nine terms are in and the argument
+    passes 9, then its Euler-Maclaurin tail; C's pow is math.pow.
+    """
+    x, q = 2.0, float(q)
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+    s = math.pow(q, -x)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for c in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / c
+        s = s + t
+        if abs(t / s) < MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
+# ---------------------------------------------------------------------------
 # one-step evolution
 
 @dataclass(frozen=True)
@@ -502,7 +628,7 @@ def _ladder(table, arc, shallow_s, deep_s, u_shallow, u_deep, k0):
             fa, fb = f(a, level, True), f(b, level, True)
             if fa <= 0.0 or fb >= 0.0:
                 return max(k - 1, k0)
-            t = brentq(f, a, b, args=(level,), xtol=1e-13, rtol=8.9e-16)
+            t = _brent_root(partial(f, level=level), a, b, 1e-13, 8.9e-16)
         except (ValueError, RuntimeError):
             return max(k - 1, k0)
         if abs(t - prev) < LADDER_FLOOR and n:
@@ -567,7 +693,8 @@ def _secondary_pieces(table, arc, seg, k0, stopped=None):
             return im.point.phi if im is not None else 0.0
 
         try:
-            s0 = brentq(phi_at, lo + inset, hi - inset, xtol=1e-13)
+            s0 = _brent_root(phi_at, lo + inset, hi - inset, 1e-13,
+                             4 * math.ulp(1.0))
         except (ValueError, RuntimeError):
             crossing = False
     if crossing:
@@ -653,7 +780,7 @@ def _child(table, arc, piece, parent, k0, c_expansion):
     A strip's sampled expansion floor is the parent's times the step's node
     minimum.  A tail lumps the strips k >= |tail_from| that the ladder left
     unresolved into a curve through three raw probes; their 1/expansion sum
-    is at most polygamma(1, m) / C, C the local expansion constant.
+    is at most the trigamma psi'(m) / C, C the local expansion constant.
     """
     s_lo, s_hi, (wid, branch), tail_from = piece
     lam = parent.min_expansion
@@ -676,7 +803,7 @@ def _child(table, arc, piece, parent, k0, c_expansion):
             curve = make_ucurve(p.wall_id, [p, PhasePoint(
                 p.wall_id, p.r + 1e-15, p.phi + 1e-15)])
         lam_min = lam * c_loc * m * m
-        tail_inv = float(polygamma(1, m)) / c_loc / lam
+        tail_inv = _trigamma(m) / c_loc / lam
     else:
         inset = max(1e-15, 1e-6 * (s_hi - s_lo))
         rows = _refine_params(
@@ -1203,6 +1330,13 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     return best, used
 
 
+def _off_corner(table, p):
+    """Whether phase point p lies outside the EPS_CORNER bands of its
+    wall's ends (always, on a closed wall)."""
+    w = table.walls[p.wall_id]
+    return w.closed or EPS_CORNER < p.r < w.length - EPS_CORNER
+
+
 def fit_constants(table: BilliardTable, seed: int, *,
                   expansion_samples: int = 10_000, hyper_samples: int = 1000,
                   length_samples: int = 300, k0: int = K0_DEFAULT
@@ -1210,19 +1344,21 @@ def fit_constants(table: BilliardTable, seed: int, *,
     """Assemble every constant the expansion reports rely on.
 
     The growth floor is fitted over depths 1..10 and the complexity slope at
-    two centers: the first two multiple points, or two random points on a
-    table without corners.
+    the first two multiple points, or at two random points on a table
+    without them.  A multiple point within EPS_CORNER of an open wall's end
+    is the corner itself: every probe of its portraits would depart from the
+    corner, so it is dropped, and not replaced.
     """
     c_exp, _ = certify_expansion_constant(table, expansion_samples, seed)
     c_hyp, lam, _resid, _mins = certify_hyperbolicity(
         table, hyper_samples, seed, n_max=10)
     c_len, _ = certify_length_constant(table, length_samples, seed, k0=k0)
 
-    centers = []
-    if table.corners:
-        pts = find_multiple_points(table, resolution=200)
-        centers = [PhasePoint(p.wall_id, p.r, p.phi) for p in pts[:2]]
-    if not centers:
+    pts = find_multiple_points(table, resolution=200)[:2] \
+        if table.corners else []
+    centers = [PhasePoint(p.wall_id, p.r, p.phi) for p in pts
+               if _off_corner(table, p)]
+    if not pts:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC3]))
         centers = [random_phase_point(table, rng) for _ in range(2)]
     records = []

@@ -2,12 +2,19 @@
 of other billexp modules."""
 
 import ast
+import os
 import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
 
 import billexp
 
 SRC = pathlib.Path(billexp.__file__).parent
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 MODULES = {p.stem for p in SRC.glob("*.py")}
 
 
@@ -142,3 +149,41 @@ def test_private_use_detector(tmp_path):
     assert private_uses(probe) == [(2, "flow._cw_from"), (4, "bmap._fly"),
                                    (5, "flow._corner_wall_frames"),
                                    (6, "tables._arc_between")]
+
+
+def test_an_expansion_run_loads_no_scipy(tmp_path):
+    """scipy is a test-only oracle: importing the CLI and running a small
+    expansion in a fresh interpreter loads no scipy module."""
+    code = ("import sys\n"
+            "from billexp import cli\n"
+            "status = cli.run(['expansion', '--table', 'tri', '--N', '2',\n"
+            "                  '--samples', '8', '--seed', '61',\n"
+            "                  '--out', 'e.json'])\n"
+            "print(status, sorted(m for m in sys.modules\n"
+            "                     if m.partition('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def third_party_imports(files):
+    """The top-level names of the modules that the files import, anywhere
+    in their code, other than the standard library's and billexp's."""
+    out = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                out.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.add(node.module.partition(".")[0])
+    return out - set(sys.stdlib_module_names) - {"billexp"}
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in project["dependencies"]}
+    assert third_party_imports(sorted(SRC.glob("*.py"))) == declared

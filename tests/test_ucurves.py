@@ -1249,6 +1249,43 @@ def test_select_n_oracle():
         prev = n
 
 
+# fit_constants(tri, seed) as it was while the fit still walked the corner
+# band centre's portraits
+TRI_FITS = {
+    61: U.FittedConstants(
+        c_expansion=0.28032629280360616, c_hyper=6.418171734908016,
+        lam_hyper=1.3530752042790595, c_length=2.7495472114392707,
+        xi_complexity=2.0, k_complexity=4, seed=61),
+    407: U.FittedConstants(
+        c_expansion=0.2920425926120648, c_hyper=5.717550594865549,
+        lam_hyper=1.4323905152387313, c_length=2.807369006804084,
+        xi_complexity=2.0, k_complexity=4, seed=407),
+}
+
+
+def test_fit_walks_no_corner_band_centre(tri, monkeypatch):
+    """tri's first multiple point is the corner itself, inside the
+    EPS_CORNER band; the fit drops it without a replacement, and its
+    constants stay what they were."""
+    def in_band(z):
+        return not (geometry.EPS_CORNER < z.r
+                    < tri.wall(z.wall_id).length - geometry.EPS_CORNER)
+
+    first, second = S.find_multiple_points(tri, resolution=200)[:2]
+    assert in_band(first) and not in_band(second)
+    centres = []
+    walks = U.regular_complexities
+
+    def recorded(table, z, orders, k0):
+        centres.append(z)
+        return walks(table, z, orders, k0)
+
+    monkeypatch.setattr(U, "regular_complexities", recorded)
+    for seed, want in TRI_FITS.items():
+        assert U.fit_constants(tri, seed) == want
+    assert centres == [PhasePoint(second.wall_id, second.r, second.phi)] * 2
+
+
 # ---------------------------------------------------------------------------
 # scans and reports
 
