@@ -217,16 +217,6 @@ def _fly(table, ray, kappa0, phi0, tau_acc, trail, depth) -> list[MapImage]:
     return images
 
 
-def _corner_of_departure(table, wall, r):
-    if wall.closed:
-        return None
-    if r <= EPS_CORNER:
-        return table.corner_at_start[wall.wall_id]
-    if r >= wall.length - EPS_CORNER:
-        return table.corner_at_end[wall.wall_id]
-    return None
-
-
 def forward(table: BilliardTable, p: PhasePoint) -> MapResult:
     """All one-sided limits of the next collision from phase point p.
 
@@ -241,7 +231,7 @@ def forward(table: BilliardTable, p: PhasePoint) -> MapResult:
     ray = outgoing_ray(table, p)
     v = ray.direction
 
-    cid = _corner_of_departure(table, wall, p.r)
+    cid = table.corner_in_band(p.wall_id, p.r)
     if cid is not None:
         corner = table.corners[cid]
         try:
@@ -372,7 +362,7 @@ def _regular_block(table, rows, wall_ids, r, phi) -> RegularRows:
     wid, r, phi = wall_ids[rows], r[rows], phi[rows]
     cols = _wall_columns(table)
 
-    # departure: outgoing_ray, away from the wall ends
+    # departure: outgoing_ray, where corner_in_band is None
     L, closed = cols[wid, 4], cols[wid, 5] > 0.0
     keep = np.abs(phi) < HALF_PI
     keep &= np.where(closed, np.isfinite(r),
@@ -416,7 +406,7 @@ def _regular_block(table, rows, wall_ids, r, phi) -> RegularRows:
             best_ddn[idx] = ddn[idx]
             best_th[idx] = theta
     keep = np.isfinite(best_t) & (np.abs(best_ddn) > EPS_TAN)
-    # arrival: r_from_angle, away from the wall ends
+    # arrival: r_from_angle, where corner_in_band is None
     ts, o, R, kap1, L, closed, span = cols[best_w].T[:7]
     u = np.remainder(o * (best_th - ts), TWO_PI)
     u = np.where(u > span, np.where(TWO_PI - u < u - span, 0.0, span), u)

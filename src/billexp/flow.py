@@ -124,12 +124,7 @@ def first_collision(table: BilliardTable, ray: Ray) -> CollisionOutcome:
     px, py = ox + t * dx, oy + t * dy
     r = w.r_from_angle(theta)
 
-    corner_id = None
-    if not w.closed:
-        if r <= EPS_CORNER:
-            corner_id = table.corner_at_start[w.wall_id]
-        elif r >= w.length - EPS_CORNER:
-            corner_id = table.corner_at_end[w.wall_id]
+    corner_id = table.corner_in_band(w.wall_id, r)
     if corner_id is not None:
         corner = table.corners[corner_id]
         incoming = (dx, dy)

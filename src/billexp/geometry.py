@@ -186,6 +186,19 @@ class BilliardTable:
     def wall(self, wall_id: int) -> ArcWall:
         return self.walls[wall_id]
 
+    def corner_in_band(self, wall_id: int, r: float) -> int | None:
+        """The corner whose EPS_CORNER band on an open wall holds chart
+        coordinate r, or None; always None on a closed wall.  Every open
+        wall end has a corner (``_build_corners`` refuses an unjoined one)."""
+        w = self.walls[wall_id]
+        if w.closed:
+            return None
+        if r <= EPS_CORNER:
+            return self.corner_at_start[wall_id]
+        if r >= w.length - EPS_CORNER:
+            return self.corner_at_end[wall_id]
+        return None
+
     def other_wall_at(self, corner_id: int, wall_id: int) -> int:
         c = self.corners[corner_id]
         return c.right_wall_id if wall_id == c.left_wall_id else c.left_wall_id

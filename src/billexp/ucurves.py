@@ -1,7 +1,8 @@
 """Evolution of unstable curves under the collision map.
 
-A u-curve is a short polyline in one wall chart, strictly increasing in both
-(r, phi), everywhere tangent to the local unstable cone.  Its image under the
+A u-curve is its wall and its nodes: a short polyline in one wall chart,
+strictly increasing in both (r, phi), tangent to the local unstable cones.
+Its tangent is read from its segment slopes.  Its image under the
 map breaks at primary cuts (branch changes: different wall, corner passage,
 tangency) and at secondary cuts (homogeneity strip boundaries of the image
 angle).  The resulting pieces are H-components; each carries the itinerary of
@@ -44,7 +45,7 @@ from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                    strip_index, unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
-from .geometry import EPS_CORNER, BilliardTable
+from .geometry import BilliardTable
 from .singularities import (find_multiple_points, fit_complexity_slope,
                             level_minus_one, regular_complexities)
 
@@ -68,7 +69,6 @@ SEED_HALF = 4          # seed curve nodes on each side of the base point
 class UCurve:
     wall_id: int
     nodes: tuple[PhasePoint, ...]
-    slopes: tuple[float, ...]       # dphi/dr at each node
 
     @property
     def euclidean_length(self) -> float:
@@ -76,7 +76,7 @@ class UCurve:
                    for a, b in zip(self.nodes, self.nodes[1:]))
 
 
-def make_ucurve(wall_id, pts, slopes=None):
+def make_ucurve(wall_id, pts):
     """Assemble a UCurve, dropping nodes that break strict monotonicity."""
     keep = [pts[0]]
     for p in pts[1:]:
@@ -84,12 +84,7 @@ def make_ucurve(wall_id, pts, slopes=None):
             keep.append(p)
     if len(keep) < 2:
         raise ValueError("degenerate curve: fewer than two monotone nodes")
-    if slopes is None or len(slopes) != len(pts):
-        seg = [(b.phi - a.phi) / (b.r - a.r)
-               for a, b in zip(keep, keep[1:])]
-        slopes = [seg[0]] + [0.5 * (a + b) for a, b in zip(seg, seg[1:])] \
-            + [seg[-1]]
-    return UCurve(wall_id, tuple(keep), tuple(slopes))
+    return UCurve(wall_id, tuple(keep))
 
 
 def _interp(x: float, xp: list, fp: list) -> float:
@@ -300,10 +295,11 @@ def _seed_walks(table, bases, xs, lengths):
     r_lo = np.where(closed > 0.0, -math.inf, 0.0)
     r_hi = np.where(closed > 0.0, math.inf, span)
     sign = np.array([[-1.0], [1.0]])
-    # r, phi and slope of each side (back, fore), row and node from z; a
-    # node carries the slope of the step that left it
-    R, P, M = np.zeros((3, 2, len(bases), SEED_HALF + 1))
+    # r and phi of each side (back, fore), row and node from z, and the
+    # slope each side carries
+    R, P = np.zeros((2, 2, len(bases), SEED_HALF + 1))
     R[:, :, 0], P[:, :, 0] = r0, phi0
+    M = np.zeros((2, len(bases)))
 
     def fail(rows, why):
         for i in rows.tolist():
@@ -312,9 +308,9 @@ def _seed_walks(table, bases, xs, lengths):
     live, lo, hi = unstable_cones(table, wid, r0, phi0)
     fail(np.setdiff1d(np.arange(len(bases)), live),
          "cone undefined along the seed")
-    M[:, live, 0] = _turn(np.full(live.size, -1.0), lo, hi, xs[live])
+    M[:, live] = _turn(np.full(live.size, -1.0), lo, hi, xs[live])
     for k in range(SEED_HALF):
-        m = M[:, live, k]
+        m = M[:, live]
         dr = sign * ds[live] / slope_norms(m)
         r, phi = R[:, live, k] + dr, P[:, live, k] + m * dr
         out_of_chart = ((np.abs(phi) >= HALF_PI - EPS_SEED)
@@ -331,18 +327,14 @@ def _seed_walks(table, bases, xs, lengths):
         defined = (has > 0.0).all(axis=0)
         fail(live[~defined], "cone undefined along the seed")
         live = live[defined]
-        M[:, live, k + 1] = _turn(m[:, defined], lo[:, defined],
-                                  hi[:, defined], xs[live])
+        M[:, live] = _turn(m[:, defined], lo[:, defined], hi[:, defined],
+                           xs[live])
     for i in live.tolist():
         z = bases[i]
         back, fore = ([PhasePoint(z.wall_id, a, b) for a, b in zip(
             R[j, i, 1:].tolist(), P[j, i, 1:].tolist())] for j in (0, 1))
-        m_back, m_fore = M[0, i].tolist(), M[1, i].tolist()
-        # a node carries the slope of the step that reached it, and z
-        # its own: m_z, which is also the first step's on each side
-        slopes = m_back[SEED_HALF - 1::-1] + m_fore[:1] + m_fore[:SEED_HALF]
         try:
-            out[i] = make_ucurve(z.wall_id, back[::-1] + [z] + fore, slopes)
+            out[i] = make_ucurve(z.wall_id, back[::-1] + [z] + fore)
         except ValueError as err:
             out[i] = f"seed curve of length {lengths[i]:g}: {err}"
     return out
@@ -955,8 +947,8 @@ def _decided(geo, rows, got, at, k0):
     ``_secondary_pieces`` cuts nothing (with or without a sign change of
     phi'), ``_refine_params`` adds no node, ``_child`` builds its child
     from these three images with ``make_ucurve``, which keeps all three,
-    and ``_kept`` keeps it: the arithmetic below is theirs, operation for
-    operation.
+    and ``_kept`` keeps it: the tests and the stretch factors below are
+    theirs, operation for operation.
     """
     out = [None] * len(rows)
     cand = np.flatnonzero((at >= 0).all(axis=1))
@@ -974,22 +966,19 @@ def _decided(geo, rows, got, at, k0):
     ok &= (np.isfinite(f) & (f > 0.0)).all(axis=1)
     for a, b in ((f[:, 0], f[:, 1]), (f[:, 1], f[:, 2])):
         ok &= ~(np.where(b > a, b, a) / np.where(b < a, b, a) > NODE_RATIO)
-    # make_ucurve's segments and slopes over the nodes (hi, mid, lo)
+    # make_ucurve's monotone test over the nodes (hi, mid, lo)
     dr, dphi = np.diff(r[:, ::-1]), np.diff(phi[:, ::-1])
     ok &= ((dr > 0.0) & (dphi > 0.0)).all(axis=1)
-    slope = dphi / np.where(ok[:, None], dr, 1.0)
-    slopes = np.stack([slope[:, 0], 0.5 * (slope[:, 0] + slope[:, 1]),
-                       slope[:, 1]], axis=1)
     keep = np.flatnonzero(ok)
-    for k, sl, (dr0, dr1), (dphi0, dphi1), fmin, nodes in zip(
-            cand[keep].tolist(), slopes[keep].tolist(), dr[keep].tolist(),
-            dphi[keep].tolist(), f[keep].min(axis=1).tolist(),
+    for k, (dr0, dr1), (dphi0, dphi1), fmin, nodes in zip(
+            cand[keep].tolist(), dr[keep].tolist(), dphi[keep].tolist(),
+            f[keep].min(axis=1).tolist(),
             zip(*(a[keep].tolist() for a in (got.wall_id[j], r, phi)))):
         # UCurve.euclidean_length
         if math.hypot(dr0, dphi0) + math.hypot(dr1, dphi1) >= DEGEN_LEN:
             lo, mid, hi = map(PhasePoint, *nodes)
             out[k] = _Decided(
-                UCurve(lo.wall_id, (hi, mid, lo), tuple(sl)), fmin,
+                UCurve(lo.wall_id, (hi, mid, lo)), fmin,
                 (mid.wall_id, "regular", strip_index(mid.phi, k0)))
     return out
 
@@ -1330,13 +1319,6 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     return best, used
 
 
-def _off_corner(table, p):
-    """Whether phase point p lies outside the EPS_CORNER bands of its
-    wall's ends (always, on a closed wall)."""
-    w = table.walls[p.wall_id]
-    return w.closed or EPS_CORNER < p.r < w.length - EPS_CORNER
-
-
 def fit_constants(table: BilliardTable, seed: int, *,
                   expansion_samples: int = 10_000, hyper_samples: int = 1000,
                   length_samples: int = 300, k0: int = K0_DEFAULT
@@ -1345,7 +1327,7 @@ def fit_constants(table: BilliardTable, seed: int, *,
 
     The growth floor is fitted over depths 1..10 and the complexity slope at
     the first two multiple points, or at two random points on a table
-    without them.  A multiple point within EPS_CORNER of an open wall's end
+    without them.  A multiple point in a corner's band (``corner_in_band``)
     is the corner itself: every probe of its portraits would depart from the
     corner, so it is dropped, and not replaced.
     """
@@ -1357,7 +1339,7 @@ def fit_constants(table: BilliardTable, seed: int, *,
     pts = find_multiple_points(table, resolution=200)[:2] \
         if table.corners else []
     centers = [PhasePoint(p.wall_id, p.r, p.phi) for p in pts
-               if _off_corner(table, p)]
+               if table.corner_in_band(p.wall_id, p.r) is None]
     if not pts:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC3]))
         centers = [random_phase_point(table, rng) for _ in range(2)]

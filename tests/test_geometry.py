@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from billexp import geometry, serialize, tables
 from billexp.errors import (
@@ -14,7 +15,8 @@ from billexp.errors import (
     UnboundedHorizon,
     ValidationError,
 )
-from billexp.geometry import build_table
+from billexp.geometry import EPS_CORNER, build_table
+from conftest import wedge_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -298,6 +300,80 @@ def test_gamma_rigid_motion_invariant():
     t1 = build_table(rotate_spec(spec, 0.83, (2.5, -1.25)))
     for c0, c1 in zip(t0.corners, t1.corners):
         assert abs(c0.gamma - c1.gamma) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# corner bands
+
+@pytest.fixture(scope="module")
+def wedge():
+    return wedge_table(1e-5)
+
+
+BAND_TABLES = ["tri", "lens", "wedge", "torus2"]
+
+# (case, r as a function of the wall length L, the end of an open wall whose
+# corner's band holds r, or None)
+BAND_CASES = [
+    ("0", lambda L: 0.0, "start"),
+    ("eps", lambda L: EPS_CORNER, "start"),
+    ("above-eps", lambda L: math.nextafter(EPS_CORNER, math.inf), None),
+    ("L-eps", lambda L: L - EPS_CORNER, "end"),
+    ("below-L-eps", lambda L: math.nextafter(L - EPS_CORNER, 0.0), None),
+    ("L", lambda L: L, "end"),
+    ("L/2", lambda L: 0.5 * L, None),
+    ("before-0", lambda L: -1e-10, "start"),
+    ("past-L", lambda L: L + 1e-10, "end"),
+]
+
+
+def _corner_at(table, wall, end):
+    """The id of the corner that an open wall starts or ends at, read from
+    the corners' own wall ids."""
+    side = "right_wall_id" if end == "start" else "left_wall_id"
+    ids = [c.corner_id for c in table.corners
+           if getattr(c, side) == wall.wall_id]
+    assert len(ids) == 1
+    return ids[0]
+
+
+@pytest.mark.parametrize("case,at,end", BAND_CASES,
+                         ids=[c[0] for c in BAND_CASES])
+@pytest.mark.parametrize("name", BAND_TABLES)
+def test_corner_in_band(name, case, at, end, request):
+    """On an open wall the band of the corner at its start holds r <=
+    EPS_CORNER, the band at its end r >= L - EPS_CORNER, and nothing holds
+    the r between; on a closed wall no band holds any r."""
+    table = request.getfixturevalue(name)
+    assert any(not w.closed for w in table.walls) == (name != "torus2")
+    for w in table.walls:
+        want = None if w.closed or end is None else _corner_at(table, w, end)
+        assert table.corner_in_band(w.wall_id, at(w.length)) == want
+
+
+def _off_corner(table, wall_id, r):
+    """The band rule as the fit's centre filter wrote it before
+    ``corner_in_band``: whether r lies outside the EPS_CORNER bands of its
+    wall's ends (always, on a closed wall)."""
+    w = table.walls[wall_id]
+    return w.closed or EPS_CORNER < r < w.length - EPS_CORNER
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(BAND_TABLES), data=st.data())
+def test_corner_in_band_is_the_off_corner_rule(tri, lens, wedge, torus2,
+                                               name, data):
+    """For every finite r, no band holds r exactly where the old rule put
+    r off the corners."""
+    table = {"tri": tri, "lens": lens, "wedge": wedge, "torus2": torus2}[name]
+    w = table.walls[data.draw(st.integers(0, len(table.walls) - 1))]
+    near = st.floats(-3 * EPS_CORNER, 3 * EPS_CORNER)
+    r = data.draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1.0, w.length + 1.0), near,
+        near.map(lambda d: w.length + d)))
+    assert (table.corner_in_band(w.wall_id, r) is None) \
+        == _off_corner(table, w.wall_id, r)
 
 
 # ---------------------------------------------------------------------------

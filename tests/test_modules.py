@@ -137,6 +137,100 @@ def test_dead_name_detector(tmp_path):
         == {"a.dead", "a.Kind.unused"}
 
 
+# record fields that nothing in the package or the demos reads, kept on
+# purpose, each with its reason
+UNREAD_ON_PURPOSE = {
+    "singularities.SectorPortrait.full_circle":
+        "a public record field that the gates and the portrait tests read",
+    "singularities.ComplexityRecord.quadrant_counts":
+        "a public record field that the gates and the portrait tests read",
+    "ucurves.FittedConstants.k_complexity":
+        "written to the report by asdict",
+}
+
+
+def _is_record(node):
+    """Whether the class is a @dataclass or a NamedTuple."""
+    def last(e):
+        e = e.func if isinstance(e, ast.Call) else e
+        return e.attr if isinstance(e, ast.Attribute) else getattr(e, "id", "")
+
+    return ("dataclass" in map(last, node.decorator_list)
+            or "NamedTuple" in map(last, node.bases))
+
+
+def record_fields(path):
+    """'module.Class.field' of each annotated name in the body of a
+    @dataclass or NamedTuple class that the file defines."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {f"{path.stem}.{node.name}.{s.target.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_record(node)
+            for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+
+
+def read_names(path):
+    """Every name the file loads as an attribute, and every string constant
+    of its code; docstrings read nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, *_FUNCTIONS))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            out.add(node.value)
+    return out
+
+
+def unread_fields(files, package=SRC):
+    """Each record field of a module in the package directory whose name no
+    file reads (``read_names``)."""
+    read = set().union(*map(read_names, files))
+    return {name for p in files if p.parent == package
+            for name in record_fields(p)
+            if name.rpartition(".")[2] not in read}
+
+
+def test_no_unread_record_fields():
+    files = sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+    assert unread_fields(files) == set(UNREAD_ON_PURPOSE)
+
+
+def test_unread_field_detector(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "import dataclasses, typing\n"
+        "@dataclass(frozen=True)\n"
+        "class Rec:\n"
+        "    \"\"\"gone\"\"\"\n"
+        "    loaded: int\n"
+        "    stored: int\n"
+        "    keyed: int = 0\n"
+        "    gone: int = 0\n"
+        "    LIMIT = 3\n"
+        "@dataclasses.dataclass\n"
+        "class Other:\n"
+        "    spelled: str\n"
+        "class Pair(typing.NamedTuple):\n"
+        "    left: float\n"
+        "    right: float\n"
+        "class Plain:\n"
+        "    hint: int\n"
+        "def f(rec, pair):\n"
+        "    \"\"\"spelled, right\"\"\"\n"
+        "    rec.stored = 1\n"
+        "    return getattr(rec, 'keyed'), pair.left\n")
+    (tmp_path / "b.py").write_text(
+        "def g(rec):\n    return rec.loaded\n")
+    assert unread_fields(sorted(tmp_path.glob("*.py")), tmp_path) \
+        == {"a.Rec.stored", "a.Rec.gone", "a.Other.spelled", "a.Pair.right"}
+
+
 def test_private_use_detector(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from . import flow\n"

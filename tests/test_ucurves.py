@@ -57,7 +57,11 @@ def _increasing(W):
 
 
 def test_seed_invariants(tri):
+    """A seed curve rises, has its length, and each segment's slope lies
+    strictly inside the unstable cones at both of its ends: the node the
+    walk left it from and the node the step reached."""
     rng = np.random.default_rng(42)
+    half = U.SEED_HALF
     checked = 0
     while checked < 100:
         z = PhasePoint(0, rng.uniform(0.2, 1.8), rng.uniform(-1.1, 1.1))
@@ -66,10 +70,13 @@ def test_seed_invariants(tri):
         except SingularSeed:
             continue
         assert _increasing(W)
+        assert len(W.nodes) == 2 * half + 1 and W.nodes[half] == z
         assert W.euclidean_length == pytest.approx(1e-4, abs=1e-12)
-        for p, m in zip(W.nodes, W.slopes):
-            rows, lo, hi = unstable_cones(tri, [p.wall_id], [p.r], [p.phi])
-            assert rows.tolist() == [0] and lo[0] < m < hi[0]
+        rows, lo, hi = unstable_cones(tri, *map(np.array, zip(*W.nodes)))
+        assert rows.tolist() == list(range(2 * half + 1))
+        for i, (a, b) in enumerate(zip(W.nodes, W.nodes[1:])):
+            m = (b.phi - a.phi) / (b.r - a.r)
+            assert lo[i] < m < hi[i] and lo[i + 1] < m < hi[i + 1]
         checked += 1
 
 
@@ -930,7 +937,7 @@ def _component_tokens(c):
     W = c.curve
     return [str(W.wall_id),
             *(_bits(v) for p in W.nodes for v in (p.r, p.phi)),
-            *map(_bits, W.slopes), repr(c.itinerary),
+            repr(c.itinerary),
             _bits(c.min_expansion), str(c.tail), _bits(c.tail_inv),
             str(c.tail_from)]
 
@@ -969,11 +976,14 @@ def evolution_digest(table, seed, count=12, grazing=3):
 
 # digests of the evolution, over the fields a component keeps, taken before
 # the lineage fields (source intervals, birth numbers, chained growth) were
-# deleted; the seeding, cutting and tail code must reproduce every bit of them
+# deleted; the seeding, cutting and tail code must reproduce every bit of them.
+# When UCurve's per-node slopes were deleted, these were computed again with
+# the commit before that deletion (aa08ebe), its _component_tokens changed
+# only by leaving out the slope tokens.
 EVOLUTION_DIGESTS = {
-    "tri": "16aad1f0518c6084eb0cee4dcc7febb72d90d1f01badf884b9a68614f2a445e5",
-    "lens": "7bcb11f26780d60f61992c085b9ed061d80ba192b3c22d37468d42bb93d3230d",
-    "torus2": "bbedc9107db5d9b71e4f371ef154c56ff7b84c76a7c21d5969fb9c3d4ee9cc64",
+    "tri": "1fdb71662ce9dd75e63b87e0091468e128d98096c5ed11eb23fee6834275ce62",
+    "lens": "a43752d192a18547c9289ec255968f7962434a1d40a5169f12a2854b54f2a57d",
+    "torus2": "a871876a9ce437149de2041d7e802579aa088ffa9e8c89c658a35197c5b7b63b",
 }
 
 
@@ -1447,7 +1457,7 @@ def _seed_walks_side_by_side(table, bases, xs, lengths, hole):
     unstable_cones one row at a time, and none at a point p where hole(p):
     the reference for the walks over arrays."""
     out = [None] * len(bases)
-    sides = {}      # (row, sign) -> (nodes from z, slope taken from each)
+    sides = {}      # (row, sign) -> [nodes from z, the slope carried]
 
     def turn(cone, m, x):
         lo, hi = cone
@@ -1460,13 +1470,13 @@ def _seed_walks_side_by_side(table, bases, xs, lengths, hole):
             continue
         m_z = turn(cone, -1.0, x)
         for sign in (-1.0, 1.0):
-            sides[i, sign] = ([z], [m_z])
+            sides[i, sign] = [[z], m_z]
     for _ in range(U.SEED_HALF):
         stepped = []
-        for (i, sign), (nodes, slopes) in sides.items():
+        for (i, sign), (nodes, m) in sides.items():
             if out[i] is not None:
                 continue
-            p, m = nodes[-1], slopes[-1]
+            p = nodes[-1]
             wall = table.wall(p.wall_id)
             r_lo, r_hi = (-math.inf, math.inf) if wall.closed \
                 else (0.0, wall.length)
@@ -1483,17 +1493,14 @@ def _seed_walks_side_by_side(table, bases, xs, lengths, hole):
             if cone is None:
                 out[i] = "cone undefined along the seed"
             elif out[i] is None:
-                slopes = sides[i, sign][1]
-                slopes.append(turn(cone, slopes[-1], xs[i]))
+                side = sides[i, sign]
+                side[1] = turn(cone, side[1], xs[i])
     for i, z in enumerate(bases):
         if out[i] is not None:
             continue
-        (back, m_back), (fore, m_fore) = sides[i, -1.0], sides[i, 1.0]
-        pts = back[:0:-1] + fore
-        slopes = m_back[U.SEED_HALF - 1::-1] + m_fore[:1] \
-            + m_fore[:U.SEED_HALF]
+        pts = sides[i, -1.0][0][:0:-1] + sides[i, 1.0][0]
         try:
-            out[i] = U.make_ucurve(z.wall_id, pts, slopes)
+            out[i] = U.make_ucurve(z.wall_id, pts)
         except ValueError as err:
             out[i] = f"seed curve of length {lengths[i]:g}: {err}"
     return out
