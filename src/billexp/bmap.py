@@ -19,6 +19,7 @@ so det D = cos(phi)/cos(phi'), and the map preserves cos(phi) dr dphi.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -705,6 +706,104 @@ def expansion_factors(derivs: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sampling
 
+# numpy's SeedSequence (bit_generator.pyx) feeding its PCG64 with XSL-RR
+# output (O'Neill 2014; pcg64.h), ported draw for draw
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _words(key) -> list[int]:
+    """The ints of the key, each as its little-endian 32-bit words; 0 is
+    one word."""
+    words = []
+    for n in map(operator.index, key):
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & _M32)
+        while n := n >> 32:
+            words.append(n & _M32)
+    return words
+
+
+def _pool(words: list[int]) -> list[int]:
+    """SeedSequence's mix_entropy: the words hashed into a 4-word pool."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return pool
+
+
+class Stream:
+    """The draws of numpy's ``default_rng(SeedSequence(key))``, bit for
+    bit, for the three calls that billexp makes; key is a sequence of
+    non-negative ints.
+
+    Seeding is SeedSequence's: the key's words mixed into a pool, and
+    ``generate_state(4, uint64)`` from it, 32-bit word pairs joined
+    little-endian.  The four 64-bit words are PCG64's initial state (high,
+    low) and its stream (high, low), set as ``pcg_setseq_128_srandom_r``
+    does.  Each draw steps the 128-bit LCG and outputs the xor of the
+    state's halves rotated right by its top 6 bits; a float is the top 53
+    bits of that times 2^-53.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, key):
+        pool = _pool(_words(key))
+        h, half = _INIT_B, []
+        for i in range(2 * _POOL):
+            v = pool[i % _POOL] ^ h
+            h = h * _MULT_B & _M32
+            v = v * h & _M32
+            half.append(v ^ v >> 16)
+        s0, s1, q0, q1 = (half[i] | half[i + 1] << 32 for i in range(0, 8, 2))
+        self._inc = (q0 << 64 | q1) << 1 & _M128 | 1
+        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT
+                       + self._inc) & _M128
+
+    def _next53(self) -> int:
+        """The top 53 bits of the next output."""
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = (s >> 64 ^ s) & _M64
+        rot = s >> 122
+        return ((x >> rot | x << (64 - rot)) & _M64) >> 11
+
+    def random(self, size: int | None = None):
+        """A float in [0, 1), or an array of ``size`` of them in draw
+        order."""
+        if size is None:
+            return self._next53() * 2.0 ** -53
+        # ints below 2^53 convert exactly, and 2^-53 scales exactly
+        return np.array([self._next53() for _ in range(size)],
+                        dtype=float) * 2.0 ** -53
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+
 def random_phase_point(table: BilliardTable, rng) -> PhasePoint:
     """Draw from the invariant collision measure cos(phi) dr dphi: one
     uniform picks the arclength over all walls, the next sin(phi)."""
@@ -809,7 +908,7 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
     departing branches were both regular; raises NumericalAbort when none
     were.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
+    rng = Stream([seed, 0xC0])
     cols = random_phase_points(table, rng, samples)
     rows, lo, _ = unstable_cones(table, *cols)
     step = plain_rows(table, *cols)
@@ -832,7 +931,7 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
     c is inflated after the least-squares fit so the floor holds at every n.
     Raises NumericalAbort when no orbit stays regular for all n_max steps.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1]))
+    rng = Stream([seed, 0xC1])
     mins = [math.inf] * n_max
     used = 0
     attempts = 0

@@ -610,7 +610,7 @@ def estimate_constants(table: BilliardTable, samples: int = 20_000,
         raise ValueError("estimate_constants requires an explicit seed")
     from . import bmap  # local import; flow layer depends on geometry
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7ab1e]))
+    rng = bmap.Stream([seed, 0x7ab1e])
     tau_hi = 0.0
     tau_lo = math.inf
     gap_min = math.inf

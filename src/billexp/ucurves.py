@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain
@@ -37,10 +36,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
-                   certify_expansion_constant, certify_hyperbolicity,
-                   expansion_factor, expansion_factors, forward,
-                   interior_slope, plain_rows, point_columns,
+from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, Stream,
+                   bisect_edge, certify_expansion_constant,
+                   certify_hyperbolicity, expansion_factor, expansion_factors,
+                   forward, interior_slope, plain_rows, point_columns,
                    random_phase_point, single_branch, slope_norms,
                    strip_index, unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
@@ -306,8 +305,9 @@ def _seed_walks(table, bases, xs, lengths):
             out[i] = why
 
     live, lo, hi = unstable_cones(table, wid, r0, phi0)
-    fail(np.setdiff1d(np.arange(len(bases)), live),
-         "cone undefined along the seed")
+    coneless = np.ones(len(bases), dtype=bool)
+    coneless[live] = False
+    fail(np.flatnonzero(coneless), "cone undefined along the seed")
     M[:, live] = _turn(np.full(live.size, -1.0), lo, hi, xs[live])
     for k in range(SEED_HALF):
         m = M[:, live]
@@ -327,8 +327,9 @@ def _seed_walks(table, bases, xs, lengths):
         defined = (has > 0.0).all(axis=0)
         fail(live[~defined], "cone undefined along the seed")
         live = live[defined]
-        M[:, live] = _turn(m[:, defined], lo[:, defined], hi[:, defined],
-                           xs[live])
+        if k + 1 < SEED_HALF:
+            M[:, live] = _turn(m[:, defined], lo[:, defined],
+                               hi[:, defined], xs[live])
     for i in live.tolist():
         z = bases[i]
         back, fore = ([PhasePoint(z.wall_id, a, b) for a, b in zip(
@@ -1271,7 +1272,7 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
 
     Raises NumericalAbort when no curve could be seeded.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
+    rng = Stream([seed, 0xC2])
     anchors = graze_anchors(table)
     bases, xs, lengths = [], [], []
     lo, hi = math.log(delta_lo), math.log(delta_hi)
@@ -1341,7 +1342,7 @@ def fit_constants(table: BilliardTable, seed: int, *,
     centers = [PhasePoint(p.wall_id, p.r, p.phi) for p in pts
                if table.corner_in_band(p.wall_id, p.r) is None]
     if not pts:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC3]))
+        rng = Stream([seed, 0xC3])
         centers = [random_phase_point(table, rng) for _ in range(2)]
     records = []
     for z in centers:
@@ -1458,9 +1459,8 @@ def _scan_block(table, ids, seed, delta, n, k0, constants):
     ``_draw_curves`` and their trees grown a generation at a time by
     ``_grow``.  Raises the first error other than a ComponentExplosion that
     stopped a tree, in sample order."""
-    drawn = _draw_curves(table, [
-        np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
-        for i in ids], delta, k0)
+    drawn = _draw_curves(table, [Stream([seed, 1, i]) for i in ids], delta,
+                         k0)
     trees = [None if d is None else _tree(d[0]) for d in drawn]
     stops = [None] * len(trees)
     live = [t for t, tree in enumerate(trees) if tree is not None]
@@ -1533,6 +1533,8 @@ def sup_scan(table: BilliardTable, delta: float, samples: int,
         return _scan_block(table, ids, seed, delta, n_steps, k0, constants)
 
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = [row for block in pool.map(work, blocks) for row in block]
     else:
@@ -1583,9 +1585,8 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
             return select_N(constants), "select"
         except NoSuchN:
             pass
-    drawn = _draw_curves(table, [
-        np.random.default_rng(np.random.SeedSequence([seed, 0xD0, i]))
-        for i in range(PROBE_SAMPLES)], delta, k0)
+    drawn = _draw_curves(table, [Stream([seed, 0xD0, i])
+                                 for i in range(PROBE_SAMPLES)], delta, k0)
     # started by evolve_n, whose calls perfbench counts as the probe trees
     trees = [evolve_n(table, d[0], 0, k0, constants)
              for d in drawn if d is not None]

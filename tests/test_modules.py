@@ -2,6 +2,7 @@
 of other billexp modules."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -245,21 +246,93 @@ def test_private_use_detector(tmp_path):
                                    (6, "tables._arc_between")]
 
 
+def _fresh_run(cwd, argv):
+    """The status of ``cli.run(argv)`` in a fresh interpreter started in
+    cwd, and the names of the modules loaded after it."""
+    code = ("import json, sys\n"
+            "from billexp import cli\n"
+            f"status = cli.run({argv!r})\n"
+            "print(json.dumps([status, sorted(sys.modules)]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _within(modules, packages):
+    """The modules that are one of the packages or lie inside one."""
+    return [m for m in modules
+            if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
 def test_an_expansion_run_loads_no_scipy(tmp_path):
     """scipy is a test-only oracle: importing the CLI and running a small
     expansion in a fresh interpreter loads no scipy module."""
-    code = ("import sys\n"
-            "from billexp import cli\n"
-            "status = cli.run(['expansion', '--table', 'tri', '--N', '2',\n"
-            "                  '--samples', '8', '--seed', '61',\n"
-            "                  '--out', 'e.json'])\n"
-            "print(status, sorted(m for m in sys.modules\n"
-            "                     if m.partition('.')[0] == 'scipy'))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 []"
+    status, modules = _fresh_run(tmp_path, [
+        "expansion", "--table", "tri", "--N", "2", "--samples", "8",
+        "--seed", "61", "--out", "e.json"])
+    assert status == 0 and _within(modules, ["scipy"]) == []
+
+
+def test_an_expansion_run_loads_only_numpys_core(tmp_path):
+    """A fitted expansion run loads neither numpy's random streams
+    (``bmap.Stream`` ports them), nor numpy.ma, nor concurrent.futures,
+    which only ``--threads`` above 1 imports; with 2 threads it writes the
+    same bytes."""
+    argv = ["expansion", "--table", "tri", "--fit", "--N", "auto",
+            "--samples", "8", "--seed", "61"]
+    status, modules = _fresh_run(tmp_path, argv + ["--out", "one.json"])
+    assert status == 0
+    assert _within(modules, ["numpy.random", "numpy.ma",
+                             "concurrent.futures"]) == []
+    status, _ = _fresh_run(tmp_path, argv + ["--threads", "2",
+                                             "--out", "two.json"])
+    assert status == 0
+    assert (tmp_path / "two.json").read_bytes() \
+        == (tmp_path / "one.json").read_bytes()
+
+
+def numpy_random_uses(path):
+    """(line, name) of each import of numpy.random or of a name in it, and
+    of each ``random`` attribute of ``np`` or ``numpy``, in the file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value,
+                                                             ast.Name):
+            head = "numpy" if node.value.id == "np" else node.value.id
+            names = [f"{head}.{node.attr}"]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names
+                     if name == "numpy.random"
+                     or name.startswith("numpy.random."))
+    return sorted(found)
+
+
+def test_the_package_names_no_numpy_random():
+    bad = {p.name: uses for p in sorted(SRC.glob("*.py"))
+           if (uses := numpy_random_uses(p))}
+    assert bad == {}
+
+
+def test_numpy_random_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "import numpy.random\n"
+                     "from numpy import random as r, pi\n"
+                     "from numpy.random import default_rng\n"
+                     "x = np.random.default_rng(1)\n"
+                     "y = numpy.random\n"
+                     "z = rng.random(), np.pi, random.random()\n")
+    assert numpy_random_uses(probe) == [
+        (2, "numpy.random"), (3, "numpy.random"),
+        (4, "numpy.random.default_rng"), (5, "numpy.random"),
+        (6, "numpy.random")]
 
 
 def third_party_imports(files):

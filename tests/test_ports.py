@@ -1,16 +1,25 @@
-"""The scalar root finder and the trigamma function of ``ucurves`` against
-scipy, which they port bit for bit.  scipy is a test dependency only: it is
-the oracle here, and these tests are skipped without it."""
+"""Ports checked bit for bit against the code they port.
+
+``bmap.Stream`` against numpy's ``default_rng(SeedSequence(key))``; numpy is
+a runtime dependency, so these tests always run.  The scalar root finder and
+the trigamma function of ``ucurves`` against scipy, a test dependency only:
+it is the oracle here, and those tests are skipped without it."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from billexp import cli, ucurves as U
+from billexp import bmap, cli, ucurves as U
 
-scipy_optimize = pytest.importorskip("scipy.optimize")
-scipy_special = pytest.importorskip("scipy.special")
+try:
+    import scipy.optimize as scipy_optimize
+    import scipy.special as scipy_special
+except ImportError:
+    scipy_optimize = scipy_special = None
+needs_scipy = pytest.mark.skipif(scipy_optimize is None,
+                                 reason="scipy is the oracle")
 
 TOLERANCES = [(xtol, rtol) for xtol in (1e-13, 2e-12, 1e-300)
               for rtol in (8.9e-16, 4 * np.finfo(float).eps)]
@@ -74,6 +83,7 @@ def _generated_brackets(n, seed):
     return out
 
 
+@needs_scipy
 def test_brent_root_equals_brentq_on_generated_brackets():
     brackets = _generated_brackets(1000, 2027)
     mismatches = [(i, xtol, rtol) for i, (f, a, b) in enumerate(brackets)
@@ -102,6 +112,7 @@ def _recorded_solves(monkeypatch, run):
     return solves
 
 
+@needs_scipy
 def test_brent_root_equals_brentq_on_recorded_solves(tri, monkeypatch,
                                                      tmp_path):
     """Every solve of the length constant's 300 samples and of a depth-6
@@ -119,6 +130,7 @@ def test_brent_root_equals_brentq_on_recorded_solves(tri, monkeypatch,
     assert mismatches == []
 
 
+@needs_scipy
 @pytest.mark.parametrize("f, a, b, err", [
     (lambda x: x * x + 1.0, -1.0, 2.0, ValueError),        # same sign
     (lambda x: math.nan if x == 2.0 else x, -1.0, 2.0, ValueError),
@@ -134,6 +146,7 @@ def test_brent_root_error_paths_are_brentqs(f, a, b, err):
     assert _outcome(_scipy, f, a, b, *tol) is err
 
 
+@needs_scipy
 def test_trigamma_equals_polygamma():
     rng = np.random.default_rng(7)
     q = np.concatenate([np.arange(1.0, 20_001.0),
@@ -144,3 +157,84 @@ def test_trigamma_equals_polygamma():
             if U._trigamma(x) != y] == []
     # _child passes an int
     assert U._trigamma(30) == float(scipy_special.polygamma(1, 30))
+
+
+def _generated_keys(n, seed):
+    """n keys of 1 to 7 ints, each 0, a one-word value, a value of two or
+    three words or one above 2^64, so that words pass the pool size of 4."""
+    pick = random.Random(seed)
+    values = (lambda: 0, lambda: pick.randrange(1, 2 ** 32),
+              lambda: pick.randrange(2 ** 32, 2 ** 96),
+              lambda: pick.randrange(2 ** 64, 2 ** 200))
+    return [[pick.choice(values)() for _ in range(pick.randint(1, 7))]
+            for _ in range(n)]
+
+
+def _draws(rng, calls):
+    """Each call's result as the hex strings of its floats."""
+    out = []
+    for call in calls:
+        if call[0] == "uniform":
+            out.append([float(rng.uniform(*call[1:])).hex()])
+        elif len(call) == 2:
+            got = rng.random(call[1])
+            out.append([got.dtype.name, got.shape,
+                        *(x.hex() for x in got.tolist())])
+        else:
+            out.append([float(rng.random()).hex()])
+    return out
+
+
+def _numpy(key):
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def test_stream_equals_numpy_on_generated_keys():
+    """Interleaved scalar, array (of size 0 too) and uniform draws."""
+    pick = random.Random(3)
+    calls = [("random",), ("random", 0), ("uniform", 0.35, 0.65),
+             ("random", 5), ("uniform", math.log(1e-6), math.log(1e-3)),
+             ("random", 1), ("uniform", -2.5, 1e-300)]
+    calls += [pick.choice(calls) for _ in range(40)]
+    keys = _generated_keys(400, 29)
+    assert {len(bmap._words(k)) for k in keys} >= set(range(1, 12))
+    mismatches = [k for k in keys
+                  if _draws(bmap.Stream(k), calls) != _draws(_numpy(k), calls)]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("key", [[-1], [3, -1], [0, 2 ** 64, -(2 ** 40)]])
+def test_stream_refuses_negative_entropy(key):
+    with pytest.raises(ValueError):
+        bmap.Stream(key)
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(key)
+
+
+def test_stream_equals_numpy_on_recorded_keys(monkeypatch, tmp_path):
+    """The first 64 draws of every stream that a verdict-tri and a
+    scan-deep-tri pipeline open at seed 61."""
+    keys = []
+
+    class Recorded(bmap.Stream):
+        __slots__ = ()
+
+        def __init__(self, key):
+            keys.append(tuple(key))
+            super().__init__(key)
+
+    monkeypatch.setattr(bmap, "Stream", Recorded)
+    monkeypatch.setattr(U, "Stream", Recorded)
+    common = ["--table", "tri", "--seed", "61", "--delta", "1e-4", "--k0",
+              "30", "--samples", "1000", "--threads", "0"]
+    for name, args in (("verdict", ["--fit", "--N", "auto"]),
+                       ("scan", ["--N", "6"])):
+        assert cli.run(["expansion", *common, *args,
+                        "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert set(keys) == ({(61, 0xC0), (61, 0xC1), (61, 0xC2)}
+                         | {(61, 0xD0, i) for i in range(U.PROBE_SAMPLES)}
+                         | {(61, 1, i) for i in range(1000)})
+    calls = [("random", 32), *[("random",)] * 32]
+    mismatches = [k for k in set(keys) if _draws(bmap.Stream(list(k)), calls)
+                  != _draws(_numpy(list(k)), calls)]
+    assert mismatches == []
