@@ -332,12 +332,6 @@ def _departures(cols, r, phi):
     return cx + R * ct, cy + R * st, c * -ty + s * tx, c * tx + s * ty, c
 
 
-def _no_rows() -> RegularRows:
-    none = np.zeros(0)
-    return RegularRows(np.zeros(0, dtype=int), np.zeros(0, dtype=int),
-                       none, none, none, np.zeros((0, 2, 2)))
-
-
 def point_columns(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The wall ids, r and phi of a list of phase points, as three arrays."""
     a = np.array(points, dtype=float).reshape(-1, 3)
@@ -445,46 +439,43 @@ def plain_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
     The one choice between the batched and the scalar map.  It works
     BATCH_ROWS points at a time: on a plane table a block of BATCH_MIN
     points or more goes through the kernel ``_regular_block`` first, and
-    ``forward`` maps the points it declines; a smaller block, and every
-    block on the torus, goes to ``forward`` alone.  The two agree bit for
-    bit wherever the kernel answers, so the choice moves no number.
+    ``forward`` maps the points it declines, in point order; a smaller
+    block, and every block on the torus, goes to ``forward`` alone.  The
+    two agree bit for bit wherever the kernel answers, so the choice moves
+    no number.  Both write into one buffer over all the points, whose rows
+    with an answer are the result.
     """
     wid = np.asarray(wall_ids, dtype=int)
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
     batched = table.ambient == "plane"
-    parts = []
+    # per point: image wall id, r, phi, tau and the derivative's entries
+    out = np.zeros((wid.size, 8))
+    have = np.zeros(wid.size, dtype=bool)
     for start in range(0, wid.size, BATCH_ROWS):
         rows = np.arange(start, min(start + BATCH_ROWS, wid.size))
         if batched and rows.size >= BATCH_MIN:
             got = _regular_block(table, rows, wid, r, phi)
-            parts.append(got)
-            rows = np.delete(rows, got.rows - start)
-        parts.append(_forward_rows(table, rows, wid, r, phi))
-    if len(parts) < 2:
-        return parts[0] if parts else _no_rows()
-    got = RegularRows(*map(np.concatenate, zip(*parts)))
-    return RegularRows(*(a[np.argsort(got.rows, kind="stable")] for a in got))
-
-
-def _forward_rows(table, rows, wid, r, phi) -> RegularRows:
-    """``plain_rows`` of the points ``rows``, each mapped by ``forward``."""
-    got = []
-    for i, p in zip(rows.tolist(), map(PhasePoint, wid[rows].tolist(),
-                                       r[rows].tolist(), phi[rows].tolist())):
-        try:
-            res = forward(table, p)
-        except BilliardError:
-            continue
-        if res.regular:
-            got.append((i, res.images[0]))
-    if not got:
-        return _no_rows()
-    cols = np.array([(i, im.point.wall_id, im.point.r, im.point.phi, im.tau,
-                      *im.derivative[0], *im.derivative[1])
-                     for i, im in got])
-    return RegularRows(cols[:, 0].astype(int), cols[:, 1].astype(int),
-                       cols[:, 2], cols[:, 3], cols[:, 4],
-                       cols[:, 5:].reshape(-1, 2, 2))
+            out[got.rows] = np.column_stack(
+                (got.wall_id, got.r, got.phi, got.tau,
+                 got.derivative.reshape(-1, 4)))
+            have[got.rows] = True
+            rows = rows[~have[rows]]
+        for i, p in zip(rows.tolist(), map(
+                PhasePoint, wid[rows].tolist(), r[rows].tolist(),
+                phi[rows].tolist())):
+            try:
+                res = forward(table, p)
+            except BilliardError:
+                continue
+            if res.regular:
+                im = res.images[0]
+                out[i] = (*im.point, im.tau, *im.derivative[0],
+                          *im.derivative[1])
+                have[i] = True
+    rows = np.flatnonzero(have)
+    out = out[rows]
+    return RegularRows(rows, out[:, 0].astype(int), out[:, 1], out[:, 2],
+                       out[:, 3], out[:, 4:].reshape(-1, 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -730,13 +730,14 @@ def _secondary_pieces(table, arc, seg, k0, stopped=None):
     return pieces
 
 
-def _refine_params(table, arc, base):
+def _refine_params(table, arc, base, sig):
     """(stretch, image) at node parameters, refined until adjacent
-    expansion factors agree; parameters whose probe is cut are dropped."""
+    expansion factors agree; parameters whose probe is cut, or has another
+    signature than the piece's ``sig``, are dropped."""
 
     def stretch(s):
-        _, im = _probe_at(table, arc, s)
-        if im is None:
+        got, im = _probe_at(table, arc, s)
+        if got != sig:
             return None
         return expansion_factor(im.derivative, arc.slope_at(s))
 
@@ -774,8 +775,9 @@ def _child(table, arc, piece, parent, k0, c_expansion):
     minimum.  A tail lumps the strips k >= |tail_from| that the ladder left
     unresolved into a curve through three raw probes; their 1/expansion sum
     is at most the trigamma psi'(m) / C, C the local expansion constant.
+    Only probes with the piece's signature (wall, branch) give nodes.
     """
-    s_lo, s_hi, (wid, branch), tail_from = piece
+    s_lo, s_hi, sig, tail_from = piece
     lam = parent.min_expansion
     if tail_from:
         c_loc = _local_expansion_constant(table, arc, piece, c_expansion)
@@ -783,8 +785,8 @@ def _child(table, arc, piece, parent, k0, c_expansion):
         inset = max(1e-15, 1e-3 * (s_hi - s_lo))
         pts = []
         for s in (s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset):
-            _, im = _probe_at(table, arc, s)
-            if im is not None:
+            got, im = _probe_at(table, arc, s)
+            if got == sig:
                 pts.append(im.point)
         if not pts:
             return None
@@ -800,7 +802,8 @@ def _child(table, arc, piece, parent, k0, c_expansion):
     else:
         inset = max(1e-15, 1e-6 * (s_hi - s_lo))
         rows = _refine_params(
-            table, arc, [s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset])
+            table, arc, [s_lo + inset, 0.5 * (s_lo + s_hi), s_hi - inset],
+            sig)
         if len(rows) < 2:
             return None
         pts = [im.point for _, im in rows]
@@ -815,7 +818,7 @@ def _child(table, arc, piece, parent, k0, c_expansion):
     return HComponent(
         curve=curve,
         itinerary=parent.itinerary
-        + ((wid, branch, tail_from or strip_index(mid.phi, k0)),),
+        + ((*sig, tail_from or strip_index(mid.phi, k0)),),
         min_expansion=lam_min, tail=tail_from != 0, tail_inv=tail_inv,
         tail_from=tail_from)
 

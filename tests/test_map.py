@@ -756,11 +756,9 @@ def _near_grazing_arrivals(table, rng, count):
     return out
 
 
-def _mixed_points(table, count):
-    """count points of test_regular_images_equal_forward's set: up to three
-    where forward raises (among them |phi| = pi/2), branches or grazes, and
-    three whose plain image the kernel declines near grazing, at each end,
-    and single-image points between them."""
+def _kinds(table):
+    """test_regular_images_equal_forward's points, and two at |phi| = pi/2,
+    by ``_outcome``."""
     pool = _digest_points(table, 20260)
     pool += [involute(p) for p in pool]
     pool += [PhasePoint(0, 0.5 * table.walls[0].length, s * HALF_PI)
@@ -768,10 +766,26 @@ def _mixed_points(table, count):
     kinds = {}
     for p in pool:
         kinds.setdefault(_outcome(table, p), []).append(p)
+    return kinds
+
+
+def _declined_points(table, kinds):
+    """Up to three points of kinds where forward raises (among them |phi| =
+    pi/2), branches or grazes, and three whose plain image the kernel
+    declines near grazing."""
     ends = [p for kind in ("raises", "branched", "grazing")
             for p in kinds.get(kind, [])[-3:]]
     if table.ambient == "plane":
         ends += _near_grazing_arrivals(table, np.random.default_rng(5), 3)
+    return ends
+
+
+def _mixed_points(table, count):
+    """count points of test_regular_images_equal_forward's set: the
+    ``_declined_points`` at each end, and single-image points between
+    them."""
+    kinds = _kinds(table)
+    ends = _declined_points(table, kinds)
     return ends + kinds["single"][:count - 2 * len(ends)] + ends
 
 
@@ -803,6 +817,74 @@ def test_smooth_images_equal_forward(name, request):
     assert {"raises", "grazing", "single"} <= kinds
     if table.corners:
         assert "branched" in kinds
+
+
+def _assert_row_shapes(got):
+    """got has plain_rows' layout: strictly rising integer rows, integer
+    walls, float64 r, phi and tau, and one 2 x 2 float64 derivative per
+    row."""
+    k = got.rows.size
+    assert np.all(np.diff(got.rows) > 0)
+    for a in (got.rows, got.wall_id):
+        assert a.dtype == np.dtype(int) and a.shape == (k,)
+    for a in (got.r, got.phi, got.tau):
+        assert a.dtype == np.float64 and a.shape == (k,)
+    assert got.derivative.dtype == np.float64
+    assert got.derivative.shape == (k, 2, 2)
+
+
+def _assert_plain_rows(table, pts):
+    """plain_rows over pts has its layout, and its rows are the points
+    with a plain image, each forward's bit for bit."""
+    got = plain_rows(table, *point_columns(pts))
+    _assert_row_shapes(got)
+    want = [_plain_image(table, p) for p in pts]
+    assert got.rows.tolist() == [i for i, im in enumerate(want)
+                                 if im is not None]
+    for i, im in zip(got.rows.tolist(), got.images(slice(None))):
+        assert _image_tokens(im) == _image_tokens(want[i])
+    return got
+
+
+@pytest.mark.parametrize("name", ["tri", "torus2"])
+def test_plain_rows_of_no_points(name, request):
+    table = request.getfixturevalue(name)
+    for cols in (([], [], []), point_columns([])):
+        got = plain_rows(table, *cols)
+        _assert_row_shapes(got)
+        assert got.rows.size == 0
+
+
+def test_plain_rows_where_the_kernel_answers_no_row(tri):
+    """A block of BATCH_MIN points that the kernel declines one and all
+    (raising, branched, grazing and near-grazing ones): forward alone
+    answers, and only at the near-grazing points."""
+    ends = _declined_points(tri, _kinds(tri))
+    pts = (ends * BATCH_MIN)[:BATCH_MIN]
+    with kernel_calls() as calls:
+        got = _assert_plain_rows(tri, pts)
+    assert [(rows.size, ans.rows.size) for rows, ans in calls] \
+        == [(BATCH_MIN, 0)]
+    assert 0 < got.rows.size < BATCH_MIN
+
+
+def test_plain_rows_across_a_block_boundary(tri):
+    """Kernel answers, declined rows that forward maps and rows where
+    forward raises or does not map plainly, on both sides of the first
+    BATCH_ROWS boundary, come back as one set of rows in point order."""
+    pts = _mixed_points(tri, BATCH_ROWS + 40)
+    pts = pts[40:] + pts[:40]
+    with kernel_calls() as calls:
+        got = _assert_plain_rows(tri, pts)
+    assert [rows.size for rows, _ in calls] == [BATCH_ROWS, 40]
+    answered = {i for _, ans in calls for i in ans.rows.tolist()}
+    declined = set(got.rows.tolist()) - answered
+    missing = set(range(len(pts))) - set(got.rows.tolist())
+    for block in (range(0, BATCH_ROWS), range(BATCH_ROWS, len(pts))):
+        assert answered & set(block) and declined & set(block)
+        assert missing & set(block)
+    assert {_outcome(tri, pts[i]) for i in missing} \
+        == {"raises", "branched", "grazing"}
 
 
 def test_regular_images_accept_most_random_points(tri):

@@ -11,9 +11,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from billexp import geometry, singularities as S, tables, ucurves as U
 from billexp.bmap import (BATCH_MIN, BATCH_ROWS, HALF_PI, SINGLE_BRANCH_MU,
-                          PhasePoint, certify_hyperbolicity, expansion_factor,
-                          forward, involute, outgoing_ray, random_phase_point,
-                          single_branch, unstable_cones)
+                          PhasePoint, Stream, certify_hyperbolicity,
+                          expansion_factor, forward, involute, outgoing_ray,
+                          random_phase_point, single_branch, unstable_cones)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
 from billexp.flow import Ray, first_collision
@@ -979,9 +979,11 @@ def evolution_digest(table, seed, count=12, grazing=3):
 # deleted; the seeding, cutting and tail code must reproduce every bit of them.
 # When UCurve's per-node slopes were deleted, these were computed again with
 # the commit before that deletion (aa08ebe), its _component_tokens changed
-# only by leaving out the slope tokens.
+# only by leaving out the slope tokens.  When children were restricted to the
+# probes of their own branch, tri's was computed again with the commit before
+# (ebdef2e) and only that change to ucurves applied; lens and torus2 held.
 EVOLUTION_DIGESTS = {
-    "tri": "1fdb71662ce9dd75e63b87e0091468e128d98096c5ed11eb23fee6834275ce62",
+    "tri": "bba06f1f272070514148f7099ef996396e499388223a4e71f9199fd94f9a1d13",
     "lens": "a43752d192a18547c9289ec255968f7962434a1d40a5169f12a2854b54f2a57d",
     "torus2": "a871876a9ce437149de2041d7e802579aa088ffa9e8c89c658a35197c5b7b63b",
 }
@@ -991,6 +993,34 @@ EVOLUTION_DIGESTS = {
 def test_evolution_bit_identity(name, request):
     table = request.getfixturevalue(name)
     assert evolution_digest(table, 20261) == EVOLUTION_DIGESTS[name]
+
+
+def _off_wall(tree):
+    """The components of tree with a node off their curve's wall."""
+    return [c for gen in tree.generations for c in gen
+            if any(p.wall_id != c.curve.wall_id for p in c.curve.nodes)]
+
+
+@pytest.mark.parametrize("name, sample, depth", [
+    ("tri", 915, 6), ("torus2", 210, 4), ("torus2", 467, 4)])
+def test_recorded_components_lie_on_their_wall(name, sample, depth, request):
+    """Every node of a component's curve lies on the curve's wall.  Each of
+    these samples of sup_scan at seed 61 has a piece narrower than the
+    primary cut's bracket, whose inset probe lands on the branch across
+    the cut; a child takes only the probes of its own piece's branch."""
+    table = request.getfixturevalue(name)
+    (W, _), = U._draw_curves(table, [Stream([61, 1, sample])], 1e-4, 30)
+    assert _off_wall(U.evolve_n(table, W, depth)) == []
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "torus2"])
+def test_scan_block_components_lie_on_their_wall(name, request):
+    table = request.getfixturevalue(name)
+    drawn = U._draw_curves(table, [Stream([61, 1, i]) for i in range(40)],
+                           1e-4, 30)
+    assert all(d is not None for d in drawn)
+    for W, _ in drawn:
+        assert _off_wall(U.evolve_n(table, W, 5)) == []
 
 
 # ---------------------------------------------------------------------------
