@@ -7,9 +7,9 @@ and shows how the nearly-grazing part of the sum 1/Lambda responds to the
 strip cutoff k0.
 """
 
-from billexp import load_builtin, one_step_grazing_sum, seed_ucurve
+from billexp import evolve_n, load_builtin, seed_ucurve
 from billexp.bmap import PhasePoint
-from billexp.ucurves import evolve_one_step, graze_anchors
+from billexp.ucurves import graze_anchors, grazing_sum
 
 DELTA = 1e-4
 
@@ -22,7 +22,7 @@ def main():
     print(f"seed curve: wall {z.wall_id}, r {z.r:.6f}, phi {z.phi:.6f}, "
           f"|W| = {W.euclidean_length:.2e}")
 
-    comps = evolve_one_step(table, W, k0=30)
+    comps = evolve_n(table, W, 1, k0=30).generations[1]
     regular = [c for c in comps if c.regular]
     ladder = sorted((c for c in comps if not c.regular and not c.tail),
                     key=lambda c: abs(c.itinerary[-1][2]))
@@ -46,8 +46,9 @@ def main():
               f"          {c.tail_inv:.3e}")
 
     for k0 in (30, 60, 120):
+        one_step = evolve_n(table, W, 1, k0).generations[1]
         print(f"nearly-grazing sum at k0={k0:4d}: "
-              f"{one_step_grazing_sum(table, W, k0=k0):.6f}")
+              f"{grazing_sum(one_step):.6f}")
     print("doubling the cutoff should at least halve the sum.")
 
 

@@ -24,9 +24,7 @@ from .ucurves import (
     FittedConstants,
     certify_length_constant,
     evolve_n,
-    evolve_one_step,
     fit_constants,
-    one_step_grazing_sum,
     seed_ucurve,
     select_N,
     sup_scan,
@@ -45,13 +43,11 @@ __all__ = [
     "classify_sectors",
     "estimate_constants",
     "evolve_n",
-    "evolve_one_step",
     "find_multiple_points",
     "fit_constants",
     "forward",
     "inverse",
     "load_builtin",
-    "one_step_grazing_sum",
     "regular_complexity",
     "sector_portrait",
     "seed_ucurve",

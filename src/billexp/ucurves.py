@@ -476,9 +476,12 @@ class HComponent:
     curve: UCurve
     itinerary: tuple[tuple[int, str, int], ...]
     min_expansion: float            # sampled: product of per-step node minima
-    tail: bool = False
     tail_inv: float = 0.0           # sum of 1/expansion over the lumped strips
-    tail_from: int = 0
+    tail_from: int = 0              # signed first lumped strip; 0 if no tail
+
+    @property
+    def tail(self) -> bool:
+        return self.tail_from != 0
 
     @property
     def regular(self) -> bool:
@@ -819,8 +822,7 @@ def _child(table, arc, piece, parent, k0, c_expansion):
         curve=curve,
         itinerary=parent.itinerary
         + ((*sig, tail_from or strip_index(mid.phi, k0)),),
-        min_expansion=lam_min, tail=tail_from != 0, tail_inv=tail_inv,
-        tail_from=tail_from)
+        min_expansion=lam_min, tail_inv=tail_inv, tail_from=tail_from)
 
 
 def _kept(comp):
@@ -872,13 +874,6 @@ def _local_expansion_constant(table, arc, piece, c_expansion):
     if c_expansion is not None:
         cands.append(c_expansion)
     return max(1e-12, min(cands)) if cands else 1e-3
-
-
-def evolve_one_step(table: BilliardTable, W: UCurve,
-                    k0: int = K0_DEFAULT) -> list[HComponent]:
-    """H-components of the image of W: primary cuts, strip cuts, tails."""
-    arc, = _prefetched(table, [W], k0)
-    return _step(table, _root(W), arc, k0, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1039,31 +1034,23 @@ def _arcs(table, curves, k0):
         yield from _prefetched(table, curves[start:start + BATCH_ROWS], k0)
 
 
-def _step(table, parent, arc, k0, c_expansion, stopped=None):
-    """(children, pieces dropped) of parent's one-step image, where arc is
-    parent's curve from ``_prefetched``: ``_one_step`` on an ``_Arc``, with
-    ``stopped`` passed on, and the one child of a ``_Decided``, which has
-    no ladder to stop."""
-    if isinstance(arc, _Arc):
-        return _one_step(table, parent, arc, k0, c_expansion, stopped)
-    return [HComponent(curve=arc.curve,
-                       itinerary=parent.itinerary + (arc.symbol,),
-                       min_expansion=parent.min_expansion * arc.factor)], 0
-
-
 def _tree(W):
     """The depth-0 evolution tree of W."""
     return EvolutionTree(root=W, generations=[[_root(W)]])
 
 
-def _grow(table, trees, k0, constants):
+def _grow(table, trees, k0, constants, stopped=None):
     """Append the next generation of H-components to each tree.
 
     Returns, per tree, None or the BilliardError that stopped it: a
     ComponentExplosion once the generation holds more than LEAF_CAP
     components, whose ``.partial`` is the tree with the cut-short
-    generation, or an error of ``_step``, after which the tree gains no
-    generation.  The parents' arcs come from ``_arcs`` over all the trees.
+    generation, or an error of ``_one_step``, after which the tree gains no
+    generation.  The parents' arcs come from ``_arcs`` over all the trees;
+    a ``_Decided`` arc gives its one child, and ``_one_step`` steps an
+    ``_Arc``.  With a list ``stopped``, ``_one_step`` stops the lazy
+    ladders of each parent, and they are appended to ``stopped`` once its
+    step succeeds.
     """
     c_exp = constants.c_expansion if constants is not None else None
     fronts = [[c for c in tree.generations[-1] if not c.tail]
@@ -1077,11 +1064,20 @@ def _grow(table, trees, k0, constants):
             arc = next(arcs)    # taken even once stopped, to stay in step
             if stop is not None:
                 continue
-            try:
-                kids, ndeg = _step(table, comp, arc, k0, c_exp)
-            except BilliardError as err:
-                stop, nxt = err, None
-                continue
+            if isinstance(arc, _Decided):
+                kids, ndeg = [HComponent(
+                    curve=arc.curve, itinerary=comp.itinerary + (arc.symbol,),
+                    min_expansion=comp.min_expansion * arc.factor)], 0
+            else:
+                ladders = None if stopped is None else []
+                try:
+                    kids, ndeg = _one_step(table, comp, arc, k0, c_exp,
+                                           ladders)
+                except BilliardError as err:
+                    stop, nxt = err, None
+                    continue
+                if ladders:
+                    stopped.extend(ladders)
             tree.degenerate_merged += ndeg
             nxt.extend(kids)
             if len(nxt) > LEAF_CAP:
@@ -1142,22 +1138,11 @@ def expansion_totals(tree: EvolutionTree, n: int,
     return out
 
 
-def expansion_total(tree: EvolutionTree, n: int, constants=None) -> float:
-    """E_n: sum of inverse minimum expansions over depth-n leaves."""
-    return expansion_totals(tree, n, constants)[n]
-
-
 def grazing_sum(components) -> float:
     """Sum of 1/expansion over the nearly-grazing components: tails and
     pieces whose last step landed outside strip 0."""
     return sum((c.inv_expansion for c in components
                 if c.tail or c.itinerary[-1][2] != 0), 0.0)
-
-
-def one_step_grazing_sum(table: BilliardTable, W: UCurve,
-                         k0: int = K0_DEFAULT) -> float:
-    """Sum of 1/expansion over nearly-grazing one-step components."""
-    return grazing_sum(evolve_one_step(table, W, k0))
 
 
 # ---------------------------------------------------------------------------
@@ -1258,20 +1243,22 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     sample draws its length and base point, and, when ``_refusals`` passes
     the base, its cone position, in order on the one rng, as
     ``seed_ucurve`` would; one ``_seed_walks`` call then seeds every
-    sample, and their arcs come from ``_arcs``, prefetched together.
+    sample, and one ``_grow`` call steps them all as depth-0 trees.  A
+    sample whose step raises is not used, and its stopped ladders are
+    dropped.
 
-    The result is the max over ``evolve_one_step``'s components, bit for
-    bit, but strips that cannot set it are not resolved.  A strip ladder
-    that always ends in a tail (``_ladder_tails``) is stopped after its
-    first cut cut0, which fixes every other piece exactly; children depend
-    on their own piece only.  Its unresolved strips lie between cut0 and the
-    ladder's deep end, so each strip child is at most B long, B the
+    The result is the max over the components of ``evolve_n(table, W, 1)``,
+    bit for bit, but strips that cannot set it are not resolved.  A strip
+    ladder that always ends in a tail (``_ladder_tails``) is stopped after
+    its first cut cut0, which fixes every other piece exactly; children
+    depend on their own piece only.  Its unresolved strips lie between cut0
+    and the ladder's deep end, so each strip child is at most B long, B the
     ``_image_box`` of those two parameters.  Pass 1 scores every sample
     with such ladders stopped.  Pass 2 resumes each stopped ladder whose
     B * (1 + BOX_SLACK) reaches best * |W|^(1/2), scoring strip by strip,
     until the box from its latest cut to the deep end falls below that or
-    the ladder ends.  Tails never score, so a stopped ladder's tail is never
-    built.
+    the ladder ends.  Tails never score, so a stopped ladder's tail is
+    never built.
 
     Raises NumericalAbort when no curve could be seeded.
     """
@@ -1294,24 +1281,19 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
             lengths.append(length)
     curves = [W for W in _seed_walks(table, bases, xs, lengths)
               if not isinstance(W, str)]
-    best, used = 0.0, 0
-    stopped = []        # (|W|^(1/2), _Stopped) over every sample
-    for W, arc in zip(curves, _arcs(table, curves, k0)):
-        ladders = []
-        try:
-            comps, _ = _step(table, _root(W), arc, k0, None, ladders)
-        except BilliardError:
-            continue
-        root = math.sqrt(W.euclidean_length)
-        for comp in comps:
-            if not comp.tail:
-                best = max(best, comp.curve.euclidean_length / root)
-        stopped.extend((root, stop) for stop in ladders)
-        used += 1
-    if used == 0:
+    trees = [_tree(W) for W in curves]
+    stopped = []
+    _grow(table, trees, k0, None, stopped)
+    # a tree whose step raised gained no generation
+    used = [tree for tree in trees if len(tree.generations) == 2]
+    if not used:
         raise NumericalAbort(
             "no curve survived seeding; table constants suspect")
-    for root, stop in stopped:
+    best = max([0.0] + [
+        comp.curve.euclidean_length / math.sqrt(tree.root.euclidean_length)
+        for tree in used for comp in tree.generations[1] if not comp.tail])
+    for stop in stopped:
+        root = math.sqrt(stop.arc.W.euclidean_length)
         strips = _strip_children(table, stop, k0)
         cut = stop.cut0
         while cut is not None and _image_box(
@@ -1320,7 +1302,7 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
             cut, comp = next(strips, (None, None))
             if _kept(comp):
                 best = max(best, comp.curve.euclidean_length / root)
-    return best, used
+    return best, len(used)
 
 
 def fit_constants(table: BilliardTable, seed: int, *,
@@ -1598,7 +1580,8 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
     for n in range(1, N_CAP + 1):
         stops = _grow(table, trees, k0, constants)
         trees = [t for t, stop in zip(trees, stops) if stop is None]
-        sup = max([0.0] + [expansion_total(t, n, constants) for t in trees])
+        sup = max([0.0] + [expansion_totals(t, n, constants)[n]
+                           for t in trees])
         if sup < best_sup:
             best_n, best_sup = n, sup
         if first_ok is None and sup < 1.0:

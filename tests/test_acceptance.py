@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from billexp import cli
 from billexp import singularities as sing
@@ -24,7 +23,6 @@ from billexp.bmap import (
 )
 from billexp.errors import BilliardError, NoSuchN
 from billexp.geometry import estimate_constants
-from billexp.tables import load_builtin
 
 HALF_PI = math.pi / 2
 
@@ -327,6 +325,11 @@ def test_10_regular_complexity_slope_stable(tri):
 # ---------------------------------------------------------------------------
 # 11. nearly-grazing one-step sum: small, and halved by doubling the cutoff
 
+def _grazing_sum_of_one_step(table, W, k0):
+    tree = ucurves.evolve_n(table, W, 1, k0)
+    return ucurves.grazing_sum(tree.generations[1])
+
+
 def test_11_nearly_grazing_sum_small_and_halved_by_deeper_cutoff(tri):
     t0 = time.perf_counter()
     delta = 1e-4
@@ -341,8 +344,8 @@ def test_11_nearly_grazing_sum_small_and_halved_by_deeper_cutoff(tri):
         if drawn is None:
             continue
         W, _ = drawn
-        sup30 = max(sup30, ucurves.one_step_grazing_sum(tri, W, k0=30))
-        sup60 = max(sup60, ucurves.one_step_grazing_sum(tri, W, k0=60))
+        sup30 = max(sup30, _grazing_sum_of_one_step(tri, W, 30))
+        sup60 = max(sup60, _grazing_sum_of_one_step(tri, W, 60))
     assert sup30 < 0.1
     if sup30 > 0.0:
         assert sup60 <= 0.5 * sup30
@@ -360,8 +363,8 @@ def test_11_nearly_grazing_sum_small_and_halved_by_deeper_cutoff(tri):
                 W = ucurves.seed_ucurve(tri, z, delta)
             except BilliardError:
                 continue
-            g30.append(ucurves.one_step_grazing_sum(tri, W, k0=30))
-            g60.append(ucurves.one_step_grazing_sum(tri, W, k0=60))
+            g30.append(_grazing_sum_of_one_step(tri, W, 30))
+            g60.append(_grazing_sum_of_one_step(tri, W, 60))
     nz = sum(1 for v in g30 if v > 0.0)
     dt = time.perf_counter() - t0
     # baseline: 144 curves, sup30 0.1037, sup60 0.0513, ratio 0.495

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from billexp import tables
 from billexp.bmap import (
     BATCH_MIN,
     BATCH_ROWS,

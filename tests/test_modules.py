@@ -246,6 +246,60 @@ def test_private_use_detector(tmp_path):
                                    (6, "tables._arc_between")]
 
 
+def unused_imports(path):
+    """(line, name) of each name that the file imports and its code never
+    loads.  ``__future__`` imports, the names that the file's ``__all__``
+    lists and the imports on a line marked ``# noqa: F401`` are exempt."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        found.extend((node.lineno, name) for a in node.names
+                     if (name := a.asname or a.name.partition(".")[0])
+                     not in read)
+    return sorted(found)
+
+
+def test_no_unused_imports():
+    files = [p for d in (SRC, DEMOS, ROOT / "tests", ROOT / "tools")
+             for p in sorted(d.glob("*.py"))]
+    bad = {f"{p.parent.name}/{p.name}": found for p in files
+           if (found := unused_imports(p))}
+    assert bad == {}
+
+
+def test_unused_import_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os, sys as system\n"
+                     "import numpy.linalg\n"
+                     "from json import (dumps,\n"
+                     "                  loads)\n"
+                     "from math import pi  # noqa: F401\n"
+                     "from re import (  # noqa: F401\n"
+                     "    sub)\n"
+                     "from math import tau, e\n"
+                     "__all__ = ['tau']\n"
+                     "def f():\n"
+                     "    \"\"\"dumps\"\"\"\n"
+                     "    return os.sep, numpy.linalg.norm, loads\n"
+                     "system = 'e'\n")
+    assert unused_imports(probe) == [(2, "system"), (4, "dumps"), (9, "e")]
+
+
 def _fresh_run(cwd, argv):
     """The status of ``cli.run(argv)`` in a fresh interpreter started in
     cwd, and the names of the modules loaded after it."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from billexp import geometry, singularities as S, tables
+from billexp import geometry, singularities as S
 from billexp.bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
                           forward, inverse, orbit, random_phase_point)
 from billexp.errors import BilliardError, OutOfRange, UnstablePortrait

@@ -179,8 +179,17 @@ def test_interp_repeated_breaks_and_huge_values(steps, f0, probes):
 # ---------------------------------------------------------------------------
 # one-step evolution
 
+def _generation_1(table, W, k0=U.K0_DEFAULT):
+    """W's one-step H-components: the first generation of its tree."""
+    return U.evolve_n(table, W, 1, k0).generations[1]
+
+
+def _grazing_sum_of_one_step(table, W, k0):
+    return U.grazing_sum(_generation_1(table, W, k0))
+
+
 def test_far_curve_single_regular_component(tri, far_curve):
-    comps = U.evolve_one_step(tri, far_curve)
+    comps = _generation_1(tri, far_curve)
     assert len(comps) == 1
     c = comps[0]
     assert c.regular
@@ -190,7 +199,7 @@ def test_far_curve_single_regular_component(tri, far_curve):
 
 
 def test_straddle_strip_ladder(tri, straddle_curve):
-    comps = U.evolve_one_step(tri, straddle_curve, k0=30)
+    comps = _generation_1(tri, straddle_curve, 30)
     ks = sorted({abs(c.itinerary[-1][2]) for c in comps
                  if not c.tail and c.itinerary[-1][2] != 0})
     # consecutive strips from k0 upward
@@ -209,8 +218,8 @@ def test_straddle_strip_ladder(tri, straddle_curve):
 def _one_step_pieces(table, W, monkeypatch):
     """(piece, child) of each piece that _one_step builds a child from on a
     fresh arc of W, in order, the child None when the piece gives none.
-    The kept children are evolve_one_step's, which builds a decided arc's
-    child without _one_step."""
+    The kept children are evolve_n's, which builds a decided arc's child
+    without _one_step."""
     child, calls = U._child, []
 
     def recorded(table_, arc, piece, *args):
@@ -222,7 +231,7 @@ def _one_step_pieces(table, W, monkeypatch):
         comps, _ = U._one_step(table, U._root(W), _arc(W), U.K0_DEFAULT,
                                None)
     assert [c for _, c in calls if U._kept(c)] == comps \
-        == U.evolve_one_step(table, W)
+        == _generation_1(table, W)
     return calls
 
 
@@ -274,28 +283,28 @@ def test_component_lengths_sqrt_bound(tri, straddle_curve):
     for length in (1e-4, 4e-4):
         w = U.seed_ucurve(tri, base, length, None)
         worst = max(c.curve.euclidean_length
-                    for c in U.evolve_one_step(tri, w) if not c.tail)
+                    for c in _generation_1(tri, w) if not c.tail)
         ratios.append(worst / math.sqrt(w.euclidean_length))
     assert ratios[0] > 0.0 and ratios[1] > 0.0
     assert max(ratios) / min(ratios) < 3.0
 
 
 def test_grazing_sum(tri, far_curve, straddle_curve):
-    assert U.one_step_grazing_sum(tri, far_curve, 30) == 0.0
-    g30 = U.one_step_grazing_sum(tri, straddle_curve, 30)
-    g60 = U.one_step_grazing_sum(tri, straddle_curve, 60)
+    assert _grazing_sum_of_one_step(tri, far_curve, 30) == 0.0
+    g30 = _grazing_sum_of_one_step(tri, straddle_curve, 30)
+    g60 = _grazing_sum_of_one_step(tri, straddle_curve, 60)
     assert g30 > 0.0
     assert g60 <= g30
 
 
-def test_scan_grazing_column_is_one_step_grazing_sum(tri):
+def test_scan_grazing_column_is_grazing_sum_of_one_step(tri):
     # the per-sample one-step grazing sum has one path: the grazing_sum
-    # column of a scan is one_step_grazing_sum of the sample's own curve
+    # column of a scan is grazing_sum of the sample's own one-step image
     rows = U.sup_scan(tri, 1e-2, 1000, 1, 30, seed=5).rows
     for i in (0, 1, 811, 872, 998):
         rng = np.random.default_rng(np.random.SeedSequence([5, 1, i]))
         W, _ = U._draw_curves(tri, [rng], 1e-2, 30)[0]
-        assert U.one_step_grazing_sum(tri, W, 30) == rows[i]["grazing_sum"]
+        assert _grazing_sum_of_one_step(tri, W, 30) == rows[i]["grazing_sum"]
     assert all(rows[i]["grazing_sum"] > 0.0 for i in (811, 872, 998))
 
 
@@ -323,7 +332,7 @@ def test_dropped_child_joins_a_neighbour(tri, straddle_curve, monkeypatch,
 
 def _length_constant_by_full_evolution(table, samples, seed, k0=30):
     """certify_length_constant without lazy ladders: every sample evolved
-    by evolve_one_step, then the max over its non-tail components."""
+    by evolve_n one step, then the max over its non-tail components."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
     anchors = U.graze_anchors(table)
     best, used = 0.0, 0
@@ -338,7 +347,7 @@ def _length_constant_by_full_evolution(table, samples, seed, k0=30):
             z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
         try:
             W = U.seed_ucurve(table, z, length, rng, k0)
-            comps = U.evolve_one_step(table, W, k0)
+            comps = _generation_1(table, W, k0)
         except BilliardError:
             continue
         root = math.sqrt(W.euclidean_length)
@@ -395,6 +404,47 @@ def test_length_constant_prefetches_its_samples_together(tri, monkeypatch):
     assert max(sizes) == used > 1
 
 
+def test_length_constant_drops_a_sample_whose_step_raises(tri, monkeypatch):
+    """A sample whose step raises after one of its ladders has stopped is
+    not used, and that ladder is never resumed: the run gives what a run
+    without the sample gives."""
+    one_step, strips, seed_walks = \
+        U._one_step, U._strip_children, U._seed_walks
+    resumed = []
+
+    def counted(table, stop, k0):
+        resumed.append(stop.arc.W)
+        yield from strips(table, stop, k0)
+
+    monkeypatch.setattr(U, "_strip_children", counted)
+    full = U.certify_length_constant(tri, 101, 61)
+    assert full == LENGTH_CONSTANTS["tri", 61]
+    # a sample that stops a ladder, which pass 2 then resumes
+    target = resumed[0]
+
+    def raises_once_stopped(table, parent, arc, k0, c_expansion,
+                            stopped=None):
+        out = one_step(table, parent, arc, k0, c_expansion, stopped)
+        if arc.W == target:
+            assert stopped[-1].arc.W == target
+            raise BilliardError("a step that fails after stopping a ladder")
+        return out
+
+    def left_out(*args):
+        return ["left out" if W == target else W for W in seed_walks(*args)]
+
+    resumed.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(U, "_one_step", raises_once_stopped)
+        got = U.certify_length_constant(tri, 101, 61)
+    assert target not in resumed
+    with monkeypatch.context() as mp:
+        mp.setattr(U, "_seed_walks", left_out)
+        want = U.certify_length_constant(tri, 101, 61)
+    assert got == want
+    assert got[1] == full[1] - 1
+
+
 def _anchor_curves(table, count):
     """Curves seeded astride tangency-preimage anchors, the way the anchor
     samples of certify_length_constant are, at three lengths."""
@@ -431,10 +481,10 @@ def lazy_runs(tri, lens):
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(U, "_ladder", recorded)
-                full = U.evolve_one_step(table, W)
-            stopped = []
-            arc, = U._prefetched(table, [W], 30)
-            lazy, _ = U._step(table, U._root(W), arc, 30, None, stopped)
+                full = _generation_1(table, W)
+            stopped, tree = [], U._tree(W)
+            assert U._grow(table, [tree], 30, None, stopped) == [None]
+            lazy = tree.generations[1]
             resumed = [(U._image_box(table, s.arc, s.cut0, s.deep),
                         [c for _, c in U._strip_children(table, s, 30)])
                        for s in stopped]
@@ -474,7 +524,19 @@ def test_ladder_that_cannot_complete_ends_in_a_tail(lazy_runs):
 def test_conventions(tri, far_curve):
     tree = U.evolve_n(tri, far_curve, 2)
     assert tree.regular_counts()[0] == 1
-    assert U.expansion_total(tree, 0) == 1.0
+    assert U.expansion_totals(tree, 0) == [1.0]
+
+
+def test_finding_e_curve_keeps_one_component_per_depth(tri):
+    """A curve seeded 4.7e-5 from tri's corner at a nearly grazing angle:
+    each of its first four steps gives one H-component, so the corner band
+    does not count a reflection twice (E_2 was 3.1618 when it did)."""
+    W = U.seed_ucurve(tri, PhasePoint(0, 4.7436246276394146e-05,
+                                      -1.5707765195686705), 1e-4, None, 30)
+    tree = U.evolve_n(tri, W, 4, 30)
+    assert [len(gen) for gen in tree.generations[1:]] == [1, 1, 1, 1]
+    assert U.expansion_totals(tree, 4)[2] \
+        == pytest.approx(1.5809175, abs=1e-6)
 
 
 def _check_lineage(table, W):
@@ -483,9 +545,8 @@ def _check_lineage(table, W):
     itineraries joined, the floors multiplied, regular only when both are.
     Returns the number of tail children checked."""
     tree = U.evolve_n(table, W, 2)
-    assert U.evolve_one_step(table, W) == tree.generations[1]
     pairs = [(parent, r) for parent in tree.generations[1] if not parent.tail
-             for r in U.evolve_one_step(table, parent.curve)]
+             for r in _generation_1(table, parent.curve)]
     assert len(pairs) == len(tree.generations[2])
     tails = 0
     for c, (parent, r) in zip(tree.generations[2], pairs):
@@ -894,18 +955,20 @@ def test_torus_memo_holds_the_plain_grid_probes(torus2):
 
 def _assert_prefetch_moves_no_number(table, curves):
     """Every entry that _prefetched puts in an arc's memo is what _probe
-    returns there, and _step on a prefetched arc, decided or not, builds
-    the children and drops that _one_step builds on a fresh arc probed
-    only as it goes."""
+    returns there, and _grow, which steps the curves on arcs prefetched
+    together, decided or not, builds the children and drops that _one_step
+    builds on a fresh arc probed only as it goes."""
     for W, arc in zip(curves, U._prefetched(table, curves, 30)):
         if isinstance(arc, U._Arc):
             for s, hit in arc.memo.items():
                 assert _probe_tokens(hit) \
                     == _probe_tokens(U._probe(table, _arc(W), s))
+    trees = [U._tree(W) for W in curves]
+    assert U._grow(table, trees, 30, None) == [None] * len(trees)
+    for W, tree in zip(curves, trees):
         kids, ndeg = U._one_step(table, U._root(W), _arc(W), 30, None)
-        fetched, fetched_ndeg = U._step(table, U._root(W), arc, 30, None)
-        assert fetched_ndeg == ndeg
-        assert [_component_tokens(c) for c in fetched] \
+        assert tree.degenerate_merged == ndeg
+        assert [_component_tokens(c) for c in tree.generations[1]] \
             == [_component_tokens(c) for c in kids]
 
 
@@ -1366,8 +1429,8 @@ def _scan_row_by_itself(table, i, seed, delta, n, k0, constants):
         tree = err.partial
         row["flag"] = "explosion"
     depth = len(tree.generations) - 1
-    row["e"] = [U.expansion_total(tree, m, constants)
-                for m in range(depth + 1)] + [None] * (n - depth)
+    row["e"] = U.expansion_totals(tree, depth, constants) \
+        + [None] * (n - depth)
     row["k"] = tree.regular_counts() + [0] * (n - depth)
     row["leaves"] = [len(tree.leaves(m)) for m in range(depth + 1)] \
         + [0] * (n - depth)
@@ -1375,6 +1438,24 @@ def _scan_row_by_itself(table, i, seed, delta, n, k0, constants):
         if depth >= 1 else 0.0
     row["degenerate"] = tree.degenerate_merged
     return row
+
+
+def _double_wall_2_children(monkeypatch):
+    """Make every step of a curve on wall 2 give each child twice: its arc
+    goes to _one_step even where _prefetched decides it, which builds the
+    same children."""
+    prefetched, one_step = U._prefetched, U._one_step
+
+    def declined(table, curves, k0):
+        return [_arc(W) if W.wall_id == 2 and isinstance(a, U._Decided)
+                else a for W, a in zip(curves, prefetched(table, curves, k0))]
+
+    def doubled(table, parent, *args):
+        kids, ndeg = one_step(table, parent, *args)
+        return (kids + kids if parent.curve.wall_id == 2 else kids), ndeg
+
+    monkeypatch.setattr(U, "_prefetched", declined)
+    monkeypatch.setattr(U, "_one_step", doubled)
 
 
 @pytest.mark.parametrize("explode", [False, True])
@@ -1385,14 +1466,7 @@ def test_block_scan_equals_per_curve_evolution(tri, cheap_constants,
     explode, the trees of curves on wall 2 outgrow LEAF_CAP after depth 2
     while the others of their block grow on."""
     if explode:
-        # _step is where decided and general arcs alike give their children
-        step = U._step
-
-        def doubled(table, parent, *args):
-            kids, ndeg = step(table, parent, *args)
-            return (kids + kids if parent.curve.wall_id == 2 else kids), ndeg
-
-        monkeypatch.setattr(U, "_step", doubled)
+        _double_wall_2_children(monkeypatch)
         monkeypatch.setattr(U, "LEAF_CAP", 2)
     samples = 2 * U.SCAN_BLOCK + 44
     rows = [_scan_row_by_itself(tri, i, 17, 1e-4, 3, 30, cheap_constants)
@@ -1656,9 +1730,9 @@ def test_length_constant_seeds_as_curve_by_curve(tri, monkeypatch, seed,
     _, used = U.certify_length_constant(tri, 300, seed)
     assert list(map(repr, evolved)) == list(map(repr, want))
     stepped = 0
-    for W, arc in zip(want, arcs(tri, want, 30)):
+    for W in want:
         try:
-            U._step(tri, U._root(W), arc, 30, None, [])
+            U.evolve_n(tri, W, 1)
         except BilliardError:
             continue
         stepped += 1
@@ -1746,7 +1820,7 @@ def _depth_by_rebuilding(table, seed, probes):
         sups = []
         for W in curves:
             try:
-                sups.append(U.expansion_total(U.evolve_n(table, W, n), n))
+                sups.append(U.expansion_totals(U.evolve_n(table, W, n), n)[n])
             except BilliardError:
                 continue
         sup = max([0.0] + sups)
@@ -1769,13 +1843,7 @@ def test_choose_depth_matches_rebuilt_trees(tri, monkeypatch):
 
     # probe curves on tri almost never branch: double the children of every
     # curve on wall 2, so that some trees outgrow LEAF_CAP after depth 2
-    step = U._step
-
-    def doubled(table, parent, *args):
-        kids, ndeg = step(table, parent, *args)
-        return (kids + kids if parent.curve.wall_id == 2 else kids), ndeg
-
-    monkeypatch.setattr(U, "_step", doubled)
+    _double_wall_2_children(monkeypatch)
     monkeypatch.setattr(U, "LEAF_CAP", 2)
     want, alive = _depth_by_rebuilding(tri, 3, 12)
     assert alive[0] == alive[1] > alive[-1] > 0
