@@ -897,21 +897,26 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
 
     Returns (C, used) where used counts samples whose arriving and
     departing branches were both regular; raises NumericalAbort when none
-    were.
+    were.  Samples are drawn and mapped in plain_rows' BATCH_ROWS blocks.
     """
     rng = Stream([seed, 0xC0])
-    cols = random_phase_points(table, rng, samples)
-    rows, lo, _ = unstable_cones(table, *cols)
-    step = plain_rows(table, *cols)
-    both = np.isin(step.rows, rows)
-    slope = lo[np.searchsorted(rows, step.rows[both])]
-    # no NaN: every lo is finite (unstable_cones), and a plain image has a
-    # finite derivative and |phi'| < pi/2
-    floor = expansion_factors(step.derivative[both], slope) \
-        * _each(math.cos, step.phi[both])
-    if not floor.size:
+    best, used = math.inf, 0
+    for start in range(0, samples, BATCH_ROWS):
+        cols = random_phase_points(table, rng,
+                                   min(BATCH_ROWS, samples - start))
+        rows, lo, _ = unstable_cones(table, *cols)
+        step = plain_rows(table, *cols)
+        both = np.isin(step.rows, rows)
+        slope = lo[np.searchsorted(rows, step.rows[both])]
+        # no NaN: every lo is finite (unstable_cones), and a plain image has
+        # a finite derivative and |phi'| < pi/2
+        floor = expansion_factors(step.derivative[both], slope) \
+            * _each(math.cos, step.phi[both])
+        best = min(best, float(floor.min(initial=math.inf)))
+        used += floor.size
+    if not used:
         raise NumericalAbort("no regular samples; table or sampler is broken")
-    return float(floor.min()), floor.size
+    return best, used
 
 
 def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,

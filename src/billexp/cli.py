@@ -51,7 +51,7 @@ from .errors import (
 )
 from .geometry import build_table, estimate_constants
 from .render import phase_svg, portrait_svg, table_svg
-from .serialize import csv_text, json_bytes, write_atomic
+from .serialize import csv_text, json_bytes, json_pieces, write_atomic
 from .singularities import (LEVEL_CAP, classify_sectors, sector_portrait,
                             trace_singularity)
 from .ucurves import (
@@ -59,8 +59,8 @@ from .ucurves import (
     K_CAP,
     MAX_LENGTH,
     N_CAP,
+    depth_columns,
     evolve_n,
-    expansion_totals,
     fit_constants,
     grazing_sum,
     seed_ucurve,
@@ -440,14 +440,15 @@ def _evolve_artifact(opts, table, z, tree, n, aborted=None):
         return _phase_csv(_component_rows(tree, n))
     if opts["format"] == "svg":
         return phase_svg(_component_rows(tree, n), table, opts["k0"])
+    sums, regular, _ = depth_columns(tree)
     doc = {
         "table": _table_id(opts["table"]),
         "seed_point": {"wall_id": z.wall_id, "r": z.r, "phi": z.phi},
         "length": tree.root.euclidean_length, "n": n,
         "k0": opts["k0"], "k_cap": K_CAP,
         "components": [len(g) for g in tree.generations],
-        "regular_components": tree.regular_counts(),
-        "expansion_sums": expansion_totals(tree, n),
+        "regular_components": regular,
+        "expansion_sums": sums,
         "grazing_sum": grazing_sum(tree.generations[1]),
         "degenerate_merged": tree.degenerate_merged,
     }
@@ -504,7 +505,7 @@ def _cmd_expansion(opts) -> int:
     if opts["format"] == "csv":
         _write(opts["out"], csv_text(CSV_HEADER, report.csv_rows()))
     else:
-        _write(opts["out"], json_bytes(report.to_json()))
+        _write(opts["out"], json_pieces(report.to_json()))
     print(f"wrote {opts['out']} (N={report.n_steps} [{report.n_source}], "
           f"sup E_N {report.sup_e[-1]:.6g}, verdict {report.verdict})")
     return 0

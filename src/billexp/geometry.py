@@ -249,10 +249,12 @@ def _classify_gamma(gamma: float) -> str:
     return "acute" if gamma < math.pi else "obtuse"
 
 
-def _dist(p, q) -> float:
-    # np.hypot, not math.hypot: they differ in the last bit on some pairs,
-    # and the diameter is the tau_max that validate reports
-    return float(np.hypot(p[0] - q[0], p[1] - q[1]))
+def _hypots(dx, dy) -> list[float]:
+    """np.hypot(dx[i], dy[i]) for each i, in one call: the one distance of
+    corners and the diameter.  Not math.hypot, which differs from it in the
+    last bit on some pairs: the diameter is the tau_max validate reports."""
+    return np.hypot(np.array(dx, dtype=float),
+                    np.array(dy, dtype=float)).tolist()
 
 
 def _build_corners(walls: tuple[ArcWall, ...], strict: bool):
@@ -264,10 +266,13 @@ def _build_corners(walls: tuple[ArcWall, ...], strict: bool):
     corner_at_end: list[int | None] = [None] * len(walls)
     corner_at_start: list[int | None] = [None] * len(walls)
 
+    ids, others = list(starts), [*starts.values(), *ends.values()]
     for i, e in ends.items():
-        matches = [j for j, s in starts.items() if _dist(e, s) <= EPS_JOIN]
-        end_matches = [j for j, e2 in ends.items()
-                       if j != i and _dist(e, e2) <= EPS_JOIN]
+        d = _hypots([e[0] - q[0] for q in others],
+                    [e[1] - q[1] for q in others])
+        matches = [j for j, dj in zip(ids, d) if dj <= EPS_JOIN]
+        end_matches = [j for j, dj in zip(ids, d[len(ids):])
+                       if j != i and dj <= EPS_JOIN]
         if end_matches:
             raise OpenBoundary(
                 f"wall {i} end meets wall {end_matches[0]} end; traversal "
@@ -466,51 +471,39 @@ def _exact_diameter(walls, corners) -> float:
     Candidates: corner pairs, arc-vs-point far points, and center-line far
     pairs between circle pairs, each filtered by arc membership.
     """
-    pts = [c.position for c in corners]
-    for w in walls:
-        if not w.closed:
-            pts.append(w.frame_at(0.0)[0])
-            pts.append(w.frame_at(w.length)[0])
-
-    # every pair in one call, each with the bits _dist gives it
-    x, y = np.array(pts, dtype=float).reshape(-1, 2).T
-    best = float(np.hypot(np.subtract.outer(x, x),
-                          np.subtract.outer(y, y)).max(initial=0.0))
-
-    def far_point_on(w: ArcWall, p):
-        c = w.center
+    pts = [c.position for c in corners] + [
+        w.frame_at(s)[0] for w in walls if not w.closed
+        for s in (0.0, w.length)]
+    best = max(_hypots([p[0] - q[0] for p in pts for q in pts],
+                       [p[1] - q[1] for p in pts for q in pts]), default=0.0)
+    # far points, as (q, p): the point q of a wall's circle farthest from a
+    # candidate point p, then the points of walls a < b farthest apart on
+    # the line through their centers, where their arcs hold them
+    far = []
+    pairs = [(w, w.center, p) for w in walls for p in pts]
+    for (w, c, p), nd in zip(pairs, _hypots(
+            [c[0] - p[0] for _, c, p in pairs],
+            [c[1] - p[1] for _, c, p in pairs])):
         dx, dy = c[0] - p[0], c[1] - p[1]
-        nd = _dist(c, p)
+        if nd >= 1e-15 and w.contains_angle(math.atan2(dy, dx)):
+            far.append(((c[0] + w.radius * dx / nd,
+                         c[1] + w.radius * dy / nd), p))
+    pairs = [(wa, wb) for k, wa in enumerate(walls) for wb in walls[k + 1:]]
+    for (wa, wb), nd in zip(pairs, _hypots(
+            [wb.center[0] - wa.center[0] for wa, wb in pairs],
+            [wb.center[1] - wa.center[1] for wa, wb in pairs])):
+        (ax, ay), (bx, by) = wa.center, wb.center
         if nd < 1e-15:
-            return None
-        if w.contains_angle(math.atan2(dy, dx)):
-            return (c[0] + w.radius * dx / nd, c[1] + w.radius * dy / nd)
-        return None
-
-    for w in walls:
-        for p in pts:
-            q = far_point_on(w, p)
-            if q is not None:
-                best = max(best, _dist(q, p))
-    for wa in walls:
-        for wb in walls:
-            if wb.wall_id < wa.wall_id:
-                continue
-            ca, cb = wa.center, wb.center
-            if wa is wb:
-                if wa.span >= math.pi:
-                    best = max(best, 2.0 * wa.radius)
-                continue
-            nd = _dist(cb, ca)
-            if nd < 1e-15:
-                continue
-            ux, uy = (cb[0] - ca[0]) / nd, (cb[1] - ca[1]) / nd
-            pa = (ca[0] - wa.radius * ux, ca[1] - wa.radius * uy)
-            qb = (cb[0] + wb.radius * ux, cb[1] + wb.radius * uy)
-            if wa.contains_angle(math.atan2(-uy, -ux)) and \
-               wb.contains_angle(math.atan2(uy, ux)):
-                best = max(best, _dist(qb, pa))
-    return best
+            continue
+        ux, uy = (bx - ax) / nd, (by - ay) / nd
+        if wa.contains_angle(math.atan2(-uy, -ux)) and \
+           wb.contains_angle(math.atan2(uy, ux)):
+            far.append(((bx + wb.radius * ux, by + wb.radius * uy),
+                        (ax - wa.radius * ux, ay - wa.radius * uy)))
+    # a circle's own diameter, where its arc spans half the circle
+    return max([best] + [2.0 * w.radius for w in walls if w.span >= math.pi]
+               + _hypots([q[0] - p[0] for q, p in far],
+                         [q[1] - p[1] for q, p in far]))
 
 
 # ---------------------------------------------------------------------------

@@ -885,34 +885,15 @@ class EvolutionTree:
     generations: list[list[HComponent]]
     degenerate_merged: int = 0
 
-    def regular_counts(self) -> list[int]:
-        out = [1]
-        for gen in self.generations[1:]:
-            out.append(sum(1 for c in gen if c.regular))
-        return out
-
-    def leaf_counts(self) -> list[int]:
-        """``len(self.leaves(n))`` for each depth n of the tree."""
-        out, tails = [], 0
-        for g, gen in enumerate(self.generations):
-            t = sum(1 for c in gen if c.tail)
-            if g:
-                tails += t
-            out.append(len(gen) - t + tails)
-        return out
-
     def leaves(self, n: int) -> list[HComponent]:
-        out = [c for c in self.generations[n] if not c.tail] \
-            if n < len(self.generations) else []
-        for g in range(1, min(n, len(self.generations) - 1) + 1):
-            out.extend(c for c in self.generations[g] if c.tail)
-        return out
+        """The depth-n leaves: generation n's pieces, then the tails of
+        generations 1..n in order."""
+        return [c for c in self.generations[n] if not c.tail] + [
+            c for gen in self.generations[1:n + 1] for c in gen if c.tail]
 
 
 def _remaining_floor(constants, m):
-    if m <= 0:
-        return 1.0
-    if constants is None:
+    if m <= 0 or constants is None:
         return 1.0
     return max(1e-12, constants.lam_hyper ** m / constants.c_hyper)
 
@@ -1101,10 +1082,8 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
              constants=None) -> EvolutionTree:
     """Breadth-first component tree of F^n W.
 
-    Tail components are terminal: their expansion-sum contribution at depth
-    N uses the fitted per-step floor for the remaining N - g steps when
-    constants are supplied, and 1 otherwise.  Raises what ``_grow``
-    reports.
+    Tail components are terminal; ``depth_columns`` counts them at every
+    later depth.  Raises what ``_grow`` reports.
     """
     _check_depth(n)
     tree = _tree(W)
@@ -1115,27 +1094,29 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
     return tree
 
 
-def expansion_totals(tree: EvolutionTree, n: int,
-                     constants=None) -> list[float]:
-    """[E_0, ..., E_n], E_m the sum of inverse minimum expansions over the
-    depth-m leaves.  Each generation's tails are found once; a depth-m sum
-    adds its terms in generation order."""
-    gens = tree.generations
-    tails = [[c for c in gen if c.tail] for gen in gens]
-    out = [1.0]
-    for m in range(1, n + 1):
+def depth_columns(tree: EvolutionTree, constants=None
+                  ) -> tuple[list[float], list[int], list[int]]:
+    """The expansion sums E_m, regular counts and leaf counts
+    (``len(tree.leaves(m))``) at the depths m = 0..depth of the tree.
+
+    The one home of the tail rule: a tail of generation g is a leaf at every
+    depth m >= g, where it adds its tail_inv (the ancestry's expansion
+    folded in) over ``_remaining_floor`` of the m - g steps left.  E_m adds
+    the earlier tails in generation order, then generation m in list order.
+    """
+    sums, regular, leaves = [], [], []
+    tails = []      # (generation, tail_inv) of the tails so far
+    for m, gen in enumerate(tree.generations):
         total = 0.0
-        for g in range(1, min(m, len(gens) - 1) + 1):
-            for comp in gens[g] if g == m else tails[g]:
-                if comp.tail:
-                    # tail_inv folds the ancestry expansion in already; the
-                    # remaining m - g steps contribute the fitted floor
-                    total += comp.tail_inv / _remaining_floor(constants,
-                                                              m - g)
-                else:
-                    total += 1.0 / comp.min_expansion
-        out.append(total)
-    return out
+        for g, inv in tails:
+            total += inv / _remaining_floor(constants, m - g)
+        for comp in gen:
+            total += comp.inv_expansion
+        sums.append(total)
+        regular.append(sum(1 for c in gen if c.regular))
+        leaves.append(len(tails) + len(gen))
+        tails.extend((m, c.tail_inv) for c in gen if c.tail)
+    return sums, regular, leaves
 
 
 def grazing_sum(components) -> float:
@@ -1470,10 +1451,11 @@ def _row(i, tries, tree, stop, n, constants):
            "length": W.euclidean_length, "tries": tries,
            "flag": "" if stop is None else "explosion"}
     depth = len(tree.generations) - 1
+    sums, regular, leaves = depth_columns(tree, constants)
     # depths past an explosion have no sum: null in JSON, empty in CSV
-    row["e"] = expansion_totals(tree, depth, constants) + [None] * (n - depth)
-    row["k"] = tree.regular_counts() + [0] * (n - depth)
-    row["leaves"] = tree.leaf_counts() + [0] * (n - depth)
+    row["e"] = sums + [None] * (n - depth)
+    row["k"] = regular + [0] * (n - depth)
+    row["leaves"] = leaves + [0] * (n - depth)
     row["grazing_sum"] = grazing_sum(tree.generations[1]) \
         if depth >= 1 else 0.0
     row["degenerate"] = tree.degenerate_merged
@@ -1580,7 +1562,7 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
     for n in range(1, N_CAP + 1):
         stops = _grow(table, trees, k0, constants)
         trees = [t for t, stop in zip(trees, stops) if stop is None]
-        sup = max([0.0] + [expansion_totals(t, n, constants)[n]
+        sup = max([0.0] + [depth_columns(t, constants)[0][n]
                            for t in trees])
         if sup < best_sup:
             best_n, best_sup = n, sup

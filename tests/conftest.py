@@ -1,9 +1,10 @@
 import contextlib
 import math
 
+import numpy as np
 import pytest
 
-from billexp import bmap, geometry, tables
+from billexp import bmap, errors, geometry, tables
 
 
 @contextlib.contextmanager
@@ -101,3 +102,105 @@ def split_circle():
                  "theta_end": 0.0, "orientation": -1},
             ]}
     return geometry.build_table(spec, strict=False)
+
+
+# ---------------------------------------------------------------------------
+# corners and diameter one distance at a time: geometry's code as it stood
+# while each distance was its own scalar np.hypot call
+
+def _scalar_dist(p, q) -> float:
+    return float(np.hypot(p[0] - q[0], p[1] - q[1]))
+
+
+def scalar_build_corners(walls, strict):
+    """``geometry._build_corners``, each endpoint pair matched by its own
+    distance."""
+    open_walls = [w for w in walls if not w.closed]
+    starts = {w.wall_id: w.frame_at(0.0)[0] for w in open_walls}
+    ends = {w.wall_id: w.frame_at(w.length)[0] for w in open_walls}
+    corners = []
+    at_end, at_start = [None] * len(walls), [None] * len(walls)
+    for i, e in ends.items():
+        matches = [j for j, s in starts.items()
+                   if _scalar_dist(e, s) <= geometry.EPS_JOIN]
+        end_matches = [j for j, e2 in ends.items()
+                       if j != i and _scalar_dist(e, e2) <= geometry.EPS_JOIN]
+        if end_matches:
+            raise errors.OpenBoundary(
+                f"wall {i} end meets wall {end_matches[0]} end; traversal "
+                "directions are inconsistent")
+        if not matches:
+            raise errors.OpenBoundary(
+                f"wall {i} end point is not joined to any wall start")
+        if len(matches) > 1:
+            raise errors.NonSimpleCorner(
+                f"{len(matches) + 1} walls meet at wall {i} end")
+        j = matches[0]
+        _, _, w_minus = walls[i].frame_at(walls[i].length)
+        _, _, w_plus = walls[j].frame_at(0.0)
+        gamma = geometry.corner_angle(w_minus, w_plus)
+        if strict and (gamma <= geometry.GAMMA_TOL
+                       or gamma >= geometry.TWO_PI - geometry.GAMMA_TOL):
+            raise errors.CuspDetected(
+                f"corner between walls {i} and {j}: gamma = {gamma:.3e}")
+        s = starts[j]
+        cid = len(corners)
+        corners.append(geometry.Corner(
+            corner_id=cid, position=(0.5 * (e[0] + s[0]), 0.5 * (e[1] + s[1])),
+            left_wall_id=i, right_wall_id=j, gamma=float(gamma),
+            kind=geometry._classify_gamma(gamma),
+            w_minus=(float(w_minus[0]), float(w_minus[1])),
+            w_plus=(float(w_plus[0]), float(w_plus[1]))))
+        at_end[i] = at_start[j] = cid
+    for j in starts:
+        if at_start[j] is None:
+            raise errors.OpenBoundary(
+                f"wall {j} start point is not joined to any wall end")
+    return tuple(corners), tuple(at_end), tuple(at_start)
+
+
+def scalar_diameter(walls, corners) -> float:
+    """``geometry._exact_diameter``, each candidate distance its own call."""
+    pts = [c.position for c in corners]
+    for w in walls:
+        if not w.closed:
+            pts.append(w.frame_at(0.0)[0])
+            pts.append(w.frame_at(w.length)[0])
+    best = max([0.0] + [_scalar_dist(p, q) for p in pts for q in pts])
+    for w in walls:
+        c = w.center
+        for p in pts:
+            dx, dy = c[0] - p[0], c[1] - p[1]
+            nd = _scalar_dist(c, p)
+            if nd >= 1e-15 and w.contains_angle(math.atan2(dy, dx)):
+                q = (c[0] + w.radius * dx / nd, c[1] + w.radius * dy / nd)
+                best = max(best, _scalar_dist(q, p))
+    for wa in walls:
+        for wb in walls:
+            if wb.wall_id < wa.wall_id:
+                continue
+            ca, cb = wa.center, wb.center
+            if wa is wb:
+                if wa.span >= math.pi:
+                    best = max(best, 2.0 * wa.radius)
+                continue
+            nd = _scalar_dist(cb, ca)
+            if nd < 1e-15:
+                continue
+            ux, uy = (cb[0] - ca[0]) / nd, (cb[1] - ca[1]) / nd
+            pa = (ca[0] - wa.radius * ux, ca[1] - wa.radius * uy)
+            qb = (cb[0] + wb.radius * ux, cb[1] + wb.radius * uy)
+            if wa.contains_angle(math.atan2(-uy, -ux)) and \
+               wb.contains_angle(math.atan2(uy, ux)):
+                best = max(best, _scalar_dist(qb, pa))
+    return best
+
+
+def corners_and_diameter(build_corners, diameter, walls, strict):
+    """(corners, the diameter's float.hex) of walls, or the error's type
+    and message, by the given functions."""
+    try:
+        built = build_corners(walls, strict)
+    except errors.BilliardError as err:
+        return type(err), str(err)
+    return built, diameter(walls, built[0]).hex()

@@ -49,4 +49,30 @@ def test_summary_labels_end_to_end_metrics_against_their_bound(
     assert _line(lines, "w", "verdict_s").endswith(f", {label} {bound:g}")
     # a per-layer metric has no bound, so no label
     layer = _line(lines, "w", "bmap.forward.calls")
-    assert layer.endswith("quartile distance 0")
+    assert layer.endswith("median equal, within the parent's quartile "
+                          "distance 0, not claimable")
+
+
+_TIGHT = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+
+
+@pytest.mark.parametrize("change,median", [
+    # better in every pair, by far more than the parent's quartile distance
+    ([0.8] * 10, "better by 0.2, exceeding"),
+    # as far better, but in only 8 pairs of 10
+    ([0.8] * 8 + [1.1, 1.1], "better by 0.2, exceeding"),
+    # better in every pair, but by less than the quartile distance
+    ([0.999] * 10, "better by 0.001, within"),
+    # worse in every pair, by far more than the quartile distance
+    ([1.2] * 10, "worse by 0.2, exceeding"),
+])
+def test_summary_signs_the_median_gap_and_labels_a_claim(change, median):
+    """The gap is signed, so a worse change does not read like a gain, and
+    only a change that wins 9 pairs of 10 by more than the parent's
+    quartile distance may claim it."""
+    line = _line(bench_pairs.summary(_pairs("w", _TIGHT, change)), "w",
+                 "verdict_s")
+    assert f", median {median} the parent's quartile distance 0.015, " \
+        in line
+    claim = "claimable" if change == [0.8] * 10 else "not claimable"
+    assert f"0.015, {claim}, " in line

@@ -4,13 +4,17 @@ import json
 import pathlib
 import re
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from billexp import cli, geometry, render, singularities, tables, ucurves
+from billexp import (cli, geometry, render, serialize, singularities, tables,
+                     ucurves)
 from billexp.errors import ValidationError
+from conftest import (corners_and_diameter, scalar_build_corners,
+                      scalar_diameter)
 
 
 def run(*argv):
@@ -634,3 +638,76 @@ def test_table_spec_builds_or_is_refused(spec):
         assert code in ((0, 2) if built else (2,))
         if code == 0:
             _check_artifact(pathlib.Path(d) / "v.json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_specs())
+@example(tables.make_tri_spec())
+@example(tables.make_lens_spec())
+def test_table_spec_corners_and_diameter_keep_the_scalar_bits(spec):
+    """On every generated spec whose walls build, the corners (or the error
+    that refuses them) and the diameter are those of one np.hypot call per
+    pair."""
+    try:
+        walls = tuple(geometry._spec_wall(k, ws)
+                      for k, ws in enumerate(spec["walls"]))
+    except (TypeError, KeyError, ValidationError):
+        return
+    if not walls:   # refused by build_table before its corners
+        return
+    for strict in (True, False):
+        assert corners_and_diameter(
+            geometry._build_corners, geometry._exact_diameter, walls,
+            strict) == corners_and_diameter(
+            scalar_build_corners, scalar_diameter, walls, strict)
+
+
+# ---------------------------------------------------------------------------
+# JSON artifacts in pieces
+
+def _report_doc(rows):
+    """A document shaped like an expansion report at depth 6."""
+    return {"k_max": [1, 1, 1, 2, 2, 2, 2], "partial": False, "rows": [
+        {"sample_id": i, "base": [i % 3, i / 7.0, -i / 11.0],
+         "length": 1e-4 * (1.0 + i / 13.0), "tries": 1, "flag": "",
+         "e": [1.0] + [i / (m + 3.0) for m in range(6)],
+         "k": [1, 1, 1, 2, 2, 2, 2], "leaves": [1, 1, 2, 2, 3, 3, 3],
+         "grazing_sum": 0.0, "degenerate": 0} for i in range(rows)]}
+
+
+@pytest.mark.parametrize("doc", [
+    _report_doc(3), _report_doc(0), {}, [], None, 1.5, "caf\u00e9",
+    {"b": [1, {"a": None, "c": []}], "a": {}}])
+def test_json_pieces_are_json_dumps(doc):
+    want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert "".join(serialize.json_pieces(doc)) == want
+    assert serialize.json_bytes(doc) == want.encode()
+
+
+def test_json_artifact_streams_to_its_file(tmp_path):
+    """A 10,000-row report reaches its file in pieces: the write holds a
+    few thousand of the encoder's chunks at a time, where all of them
+    (json.dumps with an indent) take about 40 MB."""
+    doc = _report_doc(10_000)
+    want = (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode()
+    tracemalloc.start()
+    try:
+        serialize.write_atomic("r.json", serialize.json_pieces(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "r.json").read_bytes() == want
+    assert peak <= 1_000_000
+
+
+def test_json_artifact_with_nan_leaves_no_file(tmp_path):
+    """A NaN late in the document raises once earlier pieces were written;
+    the temp file goes, and the file already under the name stays."""
+    (tmp_path / "r.json").write_text("before")
+    doc = _report_doc(10_000)
+    doc["rows"][9_000]["e"][3] = float("nan")
+    with pytest.raises(ValueError):
+        serialize.write_atomic("r.json", serialize.json_pieces(doc))
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert (tmp_path / "r.json").read_text() == "before"

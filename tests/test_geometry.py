@@ -16,7 +16,8 @@ from billexp.errors import (
     ValidationError,
 )
 from billexp.geometry import EPS_CORNER, build_table
-from conftest import wedge_table
+from conftest import (corners_and_diameter, scalar_build_corners,
+                      scalar_diameter, wedge_table)
 
 TWO_PI = 2.0 * math.pi
 
@@ -230,6 +231,25 @@ def test_tri_midpoint_normal_hits_opposite_vertex(tri):
 
 def test_tri_diameter(tri):
     assert tri.constants.tau_max == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "split_circle", "wedge"])
+def test_corners_and_diameter_keep_the_scalar_bits(name, request):
+    """Matching endpoints and taking the diameter over arrays of np.hypot
+    gives each pair the bits of its own np.hypot call; the table's tau_max
+    is that diameter."""
+    tables_ = [request.getfixturevalue(name)]
+    if name == "wedge":
+        tables_ += [wedge_table(g) for g in (math.pi / 2, 2.0, math.pi, 4.0)]
+    for table in tables_:
+        got = corners_and_diameter(geometry._build_corners,
+                                   geometry._exact_diameter, table.walls,
+                                   False)
+        assert got == corners_and_diameter(scalar_build_corners,
+                                           scalar_diameter, table.walls,
+                                           False)
+        assert got[0][0] == table.corners
+        assert got[1] == table.constants.tau_max.hex()
 
 
 def test_tri_sequence_cap(tri):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from billexp.bmap import (
     MapResult,
     PhasePoint,
     certify_expansion_constant,
+    Stream,
     certify_hyperbolicity,
+    expansion_factors,
     flight_derivative,
     forward,
     inverse,
@@ -1048,6 +1051,36 @@ def test_expansion_constant_reproduces_recorded_values(name, seed, want,
     each block was drawn and mapped by its own calls."""
     table = request.getfixturevalue(name)
     assert repr(certify_expansion_constant(table, 10000, seed)) == repr(want)
+
+
+def _expansion_constant_in_one_shot(table, samples, seed):
+    """certify_expansion_constant as it was before it worked in blocks:
+    every sample drawn by one call and mapped by one plain_rows call."""
+    cols = random_phase_points(table, Stream([seed, 0xC0]), samples)
+    rows, lo, _ = unstable_cones(table, *cols)
+    step = plain_rows(table, *cols)
+    both = np.isin(step.rows, rows)
+    slope = lo[np.searchsorted(rows, step.rows[both])]
+    floor = expansion_factors(step.derivative[both], slope) \
+        * np.array([math.cos(phi) for phi in step.phi[both].tolist()])
+    return float(floor.min()), floor.size
+
+
+@pytest.mark.parametrize("samples", [1, 511, 512, 513, 10000])
+def test_expansion_constant_in_blocks_equals_one_shot(tri, samples):
+    """Counts around one BATCH_ROWS block and across many: the minimum and
+    the count are exact, so the blocks change no bit; and the 10,000-sample
+    run holds one block's arrays at a time, where the one-shot run's peak is
+    about 2.8 MB."""
+    tracemalloc.start()
+    try:
+        got = certify_expansion_constant(tri, samples, 61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(got) == repr(_expansion_constant_in_one_shot(tri, samples,
+                                                             61))
+    assert peak < 1_000_000
 
 
 def _growth_minima_by_point(table, samples, seed, n_max):

@@ -523,8 +523,8 @@ def test_ladder_that_cannot_complete_ends_in_a_tail(lazy_runs):
 
 def test_conventions(tri, far_curve):
     tree = U.evolve_n(tri, far_curve, 2)
-    assert tree.regular_counts()[0] == 1
-    assert U.expansion_totals(tree, 0) == [1.0]
+    sums, regular, leaves = U.depth_columns(tree)
+    assert (sums[0], regular[0], leaves[0]) == (1.0, 1, 1)
 
 
 def test_finding_e_curve_keeps_one_component_per_depth(tri):
@@ -535,8 +535,117 @@ def test_finding_e_curve_keeps_one_component_per_depth(tri):
                                       -1.5707765195686705), 1e-4, None, 30)
     tree = U.evolve_n(tri, W, 4, 30)
     assert [len(gen) for gen in tree.generations[1:]] == [1, 1, 1, 1]
-    assert U.expansion_totals(tree, 4)[2] \
-        == pytest.approx(1.5809175, abs=1e-6)
+    assert U.depth_columns(tree)[0][2] == pytest.approx(1.5809175, abs=1e-6)
+
+
+def _walked_columns(tree, constants):
+    """The three walks that ``depth_columns`` replaced, as they stood: the
+    sums of ``expansion_totals``, then ``regular_counts`` and
+    ``leaf_counts``, over depths 0..depth of the tree."""
+    gens = tree.generations
+    tails = [[c for c in gen if c.tail] for gen in gens]
+    sums = [1.0]
+    for m in range(1, len(gens)):
+        total = 0.0
+        for g in range(1, m + 1):
+            for comp in gens[g] if g == m else tails[g]:
+                if comp.tail:
+                    total += comp.tail_inv / U._remaining_floor(constants,
+                                                                m - g)
+                else:
+                    total += 1.0 / comp.min_expansion
+        sums.append(total)
+    regular = [1] + [sum(1 for c in gen if c.regular) for gen in gens[1:]]
+    leaves, seen = [], 0
+    for g, gen in enumerate(gens):
+        t = sum(1 for c in gen if c.tail)
+        if g:
+            seen += t
+        leaves.append(len(gen) - t + seen)
+    return sums, regular, leaves
+
+
+def _same_columns(tree, constants):
+    """Whether ``depth_columns`` gives the old walks' lists bit for bit; the
+    leaf counts are also ``len(tree.leaves(m))``."""
+    sums, regular, leaves = U.depth_columns(tree, constants)
+    want_sums, want_regular, want_leaves = _walked_columns(tree, constants)
+    assert leaves == [len(tree.leaves(m)) for m in range(len(leaves))]
+    return ([x.hex() for x in sums], regular, leaves) \
+        == ([x.hex() for x in want_sums], want_regular, want_leaves)
+
+
+def _component(tail_inv=0.0, min_expansion=1.0, k=0):
+    return U.HComponent(curve=None, itinerary=((0, "", k),),
+                        min_expansion=min_expansion, tail_inv=tail_inv,
+                        tail_from=31 if tail_inv else 0)
+
+
+def test_depth_columns_add_earlier_tails_first_in_generation_order(
+        cheap_constants):
+    """Tails at generations 1, 2 and 3 among pieces, with terms whose
+    rounded sum depends on the order they are added in."""
+    tree = U.EvolutionTree(root=None, generations=[
+        [U._root(None)],
+        [_component(tail_inv=1e-16), _component(min_expansion=1.0, k=1)],
+        [_component(min_expansion=1e16), _component(tail_inv=1.0),
+         _component(min_expansion=3.0)],
+        [_component(tail_inv=3e-16), _component(min_expansion=7.0)],
+        [_component(min_expansion=1e16 / 3.0)]])
+    for constants in (None, cheap_constants):
+        assert _same_columns(tree, constants)
+    assert U.depth_columns(tree) == (
+        [1.0, 1.0 + 1e-16, 1e-16 + 1e-16 + 1.0 + 1.0 / 3.0,
+         1e-16 + 1.0 + 3e-16 + 1.0 / 7.0, 1e-16 + 1.0 + 3e-16 + 3e-16],
+        [1, 0, 2, 1, 1], [1, 2, 4, 4, 4])
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+@pytest.mark.parametrize("cap", [U.LEAF_CAP, 200])
+def test_depth_columns_match_the_walks_on_anchor_trees(
+        name, cap, cheap_constants, request, monkeypatch):
+    """Trees of curves astride tangency-preimage anchors, grown to depth 4
+    at k0 = 30 with and without fitted constants, carry a tail at
+    generation 1; with LEAF_CAP at 200 the wide ones explode at depth 1
+    and leave a partial tree."""
+    table = request.getfixturevalue(name)
+    monkeypatch.setattr(U, "LEAF_CAP", cap)
+    tails = exploded = 0
+    for W in _anchor_curves(table, 8):
+        for constants in (None, cheap_constants):
+            try:
+                tree = U.evolve_n(table, W, 4, 30, constants)
+            except ComponentExplosion as err:
+                tree = err.partial
+                exploded += 1
+            assert _same_columns(tree, constants)
+            tails += any(c.tail for c in tree.generations[1])
+    assert tails >= 8
+    assert (exploded > 0) == (cap == 200)
+
+
+def test_depth_columns_match_the_walks_on_scan_trees(tri, torus2,
+                                                     monkeypatch):
+    """Every tree of the seed-61 scans of tri (N = 6, no fit) and torus2
+    (N = 4 under its seed-61 fitted constants); two torus2 trees carry a
+    tail, tri's none."""
+    row, checked = U._row, []
+
+    def checking(i, tries, tree, stop, n, constants):
+        checked.append((_same_columns(tree, constants),
+                        any(c.tail for gen in tree.generations for c in gen)))
+        return row(i, tries, tree, stop, n, constants)
+
+    monkeypatch.setattr(U, "_row", checking)
+    torus2_fit = U.FittedConstants(
+        c_expansion=1.5221661031786686, c_hyper=2.1147733060334013,
+        lam_hyper=2.3522897002324656, c_length=3.425750488984956,
+        xi_complexity=1.0, k_complexity=1, seed=61)
+    U.sup_scan(tri, 1e-4, 1000, 6, 30, 61)
+    U.sup_scan(torus2, 1e-4, 1000, 4, 30, 61, torus2_fit)
+    assert len(checked) == 2000
+    assert all(same for same, _ in checked)
+    assert sum(tail for _, tail in checked) == 2
 
 
 def _check_lineage(table, W):
@@ -1429,9 +1538,9 @@ def _scan_row_by_itself(table, i, seed, delta, n, k0, constants):
         tree = err.partial
         row["flag"] = "explosion"
     depth = len(tree.generations) - 1
-    row["e"] = U.expansion_totals(tree, depth, constants) \
-        + [None] * (n - depth)
-    row["k"] = tree.regular_counts() + [0] * (n - depth)
+    sums, regular, _ = U.depth_columns(tree, constants)
+    row["e"] = sums + [None] * (n - depth)
+    row["k"] = regular + [0] * (n - depth)
     row["leaves"] = [len(tree.leaves(m)) for m in range(depth + 1)] \
         + [0] * (n - depth)
     row["grazing_sum"] = U.grazing_sum(tree.generations[1]) \
@@ -1820,7 +1929,7 @@ def _depth_by_rebuilding(table, seed, probes):
         sups = []
         for W in curves:
             try:
-                sups.append(U.expansion_totals(U.evolve_n(table, W, n), n)[n])
+                sups.append(U.depth_columns(U.evolve_n(table, W, n))[0][n])
             except BilliardError:
                 continue
         sup = max([0.0] + sups)

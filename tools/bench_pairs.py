@@ -15,14 +15,14 @@ BENCH_<NAME>.json in the current directory, made when missing.
 After its pairs it prints a summary of every pair in that file, per workload
 and metric: each side's median and quartiles over its correct runs, the
 change's wins out of the pairs where both sides are correct (ties count for
-neither side), and whether the gap between the medians exceeds the distance
-between the parent's quartiles.  An end-to-end metric also gets a label
-against its ``bound`` in BENCHMARK.json, a fraction of the parent's median
-(``bound_label``).  Then, per workload, the number of runs on each side that
-were not correct, with or without metrics.  A gain may be claimed where the
-change wins at least nine pairs in ten and the gap exceeds the parent's
-quartile distance.  The exit status is 1 when any run of the change in the
-file was not correct.
+neither side), how much better or worse the change's median is than the
+parent's and whether that gap exceeds the distance between the parent's
+quartiles, and whether a gain is ``claimable``: the change wins at least
+nine pairs in ten and is better by more than that distance.  An end-to-end
+metric also gets a label against its ``bound`` in BENCHMARK.json, a fraction
+of the parent's median (``bound_label``).  Then, per workload, the number of
+runs on each side that were not correct, with or without metrics.  The exit
+status is 1 when any run of the change in the file was not correct.
 """
 
 import argparse
@@ -83,6 +83,13 @@ def bound_label(par, chg, better, bound) -> str:
     return "worse beyond the bound" if worse > margin else "within the bound"
 
 
+def claimable(wins, pairs, gap, iqr) -> bool:
+    """Whether a gain may be claimed: the change wins at least nine pairs
+    in ten, and its median is better than the parent's (gap > 0) by more
+    than the parent's quartile distance iqr."""
+    return 10 * wins >= 9 * pairs and gap > iqr
+
+
 def summary(pairs) -> list[str]:
     """One line per workload, trace level and metric over the given pairs,
     from the pairs where both sides are correct and report that metric (an
@@ -105,14 +112,20 @@ def summary(pairs) -> list[str]:
             gain = par - chg if better == "lower" else chg - par
             pq = np.percentile(par, [25, 50, 75])
             cq = np.percentile(chg, [25, 50, 75])
-            gap, iqr = abs(cq[1] - pq[1]), pq[2] - pq[0]
+            wins, iqr = int(np.sum(gain > 0.0)), pq[2] - pq[0]
+            # the change's median against the parent's, signed: > 0 better
+            gap = pq[1] - cq[1] if better == "lower" else cq[1] - pq[1]
+            median = f"better by {gap:.6g}" if gap > 0.0 else \
+                f"worse by {-gap:.6g}" if gap < 0.0 else "equal"
             lines.append(
                 f"{workload} --trace {trace} {name}: parent {pq[1]:.6g} "
                 f"[{pq[0]:.6g}, {pq[2]:.6g}], change {cq[1]:.6g} "
-                f"[{cq[0]:.6g}, {cq[2]:.6g}], change wins "
-                f"{int(np.sum(gain > 0.0))}/{len(both)}, median gap "
-                f"{gap:.6g} {'exceeds' if gap > iqr else 'within'} the "
-                f"parent's quartile distance {iqr:.6g}"
+                f"[{cq[0]:.6g}, {cq[2]:.6g}], change wins {wins}/{len(both)}"
+                f", median {median}, "
+                f"{'exceeding' if abs(gap) > iqr else 'within'} the "
+                f"parent's quartile distance {iqr:.6g}, "
+                f"{'' if claimable(wins, len(both), gap, iqr) else 'not '}"
+                "claimable"
                 + (f", {bound_label(par, chg, better, BOUND[name])} "
                    f"{BOUND[name]:g}" if name in BOUND else ""))
         wrong = {side: sum(not p[side]["correct"] for p in group)
