@@ -64,7 +64,7 @@ SEED_HALF = 4          # seed curve nodes on each side of the base point
 # ---------------------------------------------------------------------------
 # curves
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UCurve:
     wall_id: int
     nodes: tuple[PhasePoint, ...]
@@ -168,7 +168,9 @@ class _Arc:
     its lists taken from row ``row`` of ``geo``, the ``_geometry`` of a list
     of curves that holds W there.
 
-    ``memo`` maps a parameter to its ``_probe`` result; see ``_probe_at``.
+    ``memo`` maps a parameter to its ``_probe`` result, or to the int entry
+    of ``plain`` (the ``RegularRows`` that ``_prefetched`` mapped) that
+    holds its plain image, not yet built; see ``_probe_at``.
     """
 
     def __init__(self, W: UCurve, geo: _Geometry, row: int):
@@ -179,6 +181,7 @@ class _Arc:
         self.seg_slope = geo.slope[row, :m - 1].tolist()
         self.total = float(geo.total[row])
         self.memo = {}
+        self.plain = None
 
     def at(self, s: float) -> PhasePoint:
         return PhasePoint(self.W.wall_id, _interp(s, self.frac, self.r),
@@ -471,7 +474,7 @@ def _trigamma(q):
 # ---------------------------------------------------------------------------
 # one-step evolution
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HComponent:
     curve: UCurve
     itinerary: tuple[tuple[int, str, int], ...]
@@ -513,13 +516,25 @@ def _probe_at(table, arc, s, keep=True):
     insets, the root finders' end points and the node refinement probe more
     than once.  With ``keep`` false a missed parameter is not stored: a
     root finder's iterates are never probed again, and a deep strip ladder
-    makes thousands of them."""
+    makes thousands of them.  A prefetched row is built into its image
+    when first read here, and the image is stored in its place."""
     hit = arc.memo.get(s)
     if hit is None:
         hit = _probe(table, arc, s)
         if keep:
             arc.memo[s] = hit
+    elif type(hit) is int:
+        hit = arc.memo[s] = _signed(arc.plain.images([hit])[0])
     return hit
+
+
+def _signature_at(table, arc, s):
+    """The signature of ``_probe_at`` at s; a prefetched row gives it from
+    its wall id without building its image."""
+    hit = arc.memo.get(s)
+    if type(hit) is int:
+        return int(arc.plain.wall_id[hit]), "regular"
+    return _probe_at(table, arc, s)[0]
 
 
 def _grid_for(total):
@@ -543,9 +558,8 @@ def _u_of(im):
 def _primary_segments(table, arc, n_s):
     """(lo, hi, signature) of the arc's pieces between branch changes."""
     ss = _grid(n_s)
-    probes = [_probe_at(table, arc, s) for s in ss]
     runs = []   # (first index, last index, sig)
-    for i, (sig, _) in enumerate(probes):
+    for i, sig in enumerate([_signature_at(table, arc, s) for s in ss]):
         if runs and runs[-1][2] == sig:
             runs[-1][1] = i
         else:
@@ -566,11 +580,11 @@ def _primary_segments(table, arc, n_s):
     for lo, hi in zip(edges, edges[1:]):
         if hi - lo <= CUT_TOL:
             continue
-        sig, im = _probe_at(table, arc, 0.5 * (lo + hi))
+        sig = _signature_at(table, arc, 0.5 * (lo + hi))
         if sig is None:
             # sliver between two cuts; sample closer to the edges
             for t in (lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)):
-                sig, im = _probe_at(table, arc, t)
+                sig = _signature_at(table, arc, t)
                 if sig is not None:
                     break
         if sig is not None:
@@ -970,11 +984,15 @@ def _prefetched(table, curves, k0):
     The arcs' geometry is one ``_geometry``, and one ``single_branch`` call
     certifies every arc.  One ``plain_rows`` call then maps the _KNOWN
     parameters of each certified arc (placed by ``_interp_rows``) and the
-    cut grid of each other arc.  An uncertified arc gets in its memo each
-    of its grid probes that has a plain image, which is what ``_probe``
-    would store there; ``_probe_at`` maps the other probes with ``forward``
-    when ``_one_step`` first needs them.  A certified arc that ``_decided``
-    declines is a fresh ``_Arc``, which ``_one_step`` steps on its cut grid.
+    cut grid of each other arc.  An uncertified arc gets in its memo, for
+    each of its grid probes that has a plain image, that image's entry of
+    the call's ``RegularRows``, which the arc keeps as ``plain``: the
+    signature read from it, and the image ``_probe_at`` builds from it when
+    first asked, are what ``_probe`` gives there.  Most are never built, as
+    ``_primary_segments`` reads signatures only.  ``_probe_at`` maps the
+    other probes with ``forward`` when ``_one_step`` first needs them.  A
+    certified arc that ``_decided`` declines is a fresh ``_Arc``, which
+    ``_one_step`` steps on its cut grid.
     """
     geo = _geometry(curves)
     wid = np.array([W.wall_id for W in curves])
@@ -999,9 +1017,10 @@ def _prefetched(table, curves, k0):
     # the entry of got for each probe, -1 where it has no plain image
     at = np.full(s.size + len(pts), -1)
     at[got.rows] = np.arange(got.rows.size)
-    memo = [m for m in zip(grid, at[s.size:].tolist()) if m[1] >= 0]
-    for ((arc, t), _), im in zip(memo, got.images([j for _, j in memo])):
-        arc.memo[t] = _signed(im)
+    for (arc, t), j in zip(grid, at[s.size:].tolist()):
+        if j >= 0:
+            arc.memo[t] = j
+            arc.plain = got
     for row, one in zip(rows.tolist(), _decided(
             geo, rows, got, at[:s.size].reshape(s.shape), k0)):
         arcs[row] = _Arc(curves[row], geo, row) if one is None else one
