@@ -3,8 +3,10 @@
 Fits the per-table constants, asks for a depth N that beats the complexity
 growth, falls back to the smallest empirically working depth when the fitted
 constants are too weak, and reports the Monte-Carlo sup of the N-step
-expansion sum.  Sample counts are reduced so the whole script stays under
-a minute; the full-scale version lives in the acceptance tests.
+expansion sum.  The fit runs at its fixed sample counts, the same as the
+``expansion --fit`` command's; the scan draws 150 curves instead of 1000, so
+the whole script stays under a minute.  The full-scale version lives in the
+acceptance tests.
 """
 
 import time
@@ -20,8 +22,7 @@ def main():
     for name in ("tri", "torus2"):
         table = load_builtin(name)
         t0 = time.perf_counter()
-        constants = fit_constants(table, 61, expansion_samples=2000,
-                                  hyper_samples=400, length_samples=120)
+        constants = fit_constants(table, 61)
         print(f"{name}: C={constants.c_expansion:.3f} "
               f"Lam={constants.lam_hyper:.3f} c={constants.c_hyper:.2f} "
               f"C_len={constants.c_length:.2f} "

@@ -1,7 +1,9 @@
 """Bounce a few orbits around the built-in tables and render them.
 
-Writes demos/out/{tri,torus2}_orbit.svg (configuration-space view with the
-trajectory overlay) and a phase-space scatter for the triangle run.
+Writes demos/out/{tri,torus2}_orbit.svg, each orbit walk drawn as
+``bmap.orbit`` returns it (a dot per collision, and from each collision
+the flight that reaches the next), and a phase-space view of a longer
+triangle walk, one dot per collision colored by its homogeneity strip.
 """
 
 import os
@@ -19,36 +21,27 @@ START = {
 }
 
 
-def run_orbit(table, z, steps):
-    """(wall_id, r, phi, tau in) rows of the orbit up to a corner or graze."""
-    walk = orbit(table, z, steps)
-    return [(z.wall_id, z.r, z.phi, 0.0)] + [
-        (im.point.wall_id, im.point.r, im.point.phi, im.tau)
-        for im in walk.images]
-
-
 def main():
     os.makedirs(OUT, exist_ok=True)
     for name in ("tri", "torus2"):
         table = load_builtin(name)
-        rows = run_orbit(table, START[name], 60)
-        svg = table_svg(table, rows)
+        walk = orbit(table, START[name], 60)
         path = os.path.join(OUT, f"{name}_orbit.svg")
-        write_atomic(path, svg)
-        taus = [t for _, _, _, t in rows[1:]]
-        print(f"{name}: {len(rows) - 1} flights, "
+        write_atomic(path, table_svg(table, walk))
+        taus = [im.tau for im in walk.images]
+        print(f"{name}: {len(taus)} flights, "
               f"mean free path {sum(taus) / len(taus):.4f}, "
               f"longest {max(taus):.4f} -> {path}")
 
     # phase-space view of the same triangle orbit, colored by strip index
     table = load_builtin("tri")
-    rows = run_orbit(table, START["tri"], 400)
-    phase = [(w, r, phi, strip_index(phi)) for w, r, phi, _ in rows]
-    svg = phase_svg(phase, table, k0=30)
+    walk = orbit(table, START["tri"], 400)
+    points = [walk.start] + [im.point for im in walk.images]
+    dots = [(strip_index(p.phi), [p]) for p in points]
     path = os.path.join(OUT, "tri_phase.svg")
-    write_atomic(path, svg)
-    deep = sum(1 for _, _, _, k in phase if k != 0)
-    print(f"tri phase: {len(phase)} collisions, {deep} in a homogeneity "
+    write_atomic(path, phase_svg(dots, table, k0=30))
+    deep = sum(1 for k, _ in dots if k != 0)
+    print(f"tri phase: {len(dots)} collisions, {deep} in a homogeneity "
           f"strip -> {path}")
 
 

@@ -279,8 +279,11 @@ def _write(path: str, data) -> None:
         raise _WriteError(f"cannot write {path}: {err.strerror or err}")
 
 
-def _phase_csv(rows) -> str:
-    return csv_text(("wall_id", "r", "phi", "k"), rows)
+def _phase_csv(curves) -> str:
+    """One (wall_id, r, phi, k) row per node of each (k, nodes) curve."""
+    return csv_text(("wall_id", "r", "phi", "k"),
+                    ((p.wall_id, p.r, p.phi, k)
+                     for k, nodes in curves for p in nodes))
 
 
 def _phase_point(table, opts) -> PhasePoint:
@@ -334,14 +337,13 @@ def _cmd_validate(opts) -> int:
     return 0
 
 
-def _orbit_rows(table, z: PhasePoint, n: int):
-    """(step, point, tau, kind, properness, label) rows; stops on events.
+def _orbit_rows(walk):
+    """(step, point, tau, kind, properness, label) rows of an orbit walk.
 
     A row's tau is the flight leaving its point; the last row marks why the
     walk stopped when that was not the step count or a grazing hit.
     """
-    walk = orbit(table, z, n)
-    rows = [[0, z, 0.0, "start", "proper", ""]]
+    rows = [[0, walk.start, 0.0, "start", "proper", ""]]
     for step, im in enumerate(walk.images, 1):
         rows[-1][2] = im.tau
         if im.grazing:
@@ -360,12 +362,10 @@ def _orbit_rows(table, z: PhasePoint, n: int):
 
 def _cmd_orbit(opts) -> int:
     table = _load_table(opts["table"])
-    z = _phase_point(table, opts)
-    rows = _orbit_rows(table, z, opts["steps"])
+    walk = orbit(table, _phase_point(table, opts), opts["steps"])
+    rows = _orbit_rows(walk)
     if opts["format"] == "svg":
-        _write(opts["out"], table_svg(
-            table, [(p.wall_id, p.r, p.phi, tau)
-                    for _, p, tau, _, _, _ in rows]))
+        _write(opts["out"], table_svg(table, walk))
     else:
         _write(opts["out"], csv_text(
             ("step", "wall_id", "r", "phi", "tau", "kind", "properness",
@@ -385,15 +385,15 @@ def _cmd_singularities(opts) -> int:
     if opts["resolution"] < 2:
         raise _UsageError("--resolution must be at least 2")
     table = _load_table(opts["table"])
-    curves = trace_singularity(table, level, resolution=opts["resolution"])
-    rows = [(p.wall_id, p.r, p.phi, c.level)
-            for c in curves for p in c.nodes]
+    curves = [(c.level, c.nodes) for c in trace_singularity(
+        table, level, resolution=opts["resolution"])]
     if opts["format"] == "svg":
-        data = phase_svg(rows, table, opts["k0"])
+        data = phase_svg(curves, table, opts["k0"])
     else:
-        data = _phase_csv(rows)
+        data = _phase_csv(curves)
     _write(opts["out"], data)
-    print(f"wrote {opts['out']} ({len(curves)} curves, {len(rows)} points)")
+    print(f"wrote {opts['out']} ({len(curves)} curves, "
+          f"{sum(len(nodes) for _, nodes in curves)} points)")
     return 0
 
 
@@ -424,22 +424,21 @@ def _cmd_portrait(opts) -> int:
     return 0
 
 
-def _component_rows(tree, n):
-    rows = []
-    for comp in tree.leaves(n):
-        k = comp.tail_from if comp.tail else \
-            (comp.itinerary[-1][2] if comp.itinerary else 0)
-        for p in comp.curve.nodes:
-            rows.append((p.wall_id, p.r, p.phi, k))
-    return rows
+def _leaf_curves(tree, n):
+    """(k, nodes) of each depth-n leaf component: k is its first lumped
+    strip when it is a tail, else the strip of its last image (0 at the
+    root)."""
+    return [(comp.tail_from if comp.tail else
+             (comp.itinerary[-1][2] if comp.itinerary else 0),
+             comp.curve.nodes) for comp in tree.leaves(n)]
 
 
 def _evolve_artifact(opts, table, z, tree, n, aborted=None):
     """evolve's artifact in --format for depths 0..n, the last of tree."""
     if opts["format"] == "csv":
-        return _phase_csv(_component_rows(tree, n))
+        return _phase_csv(_leaf_curves(tree, n))
     if opts["format"] == "svg":
-        return phase_svg(_component_rows(tree, n), table, opts["k0"])
+        return phase_svg(_leaf_curves(tree, n), table, opts["k0"])
     sums, regular, _ = depth_columns(tree)
     doc = {
         "table": _table_id(opts["table"]),

@@ -1,13 +1,16 @@
 """Deterministic SVG output for tables, phase-space artifacts, and portraits.
 
-Three views are supported:
+Each view draws a record the library returns, as it is returned:
 
-* ``table``    -- the billiard domain: walls, corner markers, and optionally
-  a traced trajectory.  On the torus, flight segments are wrapped back into
-  the unit cell instead of drawn as chords.
+* ``table``    -- the billiard domain: walls, corner markers, and an orbit
+  walk (``bmap.orbit``): its start and each image's point, and the
+  flight that leaves each point for the next image's ``tau``.  On the
+  torus, flights are wrapped back into the unit cell instead of drawn as
+  chords.
 * ``phase``    -- collision space with r horizontal and phi vertical, one
-  panel per wall chart.  Rows carry an integer tag (singularity level or
-  homogeneity strip index) that picks the stroke color.
+  panel per wall chart.  Each curve is an integer tag (singularity level or
+  homogeneity strip index), which picks the stroke color, and its nodes:
+  one polyline per curve, or a dot for a one-node curve.
 * ``portrait`` -- the fan of unstable sectors at a boundary point; active
   sectors are shaded solid, inactive ones pale and dashed.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .bmap import HALF_PI, PhasePoint, outgoing_ray
+from .bmap import HALF_PI, OrbitResult, outgoing_ray
 from .geometry import BilliardTable
 
 # tab-style cycle; index 0 is reserved for "untagged" gray
@@ -103,10 +106,6 @@ class _Canvas:
 # ---------------------------------------------------------------------------
 # table view
 
-def _wall_samples(wall, n=256):
-    return [wall.frame_at(wall.length * i / n)[0] for i in range(n + 1)]
-
-
 def _torus_segments(origin, direction, tau):
     """Split a torus flight into unit-cell pieces, each wrapped to [0,1)^2."""
     segs = []
@@ -137,16 +136,15 @@ def _torus_segments(origin, direction, tau):
 TABLE_SIZE = 640.0     # the longer side of the drawn domain
 
 
-def table_svg(table: BilliardTable, orbit_rows=()) -> str:
-    """Draw walls, corner markers, and an optional trajectory.
-
-    ``orbit_rows`` is a sequence of (wall_id, r, phi, tau) tuples; tau is the
-    flight time leaving that collision (0 for the final point).
+def table_svg(table: BilliardTable, walk: OrbitResult) -> str:
+    """Draw walls, corner markers and an orbit walk: a dot at ``walk.start``
+    and at each image's point, and from point k the flight of length
+    ``walk.images[k].tau`` that reaches point k + 1.
     """
     xs, ys = [], []
     wall_pts = []
     for w in table.walls:
-        pts = _wall_samples(w)
+        pts = [w.frame_at(w.length * i / 256)[0] for i in range(257)]
         wall_pts.append(pts)
         xs.extend(p[0] for p in pts)
         ys.extend(p[1] for p in pts)
@@ -173,12 +171,12 @@ def table_svg(table: BilliardTable, orbit_rows=()) -> str:
     for pts in wall_pts:
         cv.polyline([to_svg(p) for p in pts], WALL_STROKE, 1.5)
 
-    rows = list(orbit_rows)
-    for i, (wall_id, r, phi, tau) in enumerate(rows):
-        ray = outgoing_ray(table, PhasePoint(int(wall_id), float(r),
-                                             float(phi)))
+    points = [walk.start] + [im.point for im in walk.images]
+    for i, z in enumerate(points):
+        ray = outgoing_ray(table, z)
         p = to_svg(ray.origin)
-        if tau > 0.0:
+        if i < len(walk.images):
+            tau = walk.images[i].tau
             if table.ambient == "torus":
                 for a, b in _torus_segments(ray.origin, ray.direction, tau):
                     cv.polyline([to_svg(a), to_svg(b)], ORBIT_STROKE, 0.8)
@@ -201,19 +199,16 @@ CHART_H = 300.0
 PHASE_WIDTH = 960.0
 CHART_GAP = 28.0
 MARGIN = 34.0
-# polyline break: consecutive rows further apart than this are not joined
-JOIN_GAP = 0.05
 
 
-def phase_svg(rows, table: BilliardTable, k0: int | None = None) -> str:
-    """Plot tagged phase points, one panel per wall of ``table``, r
-    horizontal.
+def phase_svg(curves, table: BilliardTable, k0: int) -> str:
+    """Plot tagged curves, one panel per wall of ``table``, r horizontal.
 
-    ``rows`` is a sequence of (wall_id, r, phi, k).  Consecutive rows on the
-    same wall with the same tag and a small gap are joined into a polyline;
-    anything isolated is drawn as a dot.
+    ``curves`` is a sequence of (tag, nodes) pairs, the nodes PhasePoints of
+    one curve in order: a polyline through two or more nodes, a dot for
+    one.  Dotted lines mark the first homogeneity strip's edges, pi/2 - |phi|
+    = 1/k0^2.
     """
-    rows = [(int(w), float(r), float(phi), int(k)) for w, r, phi, k in rows]
     lengths = {w.wall_id: w.length for w in table.walls}
     wall_ids = sorted(lengths)
 
@@ -228,41 +223,27 @@ def phase_svg(rows, table: BilliardTable, k0: int | None = None) -> str:
         x_off[w] = x
         x += lengths[w] * x_scale + CHART_GAP
 
-    def to_svg(w, r, phi):
-        return (x_off[w] + r * x_scale,
-                MARGIN + (HALF_PI - phi) * y_scale)
+    def to_svg(p):
+        return (x_off[p.wall_id] + p.r * x_scale,
+                MARGIN + (HALF_PI - p.phi) * y_scale)
 
     cv = _Canvas(PHASE_WIDTH, CHART_H + 2 * MARGIN)
+    u0 = 1.0 / (k0 * k0)
     for w in wall_ids:
         width = lengths[w] * x_scale
         cv.rect(x_off[w], MARGIN, width, CHART_H, FRAME_STROKE)
         cv.line(x_off[w], MARGIN + CHART_H / 2,
                 x_off[w] + width, MARGIN + CHART_H / 2,
                 FRAME_STROKE, 0.5, dash="2,4")
-        if k0:
-            u0 = 1.0 / (k0 * k0)
-            for phi in (HALF_PI - u0, -HALF_PI + u0):
-                y = MARGIN + (HALF_PI - phi) * y_scale
-                cv.line(x_off[w], y, x_off[w] + width, y,
-                        "#bbbbbb", 0.5, dash="1,3")
+        for phi in (HALF_PI - u0, -HALF_PI + u0):
+            y = MARGIN + (HALF_PI - phi) * y_scale
+            cv.line(x_off[w], y, x_off[w] + width, y,
+                    "#bbbbbb", 0.5, dash="1,3")
         cv.text(x_off[w] + 2, MARGIN - 6, "wall %d" % w, 11)
 
-    # group rows into runs
-    run: list[tuple] = []
-    runs = []
-    for row in rows:
-        if run and (row[0] != run[-1][0] or row[3] != run[-1][3]
-                    or abs(row[1] - run[-1][1]) + abs(row[2] - run[-1][2])
-                    > JOIN_GAP):
-            runs.append(run)
-            run = []
-        run.append(row)
-    if run:
-        runs.append(run)
-
-    for run in runs:
-        color = tag_color(run[0][3])
-        pts = [to_svg(w, r, phi) for w, r, phi, _ in run]
+    for tag, nodes in curves:
+        color = tag_color(tag)
+        pts = [to_svg(p) for p in nodes]
         if len(pts) == 1:
             cv.circle(pts[0][0], pts[0][1], 1.2, color)
         else:

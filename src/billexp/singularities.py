@@ -394,8 +394,10 @@ def level_minus_one(table: BilliardTable, resolution: int) -> tuple:
 # ---------------------------------------------------------------------------
 # itineraries
 
-def _strip_class(k: int, k0: int) -> str:
-    if abs(k) <= k0:
+def _strip_class(k: int) -> str:
+    """"0" off the homogeneity strips, else the sign of the strip H_k,
+    k0 included, as ``HComponent.regular`` reads it."""
+    if k == 0:
         return "0"
     return "+" if k > 0 else "-"
 
@@ -442,7 +444,7 @@ def _symbols(table, z, images, k0: int, front_back: bool) -> list:
             syms.append(("!", "graze", ""))
             break
         sym = ("w%d" % im.point.wall_id, im.branch,
-               _strip_class(strip_index(im.point.phi, k0), k0))
+               _strip_class(strip_index(im.point.phi, k0)))
         if front_back:
             sym += (_front_back_bit(table, prev, im),)
         syms.append(sym)
@@ -585,18 +587,21 @@ def _probe_point(z, rho, theta):
                       z.phi + rho * math.sin(theta))
 
 
-def _transitions(itin_of, ta, ita, tb, itb, depth=0):
-    """Refined cut angles in (ta, tb]; returns [(cut, itinerary_after), ...]."""
-    if tb - ta <= THETA_TOL or depth > 52:
+def _transitions(itin_of, ta, ita, tb, itb):
+    """Refined cut angles in (ta, tb]; returns [(cut, itinerary_after), ...].
+
+    A pair spans one probe step, at most 2 pi / PROBES, so THETA_TOL ends
+    each branch within 28 halvings."""
+    if tb - ta <= THETA_TOL:
         return [(0.5 * (ta + tb), itb)]
     tm = 0.5 * (ta + tb)
     itm = itin_of(tm)
     if itm == ita:
-        return _transitions(itin_of, tm, ita, tb, itb, depth + 1)
+        return _transitions(itin_of, tm, ita, tb, itb)
     if itm == itb:
-        return _transitions(itin_of, ta, ita, tm, itb, depth + 1)
-    return (_transitions(itin_of, ta, ita, tm, itm, depth + 1)
-            + _transitions(itin_of, tm, itm, tb, itb, depth + 1))
+        return _transitions(itin_of, ta, ita, tm, itb)
+    return (_transitions(itin_of, ta, ita, tm, itm)
+            + _transitions(itin_of, tm, itm, tb, itb))
 
 
 class _ProbeWalks:

@@ -85,7 +85,7 @@ def data_text(name: str) -> str:
     return resources.files("billexp").joinpath(f"data/{name}.json").read_text()
 
 
-def load_builtin(name: str, **kw) -> BilliardTable:
+def load_builtin(name: str) -> BilliardTable:
     if name not in BUILTIN_TABLES:
         raise KeyError(f"no built-in table {name!r}")
-    return build_table(json.loads(data_text(name)), **kw)
+    return build_table(json.loads(data_text(name)))

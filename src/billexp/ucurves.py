@@ -1305,22 +1305,22 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     return best, len(used)
 
 
-def fit_constants(table: BilliardTable, seed: int, *,
-                  expansion_samples: int = 10_000, hyper_samples: int = 1000,
-                  length_samples: int = 300, k0: int = K0_DEFAULT
+def fit_constants(table: BilliardTable, seed: int, *, k0: int = K0_DEFAULT
                   ) -> FittedConstants:
     """Assemble every constant the expansion reports rely on.
 
-    The growth floor is fitted over depths 1..10 and the complexity slope at
-    the first two multiple points, or at two random points on a table
-    without them.  A multiple point in a corner's band (``corner_in_band``)
-    is the corner itself: every probe of its portraits would depart from the
-    corner, so it is dropped, and not replaced.
+    The expansion, hyperbolicity and length constants are certified on
+    10,000, 1,000 and 300 samples.  The growth floor is fitted over depths
+    1..10 and the complexity slope at the first two multiple points, or at
+    two random points on a table without them.  A multiple point in a
+    corner's band (``corner_in_band``) is the corner itself: every probe of
+    its portraits would depart from the corner, so it is dropped, and not
+    replaced.
     """
-    c_exp, _ = certify_expansion_constant(table, expansion_samples, seed)
-    c_hyp, lam, _resid, _mins = certify_hyperbolicity(
-        table, hyper_samples, seed, n_max=10)
-    c_len, _ = certify_length_constant(table, length_samples, seed, k0=k0)
+    c_exp, _ = certify_expansion_constant(table, 10_000, seed)
+    c_hyp, lam, _resid, _mins = certify_hyperbolicity(table, 1000, seed,
+                                                      n_max=10)
+    c_len, _ = certify_length_constant(table, 300, seed, k0=k0)
 
     pts = find_multiple_points(table, resolution=200)[:2] \
         if table.corners else []

@@ -10,8 +10,9 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from billexp import (cli, geometry, render, serialize, singularities, tables,
-                     ucurves)
+from billexp import (bmap, cli, geometry, render, serialize, singularities,
+                     tables, ucurves)
+from billexp.bmap import PhasePoint
 from billexp.errors import ValidationError
 from conftest import (corners_and_diameter, scalar_build_corners,
                       scalar_diameter)
@@ -329,6 +330,79 @@ def test_render_orbit_overlay(tmp_path):
     _check_artifact(tmp_path / "t.svg")
     svg = (tmp_path / "t.svg").read_text()
     assert svg.count("<polyline") > 10   # walls + wrapped flight segments
+
+
+def _points(el):
+    return [tuple(map(float, xy.split(",")))
+            for xy in el.get("points").split()]
+
+
+@pytest.mark.parametrize("name, start", [
+    ("tri", PhasePoint(0, 0.83, 0.19)), ("torus2", PhasePoint(0, 0.40, -0.31))])
+def test_table_svg_flights_end_at_the_next_collision(name, start, request):
+    """Each drawn flight leaves a collision's dot and ends on the next one,
+    modulo the unit cell on the torus, where a flight is drawn in pieces
+    that each pick up where the last one left off."""
+    table = request.getfixturevalue(name)
+    walk = bmap.orbit(table, start, 60)
+    assert len(walk.images) == 60
+    root = ET.fromstring(render.table_svg(table, walk))
+    cell = 0.0
+    if table.ambient == "torus":
+        frame = next(el for el in root if el.get("stroke-dasharray"))
+        (x0, _), (x1, _) = _points(frame)[:2]
+        cell = x1 - x0
+
+    def same(p, q):
+        for d in (p[0] - q[0], p[1] - q[1]):
+            if cell:
+                d -= cell * round(d / cell)
+            if abs(d) > 1e-5:
+                return False
+        return True
+
+    # per collision, the pieces of the flight leaving it, then its dot
+    flights, pieces = [], []
+    for el in root:
+        if el.get("stroke") == render.ORBIT_STROKE:
+            pieces.append(_points(el))
+        elif el.tag.endswith("circle") and el.get("r") != "3.000000":
+            dot = (float(el.get("cx")), float(el.get("cy")))
+            flights.append((dot, pieces))
+            pieces = []
+    assert len(flights) == len(walk.images) + 1 and flights[-1][1] == []
+    for (dot, pieces), (after, _) in zip(flights, flights[1:]):
+        assert pieces and all(len(seg) == 2 for seg in pieces)
+        assert same(pieces[0][0], dot) and same(pieces[-1][1], after)
+        for seg, nxt in zip(pieces, pieces[1:]):
+            assert same(seg[1], nxt[0])
+
+
+@pytest.mark.parametrize("name, level, resolution, pieces",
+                         [("tri", -2, 400, (12, 12)),
+                          ("torus2", -1, 200, (86, 0))])
+def test_singularities_svg_draws_one_polyline_per_curve(
+        tmp_path, monkeypatch, name, level, resolution, pieces):
+    """One polyline through the nodes of each traced curve with two or
+    more, in order, and one dot per one-node curve: (polylines, dots) for
+    tri's 24 level -2 curves and torus2's 86 level -1 curves."""
+    traced = []
+
+    def trace(*args, **kw):
+        traced.extend(singularities.trace_singularity(*args, **kw))
+        return traced
+
+    monkeypatch.setattr(cli, "trace_singularity", trace)
+    assert run("singularities", "--table", name, "--level", str(level),
+               "--resolution", str(resolution), "--format", "svg",
+               "--out", "s.svg") == 0
+    root = ET.fromstring((tmp_path / "s.svg").read_text())
+    lines = [_points(el) for el in root if el.tag.endswith("polyline")]
+    dots = [el for el in root if el.tag.endswith("circle")]
+    assert (len(lines), len(dots)) == pieces
+    assert [len(pts) for pts in lines] \
+        == [len(c.nodes) for c in traced if len(c.nodes) >= 2]
+    assert len(dots) == sum(len(c.nodes) == 1 for c in traced)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from billexp import geometry, singularities as S
 from billexp.bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
-                          forward, inverse, orbit, random_phase_point)
+                          forward, inverse, orbit, random_phase_point,
+                          strip_index)
 from billexp.errors import BilliardError, OutOfRange, UnstablePortrait
 from billexp.flow import Ray, first_collision
 from billexp.geometry import EPS_CORNER
@@ -292,7 +293,7 @@ _CENTRES = {
     "torus2": ((0, "0x1.251a866617ac0p+0", "0x1.add44a8b2d560p-4"), (
         (1, (1, 1, 1, 1), "629d7040824f806d"),
         (1, (1, 1, 1, 1), "069ee6e2281e3969"),
-        (6, (2, 3, 1, 4), "1b1ab3e99123e0c6"))),
+        (6, (2, 3, 1, 4), "0e71f14917cb9b5b"))),
     "lens": ((0, "0x1.4c2cd57107905p+1", "0x1.32ed279c1ed06p-3"), (
         (2, (1, 2, 1, 2), "6f5fb258d7f26dcc"),
         (6, (1, 4, 1, 4), "3a34c83e4fe3de2b"),
@@ -480,6 +481,20 @@ def test_truncated_deep_walks_equal_itineraries(name, request):
                                                front_back)
     for kind in ("graze", "corner", "singular"):
         assert {(kind, k) for k in (0, 1, 2)} <= seen
+
+
+def test_first_homogeneity_strip_is_signed_in_itineraries(tri):
+    """An image in H_{+-k0}, pi/2 - |phi'| in [1/(k0+1)^2, 1/k0^2), is in a
+    strip, as ``HComponent.regular`` reads it: its symbol's class is the
+    strip's sign, in ``itinerary`` and in the lockstep walk alike."""
+    end = tri.wall(0).length - 1e-4
+    for z, k in ((PhasePoint(0, 1e-4, 1.198197), -K0_DEFAULT),
+                 (PhasePoint(0, end, -1.198197), K0_DEFAULT)):
+        im = orbit(tri, z, 1).images[0]
+        assert strip_index(im.point.phi, K0_DEFAULT) == k
+        want = (("w%d" % im.point.wall_id, "regular", "+" if k > 0 else "-"),)
+        assert S.itinerary(tri, z, 1, K0_DEFAULT) == want
+        assert S._itineraries(tri, [z], 1, K0_DEFAULT, False) == [want]
 
 
 @pytest.mark.parametrize("name", ["tri", "lens", "torus2"])
