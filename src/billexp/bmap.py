@@ -812,7 +812,14 @@ def random_phase_points(table: BilliardTable, rng, count: int
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` draws of random_phase_point as columns (wall ids, r, phi),
     from one call of rng.random, bit for bit."""
-    u = rng.random(2 * count)
+    return phase_columns(table, rng.random(2 * count))
+
+
+def phase_columns(table: BilliardTable, u
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns (wall ids, r, phi) of the points that random_phase_point
+    draws from the uniforms u, two per point in draw order, bit for bit."""
+    count = u.size // 2
     lengths = [w.length for w in table.walls]
     x = u[::2] * sum(lengths)
     wid = np.zeros(count, dtype=int)

@@ -39,9 +39,9 @@ import numpy as np
 from .bmap import (BATCH_ROWS, HALF_PI, K0_DEFAULT, PhasePoint, Stream,
                    bisect_edge, certify_expansion_constant,
                    certify_hyperbolicity, expansion_factor, expansion_factors,
-                   forward, interior_slope, plain_rows, point_columns,
-                   random_phase_point, single_branch, slope_norms,
-                   strip_index, unstable_cones)
+                   forward, interior_slope, phase_columns, plain_rows,
+                   point_columns, random_phase_point, single_branch,
+                   slope_norms, strip_index, unstable_cones)
 from .errors import (BilliardError, ComponentExplosion, NoSuchN,
                      NumericalAbort, SingularSeed)
 from .geometry import BilliardTable
@@ -662,12 +662,15 @@ def _drain(ladder, stop_after=None):
 
 
 class _Stopped(NamedTuple):
-    """A ladder stopped after its first cut, with what resuming it needs."""
+    """A ladder stopped after its first cut, with what resuming it needs:
+    the segment edge past its deep end, and ``far``, a parameter that no
+    node of its unresolved strips lies beyond (see ``_secondary_pieces``)."""
     arc: _Arc
     ladder: Iterator[float]
     sig: tuple
     cut0: float
-    deep: float
+    edge: float
+    far: float
 
 
 def _secondary_pieces(table, arc, seg, k0, stopped=None):
@@ -677,10 +680,16 @@ def _secondary_pieces(table, arc, seg, k0, stopped=None):
     has its minima at the segment ends; a ladder of boundary levels is walked
     toward each deep end and lumped into a tail once unresolvable.
 
-    With a list ``stopped``, a ladder that always ends in a tail
-    (``_ladder_tails``) stops after its first cut and is appended to it as a
-    ``_Stopped``; the pieces beyond that cut (its strips and its tail) are
-    left out.
+    With a list ``stopped``, every ladder stops after its first cut and is
+    appended to it as a ``_Stopped``; the pieces beyond that cut (its
+    strips and its tail) are left out.  Its cuts lie between the shallow
+    and the deep end, so its strips between cuts end at the deep end at
+    the latest.  A ladder that always ends in a tail (``_ladder_tails``)
+    has no other strip, and its ``far`` is the deep end.  Any other ladder
+    may end in a last strip from its last cut to the segment edge, at least
+    |edge - deep| wide, whose nodes ``_child`` insets from the edge by at
+    least ins = max(1e-15, 1e-6 |edge - deep|); rounding is monotone, so
+    none lies beyond its ``far`` = edge -/+ ins.
     """
     lo, hi, sig = seg
     w = hi - lo
@@ -723,11 +732,14 @@ def _secondary_pieces(table, arc, seg, k0, stopped=None):
         if u_d >= h0:
             continue
         ladder = _ladder(table, arc, shallow, deep, u_s, u_d, k0)
-        lazy = stopped is not None and _ladder_tails(u_s, u_d, k0)
-        cuts, tail_from = _drain(ladder, 1 if lazy else None)
+        cuts, tail_from = _drain(ladder, None if stopped is None else 1)
         all_cuts.extend(cuts)
         if tail_from is None:
-            stopped.append(_Stopped(arc, ladder, sig, cuts[0], deep))
+            far = deep
+            if not _ladder_tails(u_s, u_d, k0):
+                ins = max(1e-15, 1e-6 * abs(edge - deep))
+                far = edge - ins if edge > deep else edge + ins
+            stopped.append(_Stopped(arc, ladder, sig, cuts[0], edge, far))
             left_out.add((min(cuts[0], edge), max(cuts[0], edge)))
         elif tail_from:
             side = 1 if (im_lo.point.phi if edge == lo else
@@ -1193,9 +1205,10 @@ GRAZE_STRIDE = 50      # every GRAZE_STRIDE-th length sample sits on an anchor
 BOX_SLACK = 1e-9       # relative allowance for rounding in the strip bound
 
 
-def _image_box(table, arc, s_a, s_b):
+def _image_box(table, arc, sig, s_a, s_b):
     """|dr| + |dphi| between the images at parameters s_a and s_b of one
-    primary segment, or inf when either probe is cut.
+    primary segment of signature sig, or inf when either probe is cut or
+    has another signature.
 
     The segment's image is one increasing curve (unstable-cone invariance),
     so every image point between the two lies in their (r, phi) box, and a
@@ -1203,9 +1216,9 @@ def _image_box(table, arc, s_a, s_b):
     strictly increasing, is at most this long.  On a closed wall r is
     lifted: it moves the way phi does, by less than one turn.
     """
-    _, im_a = _probe_at(table, arc, s_a)
-    _, im_b = _probe_at(table, arc, s_b)
-    if im_a is None or im_b is None:
+    got_a, im_a = _probe_at(table, arc, s_a)
+    got_b, im_b = _probe_at(table, arc, s_b)
+    if got_a != sig or got_b != sig:
         return math.inf
     a, b = im_a.point, im_b.point
     dphi, dr = b.phi - a.phi, b.r - a.r
@@ -1218,13 +1231,67 @@ def _image_box(table, arc, s_a, s_b):
 def _strip_children(table, stop, k0):
     """(cut, child or None) of each strip of a stopped ladder, resuming the
     ladder one cut at a time; a strip runs from the previous cut to this
-    one, as in ``_secondary_pieces``."""
+    one, as in ``_secondary_pieces``.  A ladder that ends without a tail
+    has one more strip, from its last cut to the segment edge, which comes
+    with cut None: nothing of the ladder is left."""
     parent = _root(stop.arc.W)
     prev = stop.cut0
-    for cut in stop.ladder:
-        piece = (min(prev, cut), max(prev, cut), stop.sig, 0)
+    while prev is not None:
+        try:
+            cut = next(stop.ladder)
+        except StopIteration as end:
+            if end.value:
+                return
+            cut = None
+        to = stop.edge if cut is None else cut
+        piece = (min(prev, to), max(prev, to), stop.sig, 0)
         yield cut, _child(table, stop.arc, piece, parent, k0, None)
         prev = cut
+
+
+def _length_samples(table, rng, samples, delta_lo, delta_hi, k0):
+    """(bases, xs, lengths) of the samples of ``certify_length_constant``
+    that ``_refusals`` passes: per sample, in order on rng, its length and
+    its base point, GRAZE_STRIDE-th bases moved astride an anchor, and,
+    when its base passes, its cone position x, as ``seed_ucurve`` would
+    draw them.  Raises ValueError when a sample's length is not one that
+    ``seed_ucurve`` takes.
+
+    One ``rng.random`` call draws 4 uniforms per sample, as if every base
+    passed, and one ``_refusals`` call checks the bases.  A refused base
+    draws no x, so every later sample's draws sit one earlier: from there
+    its length and base are taken again and checked again, BATCH_ROWS
+    samples at a time.
+    """
+    anchors = graze_anchors(table)
+    lo, hi = math.log(delta_lo), math.log(delta_hi)
+    u = rng.random(4 * samples)
+    bases, xs, lengths = [], [], []
+    i = at = 0          # the next sample to check, and its first draw
+    n = samples
+    while i < samples:
+        n = min(n, samples - i)
+        draws = u[at:at + 4 * n].reshape(n, 4)
+        ls = [math.exp(v) for v in (lo + (hi - lo) * draws[:, 0]).tolist()]
+        wid, r, phi = phase_columns(table, draws[:, 1:3].ravel())
+        zs = list(map(PhasePoint, wid.tolist(), r.tolist(), phi.tolist()))
+        # the anchor samples among i, ..., i + n - 1
+        for j in range(-i % GRAZE_STRIDE, n if anchors else 0,
+                       GRAZE_STRIDE):
+            k = (i + j) // GRAZE_STRIDE
+            a = anchors[k % len(anchors)]
+            f = _ANCHOR_OFFSETS[k % len(_ANCHOR_OFFSETS)]
+            zs[j] = PhasePoint(a.wall_id, a.r + f * ls[j], a.phi + f * ls[j])
+        why = _refusals(table, zs, k0)
+        ok = next((j for j, w in enumerate(why) if w is not None), n)
+        refused = ok < n
+        for length in ls[:ok + refused]:
+            _check_length(length)
+        bases += zs[:ok]
+        xs += (0.35 + (0.65 - 0.35) * draws[:ok, 3]).tolist()
+        lengths += ls[:ok]
+        i, at, n = i + ok + refused, at + 4 * ok + 3 * refused, BATCH_ROWS
+    return bases, xs, lengths
 
 
 def certify_length_constant(table: BilliardTable, samples: int, seed: int,
@@ -1239,46 +1306,29 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     sample is therefore centered astride a traced tangency-preimage anchor
     instead; those samples saturate the constant and the max becomes stable
     under changes of the length range.  The anchor samples still consume
-    the same random draws, so the remaining samples are unaffected.  Each
-    sample draws its length and base point, and, when ``_refusals`` passes
-    the base, its cone position, in order on the one rng, as
-    ``seed_ucurve`` would; one ``_seed_walks`` call then seeds every
-    sample, and one ``_grow`` call steps them all as depth-0 trees.  A
-    sample whose step raises is not used, and its stopped ladders are
-    dropped.
+    the same random draws, so the remaining samples are unaffected.  The
+    samples' lengths, bases and cone positions come from
+    ``_length_samples``; one ``_seed_walks`` call then seeds every sample,
+    and one ``_grow`` call steps them all as depth-0 trees.  A sample whose
+    step raises is not used, and its stopped ladders are dropped.
 
     The result is the max over the components of ``evolve_n(table, W, 1)``,
-    bit for bit, but strips that cannot set it are not resolved.  A strip
-    ladder that always ends in a tail (``_ladder_tails``) is stopped after
-    its first cut cut0, which fixes every other piece exactly; children
-    depend on their own piece only.  Its unresolved strips lie between cut0
-    and the ladder's deep end, so each strip child is at most B long, B the
+    bit for bit, but strips that cannot set it are not resolved.  Every
+    strip ladder is stopped after its first cut cut0, which fixes every
+    other piece exactly; children depend on their own piece only.  Its
+    unresolved strips lie between cut0 and the ladder's far end (see
+    ``_secondary_pieces``), so each strip child is at most B long, B the
     ``_image_box`` of those two parameters.  Pass 1 scores every sample
-    with such ladders stopped.  Pass 2 resumes each stopped ladder whose
+    with its ladders stopped.  Pass 2 resumes each stopped ladder whose
     B * (1 + BOX_SLACK) reaches best * |W|^(1/2), scoring strip by strip,
-    until the box from its latest cut to the deep end falls below that or
+    until the box from its latest cut to the far end falls below that or
     the ladder ends.  Tails never score, so a stopped ladder's tail is
     never built.
 
     Raises NumericalAbort when no curve could be seeded.
     """
-    rng = Stream([seed, 0xC2])
-    anchors = graze_anchors(table)
-    bases, xs, lengths = [], [], []
-    lo, hi = math.log(delta_lo), math.log(delta_hi)
-    for i in range(samples):
-        length = math.exp(rng.uniform(lo, hi))
-        z = random_phase_point(table, rng)
-        if anchors and i % GRAZE_STRIDE == 0:
-            j = i // GRAZE_STRIDE
-            a = anchors[j % len(anchors)]
-            f = _ANCHOR_OFFSETS[j % len(_ANCHOR_OFFSETS)]
-            z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
-        _check_length(length)
-        if _refusals(table, [z], k0) == [None]:
-            bases.append(z)
-            xs.append(float(rng.uniform(0.35, 0.65)))
-            lengths.append(length)
+    bases, xs, lengths = _length_samples(
+        table, Stream([seed, 0xC2]), samples, delta_lo, delta_hi, k0)
     curves = [W for W in _seed_walks(table, bases, xs, lengths)
               if not isinstance(W, str)]
     trees = [_tree(W) for W in curves]
@@ -1297,8 +1347,8 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
         strips = _strip_children(table, stop, k0)
         cut = stop.cut0
         while cut is not None and _image_box(
-                table, stop.arc, cut, stop.deep) * (1.0 + BOX_SLACK) \
-                >= best * root:
+                table, stop.arc, stop.sig, cut, stop.far) \
+                * (1.0 + BOX_SLACK) >= best * root:
             cut, comp = next(strips, (None, None))
             if _kept(comp):
                 best = max(best, comp.curve.euclidean_length / root)

@@ -76,3 +76,54 @@ def test_summary_signs_the_median_gap_and_labels_a_claim(change, median):
         in line
     claim = "claimable" if change == [0.8] * 10 else "not claimable"
     assert f"0.015, {claim}, " in line
+
+
+_STDOUT = """\
+# verdict-tri untraced seed=61 rc=0 N=2 [empirical] sup_E_N=1.1768 \
+verdict_s=0.410 wall_s=0.343 fit_s=0.175 curves_per_s=7054.0 \
+failed_ratio=0 check=ok
+# verdict-tri untraced seed=1061 rc=0 N=2 [empirical] sup_E_N=1.083 \
+verdict_s=0.255 wall_s=0.338 fit_s=0.173 curves_per_s=7138.3 \
+failed_ratio=0 check=ok
+# verdict-tri: 2 pipelines (median wall 0.3405 s each, 20.8 stretches), \
+verdict_s=0.3325 s peak_rss_mb=42.7734 MB setup_s=0.000327643 s
+{"correct": true, "attempted": 2, "failed": 0, "metrics": {"verdict_s": \
+{"value": 0.3325, "unit": "s"}, "peak_rss_mb": {"value": 42.7734375, \
+"unit": "MB"}, "setup_s": {"value": 0.0003276, "unit": "s"}}}
+"""
+
+
+def test_run_side_keeps_pipeline_times_and_summary_prints_them(monkeypatch):
+    """From a perfbench run's canned stdout a side keeps its metrics and
+    each untraced pipeline's wall_s and fit_s, and the summary prints each
+    side's medians of those beside the corrected metrics."""
+    class Done:
+        stdout, stderr = _STDOUT, ""
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *args, **kw: Done)
+    side = bench_pairs.run_side(".", "verdict-tri", 61, 0)
+    assert side == {
+        "verdict_s": 0.3325, "peak_rss_mb": 42.7734375, "setup_s": 0.0003276,
+        "correct": True, "pipelines": [
+            {"seed": 61, "wall_s": 0.343, "fit_s": 0.175},
+            {"seed": 1061, "wall_s": 0.338, "fit_s": 0.173}]}
+    faster = {**side, "pipelines": [
+        {"seed": 61, "wall_s": 0.3, "fit_s": 0.15},
+        {"seed": 1061, "wall_s": 0.2, "fit_s": 0.1}]}
+    pairs = [{"workload": "verdict-tri", "trace": 0, "parent": side,
+              "change": faster}] * 2
+    lines = bench_pairs.summary(pairs)
+    assert "verdict-tri --trace 0 pipeline wall_s: parent median 0.3405, " \
+        "change median 0.25; by sub-seed 61 0.343 -> 0.3, " \
+        "1061 0.338 -> 0.2" in lines
+    assert "verdict-tri --trace 0 pipeline fit_s: parent median 0.174, " \
+        "change median 0.125; by sub-seed 61 0.175 -> 0.15, " \
+        "1061 0.173 -> 0.1" in lines
+    assert lines[-1] == "verdict-tri --trace 0 incorrect runs: parent 0/2, " \
+        "change 0/2"
+    # pairs kept before sides had pipelines print no such line
+    old = [{"workload": "w", "trace": 0, "parent": {"correct": True},
+            "change": {"correct": True}}]
+    assert not [line for line in bench_pairs.summary(old)
+                if "pipeline" in line]

@@ -332,13 +332,14 @@ def test_dropped_child_joins_a_neighbour(tri, straddle_curve, monkeypatch,
 # ---------------------------------------------------------------------------
 # lazy strip ladders of the length constant
 
-def _length_constant_by_full_evolution(table, samples, seed, k0=30):
+def _length_constant_by_full_evolution(table, samples, seed, k0=30,
+                                      delta_hi=1e-3):
     """certify_length_constant without lazy ladders: every sample evolved
     by evolve_n one step, then the max over its non-tail components."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC2]))
     anchors = U.graze_anchors(table)
     best, used = 0.0, 0
-    lo, hi = math.log(1e-6), math.log(1e-3)
+    lo, hi = math.log(1e-6), math.log(delta_hi)
     for i in range(samples):
         length = math.exp(rng.uniform(lo, hi))
         z = random_phase_point(table, rng)
@@ -372,8 +373,20 @@ LENGTH_CONSTANTS = {
 }
 
 
-@pytest.mark.parametrize("name,seed", sorted(LENGTH_CONSTANTS))
-def test_length_constant_equals_full_evolution(name, seed, request,
+# (best, used) of 300 samples, where the ladders that can complete made 279
+# and 232 cuts while they were resolved in full
+LENGTH_CONSTANTS_300 = {
+    ("tri", 1061): (3.1626510592359636, 300),
+    ("tri", 3061): (2.771446301612434, 300),
+}
+
+
+@pytest.mark.parametrize("name,seed,samples", [
+    *(pytest.param(name, seed, 101, id=f"{name}-{seed}")
+      for name, seed in sorted(LENGTH_CONSTANTS)),
+    *(pytest.param(name, seed, 300, id=f"{name}-{seed}-300")
+      for name, seed in sorted(LENGTH_CONSTANTS_300))])
+def test_length_constant_equals_full_evolution(name, seed, samples, request,
                                                monkeypatch):
     table = request.getfixturevalue(name)
     strips, resumed = U._strip_children, []
@@ -384,9 +397,10 @@ def test_length_constant_equals_full_evolution(name, seed, request,
             yield item
 
     monkeypatch.setattr(U, "_strip_children", counted)
-    got = U.certify_length_constant(table, 101, seed)
-    assert got == LENGTH_CONSTANTS[name, seed]
-    assert _length_constant_by_full_evolution(table, 101, seed) == got
+    got = U.certify_length_constant(table, samples, seed)
+    assert got == (LENGTH_CONSTANTS_300 if samples == 300
+                   else LENGTH_CONSTANTS)[name, seed]
+    assert _length_constant_by_full_evolution(table, samples, seed) == got
     if (name, seed) == ("tri", 61):
         assert resumed     # pass 2 resumed a stopped ladder here
 
@@ -467,7 +481,8 @@ def _anchor_curves(table, count):
 def lazy_runs(tri, lens):
     """Per anchor curve of tri and lens: the full one-step components, the
     (u_shallow, u_deep, k0, tail_from) of each of their ladders, the lazy
-    components, and per stopped ladder its box bound and strip children."""
+    components, and per stopped ladder its (bound, cut, child) strips, the
+    bound the box from the cut before that strip to the ladder's far end."""
     runs = []
     ladder = U._ladder
     for table in (tri, lens):
@@ -487,27 +502,88 @@ def lazy_runs(tri, lens):
             stopped, tree = [], U._tree(W)
             assert U._grow(table, [tree], 30, None, stopped) == [None]
             lazy = tree.generations[1]
-            resumed = [(U._image_box(table, s.arc, s.cut0, s.deep),
-                        [c for _, c in U._strip_children(table, s, 30)])
-                       for s in stopped]
+            resumed = []
+            for s in stopped:
+                prev, strips = s.cut0, []
+                for cut, c in U._strip_children(table, s, 30):
+                    strips.append((U._image_box(table, s.arc, s.sig, prev,
+                                                s.far), cut, c))
+                    prev = cut
+                resumed.append(strips)
             runs.append((full, seen, lazy, resumed))
     return runs
 
 
 def test_lazy_ladder_strips_stay_within_the_box(lazy_runs):
-    checked = 0
+    """Every strip a stopped ladder resumes, the last piece of a ladder
+    that completes (cut None) too, lies within the box from the cut before
+    it to the ladder's far end."""
+    checked = last = 0
     for full, _seen, lazy, resumed in lazy_runs:
-        for bound, children in resumed:
-            for c in children:
+        for strips in resumed:
+            for bound, cut, c in strips:
                 if c is not None:
                     assert c.curve.euclidean_length <= bound
                     checked += 1
+                    last += cut is None
         # resuming every stopped ladder rebuilds the full run's strips
-        strips = {c.curve for _, children in resumed for c in children
-                  if U._kept(c)}
+        rebuilt = {c.curve for strips in resumed for _, _, c in strips
+                   if U._kept(c)}
         assert {c.curve for c in full if not c.tail} \
-            == {c.curve for c in lazy if not c.tail} | strips
-    assert checked > 500
+            == {c.curve for c in lazy if not c.tail} | rebuilt
+    # 3,380 strips, 2 of them the last piece of a ladder that completes
+    assert checked > 500 and last >= 2
+
+
+def test_pass_1_cuts_each_ladder_once(tri, monkeypatch):
+    """Pass 1 stops every strip ladder after its first cut, the ladders
+    that can complete among them; pass 2 resumes them without _drain."""
+    drain, tails, drained, kinds = U._drain, U._ladder_tails, [], []
+
+    def recorded(ladder, stop_after=None):
+        cuts, tail_from = drain(ladder, stop_after)
+        drained.append((stop_after, len(cuts)))
+        return cuts, tail_from
+
+    def asked(*args):
+        kinds.append(tails(*args))
+        return kinds[-1]
+
+    monkeypatch.setattr(U, "_drain", recorded)
+    monkeypatch.setattr(U, "_ladder_tails", asked)
+    got = U.certify_length_constant(tri, 300, 1061)
+    assert got == LENGTH_CONSTANTS_300["tri", 1061]
+    assert drained and all(stop == 1 and n <= 1 for stop, n in drained)
+    # every ladder with a cut stopped, and some of them could complete
+    assert len(kinds) == sum(n for _, n in drained)
+    assert False in kinds and True in kinds
+
+
+@pytest.mark.parametrize("name", ["tri", "lens", "torus2"])
+def test_length_constant_sweep_equals_full_evolution(name, request,
+                                                     monkeypatch):
+    """At 20 seeds of 60 samples each (anchor samples 0 and 50), delta_hi
+    1e-3 and 1e-2 by turns, the lazy passes give what the full evolution
+    gives."""
+    table = request.getfixturevalue(name)
+    anchors = U.graze_anchors(table)
+    monkeypatch.setattr(U, "graze_anchors", lambda _table: anchors)
+    strips, last = U._strip_children, []
+
+    def counted(*args):
+        for cut, c in strips(*args):
+            last.append(cut is None)
+            yield cut, c
+
+    monkeypatch.setattr(U, "_strip_children", counted)
+    for seed in range(20):
+        delta_hi = (1e-3, 1e-2)[seed % 2]
+        got = U.certify_length_constant(table, 60, seed, delta_hi=delta_hi)
+        assert got == _length_constant_by_full_evolution(
+            table, 60, seed, delta_hi=delta_hi)
+    assert last     # pass 2 resumed stopped ladders
+    if name == "tri":
+        assert any(last)    # and one of them to the last piece
 
 
 def test_ladder_that_cannot_complete_ends_in_a_tail(lazy_runs):
@@ -1887,6 +1963,94 @@ def test_length_constant_seeds_as_curve_by_curve(tri, monkeypatch, seed,
         stepped += 1
     assert used == stepped
     assert (refused > 100) == harsh
+
+
+def _length_samples_one_by_one(table, rng, samples, delta_lo, delta_hi,
+                               k0):
+    """``_length_samples`` as the loop it replaced: each sample draws its
+    length and base point, checks its length and then its base with its
+    own ``_refusals`` call, and draws its cone position once that passes."""
+    anchors = U.graze_anchors(table)
+    bases, xs, lengths = [], [], []
+    lo, hi = math.log(delta_lo), math.log(delta_hi)
+    for i in range(samples):
+        length = math.exp(rng.uniform(lo, hi))
+        z = random_phase_point(table, rng)
+        if anchors and i % U.GRAZE_STRIDE == 0:
+            j = i // U.GRAZE_STRIDE
+            a = anchors[j % len(anchors)]
+            f = U._ANCHOR_OFFSETS[j % len(U._ANCHOR_OFFSETS)]
+            z = PhasePoint(a.wall_id, a.r + f * length, a.phi + f * length)
+        U._check_length(length)
+        if U._refusals(table, [z], k0) == [None]:
+            bases.append(z)
+            xs.append(float(rng.uniform(0.35, 0.65)))
+            lengths.append(length)
+    return bases, xs, lengths
+
+
+@pytest.mark.parametrize("refused", [
+    (), (0,), (119,), (7, 8), (50,),
+    # the first refusal at 3 starts BATCH_ROWS chunks at 4, 20 and 36
+    (3, 19, 20), (3, 35, 36, 37)])
+def test_length_samples_in_one_pass_equal_the_loop(tri, monkeypatch,
+                                                   refused):
+    """With the samples in ``refused`` refused, the one-pass draws and
+    checks give the loop's bases, cone positions and lengths, and the same
+    (best, used); BATCH_ROWS is 16 so that 120 samples span chunks."""
+    refusals = U._refusals
+    monkeypatch.setattr(U, "BATCH_ROWS", 16)
+    calls = []
+
+    def by_sample(table, zs, k0):
+        calls.append(zs[0])
+        why = refusals(table, zs, k0)
+        return ["refused here"] if len(calls) - 1 in refused else why
+
+    monkeypatch.setattr(U, "_refusals", by_sample)
+    want = _length_samples_one_by_one(tri, Stream([61, 0xC2]), 120, 1e-6,
+                                      1e-3, 30)
+    marked = {calls[i] for i in refused}
+    assert len(want[0]) == 120 - len(refused)
+
+    def by_base(table, zs, k0):
+        calls.append(len(zs))
+        return [("refused here" if z in marked else why)
+                for z, why in zip(zs, refusals(table, zs, k0))]
+
+    calls.clear()
+    monkeypatch.setattr(U, "_refusals", by_base)
+    got = U._length_samples(tri, Stream([61, 0xC2]), 120, 1e-6, 1e-3, 30)
+    assert list(map(repr, got[0])) == list(map(repr, want[0]))
+    assert got[1:] == want[1:]
+    # one check covers every sample up to the first refusal
+    assert calls[0] == 120
+    assert (len(calls) == 1) == (refused in ((), (119,)))
+
+    best = U.certify_length_constant(tri, 120, 61)
+    monkeypatch.setattr(U, "_length_samples", _length_samples_one_by_one)
+    assert U.certify_length_constant(tri, 120, 61) == best
+
+
+@pytest.mark.parametrize("samples,delta_hi,raises", [
+    (40, 1.0, True), (300, 0.011, True), (200, 0.011, False),
+    (1, 1.0, False), (0, 1.0, False)])
+def test_length_samples_refuse_long_curves_as_the_loop(tri, samples,
+                                                       delta_hi, raises):
+    """A delta_hi above MAX_LENGTH raises the loop's ValueError exactly
+    when some sample draws a length above MAX_LENGTH."""
+    def outcome(fn):
+        try:
+            return fn(tri, Stream([61, 0xC2]), samples, 1e-6, delta_hi, 30)
+        except ValueError as err:
+            return str(err)
+
+    want = outcome(_length_samples_one_by_one)
+    assert outcome(U._length_samples) == want
+    assert (want == "length must lie in (0, 0.01]") == raises
+    if raises:
+        with pytest.raises(ValueError, match=r"length must lie in"):
+            U.certify_length_constant(tri, samples, 61, delta_hi=delta_hi)
 
 
 def test_sup_scan_refuses_depth_past_the_cap(tri, far_curve, monkeypatch):

@@ -9,8 +9,11 @@ Usage, from the root of a checkout:
 For each seed, runs each checkout's own ``perfbench/run.py --trace K`` for
 the benchmark's ``run_seconds`` (BENCHMARK.json), parent and change one after
 the other, alternating which runs first.  A side keeps every metric and the
-"correct" flag of its run's last stdout line.  The pairs are appended to
-BENCH_<NAME>.json in the current directory, made when missing.
+"correct" flag of its run's last stdout line, and as ``pipelines`` the
+sub-seed, ``wall_s`` and ``fit_s`` of each ``# <workload> untraced seed=...``
+line: the plain wall clock of each pipeline, which the host correction in
+``verdict_s`` does not touch.  The pairs are appended to BENCH_<NAME>.json in
+the current directory, made when missing.
 
 After its pairs it prints a summary of every pair in that file, per workload
 and metric: each side's median and quartiles over its correct runs, the
@@ -20,9 +23,11 @@ parent's and whether that gap exceeds the distance between the parent's
 quartiles, and whether a gain is ``claimable``: the change wins at least
 nine pairs in ten and is better by more than that distance.  An end-to-end
 metric also gets a label against its ``bound`` in BENCHMARK.json, a fraction
-of the parent's median (``bound_label``).  Then, per workload, the number of
-runs on each side that were not correct, with or without metrics.  The exit
-status is 1 when any run of the change in the file was not correct.
+of the parent's median (``bound_label``).  Then, per workload, each side's
+median pipeline ``wall_s`` and ``fit_s``, overall and per sub-seed, and the
+number of runs on each side that were not correct, with or without
+metrics.  The exit status is 1 when any run of the change in the file was
+not correct.
 """
 
 import argparse
@@ -44,6 +49,8 @@ BETTER = {m["name"]: m["better"]
 # end-to-end metric name -> the largest worsening allowed, as a fraction of
 # the parent's median
 BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+# per-pipeline wall times kept from perfbench's untraced summary lines
+PIPELINE_TIMES = ("wall_s", "fit_s")
 
 
 def run_side(checkout, workload, seed, trace) -> dict:
@@ -58,7 +65,25 @@ def run_side(checkout, workload, seed, trace) -> dict:
         return {"correct": False}
     side = {k: v["value"] for k, v in result["metrics"].items()}
     side["correct"] = result["correct"]
+    side["pipelines"] = pipeline_times(proc.stdout, workload)
     return side
+
+
+def pipeline_times(stdout, workload) -> list[dict]:
+    """The sub-seed and the ``wall_s`` and ``fit_s`` (when given) of each
+    ``# <workload> untraced seed=...`` line of a perfbench run's stdout."""
+    out = []
+    for line in stdout.splitlines():
+        words = line.split()
+        if words[:3] != ["#", workload, "untraced"]:
+            continue
+        fields = dict(w.split("=", 1) for w in words[3:] if "=" in w)
+        pipe = {"seed": int(fields["seed"])}
+        for key in PIPELINE_TIMES:
+            if key in fields:
+                pipe[key] = float(fields[key])
+        out.append(pipe)
+    return out
 
 
 def bound_label(par, chg, better, bound) -> str:
@@ -128,12 +153,42 @@ def summary(pairs) -> list[str]:
                 "claimable"
                 + (f", {bound_label(par, chg, better, BOUND[name])} "
                    f"{BOUND[name]:g}" if name in BOUND else ""))
+        lines.extend(pipeline_lines(group, f"{workload} --trace {trace}"))
         wrong = {side: sum(not p[side]["correct"] for p in group)
                  for side in ("parent", "change")}
         lines.append(
             f"{workload} --trace {trace} incorrect runs: parent "
             f"{wrong['parent']}/{len(group)}, change "
             f"{wrong['change']}/{len(group)}")
+    return lines
+
+
+def pipeline_lines(group, label) -> list[str]:
+    """Per key of PIPELINE_TIMES, each side's median over the pipelines of
+    the pairs in group where both sides are correct, overall and per
+    sub-seed ("seed parent -> change")."""
+    both = [p for p in group
+            if all(p[side]["correct"] for side in ("parent", "change"))]
+    lines = []
+    for key in PIPELINE_TIMES:
+        runs = {side: [(pipe["seed"], pipe[key]) for p in both
+                       for pipe in p[side].get("pipelines", ())
+                       if key in pipe]
+                for side in ("parent", "change")}
+        if not all(runs.values()):
+            continue
+        med = {side: np.median([v for _, v in got])
+               for side, got in runs.items()}
+        seeds = sorted({s for s, _ in runs["parent"]}
+                       & {s for s, _ in runs["change"]})
+        per_seed = ", ".join(
+            f"{seed} " + " -> ".join(
+                f"{np.median([v for s, v in runs[side] if s == seed]):.4g}"
+                for side in ("parent", "change"))
+            for seed in seeds)
+        lines.append(f"{label} pipeline {key}: parent median "
+                     f"{med['parent']:.4g}, change median "
+                     f"{med['change']:.4g}; by sub-seed {per_seed}")
     return lines
 
 
