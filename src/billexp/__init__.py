@@ -6,11 +6,12 @@ from .bmap import (
     PhasePoint,
     certify_expansion_constant,
     certify_hyperbolicity,
+    estimate_constants,
     forward,
     inverse,
     strip_index,
 )
-from .geometry import BilliardTable, build_table, estimate_constants
+from .geometry import BilliardTable, build_table
 from .singularities import (
     active_sector_conservation,
     classify_sectors,

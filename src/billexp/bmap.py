@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,9 +31,16 @@ from .errors import (
     SectorBoundary,
     SequenceOverflow,
     SingularInput,
+    ValidationError,
 )
 from .flow import EPS_TAN, TAU_FLOOR, Ray, classify_collision, first_collision
-from .geometry import EPS_CORNER, TWO_PI, BilliardTable, Corner
+from .geometry import (
+    EPS_CORNER,
+    TWO_PI,
+    BilliardTable,
+    Corner,
+    TableConstants,
+)
 
 HALF_PI = math.pi / 2.0
 K0_DEFAULT = 30
@@ -888,6 +895,55 @@ def interior_slope(lo, hi, x=0.5) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # sampled constants: empirical floors, not certified bounds
+
+def estimate_constants(table: BilliardTable, samples: int = 20_000,
+                       seed: int | None = None) -> TableConstants:
+    """Monte-Carlo refinement of the table constants.
+
+    Samples random phase points, runs 8-step orbits, and records the maximal
+    free path and the minimal free path between consecutive near-improper
+    collisions (|phi| within 0.05 of grazing, or a hit near a non-acute
+    corner).  Falls back to the minimal sampled flight when no consecutive
+    pair occurs.  Seed is required for reproducibility; a table whose
+    orbits keep failing raises ValidationError.
+    """
+    if seed is None:
+        raise ValueError("estimate_constants requires an explicit seed")
+    rng = Stream([seed, 0x7ab1e])
+    tau_hi = 0.0
+    tau_lo = math.inf
+    gap_min = math.inf
+    count = 0
+    attempts = 0
+    while count < samples:
+        attempts += 1
+        if attempts > 4 * samples + 100:
+            raise ValidationError(
+                "orbit sampling kept failing; table unusable")
+        z = random_phase_point(table, rng)
+        prev_improper_depth = None
+        depth = 0.0
+        for img in orbit(table, z, 8).images:
+            tau_hi = max(tau_hi, img.tau)
+            if img.tau > 1e-9:
+                tau_lo = min(tau_lo, img.tau)
+            depth += img.tau
+            near_improper = (
+                abs(img.point.phi) > math.pi / 2 - 0.05
+                or any(ev.startswith(("pass:", "graze:")) for ev in img.trail))
+            if near_improper:
+                if prev_improper_depth is not None:
+                    gap = depth - prev_improper_depth
+                    if gap > 1e-9:
+                        gap_min = min(gap_min, gap)
+                prev_improper_depth = depth
+            count += 1
+            if count >= samples:
+                break
+    tau_star = gap_min if math.isfinite(gap_min) else tau_lo
+    return replace(table.constants, tau_max_sampled=tau_hi,
+                   tau_star=float(tau_star), samples=samples, seed=seed)
+
 
 def certify_expansion_constant(table: BilliardTable, samples: int,
                                seed: int) -> tuple[float, int]:

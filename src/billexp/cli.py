@@ -38,9 +38,10 @@ import os
 import sys
 
 from . import tables
+from .bmap import HALF_PI, PhasePoint, estimate_constants, orbit
 # cli does not call forward; the name stays bound because
 # perfbench/test_perfbench.py checks that the tracer wraps it here too
-from .bmap import HALF_PI, PhasePoint, forward, orbit  # noqa: F401
+from .bmap import forward  # noqa: F401
 from .errors import (
     BilliardError,
     ComponentExplosion,
@@ -49,7 +50,7 @@ from .errors import (
     UnstablePortrait,
     ValidationError,
 )
-from .geometry import build_table, estimate_constants
+from .geometry import build_table
 from .render import phase_svg, portrait_svg, table_svg
 from .serialize import csv_text, json_bytes, json_pieces, write_atomic
 from .singularities import (LEVEL_CAP, classify_sectors, sector_portrait,

@@ -9,17 +9,14 @@ runs through the opposite vertex.
 ``torus2``: two disks on the unit torus, radii 0.44 and 0.17, placed so every
 direction is blocked (finite horizon) while the disks stay disjoint.
 
-``lens`` (test fixture, not shipped): the tri domain scaled by 3 containing a
-lens-shaped scatterer bounded by two orthogonally crossing radius-0.5 arcs;
-its two tips are obtuse corners with sector angle 3*pi/2, giving improper
-collisions and fly-bys.
+``lens``: the tri domain scaled by 3 containing a lens-shaped scatterer
+bounded by two orthogonally crossing radius-0.5 arcs; its two tips are obtuse
+corners with sector angle 3*pi/2, giving improper collisions and fly-bys.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from importlib import resources
 
 from .geometry import BilliardTable, build_table
 
@@ -78,14 +75,11 @@ def make_lens_spec() -> dict:
     return {"ambient": "plane", "walls": walls}
 
 
-BUILTIN_TABLES = ("tri", "torus2")   # shipped as data/<name>.json
-
-
-def data_text(name: str) -> str:
-    return resources.files("billexp").joinpath(f"data/{name}.json").read_text()
+BUILTIN_TABLES = {"tri": make_tri_spec, "torus2": make_torus2_spec,
+                  "lens": make_lens_spec}
 
 
 def load_builtin(name: str) -> BilliardTable:
     if name not in BUILTIN_TABLES:
         raise KeyError(f"no built-in table {name!r}")
-    return build_table(json.loads(data_text(name)))
+    return build_table(BUILTIN_TABLES[name]())

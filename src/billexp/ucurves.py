@@ -1624,8 +1624,7 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
     drawn = _draw_curves(table, [Stream([seed, 0xD0, i])
                                  for i in range(PROBE_SAMPLES)], delta, k0)
     # started by evolve_n, whose calls perfbench counts as the probe trees
-    trees = [evolve_n(table, d[0], 0, k0, constants)
-             for d in drawn if d is not None]
+    trees = [evolve_n(table, d[0], 0, k0) for d in drawn if d is not None]
     best_n, best_sup = N_CAP, math.inf
     first_ok = None
     for n in range(1, N_CAP + 1):

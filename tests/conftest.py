@@ -36,7 +36,7 @@ def torus2():
 
 @pytest.fixture(scope="session")
 def lens():
-    return geometry.build_table(tables.make_lens_spec())
+    return tables.load_builtin("lens")
 
 
 @pytest.fixture(scope="session")

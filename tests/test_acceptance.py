@@ -18,11 +18,11 @@ from billexp.bmap import (
     PhasePoint,
     certify_expansion_constant,
     certify_hyperbolicity,
+    estimate_constants,
     forward,
     random_phase_point,
 )
 from billexp.errors import BilliardError, NoSuchN
-from billexp.geometry import estimate_constants
 
 HALF_PI = math.pi / 2
 

@@ -37,6 +37,23 @@ def test_validate_builtin_ok(capsys):
     assert "ok" in out and "tau_max" in out and "kappa" in out
 
 
+def test_validate_builtin_lens(capsys):
+    assert run("validate", "--table", "lens") == 0
+    out = capsys.readouterr().out
+    assert "table lens: ok" in out
+    assert re.search(r"^walls +5$", out, re.M)
+    assert re.search(r"^corners +5$", out, re.M)
+    assert re.search(r"^gamma_min +0\.367523732288354$", out, re.M)
+    assert re.search(r"^tau_max +6\.0000000000000027$", out, re.M)
+
+
+def test_expansion_on_builtin_lens(tmp_path):
+    assert run("expansion", "--table", "lens", "--N", "1", "--samples", "8",
+               "--seed", "3", "--out", "lens.json") == 0
+    assert json.loads((tmp_path / "lens.json").read_text())["table_id"] \
+        == "lens"
+
+
 def test_validate_unbounded_horizon(tmp_path, capsys):
     spec = {"ambient": "torus",
             "walls": [{"center": [0.5, 0.5], "radius": 0.25,

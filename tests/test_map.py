@@ -23,10 +23,12 @@ from billexp.bmap import (
     inverse,
     involute,
     orbit,
+    phase_columns,
     random_phase_point,
     random_phase_points,
     plain_rows,
     point_columns,
+    regular_steps,
     strip_index,
     unstable_cones,
 )
@@ -409,6 +411,46 @@ def test_random_phase_point_ranges(tri):
     a = np.random.default_rng(77)
     b = np.random.default_rng(77)
     assert random_phase_point(tri, a) == random_phase_point(tri, b)
+
+
+# the tri corner arcs: radius 3 over a side-2 chord
+_THETA = 2.0 * math.asin(1.0 / 3.0)
+_TRI_AREA = math.sqrt(3.0) - 13.5 * (_THETA - math.sin(_THETA))
+# Santalo's mean free flight pi |Q| / |dQ| under the invariant measure
+# (Chernov & Markarian, Chaotic Billiards, ch. 2)
+MEAN_FLIGHT = {
+    "tri": math.pi * _TRI_AREA / (9.0 * _THETA),
+    "lens": math.pi * (9.0 * _TRI_AREA - 0.25 * (HALF_PI - 1.0))
+    / (27.0 * _THETA + HALF_PI),
+    "torus2": math.pi * (1.0 - math.pi * (0.44 ** 2 + 0.17 ** 2))
+    / (2.0 * math.pi * 0.61),
+}
+
+
+@pytest.mark.parametrize("name, n, steps",
+                         [("tri", 20_000, 8), ("lens", 20_000, 8),
+                          ("torus2", 2_000, 2)])
+def test_invariant_measure_sampler_matches_closed_forms(request, name, n,
+                                                        steps):
+    """Points drawn by ``phase_columns`` follow cos(phi) dr dphi: cos(phi)
+    has mean pi/4 and variance 2/3 - pi^2/16 at the draw and after the
+    walk, and the mean flight is Santalo's, each within 4 standard errors.
+    A flight's error is taken over per-orbit means, since the steps of one
+    orbit are correlated."""
+    table = request.getfixturevalue(name)
+    wall_ids, r, phi = phase_columns(table, Stream([7]).random(2 * n))
+    taus = np.empty((n, steps))
+    for k, step in enumerate(regular_steps(table, wall_ids, r, phi, steps)):
+        taus[step.rows, k] = step.tau
+    assert step.rows.size == n       # the walk keeps every row
+    var = 2.0 / 3.0 - math.pi ** 2 / 16.0
+    for c in (np.cos(phi), np.cos(step.phi)):
+        assert abs(c.mean() - math.pi / 4) < 4.0 * math.sqrt(var / n)
+        dev = (c - c.mean()) ** 2
+        assert abs(dev.mean() - var) < 4.0 * dev.std() / math.sqrt(n)
+    per_orbit = taus.mean(axis=1)
+    assert abs(per_orbit.mean() - MEAN_FLIGHT[name]) \
+        < 4.0 * per_orbit.std(ddof=1) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,6 @@ def test_no_private_cross_imports():
     assert bad == {}
 
 
-# public names that nothing in the package or the demos names, kept on
-# purpose: the spec builders of the built-in tables, which test_geometry
-# compares data/*.json against
-UNNAMED_ON_PURPOSE = {"tables.make_tri_spec", "tables.make_torus2_spec",
-                      "tables.make_lens_spec"}
-
-
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -118,7 +111,7 @@ def dead_public_names(files, package=SRC):
 
 def test_no_dead_public_names():
     files = sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py"))
-    assert dead_public_names(files) == UNNAMED_ON_PURPOSE
+    assert dead_public_names(files) == set()
 
 
 def test_dead_name_detector(tmp_path):
@@ -244,6 +237,53 @@ def test_private_use_detector(tmp_path):
     assert private_uses(probe) == [(2, "flow._cw_from"), (4, "bmap._fly"),
                                    (5, "flow._corner_wall_frames"),
                                    (6, "tables._arc_between")]
+
+
+def function_imports(path):
+    """(line, statement) of each import of a billexp module inside a
+    function body; a module imports the package's modules at its top, so
+    that every import shows which way the layers point."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.ImportFrom)
+                    and _package_module(node) is not None
+                    or isinstance(node, ast.Import) and any(
+                        a.name.partition(".")[0] == "billexp"
+                        for a in node.names)):
+                found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_no_function_level_package_imports():
+    bad = {p.name: found for p in sorted(SRC.glob("*.py"))
+           if (found := function_imports(p))}
+    assert bad == {}
+
+
+def test_function_import_detector(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import flow\n"
+                     "import os\n"
+                     "def f():\n"
+                     "    from . import bmap\n"
+                     "    from concurrent.futures import ThreadPoolExecutor\n"
+                     "    import json, billexp.tables\n"
+                     "    def g():\n"
+                     "        from billexp.flow import reflect\n"
+                     "        import math\n"
+                     "    return bmap, g\n"
+                     "class Kind:\n"
+                     "    def m(self):\n"
+                     "        from .errors import OutOfRange\n"
+                     "        return OutOfRange\n")
+    assert function_imports(probe) == [
+        (4, "from . import bmap"), (6, "import json, billexp.tables"),
+        (8, "from billexp.flow import reflect"),
+        (13, "from .errors import OutOfRange")]
 
 
 def unused_imports(path):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from billexp import geometry, singularities as S
+from billexp import singularities as S
 from billexp.bmap import (HALF_PI, K0_DEFAULT, PhasePoint, bisect_edge,
-                          forward, inverse, orbit, random_phase_point,
-                          strip_index)
+                          estimate_constants, forward, inverse, orbit,
+                          random_phase_point, strip_index)
 from billexp.errors import BilliardError, OutOfRange, UnstablePortrait
 from billexp.flow import Ray, first_collision
 from billexp.geometry import EPS_CORNER
@@ -196,7 +196,7 @@ def test_probe_radius_reaching_the_chart_edge_is_refused(tri):
 
 
 def test_vertex_order1_bound(tri):
-    con = geometry.estimate_constants(tri, samples=4000, seed=3)
+    con = estimate_constants(tri, samples=4000, seed=3)
     table = tri.with_constants(con)
     z = PhasePoint(0, 0.5 * table.wall(0).length, 0.0)
     rec = S.regular_complexity(table, z, 1)

@@ -768,8 +768,7 @@ def test_reevolving_parent_reproduces_children(tri, lens, straddle_curve):
 def _cert_table(name):
     """(table, {"graze": graze anchors, "corner": nodes of the corner
     preimage curves}) of tri or lens."""
-    table = tables.load_builtin("tri") if name == "tri" \
-        else geometry.build_table(tables.make_lens_spec())
+    table = tables.load_builtin(name)
     corner = [p for c in S.trace_singularity(table, -1, resolution=200)
               if c.origin == "corner-preimage" for p in c.nodes]
     return table, {"graze": U.graze_anchors(table), "corner": corner}
