@@ -417,7 +417,7 @@ def test_random_phase_point_ranges(tri):
 _THETA = 2.0 * math.asin(1.0 / 3.0)
 _TRI_AREA = math.sqrt(3.0) - 13.5 * (_THETA - math.sin(_THETA))
 # Santalo's mean free flight pi |Q| / |dQ| under the invariant measure
-# (Chernov & Markarian, Chaotic Billiards, ch. 2)
+# (Chernov & Markarian, Chaotic Billiards)
 MEAN_FLIGHT = {
     "tri": math.pi * _TRI_AREA / (9.0 * _THETA),
     "lens": math.pi * (9.0 * _TRI_AREA - 0.25 * (HALF_PI - 1.0))
