@@ -727,30 +727,58 @@ def _words(key) -> list[int]:
     return words
 
 
-def _pool(words: list[int]) -> list[int]:
-    """SeedSequence's mix_entropy: the words hashed into a 4-word pool."""
-    h = _INIT_A
+def _seed_words(keys_words) -> list[list[int]]:
+    """Per key, given as its ``_words``, SeedSequence's
+    ``generate_state(4, uint64)``: the words (s0, s1, q0, q1).
 
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _M32
-        value = value * h & _M32
-        return value ^ value >> 16
+    mix_entropy hashes the words into a pool of 4 (words past the fourth
+    are mixed into every pool word), and generate_state hashes the pool
+    into 8 32-bit words, joined in little-endian pairs.  The keys of one
+    word count go together, one uint64 array row each: every product is of
+    two 32-bit values, so it is exact, and every result is masked to 32
+    bits.  The hash constants that hashmix steps through depend only on
+    how many words a key has, not on their values.
+    """
+    m32, shift = np.uint64(_M32), np.uint64(16)
+    out = [None] * len(keys_words)
+    groups = {}
+    for i, words in enumerate(keys_words):
+        groups.setdefault(len(words), []).append(i)
+    for n, rows in groups.items():
+        w = np.zeros((len(rows), max(n, _POOL)), dtype=np.uint64)
+        w[:, :n] = [keys_words[i] for i in rows]
+        h = _INIT_A
 
-    def mix(x, y):
-        x = (_MIX_L * x - _MIX_R * y) & _M32
-        return x ^ x >> 16
+        def hashmix(value):
+            nonlocal h
+            value = value ^ np.uint64(h)
+            h = h * _MULT_A & _M32
+            value = value * np.uint64(h) & m32
+            return value ^ value >> shift
 
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return pool
+        def mix(x, y):
+            x = (np.uint64(_MIX_L) * x - np.uint64(_MIX_R) * y) & m32
+            return x ^ x >> shift
+
+        pool = [hashmix(w[:, i]) for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for i in range(_POOL, n):
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(w[:, i]))
+        h, half = _INIT_B, []
+        for i in range(2 * _POOL):
+            v = pool[i % _POOL] ^ np.uint64(h)
+            h = h * _MULT_B & _M32
+            v = v * np.uint64(h) & m32
+            half.append(v ^ v >> shift)
+        state = np.stack([half[i] | half[i + 1] << np.uint64(32)
+                          for i in range(0, 8, 2)], axis=1)
+        for i, words in zip(rows, state.tolist()):
+            out[i] = words
+    return out
 
 
 class Stream:
@@ -758,11 +786,9 @@ class Stream:
     bit, for the three calls that billexp makes; key is a sequence of
     non-negative ints.
 
-    Seeding is SeedSequence's: the key's words mixed into a pool, and
-    ``generate_state(4, uint64)`` from it, 32-bit word pairs joined
-    little-endian.  The four 64-bit words are PCG64's initial state (high,
-    low) and its stream (high, low), set as ``pcg_setseq_128_srandom_r``
-    does.  Each draw steps the 128-bit LCG and outputs the xor of the
+    Seeding is SeedSequence's (``_seed_words``).  Its four 64-bit words
+    are PCG64's initial state (high, low) and its stream (high, low), set
+    as ``pcg_setseq_128_srandom_r`` does.  Each draw steps the 128-bit LCG and outputs the xor of the
     state's halves rotated right by its top 6 bits; a float is the top 53
     bits of that times 2^-53.
     """
@@ -770,17 +796,24 @@ class Stream:
     __slots__ = ("_state", "_inc")
 
     def __init__(self, key):
-        pool = _pool(_words(key))
-        h, half = _INIT_B, []
-        for i in range(2 * _POOL):
-            v = pool[i % _POOL] ^ h
-            h = h * _MULT_B & _M32
-            v = v * h & _M32
-            half.append(v ^ v >> 16)
-        s0, s1, q0, q1 = (half[i] | half[i + 1] << 32 for i in range(0, 8, 2))
+        self._seed(*_seed_words([_words(key)])[0])
+
+    def _seed(self, s0, s1, q0, q1):
+        """Set PCG64's state and stream from the four 64-bit words."""
         self._inc = (q0 << 64 | q1) << 1 & _M128 | 1
         self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT
                        + self._inc) & _M128
+
+    @classmethod
+    def each(cls, keys) -> list:
+        """``[cls(key) for key in keys]``, the keys seeded together by
+        ``_seed_words``."""
+        out = []
+        for words in _seed_words([_words(key) for key in keys]):
+            stream = cls.__new__(cls)
+            stream._seed(*words)
+            out.append(stream)
+        return out
 
     def _next53(self) -> int:
         """The top 53 bits of the next output."""

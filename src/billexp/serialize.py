@@ -8,7 +8,8 @@ both spellings read back to the same double bit for bit.  An empty CSV cell
 NaN and Infinity appear nowhere: a non-finite float raises ValueError
 instead of reaching a file.  Files are written through a unique temp file
 plus a rename, so partial output never lands under the final name; a JSON
-artifact streams to its temp file in pieces (``json_pieces``).
+artifact streams to its temp file in pieces (``json_pieces``), written
+by a direct encoder that gives ``json.dumps``' text.
 """
 
 from __future__ import annotations
@@ -18,18 +19,97 @@ import json
 import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 
 def json_pieces(doc):
     """The JSON artifact for doc as str pieces: the text of ``json.dumps(doc,
-    sort_keys=True, indent=2, allow_nan=False)``, a few thousand of its
-    encoder's small chunks to a piece, then a newline; so a report need not
-    be held as text, which with an indent costs many times its size."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2,
-                              allow_nan=False).iterencode(doc)
-    while piece := "".join(itertools.islice(chunks, 4096)):
+    sort_keys=True, indent=2, allow_nan=False)``, 1,024 chunks (about 40
+    report rows) to a piece, then a newline; so a report need not be held
+    as text, which with an indent costs many times its size."""
+    chunks = _chunks(doc, "\n", {})
+    while piece := "".join(itertools.islice(chunks, 1024)):
         yield piece
     yield "\n"
+
+
+def json_bytes(doc) -> bytes:
+    """The JSON artifact for doc."""
+    return "".join(json_pieces(doc)).encode()
+
+
+def _float(x) -> str:
+    if x != x or x in (math.inf, -math.inf):
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """A dict key as ``json`` writes it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True or k is False or k is None:
+        return json.dumps(k)
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not "
+                    f"{k.__class__.__name__}")
+
+
+def _chunks(o, newline, open_ids):
+    """The text of o as ``json``'s indenting encoder writes it, in chunks;
+    ``newline`` is a newline and the indent of o's line, and ``open_ids``
+    the containers o lies in, for the encoder's circular-reference check.
+
+    The encoder's choices are kept: its order of type tests, sorted items,
+    ``float.__repr__`` and ``int.__repr__``.  A list of plain ints and
+    floats is one chunk, its items joined at once; a non-finite float
+    spells "inf" or "nan", and no finite float or int has an "n" in it.
+    """
+    if isinstance(o, str):
+        yield encode_basestring_ascii(o)
+    elif o is None or o is True or o is False:
+        yield json.dumps(o)
+    elif isinstance(o, int):
+        yield int.__repr__(o)
+    elif isinstance(o, float):
+        yield _float(o)
+    elif isinstance(o, (list, tuple, dict)):
+        if not o:
+            yield "{}" if isinstance(o, dict) else "[]"
+            return
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids[id(o)] = o
+        inner = newline + "  "
+        if isinstance(o, dict):
+            sep = "{"
+            for k, v in sorted(o.items()):
+                yield sep + inner + encode_basestring_ascii(_key(k)) + ": "
+                yield from _chunks(v, inner, open_ids)
+                sep = ","
+            yield newline + "}"
+        elif all(type(x) is int or type(x) is float for x in o):
+            text = ("," + inner).join(map(repr, o))
+            if "n" in text:
+                for x in o:
+                    if type(x) is float:
+                        _float(x)
+            yield "[" + inner + text + newline + "]"
+        else:
+            sep = "["
+            for v in o:
+                yield sep + inner
+                yield from _chunks(v, inner, open_ids)
+                sep = ","
+            yield newline + "]"
+        del open_ids[id(o)]
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        "is not JSON serializable")
 
 
 def json_bytes(doc) -> bytes:

@@ -141,19 +141,33 @@ class _Geometry(NamedTuple):
     slope: np.ndarray           # dphi/dr of each segment, 0.0 past the end
 
 
-def _geometry(curves) -> _Geometry:
-    """The ``_Geometry`` of the curves.
+def _nodes(curves):
+    """(wall ids, r, phi, node counts) of the curves, r and phi as (n, m)
+    arrays, m the most nodes of a curve, in which a shorter curve repeats
+    its last node."""
+    size = np.array([len(W.nodes) for W in curves], dtype=int)
+    m = int(size.max(initial=1))
+    nodes = np.fromiter(chain.from_iterable(chain.from_iterable(
+        W.nodes + W.nodes[-1:] * (m - len(W.nodes)) for W in curves)),
+        float, 3 * m * len(curves)).reshape(len(curves), m, 3)
+    return (np.array([W.wall_id for W in curves], dtype=int), nodes[:, :, 1],
+            nodes[:, :, 2], size)
+
+
+def _curve(wall_id, r, phi):
+    """The UCurve of one wall id and lists of node coordinates."""
+    return UCurve(wall_id, tuple(map(PhasePoint, [wall_id] * len(r), r, phi)))
+
+
+def _geometry(r, phi, size) -> _Geometry:
+    """The ``_Geometry`` of curves with nodes r, phi as ``_nodes`` pads
+    them and ``size`` nodes each.
 
     The segment lengths are np.hypot's, not math.hypot's: the two may round
     differently, and the lengths fix every cut parameter.  np.cumsum adds
     them in order along each row.
     """
-    size = np.array([len(W.nodes) for W in curves])
-    m = int(size.max())
-    nodes = np.fromiter(chain.from_iterable(chain.from_iterable(
-        W.nodes + W.nodes[-1:] * (m - len(W.nodes)) for W in curves)),
-        float).reshape(len(curves), m, 3)
-    r, phi = nodes[:, :, 1], nodes[:, :, 2]
+    m = r.shape[1]
     dr, dphi = np.diff(r), np.diff(phi)
     cum = np.zeros_like(r)
     np.cumsum(np.hypot(dr, dphi), axis=1, out=cum[:, 1:])
@@ -165,8 +179,8 @@ def _geometry(curves) -> _Geometry:
 
 class _Arc:
     """Arclength-fraction view of a UCurve for cutting and sampling, with
-    its lists taken from row ``row`` of ``geo``, the ``_geometry`` of a list
-    of curves that holds W there.
+    its lists taken from row ``row`` of ``geo``, a ``_geometry`` that holds
+    W there.
 
     ``memo`` maps a parameter to its ``_probe`` result, or to the int entry
     of ``plain`` (the ``RegularRows`` that ``_prefetched`` mapped) that
@@ -905,17 +919,181 @@ def _local_expansion_constant(table, arc, piece, c_expansion):
 # ---------------------------------------------------------------------------
 # multi-step evolution
 
-@dataclass
+class _Columns(NamedTuple):
+    """What ``depth_columns`` reads of one generation of a tree."""
+    inv: list               # each component's inv_expansion, in order
+    tail_inv: list          # each tail's tail_inv, in order
+    regular: int            # how many components are regular
+
+
 class EvolutionTree:
-    root: UCurve
-    generations: list[list[HComponent]]
-    degenerate_merged: int = 0
+    """The H-components of F^g W for g = 0..depth: ``generations[g]`` lists
+    generation g in order, and ``degenerate_merged`` counts the pieces
+    dropped on the way.  The trees that ``evolve_n`` and the other growers
+    hand out are ``_View``s of ``_Forest`` trees."""
+
+    def __init__(self, root: UCurve, generations: list[list[HComponent]],
+                 degenerate_merged: int = 0):
+        self.root = root
+        self.generations = generations
+        self.degenerate_merged = degenerate_merged
 
     def leaves(self, n: int) -> list[HComponent]:
         """The depth-n leaves: generation n's pieces, then the tails of
         generations 1..n in order."""
         return [c for c in self.generations[n] if not c.tail] + [
             c for gen in self.generations[1:n + 1] for c in gen if c.tail]
+
+    def _columns(self) -> list[_Columns]:
+        return [_Columns([c.inv_expansion for c in gen],
+                         [c.tail_inv for c in gen if c.tail],
+                         sum(1 for c in gen if c.regular))
+                for gen in self.generations]
+
+
+class _View(EvolutionTree):
+    """Tree t of a ``_Forest`` as an EvolutionTree.  Its generations are
+    built from the forest's rows when first read at a depth; its columns
+    are read from the forest's without building any."""
+
+    def __init__(self, forest, t):
+        self._forest, self._t, self._built = forest, t, None
+
+    @property
+    def root(self) -> UCurve:
+        return self._forest.base[self._t].curve
+
+    @property
+    def degenerate_merged(self) -> int:
+        return self._forest.degenerate[self._t]
+
+    @property
+    def generations(self) -> list[list[HComponent]]:
+        forest, t = self._forest, self._t
+        if self._built is None or len(self._built) != forest.depth[t] + 1:
+            self._built = forest.generations(t)
+        return self._built
+
+    def _columns(self) -> list[_Columns]:
+        return self._forest.columns(self._t)
+
+    def _grazing_sum(self) -> float:
+        """``grazing_sum`` of generation 1."""
+        return self._forest.grazing_sum(self._t)
+
+
+class _Layer(NamedTuple):
+    """One generation of a forest's trees as columns over its rows: tree
+    t's rows are ends[t]:ends[t + 1], its components in order.  A row is
+    its component: the curve, its floor and tail fields, whether it is
+    regular, and its itinerary's last symbol (wall, branch, strip) with
+    the row of its parent, whose itinerary comes before."""
+    wall: np.ndarray            # the curve's wall, and the symbol's
+    r: np.ndarray               # (rows, m) nodes, as _nodes pads them
+    phi: np.ndarray
+    size: np.ndarray            # nodes of each curve
+    min_expansion: np.ndarray
+    tail_inv: np.ndarray
+    tail_from: np.ndarray
+    regular: np.ndarray         # HComponent.regular
+    strip: np.ndarray           # the symbol's strip: tail_from on a tail
+    branch: np.ndarray          # the symbol's branch (str objects)
+    parent: np.ndarray          # the parent's row in the generation before
+    ends: np.ndarray            # (trees + 1,)
+
+
+class _LayerLists(NamedTuple):
+    """A layer's columns that trees read one by one, as lists."""
+    inv: list                   # HComponent.inv_expansion of each row
+    tails: list                 # the rows with a tail
+    regular: list               # regular rows before each row, and in all
+    grazing: list               # whether a row counts in grazing_sum
+    ends: list
+
+
+class _Forest:
+    """Component trees grown together, one ``_Layer`` per generation: a
+    scan block's trees, choose_depth's probe trees, or the length
+    constant's samples.
+
+    Tree t grows from the component ``base[t]``, its generation 0 and row
+    t of layer 0, and has the generations 0..depth[t].  ``stops[t]`` is
+    None while it grows, else what stopped it (see ``_grow``), and
+    ``degenerate[t]`` counts its dropped pieces.  ``tree(t)`` hands it out
+    as an EvolutionTree.
+    """
+
+    def __init__(self, base):
+        self.base = base = list(base)
+        n = len(base)
+        self.layers, self._lists = [], []
+        self.depth, self.stops, self.degenerate = [0] * n, [None] * n, [0] * n
+        # no symbol of generation 0 is read: its itineraries are base's
+        self._append(_Layer(
+            *_nodes([c.curve for c in base]),
+            np.array([c.min_expansion for c in base], dtype=float),
+            np.array([c.tail_inv for c in base], dtype=float),
+            np.array([c.tail_from for c in base], dtype=int),
+            np.array([c.regular for c in base], dtype=bool),
+            np.zeros(n, dtype=int), np.full(n, "", dtype=object),
+            np.full(n, -1), np.arange(n + 1)))
+
+    def _append(self, layer):
+        tail = layer.tail_from != 0
+        inv = np.where(tail, layer.tail_inv, 1.0 / layer.min_expansion)
+        self.layers.append(layer)
+        self._lists.append(_LayerLists(
+            inv.tolist(), np.flatnonzero(tail).tolist(),
+            np.concatenate([[0], np.cumsum(layer.regular)]).tolist(),
+            (layer.strip != 0).tolist(), layer.ends.tolist()))
+
+    def tree(self, t) -> EvolutionTree:
+        return _View(self, t)
+
+    def curve(self, g, i) -> UCurve:
+        layer = self.layers[g]
+        n = layer.size[i]
+        return _curve(int(layer.wall[i]), layer.r[i, :n].tolist(),
+                      layer.phi[i, :n].tolist())
+
+    def itinerary(self, g, i) -> tuple:
+        """The itinerary of row i of generation g."""
+        symbols = []
+        for layer in self.layers[g:0:-1]:
+            symbols.append((int(layer.wall[i]), layer.branch[i],
+                            int(layer.strip[i])))
+            i = layer.parent[i]
+        return self.base[i].itinerary + tuple(reversed(symbols))
+
+    def generations(self, t) -> list[list[HComponent]]:
+        """Tree t's generations, its HComponents built from the rows."""
+        gens = [[self.base[t]]]
+        for g in range(1, self.depth[t] + 1):
+            layer = self.layers[g]
+            lo, hi = self._lists[g].ends[t:t + 2]
+            gens.append([HComponent(
+                self.curve(g, i), self.itinerary(g, i),
+                float(layer.min_expansion[i]), float(layer.tail_inv[i]),
+                int(layer.tail_from[i])) for i in range(lo, hi)])
+        return gens
+
+    def columns(self, t) -> list[_Columns]:
+        """``EvolutionTree._columns`` of tree t, from the layers' lists."""
+        out = []
+        for lists in self._lists[:self.depth[t] + 1]:
+            inv, tails, regular = lists.inv, lists.tails, lists.regular
+            lo, hi = lists.ends[t], lists.ends[t + 1]
+            if tails:
+                tails = tails[bisect_left(tails, lo):bisect_left(tails, hi)]
+            out.append(_Columns(inv[lo:hi], [inv[i] for i in tails],
+                                regular[hi] - regular[lo]))
+        return out
+
+    def grazing_sum(self, t) -> float:
+        """``grazing_sum`` of tree t's generation 1."""
+        lists = self._lists[1]
+        lo, hi = lists.ends[t:t + 2]
+        return _grazing_total(lists.inv[lo:hi], lists.grazing[lo:hi])
 
 
 def _remaining_floor(constants, m):
@@ -932,18 +1110,20 @@ _KNOWN = (0.5, 1e-6, 1.0 - 1e-6)
 
 
 class _Decided(NamedTuple):
-    """The one-step image of a decided arc: its one child, whatever the
-    parent."""
-    curve: UCurve
-    factor: float           # the step's smallest stretch factor
-    symbol: tuple[int, str, int]
+    """The one-step images of the decided arcs of a batch: per arc, its
+    one child, whatever the parent."""
+    at: np.ndarray          # the arc's position in the batch
+    wall: np.ndarray        # the child's wall
+    r: np.ndarray           # (n, 3): the child's nodes (hi, mid, lo)
+    phi: np.ndarray
+    factor: np.ndarray      # the step's smallest stretch factor
 
 
 def _decided(geo, rows, got, at, k0):
-    """Per certified row of ``geo``, its ``_Decided``, or None where
-    ``_one_step`` must step the arc.  ``at`` holds, per row, the entries of
-    ``got`` (a ``RegularRows``) that are its images at _KNOWN, in that
-    order, -1 where a probe has no plain image.
+    """The ``_Decided`` of the certified rows ``rows`` of ``geo`` that
+    ``_one_step`` need not step, placed as rows of ``geo``.  ``at`` holds,
+    per row, the entries of ``got`` (a ``RegularRows``) that are its images
+    at _KNOWN, in that order, -1 where a probe has no plain image.
 
     A row is decided when its three probes have plain "regular" images
     that rise as (hi, mid, lo), both insets have u = pi/2 - |phi'| >=
@@ -954,9 +1134,11 @@ def _decided(geo, rows, got, at, k0):
     phi'), ``_refine_params`` adds no node, ``_child`` builds its child
     from these three images with ``make_ucurve``, which keeps all three,
     and ``_kept`` keeps it: the tests and the stretch factors below are
-    theirs, operation for operation.
+    theirs, operation for operation.  single_branch certified that the
+    images lie on one wall.  The child's strip is 0: phi' of the mid image
+    lies strictly between the insets', so its u is at least one of
+    theirs, and so at least 1/k0^2.
     """
-    out = [None] * len(rows)
     cand = np.flatnonzero((at >= 0).all(axis=1))
     # per candidate, its images at the insets and the midpoint in the
     # order _refine_params takes them (lo, mid, hi), and each one's segment
@@ -976,22 +1158,17 @@ def _decided(geo, rows, got, at, k0):
     dr, dphi = np.diff(r[:, ::-1]), np.diff(phi[:, ::-1])
     ok &= ((dr > 0.0) & (dphi > 0.0)).all(axis=1)
     keep = np.flatnonzero(ok)
-    for k, (dr0, dr1), (dphi0, dphi1), fmin, nodes in zip(
-            cand[keep].tolist(), dr[keep].tolist(), dphi[keep].tolist(),
-            f[keep].min(axis=1).tolist(),
-            zip(*(a[keep].tolist() for a in (got.wall_id[j], r, phi)))):
-        # UCurve.euclidean_length
-        if math.hypot(dr0, dphi0) + math.hypot(dr1, dphi1) >= DEGEN_LEN:
-            lo, mid, hi = map(PhasePoint, *nodes)
-            out[k] = _Decided(
-                UCurve(lo.wall_id, (hi, mid, lo)), fmin,
-                (mid.wall_id, "regular", strip_index(mid.phi, k0)))
-    return out
+    # UCurve.euclidean_length
+    keep = keep[[math.hypot(dr0, dphi0) + math.hypot(dr1, dphi1) >= DEGEN_LEN
+                 for (dr0, dr1), (dphi0, dphi1) in zip(dr[keep].tolist(),
+                                                       dphi[keep].tolist())]]
+    return _Decided(i[keep], got.wall_id[j[keep, 1]], r[keep, ::-1],
+                    phi[keep, ::-1], f[keep].min(axis=1))
 
 
-def _prefetched(table, curves, k0):
-    """Per curve, the ``_Decided`` of ``_decided`` where it decides the
-    arc, else an ``_Arc``.
+def _prefetched(table, layer, rows, k0):
+    """(``_decided``'s ``_Decided`` of the rows ``rows`` of a forest layer,
+    per row an ``_Arc`` of its curve, None where it is decided).
 
     The arcs' geometry is one ``_geometry``, and one ``single_branch`` call
     certifies every arc.  One ``plain_rows`` call then maps the _KNOWN
@@ -1006,25 +1183,33 @@ def _prefetched(table, curves, k0):
     certified arc that ``_decided`` declines is a fresh ``_Arc``, which
     ``_one_step`` steps on its cut grid.
     """
-    geo = _geometry(curves)
-    wid = np.array([W.wall_id for W in curves])
+    size = layer.size[rows]
+    m = int(size.max())
+    geo = _geometry(layer.r[rows, :m], layer.phi[rows, :m], size)
+    wid = layer.wall[rows]
+
+    def arc_of(i):
+        n = size[i]
+        return _Arc(_curve(int(wid[i]), geo.r[i, :n].tolist(),
+                           geo.phi[i, :n].tolist()), geo, i)
+
     held = single_branch(table, wid, geo.r[:, 0], geo.r[:, -1],
                          geo.phi[:, 0], geo.phi[:, -1])
-    rows = np.flatnonzero(held)
-    arcs = [None if h else _Arc(W, geo, i)
-            for i, (W, h) in enumerate(zip(curves, held.tolist()))]
-    s = np.broadcast_to(np.array(_KNOWN), (rows.size, len(_KNOWN)))
+    certified = np.flatnonzero(held)
+    arcs = [None if h else arc_of(i) for i, h in enumerate(held.tolist())]
+    s = np.broadcast_to(np.array(_KNOWN), (certified.size, len(_KNOWN)))
     grid = [(arc, t) for arc in arcs if arc is not None
             for t in _grid(_grid_for(arc.total))]
     pts = [arc.at(t) for arc, t in grid]
     got = plain_rows(
         table,
-        np.concatenate([np.repeat(wid[rows], len(_KNOWN)),
+        np.concatenate([np.repeat(wid[certified], len(_KNOWN)),
                         [p.wall_id for p in pts]]),
-        np.concatenate([_interp_rows(s, geo.frac[rows], geo.r[rows]).ravel(),
-                        [p.r for p in pts]]),
         np.concatenate([
-            _interp_rows(s, geo.frac[rows], geo.phi[rows]).ravel(),
+            _interp_rows(s, geo.frac[certified], geo.r[certified]).ravel(),
+            [p.r for p in pts]]),
+        np.concatenate([
+            _interp_rows(s, geo.frac[certified], geo.phi[certified]).ravel(),
             [p.phi for p in pts]]))
     # the entry of got for each probe, -1 where it has no plain image
     at = np.full(s.size + len(pts), -1)
@@ -1033,73 +1218,150 @@ def _prefetched(table, curves, k0):
         if j >= 0:
             arc.memo[t] = j
             arc.plain = got
-    for row, one in zip(rows.tolist(), _decided(
-            geo, rows, got, at[:s.size].reshape(s.shape), k0)):
-        arcs[row] = _Arc(curves[row], geo, row) if one is None else one
-    return arcs
+    decided = _decided(geo, certified, got, at[:s.size].reshape(s.shape), k0)
+    declined = np.ones(len(arcs), dtype=bool)
+    declined[decided.at] = False
+    for i in certified[declined[certified]].tolist():
+        arcs[i] = arc_of(i)
+    return decided, arcs
 
 
-def _arcs(table, curves, k0):
-    """``_prefetched``'s arcs of the curves, in order, BATCH_ROWS curves at
-    a time, so that no more than BATCH_ROWS arcs are alive at once."""
-    for start in range(0, len(curves), BATCH_ROWS):
-        yield from _prefetched(table, curves[start:start + BATCH_ROWS], k0)
+def _grow(table, forest, k0, constants, stopped=None):
+    """Grow each tree of the forest whose ``stops`` entry is None by one
+    generation, all of them in one new layer.
 
-
-def _tree(W):
-    """The depth-0 evolution tree of W."""
-    return EvolutionTree(root=W, generations=[[_root(W)]])
-
-
-def _grow(table, trees, k0, constants, stopped=None):
-    """Append the next generation of H-components to each tree.
-
-    Returns, per tree, None or the BilliardError that stopped it: a
-    ComponentExplosion once the generation holds more than LEAF_CAP
-    components, whose ``.partial`` is the tree with the cut-short
-    generation, or an error of ``_one_step``, after which the tree gains no
-    generation.  The parents' arcs come from ``_arcs`` over all the trees;
-    a ``_Decided`` arc gives its one child, and ``_one_step`` steps an
-    ``_Arc``.  With a list ``stopped``, ``_one_step`` stops the lazy
-    ladders of each parent, and they are appended to ``stopped`` once its
-    step succeeds.
+    A tree that stops gets in ``stops`` a ComponentExplosion once its
+    generation holds more than LEAF_CAP components, whose ``.partial`` is
+    the tree with the cut-short generation, or an error of ``_one_step``,
+    after which it gains no generation.  The parents are the non-tail rows
+    of the growing trees, tree after tree, and ``_prefetched`` maps them
+    BATCH_ROWS at a time, so that no more than BATCH_ROWS arcs are alive at
+    once.  A decided parent's child is written straight from the
+    ``_Decided`` columns.  ``_one_step`` steps each other parent, given as
+    an HComponent, and its children become rows in its place.  A tree
+    takes its parents in order and none once it stops.  With a list
+    ``stopped``, ``_one_step`` stops the lazy ladders of each parent, and
+    they are appended to ``stopped`` once its step succeeds.
     """
+    last, g, stops = forest.layers[-1], len(forest.layers), forest.stops
+    growing = np.array([stop is None for stop in stops], dtype=bool)
+    if not growing.any():
+        return
     c_exp = constants.c_expansion if constants is not None else None
-    fronts = [[c for c in tree.generations[-1] if not c.tail]
-              for tree in trees]
-    arcs = _arcs(table, [c.curve for front in fronts for c in front], k0)
-    outcomes = []
-    for tree, front in zip(trees, fronts):
-        g = len(tree.generations)
-        nxt, stop = [], None
-        for comp in front:
-            arc = next(arcs)    # taken even once stopped, to stay in step
-            if stop is not None:
+    owner = np.repeat(np.arange(growing.size), np.diff(last.ends))
+    front = np.flatnonzero(growing[owner] & (last.tail_from == 0))
+    tree = owner[front]
+    trees = np.arange(growing.size)
+    first = np.searchsorted(tree, trees)
+    # per tree: children so far, its next parent not yet counted, and the
+    # end of the parents whose children join the generation
+    count = [0] * growing.size
+    nxt = first.tolist()
+    end = np.searchsorted(tree, trees, side="right").tolist()
+    kids, parts, failed = {}, [], set()
+
+    def explode(t, stop_at):
+        end[t] = stop_at
+        stops[t] = ComponentExplosion(
+            f"component count exceeded {LEAF_CAP} at depth {g}")
+        stops[t].partial = forest.tree(t)
+
+    def take(t, q):
+        """Count tree t's decided parents up to parent q; False once one
+        of them overflows LEAF_CAP, which stops the tree."""
+        room = LEAF_CAP - count[t]
+        if q - nxt[t] > room:
+            explode(t, nxt[t] + room + 1)
+            return False
+        count[t] += q - nxt[t]
+        nxt[t] = q
+        return True
+
+    for start in range(0, front.size, BATCH_ROWS):
+        rows = front[start:start + BATCH_ROWS]
+        decided, arcs = _prefetched(table, last, rows, k0)
+        parts.append(decided._replace(at=decided.at + start))
+        for i in [i for i, arc in enumerate(arcs) if arc is not None]:
+            q = start + i
+            t = int(tree[q])
+            if stops[t] is not None or not take(t, q):
                 continue
-            if isinstance(arc, _Decided):
-                kids, ndeg = [HComponent(
-                    curve=arc.curve, itinerary=comp.itinerary + (arc.symbol,),
-                    min_expansion=comp.min_expansion * arc.factor)], 0
-            else:
-                ladders = None if stopped is None else []
-                try:
-                    kids, ndeg = _one_step(table, comp, arc, k0, c_exp,
-                                           ladders)
-                except BilliardError as err:
-                    stop, nxt = err, None
-                    continue
-                if ladders:
-                    stopped.extend(ladders)
-            tree.degenerate_merged += ndeg
-            nxt.extend(kids)
-            if len(nxt) > LEAF_CAP:
-                stop = ComponentExplosion(
-                    f"component count exceeded {LEAF_CAP} at depth {g}")
-                stop.partial = tree
-        if nxt is not None:
-            tree.generations.append(nxt)
-        outcomes.append(stop)
-    return outcomes
+            parent = HComponent(arcs[i].W, forest.itinerary(g - 1, rows[i]),
+                                float(last.min_expansion[rows[i]]))
+            ladders = None if stopped is None else []
+            try:
+                kids[q], ndeg = _one_step(table, parent, arcs[i], k0, c_exp,
+                                          ladders)
+            except BilliardError as err:
+                stops[t], end[t] = err, first[t]
+                failed.add(t)
+                continue
+            if ladders:
+                stopped.extend(ladders)
+            forest.degenerate[t] += ndeg
+            count[t] += len(kids[q])
+            nxt[t] = q + 1
+            if count[t] > LEAF_CAP:
+                explode(t, q + 1)
+    for t in np.flatnonzero(growing).tolist():
+        if stops[t] is None:
+            take(t, end[t])
+    forest._append(_next_layer(last, front, tree, np.array(end), kids,
+                               parts))
+    for t in np.flatnonzero(growing).tolist():
+        if t not in failed:
+            forest.depth[t] += 1
+
+
+def _next_layer(last, front, tree, end, kids, parts):
+    """The layer of ``_grow``'s generation: in order, the children of each
+    parent in ``front`` before its tree's ``end``.  ``tree`` holds each
+    parent's tree, ``kids`` the children of each stepped parent by its
+    position in ``front``, and ``parts`` the ``_Decided`` of each batch,
+    placed in ``front``."""
+    joins = np.arange(front.size) < end[tree]
+    n = np.ones(front.size, dtype=int)
+    for q, comps in kids.items():
+        n[q] = len(comps)
+    n[~joins] = 0
+    at = np.cumsum(n) - n               # each parent's first child
+    stepped = [(int(at[q]) + k, c) for q, comps in kids.items() if joins[q]
+               for k, c in enumerate(comps)]
+    rows = int(n.sum())
+    m = max([3] + [len(c.curve.nodes) for _, c in stepped])
+    wall, size, tail_from, strip = np.zeros((4, rows), dtype=int)
+    branch = np.full(rows, "regular", dtype=object)
+    r, phi = np.zeros((2, rows, m))
+    min_expansion, tail_inv = np.zeros((2, rows))
+    if parts:
+        decided = _Decided(*map(np.concatenate, zip(*parts)))
+        keep = joins[decided.at]
+        q = decided.at[keep]
+        i = at[q]
+        wall[i], size[i] = decided.wall[keep], 3
+        for out, nodes in ((r, decided.r[keep]), (phi, decided.phi[keep])):
+            out[i, :3], out[i, 3:] = nodes, nodes[:, 2:]
+        min_expansion[i] = last.min_expansion[front[q]] \
+            * decided.factor[keep]
+    if stepped:
+        i = np.array([row for row, _ in stepped])
+        comps = [c for _, c in stepped]
+        for row, c in stepped:
+            _, rs, phis = zip(*c.curve.nodes)
+            k = size[row] = len(rs)
+            r[row, :k], r[row, k:] = rs, rs[-1]
+            phi[row, :k], phi[row, k:] = phis, phis[-1]
+        wall[i] = [c.curve.wall_id for c in comps]
+        min_expansion[i] = [c.min_expansion for c in comps]
+        tail_inv[i] = [c.tail_inv for c in comps]
+        tail_from[i] = [c.tail_from for c in comps]
+        strip[i] = [c.itinerary[-1][2] for c in comps]
+        branch[i] = [c.itinerary[-1][1] for c in comps]
+    parent = np.repeat(front, n)
+    per_tree = np.bincount(tree, weights=n, minlength=last.ends.size - 1)
+    return _Layer(wall, r, phi, size, min_expansion, tail_inv, tail_from,
+                  last.regular[parent] & (strip == 0), strip, branch, parent,
+                  np.concatenate([[0], np.cumsum(per_tree)]).astype(int))
 
 
 def _check_depth(n):
@@ -1114,15 +1376,15 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
     """Breadth-first component tree of F^n W.
 
     Tail components are terminal; ``depth_columns`` counts them at every
-    later depth.  Raises what ``_grow`` reports.
+    later depth.  Raises what ``_grow`` stops the tree with.
     """
     _check_depth(n)
-    tree = _tree(W)
+    forest = _Forest([_root(W)])
     for _ in range(n):
-        stop, = _grow(table, [tree], k0, constants)
-        if stop is not None:
-            raise stop
-    return tree
+        _grow(table, forest, k0, constants)
+        if forest.stops[0] is not None:
+            raise forest.stops[0]
+    return forest.tree(0)
 
 
 def depth_columns(tree: EvolutionTree, constants=None
@@ -1137,24 +1399,34 @@ def depth_columns(tree: EvolutionTree, constants=None
     """
     sums, regular, leaves = [], [], []
     tails = []      # (generation, tail_inv) of the tails so far
-    for m, gen in enumerate(tree.generations):
+    for m, gen in enumerate(tree._columns()):
         total = 0.0
         for g, inv in tails:
             total += inv / _remaining_floor(constants, m - g)
-        for comp in gen:
-            total += comp.inv_expansion
+        for inv in gen.inv:
+            total += inv
         sums.append(total)
-        regular.append(sum(1 for c in gen if c.regular))
-        leaves.append(len(tails) + len(gen))
-        tails.extend((m, c.tail_inv) for c in gen if c.tail)
+        regular.append(gen.regular)
+        leaves.append(len(tails) + len(gen.inv))
+        tails.extend((m, inv) for inv in gen.tail_inv)
     return sums, regular, leaves
+
+
+def _grazing_total(inv, grazing) -> float:
+    """The sum, in order, of the inv entries whose grazing flag is set."""
+    total = 0.0
+    for x, flag in zip(inv, grazing):
+        if flag:
+            total += x
+    return total
 
 
 def grazing_sum(components) -> float:
     """Sum of 1/expansion over the nearly-grazing components: tails and
     pieces whose last step landed outside strip 0."""
-    return sum((c.inv_expansion for c in components
-                if c.tail or c.itinerary[-1][2] != 0), 0.0)
+    return _grazing_total([c.inv_expansion for c in components],
+                          [c.tail or c.itinerary[-1][2] != 0
+                           for c in components])
 
 
 # ---------------------------------------------------------------------------
@@ -1331,17 +1603,19 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
         table, Stream([seed, 0xC2]), samples, delta_lo, delta_hi, k0)
     curves = [W for W in _seed_walks(table, bases, xs, lengths)
               if not isinstance(W, str)]
-    trees = [_tree(W) for W in curves]
+    forest = _Forest(map(_root, curves))
     stopped = []
-    _grow(table, trees, k0, None, stopped)
+    _grow(table, forest, k0, None, stopped)
     # a tree whose step raised gained no generation
-    used = [tree for tree in trees if len(tree.generations) == 2]
+    used = [t for t, depth in enumerate(forest.depth) if depth == 1]
     if not used:
         raise NumericalAbort(
             "no curve survived seeding; table constants suspect")
+    gen = forest.layers[1]
     best = max([0.0] + [
-        comp.curve.euclidean_length / math.sqrt(tree.root.euclidean_length)
-        for tree in used for comp in tree.generations[1] if not comp.tail])
+        forest.curve(1, i).euclidean_length
+        / math.sqrt(curves[t].euclidean_length) for t in used
+        for i in range(gen.ends[t], gen.ends[t + 1]) if not gen.tail_from[i]])
     for stop in stopped:
         root = math.sqrt(stop.arc.W.euclidean_length)
         strips = _strip_children(table, stop, k0)
@@ -1494,39 +1768,40 @@ def _scan_block(table, ids, seed, delta, n, k0, constants):
     ``_draw_curves`` and their trees grown a generation at a time by
     ``_grow``.  Raises the first error other than a ComponentExplosion that
     stopped a tree, in sample order."""
-    drawn = _draw_curves(table, [Stream([seed, 1, i]) for i in ids], delta,
-                         k0)
-    trees = [None if d is None else _tree(d[0]) for d in drawn]
-    stops = [None] * len(trees)
-    live = [t for t, tree in enumerate(trees) if tree is not None]
+    drawn = _draw_curves(table, Stream.each([seed, 1, i] for i in ids),
+                         delta, k0)
+    forest = _Forest(_root(d[0]) for d in drawn if d is not None)
     for _ in range(n):
-        for t, stop in zip(live, _grow(table, [trees[t] for t in live], k0,
-                                       constants)):
-            stops[t] = stop
-        live = [t for t in live if stops[t] is None]
-    for stop in stops:
+        _grow(table, forest, k0, constants)
+    for stop in forest.stops:
         if stop is not None and not isinstance(stop, ComponentExplosion):
             raise stop
-    return [{"sample_id": i, "flag": "skipped"} if d is None
-            else _row(i, d[1], tree, stop, n, constants)
-            for i, d, tree, stop in zip(ids, drawn, trees, stops)]
+    rows, t = [], 0
+    for i, d in zip(ids, drawn):
+        if d is None:
+            rows.append({"sample_id": i, "flag": "skipped"})
+            continue
+        rows.append(_row(i, d[1], forest.tree(t), forest.stops[t], n,
+                         constants))
+        t += 1
+    return rows
 
 
 def _row(i, tries, tree, stop, n, constants):
-    """sup_scan's row of sample i, whose tree stopped at ``stop``."""
+    """sup_scan's row of sample i, whose tree stopped at ``stop``; read
+    from a ``_View``'s columns, it builds no component."""
     W = tree.root
     z0 = W.nodes[len(W.nodes) // 2]
     row = {"sample_id": i, "base": [z0.wall_id, z0.r, z0.phi],
            "length": W.euclidean_length, "tries": tries,
            "flag": "" if stop is None else "explosion"}
-    depth = len(tree.generations) - 1
     sums, regular, leaves = depth_columns(tree, constants)
+    depth = len(sums) - 1
     # depths past an explosion have no sum: null in JSON, empty in CSV
     row["e"] = sums + [None] * (n - depth)
     row["k"] = regular + [0] * (n - depth)
     row["leaves"] = leaves + [0] * (n - depth)
-    row["grazing_sum"] = grazing_sum(tree.generations[1]) \
-        if depth >= 1 else 0.0
+    row["grazing_sum"] = tree._grazing_sum() if depth >= 1 else 0.0
     row["degenerate"] = tree.degenerate_merged
     return row
 
@@ -1621,17 +1896,18 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
             return select_N(constants), "select"
         except NoSuchN:
             pass
-    drawn = _draw_curves(table, [Stream([seed, 0xD0, i])
-                                 for i in range(PROBE_SAMPLES)], delta, k0)
+    drawn = _draw_curves(table, Stream.each(
+        [seed, 0xD0, i] for i in range(PROBE_SAMPLES)), delta, k0)
     # started by evolve_n, whose calls perfbench counts as the probe trees
-    trees = [evolve_n(table, d[0], 0, k0) for d in drawn if d is not None]
+    forest = _Forest(_root(evolve_n(table, d[0], 0, k0).root)
+                     for d in drawn if d is not None)
     best_n, best_sup = N_CAP, math.inf
     first_ok = None
     for n in range(1, N_CAP + 1):
-        stops = _grow(table, trees, k0, constants)
-        trees = [t for t, stop in zip(trees, stops) if stop is None]
-        sup = max([0.0] + [depth_columns(t, constants)[0][n]
-                           for t in trees])
+        _grow(table, forest, k0, constants)
+        sup = max([0.0] + [
+            depth_columns(forest.tree(t), constants)[0][n]
+            for t, stop in enumerate(forest.stops) if stop is None])
         if sup < best_sup:
             best_n, best_sup = n, sup
         if first_ok is None and sup < 1.0:

@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import math
 import json
 import pathlib
 import re
@@ -477,6 +479,25 @@ def test_expansion_auto_depth(tmp_path):
     assert 1 <= doc["n_steps"] <= 12
 
 
+# sha256 of the seed-61 tri reports of perfbench's scan-deep-tri and
+# verdict-tri workloads
+SEED_61_REPORTS = {
+    ("--N", "6"):
+        "c8678bfc45c8405a1b664d125da19dd13906951f38fe410292167dcbff1dc305",
+    ("--fit", "--N", "auto"):
+        "cc765c4219d0768f9c63df96e403c8524e7f4e9d555002b875c387de41ca4cdd",
+}
+
+
+@pytest.mark.parametrize("depth", sorted(SEED_61_REPORTS))
+def test_seed_61_reports_keep_their_bytes(tmp_path, depth):
+    assert run("expansion", "--table", "tri", "--seed", "61", "--delta",
+               "1e-4", "--k0", "30", "--samples", "1000", *depth,
+               "--out", "r.json") == 0
+    assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() \
+        == SEED_61_REPORTS[depth]
+
+
 # ---------------------------------------------------------------------------
 # config file
 
@@ -773,6 +794,44 @@ def test_json_pieces_are_json_dumps(doc):
     want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     assert "".join(serialize.json_pieces(doc)) == want
     assert serialize.json_bytes(doc) == want.encode()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), _FINITE,
+    st.sampled_from([-0.0, 1e-300, 1e300, 5e-324]), st.text())
+# lists of ints and floats alone, which json_pieces writes in one join
+_NUMBER_LISTS = st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70), _FINITE,
+                                   st.sampled_from([-0.0, 1e-300, 1e300])))
+_DOCUMENTS = st.recursive(
+    _SCALARS | _NUMBER_LISTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+@example({"caf\u00e9": [[], {}, [-0.0, 1e-300, 1e300, 3, True, None]]})
+@example({"rows": [{"e": [1.0, None, 2], "k": [1, 2]}]})
+def test_json_pieces_are_json_dumps_on_generated_documents(doc):
+    want = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert "".join(serialize.json_pieces(doc)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NUMBER_LISTS, st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.integers(0, 10 ** 6), st.booleans())
+def test_json_pieces_refuse_non_finite_numbers(numbers, bad, at, nested):
+    """A NaN or an infinity in a list of numbers raises ValueError, as
+    json.dumps(..., allow_nan=False) does."""
+    numbers.insert(at % (len(numbers) + 1), bad)
+    doc = {"b": [{"e": numbers}]} if nested else numbers
+    with pytest.raises(ValueError):
+        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        "".join(serialize.json_pieces(doc))
 
 
 def test_json_artifact_streams_to_its_file(tmp_path):

@@ -203,18 +203,38 @@ def test_stream_equals_numpy_on_generated_keys():
     assert mismatches == []
 
 
+def test_streams_seeded_together_equal_streams_seeded_alone():
+    """Stream.each over keys of mixed word counts in one call, with 0,
+    2^32 - 1, 2^32 and keys past the pool's 4 words: each stream has the
+    state and stream of Stream(key) and numpy's first draws."""
+    edges = [[0], [2 ** 32 - 1], [2 ** 32], [0, 0, 0, 0, 0],
+             [2 ** 32 - 1, 2 ** 32, 0, 1, 2 ** 40, 3], [2 ** 40, 3], [61]]
+    keys = _generated_keys(300, 31) + edges
+    assert {len(bmap._words(k)) for k in keys} >= set(range(1, 12))
+    streams = bmap.Stream.each(iter(keys))
+    assert [(s._state, s._inc) for s in streams] \
+        == [(s._state, s._inc) for s in map(bmap.Stream, keys)]
+    calls = [("random", 3), ("random",), ("uniform", 0.35, 0.65)]
+    assert [k for k, s in zip(keys, streams)
+            if _draws(s, calls) != _draws(_numpy(k), calls)] == []
+    assert bmap.Stream.each([]) == []
+
+
 @pytest.mark.parametrize("key", [[-1], [3, -1], [0, 2 ** 64, -(2 ** 40)]])
 def test_stream_refuses_negative_entropy(key):
     with pytest.raises(ValueError):
         bmap.Stream(key)
+    with pytest.raises(ValueError):
+        bmap.Stream.each([[5], key])
     with pytest.raises(ValueError):
         np.random.SeedSequence(key)
 
 
 def test_stream_equals_numpy_on_recorded_keys(monkeypatch, tmp_path):
     """The first 64 draws of every stream that a verdict-tri and a
-    scan-deep-tri pipeline open at seed 61."""
-    keys = []
+    scan-deep-tri pipeline open at seed 61, one by one or together; a
+    stream seeded together starts where the one seeded alone does."""
+    keys, together = [], []
 
     class Recorded(bmap.Stream):
         __slots__ = ()
@@ -222,6 +242,15 @@ def test_stream_equals_numpy_on_recorded_keys(monkeypatch, tmp_path):
         def __init__(self, key):
             keys.append(tuple(key))
             super().__init__(key)
+
+        @classmethod
+        def each(cls, batch):
+            batch = [tuple(key) for key in batch]
+            streams = super().each(batch)
+            keys.extend(batch)
+            together.extend((key, s._state, s._inc)
+                            for key, s in zip(batch, streams))
+            return streams
 
     monkeypatch.setattr(bmap, "Stream", Recorded)
     monkeypatch.setattr(U, "Stream", Recorded)
@@ -234,6 +263,13 @@ def test_stream_equals_numpy_on_recorded_keys(monkeypatch, tmp_path):
     assert set(keys) == ({(61, 0xC0), (61, 0xC1), (61, 0xC2)}
                          | {(61, 0xD0, i) for i in range(U.PROBE_SAMPLES)}
                          | {(61, 1, i) for i in range(1000)})
+    assert {key for key, _, _ in together} \
+        == {(61, 0xD0, i) for i in range(U.PROBE_SAMPLES)} \
+        | {(61, 1, i) for i in range(1000)}
+    monkeypatch.undo()
+    alone = [bmap.Stream(list(key)) for key, _, _ in together]
+    assert [(state, inc) for _, state, inc in together] \
+        == [(s._state, s._inc) for s in alone]
     calls = [("random", 32), *[("random",)] * 32]
     mismatches = [k for k in set(keys) if _draws(bmap.Stream(list(k)), calls)
                   != _draws(_numpy(list(k)), calls)]

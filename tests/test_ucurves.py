@@ -107,9 +107,34 @@ def _bits(x):
     return float(x).hex()
 
 
+def _geometry_of(curves):
+    """The ``_geometry`` of the curves, padded as ``_nodes`` pads them."""
+    return U._geometry(*U._nodes(curves)[1:])
+
+
 def _arc(W):
     """A fresh ``_Arc`` of W alone, nothing probed."""
-    return U._Arc(W, U._geometry([W]), 0)
+    return U._Arc(W, _geometry_of([W]), 0)
+
+
+def _layer(curves):
+    """Generation 0 of a forest of the curves' depth-0 trees."""
+    return U._Forest(map(U._root, curves)).layers[0]
+
+
+def _prefetch(table, curves, layer=None):
+    """_prefetched's arcs of the curves, the parents of a forest's first
+    generation: per curve, None where it is decided, else its _Arc."""
+    layer = _layer(curves) if layer is None else layer
+    return U._prefetched(table, layer, np.arange(len(curves)), 30)[1]
+
+
+def _grown(table, curves, stopped=None):
+    """The depth-1 trees of the curves, grown together by _grow, and
+    what stopped each of them."""
+    forest = U._Forest(map(U._root, curves))
+    U._grow(table, forest, 30, None, stopped)
+    return [forest.tree(t) for t in range(len(curves))], forest.stops
 
 
 def _ends_and_breaks(xp):
@@ -138,7 +163,7 @@ def test_arc_interpolation_is_np_interp(steps, probes):
     # W and its prefixes as the rows of one padded geometry
     curves = [U.make_ucurve(0, W.nodes[:k])
               for k in range(2, len(W.nodes) + 1)]
-    geo = U._geometry(curves)
+    geo = _geometry_of(curves)
     x = np.broadcast_to(np.array(xs), (len(curves), len(xs)))
     rows = U._interp_rows(x, geo.frac, geo.phi)
     for i, C in enumerate(curves):
@@ -410,9 +435,9 @@ def test_length_constant_prefetches_its_samples_together(tri, monkeypatch):
     # arcs are prefetched in one call, large enough for the batched map
     prefetched, sizes = U._prefetched, []
 
-    def counted(table, curves, k0):
-        sizes.append(len(curves))
-        return prefetched(table, curves, k0)
+    def counted(table, layer, rows, k0):
+        sizes.append(len(rows))
+        return prefetched(table, layer, rows, k0)
 
     monkeypatch.setattr(U, "_prefetched", counted)
     best, used = U.certify_length_constant(tri, 101, 61)
@@ -499,8 +524,9 @@ def lazy_runs(tri, lens):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(U, "_ladder", recorded)
                 full = _generation_1(table, W)
-            stopped, tree = [], U._tree(W)
-            assert U._grow(table, [tree], 30, None, stopped) == [None]
+            stopped = []
+            (tree,), stops = _grown(table, [W], stopped)
+            assert stops == [None]
             lazy = tree.generations[1]
             resumed = []
             for s in stopped:
@@ -702,6 +728,48 @@ def test_depth_columns_match_the_walks_on_anchor_trees(
     assert (exploded > 0) == (cap == 200)
 
 
+# sha256 over evolve_n's trees of _anchor_curves(table, 8) at depth 4 and
+# k0 = 30, without constants and with c_expansion = 0.1: per tree its
+# degenerate_merged, then per component its generation, its regular flag
+# and its _component_tokens.  Recorded while _grow still kept each
+# generation as a list of HComponents.
+ANCHOR_TREE_DIGESTS = {
+    ("tri", False):
+        "4b1dfad44b2ebbd1c08a8aae242e48b5c800d03d9798e4dcf5c4768432761314",
+    ("tri", True):
+        "226505157ab21b0e96177f56354a21ff9d55b9a9e1c5da1402e8a786026be298",
+    ("lens", False):
+        "746ce81d00d55980cc8c060600b97359565bffe1751af2338c22637675de2f0d",
+    ("lens", True):
+        "1b0afd0224be09be396dfb6ba1f6712e9e41e81dbdafe7ddbceaa439826439c2",
+}
+
+
+@pytest.mark.parametrize("name, fitted", sorted(ANCHOR_TREE_DIGESTS))
+def test_tree_views_equal_the_recorded_component_trees(name, fitted,
+                                                       request):
+    """The HComponents that an evolve_n tree builds from its forest's rows
+    are field for field the ones that _grow built as objects: itinerary,
+    curve, floor, regular flag and tail fields, on trees that carry
+    tails."""
+    table = request.getfixturevalue(name)
+    constants = U.FittedConstants(
+        c_expansion=0.1, c_hyper=2.0, lam_hyper=1.5, c_length=40.0,
+        xi_complexity=4.0, k_complexity=10) if fitted else None
+    h = hashlib.sha256()
+    tails = 0
+    for W in _anchor_curves(table, 8):
+        tree = U.evolve_n(table, W, 4, 30, constants)
+        h.update(str(tree.degenerate_merged).encode() + b"\n")
+        for g, gen in enumerate(tree.generations):
+            for c in gen:
+                h.update(f"{g}|{c.regular}|".encode()
+                         + "|".join(_component_tokens(c)).encode() + b"\n")
+                tails += c.tail
+    assert tails > 0
+    assert h.hexdigest() == ANCHOR_TREE_DIGESTS[name, fitted]
+
+
 def test_depth_columns_match_the_walks_on_scan_trees(tri, torus2,
                                                      monkeypatch):
     """Every tree of the seed-61 scans of tri (N = 6, no fit) and torus2
@@ -715,15 +783,18 @@ def test_depth_columns_match_the_walks_on_scan_trees(tri, torus2,
         return row(i, tries, tree, stop, n, constants)
 
     monkeypatch.setattr(U, "_row", checking)
-    torus2_fit = U.FittedConstants(
-        c_expansion=1.5221661031786686, c_hyper=2.1147733060334013,
-        lam_hyper=2.3522897002324656, c_length=3.425750488984956,
-        xi_complexity=1.0, k_complexity=1, seed=61)
     U.sup_scan(tri, 1e-4, 1000, 6, 30, 61)
-    U.sup_scan(torus2, 1e-4, 1000, 4, 30, 61, torus2_fit)
+    U.sup_scan(torus2, 1e-4, 1000, 4, 30, 61, TORUS2_FIT)
     assert len(checked) == 2000
     assert all(same for same, _ in checked)
     assert sum(tail for _, tail in checked) == 2
+
+
+# fit_constants(torus2, 61)
+TORUS2_FIT = U.FittedConstants(
+    c_expansion=1.5221661031786686, c_hyper=2.1147733060334013,
+    lam_hyper=2.3522897002324656, c_length=3.425750488984956,
+    xi_complexity=1.0, k_complexity=1, seed=61)
 
 
 def _check_lineage(table, W):
@@ -910,7 +981,7 @@ def test_single_branch_is_sound(name, place, pick, u, v, log_len, slope):
     held = _one_box(table, wall.wall_id, a.r, b.r, a.phi, b.phi)
     # only a certified arc is decided; an arc left to _one_step cuts the
     # same segments from its prefetched memo as a fresh arc does
-    arc, = U._prefetched(table, [W], 30)
+    arc, = _prefetch(table, [W])
     assert held or isinstance(arc, U._Arc)
     n_s = U._grid_for(_arc(W).total)
     if isinstance(arc, U._Arc):
@@ -1108,8 +1179,9 @@ def test_prefetch_maps_its_probes_by_the_row_count_rule(tri, monkeypatch):
     curves = _seeded_curves(tri, 5, 200)
     for block in (curves[:1], curves):
         sizes.clear()
+        layer = _layer(block)
         with kernel_calls() as calls:
-            U._prefetched(tri, block, 30)
+            _prefetch(tri, block, layer)
         (n,) = sizes
         blocks = [min(BATCH_ROWS, n - start)
                   for start in range(0, n, BATCH_ROWS)]
@@ -1126,7 +1198,7 @@ def test_torus_memo_holds_the_plain_grid_probes(torus2):
     _prefetched, exactly its grid probes that forward maps plainly, each
     what _probe returns there."""
     curves = _seeded_curves(torus2, 7, 6)
-    for W, arc in zip(curves, U._prefetched(torus2, curves, 30)):
+    for W, arc in zip(curves, _prefetch(torus2, curves)):
         assert isinstance(arc, U._Arc)
         plain = []
         for s in _grid(U._grid_for(arc.total)):
@@ -1147,10 +1219,11 @@ def test_prefetched_arcs_hold_rows_until_an_image_is_read(torus2,
     1.7 MB (peak 2.4 MB).  _primary_segments reads signatures only and
     builds no image; _probe_at builds one when it is first read."""
     curves = _seeded_curves(torus2, 7, 128)
-    U._prefetched(torus2, curves[:2], 30)
+    _prefetch(torus2, curves[:2])
+    layer = _layer(curves)
     tracemalloc.start()
     try:
-        arcs = U._prefetched(torus2, curves, 30)
+        arcs = _prefetch(torus2, curves, layer)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1179,7 +1252,7 @@ def _assert_prefetch_moves_no_number(table, curves):
     there, and _grow, which steps the curves on arcs prefetched together,
     decided or not, builds the children and drops that _one_step builds on
     a fresh arc probed only as it goes."""
-    for W, arc in zip(curves, U._prefetched(table, curves, 30)):
+    for W, arc in zip(curves, _prefetch(table, curves)):
         if isinstance(arc, U._Arc):
             for s in list(arc.memo):
                 want = U._probe(table, _arc(W), s)
@@ -1187,8 +1260,8 @@ def _assert_prefetch_moves_no_number(table, curves):
                 assert _probe_tokens(U._probe_at(table, arc, s)) \
                     == _probe_tokens(want)
                 assert repr(U._signature_at(table, arc, s)) == repr(want[0])
-    trees = [U._tree(W) for W in curves]
-    assert U._grow(table, trees, 30, None) == [None] * len(trees)
+    trees, stops = _grown(table, curves)
+    assert stops == [None] * len(trees)
     for W, tree in zip(curves, trees):
         kids, ndeg = U._one_step(table, U._root(W), _arc(W), 30, None)
         assert tree.degenerate_merged == ndeg
@@ -1511,11 +1584,12 @@ def test_decided_children_are_one_step_children(name, request):
     assert {2, 4, 9} <= {len(W.nodes) for W in curves}
     parents = [U.HComponent(W, ((0, "regular", 0),), rng.uniform(0.5, 40.0))
                for W in curves]
-    trees = [U.EvolutionTree(root=W, generations=[[p]])
-             for W, p in zip(curves, parents)]
-    assert U._grow(table, trees, 30, None) == [None] * len(trees)
+    forest = U._Forest(parents)
+    U._grow(table, forest, 30, None)
+    assert forest.stops == [None] * len(curves)
+    trees = [forest.tree(t) for t in range(len(curves))]
     assert sum(tree.degenerate_merged for tree in trees) > 0
-    geo = U._geometry(curves)
+    geo = _geometry_of(curves)
     for i, (parent, tree) in enumerate(zip(parents, trees)):
         # a fresh arc, which _one_step steps on its cut grid
         kids, ndeg = U._one_step(table, parent, U._Arc(curves[i], geo, i),
@@ -1523,8 +1597,7 @@ def test_decided_children_are_one_step_children(name, request):
         assert tree.degenerate_merged == ndeg
         assert [_component_tokens(c) for c in tree.generations[1]] \
             == [_component_tokens(c) for c in kids]
-    decided = [isinstance(a, U._Decided)
-               for a in U._prefetched(table, curves, 30)]
+    decided = [arc is None for arc in _prefetch(table, curves)]
     if name == "torus2":
         assert not any(decided)
         return
@@ -1551,6 +1624,38 @@ def test_component_explosion(tri, straddle_curve, monkeypatch):
     with pytest.raises(ComponentExplosion) as exc:
         U.evolve_n(tri, straddle_curve, 2)
     assert isinstance(exc.value.partial, U.EvolutionTree)
+
+
+def _tokens(gens):
+    return [[_component_tokens(c) for c in gen] for gen in gens]
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+def test_a_tree_explodes_once_a_generation_passes_leaf_cap(name, request,
+                                                           monkeypatch):
+    """Anchor-seeded trees to depth 4, whose generations mix decided and
+    stepped parents: with LEAF_CAP at a tree's largest generation the tree
+    grows as without the cap; one lower, it explodes at the first
+    generation that large, which it keeps whole; lower still, at the first
+    generation past the cap, keeping a prefix of it with more components
+    than the cap."""
+    table = request.getfixturevalue(name)
+    for W in _anchor_curves(table, 6):
+        monkeypatch.undo()
+        full = U.evolve_n(table, W, 4, 30).generations
+        sizes = [len(gen) for gen in full]
+        for cap in {max(sizes[1:]), max(sizes[1:]) - 1, 2, 1}:
+            monkeypatch.setattr(U, "LEAF_CAP", cap)
+            g = next((g for g in range(1, 5) if sizes[g] > cap), None)
+            if g is None:
+                assert _tokens(U.evolve_n(table, W, 4, 30).generations) \
+                    == _tokens(full)
+                continue
+            with pytest.raises(ComponentExplosion) as exc:
+                U.evolve_n(table, W, 4, 30)
+            cut = exc.value.partial.generations
+            assert len(cut) == g + 1 and len(cut[g]) > cap
+            assert _tokens(cut) == _tokens(full[:g] + [full[g][:len(cut[g])]])
 
 
 # ---------------------------------------------------------------------------
@@ -1664,44 +1769,78 @@ def _scan_row_by_itself(table, i, seed, delta, n, k0, constants):
     return row
 
 
-def _double_wall_2_children(monkeypatch):
-    """Make every step of a curve on wall 2 give each child twice: its arc
-    goes to _one_step even where _prefetched decides it, which builds the
-    same children."""
+def _double_wall_2_children(monkeypatch, wall=2):
+    """Make every step of a curve on wall 2 (or ``wall``) give each child
+    twice: its arc goes to _one_step even where _prefetched decides it,
+    which builds the same children."""
     prefetched, one_step = U._prefetched, U._one_step
 
-    def declined(table, curves, k0):
-        return [_arc(W) if W.wall_id == 2 and isinstance(a, U._Decided)
-                else a for W, a in zip(curves, prefetched(table, curves, k0))]
+    def declined(table, layer, rows, k0):
+        decided, arcs = prefetched(table, layer, rows, k0)
+        on_2 = layer.wall[rows[decided.at]] == wall
+        for i in decided.at[on_2].tolist():
+            n = layer.size[rows[i]]
+            arcs[i] = _arc(U._curve(wall, layer.r[rows[i], :n].tolist(),
+                                    layer.phi[rows[i], :n].tolist()))
+        return U._Decided(*(a[~on_2] for a in decided)), arcs
 
     def doubled(table, parent, *args):
         kids, ndeg = one_step(table, parent, *args)
-        return (kids + kids if parent.curve.wall_id == 2 else kids), ndeg
+        return (kids + kids if parent.curve.wall_id == wall else kids), ndeg
 
     monkeypatch.setattr(U, "_prefetched", declined)
     monkeypatch.setattr(U, "_one_step", doubled)
 
 
+def _assert_blocks_equal_curves(table, seed, samples, n, constants, wall,
+                                explode, monkeypatch):
+    """A scan in blocks of 1, 5 and SCAN_BLOCK curves, at 1 and 4 threads,
+    gives the rows of its samples evolved one by one.  Made to explode,
+    the trees of curves on ``wall`` outgrow LEAF_CAP after depth 2 while
+    others of their block grow on."""
+    if explode:
+        _double_wall_2_children(monkeypatch, wall)
+        monkeypatch.setattr(U, "LEAF_CAP", 2)
+    rows = [_scan_row_by_itself(table, i, seed, 1e-4, n, 30, constants)
+            for i in range(samples)]
+    block = min(samples, U.SCAN_BLOCK)
+    for size in (1, 5, U.SCAN_BLOCK):
+        monkeypatch.setattr(U, "SCAN_BLOCK", size)
+        for threads in (1, 4):
+            rep = U.sup_scan(table, 1e-4, samples, n, 30, seed=seed,
+                             constants=constants, threads=threads)
+            assert json_bytes(rep.rows) == json_bytes(rows)
+    exploded = [r["flag"] == "explosion" for r in rows]
+    assert any(exploded[:block]) == explode
+    assert not all(exploded[:block])
+
+
 @pytest.mark.parametrize("explode", [False, True])
 def test_block_scan_equals_per_curve_evolution(tri, cheap_constants,
                                                monkeypatch, explode):
-    """A scan of three blocks, the last one partial and so scalar, gives at
-    any thread count the rows of its samples evolved one by one.  Made to
-    explode, the trees of curves on wall 2 outgrow LEAF_CAP after depth 2
-    while the others of their block grow on."""
-    if explode:
-        _double_wall_2_children(monkeypatch)
-        monkeypatch.setattr(U, "LEAF_CAP", 2)
-    samples = 2 * U.SCAN_BLOCK + 44
-    rows = [_scan_row_by_itself(tri, i, 17, 1e-4, 3, 30, cheap_constants)
-            for i in range(samples)]
-    for threads in (1, 4):
-        rep = U.sup_scan(tri, 1e-4, samples, 3, 30, seed=17,
-                         constants=cheap_constants, threads=threads)
-        assert json_bytes(rep.rows) == json_bytes(rows)
-    exploded = [r["flag"] == "explosion" for r in rows]
-    assert any(exploded[:U.SCAN_BLOCK]) == explode
-    assert not all(exploded[:U.SCAN_BLOCK])
+    """On tri, whose default blocks end in a partial one, so scalar,
+    block."""
+    _assert_blocks_equal_curves(tri, 17, 2 * U.SCAN_BLOCK + 44, 3,
+                                cheap_constants, 2, explode, monkeypatch)
+
+
+@pytest.mark.parametrize("name, seed, samples, n, wall, tail", [
+    ("lens", 58, 2 * U.SCAN_BLOCK + 44, 3, 2, 270),
+    ("torus2", 19, 36, 4, 1, 6)])
+@pytest.mark.parametrize("explode", [False, True])
+def test_block_scan_with_tails_equals_per_curve_evolution(
+        name, seed, samples, n, wall, tail, explode, cheap_constants,
+        request, monkeypatch):
+    """On lens and on torus2 under its fitted constants, each scan with a
+    tree that carries a tail."""
+    table = request.getfixturevalue(name)
+    constants = TORUS2_FIT if name == "torus2" else cheap_constants
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1, tail]))
+    W, _ = _draw_by_itself(table, rng, 1e-4, 30)
+    tree = U.evolve_n(table, W, n, 30, constants)
+    assert any(c.tail for gen in tree.generations for c in gen)
+    _assert_blocks_equal_curves(table, seed, samples, n, constants, wall,
+                                explode, monkeypatch)
 
 
 def _substreams(seed, count):
@@ -1944,13 +2083,13 @@ def test_length_constant_seeds_as_curve_by_curve(tri, monkeypatch, seed,
         monkeypatch.setattr(U, "EPS_SEED", 1.0)
     want, refused = _length_curves_by_itself(tri, 300, seed)
     evolved = []
-    arcs = U._arcs
+    grow = U._grow
 
-    def recorded(table, curves, k0):
-        evolved.extend(curves)
-        return arcs(table, curves, k0)
+    def recorded(table, forest, *args):
+        evolved.extend(c.curve for c in forest.base)
+        return grow(table, forest, *args)
 
-    monkeypatch.setattr(U, "_arcs", recorded)
+    monkeypatch.setattr(U, "_grow", recorded)
     _, used = U.certify_length_constant(tri, 300, seed)
     assert list(map(repr, evolved)) == list(map(repr, want))
     stepped = 0
