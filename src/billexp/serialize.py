@@ -14,23 +14,30 @@ by a direct encoder that gives ``json.dumps``' text.
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
 import os
 import tempfile
 from json.encoder import encode_basestring_ascii
 
+# a JSON piece ends at the first chunk that takes it past this many
+# characters: about 50 rows of an expansion report
+PIECE_CHARS = 32_768
+
 
 def json_pieces(doc):
     """The JSON artifact for doc as str pieces: the text of ``json.dumps(doc,
-    sort_keys=True, indent=2, allow_nan=False)``, 1,024 chunks (about 40
-    report rows) to a piece, then a newline; so a report need not be held
-    as text, which with an indent costs many times its size."""
-    chunks = _chunks(doc, "\n", {})
-    while piece := "".join(itertools.islice(chunks, 1024)):
-        yield piece
-    yield "\n"
+    sort_keys=True, indent=2, allow_nan=False)`` in pieces of about
+    PIECE_CHARS characters, then a newline; so a report need not be held as
+    text, which with an indent costs many times its size."""
+    piece, size = [], 0
+    for chunk in _chunks(doc, "\n", {}):
+        piece.append(chunk)
+        size += len(chunk)
+        if size >= PIECE_CHARS:
+            yield "".join(piece)
+            piece, size = [], 0
+    piece.append("\n")
+    yield "".join(piece)
 
 
 def json_bytes(doc) -> bytes:
@@ -52,69 +59,86 @@ def _key(k) -> str:
     if isinstance(k, float):
         return _float(k)
     if k is True or k is False or k is None:
-        return json.dumps(k)
+        return _leaf(k, "")
     if isinstance(k, int):
         return int.__repr__(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not "
                     f"{k.__class__.__name__}")
 
 
+def _leaf(o, newline):
+    """The text of o when it is a scalar, a non-empty list of plain ints
+    and floats, or a non-empty dict of such values and lists, else None;
+    ``newline`` is a newline and the indent of o's line.  A list of numbers
+    is joined at once: a non-finite float spells "inf" or "nan", and no
+    finite float or int has an "n" in it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {o.__class__.__name__} "
+                        "is not JSON serializable")
+    if not o:
+        return None
+    inner = newline + "  "
+    if isinstance(o, dict):
+        items = []
+        for k, v in sorted(o.items()):
+            text = None if isinstance(v, dict) else _leaf(v, inner)
+            if text is None:
+                return None
+            items.append(encode_basestring_ascii(_key(k)) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not all(type(x) is int or type(x) is float for x in o):
+        return None
+    text = ("," + inner).join(map(repr, o))
+    if "n" in text:
+        for x in o:
+            if type(x) is float:
+                _float(x)
+    return "[" + inner + text + newline + "]"
+
+
 def _chunks(o, newline, open_ids):
     """The text of o as ``json``'s indenting encoder writes it, in chunks;
     ``newline`` is a newline and the indent of o's line, and ``open_ids``
     the containers o lies in, for the encoder's circular-reference check.
-
     The encoder's choices are kept: its order of type tests, sorted items,
-    ``float.__repr__`` and ``int.__repr__``.  A list of plain ints and
-    floats is one chunk, its items joined at once; a non-finite float
-    spells "inf" or "nan", and no finite float or int has an "n" in it.
-    """
-    if isinstance(o, str):
-        yield encode_basestring_ascii(o)
-    elif o is None or o is True or o is False:
-        yield json.dumps(o)
-    elif isinstance(o, int):
-        yield int.__repr__(o)
-    elif isinstance(o, float):
-        yield _float(o)
-    elif isinstance(o, (list, tuple, dict)):
-        if not o:
-            yield "{}" if isinstance(o, dict) else "[]"
-            return
-        if id(o) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids[id(o)] = o
-        inner = newline + "  "
-        if isinstance(o, dict):
-            sep = "{"
-            for k, v in sorted(o.items()):
-                yield sep + inner + encode_basestring_ascii(_key(k)) + ": "
-                yield from _chunks(v, inner, open_ids)
-                sep = ","
-            yield newline + "}"
-        elif all(type(x) is int or type(x) is float for x in o):
-            text = ("," + inner).join(map(repr, o))
-            if "n" in text:
-                for x in o:
-                    if type(x) is float:
-                        _float(x)
-            yield "[" + inner + text + newline + "]"
-        else:
-            sep = "["
-            for v in o:
-                yield sep + inner
-                yield from _chunks(v, inner, open_ids)
-                sep = ","
-            yield newline + "]"
-        del open_ids[id(o)]
+    ``float.__repr__`` and ``int.__repr__``.  A ``_leaf``, such as one row
+    of a report, is one chunk."""
+    text = _leaf(o, newline)
+    if text is not None:
+        yield text
+        return
+    if not o:
+        yield "{}" if isinstance(o, dict) else "[]"
+        return
+    if id(o) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids[id(o)] = o
+    inner = newline + "  "
+    if isinstance(o, dict):
+        sep, close = "{", "}"
+        items = ((encode_basestring_ascii(_key(k)) + ": ", v)
+                 for k, v in sorted(o.items()))
     else:
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        "is not JSON serializable")
-
-
-def json_bytes(doc) -> bytes:
-    """The JSON artifact for doc."""
-    return "".join(json_pieces(doc)).encode()
+        sep, close = "[", "]"
+        items = (("", v) for v in o)
+    for head, v in items:
+        text = _leaf(v, inner)
+        if text is None:
+            yield sep + inner + head
+            yield from _chunks(v, inner, open_ids)
+        else:
+            yield sep + inner + head + text
+        sep = ","
+    yield newline + close
+    del open_ids[id(o)]
 
 
 def _cell(v) -> str:

@@ -770,6 +770,13 @@ def test_tree_views_equal_the_recorded_component_trees(name, fitted,
     assert h.hexdigest() == ANCHOR_TREE_DIGESTS[name, fitted]
 
 
+# fit_constants(torus2, 61)
+TORUS2_FIT = U.FittedConstants(
+    c_expansion=1.5221661031786686, c_hyper=2.1147733060334013,
+    lam_hyper=2.3522897002324656, c_length=3.425750488984956,
+    xi_complexity=1.0, k_complexity=1, seed=61)
+
+
 def test_depth_columns_match_the_walks_on_scan_trees(tri, torus2,
                                                      monkeypatch):
     """Every tree of the seed-61 scans of tri (N = 6, no fit) and torus2
@@ -788,13 +795,6 @@ def test_depth_columns_match_the_walks_on_scan_trees(tri, torus2,
     assert len(checked) == 2000
     assert all(same for same, _ in checked)
     assert sum(tail for _, tail in checked) == 2
-
-
-# fit_constants(torus2, 61)
-TORUS2_FIT = U.FittedConstants(
-    c_expansion=1.5221661031786686, c_hyper=2.1147733060334013,
-    lam_hyper=2.3522897002324656, c_length=3.425750488984956,
-    xi_complexity=1.0, k_complexity=1, seed=61)
 
 
 def _check_lineage(table, W):
