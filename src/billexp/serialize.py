@@ -19,21 +19,18 @@ import os
 import tempfile
 from json.encoder import encode_basestring_ascii
 
-# a JSON piece ends at the first chunk that takes it past this many
-# characters: about 50 rows of an expansion report
-PIECE_CHARS = 32_768
-
 
 def json_pieces(doc):
     """The JSON artifact for doc as str pieces: the text of ``json.dumps(doc,
-    sort_keys=True, indent=2, allow_nan=False)`` in pieces of about
-    PIECE_CHARS characters, then a newline; so a report need not be held as
-    text, which with an indent costs many times its size."""
+    sort_keys=True, indent=2, allow_nan=False)``, each piece ending at the
+    chunk that takes it past 32,768 characters (about 50 report rows), then
+    a newline; so a report need not be held as text, which with an indent
+    costs many times its size."""
     piece, size = [], 0
     for chunk in _chunks(doc, "\n", {}):
         piece.append(chunk)
         size += len(chunk)
-        if size >= PIECE_CHARS:
+        if size >= 32_768:
             yield "".join(piece)
             piece, size = [], 0
     piece.append("\n")
