@@ -788,9 +788,9 @@ class Stream:
 
     Seeding is SeedSequence's (``_seed_words``).  Its four 64-bit words
     are PCG64's initial state (high, low) and its stream (high, low), set
-    as ``pcg_setseq_128_srandom_r`` does.  Each draw steps the 128-bit LCG and outputs the xor of the
-    state's halves rotated right by its top 6 bits; a float is the top 53
-    bits of that times 2^-53.
+    as ``pcg_setseq_128_srandom_r`` does.  Each draw steps the 128-bit LCG
+    and outputs the xor of the state's halves rotated right by its top 6
+    bits; a float is the top 53 bits of that times 2^-53.
     """
 
     __slots__ = ("_state", "_inc")
