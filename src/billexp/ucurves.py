@@ -232,15 +232,43 @@ def seed_ucurve(table: BilliardTable, z: PhasePoint, length: float,
     regular, or when the curve is too short for its nodes to differ in
     floating point.
     """
-    W, = _seeds(table, [z], [rng], length, k0)
-    if isinstance(W, str):
-        raise SingularSeed(W)
-    return W
+    (why,), seeds = _seeds(table, [z], [rng], length, k0)
+    if why is not None:
+        raise SingularSeed(why)
+    return _curve_at(seeds, 0)
+
+
+class _Seeds(NamedTuple):
+    """Seed curves as rows: curve i lies on wall[i], its nodes are
+    r[start[i]:start[i + 1]] and phi likewise, and length[i] is its
+    ``UCurve.euclidean_length``, bit for bit."""
+    wall: np.ndarray
+    r: np.ndarray               # the nodes of every curve, in row order
+    phi: np.ndarray
+    start: np.ndarray           # (curves + 1,) each curve's first node
+    length: np.ndarray
+
+    def take(self, rows) -> _Seeds:
+        """The seeds of the rows ``rows``, in that order."""
+        size = np.diff(self.start)[rows]
+        start = np.concatenate([[0], np.cumsum(size)])
+        at = np.repeat(self.start[rows] - start[:-1], size) \
+            + np.arange(start[-1])
+        return _Seeds(self.wall[rows], self.r[at], self.phi[at], start,
+                      self.length[rows])
+
+
+def _curve_at(rows, i) -> UCurve:
+    """The UCurve of row i of ``_Seeds`` or of a ``_Layer``."""
+    lo, hi = rows.start[i], rows.start[i + 1]
+    return _curve(int(rows.wall[i]), rows.r[lo:hi].tolist(),
+                  rows.phi[lo:hi].tolist())
 
 
 def _seeds(table, zs, rngs, length, k0):
-    """``seed_ucurve`` at each base point z with its rng (or None): the
-    curve, or a str saying why there is none.
+    """``seed_ucurve`` at each base point z with its rng (or None): per z,
+    None where it has a curve, else a str saying why there is none; and
+    the ``_Seeds`` of the curves, in order.
 
     Each row checks its base (``_refusals``), and only then draws its cone
     position x from its own rng and walks (``_seed_walks``), so a row's
@@ -251,10 +279,11 @@ def _seeds(table, zs, rngs, length, k0):
     rows = [i for i, why in enumerate(out) if why is None]
     xs = [0.5 if rngs[i] is None else float(rngs[i].uniform(0.35, 0.65))
           for i in rows]
-    for i, W in zip(rows, _seed_walks(table, [zs[i] for i in rows], xs,
-                                      [length] * len(rows))):
-        out[i] = W
-    return out
+    why, seeds = _seed_walks(table, [zs[i] for i in rows], xs,
+                             [length] * len(rows))
+    for i, w in zip(rows, why):
+        out[i] = w
+    return out, seeds
 
 
 def _check_length(length):
@@ -289,8 +318,9 @@ def _turn(m, lo, hi, x):
 
 def _seed_walks(table, bases, xs, lengths):
     """``seed_ucurve``'s curve through each base point z, with x its
-    position in the cone and its length from ``lengths``, or a str saying
-    why there is none.
+    position in the cone and its length from ``lengths``: per z, None where
+    it has one, else a str saying why there is none; and the ``_Seeds`` of
+    the curves, in order.
 
     From z each walk takes SEED_HALF equal steps to each side, along the
     slope it carries; after a step the slope is kept if it lies inside the
@@ -300,7 +330,10 @@ def _seed_walks(table, bases, xs, lengths):
     alive.  A walk fails at its first failing step, and there a chart exit
     on either side wins over an undefined cone.  The cone at a side's last
     node sets no slope, but a walk fails where it is undefined, as at every
-    other node.
+    other node.  The nodes of a curve are those that ``make_ucurve`` keeps
+    of the walk's, from the back end to the fore end: each one above the
+    last kept in both r and phi.  Its length adds their math.hypot steps
+    in order.
     """
     out = [None] * len(bases)
     wid, r0, phi0 = point_columns(bases)
@@ -347,15 +380,28 @@ def _seed_walks(table, bases, xs, lengths):
         if k + 1 < SEED_HALF:
             M[:, live] = _turn(m[:, defined], lo[:, defined],
                                hi[:, defined], xs[live])
-    for i in live.tolist():
-        z = bases[i]
-        back, fore = ([PhasePoint(z.wall_id, a, b) for a, b in zip(
-            R[j, i, 1:].tolist(), P[j, i, 1:].tolist())] for j in (0, 1))
-        try:
-            out[i] = make_ucurve(z.wall_id, back[::-1] + [z] + fore)
-        except ValueError as err:
-            out[i] = f"seed curve of length {lengths[i]:g}: {err}"
-    return out
+    r, phi = (np.concatenate([A[0, live, ::-1], A[1, live, 1:]], axis=1)
+              for A in (R, P))
+    keep = np.ones(r.shape, dtype=bool)
+    top_r, top_phi = r[:, 0], phi[:, 0]
+    length = np.zeros(live.size)
+    for j in range(1, r.shape[1]):
+        keep[:, j] = up = (r[:, j] > top_r) & (phi[:, j] > top_phi)
+        step = map(math.hypot, (r[:, j] - top_r).tolist(),
+                   (phi[:, j] - top_phi).tolist())
+        length += np.where(up, np.fromiter(step, float, live.size), 0.0)
+        top_r, top_phi = np.where(up, r[:, j], top_r), \
+            np.where(up, phi[:, j], top_phi)
+    size = keep.sum(axis=1)
+    for i in live[size < 2].tolist():
+        # make_ucurve's refusal
+        out[i] = (f"seed curve of length {lengths[i]:g}: degenerate curve: "
+                  "fewer than two monotone nodes")
+    good = size >= 2
+    keep &= good[:, None]
+    return out, _Seeds(wid[live[good]], r[keep], phi[keep],
+                       np.concatenate([[0], np.cumsum(size[good])]),
+                       length[good])
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +1007,7 @@ class _View(EvolutionTree):
 
     @property
     def root(self) -> UCurve:
-        return self._forest.base[self._t].curve
+        return self._forest.curve(0, self._t)
 
     @property
     def degenerate_merged(self) -> int:
@@ -987,11 +1033,12 @@ class _Layer(NamedTuple):
     t's rows are ends[t]:ends[t + 1], its components in order.  A row is
     its component: the curve, its floor and tail fields, whether it is
     regular, and its itinerary's last symbol (wall, branch, strip) with
-    the row of its parent, whose itinerary comes before."""
+    the row of its parent, whose itinerary comes before.  The curve of
+    row i has the nodes r[start[i]:start[i + 1]] and phi likewise."""
     wall: np.ndarray            # the curve's wall, and the symbol's
-    r: np.ndarray               # (rows, m) nodes, as _nodes pads them
+    r: np.ndarray               # the nodes of every row, in row order
     phi: np.ndarray
-    size: np.ndarray            # nodes of each curve
+    start: np.ndarray           # (rows + 1,) each row's first node
     min_expansion: np.ndarray
     tail_inv: np.ndarray
     tail_from: np.ndarray
@@ -1002,13 +1049,11 @@ class _Layer(NamedTuple):
     ends: np.ndarray            # (trees + 1,)
 
 
-class _LayerLists(NamedTuple):
-    """A layer's columns that trees read one by one, as lists."""
-    inv: list                   # HComponent.inv_expansion of each row
+class _LayerSums(NamedTuple):
+    """What trees read of a layer one by one."""
+    inv: np.ndarray             # HComponent.inv_expansion of each row
     tails: list                 # the rows with a tail
-    regular: list               # regular rows before each row, and in all
-    grazing: list               # whether a row counts in grazing_sum
-    ends: list
+    regular: list               # how many rows of each tree are regular
 
 
 class _Forest:
@@ -1016,45 +1061,59 @@ class _Forest:
     scan block's trees, choose_depth's probe trees, or the length
     constant's samples.
 
-    Tree t grows from the component ``base[t]``, its generation 0 and row
-    t of layer 0, and has the generations 0..depth[t].  ``stops[t]`` is
-    None while it grows, else what stopped it (see ``_grow``), and
-    ``degenerate[t]`` counts its dropped pieces.  ``tree(t)`` hands it out
-    as an EvolutionTree.
+    Tree t grows from row t of layer 0, the curve of row t of ``seeds``:
+    a root component, or ``base[t]`` when base, a list of HComponents, is
+    given.  ``length[t]`` is that curve's length.  The tree has the
+    generations 0..depth[t].  ``stops[t]`` is None while it grows, else
+    what stopped it (see ``_grow``), and ``degenerate[t]`` counts its
+    dropped pieces.  ``tree(t)`` hands it out as an EvolutionTree.
     """
 
-    def __init__(self, base):
-        self.base = base = list(base)
-        n = len(base)
-        self.layers, self._lists = [], []
+    def __init__(self, seeds, base=None):
+        n = seeds.wall.size
+        self.length = seeds.length
+        self.layers, self._sums = [], []
         self.depth, self.stops, self.degenerate = [0] * n, [None] * n, [0] * n
+        if base is None:
+            self._itineraries = None
+            columns = (np.ones(n), np.zeros(n), np.zeros(n, dtype=int),
+                       np.ones(n, dtype=bool))
+        else:
+            self._itineraries = [c.itinerary for c in base]
+            columns = (np.array([getattr(c, f) for c in base]) for f in (
+                "min_expansion", "tail_inv", "tail_from", "regular"))
         # no symbol of generation 0 is read: its itineraries are base's
         self._append(_Layer(
-            *_nodes([c.curve for c in base]),
-            np.array([c.min_expansion for c in base], dtype=float),
-            np.array([c.tail_inv for c in base], dtype=float),
-            np.array([c.tail_from for c in base], dtype=int),
-            np.array([c.regular for c in base], dtype=bool),
+            seeds.wall, seeds.r, seeds.phi, seeds.start, *columns,
             np.zeros(n, dtype=int), np.full(n, "", dtype=object),
             np.full(n, -1), np.arange(n + 1)))
 
+    @classmethod
+    def of(cls, base) -> _Forest:
+        """The forest whose trees grow from the HComponents ``base``."""
+        base = list(base)
+        curves = [c.curve for c in base]
+        wall, r, phi, size = _nodes(curves)
+        keep = np.arange(r.shape[1]) < size[:, None]
+        return cls(_Seeds(wall, r[keep], phi[keep],
+                          np.concatenate([[0], np.cumsum(size)]),
+                          np.array([W.euclidean_length for W in curves])),
+                   base)
+
     def _append(self, layer):
         tail = layer.tail_from != 0
-        inv = np.where(tail, layer.tail_inv, 1.0 / layer.min_expansion)
+        regular = np.concatenate([[0], np.cumsum(layer.regular)])
         self.layers.append(layer)
-        self._lists.append(_LayerLists(
-            inv.tolist(), np.flatnonzero(tail).tolist(),
-            np.concatenate([[0], np.cumsum(layer.regular)]).tolist(),
-            (layer.strip != 0).tolist(), layer.ends.tolist()))
+        self._sums.append(_LayerSums(
+            np.where(tail, layer.tail_inv, 1.0 / layer.min_expansion),
+            np.flatnonzero(tail).tolist(),
+            np.diff(regular[layer.ends]).tolist()))
 
     def tree(self, t) -> EvolutionTree:
         return _View(self, t)
 
     def curve(self, g, i) -> UCurve:
-        layer = self.layers[g]
-        n = layer.size[i]
-        return _curve(int(layer.wall[i]), layer.r[i, :n].tolist(),
-                      layer.phi[i, :n].tolist())
+        return _curve_at(self.layers[g], i)
 
     def itinerary(self, g, i) -> tuple:
         """The itinerary of row i of generation g."""
@@ -1063,37 +1122,39 @@ class _Forest:
             symbols.append((int(layer.wall[i]), layer.branch[i],
                             int(layer.strip[i])))
             i = layer.parent[i]
-        return self.base[i].itinerary + tuple(reversed(symbols))
+        base = () if self._itineraries is None else self._itineraries[i]
+        return base + tuple(reversed(symbols))
 
     def generations(self, t) -> list[list[HComponent]]:
         """Tree t's generations, its HComponents built from the rows."""
-        gens = [[self.base[t]]]
-        for g in range(1, self.depth[t] + 1):
-            layer = self.layers[g]
-            lo, hi = self._lists[g].ends[t:t + 2]
+        gens = []
+        for layer in self.layers[:self.depth[t] + 1]:
+            g = len(gens)
             gens.append([HComponent(
                 self.curve(g, i), self.itinerary(g, i),
                 float(layer.min_expansion[i]), float(layer.tail_inv[i]),
-                int(layer.tail_from[i])) for i in range(lo, hi)])
+                int(layer.tail_from[i]))
+                for i in range(layer.ends[t], layer.ends[t + 1])])
         return gens
 
     def columns(self, t) -> list[_Columns]:
-        """``EvolutionTree._columns`` of tree t, from the layers' lists."""
+        """``EvolutionTree._columns`` of tree t, from the layers' sums."""
         out = []
-        for lists in self._lists[:self.depth[t] + 1]:
-            inv, tails, regular = lists.inv, lists.tails, lists.regular
-            lo, hi = lists.ends[t], lists.ends[t + 1]
+        for layer, sums in zip(self.layers[:self.depth[t] + 1], self._sums):
+            lo, hi = layer.ends[t], layer.ends[t + 1]
+            inv, tails = sums.inv[lo:hi].tolist(), sums.tails
             if tails:
-                tails = tails[bisect_left(tails, lo):bisect_left(tails, hi)]
-            out.append(_Columns(inv[lo:hi], [inv[i] for i in tails],
-                                regular[hi] - regular[lo]))
+                tails = [inv[i - lo] for i in tails[
+                    bisect_left(tails, lo):bisect_left(tails, hi)]]
+            out.append(_Columns(inv, tails, sums.regular[t]))
         return out
 
     def grazing_sum(self, t) -> float:
         """``grazing_sum`` of tree t's generation 1."""
-        lists = self._lists[1]
-        lo, hi = lists.ends[t:t + 2]
-        return _grazing_total(lists.inv[lo:hi], lists.grazing[lo:hi])
+        layer = self.layers[1]
+        lo, hi = layer.ends[t], layer.ends[t + 1]
+        return _grazing_total(self._sums[1].inv[lo:hi].tolist(),
+                              (layer.strip[lo:hi] != 0).tolist())
 
 
 def _remaining_floor(constants, m):
@@ -1183,9 +1244,11 @@ def _prefetched(table, layer, rows, k0):
     certified arc that ``_decided`` declines is a fresh ``_Arc``, which
     ``_one_step`` steps on its cut grid.
     """
-    size = layer.size[rows]
-    m = int(size.max())
-    geo = _geometry(layer.r[rows, :m], layer.phi[rows, :m], size)
+    first = layer.start[rows]
+    size = layer.start[rows + 1] - first
+    # each row's nodes, padded as _nodes pads them
+    at = first[:, None] + np.minimum(np.arange(size.max()), size[:, None] - 1)
+    geo = _geometry(layer.r[at], layer.phi[at], size)
     wid = layer.wall[rows]
 
     def arc_of(i):
@@ -1238,7 +1301,8 @@ def _grow(table, forest, k0, constants, stopped=None):
     BATCH_ROWS at a time, so that no more than BATCH_ROWS arcs are alive at
     once.  A decided parent's child is written straight from the
     ``_Decided`` columns.  ``_one_step`` steps each other parent, given as
-    an HComponent, and its children become rows in its place.  A tree
+    an HComponent, and its children become rows in its place; its arc,
+    whose memo holds the images of its probes, is dropped then.  A tree
     takes its parents in order and none once it stops.  With a list
     ``stopped``, ``_one_step`` stops the lazy ladders of each parent, and
     they are appended to ``stopped`` once its step succeeds.
@@ -1296,6 +1360,8 @@ def _grow(table, forest, k0, constants, stopped=None):
                 stops[t], end[t] = err, first[t]
                 failed.add(t)
                 continue
+            finally:
+                arcs[i] = None      # its memo serves this step only
             if ladders:
                 stopped.extend(ladders)
             forest.degenerate[t] += ndeg
@@ -1328,29 +1394,31 @@ def _next_layer(last, front, tree, end, kids, parts):
     stepped = [(int(at[q]) + k, c) for q, comps in kids.items() if joins[q]
                for k, c in enumerate(comps)]
     rows = int(n.sum())
-    m = max([3] + [len(c.curve.nodes) for _, c in stepped])
-    wall, size, tail_from, strip = np.zeros((4, rows), dtype=int)
-    branch = np.full(rows, "regular", dtype=object)
-    r, phi = np.zeros((2, rows, m))
+    i = np.array([row for row, _ in stepped], dtype=int)
+    comps = [c for _, c in stepped]
+    size = np.full(rows, 3)             # a decided child's nodes
+    size[i] = [len(c.curve.nodes) for c in comps]
+    start = np.concatenate([[0], np.cumsum(size)])
+    r, phi = np.zeros((2, start[-1]))
+    wall, tail_from, strip = np.zeros((3, rows), dtype=int)
     min_expansion, tail_inv = np.zeros((2, rows))
+    branch = np.empty(rows, dtype=object)
+    branch[:] = "regular"               # one str for every row
     if parts:
         decided = _Decided(*map(np.concatenate, zip(*parts)))
         keep = joins[decided.at]
         q = decided.at[keep]
-        i = at[q]
-        wall[i], size[i] = decided.wall[keep], 3
-        for out, nodes in ((r, decided.r[keep]), (phi, decided.phi[keep])):
-            out[i, :3], out[i, 3:] = nodes, nodes[:, 2:]
-        min_expansion[i] = last.min_expansion[front[q]] \
+        nodes = start[at[q]][:, None] + np.arange(3)
+        r[nodes], phi[nodes] = decided.r[keep], decided.phi[keep]
+        wall[at[q]] = decided.wall[keep]
+        min_expansion[at[q]] = last.min_expansion[front[q]] \
             * decided.factor[keep]
     if stepped:
-        i = np.array([row for row, _ in stepped])
-        comps = [c for _, c in stepped]
-        for row, c in stepped:
-            _, rs, phis = zip(*c.curve.nodes)
-            k = size[row] = len(rs)
-            r[row, :k], r[row, k:] = rs, rs[-1]
-            phi[row, :k], phi[row, k:] = phis, phis[-1]
+        k = size[i]
+        nodes = np.repeat(start[i] - (np.cumsum(k) - k), k) \
+            + np.arange(k.sum())
+        _, r[nodes], phi[nodes] = np.array(
+            [p for c in comps for p in c.curve.nodes], dtype=float).T
         wall[i] = [c.curve.wall_id for c in comps]
         min_expansion[i] = [c.min_expansion for c in comps]
         tail_inv[i] = [c.tail_inv for c in comps]
@@ -1359,7 +1427,7 @@ def _next_layer(last, front, tree, end, kids, parts):
         branch[i] = [c.itinerary[-1][1] for c in comps]
     parent = np.repeat(front, n)
     per_tree = np.bincount(tree, weights=n, minlength=last.ends.size - 1)
-    return _Layer(wall, r, phi, size, min_expansion, tail_inv, tail_from,
+    return _Layer(wall, r, phi, start, min_expansion, tail_inv, tail_from,
                   last.regular[parent] & (strip == 0), strip, branch, parent,
                   np.concatenate([[0], np.cumsum(per_tree)]).astype(int))
 
@@ -1379,7 +1447,7 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
     later depth.  Raises what ``_grow`` stops the tree with.
     """
     _check_depth(n)
-    forest = _Forest([_root(W)])
+    forest = _Forest.of([_root(W)])
     for _ in range(n):
         _grow(table, forest, k0, constants)
         if forest.stops[0] is not None:
@@ -1601,9 +1669,7 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     """
     bases, xs, lengths = _length_samples(
         table, Stream([seed, 0xC2]), samples, delta_lo, delta_hi, k0)
-    curves = [W for W in _seed_walks(table, bases, xs, lengths)
-              if not isinstance(W, str)]
-    forest = _Forest(map(_root, curves))
+    forest = _Forest(_seed_walks(table, bases, xs, lengths)[1])
     stopped = []
     _grow(table, forest, k0, None, stopped)
     # a tree whose step raised gained no generation
@@ -1614,7 +1680,7 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
     gen = forest.layers[1]
     best = max([0.0] + [
         forest.curve(1, i).euclidean_length
-        / math.sqrt(curves[t].euclidean_length) for t in used
+        / math.sqrt(forest.length[t]) for t in used
         for i in range(gen.ends[t], gen.ends[t + 1]) if not gen.tail_from[i]])
     for stop in stopped:
         root = math.sqrt(stop.arc.W.euclidean_length)
@@ -1736,65 +1802,76 @@ class ExpansionReport:
 
 
 SEED_TRIES = 200       # random base points tried per seed curve
-SCAN_BLOCK = 128       # curves that sup_scan grows in lockstep
+SCAN_BLOCK = 1024      # curves that sup_scan grows in lockstep
 PROBE_SAMPLES = 32     # curves choose_depth grows to pick a depth
 
 
 def _draw_curves(table, rngs, delta, k0):
-    """Per rng, (curve, tries) of the first random base point drawn from it
-    at which ``seed_ucurve`` admits a curve, or None after SEED_TRIES
-    refused points.
+    """(tries, seeds): per rng, how many random base points it drew up to
+    the first at which ``seed_ucurve`` admits a curve, or None after
+    SEED_TRIES refused points; and the ``_Seeds`` of those curves, in rng
+    order.
 
     The rows still without a curve try a base point each in lockstep
     through ``_seeds``.  Each row draws from its own rng in a fixed order,
     so its result does not depend on the other rows.
     """
-    out = [None] * len(rngs)
+    tries = [None] * len(rngs)
     rows = list(range(len(rngs)))
-    for tries in range(1, SEED_TRIES + 1):
+    got, parts = [], []
+    for k in range(1, SEED_TRIES + 1):
+        zs = [random_phase_point(table, rngs[i]) for i in rows]
+        why, seeds = _seeds(table, zs, [rngs[i] for i in rows], delta, k0)
+        parts.append(seeds)
+        for i, w in zip(rows, why):
+            if w is None:
+                tries[i] = k
+                got.append(i)
+        rows = [i for i in rows if tries[i] is None]
         if not rows:
             break
-        zs = [random_phase_point(table, rngs[i]) for i in rows]
-        for i, W in zip(rows, _seeds(table, zs, [rngs[i] for i in rows],
-                                     delta, k0)):
-            if not isinstance(W, str):
-                out[i] = (W, tries)
-        rows = [i for i in rows if out[i] is None]
-    return out
+    wall, r, phi, _, length = map(np.concatenate, zip(*parts))
+    size = np.concatenate([np.diff(p.start) for p in parts])
+    seeds = _Seeds(wall, r, phi, np.concatenate([[0], np.cumsum(size)]),
+                   length)
+    return tries, seeds.take(np.argsort(got))
 
 
 def _scan_block(table, ids, seed, delta, n, k0, constants):
     """sup_scan's rows of the samples ``ids``, their curves seeded by
-    ``_draw_curves`` and their trees grown a generation at a time by
-    ``_grow``.  Raises the first error other than a ComponentExplosion that
-    stopped a tree, in sample order."""
-    drawn = _draw_curves(table, Stream.each([seed, 1, i] for i in ids),
-                         delta, k0)
-    forest = _Forest(_root(d[0]) for d in drawn if d is not None)
+    ``_draw_curves`` as the rows of one forest and their trees grown a
+    generation at a time by ``_grow``.  Raises the first error other than
+    a ComponentExplosion that stopped a tree, in sample order."""
+    tries, seeds = _draw_curves(
+        table, Stream.each([seed, 1, i] for i in ids), delta, k0)
+    forest = _Forest(seeds)
     for _ in range(n):
         _grow(table, forest, k0, constants)
     for stop in forest.stops:
         if stop is not None and not isinstance(stop, ComponentExplosion):
             raise stop
+    # each curve's middle node, as [wall, r, phi], and its length
+    mid = seeds.start[:-1] + np.diff(seeds.start) // 2
+    heads = zip(zip(seeds.wall.tolist(), seeds.r[mid].tolist(),
+                    seeds.phi[mid].tolist()), seeds.length.tolist())
     rows, t = [], 0
-    for i, d in zip(ids, drawn):
-        if d is None:
+    for i, k in zip(ids, tries):
+        if k is None:
             rows.append({"sample_id": i, "flag": "skipped"})
             continue
-        rows.append(_row(i, d[1], forest.tree(t), forest.stops[t], n,
-                         constants))
+        base, length = next(heads)
+        rows.append(_row({"sample_id": i, "base": list(base),
+                          "length": length, "tries": k}, forest.tree(t),
+                         forest.stops[t], n, constants))
         t += 1
     return rows
 
 
-def _row(i, tries, tree, stop, n, constants):
-    """sup_scan's row of sample i, whose tree stopped at ``stop``; read
-    from a ``_View``'s columns, it builds no component."""
-    W = tree.root
-    z0 = W.nodes[len(W.nodes) // 2]
-    row = {"sample_id": i, "base": [z0.wall_id, z0.r, z0.phi],
-           "length": W.euclidean_length, "tries": tries,
-           "flag": "" if stop is None else "explosion"}
+def _row(row, tree, stop, n, constants):
+    """sup_scan's row of a sample, whose fields up to "tries" are in
+    ``row``, and whose tree stopped at ``stop``; read from a ``_View``'s
+    columns, it builds no component."""
+    row["flag"] = "" if stop is None else "explosion"
     sums, regular, leaves = depth_columns(tree, constants)
     depth = len(sums) - 1
     # depths past an explosion have no sum: null in JSON, empty in CSV
@@ -1896,11 +1973,12 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
             return select_N(constants), "select"
         except NoSuchN:
             pass
-    drawn = _draw_curves(table, Stream.each(
+    _, seeds = _draw_curves(table, Stream.each(
         [seed, 0xD0, i] for i in range(PROBE_SAMPLES)), delta, k0)
     # started by evolve_n, whose calls perfbench counts as the probe trees
-    forest = _Forest(_root(evolve_n(table, d[0], 0, k0).root)
-                     for d in drawn if d is not None)
+    roots = (evolve_n(table, _curve_at(seeds, t), 0, k0).root
+             for t in range(seeds.wall.size))
+    forest = _Forest.of(map(_root, roots))
     best_n, best_sup = N_CAP, math.inf
     first_ok = None
     for n in range(1, N_CAP + 1):

@@ -340,10 +340,10 @@ def test_11_nearly_grazing_sum_small_and_halved_by_deeper_cutoff(tri):
     sup30 = sup60 = 0.0
     for i in range(1000):
         rng = np.random.default_rng(np.random.SeedSequence([23, 1, i]))
-        drawn = ucurves._draw_curves(tri, [rng], delta, 30)[0]
-        if drawn is None:
+        (tries,), seeds = ucurves._draw_curves(tri, [rng], delta, 30)
+        if tries is None:
             continue
-        W, _ = drawn
+        W = ucurves._curve_at(seeds, 0)
         sup30 = max(sup30, _grazing_sum_of_one_step(tri, W, 30))
         sup60 = max(sup60, _grazing_sum_of_one_step(tri, W, 60))
     assert sup30 < 0.1

@@ -141,8 +141,11 @@ def test_malformed_table_spec_is_validation_failure(tmp_path, capsys,
 
 
 def test_fit_abort_exits_3_without_artifact(tmp_path, monkeypatch, capsys):
+    walks = ucurves._seed_walks
+
     def refuse(table, bases, xs, lengths):
-        return ["refused by the test"] * len(bases)
+        _, none = walks(table, [], [], [])
+        return ["refused by the test"] * len(bases), none
 
     monkeypatch.setattr(ucurves, "_seed_walks", refuse)
     assert run("expansion", "--table", "tri", "--fit", "--N", "auto",
@@ -451,7 +454,8 @@ def _skip_first_draw(monkeypatch):
 
     def skip(table, rngs, *args):
         monkeypatch.setattr(ucurves, "_draw_curves", draw)
-        return [None] + draw(table, rngs[1:], *args)
+        tries, seeds = draw(table, rngs[1:], *args)
+        return [None] + tries, seeds
 
     monkeypatch.setattr(ucurves, "_draw_curves", skip)
 

@@ -119,7 +119,23 @@ def _arc(W):
 
 def _layer(curves):
     """Generation 0 of a forest of the curves' depth-0 trees."""
-    return U._Forest(map(U._root, curves)).layers[0]
+    return U._Forest.of(map(U._root, curves)).layers[0]
+
+
+def _walked(why, seeds):
+    """The seeds of U._seed_walks per walk: its curve, or the str saying
+    why there is none."""
+    t = iter(range(seeds.wall.size))
+    return [U._curve_at(seeds, next(t)) if w is None else w for w in why]
+
+
+def _drawn(table, rngs, delta, k0):
+    """U._draw_curves per rng: (curve, tries), or None where it drew no
+    curve."""
+    tries, seeds = U._draw_curves(table, rngs, delta, k0)
+    t = iter(range(seeds.wall.size))
+    return [None if k is None else (U._curve_at(seeds, next(t)), k)
+            for k in tries]
 
 
 def _prefetch(table, curves, layer=None):
@@ -132,7 +148,7 @@ def _prefetch(table, curves, layer=None):
 def _grown(table, curves, stopped=None):
     """The depth-1 trees of the curves, grown together by _grow, and
     what stopped each of them."""
-    forest = U._Forest(map(U._root, curves))
+    forest = U._Forest.of(map(U._root, curves))
     U._grow(table, forest, 30, None, stopped)
     return [forest.tree(t) for t in range(len(curves))], forest.stops
 
@@ -330,7 +346,7 @@ def test_scan_grazing_column_is_grazing_sum_of_one_step(tri):
     rows = U.sup_scan(tri, 1e-2, 1000, 1, 30, seed=5).rows
     for i in (0, 1, 811, 872, 998):
         rng = np.random.default_rng(np.random.SeedSequence([5, 1, i]))
-        W, _ = U._draw_curves(tri, [rng], 1e-2, 30)[0]
+        (W, _), = _drawn(tri, [rng], 1e-2, 30)
         assert _grazing_sum_of_one_step(tri, W, 30) == rows[i]["grazing_sum"]
     assert all(rows[i]["grazing_sum"] > 0.0 for i in (811, 872, 998))
 
@@ -472,7 +488,13 @@ def test_length_constant_drops_a_sample_whose_step_raises(tri, monkeypatch):
         return out
 
     def left_out(*args):
-        return ["left out" if W == target else W for W in seed_walks(*args)]
+        why, seeds = seed_walks(*args)
+        walks = _walked(why, seeds)
+        kept = [t for t, W in enumerate(w for w in walks
+                                        if not isinstance(w, str))
+                if W != target]
+        return (["left out" if W == target else w
+                 for w, W in zip(why, walks)], seeds.take(kept))
 
     resumed.clear()
     with monkeypatch.context() as mp:
@@ -784,10 +806,10 @@ def test_depth_columns_match_the_walks_on_scan_trees(tri, torus2,
     tail, tri's none."""
     row, checked = U._row, []
 
-    def checking(i, tries, tree, stop, n, constants):
+    def checking(head, tree, stop, n, constants):
         checked.append((_same_columns(tree, constants),
                         any(c.tail for gen in tree.generations for c in gen)))
-        return row(i, tries, tree, stop, n, constants)
+        return row(head, tree, stop, n, constants)
 
     monkeypatch.setattr(U, "_row", checking)
     U.sup_scan(tri, 1e-4, 1000, 6, 30, 61)
@@ -1079,7 +1101,7 @@ def test_single_branch_fast_path_is_taken(tri, monkeypatch):
     calls = _counted_single_branch(monkeypatch)
     for i in range(40):
         rng = np.random.default_rng(np.random.SeedSequence([7, 1, i]))
-        W, _ = U._draw_curves(tri, [rng], 1e-4, 30)[0]
+        (W, _), = _drawn(tri, [rng], 1e-4, 30)
         U.evolve_n(tri, W, 3)
     assert len(calls) >= 120
     assert sum(calls) >= 0.9 * len(calls)
@@ -1369,15 +1391,15 @@ def test_recorded_components_lie_on_their_wall(name, sample, depth, request):
     primary cut's bracket, whose inset probe lands on the branch across
     the cut; a child takes only the probes of its own piece's branch."""
     table = request.getfixturevalue(name)
-    (W, _), = U._draw_curves(table, [Stream([61, 1, sample])], 1e-4, 30)
+    (W, _), = _drawn(table, [Stream([61, 1, sample])], 1e-4, 30)
     assert _off_wall(U.evolve_n(table, W, depth)) == []
 
 
 @pytest.mark.parametrize("name", ["tri", "lens", "torus2"])
 def test_scan_block_components_lie_on_their_wall(name, request):
     table = request.getfixturevalue(name)
-    drawn = U._draw_curves(table, [Stream([61, 1, i]) for i in range(40)],
-                           1e-4, 30)
+    drawn = _drawn(table, [Stream([61, 1, i]) for i in range(40)], 1e-4,
+                   30)
     assert all(d is not None for d in drawn)
     for W, _ in drawn:
         assert _off_wall(U.evolve_n(table, W, 5)) == []
@@ -1584,7 +1606,7 @@ def test_decided_children_are_one_step_children(name, request):
     assert {2, 4, 9} <= {len(W.nodes) for W in curves}
     parents = [U.HComponent(W, ((0, "regular", 0),), rng.uniform(0.5, 40.0))
                for W in curves]
-    forest = U._Forest(parents)
+    forest = U._Forest.of(parents)
     U._grow(table, forest, 30, None)
     assert forest.stops == [None] * len(curves)
     trees = [forest.tree(t) for t in range(len(curves))]
@@ -1779,9 +1801,7 @@ def _double_wall_2_children(monkeypatch, wall=2):
         decided, arcs = prefetched(table, layer, rows, k0)
         on_2 = layer.wall[rows[decided.at]] == wall
         for i in decided.at[on_2].tolist():
-            n = layer.size[rows[i]]
-            arcs[i] = _arc(U._curve(wall, layer.r[rows[i], :n].tolist(),
-                                    layer.phi[rows[i], :n].tolist()))
+            arcs[i] = _arc(U._curve_at(layer, rows[i]))
         return U._Decided(*(a[~on_2] for a in decided)), arcs
 
     def doubled(table, parent, *args):
@@ -1794,17 +1814,17 @@ def _double_wall_2_children(monkeypatch, wall=2):
 
 def _assert_blocks_equal_curves(table, seed, samples, n, constants, wall,
                                 explode, monkeypatch):
-    """A scan in blocks of 1, 5 and SCAN_BLOCK curves, at 1 and 4 threads,
-    gives the rows of its samples evolved one by one.  Made to explode,
-    the trees of curves on ``wall`` outgrow LEAF_CAP after depth 2 while
-    others of their block grow on."""
+    """A scan in blocks of 1, 5, 128 and SCAN_BLOCK curves, at 1 and 4
+    threads, gives the rows of its samples evolved one by one.  Made to
+    explode, the trees of curves on ``wall`` outgrow LEAF_CAP after depth 2
+    while others of their block grow on."""
     if explode:
         _double_wall_2_children(monkeypatch, wall)
         monkeypatch.setattr(U, "LEAF_CAP", 2)
     rows = [_scan_row_by_itself(table, i, seed, 1e-4, n, 30, constants)
             for i in range(samples)]
     block = min(samples, U.SCAN_BLOCK)
-    for size in (1, 5, U.SCAN_BLOCK):
+    for size in (1, 5, 128, U.SCAN_BLOCK):
         monkeypatch.setattr(U, "SCAN_BLOCK", size)
         for threads in (1, 4):
             rep = U.sup_scan(table, 1e-4, samples, n, 30, seed=seed,
@@ -1818,14 +1838,14 @@ def _assert_blocks_equal_curves(table, seed, samples, n, constants, wall,
 @pytest.mark.parametrize("explode", [False, True])
 def test_block_scan_equals_per_curve_evolution(tri, cheap_constants,
                                                monkeypatch, explode):
-    """On tri, whose default blocks end in a partial one, so scalar,
-    block."""
-    _assert_blocks_equal_curves(tri, 17, 2 * U.SCAN_BLOCK + 44, 3,
+    """On tri, in blocks of 128 that end in a partial one and in one
+    partial block of the default size."""
+    _assert_blocks_equal_curves(tri, 17, 300, 3,
                                 cheap_constants, 2, explode, monkeypatch)
 
 
 @pytest.mark.parametrize("name, seed, samples, n, wall, tail", [
-    ("lens", 58, 2 * U.SCAN_BLOCK + 44, 3, 2, 270),
+    ("lens", 58, 300, 3, 2, 270),
     ("torus2", 19, 36, 4, 1, 6)])
 @pytest.mark.parametrize("explode", [False, True])
 def test_block_scan_with_tails_equals_per_curve_evolution(
@@ -1842,6 +1862,50 @@ def test_block_scan_with_tails_equals_per_curve_evolution(
     _assert_blocks_equal_curves(table, seed, samples, n, constants, wall,
                                 explode, monkeypatch)
 
+
+
+def test_one_block_scan_keeps_a_small_traced_peak(tri):
+    """A 1,000-curve tri scan at seed 61 and N = 6 grows as one forest,
+    and its traced peak read 2.34 MB when measured: the forest's layers and
+    the report's rows, about 1 MB each.  The bound allows 24% more.  With
+    the seeds kept as UCurves, every row padded to its layer's longest
+    curve and Python lists of each layer's columns, one block peaked at
+    6.0 MB."""
+    U.sup_scan(tri, 1e-4, 8, 6, 30, 61)     # caches filled on first use
+    tracemalloc.start()
+    try:
+        U.sup_scan(tri, 1e-4, 1000, 6, 30, 61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_900_000
+
+
+def test_a_layer_holds_only_its_rows_nodes(tri):
+    """A layer whose rows are a 50-node stepped child and 3-node decided
+    children stores exactly the sum of their node counts, each row's own
+    nodes in row order: no row is padded to the longest."""
+    curves = _seeded_curves(tri, 11, 6, 1e-4)
+    last = U._Forest.of(map(U._root, curves)).layers[0]
+    front = np.arange(len(curves))
+    decided, arcs = U._prefetched(tri, last, front, 30)
+    assert arcs == [None] * len(curves)
+    z = curves[2].nodes[0]
+    long = U.make_ucurve(z.wall_id, [PhasePoint(
+        z.wall_id, z.r + k * 1e-7, z.phi + k * 2e-7) for k in range(50)])
+    kids = {2: [U.HComponent(long, ((z.wall_id, "regular", 0),), 2.0)]}
+    stepped = decided.at == 2
+    layer = U._next_layer(last, front, front, np.full(len(curves), 6), kids,
+                          [U._Decided(*(a[~stepped] for a in decided))])
+    size = np.diff(layer.start)
+    assert size.tolist() == [3, 3, 50, 3, 3, 3]
+    assert layer.r.size == layer.phi.size == size.sum() == 65
+    assert U._curve_at(layer, 2) == long
+    for i in (0, 1, 3, 4, 5):
+        j = decided.at.tolist().index(i)
+        assert U._curve_at(layer, i) == U.make_ucurve(decided.wall[j], [
+            PhasePoint(decided.wall[j], r, phi)
+            for r, phi in zip(decided.r[j].tolist(), decided.phi[j].tolist())])
 
 def _substreams(seed, count):
     return [np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
@@ -1870,7 +1934,7 @@ def test_block_seeding_equals_curve_by_curve(name, harsh, request,
             for rng in _substreams(29, 2000)]
     rngs = _substreams(29, 2000)
     got = [d for start in range(0, 2000, 400)
-           for d in U._draw_curves(table, rngs[start:start + 400], 1e-4, 30)]
+           for d in _drawn(table, rngs[start:start + 400], 1e-4, 30)]
     assert _drawn_tokens(got) == _drawn_tokens(want)
     tries = [d[1] for d in want if d is not None]
     if harsh:
@@ -1884,7 +1948,7 @@ def test_block_seeding_checks_the_last_cone(tri, monkeypatch):
     refused where it is undefined, by the block seeding as by seed_ucurve:
     with the cones at the first curves' end nodes made undefined, every row
     takes another try."""
-    first = U._draw_curves(tri, _substreams(31, U.SCAN_BLOCK), 1e-4, 30)
+    first = _drawn(tri, _substreams(31, 128), 1e-4, 30)
     assert all(d[1] == 1 for d in first)
     ends = {p for W, _ in first for p in (W.nodes[0], W.nodes[-1])}
     cones = U.unstable_cones
@@ -1896,9 +1960,9 @@ def test_block_seeding_checks_the_last_cone(tri, monkeypatch):
         return rows[keep], lo[keep], hi[keep]
 
     monkeypatch.setattr(U, "unstable_cones", cones_or_none)
-    got = U._draw_curves(tri, _substreams(31, U.SCAN_BLOCK), 1e-4, 30)
+    got = _drawn(tri, _substreams(31, 128), 1e-4, 30)
     want = [_draw_by_itself(tri, rng, 1e-4, 30)
-            for rng in _substreams(31, U.SCAN_BLOCK)]
+            for rng in _substreams(31, 128)]
     assert _drawn_tokens(got) == _drawn_tokens(want)
     assert all(d[1] >= 2 for d in got)
 
@@ -2040,7 +2104,7 @@ def test_seed_walks_equal_side_by_side_walks(name, hole, request,
         return rows[keep], lo[keep], hi[keep]
 
     monkeypatch.setattr(U, "unstable_cones", punched)
-    got = U._seed_walks(table, bases, xs, lengths)
+    got = _walked(*U._seed_walks(table, bases, xs, lengths))
     assert list(map(repr, got)) == list(map(repr, want))
     kinds = collections.Counter(w if isinstance(w, str) else "curve"
                                 for w in want)
@@ -2048,6 +2112,69 @@ def test_seed_walks_equal_side_by_side_walks(name, hole, request,
     assert kinds["cone undefined along the seed"] > (100 if hole is _hole
                                                      else 0)
 
+
+
+def _bent_cones(bent):
+    """unstable_cones, but (-2, -1) at the points of ``bent``: a walk from
+    such a base leaves it with a falling slope."""
+    original = unstable_cones
+
+    def cones(table, wall_ids, r, phi):
+        rows, lo, hi = original(table, wall_ids, r, phi)
+        at = [PhasePoint(*p) in bent for p in zip(
+            np.asarray(wall_ids)[rows].tolist(), np.asarray(r)[rows].tolist(),
+            np.asarray(phi)[rows].tolist())]
+        lo[at], hi[at] = -2.0, -1.0
+        return rows, lo, hi
+    return cones
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+def test_seed_rows_hold_the_nodes_make_ucurve_keeps(name, request,
+                                                    monkeypatch):
+    """The rows of _seed_walks, made layer 0 of a forest, hold the nodes
+    that make_ucurve keeps of the walks side by side, and their lengths
+    are its curves' euclidean_length bit for bit; the refusals are its
+    strings.  The walks start from 256 generated bases, two of them with
+    a falling cone slope, whose walks make_ucurve cuts short.  The roots
+    of a forest of _draw_curves's rows on 200 substreams are the curves
+    of seed_ucurve tried one base point at a time."""
+    table = request.getfixturevalue(name)
+    rng = np.random.default_rng(256)
+    bases = _walk_bases(table, rng, 254)
+    bent = [random_phase_point(table, rng) for _ in range(2)]
+    bases += bent
+    xs = [float(rng.uniform(0.35, 0.65)) for _ in bases]
+    lengths = [1e-4] * len(bases)
+    cones = _bent_cones(bent)
+    monkeypatch.setattr(U, "unstable_cones", cones)
+    monkeypatch.setitem(globals(), "unstable_cones", cones)
+    want = _seed_walks_side_by_side(table, bases, xs, lengths, _no_hole)
+    why, seeds = U._seed_walks(table, bases, xs, lengths)
+    assert why == [w if isinstance(w, str) else None for w in want]
+    curves = [W for W in want if not isinstance(W, str)]
+    assert all(2 <= len(W.nodes) < 9 for W in want[-2:])
+    assert len(curves) > 100 and len(curves) < len(want) - 50
+    layer = U._Forest(seeds).layers[0]
+    nodes = np.array([p for W in curves for p in W.nodes])
+    assert layer.r.tolist() == nodes[:, 1].tolist()
+    assert layer.phi.tolist() == nodes[:, 2].tolist()
+    assert layer.start.tolist() == np.cumsum(
+        [0] + [len(W.nodes) for W in curves]).tolist()
+    assert layer.wall.tolist() == [W.wall_id for W in curves]
+    assert [_bits(x) for x in seeds.length] \
+        == [_bits(W.euclidean_length) for W in curves]
+
+    monkeypatch.undo()
+    tries, seeds = U._draw_curves(table, _substreams(37, 200), 1e-4, 30)
+    forest = U._Forest(seeds)
+    drawn = [_draw_by_itself(table, rng, 1e-4, 30)
+             for rng in _substreams(37, 200)]
+    assert tries == [d[1] for d in drawn]
+    assert [forest.tree(t).root for t in range(len(drawn))] \
+        == [d[0] for d in drawn]
+    assert [_bits(x) for x in forest.length] \
+        == [_bits(d[0].euclidean_length) for d in drawn]
 
 def _length_curves_by_itself(table, samples, seed, k0=30):
     """The curves that certify_length_constant evolves, each seeded by
@@ -2086,7 +2213,8 @@ def test_length_constant_seeds_as_curve_by_curve(tri, monkeypatch, seed,
     grow = U._grow
 
     def recorded(table, forest, *args):
-        evolved.extend(c.curve for c in forest.base)
+        evolved.extend(forest.tree(t).root
+                       for t in range(len(forest.depth)))
         return grow(table, forest, *args)
 
     monkeypatch.setattr(U, "_grow", recorded)

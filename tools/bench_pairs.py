@@ -1,10 +1,11 @@
 """Alternating parent/change pairs of benchmark runs, kept as BENCH_<name>.json.
 
-Usage, from the root of a checkout:
+Usage, from the root of a checkout, one ``--seeds`` value per pair, the
+same seed for every pair of a claim:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --name NAME \\
         --what "what the change does" --workload scan-deep-tri \\
-        --seeds 1 2 3 [--trace 0]
+        --seeds 8301 8301 8301 8301 8301 8301 8301 8301 8301 8301 [--trace 0]
 
 For each seed, runs each checkout's own ``perfbench/run.py --trace K`` for
 the benchmark's ``run_seconds`` (BENCHMARK.json), parent and change one after
@@ -28,6 +29,16 @@ median pipeline ``wall_s`` and ``fit_s``, overall and per sub-seed, and the
 number of runs on each side that were not correct, with or without
 metrics.  The exit status is 1 when any run of the change in the file was
 not correct.
+
+A claim compares the change with the spread of the parent's runs, so all
+its pairs must run at one seed: each seed has its own sub-seeds, whose
+work differs.  With a different seed per pair (3701..3710), scan-deep-tri's
+parent runs had a quartile distance of 0.078 s in ``verdict_s``, against
+0.027 s over 12 pairs at the single seed 8301, and the same gain read "not
+claimable" there.  ``peak_rss_mb`` of a run started here, through
+``subprocess.run``, reads about 0.7 MB above a run of the same tree started
+from a shell (44.71-45.00 against 44.09-44.30 MB on scan-deep-tri at seed
+61); compare it only with runs started the same way.
 """
 
 import argparse
@@ -196,7 +207,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for opt in ("--parent", "--change", "--name", "--what", "--workload"):
         ap.add_argument(opt, required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True,
+                    help="one per pair; a claim needs one seed repeated for "
+                         "every pair")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
