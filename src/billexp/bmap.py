@@ -443,14 +443,16 @@ def plain_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
     maps by one plain regular step (no trail, not grazing), as arrays over
     those points in point order; a point where ``forward`` raises has none.
 
-    The one choice between the batched and the scalar map.  It works
-    BATCH_ROWS points at a time: on a plane table a block of BATCH_MIN
-    points or more goes through the kernel ``_regular_block`` first, and
-    ``forward`` maps the points it declines, in point order; a smaller
-    block, and every block on the torus, goes to ``forward`` alone.  The
-    two agree bit for bit wherever the kernel answers, so the choice moves
-    no number.  Both write into one buffer over all the points, whose rows
-    with an answer are the result.
+    The one choice between the batched and the scalar map.  It cuts the
+    n points into ceil(n / BATCH_ROWS) blocks of near-equal size, so that
+    no block of a call of BATCH_MIN points or more falls below BATCH_MIN.
+    On a plane table a block of BATCH_MIN points or more goes through the
+    kernel ``_regular_block`` first, and ``forward`` maps the points it
+    declines, in point order; a smaller block, and every block on the
+    torus, goes to ``forward`` alone.  The two agree bit for bit wherever
+    the kernel answers, so the choice moves no number.  Both write into
+    one buffer over all the points, whose rows with an answer are the
+    result.
     """
     wid = np.asarray(wall_ids, dtype=int)
     r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
@@ -458,8 +460,8 @@ def plain_rows(table: BilliardTable, wall_ids, r, phi) -> RegularRows:
     # per point: image wall id, r, phi, tau and the derivative's entries
     out = np.zeros((wid.size, 8))
     have = np.zeros(wid.size, dtype=bool)
-    for start in range(0, wid.size, BATCH_ROWS):
-        rows = np.arange(start, min(start + BATCH_ROWS, wid.size))
+    for rows in np.array_split(np.arange(wid.size),
+                               max(1, -(-wid.size // BATCH_ROWS))):
         if batched and rows.size >= BATCH_MIN:
             got = _regular_block(table, rows, wid, r, phi)
             out[got.rows] = np.column_stack(

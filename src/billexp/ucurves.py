@@ -20,6 +20,10 @@ the sums, so the headline verdicts stay conservative.  The length constant's
 estimator resolves a ladder that must end in a tail lazily: only while a box
 bound on its remaining strips could still raise the maximum.
 
+Component trees grow together as a forest, one column table per generation
+over all of its trees.  A forest starts from seed rows, each the root of one
+tree, and an EvolutionTree reads one tree of a forest.
+
 Monte-Carlo suprema over seeded curves are aggregated into reports with
 per-sample substreams, making results independent of thread scheduling.
 """
@@ -31,7 +35,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -141,27 +144,14 @@ class _Geometry(NamedTuple):
     slope: np.ndarray           # dphi/dr of each segment, 0.0 past the end
 
 
-def _nodes(curves):
-    """(wall ids, r, phi, node counts) of the curves, r and phi as (n, m)
-    arrays, m the most nodes of a curve, in which a shorter curve repeats
-    its last node."""
-    size = np.array([len(W.nodes) for W in curves], dtype=int)
-    m = int(size.max(initial=1))
-    nodes = np.fromiter(chain.from_iterable(chain.from_iterable(
-        W.nodes + W.nodes[-1:] * (m - len(W.nodes)) for W in curves)),
-        float, 3 * m * len(curves)).reshape(len(curves), m, 3)
-    return (np.array([W.wall_id for W in curves], dtype=int), nodes[:, :, 1],
-            nodes[:, :, 2], size)
-
-
 def _curve(wall_id, r, phi):
     """The UCurve of one wall id and lists of node coordinates."""
     return UCurve(wall_id, tuple(map(PhasePoint, [wall_id] * len(r), r, phi)))
 
 
 def _geometry(r, phi, size) -> _Geometry:
-    """The ``_Geometry`` of curves with nodes r, phi as ``_nodes`` pads
-    them and ``size`` nodes each.
+    """The ``_Geometry`` of curves with ``size`` nodes each and nodes r,
+    phi as (n, m) arrays, in which a shorter curve repeats its last node.
 
     The segment lengths are np.hypot's, not math.hypot's: the two may round
     differently, and the lengths fix every cut parameter.  np.cumsum adds
@@ -247,6 +237,16 @@ class _Seeds(NamedTuple):
     phi: np.ndarray
     start: np.ndarray           # (curves + 1,) each curve's first node
     length: np.ndarray
+
+    @classmethod
+    def of(cls, curves) -> _Seeds:
+        """The rows of the UCurves ``curves``, in order."""
+        size = [len(W.nodes) for W in curves]
+        _, r, phi = np.array([p for W in curves for p in W.nodes],
+                             dtype=float).reshape(-1, 3).T
+        return cls(np.array([W.wall_id for W in curves], dtype=int), r, phi,
+                   np.concatenate([[0], np.cumsum(size, dtype=int)]),
+                   np.array([W.euclidean_length for W in curves]))
 
     def take(self, rows) -> _Seeds:
         """The seeds of the rows ``rows``, in that order."""
@@ -973,41 +973,18 @@ class _Columns(NamedTuple):
 
 
 class EvolutionTree:
-    """The H-components of F^g W for g = 0..depth: ``generations[g]`` lists
-    generation g in order, and ``degenerate_merged`` counts the pieces
-    dropped on the way.  The trees that ``evolve_n`` and the other growers
-    hand out are ``_View``s of ``_Forest`` trees."""
-
-    def __init__(self, root: UCurve, generations: list[list[HComponent]],
-                 degenerate_merged: int = 0):
-        self.root = root
-        self.generations = generations
-        self.degenerate_merged = degenerate_merged
-
-    def leaves(self, n: int) -> list[HComponent]:
-        """The depth-n leaves: generation n's pieces, then the tails of
-        generations 1..n in order."""
-        return [c for c in self.generations[n] if not c.tail] + [
-            c for gen in self.generations[1:n + 1] for c in gen if c.tail]
-
-    def _columns(self) -> list[_Columns]:
-        return [_Columns([c.inv_expansion for c in gen],
-                         [c.tail_inv for c in gen if c.tail],
-                         sum(1 for c in gen if c.regular))
-                for gen in self.generations]
-
-
-class _View(EvolutionTree):
-    """Tree t of a ``_Forest`` as an EvolutionTree.  Its generations are
-    built from the forest's rows when first read at a depth; its columns
-    are read from the forest's without building any."""
+    """Tree t of a ``_Forest``: the H-components of F^g W for g =
+    0..depth, W the curve of row t of layer 0.  ``generations[g]`` lists
+    generation g in order, built from the forest's rows when first read at
+    a depth, and ``degenerate_merged`` counts the pieces dropped on the
+    way.  Its columns are read from the forest's without building any."""
 
     def __init__(self, forest, t):
         self._forest, self._t, self._built = forest, t, None
 
     @property
     def root(self) -> UCurve:
-        return self._forest.curve(0, self._t)
+        return _curve_at(self._forest.layers[0], self._t)
 
     @property
     def degenerate_merged(self) -> int:
@@ -1017,15 +994,41 @@ class _View(EvolutionTree):
     def generations(self) -> list[list[HComponent]]:
         forest, t = self._forest, self._t
         if self._built is None or len(self._built) != forest.depth[t] + 1:
-            self._built = forest.generations(t)
+            self._built = []
+            for g, layer in enumerate(forest.layers[:forest.depth[t] + 1]):
+                self._built.append([HComponent(
+                    _curve_at(layer, i), forest.itinerary(g, i),
+                    float(layer.min_expansion[i]), float(layer.tail_inv[i]),
+                    int(layer.tail_from[i]))
+                    for i in range(layer.ends[t], layer.ends[t + 1])])
         return self._built
 
+    def leaves(self, n: int) -> list[HComponent]:
+        """The depth-n leaves: generation n's pieces, then the tails of
+        generations 1..n in order."""
+        return [c for c in self.generations[n] if not c.tail] + [
+            c for gen in self.generations[1:n + 1] for c in gen if c.tail]
+
     def _columns(self) -> list[_Columns]:
-        return self._forest.columns(self._t)
+        """Per generation, what ``depth_columns`` reads, from the layers'
+        sums."""
+        forest, t, out = self._forest, self._t, []
+        for layer, sums in zip(forest.layers[:forest.depth[t] + 1],
+                               forest._sums):
+            lo, hi = layer.ends[t], layer.ends[t + 1]
+            inv, tails = sums.inv[lo:hi].tolist(), sums.tails
+            if tails:
+                tails = [inv[i - lo] for i in tails[
+                    bisect_left(tails, lo):bisect_left(tails, hi)]]
+            out.append(_Columns(inv, tails, sums.regular[t]))
+        return out
 
     def _grazing_sum(self) -> float:
         """``grazing_sum`` of generation 1."""
-        return self._forest.grazing_sum(self._t)
+        layer, t = self._forest.layers[1], self._t
+        lo, hi = layer.ends[t], layer.ends[t + 1]
+        return _grazing_total(self._forest._sums[1].inv[lo:hi].tolist(),
+                              (layer.strip[lo:hi] != 0).tolist())
 
 
 class _Layer(NamedTuple):
@@ -1061,44 +1064,24 @@ class _Forest:
     scan block's trees, choose_depth's probe trees, or the length
     constant's samples.
 
-    Tree t grows from row t of layer 0, the curve of row t of ``seeds``:
-    a root component, or ``base[t]`` when base, a list of HComponents, is
-    given.  ``length[t]`` is that curve's length.  The tree has the
+    Tree t grows from row t of layer 0: the curve of row t of ``seeds``
+    as a root component, with ``length[t]`` its length.  The tree has the
     generations 0..depth[t].  ``stops[t]`` is None while it grows, else
     what stopped it (see ``_grow``), and ``degenerate[t]`` counts its
     dropped pieces.  ``tree(t)`` hands it out as an EvolutionTree.
     """
 
-    def __init__(self, seeds, base=None):
+    def __init__(self, seeds):
         n = seeds.wall.size
         self.length = seeds.length
         self.layers, self._sums = [], []
         self.depth, self.stops, self.degenerate = [0] * n, [None] * n, [0] * n
-        if base is None:
-            self._itineraries = None
-            columns = (np.ones(n), np.zeros(n), np.zeros(n, dtype=int),
-                       np.ones(n, dtype=bool))
-        else:
-            self._itineraries = [c.itinerary for c in base]
-            columns = (np.array([getattr(c, f) for c in base]) for f in (
-                "min_expansion", "tail_inv", "tail_from", "regular"))
-        # no symbol of generation 0 is read: its itineraries are base's
+        # no symbol of generation 0 is read: a root has no itinerary
         self._append(_Layer(
-            seeds.wall, seeds.r, seeds.phi, seeds.start, *columns,
+            seeds.wall, seeds.r, seeds.phi, seeds.start, np.ones(n),
+            np.zeros(n), np.zeros(n, dtype=int), np.ones(n, dtype=bool),
             np.zeros(n, dtype=int), np.full(n, "", dtype=object),
             np.full(n, -1), np.arange(n + 1)))
-
-    @classmethod
-    def of(cls, base) -> _Forest:
-        """The forest whose trees grow from the HComponents ``base``."""
-        base = list(base)
-        curves = [c.curve for c in base]
-        wall, r, phi, size = _nodes(curves)
-        keep = np.arange(r.shape[1]) < size[:, None]
-        return cls(_Seeds(wall, r[keep], phi[keep],
-                          np.concatenate([[0], np.cumsum(size)]),
-                          np.array([W.euclidean_length for W in curves])),
-                   base)
 
     def _append(self, layer):
         tail = layer.tail_from != 0
@@ -1110,10 +1093,7 @@ class _Forest:
             np.diff(regular[layer.ends]).tolist()))
 
     def tree(self, t) -> EvolutionTree:
-        return _View(self, t)
-
-    def curve(self, g, i) -> UCurve:
-        return _curve_at(self.layers[g], i)
+        return EvolutionTree(self, t)
 
     def itinerary(self, g, i) -> tuple:
         """The itinerary of row i of generation g."""
@@ -1122,39 +1102,7 @@ class _Forest:
             symbols.append((int(layer.wall[i]), layer.branch[i],
                             int(layer.strip[i])))
             i = layer.parent[i]
-        base = () if self._itineraries is None else self._itineraries[i]
-        return base + tuple(reversed(symbols))
-
-    def generations(self, t) -> list[list[HComponent]]:
-        """Tree t's generations, its HComponents built from the rows."""
-        gens = []
-        for layer in self.layers[:self.depth[t] + 1]:
-            g = len(gens)
-            gens.append([HComponent(
-                self.curve(g, i), self.itinerary(g, i),
-                float(layer.min_expansion[i]), float(layer.tail_inv[i]),
-                int(layer.tail_from[i]))
-                for i in range(layer.ends[t], layer.ends[t + 1])])
-        return gens
-
-    def columns(self, t) -> list[_Columns]:
-        """``EvolutionTree._columns`` of tree t, from the layers' sums."""
-        out = []
-        for layer, sums in zip(self.layers[:self.depth[t] + 1], self._sums):
-            lo, hi = layer.ends[t], layer.ends[t + 1]
-            inv, tails = sums.inv[lo:hi].tolist(), sums.tails
-            if tails:
-                tails = [inv[i - lo] for i in tails[
-                    bisect_left(tails, lo):bisect_left(tails, hi)]]
-            out.append(_Columns(inv, tails, sums.regular[t]))
-        return out
-
-    def grazing_sum(self, t) -> float:
-        """``grazing_sum`` of tree t's generation 1."""
-        layer = self.layers[1]
-        lo, hi = layer.ends[t], layer.ends[t + 1]
-        return _grazing_total(self._sums[1].inv[lo:hi].tolist(),
-                              (layer.strip[lo:hi] != 0).tolist())
+        return tuple(reversed(symbols))
 
 
 def _remaining_floor(constants, m):
@@ -1246,7 +1194,7 @@ def _prefetched(table, layer, rows, k0):
     """
     first = layer.start[rows]
     size = layer.start[rows + 1] - first
-    # each row's nodes, padded as _nodes pads them
+    # each row's nodes, padded as _geometry takes them
     at = first[:, None] + np.minimum(np.arange(size.max()), size[:, None] - 1)
     geo = _geometry(layer.r[at], layer.phi[at], size)
     wid = layer.wall[rows]
@@ -1447,7 +1395,7 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
     later depth.  Raises what ``_grow`` stops the tree with.
     """
     _check_depth(n)
-    forest = _Forest.of([_root(W)])
+    forest = _Forest(_Seeds.of([W]))
     for _ in range(n):
         _grow(table, forest, k0, constants)
         if forest.stops[0] is not None:
@@ -1679,7 +1627,7 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
             "no curve survived seeding; table constants suspect")
     gen = forest.layers[1]
     best = max([0.0] + [
-        forest.curve(1, i).euclidean_length
+        _curve_at(gen, i).euclidean_length
         / math.sqrt(forest.length[t]) for t in used
         for i in range(gen.ends[t], gen.ends[t + 1]) if not gen.tail_from[i]])
     for stop in stopped:
@@ -1869,8 +1817,8 @@ def _scan_block(table, ids, seed, delta, n, k0, constants):
 
 def _row(row, tree, stop, n, constants):
     """sup_scan's row of a sample, whose fields up to "tries" are in
-    ``row``, and whose tree stopped at ``stop``; read from a ``_View``'s
-    columns, it builds no component."""
+    ``row``, and whose tree stopped at ``stop``; read from an
+    ``EvolutionTree``'s columns, it builds no component."""
     row["flag"] = "" if stop is None else "explosion"
     sums, regular, leaves = depth_columns(tree, constants)
     depth = len(sums) - 1
@@ -1975,10 +1923,10 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
             pass
     _, seeds = _draw_curves(table, Stream.each(
         [seed, 0xD0, i] for i in range(PROBE_SAMPLES)), delta, k0)
-    # started by evolve_n, whose calls perfbench counts as the probe trees
-    roots = (evolve_n(table, _curve_at(seeds, t), 0, k0).root
-             for t in range(seeds.wall.size))
-    forest = _Forest.of(map(_root, roots))
+    # one evolve_n call per probe tree, which perfbench counts
+    for t in range(seeds.wall.size):
+        evolve_n(table, _curve_at(seeds, t), 0, k0)
+    forest = _Forest(seeds)
     best_n, best_sup = N_CAP, math.inf
     first_ok = None
     for n in range(1, N_CAP + 1):

@@ -837,13 +837,13 @@ def _mixed_points(table, count):
 def test_smooth_images_equal_forward(name, request):
     """plain_rows gives forward's image at each point it maps plainly and
     none elsewhere; on a plane table a block of BATCH_MIN rows or more goes
-    through the kernel, and the tail of BATCH_ROWS + 10 rows, below
-    BATCH_MIN, does not; on the torus no block does."""
+    through the kernel, BATCH_ROWS + 10 rows as two near-equal blocks, and
+    a block below BATCH_MIN does not; on the torus no block does."""
     table = (wedge_table(1e-5) if name == "wedge"
              else request.getfixturevalue(name))
     kinds = set()
     for count, sizes in ((BATCH_MIN - 1, []), (BATCH_MIN, [BATCH_MIN]),
-                         (BATCH_ROWS + 10, [BATCH_ROWS])):
+                         (BATCH_ROWS + 10, [(BATCH_ROWS + 10) // 2] * 2)):
         pts = _mixed_points(table, count)
         assert len(pts) == count
         with kernel_calls() as calls:
@@ -914,17 +914,19 @@ def test_plain_rows_where_the_kernel_answers_no_row(tri):
 
 def test_plain_rows_across_a_block_boundary(tri):
     """Kernel answers, declined rows that forward maps and rows where
-    forward raises or does not map plainly, on both sides of the first
-    BATCH_ROWS boundary, come back as one set of rows in point order."""
+    forward raises or does not map plainly, on both sides of the boundary
+    between the two near-equal blocks of BATCH_ROWS + 40 rows, come back as
+    one set of rows in point order."""
     pts = _mixed_points(tri, BATCH_ROWS + 40)
-    pts = pts[40:] + pts[:40]
+    half = len(pts) // 2
+    pts = pts[half:] + pts[:half]
     with kernel_calls() as calls:
         got = _assert_plain_rows(tri, pts)
-    assert [rows.size for rows, _ in calls] == [BATCH_ROWS, 40]
+    assert [rows.size for rows, _ in calls] == [half, half]
     answered = {i for _, ans in calls for i in ans.rows.tolist()}
     declined = set(got.rows.tolist()) - answered
     missing = set(range(len(pts))) - set(got.rows.tolist())
-    for block in (range(0, BATCH_ROWS), range(BATCH_ROWS, len(pts))):
+    for block in (range(0, half), range(half, len(pts))):
         assert answered & set(block) and declined & set(block)
         assert missing & set(block)
     assert {_outcome(tri, pts[i]) for i in missing} \

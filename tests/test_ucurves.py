@@ -14,8 +14,8 @@ from billexp import geometry, singularities as S, tables, ucurves as U
 from billexp.bmap import (BATCH_MIN, BATCH_ROWS, HALF_PI, SINGLE_BRANCH_MU,
                           PhasePoint, RegularRows, Stream,
                           certify_hyperbolicity, expansion_factor, forward,
-                          involute, outgoing_ray, random_phase_point,
-                          single_branch, unstable_cones)
+                          inverse, involute, outgoing_ray,
+                          random_phase_point, single_branch, unstable_cones)
 from billexp.errors import (BilliardError, ComponentExplosion, NoSuchN,
                             SingularSeed)
 from billexp.flow import Ray, first_collision
@@ -108,8 +108,13 @@ def _bits(x):
 
 
 def _geometry_of(curves):
-    """The ``_geometry`` of the curves, padded as ``_nodes`` pads them."""
-    return U._geometry(*U._nodes(curves)[1:])
+    """The ``_geometry`` of the curves as the rows of one ``_Seeds``, each
+    padded by repeating its last node, as ``_prefetched`` pads rows."""
+    seeds = U._Seeds.of(curves)
+    size = np.diff(seeds.start)
+    at = seeds.start[:-1, None] \
+        + np.minimum(np.arange(size.max()), size[:, None] - 1)
+    return U._geometry(seeds.r[at], seeds.phi[at], size)
 
 
 def _arc(W):
@@ -119,7 +124,7 @@ def _arc(W):
 
 def _layer(curves):
     """Generation 0 of a forest of the curves' depth-0 trees."""
-    return U._Forest.of(map(U._root, curves)).layers[0]
+    return U._Forest(U._Seeds.of(curves)).layers[0]
 
 
 def _walked(why, seeds):
@@ -148,7 +153,7 @@ def _prefetch(table, curves, layer=None):
 def _grown(table, curves, stopped=None):
     """The depth-1 trees of the curves, grown together by _grow, and
     what stopped each of them."""
-    forest = U._Forest.of(map(U._root, curves))
+    forest = U._Forest(U._Seeds.of(curves))
     U._grow(table, forest, 30, None, stopped)
     return [forest.tree(t) for t in range(len(curves))], forest.stops
 
@@ -664,6 +669,82 @@ def test_finding_e_curve_keeps_one_component_per_depth(tri):
     assert U.depth_columns(tree)[0][2] == pytest.approx(1.5809175, abs=1e-6)
 
 
+def _pulled_back(table, p, steps):
+    """p mapped back ``steps`` times by bmap.inverse, whose image is unique
+    at every step."""
+    for _ in range(steps):
+        (im,) = inverse(table, p).images
+        p = im.point
+    return p
+
+
+def _fraction_on(W, p):
+    """The arclength fraction along W's polyline of its point nearest to p,
+    which lies on W's wall within 1e-7 of it."""
+    near, at, done = math.inf, 0.0, 0.0
+    for a, b in zip(W.nodes, W.nodes[1:]):
+        dr, dphi = b.r - a.r, b.phi - a.phi
+        seg = math.hypot(dr, dphi)
+        t = min(1.0, max(0.0, ((p.r - a.r) * dr + (p.phi - a.phi) * dphi)
+                         / (seg * seg)))
+        d = math.hypot(a.r + t * dr - p.r, a.phi + t * dphi - p.phi)
+        if d < near:
+            near, at = d, done + t * seg
+        done += seg
+    assert p.wall_id == W.wall_id and near < 1e-7
+    return at / done
+
+
+def _gaps_beyond_insets(table, tree, n):
+    """The time-reversal audit of Findings E and K: the (lo, hi) arclength
+    fractions of the root W that no depth-n leaf covers and that are wider
+    than the insets ``_child`` takes.
+
+    Each leaf's end nodes are pulled back to W, a depth-n leaf's by n steps
+    and a tail of generation g's by g, and projected onto W's polyline.
+    ``_child`` insets each end of a piece by 1e-6 of the piece at each of
+    the n steps, so a gap at an end of W may be n * 1e-6 of W wide, and one
+    between two leaves twice that; NODE_RATIO allows for the uneven
+    stretch along a piece, whose node stretch factors agree within it."""
+    W, spans = tree.root, []
+    for g, gen in enumerate(tree.generations[1:n + 1], 1):
+        spans += [sorted(_fraction_on(W, _pulled_back(table, p, g))
+                         for p in (c.curve.nodes[0], c.curve.nodes[-1]))
+                  for c in gen if c.tail or g == n]
+    gaps, reach, inset = [], 0.0, n * 1e-6 * U.NODE_RATIO
+    for k, (lo, hi) in enumerate(sorted(spans)):
+        if lo - reach > (1 if k == 0 else 2) * inset:
+            gaps.append((reach, lo))
+        reach = max(reach, hi)
+    if 1.0 - reach > inset:
+        gaps.append((reach, 1.0))
+    return gaps
+
+
+def test_the_audit_pins_the_seed_61_trees_that_lose_curve(tri):
+    """Of the seed-61 scan samples 0-99 of tri, grown to N = 3, only sample
+    98 has a gap beyond the insets (Finding K): its image at step 3 runs
+    into a corner, the wall-1 child's inset probe lands inside the corner
+    band and is dropped, and the tree misses 8.5% of its curve with no
+    dropped piece counted.  This pins the known defect; mending the inset
+    probes (ROADMAP item 21) empties the set."""
+    ids = range(100)
+    tries, seeds = U._draw_curves(
+        tri, Stream.each([61, 1, i] for i in ids), 1e-4, 30)
+    forest = U._Forest(seeds)
+    for _ in range(3):
+        U._grow(tri, forest, 30, None)
+    assert forest.stops == [None] * seeds.wall.size
+    samples = [i for i, k in zip(ids, tries) if k is not None]
+    lost = {i: gaps for i, gaps in (
+        (i, _gaps_beyond_insets(tri, forest.tree(t), 3))
+        for t, i in enumerate(samples)) if gaps}
+    assert list(lost) == [98]
+    (lo, hi), = lost[98]
+    assert hi - lo == pytest.approx(0.085, abs=5e-4)
+    assert forest.tree(samples.index(98)).degenerate_merged == 0
+
+
 def _walked_columns(tree, constants):
     """The three walks that ``depth_columns`` replaced, as they stood: the
     sums of ``expansion_totals``, then ``regular_counts`` and
@@ -707,11 +788,27 @@ def _component(tail_inv=0.0, min_expansion=1.0, k=0):
                         tail_from=31 if tail_inv else 0)
 
 
+class _ListTree:
+    """A tree given as its generations, lists of HComponents, read as
+    ``depth_columns`` and ``EvolutionTree.leaves`` read a forest's tree."""
+
+    def __init__(self, generations):
+        self.generations = generations
+
+    leaves = U.EvolutionTree.leaves
+
+    def _columns(self):
+        return [U._Columns([c.inv_expansion for c in gen],
+                           [c.tail_inv for c in gen if c.tail],
+                           sum(1 for c in gen if c.regular))
+                for gen in self.generations]
+
+
 def test_depth_columns_add_earlier_tails_first_in_generation_order(
         cheap_constants):
     """Tails at generations 1, 2 and 3 among pieces, with terms whose
     rounded sum depends on the order they are added in."""
-    tree = U.EvolutionTree(root=None, generations=[
+    tree = _ListTree([
         [U._root(None)],
         [_component(tail_inv=1e-16), _component(min_expansion=1.0, k=1)],
         [_component(min_expansion=1e16), _component(tail_inv=1.0),
@@ -1188,8 +1285,8 @@ def _seeded_curves(table, seed, count, length=U.MAX_LENGTH):
 
 def test_prefetch_maps_its_probes_by_the_row_count_rule(tri, monkeypatch):
     """_prefetched maps its probes with one plain_rows call: one curve's
-    probes are too few for the kernel, and more than BATCH_ROWS probes make
-    one kernel call per block of BATCH_MIN probes or more."""
+    probes are too few for the kernel, and n > BATCH_ROWS probes make one
+    kernel call per block of ceil(n / BATCH_ROWS) near-equal blocks."""
     sizes = []
     plain = U.plain_rows
 
@@ -1205,8 +1302,8 @@ def test_prefetch_maps_its_probes_by_the_row_count_rule(tri, monkeypatch):
         with kernel_calls() as calls:
             _prefetch(tri, block, layer)
         (n,) = sizes
-        blocks = [min(BATCH_ROWS, n - start)
-                  for start in range(0, n, BATCH_ROWS)]
+        k = -(-n // BATCH_ROWS)
+        blocks = [n // k + (j < n % k) for j in range(k)]
         assert [rows.size for rows, _ in calls] \
             == [size for size in blocks if size >= BATCH_MIN]
     assert n > BATCH_ROWS and len(calls) >= 2
@@ -1604,9 +1701,11 @@ def test_decided_children_are_one_step_children(name, request):
         curves += [W for _, *pair in edges for W in pair]
         curves += [W for pair in ratios for W in pair]
     assert {2, 4, 9} <= {len(W.nodes) for W in curves}
-    parents = [U.HComponent(W, ((0, "regular", 0),), rng.uniform(0.5, 40.0))
-               for W in curves]
-    forest = U._Forest.of(parents)
+    parents = [U.HComponent(W, (), rng.uniform(0.5, 40.0)) for W in curves]
+    forest = U._Forest(U._Seeds.of(curves))
+    # the roots take the parents' random floors, which their children's
+    # floors multiply
+    forest.layers[0].min_expansion[:] = [c.min_expansion for c in parents]
     U._grow(table, forest, 30, None)
     assert forest.stops == [None] * len(curves)
     trees = [forest.tree(t) for t in range(len(curves))]
@@ -1886,7 +1985,7 @@ def test_a_layer_holds_only_its_rows_nodes(tri):
     children stores exactly the sum of their node counts, each row's own
     nodes in row order: no row is padded to the longest."""
     curves = _seeded_curves(tri, 11, 6, 1e-4)
-    last = U._Forest.of(map(U._root, curves)).layers[0]
+    last = _layer(curves)
     front = np.arange(len(curves))
     decided, arcs = U._prefetched(tri, last, front, 30)
     assert arcs == [None] * len(curves)
@@ -1906,6 +2005,30 @@ def test_a_layer_holds_only_its_rows_nodes(tri):
         assert U._curve_at(layer, i) == U.make_ucurve(decided.wall[j], [
             PhasePoint(decided.wall[j], r, phi)
             for r, phi in zip(decided.r[j].tolist(), decided.phi[j].tolist())])
+
+
+def test_seed_rows_read_back_as_their_curves(tri):
+    """UCurves of 2, 9 and 50 nodes, from random points by steps of random
+    lengths and slopes, as the rows of one ``_Seeds``: each row reads back
+    as its curve, its length is the curve's euclidean_length bit for bit,
+    and evolve_n's tree of the curve has it as its root."""
+    rng = np.random.default_rng(4040)
+    curves = []
+    for size in (2, 9, 50) * 4:
+        W = None
+        while W is None:
+            W = _polyline(tri, random_phase_point(tri, rng), [
+                _step_of(10.0 ** rng.uniform(-9.0, -5.0),
+                         10.0 ** rng.uniform(-1.0, 1.0))
+                for _ in range(size - 1)])
+        curves.append(W)
+    assert [len(W.nodes) for W in curves] == [2, 9, 50] * 4
+    seeds = U._Seeds.of(curves)
+    for i, W in enumerate(curves):
+        assert U._curve_at(seeds, i) == W
+        assert _bits(seeds.length[i]) == _bits(W.euclidean_length)
+        for n in (0, 1):
+            assert U.evolve_n(tri, W, n).root == W
 
 def _substreams(seed, count):
     return [np.random.default_rng(np.random.SeedSequence([seed, 1, i]))
