@@ -850,13 +850,6 @@ def random_phase_point(table: BilliardTable, rng) -> PhasePoint:
     return PhasePoint(w.wall_id, r, math.asin(2.0 * rng.random() - 1.0))
 
 
-def random_phase_points(table: BilliardTable, rng, count: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` draws of random_phase_point as columns (wall ids, r, phi),
-    from one call of rng.random, bit for bit."""
-    return phase_columns(table, rng.random(2 * count))
-
-
 def phase_columns(table: BilliardTable, u
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The columns (wall ids, r, phi) of the points that random_phase_point
@@ -1000,8 +993,8 @@ def certify_expansion_constant(table: BilliardTable, samples: int,
     rng = Stream([seed, 0xC0])
     best, used = math.inf, 0
     for start in range(0, samples, BATCH_ROWS):
-        cols = random_phase_points(table, rng,
-                                   min(BATCH_ROWS, samples - start))
+        cols = phase_columns(
+            table, rng.random(2 * min(BATCH_ROWS, samples - start)))
         rows, lo, _ = unstable_cones(table, *cols)
         step = plain_rows(table, *cols)
         both = np.isin(step.rows, rows)
@@ -1031,8 +1024,8 @@ def certify_hyperbolicity(table: BilliardTable, samples: int, seed: int,
     attempts = 0
     cap = 20 * samples
     while used < samples and attempts < cap:
-        cols = random_phase_points(table, rng,
-                                   min(BATCH_ROWS, cap - attempts))
+        cols = phase_columns(
+            table, rng.random(2 * min(BATCH_ROWS, cap - attempts)))
         rows, lo, hi = unstable_cones(table, *cols)
         # |DF^k v| at k = 1, 2, ... along each orbit, v inside the cone
         s = interior_slope(lo, hi)

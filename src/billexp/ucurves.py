@@ -168,18 +168,18 @@ def _geometry(r, phi, size) -> _Geometry:
 
 
 class _Arc:
-    """Arclength-fraction view of a UCurve for cutting and sampling, with
-    its lists taken from row ``row`` of ``geo``, a ``_geometry`` that holds
-    W there.
+    """Arclength-fraction view of a curve for cutting and sampling: the
+    curve on wall ``wall_id`` whose nodes are row ``row`` of ``geo``, a
+    ``_geometry``, with its lists taken from there.
 
     ``memo`` maps a parameter to its ``_probe`` result, or to the int entry
     of ``plain`` (the ``RegularRows`` that ``_prefetched`` mapped) that
     holds its plain image, not yet built; see ``_probe_at``.
     """
 
-    def __init__(self, W: UCurve, geo: _Geometry, row: int):
-        m = len(W.nodes)
-        self.W = W
+    def __init__(self, wall_id: int, geo: _Geometry, row: int):
+        m = int(geo.size[row])
+        self.wall_id = wall_id
         self.r, self.phi, self.frac = (
             a[row, :m].tolist() for a in (geo.r, geo.phi, geo.frac))
         self.seg_slope = geo.slope[row, :m - 1].tolist()
@@ -188,7 +188,7 @@ class _Arc:
         self.plain = None
 
     def at(self, s: float) -> PhasePoint:
-        return PhasePoint(self.W.wall_id, _interp(s, self.frac, self.r),
+        return PhasePoint(self.wall_id, _interp(s, self.frac, self.r),
                           _interp(s, self.frac, self.phi))
 
     def slope_at(self, s: float) -> float:
@@ -851,23 +851,19 @@ def _refine_params(table, arc, base, sig):
             for s, f in zip(params, factors) if f is not None]
 
 
-def _root(W):
-    """The depth-0 H-component: W itself, with no itinerary and expansion 1."""
-    return HComponent(curve=W, itinerary=(), min_expansion=1.0)
+def _child(table, arc, piece, lam, k0, c_expansion):
+    """The H-component of the arc's image over one piece, its curve stepped
+    from a parent of expansion floor ``lam``, or None when the piece's
+    valid probes cannot carry a curve.  Its itinerary is this step's one
+    symbol.
 
-
-def _child(table, arc, piece, parent, k0, c_expansion):
-    """The H-component of parent's image over one piece, or None when the
-    piece's valid probes cannot carry a curve.
-
-    A strip's sampled expansion floor is the parent's times the step's node
+    A strip's sampled expansion floor is ``lam`` times the step's node
     minimum.  A tail lumps the strips k >= |tail_from| that the ladder left
     unresolved into a curve through three raw probes; their 1/expansion sum
     is at most the trigamma psi'(m) / C, C the local expansion constant.
     Only probes with the piece's signature (wall, branch) give nodes.
     """
     s_lo, s_hi, sig, tail_from = piece
-    lam = parent.min_expansion
     if tail_from:
         c_loc = _local_expansion_constant(table, arc, piece, c_expansion)
         m = abs(tail_from)
@@ -906,8 +902,7 @@ def _child(table, arc, piece, parent, k0, c_expansion):
     mid = pts[len(pts) // 2]
     return HComponent(
         curve=curve,
-        itinerary=parent.itinerary
-        + ((*sig, tail_from or strip_index(mid.phi, k0)),),
+        itinerary=((*sig, tail_from or strip_index(mid.phi, k0)),),
         min_expansion=lam_min, tail_inv=tail_inv, tail_from=tail_from)
 
 
@@ -918,9 +913,11 @@ def _kept(comp):
         comp.tail or comp.curve.euclidean_length >= DEGEN_LEN)
 
 
-def _one_step(table, parent, arc, k0, c_expansion, stopped=None):
-    """(children, pieces dropped) of parent's one-step image.  ``arc`` is
-    parent's curve as an ``_Arc`` from ``_prefetched``.
+def _one_step(table, arc, lam, k0, c_expansion, stopped=None):
+    """(children, pieces dropped) of the one-step image of the curve of
+    ``arc``, an ``_Arc`` from ``_prefetched``, stepped as a root of
+    expansion floor ``lam``: each child's floor is ``lam`` times its
+    step's, and its itinerary is the step's one symbol.
 
     Each child is built from its own piece alone.  A piece that gives no
     child, or one shorter than DEGEN_LEN, is dropped and counted.
@@ -930,7 +927,7 @@ def _one_step(table, parent, arc, k0, c_expansion, stopped=None):
     pieces = []
     for seg in segments:
         pieces.extend(_secondary_pieces(table, arc, seg, k0, stopped))
-    children = [_child(table, arc, piece, parent, k0, c_expansion)
+    children = [_child(table, arc, piece, lam, k0, c_expansion)
                 for piece in pieces]
     comps = [c for c in children if _kept(c)]
     return comps, len(children) - len(comps)
@@ -1068,7 +1065,7 @@ class _Forest:
     as a root component, with ``length[t]`` its length.  The tree has the
     generations 0..depth[t].  ``stops[t]`` is None while it grows, else
     what stopped it (see ``_grow``), and ``degenerate[t]`` counts its
-    dropped pieces.  ``tree(t)`` hands it out as an EvolutionTree.
+    dropped pieces.
     """
 
     def __init__(self, seeds):
@@ -1091,9 +1088,6 @@ class _Forest:
             np.where(tail, layer.tail_inv, 1.0 / layer.min_expansion),
             np.flatnonzero(tail).tolist(),
             np.diff(regular[layer.ends]).tolist()))
-
-    def tree(self, t) -> EvolutionTree:
-        return EvolutionTree(self, t)
 
     def itinerary(self, g, i) -> tuple:
         """The itinerary of row i of generation g."""
@@ -1200,9 +1194,7 @@ def _prefetched(table, layer, rows, k0):
     wid = layer.wall[rows]
 
     def arc_of(i):
-        n = size[i]
-        return _Arc(_curve(int(wid[i]), geo.r[i, :n].tolist(),
-                           geo.phi[i, :n].tolist()), geo, i)
+        return _Arc(int(wid[i]), geo, i)
 
     held = single_branch(table, wid, geo.r[:, 0], geo.r[:, -1],
                          geo.phi[:, 0], geo.phi[:, -1])
@@ -1241,103 +1233,75 @@ def _grow(table, forest, k0, constants, stopped=None):
     """Grow each tree of the forest whose ``stops`` entry is None by one
     generation, all of them in one new layer.
 
-    A tree that stops gets in ``stops`` a ComponentExplosion once its
-    generation holds more than LEAF_CAP components, whose ``.partial`` is
-    the tree with the cut-short generation, or an error of ``_one_step``,
-    after which it gains no generation.  The parents are the non-tail rows
-    of the growing trees, tree after tree, and ``_prefetched`` maps them
-    BATCH_ROWS at a time, so that no more than BATCH_ROWS arcs are alive at
-    once.  A decided parent's child is written straight from the
-    ``_Decided`` columns.  ``_one_step`` steps each other parent, given as
-    an HComponent, and its children become rows in its place; its arc,
-    whose memo holds the images of its probes, is dropped then.  A tree
-    takes its parents in order and none once it stops.  With a list
-    ``stopped``, ``_one_step`` stops the lazy ladders of each parent, and
-    they are appended to ``stopped`` once its step succeeds.
+    The parents are the non-tail rows of the growing trees, tree after
+    tree, and ``_prefetched`` maps them BATCH_ROWS at a time, so that no
+    more than BATCH_ROWS arcs are alive at once.  One ordered pass meets
+    each parent once.  A decided parent adds its one child, written from
+    the ``_Decided`` columns.  ``_one_step`` steps each other parent from
+    its arc and its floor, and its children become rows in its place; its
+    arc, whose memo holds the images of its probes, is dropped then.  A
+    tree takes its parents in order and none once it stops.  It stops at
+    the first parent that takes its generation past LEAF_CAP, with a
+    ComponentExplosion whose ``.partial`` is the tree with that parent's
+    children last, or at an error of ``_one_step``, after which it gains
+    no generation and no row.  With a list ``stopped``, ``_one_step`` stops
+    the lazy ladders of each parent, and they are appended to ``stopped``
+    once its step succeeds.
     """
     last, g, stops = forest.layers[-1], len(forest.layers), forest.stops
-    growing = np.array([stop is None for stop in stops], dtype=bool)
-    if not growing.any():
+    growing = [t for t, stop in enumerate(stops) if stop is None]
+    if not growing:
         return
     c_exp = constants.c_expansion if constants is not None else None
-    owner = np.repeat(np.arange(growing.size), np.diff(last.ends))
-    front = np.flatnonzero(growing[owner] & (last.tail_from == 0))
+    owner = np.repeat(np.arange(len(stops)), np.diff(last.ends))
+    front = np.flatnonzero(np.isin(owner, growing) & (last.tail_from == 0))
     tree = owner[front]
-    trees = np.arange(growing.size)
-    first = np.searchsorted(tree, trees)
-    # per tree: children so far, its next parent not yet counted, and the
-    # end of the parents whose children join the generation
-    count = [0] * growing.size
-    nxt = first.tolist()
-    end = np.searchsorted(tree, trees, side="right").tolist()
-    kids, parts, failed = {}, [], set()
-
-    def explode(t, stop_at):
-        end[t] = stop_at
-        stops[t] = ComponentExplosion(
-            f"component count exceeded {LEAF_CAP} at depth {g}")
-        stops[t].partial = forest.tree(t)
-
-    def take(t, q):
-        """Count tree t's decided parents up to parent q; False once one
-        of them overflows LEAF_CAP, which stops the tree."""
-        room = LEAF_CAP - count[t]
-        if q - nxt[t] > room:
-            explode(t, nxt[t] + room + 1)
-            return False
-        count[t] += q - nxt[t]
-        nxt[t] = q
-        return True
-
+    first = np.searchsorted(tree, np.arange(len(stops))).tolist()
+    # per parent its children in the generation, per tree their count
+    n, count = [0] * front.size, [0] * len(stops)
+    kids, parts = {}, []
     for start in range(0, front.size, BATCH_ROWS):
         rows = front[start:start + BATCH_ROWS]
         decided, arcs = _prefetched(table, last, rows, k0)
         parts.append(decided._replace(at=decided.at + start))
-        for i in [i for i, arc in enumerate(arcs) if arc is not None]:
+        for i, t in enumerate(tree[start:start + BATCH_ROWS].tolist()):
             q = start + i
-            t = int(tree[q])
-            if stops[t] is not None or not take(t, q):
+            arc, arcs[i] = arcs[i], None    # its memo serves this step only
+            if stops[t] is not None:
                 continue
-            parent = HComponent(arcs[i].W, forest.itinerary(g - 1, rows[i]),
-                                float(last.min_expansion[rows[i]]))
-            ladders = None if stopped is None else []
-            try:
-                kids[q], ndeg = _one_step(table, parent, arcs[i], k0, c_exp,
-                                          ladders)
-            except BilliardError as err:
-                stops[t], end[t] = err, first[t]
-                failed.add(t)
-                continue
-            finally:
-                arcs[i] = None      # its memo serves this step only
-            if ladders:
-                stopped.extend(ladders)
-            forest.degenerate[t] += ndeg
-            count[t] += len(kids[q])
-            nxt[t] = q + 1
+            if arc is not None:
+                ladders = None if stopped is None else []
+                try:
+                    kids[q], ndeg = _one_step(
+                        table, arc, float(last.min_expansion[rows[i]]), k0,
+                        c_exp, ladders)
+                except BilliardError as err:
+                    stops[t] = err
+                    n[first[t]:q] = [0] * (q - first[t])
+                    continue
+                if ladders:
+                    stopped.extend(ladders)
+                forest.degenerate[t] += ndeg
+            n[q] = 1 if arc is None else len(kids[q])
+            count[t] += n[q]
             if count[t] > LEAF_CAP:
-                explode(t, q + 1)
-    for t in np.flatnonzero(growing).tolist():
-        if stops[t] is None:
-            take(t, end[t])
-    forest._append(_next_layer(last, front, tree, np.array(end), kids,
-                               parts))
-    for t in np.flatnonzero(growing).tolist():
-        if t not in failed:
+                stops[t] = ComponentExplosion(
+                    f"component count exceeded {LEAF_CAP} at depth {g}")
+                stops[t].partial = EvolutionTree(forest, t)
+    forest._append(_next_layer(last, front, tree, np.array(n, dtype=int),
+                               kids, parts))
+    for t in growing:
+        if stops[t] is None or isinstance(stops[t], ComponentExplosion):
             forest.depth[t] += 1
 
 
-def _next_layer(last, front, tree, end, kids, parts):
-    """The layer of ``_grow``'s generation: in order, the children of each
-    parent in ``front`` before its tree's ``end``.  ``tree`` holds each
+def _next_layer(last, front, tree, n, kids, parts):
+    """The layer of ``_grow``'s generation: in order, the n[q] children of
+    each parent q of ``front``, none where n[q] is 0.  ``tree`` holds each
     parent's tree, ``kids`` the children of each stepped parent by its
     position in ``front``, and ``parts`` the ``_Decided`` of each batch,
     placed in ``front``."""
-    joins = np.arange(front.size) < end[tree]
-    n = np.ones(front.size, dtype=int)
-    for q, comps in kids.items():
-        n[q] = len(comps)
-    n[~joins] = 0
+    joins = n > 0
     at = np.cumsum(n) - n               # each parent's first child
     stepped = [(int(at[q]) + k, c) for q, comps in kids.items() if joins[q]
                for k, c in enumerate(comps)]
@@ -1400,7 +1364,7 @@ def evolve_n(table: BilliardTable, W: UCurve, n: int, k0: int = K0_DEFAULT,
         _grow(table, forest, k0, constants)
         if forest.stops[0] is not None:
             raise forest.stops[0]
-    return forest.tree(0)
+    return EvolutionTree(forest, 0)
 
 
 def depth_columns(tree: EvolutionTree, constants=None
@@ -1522,7 +1486,6 @@ def _strip_children(table, stop, k0):
     one, as in ``_secondary_pieces``.  A ladder that ends without a tail
     has one more strip, from its last cut to the segment edge, which comes
     with cut None: nothing of the ladder is left."""
-    parent = _root(stop.arc.W)
     prev = stop.cut0
     while prev is not None:
         try:
@@ -1533,7 +1496,7 @@ def _strip_children(table, stop, k0):
             cut = None
         to = stop.edge if cut is None else cut
         piece = (min(prev, to), max(prev, to), stop.sig, 0)
-        yield cut, _child(table, stop.arc, piece, parent, k0, None)
+        yield cut, _child(table, stop.arc, piece, 1.0, k0, None)
         prev = cut
 
 
@@ -1631,7 +1594,8 @@ def certify_length_constant(table: BilliardTable, samples: int, seed: int,
         / math.sqrt(forest.length[t]) for t in used
         for i in range(gen.ends[t], gen.ends[t + 1]) if not gen.tail_from[i]])
     for stop in stopped:
-        root = math.sqrt(stop.arc.W.euclidean_length)
+        arc = stop.arc
+        root = math.sqrt(_curve(arc.wall_id, arc.r, arc.phi).euclidean_length)
         strips = _strip_children(table, stop, k0)
         cut = stop.cut0
         while cut is not None and _image_box(
@@ -1809,8 +1773,9 @@ def _scan_block(table, ids, seed, delta, n, k0, constants):
             continue
         base, length = next(heads)
         rows.append(_row({"sample_id": i, "base": list(base),
-                          "length": length, "tries": k}, forest.tree(t),
-                         forest.stops[t], n, constants))
+                          "length": length, "tries": k},
+                         EvolutionTree(forest, t), forest.stops[t], n,
+                         constants))
         t += 1
     return rows
 
@@ -1932,7 +1897,7 @@ def choose_depth(table: BilliardTable, delta: float, k0: int,
     for n in range(1, N_CAP + 1):
         _grow(table, forest, k0, constants)
         sup = max([0.0] + [
-            depth_columns(forest.tree(t), constants)[0][n]
+            depth_columns(EvolutionTree(forest, t), constants)[0][n]
             for t, stop in enumerate(forest.stops) if stop is None])
         if sup < best_sup:
             best_n, best_sup = n, sup

@@ -25,7 +25,6 @@ from billexp.bmap import (
     orbit,
     phase_columns,
     random_phase_point,
-    random_phase_points,
     plain_rows,
     point_columns,
     regular_steps,
@@ -934,7 +933,7 @@ def test_plain_rows_across_a_block_boundary(tri):
 
 
 def test_regular_images_accept_most_random_points(tri):
-    cols = random_phase_points(tri, np.random.default_rng(3), 2000)
+    cols = phase_columns(tri, np.random.default_rng(3).random(2 * 2000))
     with kernel_calls() as calls:
         assert plain_rows(tri, *cols).rows.size >= 0.95 * 2000
     assert sum(got.rows.size for _, got in calls) >= 0.95 * 2000
@@ -1031,7 +1030,7 @@ def test_unstable_cones_property(request, drawn):
 def test_block_draws_equal_scalar_draws(tri, lens):
     for table in (tri, lens):
         a, b = np.random.default_rng(8), np.random.default_rng(8)
-        block = random_phase_points(table, a, 300)
+        block = phase_columns(table, a.random(2 * 300))
         assert list(map(PhasePoint, *(c.tolist() for c in block))) \
             == [random_phase_point(table, b) for _ in range(300)]
         assert a.random() == b.random()
@@ -1100,7 +1099,7 @@ def test_expansion_constant_reproduces_recorded_values(name, seed, want,
 def _expansion_constant_in_one_shot(table, samples, seed):
     """certify_expansion_constant as it was before it worked in blocks:
     every sample drawn by one call and mapped by one plain_rows call."""
-    cols = random_phase_points(table, Stream([seed, 0xC0]), samples)
+    cols = phase_columns(table, Stream([seed, 0xC0]).random(2 * samples))
     rows, lo, _ = unstable_cones(table, *cols)
     step = plain_rows(table, *cols)
     both = np.isin(step.rows, rows)
@@ -1136,8 +1135,8 @@ def _growth_minima_by_point(table, samples, seed, n_max):
     used = attempts = 0
     cap = 20 * samples
     while used < samples and attempts < cap:
-        cols = random_phase_points(table, rng,
-                                   min(BATCH_ROWS, cap - attempts))
+        cols = phase_columns(
+            table, rng.random(2 * min(BATCH_ROWS, cap - attempts)))
         for z in map(PhasePoint, *(c.tolist() for c in cols)):
             if used >= samples:
                 break

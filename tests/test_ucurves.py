@@ -119,7 +119,12 @@ def _geometry_of(curves):
 
 def _arc(W):
     """A fresh ``_Arc`` of W alone, nothing probed."""
-    return U._Arc(W, _geometry_of([W]), 0)
+    return U._Arc(W.wall_id, _geometry_of([W]), 0)
+
+
+def _curve_of(arc):
+    """The UCurve whose nodes an ``_Arc`` holds."""
+    return U._curve(arc.wall_id, arc.r, arc.phi)
 
 
 def _layer(curves):
@@ -155,7 +160,8 @@ def _grown(table, curves, stopped=None):
     what stopped each of them."""
     forest = U._Forest(U._Seeds.of(curves))
     U._grow(table, forest, 30, None, stopped)
-    return [forest.tree(t) for t in range(len(curves))], forest.stops
+    return ([U.EvolutionTree(forest, t) for t in range(len(curves))],
+            forest.stops)
 
 
 def _ends_and_breaks(xp):
@@ -188,7 +194,7 @@ def test_arc_interpolation_is_np_interp(steps, probes):
     x = np.broadcast_to(np.array(xs), (len(curves), len(xs)))
     rows = U._interp_rows(x, geo.frac, geo.phi)
     for i, C in enumerate(curves):
-        arc = U._Arc(C, geo, i)
+        arc = U._Arc(C.wall_id, geo, i)
         assert list(map(_bits, arc.frac)) == _arc_fractions(C)
         assert arc.seg_slope == [(b.phi - a.phi) / (b.r - a.r)
                                  for a, b in zip(C.nodes, C.nodes[1:])]
@@ -276,8 +282,7 @@ def _one_step_pieces(table, W, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(U, "_child", recorded)
-        comps, _ = U._one_step(table, U._root(W), _arc(W), U.K0_DEFAULT,
-                               None)
+        comps, _ = U._one_step(table, _arc(W), 1.0, U.K0_DEFAULT, None)
     assert [c for _, c in calls if U._kept(c)] == comps \
         == _generation_1(table, W)
     return calls
@@ -475,7 +480,7 @@ def test_length_constant_drops_a_sample_whose_step_raises(tri, monkeypatch):
     resumed = []
 
     def counted(table, stop, k0):
-        resumed.append(stop.arc.W)
+        resumed.append(_curve_of(stop.arc))
         yield from strips(table, stop, k0)
 
     monkeypatch.setattr(U, "_strip_children", counted)
@@ -484,11 +489,10 @@ def test_length_constant_drops_a_sample_whose_step_raises(tri, monkeypatch):
     # a sample that stops a ladder, which pass 2 then resumes
     target = resumed[0]
 
-    def raises_once_stopped(table, parent, arc, k0, c_expansion,
-                            stopped=None):
-        out = one_step(table, parent, arc, k0, c_expansion, stopped)
-        if arc.W == target:
-            assert stopped[-1].arc.W == target
+    def raises_once_stopped(table, arc, lam, k0, c_expansion, stopped=None):
+        out = one_step(table, arc, lam, k0, c_expansion, stopped)
+        if _curve_of(arc) == target:
+            assert _curve_of(stopped[-1].arc) == target
             raise BilliardError("a step that fails after stopping a ladder")
         return out
 
@@ -737,12 +741,12 @@ def test_the_audit_pins_the_seed_61_trees_that_lose_curve(tri):
     assert forest.stops == [None] * seeds.wall.size
     samples = [i for i, k in zip(ids, tries) if k is not None]
     lost = {i: gaps for i, gaps in (
-        (i, _gaps_beyond_insets(tri, forest.tree(t), 3))
+        (i, _gaps_beyond_insets(tri, U.EvolutionTree(forest, t), 3))
         for t, i in enumerate(samples)) if gaps}
     assert list(lost) == [98]
     (lo, hi), = lost[98]
     assert hi - lo == pytest.approx(0.085, abs=5e-4)
-    assert forest.tree(samples.index(98)).degenerate_merged == 0
+    assert U.EvolutionTree(forest, samples.index(98)).degenerate_merged == 0
 
 
 def _walked_columns(tree, constants):
@@ -809,7 +813,7 @@ def test_depth_columns_add_earlier_tails_first_in_generation_order(
     """Tails at generations 1, 2 and 3 among pieces, with terms whose
     rounded sum depends on the order they are added in."""
     tree = _ListTree([
-        [U._root(None)],
+        [U.HComponent(None, (), 1.0)],
         [_component(tail_inv=1e-16), _component(min_expansion=1.0, k=1)],
         [_component(min_expansion=1e16), _component(tail_inv=1.0),
          _component(min_expansion=3.0)],
@@ -1382,7 +1386,7 @@ def _assert_prefetch_moves_no_number(table, curves):
     trees, stops = _grown(table, curves)
     assert stops == [None] * len(trees)
     for W, tree in zip(curves, trees):
-        kids, ndeg = U._one_step(table, U._root(W), _arc(W), 30, None)
+        kids, ndeg = U._one_step(table, _arc(W), 1.0, 30, None)
         assert tree.degenerate_merged == ndeg
         assert [_component_tokens(c) for c in tree.generations[1]] \
             == [_component_tokens(c) for c in kids]
@@ -1708,13 +1712,13 @@ def test_decided_children_are_one_step_children(name, request):
     forest.layers[0].min_expansion[:] = [c.min_expansion for c in parents]
     U._grow(table, forest, 30, None)
     assert forest.stops == [None] * len(curves)
-    trees = [forest.tree(t) for t in range(len(curves))]
+    trees = [U.EvolutionTree(forest, t) for t in range(len(curves))]
     assert sum(tree.degenerate_merged for tree in trees) > 0
     geo = _geometry_of(curves)
     for i, (parent, tree) in enumerate(zip(parents, trees)):
         # a fresh arc, which _one_step steps on its cut grid
-        kids, ndeg = U._one_step(table, parent, U._Arc(curves[i], geo, i),
-                                 30, None)
+        kids, ndeg = U._one_step(table, U._Arc(curves[i].wall_id, geo, i),
+                                 parent.min_expansion, 30, None)
         assert tree.degenerate_merged == ndeg
         assert [_component_tokens(c) for c in tree.generations[1]] \
             == [_component_tokens(c) for c in kids]
@@ -1903,9 +1907,9 @@ def _double_wall_2_children(monkeypatch, wall=2):
             arcs[i] = _arc(U._curve_at(layer, rows[i]))
         return U._Decided(*(a[~on_2] for a in decided)), arcs
 
-    def doubled(table, parent, *args):
-        kids, ndeg = one_step(table, parent, *args)
-        return (kids + kids if parent.curve.wall_id == wall else kids), ndeg
+    def doubled(table, arc, *args):
+        kids, ndeg = one_step(table, arc, *args)
+        return (kids + kids if arc.wall_id == wall else kids), ndeg
 
     monkeypatch.setattr(U, "_prefetched", declined)
     monkeypatch.setattr(U, "_one_step", doubled)
@@ -1994,8 +1998,8 @@ def test_a_layer_holds_only_its_rows_nodes(tri):
         z.wall_id, z.r + k * 1e-7, z.phi + k * 2e-7) for k in range(50)])
     kids = {2: [U.HComponent(long, ((z.wall_id, "regular", 0),), 2.0)]}
     stepped = decided.at == 2
-    layer = U._next_layer(last, front, front, np.full(len(curves), 6), kids,
-                          [U._Decided(*(a[~stepped] for a in decided))])
+    layer = U._next_layer(last, front, front, np.ones(len(curves), dtype=int),
+                          kids, [U._Decided(*(a[~stepped] for a in decided))])
     size = np.diff(layer.start)
     assert size.tolist() == [3, 3, 50, 3, 3, 3]
     assert layer.r.size == layer.phi.size == size.sum() == 65
@@ -2005,6 +2009,150 @@ def test_a_layer_holds_only_its_rows_nodes(tri):
         assert U._curve_at(layer, i) == U.make_ucurve(decided.wall[j], [
             PhasePoint(decided.wall[j], r, phi)
             for r, phi in zip(decided.r[j].tolist(), decided.phi[j].tolist())])
+
+
+def _depth_2(table, curves, cap=None):
+    """The forest of the curves' trees grown to depth 2, its second
+    generation under LEAF_CAP = ``cap`` when given."""
+    forest = U._Forest(U._Seeds.of(curves))
+    U._grow(table, forest, 30, None)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(U, "LEAF_CAP", cap)
+        U._grow(table, forest, 30, None)
+    return forest
+
+
+def _tree_tokens(forest, trees):
+    """Per tree of the forest: its depth, its stop, its dropped pieces and
+    its components' tokens, generation by generation."""
+    return [(forest.depth[t], repr(forest.stops[t]), forest.degenerate[t],
+             [[_component_tokens(c) for c in gen]
+              for gen in U.EvolutionTree(forest, t).generations])
+            for t in trees]
+
+
+def _second_parents(table, forest):
+    """(rows, tree, decided) of the parents of generation 2, in the order
+    _grow meets them: each one's row of generation 1, its tree, and
+    whether _prefetched decides its arc."""
+    layer = forest.layers[1]
+    rows = np.flatnonzero(layer.tail_from == 0)
+    tree = np.repeat(np.arange(len(forest.depth)), np.diff(layer.ends))[rows]
+    decided = np.zeros(rows.size, dtype=bool)
+    decided[U._prefetched(table, layer, rows, 30)[0].at] = True
+    return rows, tree, decided
+
+
+WINDOW = 4      # BATCH_ROWS for _grow in the window tests
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+def test_a_step_that_raises_drops_its_tree_across_windows(name, request):
+    """Anchor trees grown to depth 2 with _grow's windows of WINDOW
+    parents: a tree whose step raises at a parent in a later window than
+    one of its decided parents stops with that error, keeps its depth and
+    has no row in the new layer, and every other tree is what it is in the
+    forest grown without it, as with the default windows."""
+    table = request.getfixturevalue(name)
+    curves = _anchor_curves(table, 8)
+    full = _depth_2(table, curves)
+    rows, tree, decided = _second_parents(table, full)
+    q = next(q for q in np.flatnonzero(~decided).tolist()
+             if any(p // WINDOW < q // WINDOW for p in np.flatnonzero(
+                 decided & (tree == tree[q])).tolist()))
+    t = int(tree[q])
+    target = U._curve_at(full.layers[1], rows[q])
+    err = BilliardError("a step that fails")
+    one_step = U._one_step
+
+    def failing(table_, arc, *args):
+        if _curve_of(arc) == target:
+            raise err
+        return one_step(table_, arc, *args)
+
+    got = []
+    for size in (WINDOW, BATCH_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(U, "BATCH_ROWS", size)
+            mp.setattr(U, "_one_step", failing)
+            forest = _depth_2(table, curves)
+        assert forest.stops[t] is err and forest.depth[t] == 1
+        layer = forest.layers[2]
+        assert layer.ends[t] == layer.ends[t + 1]
+        got.append(_tree_tokens(forest, range(len(curves))))
+    assert got[0] == got[1]
+    without = _depth_2(table, curves[:t] + curves[t + 1:])
+    assert got[0][:t] + got[0][t + 1:] \
+        == _tree_tokens(without, range(len(curves) - 1))
+
+
+@pytest.mark.parametrize("name", ["tri", "lens"])
+@pytest.mark.parametrize("cap", [0, 256])
+def test_a_decided_parent_past_leaf_cap_stops_its_tree_across_windows(
+        name, cap, request):
+    """Anchor trees grown to depth 2, the second generation under LEAF_CAP
+    = cap, with _grow's windows of WINDOW parents: a tree whose generation
+    passes the cap stops with a ComponentExplosion at the parent that
+    passes it, and its ``.partial`` keeps exactly the children up to that
+    parent, as with the default windows.  At cap 0 a decided first parent
+    passes it before the stepped parents of later windows; at 256 a
+    decided last parent does, after the stepped ones of earlier windows."""
+    table = request.getfixturevalue(name)
+    curves = _anchor_curves(table, 8)
+    full = _depth_2(table, curves)
+    rows, tree, decided = _second_parents(table, full)
+    layer = full.layers[2]
+    # per tree, the children up to the parent that passes the cap
+    want, at_decided = [], []
+    for t, tokens in enumerate(_tree_tokens(full, range(len(curves)))):
+        kids = tokens[3][2]
+        if len(kids) <= cap:
+            want.append(None)
+            continue
+        parent = layer.parent[layer.ends[t]:layer.ends[t + 1]]
+        q = int(np.searchsorted(rows, parent[cap]))
+        want.append(kids[:int(np.searchsorted(parent, parent[cap], "right"))])
+        if decided[q] and len({p // WINDOW for p in np.flatnonzero(
+                tree == t).tolist()}) > 1:
+            at_decided.append(t)
+    assert at_decided
+    got = []
+    for size in (WINDOW, BATCH_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(U, "BATCH_ROWS", size)
+            forest = _depth_2(table, curves, cap)
+        for t, kids in enumerate(want):
+            assert forest.depth[t] == 2
+            if kids is None:
+                assert forest.stops[t] is None
+                continue
+            stop = forest.stops[t]
+            assert isinstance(stop, ComponentExplosion)
+            assert [_component_tokens(c)
+                    for c in stop.partial.generations[2]] == kids
+        got.append(_tree_tokens(forest, range(len(curves))))
+    assert got[0] == got[1]
+
+
+def test_a_scan_walks_no_parent_itinerary(tri, monkeypatch):
+    """A small tri scan that steps declined arcs reads no itinerary of a
+    parent row: _one_step steps each from its arc and its floor."""
+    walks, steps = [], []
+    itinerary, one_step = U._Forest.itinerary, U._one_step
+
+    def walked(self, g, i):
+        walks.append((g, i))
+        return itinerary(self, g, i)
+
+    def stepped(*args):
+        steps.append(args)
+        return one_step(*args)
+
+    monkeypatch.setattr(U._Forest, "itinerary", walked)
+    monkeypatch.setattr(U, "_one_step", stepped)
+    U.sup_scan(tri, 1e-3, 20, 2, 30, 61)
+    assert steps and walks == []
 
 
 def test_seed_rows_read_back_as_their_curves(tri):
@@ -2036,7 +2184,8 @@ def _substreams(seed, count):
 
 
 def _drawn_tokens(drawn):
-    return [None if d is None else (_component_tokens(U._root(d[0])), d[1])
+    return [None if d is None
+            else (_component_tokens(U.HComponent(d[0], (), 1.0)), d[1])
             for d in drawn]
 
 
@@ -2294,7 +2443,7 @@ def test_seed_rows_hold_the_nodes_make_ucurve_keeps(name, request,
     drawn = [_draw_by_itself(table, rng, 1e-4, 30)
              for rng in _substreams(37, 200)]
     assert tries == [d[1] for d in drawn]
-    assert [forest.tree(t).root for t in range(len(drawn))] \
+    assert [U.EvolutionTree(forest, t).root for t in range(len(drawn))] \
         == [d[0] for d in drawn]
     assert [_bits(x) for x in forest.length] \
         == [_bits(d[0].euclidean_length) for d in drawn]
@@ -2336,7 +2485,7 @@ def test_length_constant_seeds_as_curve_by_curve(tri, monkeypatch, seed,
     grow = U._grow
 
     def recorded(table, forest, *args):
-        evolved.extend(forest.tree(t).root
+        evolved.extend(U.EvolutionTree(forest, t).root
                        for t in range(len(forest.depth)))
         return grow(table, forest, *args)
 
